@@ -42,6 +42,14 @@ class EdgeUpdate:
         return EdgeUpdate(self.del_src, self.del_dst, self.add_src, self.add_dst)
 
 
+def _positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-bound position of each key in ``sorted_keys`` and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    known = at < len(sorted_keys)
+    known[known] = sorted_keys[at[known]] == keys[known]
+    return at, known
+
+
 class DTDG:
     """Snapshots plus derived per-timestamp updates.
 
@@ -113,10 +121,15 @@ class DTDG:
             np.asarray(update.del_src, dtype=np.int64),
             np.asarray(update.del_dst, dtype=np.int64), self.num_nodes,
         ))
-        add = np.setdiff1d(add, prev, assume_unique=True)
-        delete = np.intersect1d(delete, prev, assume_unique=True)
-        curr = np.union1d(np.setdiff1d(prev, delete, assume_unique=True), add)
-        self._keys.append(curr)
+        # ``prev`` is sorted and unique, so membership is a binary search per
+        # batch key and the new snapshot is one masked copy plus one insert.
+        add_at, add_known = _positions_in(prev, add)
+        add, add_at = add[~add_known], add_at[~add_known]
+        del_at, del_known = _positions_in(prev, delete)
+        delete, del_at = delete[del_known], del_at[del_known]
+        keep = np.ones(len(prev), dtype=bool)
+        keep[del_at] = False
+        self._keys.append(np.insert(prev[keep], add_at - np.searchsorted(del_at, add_at), add))
         a_src, a_dst = decode_edges(add, self.num_nodes)
         d_src, d_dst = decode_edges(delete, self.num_nodes)
         self.updates.append(EdgeUpdate(a_src, a_dst, d_src, d_dst))

@@ -1,43 +1,13 @@
-"""The Packed Memory Array.
+"""Frozen layout oracle for :class:`repro.pma.PackedMemoryArray` (test-only).
 
-Storage layout
---------------
-``keys``/``values`` are parallel arrays of size ``capacity`` holding int64
-edge keys and payloads (edge ids).  Empty slots hold :data:`SPACE_KEY` — the
-paper's ``SPACE`` sentinel.  The array is divided into equal segments; within
-each segment the valid items occupy a *sorted prefix* (gaps at the tail), and
-the concatenation of all prefixes is globally sorted.  This is exactly the
-"modified ``column_indices`` and ``edge_ids`` array which contains empty
-spaces between elements" of the paper's GPMA description, normalized so the
-gap positions are deterministic.
-
-Updates
--------
-:meth:`insert_batch` / :meth:`delete_batch` are the GPMA batch update
-primitives.  A batch is one segmented pass over the segments it touches, the
-way GPMA assigns one thread group per segment:
-
-1. **route** the sorted batch through the per-segment minimum keys;
-2. **gather** the touched segments as a ``(touched, seg_size)`` block;
-3. **locate** every key with one ``searchsorted`` over the block's valid
-   prefixes (:meth:`_locate`, which also serves ``get``, ``contains_batch``
-   and the upsert);
-4. **compact** (delete) or **merge** (insert) all rows at once with boolean
-   masks, and **write the block back**.
-
-Only segments that end up outside their density bound leave the pass: the
-smallest enclosing *window* (aligned group of ``2**d`` segments) satisfying
-the depth-``d`` bound is rebalanced by redistributing its items evenly — the
-CPU equivalent of GPMA's levelwise parallel rebalance.  Overflowing windows
-run before the merge, in ascending order, and take their pending keys with
-them; underflowing windows run after the compaction.  When the root bound is
-violated the capacity doubles (or halves) and everything is redistributed.
-
-Complexity: amortized ``O(log^2 n)`` slot moves per update, matching the PMA
-literature.  A batch costs ``O(touched * seg_size)`` element operations plus
-a few ``num_segments``-long vector ops (routing table, pending counts); it
-has no ``O(capacity)`` term and no Python iteration over segments except
-over the windows that actually rebalance.
+This is the per-segment-loop PMA exactly as it stood before the segmented
+batch pass replaced it (``src/repro/pma/pma.py`` at commit b390f3d), class
+renamed and nothing else changed.  It is **not a code path**: nothing under
+``src/`` may import it, and it must not be edited to follow ``pma.py``.
+``tests/test_pma_differential.py`` and the ``benchmarks/test_micro_pma.py``
+speed gates drive the same operation sequence through both classes and
+require ``keys``, ``values``, ``_counts``, ``_seg_min``, ``capacity``,
+``n_items`` and every return value to be equal after every call.
 """
 
 from __future__ import annotations
@@ -54,13 +24,13 @@ from repro.pma.segment import (
     window_bounds,
 )
 
-__all__ = ["PackedMemoryArray", "SPACE_KEY"]
+__all__ = ["ReferencePMA", "SPACE_KEY"]
 
 SPACE_KEY = np.int64(-1)
 _POS_INF = np.iinfo(np.int64).max
 
 
-class PackedMemoryArray:
+class ReferencePMA:
     """A gapped, sorted key/value store with batched updates.
 
     Parameters
@@ -93,6 +63,10 @@ class PackedMemoryArray:
         """Fill fraction ``n_items / capacity``."""
         return self.n_items / self.capacity
 
+    def _seg_slice(self, seg: int) -> slice:
+        start = seg * self.seg_size
+        return slice(start, start + int(self._counts[seg]))
+
     def _refresh_seg_min(self) -> None:
         """Recompute the per-segment minimum-key array used for routing.
 
@@ -115,24 +89,6 @@ class PackedMemoryArray:
         segs = np.searchsorted(self._seg_min, keys, side="right") - 1
         return np.clip(segs, 0, self.num_segments - 1)
 
-    def _locate(self, keys: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower-bound slot of every key inside its routed segment, and a hit mask.
-
-        The touched segments are gathered as one ``(touched, seg_size)`` block
-        whose valid prefixes, concatenated, are globally sorted, so a single
-        ``searchsorted`` places every key; routing guarantees the position
-        falls inside (or one past) the key's own segment prefix.
-        """
-        touched, row = np.unique(segs, return_inverse=True)
-        counts = self._counts[touched]
-        block = self.keys.reshape(-1, self.seg_size)[touched]
-        prefixes = block[np.arange(self.seg_size) < counts[:, None]]
-        idx = np.searchsorted(prefixes, keys) - (np.cumsum(counts) - counts)[row]
-        slot = segs * self.seg_size + idx
-        found = idx < counts[row]
-        found[found] = self.keys[slot[found]] == keys[found]
-        return slot, found
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -142,14 +98,25 @@ class PackedMemoryArray:
 
     def get(self, key: int) -> int | None:
         """Payload for ``key`` or ``None``."""
-        keys = np.asarray([key], dtype=np.int64)
-        slot, found = self._locate(keys, self._route(keys))
-        return int(self.values[slot[0]]) if found[0] else None
+        if self.n_items == 0:
+            return None
+        seg = int(self._route(np.asarray([key], dtype=np.int64))[0])
+        sl = self._seg_slice(seg)
+        idx = np.searchsorted(self.keys[sl], key)
+        base = seg * self.seg_size
+        if idx < int(self._counts[seg]) and self.keys[base + idx] == key:
+            return int(self.values[base + idx])
+        return None
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized membership test (boolean array)."""
         keys = np.asarray(keys, dtype=np.int64)
-        return self._locate(keys, self._route(keys))[1]
+        if self.n_items == 0:
+            return np.zeros(len(keys), dtype=bool)
+        valid_keys, _ = self.export_items()
+        pos = np.searchsorted(valid_keys, keys)
+        pos_clipped = np.minimum(pos, len(valid_keys) - 1)
+        return (pos < len(valid_keys)) & (valid_keys[pos_clipped] == keys)
 
     def export_items(self) -> tuple[np.ndarray, np.ndarray]:
         """All valid ``(keys, values)`` in sorted order (compacted copy)."""
@@ -189,73 +156,97 @@ class PackedMemoryArray:
         keys, values = keys[uniq_mask], values[uniq_mask]
 
         # Upsert keys that already exist (no structural change).
-        slot, present = self._locate(keys, self._route(keys))
-        self.values[slot[present]] = values[present]
-        keys, values = keys[~present], values[~present]
+        present = self.contains_batch(keys)
+        if present.any():
+            for k, v in zip(keys[present], values[present]):
+                self._overwrite(int(k), int(v))
+            keys, values = keys[~present], values[~present]
         if len(keys) == 0:
             return 0
 
         # Grow proactively if the batch alone would breach the root bound.
         while (self.n_items + len(keys)) / self.capacity > self.bounds.upper(self.bounds.height):
-            self._resize(self.capacity * 2)
+            self._resize(self.capacity * 2, extra_keys=None)
 
         segs = self._route(keys)
-        # Keys still to be placed, per segment; a rebalanced window zeroes its
-        # range, which is how later windows and the merge know to skip it.
-        pending = np.bincount(segs, minlength=self.num_segments)
-        touched = np.flatnonzero(pending)
-        overflowing = self._counts[touched] + pending[touched] > self.bounds.upper(0) * self.seg_size
-        for seg in touched[overflowing]:
-            if not pending[seg]:
+        pending_per_seg = np.bincount(segs, minlength=self.num_segments)
+        touched = np.flatnonzero(pending_per_seg)
+        seg_offsets = np.zeros(self.num_segments + 1, dtype=np.int64)
+        np.cumsum(pending_per_seg, out=seg_offsets[1:])
+
+        handled = np.zeros(self.num_segments, dtype=bool)
+        upper0 = self.bounds.upper(0) * self.seg_size
+        for seg in touched:
+            if handled[seg]:
                 continue
-            s0, s1 = self._find_insert_window(int(seg), pending)
-            lo, hi = np.searchsorted(segs, [s0, s1])
-            take = pending[segs[lo:hi]] > 0
-            self._rebalance_window(s0, s1, extra=(keys[lo:hi][take], values[lo:hi][take]))
-            pending[s0:s1] = 0
-        rest = pending[segs] > 0
-        self._merge_rows(keys[rest], values[rest], segs[rest])
+            new_count = int(self._counts[seg]) + int(pending_per_seg[seg])
+            pend_sl = slice(int(seg_offsets[seg]), int(seg_offsets[seg + 1]))
+            if new_count <= upper0:
+                self._merge_into_segment(int(seg), keys[pend_sl], values[pend_sl])
+                handled[seg] = True
+            else:
+                s0, s1 = self._find_insert_window(int(seg), pending_per_seg, handled)
+                self._rebalance_window(
+                    s0,
+                    s1,
+                    extra=self._collect_pending(s0, s1, keys, values, segs, seg_offsets, handled),
+                )
         self.n_items += len(keys)
         self._refresh_seg_min()
         return len(keys)
 
-    def _merge_rows(self, keys: np.ndarray, values: np.ndarray, segs: np.ndarray) -> None:
-        """Sorted-merge absent ``keys`` into their segments, all rows at once.
+    def _overwrite(self, key: int, value: int) -> None:
+        seg = int(self._route(np.asarray([key], dtype=np.int64))[0])
+        base = seg * self.seg_size
+        idx = int(np.searchsorted(self.keys[self._seg_slice(seg)], key))
+        if idx < int(self._counts[seg]) and self.keys[base + idx] == key:
+            self.values[base + idx] = value
+        else:  # pragma: no cover - guarded by contains_batch
+            raise KeyError(key)
 
-        A new key lands at its lower bound plus its rank among the new keys
-        of the same segment; the old prefix fills the columns left over.
-        """
-        slot, _ = self._locate(keys, segs)
-        touched, row = np.unique(segs, return_inverse=True)
-        added = np.bincount(row)
-        rank = np.arange(len(keys)) - (np.cumsum(added) - added)[row]
-        cols = np.arange(self.seg_size)
-        old = cols < self._counts[touched, None]
-        new = np.zeros_like(old)
-        new[row, slot - segs * self.seg_size + rank] = True
-        self._counts[touched] += added
-        shifted = (cols < self._counts[touched, None]) & ~new
-        for store, fresh in ((self.keys, keys), (self.values, values)):
-            rows = store.reshape(-1, self.seg_size)
-            block = rows[touched]
-            block[shifted] = block[old]
-            block[new] = fresh
-            rows[touched] = block
+    def _merge_into_segment(self, seg: int, new_keys: np.ndarray, new_values: np.ndarray) -> None:
+        base = seg * self.seg_size
+        count = int(self._counts[seg])
+        merged_k = np.concatenate([self.keys[base : base + count], new_keys])
+        merged_v = np.concatenate([self.values[base : base + count], new_values])
+        order = np.argsort(merged_k, kind="stable")
+        total = len(merged_k)
+        self.keys[base : base + total] = merged_k[order]
+        self.values[base : base + total] = merged_v[order]
+        self._counts[seg] = total
 
-    def _find_insert_window(self, seg: int, pending: np.ndarray) -> tuple[int, int]:
+    def _find_insert_window(
+        self, seg: int, pending_per_seg: np.ndarray, handled: np.ndarray
+    ) -> tuple[int, int]:
         """Smallest aligned window around ``seg`` within its upper bound.
 
-        ``pending`` holds the batch keys not yet placed per segment, so a
-        window's occupancy is what it stores plus what is still headed for it.
+        Pending items of already-handled segments are excluded: their counts
+        were folded into ``_counts`` by the earlier local merge.
         """
         for depth in range(1, self.bounds.height + 1):
             s0, s1 = window_bounds(seg, depth, self.num_segments)
-            occupancy = int(self._counts[s0:s1].sum()) + int(pending[s0:s1].sum())
+            pend = pending_per_seg[s0:s1][~handled[s0:s1]]
+            occupancy = int(self._counts[s0:s1].sum()) + int(pend.sum())
             if occupancy <= self.bounds.upper(depth) * (s1 - s0) * self.seg_size:
                 return s0, s1
         # Unreachable: insert_batch grows proactively so the root window
         # (depth == height, the whole array) always satisfies its bound.
         raise RuntimeError("no window satisfies its density bound; proactive growth failed")
+
+    def _collect_pending(
+        self,
+        s0: int,
+        s1: int,
+        keys: np.ndarray,
+        values: np.ndarray,
+        segs: np.ndarray,
+        seg_offsets: np.ndarray,
+        handled: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Consume all not-yet-handled pending items routed into [s0, s1)."""
+        take = (segs >= s0) & (segs < s1) & ~handled[segs]
+        handled[s0:s1] = True
+        return keys[take], values[take]
 
     # ------------------------------------------------------------------
     # Batched delete
@@ -266,52 +257,53 @@ class PackedMemoryArray:
         if len(keys) == 0 or self.n_items == 0:
             return 0
         segs = self._route(keys)
-        slot, present = self._locate(keys, segs)
-        doomed = slot[present]
-        if len(doomed) == 0:
+        removed_total = 0
+        for seg in np.unique(segs):
+            seg = int(seg)
+            base = seg * self.seg_size
+            count = int(self._counts[seg])
+            if count == 0:
+                continue
+            seg_keys = self.keys[base : base + count]
+            doomed = keys[segs == seg]
+            keep_mask = ~np.isin(seg_keys, doomed)
+            removed = count - int(keep_mask.sum())
+            if removed == 0:
+                continue
+            kept = int(keep_mask.sum())
+            self.keys[base : base + kept] = seg_keys[keep_mask]
+            self.values[base : base + kept] = self.values[base : base + count][keep_mask]
+            self.keys[base + kept : base + count] = SPACE_KEY
+            self.values[base + kept : base + count] = -1
+            self._counts[seg] = kept
+            removed_total += removed
+        if removed_total == 0:
             return 0
-        # Compact every segment that loses a key: survivors slide to the
-        # front of their row, the freed tail goes back to SPACE.
-        hit, row = np.unique(doomed // self.seg_size, return_inverse=True)
-        cols = np.arange(self.seg_size)
-        keep = cols < self._counts[hit, None]
-        keep[row, doomed % self.seg_size] = False
-        self._counts[hit] = keep.sum(axis=1)
-        packed = cols < self._counts[hit, None]
-        for store, gap in ((self.keys, SPACE_KEY), (self.values, -1)):
-            rows = store.reshape(-1, self.seg_size)
-            block = np.full((len(hit), self.seg_size), gap, dtype=np.int64)
-            block[packed] = rows[hit][keep]
-            rows[hit] = block
-        self.n_items -= len(doomed)
+        self.n_items -= removed_total
 
-        # Fix underflowing windows bottom-up, over every routed segment in
-        # ascending order, re-reading counts a rebalance may have changed.
-        touched = np.unique(segs)
+        # Fix underflowing windows bottom-up.
         lower0 = self.bounds.lower(0) * self.seg_size
-        while len(under := touched[self._counts[touched] < lower0]):
-            window = self._find_delete_window(int(under[0]))
-            if window is None:
+        for seg in np.unique(segs):
+            seg = int(seg)
+            if int(self._counts[seg]) >= lower0:
+                continue
+            for depth in range(1, self.bounds.height + 1):
+                s0, s1 = window_bounds(seg, depth, self.num_segments)
+                occ = int(self._counts[s0:s1].sum())
+                if occ >= self.bounds.lower(depth) * (s1 - s0) * self.seg_size:
+                    self._rebalance_window(s0, s1)
+                    break
+            else:
                 break  # whole-array underflow: handled by the shrink below
-            self._rebalance_window(*window)
-            touched = touched[touched > under[0]]
         # Halving doubles density, and 2·rho_root <= tau_root does not hold
         # (0.6 < 0.7 does), so a single-step check per halving is safe.
         while (
             self.capacity > MIN_CAPACITY
             and self.n_items < self.bounds.lower(self.bounds.height) * self.capacity
         ):
-            self._resize(self.capacity // 2)
+            self._resize(self.capacity // 2, extra_keys=None)
         self._refresh_seg_min()
-        return len(doomed)
-
-    def _find_delete_window(self, seg: int) -> tuple[int, int] | None:
-        """Smallest aligned window around ``seg`` within its lower bound."""
-        for depth in range(1, self.bounds.height + 1):
-            s0, s1 = window_bounds(seg, depth, self.num_segments)
-            if int(self._counts[s0:s1].sum()) >= self.bounds.lower(depth) * (s1 - s0) * self.seg_size:
-                return s0, s1
-        return None
+        return removed_total
 
     # ------------------------------------------------------------------
     # Rebalancing & resize
@@ -357,7 +349,7 @@ class PackedMemoryArray:
             self.values[slots] = items_v
         self._counts[s0:s1] = counts
 
-    def _resize(self, new_capacity: int) -> None:
+    def _resize(self, new_capacity: int, extra_keys: None) -> None:
         items_k, items_v = self.export_items()
         new_capacity = max(MIN_CAPACITY, new_capacity)
         self._alloc_arrays(new_capacity)
@@ -370,26 +362,23 @@ class PackedMemoryArray:
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
         assert self.capacity == self.num_segments * self.seg_size
-        counts = self._counts
-
-        def check(bad: np.ndarray, message: str) -> None:
-            """``bad`` flags segments; report the first one flagged."""
-            seg = int(np.argmax(bad))
-            assert not bad[seg], message.format(seg=seg, count=int(counts[seg]))
-
-        check((counts < 0) | (counts > self.seg_size), "segment {seg} count {count} out of range")
-        keys = self.keys.reshape(-1, self.seg_size)
-        in_prefix = np.arange(self.seg_size) < counts[:, None]
-        is_space = keys == SPACE_KEY
-        check((is_space & in_prefix).any(axis=1), "SPACE inside prefix of segment {seg}")
-        check((~is_space & ~in_prefix).any(axis=1), "valid key in gap of segment {seg}")
-        unsorted = (keys[:, 1:] <= keys[:, :-1]) & in_prefix[:, 1:]
-        check(unsorted.any(axis=1), "segment {seg} prefix not strictly sorted")
-        filled = np.flatnonzero(counts)
-        out_of_order = np.zeros(self.num_segments, dtype=bool)
-        out_of_order[filled[1:]] = keys[filled[:-1], counts[filled[:-1]] - 1] >= keys[filled[1:], 0]
-        check(out_of_order, "global order broken at segment {seg}")
-        total = int(counts.sum())
+        total = 0
+        prev_last: int | None = None
+        for seg in range(self.num_segments):
+            base = seg * self.seg_size
+            count = int(self._counts[seg])
+            assert 0 <= count <= self.seg_size, f"segment {seg} count {count} out of range"
+            prefix = self.keys[base : base + count]
+            tail = self.keys[base + count : base + self.seg_size]
+            assert np.all(prefix != SPACE_KEY), f"SPACE inside prefix of segment {seg}"
+            assert np.all(tail == SPACE_KEY), f"valid key in gap of segment {seg}"
+            if count > 1:
+                assert np.all(np.diff(prefix) > 0), f"segment {seg} prefix not strictly sorted"
+            if count > 0:
+                if prev_last is not None:
+                    assert prev_last < int(prefix[0]), f"global order broken at segment {seg}"
+                prev_last = int(prefix[-1])
+            total += count
         assert total == self.n_items, f"n_items {self.n_items} != stored {total}"
 
     def __len__(self) -> int:
@@ -397,6 +386,6 @@ class PackedMemoryArray:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PackedMemoryArray(n={self.n_items}, capacity={self.capacity}, "
+            f"ReferencePMA(n={self.n_items}, capacity={self.capacity}, "
             f"segments={self.num_segments}×{self.seg_size}, density={self.density:.2f})"
         )

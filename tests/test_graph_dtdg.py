@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import DTDG, EdgeUpdate
 from repro.graph.labels import encode_edges
@@ -95,3 +96,33 @@ def test_identical_snapshots_no_updates():
     dtdg = DTDG([_snap((0, 1)), _snap((0, 1))], 2)
     assert dtdg.updates[1].num_changes == 0
     assert dtdg.percent_change(1) == 0.0
+
+
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(["mixed", "redundant", "all-delete", "empty"]))
+@settings(max_examples=80, deadline=None)
+def test_append_update_matches_set_algebra(seed, shape):
+    """The stored update and the new snapshot equal the set-algebra definition:
+    ``add \\ prev``, ``delete & prev``, ``(prev \\ delete) | add``."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    m = int(rng.integers(0, 60))
+    dtdg = DTDG([(rng.integers(0, n, m), rng.integers(0, n, m))], n)
+    for _ in range(4):
+        prev = dtdg._keys[-1]
+        n_add, n_del = {"mixed": (20, 20), "redundant": (20, 20), "all-delete": (0, 30), "empty": (0, 0)}[shape]
+        add = rng.integers(0, n * n, n_add)  # in-batch duplicates and already-present edges are likely
+        delete = rng.integers(0, n * n, n_del)  # absent edges and overlaps with ``add`` too
+        if shape == "redundant":
+            add = rng.choice(prev, n_add) if len(prev) else prev
+            delete = np.setdiff1d(np.arange(n * n), prev)[:n_del]
+        t = dtdg.append_update(EdgeUpdate(add // n, add % n, delete // n, delete % n))
+        want_add = np.setdiff1d(add, prev)
+        want_del = np.intersect1d(delete, prev)
+        assert t == dtdg.num_timestamps - 1
+        np.testing.assert_array_equal(dtdg._keys[t], np.union1d(np.setdiff1d(prev, want_del), want_add))
+        up = dtdg.updates[t]
+        np.testing.assert_array_equal(encode_edges(up.add_src, up.add_dst, n), want_add)
+        np.testing.assert_array_equal(encode_edges(up.del_src, up.del_dst, n), want_del)
+        assert dtdg._keys[t].dtype == np.int64 and up.add_src.dtype == np.int64
+        if shape in ("redundant", "empty"):
+            assert up.num_changes == 0
