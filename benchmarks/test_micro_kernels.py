@@ -6,10 +6,11 @@ import time
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.compiler import compile_vertex_program
 from repro.compiler.native import native_backend
-from repro.compiler.runtime import GraphContext
+from repro.compiler.runtime import GraphContext, spmm
 from repro.graph import StaticGraph
 from repro.tensor import Tensor, functional as F
 
@@ -159,6 +160,57 @@ def test_compiled_speedup_gate(ctx, rng):
     assert t_kernel / t_compiled >= 2.0, (
         f"compiled tier {t_kernel / t_compiled:.2f}x vs kernel; expected >= 2x"
     )
+
+
+def _best_seconds(fn, repeats: int = 7, calls: int = 50) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_warm_spmm_launch_is_product_bound(ctx, rng, monkeypatch, direction):
+    """Gate: a warm unweighted ``spmm`` is the product plus the scatter.
+
+    The bare side multiplies a row-permuted matrix built here, once, with
+    plain SciPy and scatters the result back; the launch may cost at most
+    1.25x that, because everything else it used to do per call (wrap the
+    arrays in a matrix, permute its rows) is structure of the context.
+    Both sides run in this process on the same arrays, so runner speed
+    cancels out.  A warm launch also constructs no matrix at all.
+    """
+    row, col, order = (
+        (ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids)
+        if direction == "in"
+        else (ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids)
+    )
+    ones = np.ones(ctx.num_edges, dtype=np.float32)
+    prepermuted = sp.csr_matrix((ones, col, row), shape=(N, N))[order]
+    x = rng.standard_normal((N, FDIM)).astype(np.float32)
+
+    def bare():
+        out_perm = prepermuted @ x
+        out = np.empty_like(out_perm)
+        out[order] = out_perm
+        return out
+
+    assert np.array_equal(spmm(ctx, None, x, direction), bare())  # also warms the operator
+    t_bare = _best_seconds(bare)
+    t_launch = _best_seconds(lambda: spmm(ctx, None, x, direction))
+    assert t_launch <= 1.25 * t_bare, (
+        f"warm spmm({direction!r}) is {t_launch / t_bare:.2f}x the bare product + scatter"
+    )
+
+    built = []
+    real = sp.csr_matrix
+    monkeypatch.setattr(sp, "csr_matrix", lambda *a, **k: built.append(1) or real(*a, **k))
+    for _ in range(3):
+        spmm(ctx, None, x, direction)
+    assert not built
 
 
 def test_ablation_degree_sort_off(benchmark, graph, rng):

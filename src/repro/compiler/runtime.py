@@ -13,15 +13,22 @@ all edge-space buffers; label-indexed edge features are converted at bind
 time and the backward SpMM permutes weights into backward-CSR order through
 the shared labels — the concrete payoff of the paper's edge-labelling
 requirement.
+
+What ``spmm`` multiplies by is structure too: a context keeps, per
+direction, one :class:`_AggregationOperator` (the CSR with its rows already
+in ``node_ids`` order), built by the first launch that asks for it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.base import STGraphBase
 from repro.graph.csr import CSR
+from repro.tensor.ops import stable_sigmoid
 
 __all__ = ["GraphContext", "RUNTIME_NAMESPACE"]
 
@@ -64,34 +71,16 @@ class GraphContext:
         self.label_to_fwd = label_to_fwd
         self.bwd_to_fwd = label_to_fwd[self.bwd_eids]
         self.in_deg_clamped = np.maximum(self.in_deg, 1).astype(np.float32)
-        self._fwd_mat_unweighted: sp.csr_matrix | None = None
+        self._operators: dict[tuple[str, bool], _AggregationOperator] = {}
 
-    # -- matrix builders ------------------------------------------------
-    def fwd_matrix(self, w: np.ndarray | None) -> sp.csr_matrix:
-        """in-adjacency as CSR: rows = destinations, cols = sources."""
-        n = self.num_nodes
-        if w is None:
-            if self._fwd_mat_unweighted is None:
-                data = np.ones(self.num_edges, dtype=np.float32)
-                self._fwd_mat_unweighted = sp.csr_matrix(
-                    (data, self.fwd_col, self.fwd_row), shape=(n, n), copy=False
-                )
-            return self._fwd_mat_unweighted
-        return sp.csr_matrix(
-            (w.astype(np.float32, copy=False), self.fwd_col, self.fwd_row),
-            shape=(n, n),
-            copy=False,
-        )
-
-    def bwd_matrix(self, w_fwd_order: np.ndarray | None) -> sp.csr_matrix:
-        """out-adjacency: rows = sources, cols = destinations, with edge
-        weights permuted from canonical order via the shared labels."""
-        n = self.num_nodes
-        if w_fwd_order is None:
-            data = np.ones(self.num_edges, dtype=np.float32)
-        else:
-            data = w_fwd_order[self.bwd_to_fwd].astype(np.float32, copy=False)
-        return sp.csr_matrix((data, self.bwd_col, self.bwd_row), shape=(n, n), copy=False)
+    def operator(self, direction: str) -> "_AggregationOperator":
+        """The launch-order CSR operator of one direction, built on first use
+        (keyed on ``use_degree_order``, so a flipped flag gets its own)."""
+        key = (direction, self.use_degree_order)
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = _AggregationOperator(self, direction)
+        return op
 
     def bind_edge_feature(self, label_indexed: np.ndarray) -> np.ndarray:
         """Convert a label-indexed edge array to canonical (fwd) order."""
@@ -102,6 +91,47 @@ class GraphContext:
         out = np.empty_like(grad_fwd_order)
         out[self.fwd_eids] = grad_fwd_order
         return out
+
+
+class _AggregationOperator:
+    """One CSR orientation in launch order, shared by every ``spmm`` of a
+    context: ``"in"`` is the forward CSR (rows = destinations), ``"out"`` the
+    backward one.  With degree ordering its rows are stored in ``node_ids``
+    order (Figure 3) and ``order`` scatters a product back to vertex order;
+    without, ``order`` is ``None``.  ``mat`` is the unweighted matrix; SciPy
+    keeps its indices as int32 where they fit, so a launch copies nothing.
+    """
+
+    def __init__(self, ctx: GraphContext, direction: str) -> None:
+        if direction == "in":
+            row, col, order, to_fwd = ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids, None
+        else:
+            row, col, order, to_fwd = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids, ctx.bwd_to_fwd
+        n, ones = ctx.num_nodes, np.ones(ctx.num_edges, dtype=np.float32)
+        mat = sp.csr_matrix((ones, col, row), shape=(n, n))
+        self.order = order if ctx.use_degree_order else None
+        self.mat = mat if self.order is None else mat[self.order]
+        self._src = (row, col, to_fwd)
+
+    @cached_property
+    def _pos(self) -> np.ndarray | None:
+        """Canonical (fwd-order) position of each stored nonzero, ``None`` for
+        identity.  Under a row permutation it costs ``E*8`` bytes, so it waits
+        for the first weighted launch."""
+        row, col, to_fwd = self._src
+        if self.order is None:
+            return to_fwd
+        pos = np.arange(len(col)) if to_fwd is None else to_fwd
+        return sp.csr_matrix((pos, col, row), shape=self.mat.shape)[self.order].data
+
+    def matrix(self, w: np.ndarray | None) -> sp.csr_matrix:
+        """``mat`` itself, or a matrix over its structure carrying ``w``
+        (canonical edge order) as float32 data."""
+        if w is None:
+            return self.mat
+        data = (w if self._pos is None else w[self._pos]).astype(np.float32, copy=False)
+        mat = self.mat
+        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +193,8 @@ def ew_tanh(a):
 
 
 def ew_sigmoid(a):
-    """Numerically stable sigmoid."""
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Numerically stable sigmoid (the tape op's own arithmetic)."""
+    return stable_sigmoid(a)
 
 
 def ew_relu(a):
@@ -192,21 +217,18 @@ def spmm(ctx: GraphContext, w, x, direction: str = "in"):
     (``direction="out"`` aggregates over out-edges instead:
     ``out[u] = Σ_{e∈out(u)} w[e]·x[dst[e]]``).
 
-    When degree ordering is enabled, rows are processed in descending
-    degree order (the paper's node_ids mechanism, Figure 3) by permuting
-    the CSR rows; the result is scattered back to vertex order.
+    The structure comes from the context's cached operator.  When degree
+    ordering is enabled its rows are in descending degree order (the paper's
+    node_ids mechanism, Figure 3) and the result is scattered back to vertex
+    order.
     """
-    if direction == "in":
-        mat, order = ctx.fwd_matrix(w), ctx.fwd_node_ids
-    else:
-        mat, order = ctx.bwd_matrix(w), ctx.bwd_node_ids
-    x32 = x.astype(np.float32, copy=False)
-    if ctx.use_degree_order:
-        out_perm = mat[order] @ x32
-        out = np.empty_like(out_perm)
-        out[order] = out_perm
-        return out
-    return mat @ x32
+    op = ctx.operator(direction)
+    out_perm = op.matrix(w) @ x.astype(np.float32, copy=False)
+    if op.order is None:
+        return out_perm
+    out = np.empty_like(out_perm)
+    out[op.order] = out_perm
+    return out
 
 
 def spmm_T(ctx: GraphContext, w, g, direction: str = "in"):

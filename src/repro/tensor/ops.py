@@ -36,6 +36,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def stable_sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid that never exponentiates a positive number.
+
+    With ``e = exp(-|a|)`` this is ``1 / (1 + e)`` where ``a >= 0`` and
+    ``e / (1 + e)`` elsewhere: the two-branch formula, evaluated without
+    masked gathers and scatters.  Shared by the tape op and the generated
+    kernels' ``ew_sigmoid`` so both produce the same bits.
+    """
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, e.dtype.type(1), e) / (1 + e)
+
+
 def _coerce(value: Any) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -52,6 +64,9 @@ class Function:
     def __init__(self) -> None:
         self.inputs: tuple[Tensor, ...] = ()
         self.saved: tuple[Any, ...] = ()
+        #: per input, whether ``Tensor.backward`` will keep its gradient (decided
+        #: at apply time); ``backward`` may return ``None`` where it will not.
+        self.needs_input_grad: tuple[bool, ...] = ()
 
     def save_for_backward(self, *items: Any) -> None:
         """Stash values the backward pass will need (kept until consumed)."""
@@ -73,9 +88,12 @@ class Function:
         tensors = tuple(_coerce(a) for a in args)
         out_data = ctx.forward(*(t.data for t in tensors), **kwargs)
         out = Tensor(out_data)
-        if is_grad_enabled() and any(t.requires_grad or t._ctx is not None for t in tensors):
-            ctx.inputs = tensors
-            out._ctx = ctx
+        if is_grad_enabled():
+            needs = tuple(t.requires_grad or t._ctx is not None for t in tensors)
+            if any(needs):
+                ctx.inputs = tensors
+                ctx.needs_input_grad = needs
+                out._ctx = ctx
         return out
 
 
@@ -202,12 +220,7 @@ class Sqrt(Function):
 class Sigmoid(Function):
     """Numerically stable logistic sigmoid."""
     def forward(self, a: np.ndarray) -> np.ndarray:
-        # Numerically stable split for positive/negative inputs.
-        out = np.empty_like(a)
-        pos = a >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-        ex = np.exp(a[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        out = stable_sigmoid(a)
         self.save_for_backward(out)
         return out
 
@@ -289,9 +302,13 @@ class MatMul(Function):
 
     def backward(self, grad: np.ndarray):
         a, b = self.saved
-        ga = grad @ b.T if b.ndim == 2 else np.outer(grad, b)
-        gb = a.T @ grad if a.ndim == 2 else np.outer(a, grad)
-        return ga.reshape(a.shape), gb.reshape(b.shape)
+        need_a, need_b = self.needs_input_grad
+        ga = gb = None
+        if need_a:
+            ga = (grad @ b.T if b.ndim == 2 else np.outer(grad, b)).reshape(a.shape)
+        if need_b:
+            gb = (a.T @ grad if a.ndim == 2 else np.outer(a, grad)).reshape(b.shape)
+        return ga, gb
 
 
 class Transpose(Function):

@@ -48,22 +48,49 @@ def test_bind_edge_feature_roundtrip(ctx, rng):
     assert np.allclose(back, label_vals)
 
 
-def test_fwd_matrix_unweighted_cached(ctx):
-    c, g = ctx
-    assert c.fwd_matrix(None) is c.fwd_matrix(None)
-
-
-def test_spmm_degree_order_invariant(ctx, rng):
-    """Degree-ordered processing is a scheduling mechanism; it must not
-    change the result."""
+def test_operator_built_once_per_context_and_direction(ctx, rng, monkeypatch):
+    """The degree-ordered CSR is structure: the second fetch returns the same
+    object, a warm unweighted launch constructs no matrix and a warm weighted
+    launch exactly one (its data over the cached structure)."""
     c, g = ctx
     x = rng.standard_normal((20, 5)).astype(np.float32)
     w = rng.standard_normal(c.num_edges).astype(np.float32)
-    c.use_degree_order = True
-    a = rt.spmm(c, w, x)
-    c.use_degree_order = False
-    b = rt.spmm(c, w, x)
-    assert np.allclose(a, b, atol=1e-5)
+    for direction in ("in", "out"):
+        assert c.operator(direction) is c.operator(direction)
+        rt.spmm(c, None, x, direction)
+        rt.spmm(c, w, x, direction)  # first weighted launch also builds ``pos``
+    assert c.operator("in") is not c.operator("out")
+
+    built = []
+    real = rt.sp.csr_matrix
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rt.sp, "csr_matrix", counting)
+    for direction in ("in", "out"):
+        for _ in range(3):
+            rt.spmm(c, None, x, direction)
+        assert not built
+        for _ in range(3):
+            rt.spmm(c, w, x, direction)
+        assert len(built) == 3
+        built.clear()
+
+
+def test_spmm_degree_order_invariant(ctx, rng):
+    """Degree-ordered processing is a scheduling mechanism: a row permutation
+    cannot change a row's sum, so the result is the same bits."""
+    c, g = ctx
+    x = rng.standard_normal((20, 5)).astype(np.float32)
+    for w in (None, rng.standard_normal(c.num_edges).astype(np.float32)):
+        for direction in ("in", "out"):
+            c.use_degree_order = True
+            a = rt.spmm(c, w, x, direction)
+            c.use_degree_order = False
+            b = rt.spmm(c, w, x, direction)
+            assert np.array_equal(a, b)
 
 
 def test_spmm_T_is_adjoint_both_directions(ctx, rng):

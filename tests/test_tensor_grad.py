@@ -119,6 +119,28 @@ def test_matmul_grad(rng):
     assert np.allclose(tw.grad, x.T @ g, atol=1e-5)
 
 
+def test_matmul_skips_gradients_nobody_reads(rng):
+    """``Function.apply`` records which inputs ``Tensor.backward`` will keep a
+    gradient for; ``MatMul.backward`` computes only those, and the ones it
+    does compute are the bits it always produced."""
+    x = rng.standard_normal((3, 4)).astype(np.float32)
+    w = rng.standard_normal((4, 2)).astype(np.float32)
+    g = rng.standard_normal((3, 2)).astype(np.float32)
+    for x_needs, w_needs in [(False, True), (True, False), (True, True)]:
+        tx, tw = Tensor(x, requires_grad=x_needs), Tensor(w, requires_grad=w_needs)
+        ctx = F.matmul(tx, tw)._ctx
+        assert ctx.needs_input_grad == (x_needs, w_needs)
+        gx, gw = ctx.backward(g)
+        assert (gx is not None) == x_needs and (gw is not None) == w_needs
+        if x_needs:
+            assert np.array_equal(gx, g @ w.T)
+        if w_needs:
+            assert np.array_equal(gw, x.T @ g)
+    # an input produced by another op needs its gradient even without requires_grad
+    hidden = F.mul(Tensor(x, requires_grad=True), 2.0)
+    assert F.matmul(hidden, Tensor(w))._ctx.needs_input_grad == (True, False)
+
+
 def test_getitem_grad_accumulates_duplicates(rng):
     x = Tensor(rng.standard_normal((5, 2)).astype(np.float32), requires_grad=True)
     idx = np.array([1, 1, 3])

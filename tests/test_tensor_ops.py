@@ -118,6 +118,72 @@ def test_sigmoid_extreme_values_stable():
     assert out[1] == pytest.approx(1.0, abs=1e-6)
 
 
+def _masked_sigmoid(a: np.ndarray) -> np.ndarray:
+    """The two-branch formula the engine used to evaluate with boolean-mask
+    gathers and scatters; kept here as the reference for the branch-free one."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_sigmoid_matches_masked_reference_bitwise(dtype, rng):
+    from repro.tensor.ops import stable_sigmoid
+
+    tiny = np.finfo(dtype).tiny
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, tiny / 4, -tiny / 4,
+             88.7, -88.7, 709.0, -709.0, 1e-8, -1e-8, 20.0, -20.0]
+    flat = np.concatenate([
+        np.array(edges, dtype=dtype),
+        rng.standard_normal(4096).astype(dtype),
+        (rng.standard_normal(1024) * 50).astype(dtype),
+    ])
+    grid = flat[: 64 * 64].reshape(64, 64)
+    cases = [
+        np.array(0.3, dtype=dtype), np.array(-0.3, dtype=dtype),  # 0-d
+        flat, grid,
+        flat[::3], grid.T, grid[:, ::2], grid[5:40:2, 7],  # non-contiguous
+        flat[:0],
+    ]
+    with np.errstate(all="ignore"):
+        for a in cases:
+            want = _masked_sigmoid(a)
+            got = stable_sigmoid(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            # array_equal treats +0.0 == -0.0; outside NaN (whose sign is
+            # not a value) the sign bit must agree too
+            finite = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got)[finite], np.signbit(want)[finite])
+
+
+def test_tape_and_generated_kernel_sigmoid_share_bits(rng):
+    """``F.sigmoid`` and the ``ew_sigmoid`` a generated kernel calls are one
+    implementation: on a self-loop graph, where the aggregation is the
+    identity, a vertex program's sigmoid returns the tape op's bits."""
+    from repro.compiler import compile_vertex_program
+    from repro.compiler.runtime import GraphContext, ew_sigmoid
+    from repro.compiler.symbols import vfn
+    from repro.graph import StaticGraph
+
+    n = 64
+    h = (rng.standard_normal((n, 5)) * 30).astype(np.float32)
+    h[0] = [0.0, -0.0, 88.7, -88.7, 1e-30]
+    tape = F.sigmoid(Tensor(h)).data
+    assert np.array_equal(ew_sigmoid(h), tape)
+    loops = np.arange(n, dtype=np.int64)
+    ctx = GraphContext(StaticGraph(loops, loops, n))
+    prog = compile_vertex_program(
+        lambda v: v.agg_sum(lambda nb: vfn.sigmoid(nb.h)), {"h": "v"}, {"h"}, name="sig_bits"
+    )
+    for engine in ("kernel", "interpreter"):
+        out, _saved = prog.with_engine(engine).forward(ctx, {"h": h})
+        assert np.array_equal(out, tape)
+
+
 def test_softmax(a):
     s = F.softmax(a, axis=1)
     assert np.allclose(s.data.sum(axis=1), 1.0, atol=1e-6)
