@@ -21,6 +21,7 @@ in ``node_ids`` order), built by the first launch that asks for it.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -61,17 +62,31 @@ class GraphContext:
         self.use_degree_order = (
             graph.sort_by_degree if use_degree_order is None else use_degree_order
         )
-        # destination vertex of each edge, in canonical (fwd) order
-        self.dst_per_edge = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), np.diff(self.fwd_row)
-        )
-        # label -> forward position, then backward position -> forward position
+        self._operators: dict[tuple[str, bool], _AggregationOperator] = {}
+
+    # Edge-length maps no unweighted launch reads: built by the first
+    # gather_dst / edge-softmax / weighted launch / native pack that asks.
+    @cached_property
+    def dst_per_edge(self) -> np.ndarray:
+        """Destination vertex of each edge, in canonical (fwd) order."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.fwd_row))
+
+    @cached_property
+    def label_to_fwd(self) -> np.ndarray:
+        """Edge label -> forward (canonical) position."""
         label_to_fwd = np.empty(self.num_edges, dtype=np.int64)
         label_to_fwd[self.fwd_eids] = np.arange(self.num_edges, dtype=np.int64)
-        self.label_to_fwd = label_to_fwd
-        self.bwd_to_fwd = label_to_fwd[self.bwd_eids]
-        self.in_deg_clamped = np.maximum(self.in_deg, 1).astype(np.float32)
-        self._operators: dict[tuple[str, bool], _AggregationOperator] = {}
+        return label_to_fwd
+
+    @cached_property
+    def bwd_to_fwd(self) -> np.ndarray:
+        """Backward-CSR position -> forward (canonical) position."""
+        return self.label_to_fwd[self.bwd_eids]
+
+    @cached_property
+    def in_deg_clamped(self) -> np.ndarray:
+        """In-degree clamped to >= 1, float32 (mean-aggregation denominator)."""
+        return np.maximum(self.in_deg, 1).astype(np.float32)
 
     def operator(self, direction: str) -> "_AggregationOperator":
         """The launch-order CSR operator of one direction, built on first use
@@ -104,21 +119,24 @@ class _AggregationOperator:
 
     def __init__(self, ctx: GraphContext, direction: str) -> None:
         if direction == "in":
-            row, col, order, to_fwd = ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids, None
+            row, col, order, owner = ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids, None
         else:
-            row, col, order, to_fwd = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids, ctx.bwd_to_fwd
+            # bwd_to_fwd is read through the owning context (weakly: the
+            # context holds this operator) and only by a weighted launch.
+            row, col, order, owner = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids, weakref.ref(ctx)
         n, ones = ctx.num_nodes, np.ones(ctx.num_edges, dtype=np.float32)
         mat = sp.csr_matrix((ones, col, row), shape=(n, n))
         self.order = order if ctx.use_degree_order else None
         self.mat = mat if self.order is None else mat[self.order]
-        self._src = (row, col, to_fwd)
+        self._src = (row, col, owner)
 
     @cached_property
     def _pos(self) -> np.ndarray | None:
         """Canonical (fwd-order) position of each stored nonzero, ``None`` for
         identity.  Under a row permutation it costs ``E*8`` bytes, so it waits
         for the first weighted launch."""
-        row, col, to_fwd = self._src
+        row, col, owner = self._src
+        to_fwd = None if owner is None else owner().bwd_to_fwd
         if self.order is None:
             return to_fwd
         pos = np.arange(len(col)) if to_fwd is None else to_fwd

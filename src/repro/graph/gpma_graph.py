@@ -6,20 +6,25 @@ moving between timestamps applies batched edge insertions/deletions.  The
 snapshot cache avoids replaying a whole sequence of updates when training
 advances from one sequence to the next (Algorithm 2 lines 1-5 / 10).
 
-After every structural change the snapshot is **relabelled** (Algorithm 2
-line 8): labels are the ranks of the surviving keys, so the forward and
-backward CSR of the same snapshot always agree.  The forward (reverse) CSR
-is produced by Algorithm 3 — :func:`repro.graph.reverse.reverse_gpma_vectorized`
-run directly over the *gapped* PMA storage.
+Whenever a snapshot is built it is **relabelled** (Algorithm 2 line 8):
+labels are the ranks of the surviving keys, so the forward and backward CSR
+of the same snapshot always agree.  The backward (out-)CSR falls out of one
+compaction of the PMA; the forward (reverse) CSR is Algorithm 3 —
+:func:`repro.graph.reverse.reverse_gpma_vectorized`, a counting sort over
+that compact CSR.  The *gapped* view the paper's kernel reads is still
+available (:meth:`GPMAGraph.gapped_csr`) but a build does not pay for it.
 
 Snapshot builds are **versioned and reuse-cached**: every timestamp is
 assigned a stable snapshot version the first time its content is realized
 (no-op update batches reuse the previous timestamp's version, since the
 content is identical), and built artifacts are kept in a
-``(timestamp, version)``-keyed LRU.  The LIFO backward walk over a training
-sequence therefore repositions the PMA but serves every CSR from cache
-instead of re-running relabelling + Algorithm 3 — the dominant share of
-Figure 9's ``graph_update`` time.
+``(timestamp, version)``-keyed LRU.  Positioning is **logical**: once a
+timestamp's version is known, ``get_graph`` / ``get_backward_graph`` only
+resolve that identity, and the PMA replays update batches when a snapshot
+actually has to be built.  The LIFO backward walk over a training sequence
+is served from built snapshots, so it neither re-runs relabelling +
+Algorithm 3 nor rewinds the PMA (the paper rewinds because it keeps no
+built CSR; see DESIGN.md).
 
 Since the pipelined-execution refactor the graph is split along the seam in
 :mod:`repro.graph.snapshot_builder`: the mutable position lives in an
@@ -87,10 +92,10 @@ class GPMAGraph(STGraphBase):
                 on_noop=lambda: self._count("noop_updates_skipped"),
             )
         # Logical position: the (timestamp, version) identity this graph
-        # *claims*.  Serially it always equals the physical cursor's; while
-        # a prefetcher is attached, positioning is deferred — the identity
-        # is resolved from the shared version map and the physical PMA only
-        # catches up on a genuine cache miss (see _advance).
+        # *claims*.  Positioning is deferred — once a timestamp's version is
+        # known the identity is resolved from the shared version map and the
+        # physical PMA only catches up when a snapshot has to be built or
+        # the storage itself is read (see _advance).
         self._pos_time = 0
         self._pos_version = 0
         # Version of the installed _fwd/_bwd artifacts (None = none valid).
@@ -125,14 +130,12 @@ class GPMAGraph(STGraphBase):
     # ------------------------------------------------------------------
     @property
     def pma(self):
-        """The main cursor's PMA.
+        """The PMA holding the snapshot at :attr:`curr_time`.
 
-        Serially this is the snapshot at :attr:`curr_time`; under deferred
-        (pipelined) positioning it may lag the logical position — cache-hit
-        timestamps never replay update batches on this thread.  Paths that
-        genuinely need the storage (:meth:`gapped_csr`, a synchronous
-        rebuild) catch the cursor up first.
+        Positioning is deferred (see :meth:`_advance`), so reading the
+        storage is what brings the physical cursor to the logical position.
         """
+        self._catch_up()
         return self._cursor.pma
 
     @property
@@ -169,7 +172,8 @@ class GPMAGraph(STGraphBase):
     # Algorithm 2: temporal positioning
     # ------------------------------------------------------------------
     def get_graph(self, timestamp: int) -> "GPMAGraph":
-        """Get-Graph(G, t): apply update batches (with cache retrieval) to position at ``t``."""
+        """Get-Graph(G, t): position at ``t``; update batches (with cache
+        retrieval) are applied when the snapshot is first visited or built."""
         device = current_device()
         start = time.perf_counter()
         with current_tracer().span("gpma.advance", "graph_update", t=int(timestamp)):
@@ -202,15 +206,13 @@ class GPMAGraph(STGraphBase):
         """Algorithm 2 line 10: save the current PMA state.
 
         The executor calls this at the end of a sequence's forward pass so
-        that, after the backward pass rewinds the PMA to the sequence start,
-        the next sequence resumes from here with a single update batch.
+        that, if the backward pass has to rewind the PMA (a build that no
+        cache served), the next sequence resumes from here with a single
+        update batch.
         """
-        if not self.enable_cache:
-            return
-        if self._prefetch_active and self._cursor.time != self._pos_time:
-            # Deferred positioning: the physical cursor lags the logical
-            # position, so there is no state worth saving — the prefetch
-            # builder keeps its own wraparound cache point.
+        if not self.enable_cache or self._cursor.time != self._pos_time:
+            # A cursor that lags the logical position served this sequence
+            # from built snapshots: there is no state worth saving.
             return
         with current_device().profiler.phase("graph_update"):
             self._cursor.cache_state()
@@ -274,6 +276,7 @@ class GPMAGraph(STGraphBase):
         so any prefetch builder re-seeds its private cursor.
         """
         self.get_graph(int(cursor["curr_time"]))
+        self._catch_up()  # the version written below is the physical cursor's too
         self._versions.restore(
             {int(t): int(v) for t, v in cursor["ts_versions"].items()},
             int(cursor["version_counter"]),
@@ -285,43 +288,43 @@ class GPMAGraph(STGraphBase):
         self._builder_epoch += 1
 
     def _advance(self, t: int) -> None:
-        """Position at ``t`` — logically when pipelined, physically otherwise.
+        """Position at ``t`` — logically whenever its version is known.
 
-        With a prefetcher attached, positioning only has to resolve the
-        ``(t, version)`` content identity: the version map is shared, so once
-        *any* cursor (usually the worker's) has realized ``t``, this thread
-        knows the cache key without replaying a single update batch.  The
-        physical PMA stays parked and only catches up inside a synchronous
-        rebuild (cache miss) — in the steady state the training thread does
-        no structural graph work at all.  If the version is still unknown,
-        an in-flight build for ``t`` is waited for (``prefetch_wait``);
-        otherwise the cursor advances synchronously as in the serial path.
+        Positioning only has to resolve the ``(t, version)`` content
+        identity: the version map is shared, so once *any* cursor (this
+        graph's or a prefetch worker's) has realized ``t``, the cache key is
+        known without replaying a single update batch.  The physical PMA
+        stays parked and only catches up when a snapshot is built (cache
+        miss) or the storage is read — the LIFO backward walk, served from
+        built snapshots, does no structural graph work at all.  If the
+        version is still unknown, an in-flight prefetch build for ``t`` is
+        waited for (``prefetch_wait``); otherwise this is a first visit and
+        the cursor advances physically (Algorithm 2), allocating the version.
         """
         self._reuse_counted = False
         t = int(t)
-        if self._prefetch_active and self.enable_csr_cache:
+        version = self._versions.get(t)
+        if version is None and self._prefetch_active and self._csr_cache.inflight(t):
+            device = current_device()
+            start = time.perf_counter()
+            with device.profiler.phase("prefetch_wait"):
+                self._csr_cache.wait_not_inflight(t, timeout=_PREFETCH_WAIT_TIMEOUT)
+            if device.metrics.enabled:
+                device.metrics.observe(
+                    "repro_prefetch_wait_seconds", time.perf_counter() - start,
+                    "Main-thread stall behind an in-flight prefetch build.",
+                )
             version = self._versions.get(t)
-            if version is None and self._csr_cache.inflight(t):
-                device = current_device()
-                start = time.perf_counter()
-                with device.profiler.phase("prefetch_wait"):
-                    self._csr_cache.wait_not_inflight(t, timeout=_PREFETCH_WAIT_TIMEOUT)
-                if device.metrics.enabled:
-                    device.metrics.observe(
-                        "repro_prefetch_wait_seconds", time.perf_counter() - start,
-                        "Main-thread stall behind an in-flight prefetch build.",
-                    )
-                version = self._versions.get(t)
-            if version is not None:
-                self._pos_time = t
-                self._pos_version = version
-                return
+        if version is not None:
+            self._pos_time = t
+            self._pos_version = version
+            return
         self._cursor.advance(t)
         self._pos_time = self._cursor.time
         self._pos_version = self._cursor.version
 
     def _catch_up(self) -> None:
-        """Bring the physical cursor to the logical position (miss path)."""
+        """Bring the physical cursor to the logical position (Algorithm 2's replay)."""
         if self._cursor.time != self._pos_time:
             self._cursor.advance(self._pos_time)
 
@@ -335,7 +338,6 @@ class GPMAGraph(STGraphBase):
         indexes the first slot that could hold an edge of source ``i`` and
         gap slots carry ``SPACE`` — the exact input shape of Algorithm 3.
         """
-        self._catch_up()
         return gapped_csr_arrays(self.pma, self.num_nodes)
 
     def _install(self, snap: BuiltSnapshot, version: int) -> None:
@@ -346,13 +348,13 @@ class GPMAGraph(STGraphBase):
     def _rebuild(self) -> BuiltSnapshot:
         device = current_device()
         with device.profiler.phase("graph_update"):
-            self._catch_up()
+            pma = self.pma  # Algorithm 2: replay the batches that lead here
             start = time.perf_counter()
             with current_tracer().span(
-                "gpma.rebuild", "graph_update", t=self.curr_time, edges=self.pma.n_items
+                "gpma.rebuild", "graph_update", t=self.curr_time, edges=pma.n_items
             ):
                 snap = build_snapshot_arrays(
-                    self.pma, self.num_nodes, self.sort_by_degree, device.alloc
+                    pma, self.num_nodes, self.sort_by_degree, device.alloc
                 )
             if device.metrics.enabled:
                 device.metrics.observe(
@@ -434,7 +436,7 @@ class GPMAGraph(STGraphBase):
             self._csr_cache.put(key, snap)
 
     def forward_csr(self) -> CSR:
-        """Current snapshot's reverse CSR (Algorithm 3 over the gapped storage)."""
+        """Current snapshot's reverse CSR (Algorithm 3)."""
         self._ensure_built()
         return self._fwd
 
@@ -455,11 +457,8 @@ class GPMAGraph(STGraphBase):
 
     @property
     def num_edges(self) -> int:
-        """Edge count of the logically current snapshot (built artifacts
-        when installed, else the physical PMA — identical serially)."""
-        if self._built_version == self._pos_version and self._bwd is not None:
-            return self._bwd.num_edges
-        return self.pma.n_items
+        """Edge count of the snapshot at :attr:`curr_time`."""
+        return self.dtdg.snapshot_edge_count(self._pos_time)
 
     def storage_bytes(self) -> int:
         """Persistent PMA storage (snapshot CSRs are transient)."""

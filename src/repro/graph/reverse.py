@@ -8,9 +8,10 @@ Two implementations are provided:
   executed sequentially; since every write location is claimed by an atomic
   decrement the result is order-independent, which the tests verify against
   the vectorized version under shuffled execution order.
-* :func:`reverse_gpma_vectorized` — the production path: identical output,
-  computed with NumPy sorting/prefix-sum primitives (this plays the role of
-  the tuned CUDA kernel on real hardware).
+* :func:`reverse_gpma_vectorized` — the production path: identical output
+  from the same prefix-sum-and-place loop run sequentially, so it is a stable
+  counting sort, O(E + N) (SciPy's CSR -> CSC conversion; this plays the role
+  of the tuned CUDA kernel on real hardware).
 
 Both return ``(r_row_offset, r_col_indices, r_eids)`` where the row offsets
 are the standard exclusive prefix-sum form.
@@ -19,6 +20,7 @@ are the standard exclusive prefix-sum form.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.pma.pma import SPACE_KEY
 
@@ -75,33 +77,29 @@ def reverse_gpma_vectorized(
     eids: np.ndarray,
     num_nodes: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Algorithm 3 over a gapped CSR.
+    """Vectorized Algorithm 3 over a gapped (or compact) CSR.
 
-    Expands row ids from ``row_offset``, filters ``SPACE`` slots, and builds
-    the destination-keyed CSR with a stable counting sort, so within each
-    reverse neighbor list sources appear in ascending order (the literal
-    version's output is validated against this after per-list sorting).
+    Drops ``SPACE`` slots, then transposes with a stable counting sort, so
+    within each reverse neighbor list sources appear in ascending order (the
+    literal version's output is validated against this after per-list
+    sorting).  Compact input, which is what a snapshot build passes, skips
+    the compaction copies.
     """
     row_offset = np.asarray(row_offset, dtype=np.int64)
-    col_indices = np.asarray(col_indices, dtype=np.int64)
-    eids = np.asarray(eids, dtype=np.int64)
     # row_offset windows cover the first row_offset[-1] slots of the gapped
     # storage; anything past that is unowned slack.
     covered = int(row_offset[-1])
-    lengths = np.diff(row_offset)
-    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), lengths)
-    valid = col_indices[:covered] != SPACE_KEY
-    src = rows[valid]
-    dst = col_indices[:covered][valid]
-    eid = eids[:covered][valid]
-
-    order = np.argsort(dst, kind="stable")
-    r_col = src[order]
-    r_eid = eid[order]
-    counts = np.bincount(dst, minlength=num_nodes)
-    r_row_offset = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=r_row_offset[1:])
-    return r_row_offset, r_col, r_eid
+    col = np.asarray(col_indices, dtype=np.int64)[:covered]
+    eid = np.asarray(eids, dtype=np.int64)[:covered]
+    valid = col != SPACE_KEY
+    if not valid.all():
+        kept = np.zeros(covered + 1, dtype=np.int64)
+        np.cumsum(valid, out=kept[1:])
+        row_offset, col, eid = kept[row_offset], col[valid], eid[valid]
+    # Labels ride along as the matrix data; tocsc() neither sorts nor merges.
+    rev = csr_matrix((eid, col, row_offset), shape=(num_nodes, num_nodes)).tocsc()
+    # SciPy narrows the index arrays to int32 where they fit; the CSR is int64.
+    return tuple(a.astype(np.int64, copy=False) for a in (rev.indptr, rev.indices, rev.data))
 
 
 def reverse_csr_arrays(

@@ -5,7 +5,8 @@ critical path (ROADMAP item 2, MSPipe-style pipelining):
 
 * :class:`UpdateCursor` — the mutable core of a GPMA-backed temporal graph:
   one PMA positioned at one timestamp, with Algorithm 2's update-batch
-  replay and state cache.  :class:`~repro.graph.gpma_graph.GPMAGraph` owns
+  replay and its restore points (the DTDG base graph, kept from
+  construction, and the state cache).  :class:`~repro.graph.gpma_graph.GPMAGraph` owns
   one as its main-thread position; a :class:`SnapshotBuilder` owns a
   *private* one, so building snapshot ``t+k`` never repositions the PMA the
   training loop is reading.
@@ -23,7 +24,9 @@ critical path (ROADMAP item 2, MSPipe-style pipelining):
   the LRU proper and reports a ``prefetch_hit``.
 * :func:`build_snapshot_arrays` — the pure relabel + Algorithm 3 function
   both the main rebuild path and the builder call: PMA storage in,
-  immutable :class:`BuiltSnapshot` out, no shared state touched.
+  immutable :class:`BuiltSnapshot` out, no shared state touched.  One
+  compaction of the PMA, O(E + N) after it; :func:`gapped_csr_arrays` is the
+  paper's gapped input shape, kept for the tests of Algorithm 3 as written.
 """
 
 from __future__ import annotations
@@ -266,6 +269,9 @@ def build_snapshot_arrays(
 ) -> BuiltSnapshot:
     """Relabel + Algorithm 3 over one PMA → an immutable :class:`BuiltSnapshot`.
 
+    One compaction (``export_items``) yields the sorted keys, hence the
+    out-CSR; the in-CSR is its stable counting-sort transpose.
+
     Pure with respect to shared graph state: the only inputs are the given
     PMA's storage (read), and the only side effect is byte accounting on
     ``alloc`` (whose tracker is lock-protected) — safe to run on a worker
@@ -285,7 +291,7 @@ def build_snapshot_arrays(
     bwd_row = alloc.zeros(num_nodes + 1, dtype=np.int64, tag="gpma.bwd.row")
     np.cumsum(out_deg, out=bwd_row[1:])
     bwd_col = alloc.adopt(dst, tag="gpma.bwd.col")
-    bwd_eid = alloc.adopt(labels.copy(), tag="gpma.bwd.eid")
+    bwd_eid = alloc.adopt(labels, tag="gpma.bwd.eid")
     bwd_ids = (
         np.argsort(-out_deg, kind="stable").astype(np.int64)
         if sort_by_degree
@@ -293,9 +299,9 @@ def build_snapshot_arrays(
     )
     bwd = CSR(bwd_row, bwd_col, bwd_eid, alloc.adopt(bwd_ids, tag="gpma.bwd.ids"))
 
-    # Forward (reverse) CSR via Algorithm 3 over the gapped storage.
-    g_row, g_col, g_eid = gapped_csr_arrays(pma, num_nodes)
-    f_row, f_col, f_eid = reverse_gpma_vectorized(g_row, g_col, g_eid, num_nodes)
+    # Forward (reverse) CSR: Algorithm 3's counting sort over that compact
+    # out-CSR (the gaps were dropped once, by export_items).
+    f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, dst, labels, num_nodes)
     fwd_ids = (
         np.argsort(-in_deg, kind="stable").astype(np.int64)
         if sort_by_degree
@@ -344,16 +350,16 @@ class UpdateCursor:
         #: (the consumer clears it after installing/building artifacts).
         self.dirty = True
         self._cache: _CursorState | None = None
+        # The DTDG base graph is a restore point the cursor always has: the
+        # per-epoch wrap T-1 -> 0 is one copy, not T-1 reverse batches.
+        self._base = self._saved_state() if enable_cache else None
         # Counters for the ablation benchmarks.
         self.update_batches_applied = 0
         self.cache_restores = 0
 
     # -- Algorithm 2 lines 1-5 / 10 --------------------------------------
-    def cache_state(self) -> None:
-        """Save the current PMA state (Algorithm 2 line 10)."""
-        if not self.enable_cache:
-            return
-        self._cache = _CursorState(
+    def _saved_state(self) -> _CursorState:
+        return _CursorState(
             time=self.time,
             version=self.version,
             keys=self.pma.keys.copy(),
@@ -362,25 +368,28 @@ class UpdateCursor:
             n_items=self.pma.n_items,
         )
 
+    def cache_state(self) -> None:
+        """Save the current PMA state (Algorithm 2 line 10)."""
+        if self.enable_cache:
+            self._cache = self._saved_state()
+
     def drop_cache(self) -> None:
         """Invalidate the saved PMA state (corruption fault / resume)."""
         self._cache = None
 
-    def _restore_cache(self) -> None:
-        assert self._cache is not None
-        cache = self._cache
-        if cache.keys.shape != self.pma.keys.shape:
-            # Capacity changed since the cache was taken; rebuild geometry.
-            self.pma._alloc_arrays(len(cache.keys))
-        self.pma.keys[...] = cache.keys
-        self.pma.values[...] = cache.values
-        self.pma._counts[...] = cache.counts
-        self.pma.n_items = cache.n_items
+    def _restore(self, saved: _CursorState) -> None:
+        if saved.keys.shape != self.pma.keys.shape:
+            # Capacity changed since the state was saved; rebuild geometry.
+            self.pma._alloc_arrays(len(saved.keys))
+        self.pma.keys[...] = saved.keys
+        self.pma.values[...] = saved.values
+        self.pma._counts[...] = saved.counts
+        self.pma.n_items = saved.n_items
         self.pma._refresh_seg_min()
-        self.time = cache.time
+        self.time = saved.time
         # The restored snapshot keeps the version it was assigned when first
         # realized, so its built CSRs remain valid cache entries.
-        self.version = cache.version
+        self.version = saved.version
         self.dirty = True
         self.cache_restores += 1
 
@@ -390,16 +399,17 @@ class UpdateCursor:
             raise IndexError(f"timestamp {t} out of range [0, {self.dtdg.num_timestamps})")
         if t == self.time:
             return
-        # Algorithm 2 lines 1-5: retrieving the cached graph is worthwhile
+        # Algorithm 2 lines 1-5: retrieving a saved graph is worthwhile
         # whenever it is a closer starting point than the current position —
         # updates are reversible, so this holds for rewinds past the cache
         # just as much as for forward jumps onto it.
-        if (
-            self.enable_cache
-            and self._cache is not None
-            and abs(t - self._cache.time) < abs(t - self.time)
-        ):
-            self._restore_cache()
+        if self.enable_cache:
+            saved = min(
+                (s for s in (self._base, self._cache) if s is not None),
+                key=lambda s: abs(t - s.time),
+            )
+            if abs(t - saved.time) < abs(t - self.time):
+                self._restore(saved)
         while self.time < t:
             self._apply_update(self.dtdg.updates[self.time + 1], forward=True, ts_new=self.time + 1)
             self.time += 1
@@ -463,11 +473,10 @@ class SnapshotBuilder:
     def _ensure_cursor(self) -> UpdateCursor:
         epoch = getattr(self._graph, "_builder_epoch", 0)
         if self._cursor is None or self._epoch != epoch:
+            # enable_cache: the per-epoch wraparound (prefetching t=0 for the
+            # next epoch while the last timestamps compute) restores the
+            # cursor's base state instead of replaying in reverse.
             self._cursor = UpdateCursor(self.dtdg, self._versions, enable_cache=True)
-            # Cache the t=0 state so the per-epoch wraparound (prefetching
-            # t=0 for the next epoch while the last timestamps compute) is a
-            # restore, not a full reverse replay.
-            self._cursor.cache_state()
             self._epoch = epoch
         return self._cursor
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.graph import DTDG, GPMAGraph, NaiveGraph, StaticGraph
+from repro.graph.labels import decode_edges
+from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor
 from repro.pma.pma import SPACE_KEY
 
 
@@ -132,32 +134,63 @@ def test_gpma_out_of_range_timestamp(random_dtdg):
         gg.get_graph(-1)
 
 
+def _snapshot_edges(dtdg, t):
+    s, d = dtdg.snapshot_edges(t)
+    return set(zip(s.tolist(), d.tolist()))
+
+
+def _cursor_edge_set(cursor):
+    keys, _ = cursor.pma.export_items()
+    return set(zip(*(a.tolist() for a in decode_edges(keys, cursor.num_nodes))))
+
+
 def test_gpma_cache_restores_state(random_dtdg):
-    gg = GPMAGraph(random_dtdg)
+    """Algorithm 2 lines 1-5 at the layer that owns them: a cursor rewound to
+    the sequence start jumps back onto its saved state with zero batches."""
+    cur = UpdateCursor(random_dtdg, SnapshotVersionMap())
+    cur.advance(5)
+    cur.cache_state()
+    for t in range(5, -1, -1):
+        cur.advance(t)
+    restores, batches = cur.cache_restores, cur.update_batches_applied
+    cur.advance(5)  # should restore the cache, zero update batches
+    assert cur.cache_restores == restores + 1
+    assert cur.update_batches_applied == batches
+    assert _cursor_edge_set(cur) == _snapshot_edges(random_dtdg, 5)
+
+    # The graph serves the rewind from built snapshots, so the same walk does
+    # not move its PMA at all: forward batches once, nothing afterwards.
+    gg = GPMAGraph(random_dtdg, csr_cache_size=6)
     for t in range(6):
         gg.get_graph(t)
+        assert _edge_set(gg) == _snapshot_edges(random_dtdg, t)
     gg.cache_snapshot()
-    for t in range(5, -1, -1):
+    for t in [5, 4, 3, 2, 1, 0, 5]:
         gg.get_backward_graph(t)
-    batches_before = gg.update_batches_applied
-    gg.get_graph(5)  # should restore the cache, zero update batches
-    assert gg.cache_restores == 1
-    assert gg.update_batches_applied == batches_before
-    s, d = random_dtdg.snapshot_edges(5)
-    assert _edge_set(gg) == set(zip(s.tolist(), d.tolist()))
+        assert _edge_set(gg) == _snapshot_edges(random_dtdg, t)
+    assert gg.update_batches_applied == 5
+    assert gg.cache_restores == 0
 
 
 def test_gpma_cache_disabled(random_dtdg):
-    gg = GPMAGraph(random_dtdg, enable_cache=False)
-    for t in range(6):
-        gg.get_graph(t)
-    gg.cache_snapshot()  # no-op
+    """``enable_cache=False`` means no restore points, the base graph included."""
+    cur = UpdateCursor(random_dtdg, SnapshotVersionMap(), enable_cache=False)
+    cur.advance(5)
+    cur.cache_state()  # no-op
     for t in range(5, -1, -1):
-        gg.get_backward_graph(t)
-    before = gg.update_batches_applied
-    gg.get_graph(5)
+        cur.advance(t)
+    before = cur.update_batches_applied
+    cur.advance(5)
+    assert cur.cache_restores == 0
+    assert cur.update_batches_applied == before + 5  # replayed all updates
+
+    gg = GPMAGraph(random_dtdg, enable_cache=False, enable_csr_cache=False)
+    for t in [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 5]:
+        gg.get_graph(t)
+        assert _edge_set(gg) == _snapshot_edges(random_dtdg, t)
+    gg.cache_snapshot()  # no-op
     assert gg.cache_restores == 0
-    assert gg.update_batches_applied == before + 5  # replayed all updates
+    assert gg.update_batches_applied == 5 + 5 + 5  # every build replays its way there
 
 
 def test_gpma_gapped_csr_structure(random_dtdg):

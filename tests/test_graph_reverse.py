@@ -127,3 +127,83 @@ def test_reverse_preserves_edge_multiset(seed, n, p):
         for u, l in zip(r_col[r_row[v] : r_row[v + 1]], r_eid[r_row[v] : r_row[v + 1]]):
             rev_edges.add((int(u), int(v), int(l)))
     assert fwd_edges == rev_edges
+
+
+# ---------------------------------------------------------------------------
+# Differential: the counting-sort transpose == the argsort it replaced
+# ---------------------------------------------------------------------------
+def _reverse_by_argsort(row, col, eid, n):
+    """The comparison-sort formulation ``reverse_gpma_vectorized`` used to be."""
+    covered = int(row[-1])
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row))
+    valid = col[:covered] != SPACE_KEY
+    src, dst, lab = rows[valid], col[:covered][valid], eid[:covered][valid]
+    order = np.argsort(dst, kind="stable")
+    r_row = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=r_row[1:])
+    return r_row, src[order], lab[order]
+
+
+@st.composite
+def _digraph_csrs(draw):
+    """``(row, col, eid, n)``: a CSR keyed on src with position labels, compact
+    or gapped (SPACE slots inside the windows, unowned slack after them)."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "empty", "one_sink", "self_loops", "few_vertices"]))
+    e = 0 if shape == "empty" else draw(st.integers(0, 4 * n))
+    src = rng.integers(0, n, e)
+    dst = rng.integers(0, n, e)
+    if shape == "one_sink":
+        dst = np.full(e, rng.integers(0, n))
+    elif shape == "self_loops":
+        dst = np.where(rng.random(e) < 0.5, src, dst)
+    elif shape == "few_vertices":  # everything else is isolated
+        live = rng.choice(n, size=max(1, n // 4), replace=False)
+        src, dst = live[src % len(live)], live[dst % len(live)]
+    row, col, eid = _compact_inputs(src.astype(np.int64), dst.astype(np.int64), n)
+    if not draw(st.booleans()):
+        return row, col, eid, n
+    # Spread each row's entries over a wider window, keeping their order.
+    gaps = rng.integers(0, 3, n)
+    g_row = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.diff(row) + gaps, out=g_row[1:])
+    slack = int(rng.integers(0, 5))
+    g_col = np.full(int(g_row[-1]) + slack, SPACE_KEY, dtype=np.int64)
+    g_eid = np.full(len(g_col), -1, dtype=np.int64)
+    for v in range(n):
+        slots = np.sort(rng.choice(np.arange(g_row[v], g_row[v + 1]), size=row[v + 1] - row[v], replace=False))
+        g_col[slots] = col[row[v] : row[v + 1]]
+        g_eid[slots] = eid[row[v] : row[v + 1]]
+    return g_row, g_col, g_eid, n
+
+
+@given(_digraph_csrs())
+@settings(max_examples=200, deadline=None)
+def test_counting_sort_transpose_equals_argsort_bitwise(case):
+    row, col, eid, n = case
+    got = reverse_gpma_vectorized(row, col, eid, n)
+    want = _reverse_by_argsort(row, col, eid, n)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+
+
+@given(_digraph_csrs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_counting_sort_transpose_equals_literal_any_schedule(case, seed):
+    """Algorithm 3 as written, run in a shuffled node order, yields the same
+    reverse lists once each is sorted by label (labels are unique)."""
+    row, col, eid, n = case
+    r_row, r_col, r_eid = reverse_gpma_vectorized(row, col, eid, n)
+    valid = col[: row[-1]] != SPACE_KEY
+    in_deg = np.bincount(col[: row[-1]][valid], minlength=n)
+    l_row, l_col, l_eid = reverse_gpma_literal(
+        row, col, eid, in_deg, node_order=np.random.default_rng(seed).permutation(n)
+    )
+    assert np.array_equal(l_row, r_row)
+    for v in range(n):
+        lo, hi = r_row[v], r_row[v + 1]
+        by_label = np.argsort(l_eid[lo:hi])
+        assert np.array_equal(l_eid[lo:hi][by_label], r_eid[lo:hi])  # already ascending
+        assert np.array_equal(l_col[lo:hi][by_label], r_col[lo:hi])

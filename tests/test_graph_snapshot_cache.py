@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.graph import DTDG, GPMAGraph, NaiveGraph
+from repro.graph.labels import decode_edges
+from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor
 
 
 @pytest.fixture
@@ -55,6 +57,11 @@ def _edge_set(graph):
 def _snapshot_edge_set(dtdg, t):
     s, d = dtdg.snapshot_edges(t)
     return set(zip(s.tolist(), d.tolist()))
+
+
+def _cursor_edge_set(cursor):
+    keys, _ = cursor.pma.export_items()
+    return set(zip(*(a.tolist() for a in decode_edges(keys, cursor.num_nodes))))
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +190,29 @@ def test_csr_cache_size_zero_disables(random_dtdg):
 # ---------------------------------------------------------------------------
 def test_rewind_past_cache_restores_on_distance(random_dtdg):
     """Jumping to t=4 from t=0 with the cache at t=5 must restore the cache
-    and apply ONE reverse batch — not replay four forward batches."""
-    gg = GPMAGraph(random_dtdg)
-    for t in range(6):
-        gg.get_graph(t)
-    gg.cache_snapshot()  # cache holds t=5
+    and apply ONE reverse batch — not replay four forward batches.  The rule
+    is ``UpdateCursor.advance``'s; a graph only reaches it when it builds."""
+    versions = SnapshotVersionMap()
+    cur = UpdateCursor(random_dtdg, versions)
+    cur.advance(5)
+    cur.cache_state()  # cache holds t=5
     for t in range(5, -1, -1):
-        gg.get_backward_graph(t)  # rewind to t=0
-    before = gg.update_batches_applied
-    gg.get_graph(4)
-    assert gg.cache_restores == 1
-    assert gg.update_batches_applied == before + 1
-    assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, 4)
-    assert gg.snapshot_version == gg._ts_versions[4]
+        cur.advance(t)  # rewind to t=0
+    restores, before = cur.cache_restores, cur.update_batches_applied
+    cur.advance(4)
+    assert cur.cache_restores == restores + 1
+    assert cur.update_batches_applied == before + 1
+    assert _cursor_edge_set(cur) == _snapshot_edge_set(random_dtdg, 4)
+    assert cur.version == versions.get(4)
+
+    gg = GPMAGraph(random_dtdg)
+    for t in [0, 1, 2, 3, 4, 5]:
+        gg.get_graph(t)
+    gg.cache_snapshot()
+    for t in [5, 4, 3, 2, 1, 0, 4]:
+        gg.get_backward_graph(t)
+        assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
+        assert gg.snapshot_version == gg._ts_versions[t]
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +221,33 @@ def test_rewind_past_cache_restores_on_distance(random_dtdg):
 def test_sequence_boundary_cache_flow(random_dtdg):
     """Forward a sequence, cache, rewind, then start the next sequence from
     the cached snapshot with a single update batch."""
+    cur = UpdateCursor(random_dtdg, SnapshotVersionMap())
+    cur.advance(2)
+    cur.cache_state()  # end of sequence [0..2]
+    for t in range(2, -1, -1):
+        cur.advance(t)
+    restores, before = cur.cache_restores, cur.update_batches_applied
+    cur.advance(3)  # next sequence: restore t=2, one forward batch
+    assert cur.cache_restores == restores + 1
+    assert cur.update_batches_applied == before + 1
+    assert _cursor_edge_set(cur) == _snapshot_edge_set(random_dtdg, 3)
+    cur.pma.check_invariants()
+
+    # A graph that served the LIFO walk from built snapshots never rewound:
+    # the next sequence is the same single batch, with nothing to restore.
     gg = GPMAGraph(random_dtdg)
     for t in range(3):
         gg.get_graph(t)
-    gg.cache_snapshot()  # end of sequence [0..2]
+        gg.forward_csr()
+    gg.cache_snapshot()
     for t in range(2, -1, -1):
         gg.get_backward_graph(t)
+        assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
     before = gg.update_batches_applied
-    gg.get_graph(3)  # next sequence: restore t=2, one forward batch
-    assert gg.cache_restores == 1
-    assert gg.update_batches_applied == before + 1
+    gg.get_graph(3)
     assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, 3)
+    assert gg.update_batches_applied == before + 1
+    assert gg.cache_restores == 0
     gg.pma.check_invariants()
 
 
@@ -236,17 +269,81 @@ def test_restore_cache_after_capacity_change():
         snaps.append((arr[:, 0].copy(), arr[:, 1].copy()))
     dtdg = DTDG(snaps, n)
 
+    cur = UpdateCursor(dtdg, SnapshotVersionMap())
+    cap_before = cur.pma.capacity
+    cur.cache_state()  # cache t=0 at the small capacity
+    cur.advance(1)  # the 200-edge batch grows the PMA
+    assert cur.pma.capacity > cap_before
+    cur.advance(0)  # distance 0 from the cache: restore, shrinking geometry
+    assert cur.cache_restores == 1
+    assert cur.pma.capacity == cap_before
+    cur.pma.check_invariants()
+    assert _cursor_edge_set(cur) == _snapshot_edge_set(dtdg, 0)
+    assert cur.version == 0
+
+    # Through a graph the restore happens when the storage is next read.
     gg = GPMAGraph(dtdg)
-    cap_before = gg.pma.capacity
-    gg.cache_snapshot()  # cache t=0 at the small capacity
-    gg.get_graph(1)  # the 200-edge batch grows the PMA
+    gg.get_graph(1)
     assert gg.pma.capacity > cap_before
-    gg.get_graph(0)  # distance 0 from the cache: restore, shrinking geometry
-    assert gg.cache_restores == 1
+    gg.get_graph(0)
     assert gg.pma.capacity == cap_before
+    assert gg.cache_restores == 1
     gg.pma.check_invariants()
     assert _edge_set(gg) == _snapshot_edge_set(dtdg, 0)
     assert gg.snapshot_version == 0
+
+
+# ---------------------------------------------------------------------------
+# Positioning is logical: batches are replayed only for a build
+# ---------------------------------------------------------------------------
+def test_each_batch_applied_at_most_once_per_epoch(random_dtdg):
+    """Forward sweep + LIFO walk + wrap, twice: T-1 batches an epoch, and the
+    wrap is one restore of the base graph instead of T-1 reverse batches."""
+    T = random_dtdg.num_timestamps
+    gg = GPMAGraph(random_dtdg, csr_cache_size=T)
+    for epoch in (1, 2):
+        for t in range(T):
+            gg.get_graph(t)
+            assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
+        gg.cache_snapshot()
+        for t in range(T - 1, -1, -1):
+            gg.get_backward_graph(t)
+            assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
+        assert gg.update_batches_applied == T - 1  # epoch 2 is all cache hits
+        assert gg.cache_restores == 0
+    # With a cache too small to keep an epoch, every forward build replays its
+    # one batch; the backward walk and the wrap still replay none.
+    small = GPMAGraph(random_dtdg, csr_cache_size=2)
+    for epoch in (1, 2):
+        for t0 in (0, 3):
+            for t in (t0, t0 + 1, t0 + 2):
+                small.get_graph(t)
+                assert _edge_set(small) == _snapshot_edge_set(random_dtdg, t)
+            small.cache_snapshot()
+            for t in (t0 + 2, t0 + 1):
+                small.get_backward_graph(t)  # still installed / in the LRU
+                assert _edge_set(small) == _snapshot_edge_set(random_dtdg, t)
+        assert small.update_batches_applied == epoch * (T - 1)
+        assert small.cache_restores == epoch - 1  # the wrap T-1 -> 0
+
+
+def test_context_lru_hit_replays_nothing(random_dtdg):
+    """The executor's backward walk takes every context from its LRU: the
+    graph is repositioned logically and its PMA is not touched."""
+    from repro.core.executor import TemporalExecutor
+
+    gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg)
+    for t in range(4):
+        ex.begin_timestamp(t)
+    ex.end_sequence_forward()
+    before, hits = gg.update_batches_applied, ex.ctx_cache_hits
+    for t in range(3, -1, -1):
+        ctx = ex.backward_context(t)
+        assert ctx.snapshot_key == (None, gg._ts_versions[t])
+    assert ex.ctx_cache_hits == hits + 4
+    assert gg.update_batches_applied == before == 3
+    assert gg.cache_restores == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,179 @@
+"""Snapshots on demand: the linear-time build and logical positioning.
+
+* ``build_snapshot_arrays`` against the frozen comparison-sort build in
+  ``tests/_snapshot_reference.py`` (all ten arrays, dtypes included);
+* a state machine that moves a :class:`GPMAGraph` in random order and checks
+  every exposed array against ``DTDG.snapshot_edges(t)`` and every
+  ``snapshot_key`` against an eagerly positioned cursor;
+* the regression for ``num_edges`` reading a parked PMA.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+
+from repro.device import current_device
+from repro.graph import DTDG, GPMAGraph
+from repro.graph.labels import encode_edges
+from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor, build_snapshot_arrays
+from repro.pma import PackedMemoryArray
+from tests._snapshot_reference import reference_build_snapshot_arrays
+
+
+def _ten_arrays(snap):
+    return (
+        snap.fwd.row_offset, snap.fwd.col_indices, snap.fwd.eids, snap.fwd.node_ids,
+        snap.bwd.row_offset, snap.bwd.col_indices, snap.bwd.eids, snap.bwd.node_ids,
+        snap.in_deg, snap.out_deg,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Differential: one compaction + counting sort == gapped view + argsort
+# ---------------------------------------------------------------------------
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 60)), min_size=1, max_size=8),
+    sort_by_degree=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_build_equals_frozen_reference_after_random_walks(n, seed, steps, sort_by_degree):
+    rng = np.random.default_rng(seed)
+    alloc = current_device().alloc
+    pma = PackedMemoryArray(capacity=64)
+    for insert, size in steps:
+        keys = encode_edges(rng.integers(0, n, size), rng.integers(0, n, size), n)
+        if insert:
+            pma.insert_batch(keys, keys)
+        else:
+            held, _ = pma.export_items()
+            # half held keys, half arbitrary ones (most of them absent)
+            pick = held[rng.integers(0, len(held), size // 2)] if len(held) else keys[:0]
+            pma.delete_batch(np.concatenate([pick, keys[size // 2 :]]))
+        got = _ten_arrays(build_snapshot_arrays(pma, n, sort_by_degree, alloc))
+        want = _ten_arrays(reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# State machine: any order of moves and reads exposes DTDG.snapshot_edges(t)
+# ---------------------------------------------------------------------------
+@st.composite
+def _dtdgs(draw):
+    """Small series with no-op boundaries, an emptied snapshot and self-loops."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    snaps: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "same", "empty"]))
+        if kind == "same" and snaps:
+            snaps.append(snaps[-1])
+            continue
+        e = 0 if kind == "empty" else int(rng.integers(0, 3 * n))
+        keys = np.unique(encode_edges(rng.integers(0, n, e), rng.integers(0, n, e), n))
+        snaps.append((keys // n, keys % n))
+    return DTDG(snaps, n)
+
+
+class OnDemandSnapshots(RuleBasedStateMachine):
+    """``get_graph`` / ``get_backward_graph`` / ``cache_snapshot`` and every
+    reader, in random order, under all eight cache / ordering configurations."""
+
+    @initialize(
+        dtdg=_dtdgs(),
+        enable_csr_cache=st.booleans(),
+        enable_cache=st.booleans(),
+        sort_by_degree=st.booleans(),
+    )
+    def build(self, dtdg, enable_csr_cache, enable_cache, sort_by_degree):
+        self.dtdg = dtdg
+        self.graph = GPMAGraph(
+            dtdg, sort_by_degree=sort_by_degree, enable_cache=enable_cache,
+            enable_csr_cache=enable_csr_cache, csr_cache_size=2,
+        )
+        # The eager path: a cursor physically driven to every requested
+        # timestamp, allocating versions from its own map as it goes.
+        self.eager = UpdateCursor(dtdg, SnapshotVersionMap(), enable_cache=enable_cache)
+        self.t = 0
+
+    def _expected_keys(self) -> np.ndarray:
+        return encode_edges(*self.dtdg.snapshot_edges(self.t), self.dtdg.num_nodes)
+
+    @rule(t=st.integers(0, 5), backward=st.booleans())
+    def move(self, t, backward):
+        self.t = t % self.dtdg.num_timestamps
+        (self.graph.get_backward_graph if backward else self.graph.get_graph)(self.t)
+        self.eager.advance(self.t)
+        assert self.graph.curr_time == self.t
+
+    @rule()
+    def cache_snapshot(self):
+        self.graph.cache_snapshot()
+        self.eager.cache_state()
+
+    @rule()
+    def read_forward_csr(self):
+        fwd, n = self.graph.forward_csr(), self.dtdg.num_nodes
+        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(fwd.row_offset))
+        keys = encode_edges(fwd.col_indices, dst, n)
+        # labels are ranks in key order, so sorting by label sorts the keys
+        assert np.array_equal(keys[np.argsort(fwd.eids)], self._expected_keys())
+        assert np.array_equal(self.graph.in_degrees(), np.diff(fwd.row_offset))
+
+    @rule()
+    def read_backward_csr(self):
+        bwd, n = self.graph.backward_csr(), self.dtdg.num_nodes
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(bwd.row_offset))
+        assert np.array_equal(encode_edges(src, bwd.col_indices, n), self._expected_keys())
+        assert np.array_equal(bwd.eids, np.arange(bwd.num_edges))
+        assert np.array_equal(self.graph.out_degrees(), np.diff(bwd.row_offset))
+        self.graph.validate_label_consistency()
+
+    @rule()
+    def read_num_edges(self):
+        assert self.graph.num_edges == self.dtdg.snapshot_edge_count(self.t)
+
+    @rule()
+    def read_snapshot_key(self):
+        assert self.graph.snapshot_key() == (None, self.eager.version)
+
+    @rule()
+    def read_storage(self):
+        held, _ = self.graph.pma.export_items()
+        assert np.array_equal(held, self._expected_keys())
+        self.graph.pma.check_invariants()
+        row, col, _ = self.graph.gapped_csr()
+        assert int((col[: row[-1]] >= 0).sum()) == self.graph.num_edges
+
+
+OnDemandSnapshots.TestCase.settings = settings(max_examples=80, stateful_step_count=30, deadline=None)
+test_on_demand_snapshots_state_machine = OnDemandSnapshots.TestCase
+
+
+# ---------------------------------------------------------------------------
+# Regression: num_edges answers for the logical position
+# ---------------------------------------------------------------------------
+def test_num_edges_is_the_logical_positions_with_prefetcher_attached():
+    """After visiting every timestamp the PMA is parked at the last one;
+    repositioning at t=0 used to report the parked PMA's count."""
+    rng = np.random.default_rng(5)
+    n, snaps = 12, []
+    for t in range(12):
+        keys = np.unique(rng.integers(0, n * n, 20 + 3 * t))
+        snaps.append((keys // n, keys % n))
+    dtdg = DTDG(snaps, n)
+    assert dtdg.snapshot_edge_count(0) != dtdg.snapshot_edge_count(11)
+    gg = GPMAGraph(dtdg)
+    for t in range(12):
+        gg.get_graph(t)
+    gg.attach_prefetcher(True)
+    gg.get_graph(0)
+    assert gg.num_edges == dtdg.snapshot_edge_count(0)
+    assert gg.storage_bytes() == gg.pma.keys.nbytes + gg.pma.values.nbytes
+    assert gg.pma.n_items == gg.num_edges
+    assert f"E={dtdg.snapshot_edge_count(0)}," in repr(gg)
