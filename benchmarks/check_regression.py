@@ -40,9 +40,8 @@ _MAD_SCALE = 1.4826
 def _row_key(row: dict) -> str:
     """Stable identity of one benchmark row across payloads."""
     skip = {
-        "epoch_s", "compile_s", "prefetch_wait_s", "peak_MB", "loss",
+        "epoch_s", "compile_s", "peak_MB", "loss",
         "update_frac", "csr_hits", "csr_misses", "noop_skipped",
-        "prefetch_hits", "prefetch_misses",
     }
     parts = [f"{k}={row[k]}" for k in sorted(row) if k not in skip]
     return "rows[" + ",".join(parts) + "].epoch_s"
@@ -51,11 +50,11 @@ def _row_key(row: dict) -> str:
 def extract_metrics(payload: dict) -> dict[str, float]:
     """Flatten one nightly payload into ``{metric_name: seconds}``.
 
-    Covers per-row ``epoch_s``, the ``micro`` medians, the pipeline/
-    compiled ablation timings, and the serving-ablation p50/p99 latencies —
-    every field the nightly diff treats as a timing.  Counters and losses
-    are deliberately excluded: correctness is gated elsewhere (the
-    differential tests), this detector is time-only.
+    Covers per-row ``epoch_s``, the ``micro`` medians and the
+    serving-ablation p50/p99 latencies — every field the nightly diff
+    treats as a timing.  Counters and losses are deliberately excluded:
+    correctness is gated elsewhere (the differential tests), this detector
+    is time-only.
     """
     out: dict[str, float] = {}
     for row in payload.get("rows", []):
@@ -64,14 +63,6 @@ def extract_metrics(payload: dict) -> dict[str, float]:
     for key, value in payload.get("micro", {}).items():
         if isinstance(value, (int, float)):
             out[f"micro.{key}"] = float(value)
-    for row in payload.get("pipeline_ablation", []):
-        for f in ("epoch_s", "prefetch_wait_s"):
-            if isinstance(row.get(f), (int, float)):
-                out[f"pipeline_ablation[pipeline={row.get('pipeline')}].{f}"] = float(row[f])
-    for row in payload.get("compiled_ablation", []):
-        for f in ("epoch_s", "compile_s"):
-            if isinstance(row.get(f), (int, float)):
-                out[f"compiled_ablation[engine={row.get('engine')}].{f}"] = float(row[f])
     for row in payload.get("serving_ablation", []):
         for f in ("p50_ms", "p99_ms"):
             if isinstance(row.get(f), (int, float)):

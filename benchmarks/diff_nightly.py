@@ -25,8 +25,8 @@ import pathlib
 import sys
 
 #: Timing fields are diffed as percentages; counter fields as raw deltas.
-_TIMING_FIELDS = ("epoch_s", "compile_s", "prefetch_wait_s")
-_COUNTER_FIELDS = ("csr_hits", "csr_misses", "noop_skipped", "prefetch_hits", "prefetch_misses")
+_TIMING_FIELDS = ("epoch_s", "compile_s")
+_COUNTER_FIELDS = ("csr_hits", "csr_misses", "noop_skipped")
 
 
 def _row_key(row: dict) -> tuple:
@@ -79,41 +79,6 @@ def diff(prev: dict, curr: dict) -> list[str]:
                 lines.append(f"  {section}.{key}: {old} -> {new} ({_pct(old, new)})")
             elif old != new:
                 lines.append(f"  {section}.{key}: {old} -> {new}")
-
-    # Pipeline on/off ablation rows, keyed by the staleness knob.
-    prev_pipe = {r.get("pipeline"): r for r in prev.get("pipeline_ablation", [])}
-    for row in curr.get("pipeline_ablation", []):
-        label = f"pipeline_ablation[pipeline={row.get('pipeline')}]"
-        before = prev_pipe.get(row.get("pipeline"))
-        if before is None:
-            lines.append(f"  {label}: (new) epoch_s={row.get('epoch_s')} "
-                         f"hit%={row.get('prefetch_hit_%')}")
-            continue
-        changes = [f"{f} {_pct(before.get(f, 0), row.get(f, 0))}"
-                   for f in ("epoch_s", "prefetch_wait_s") if f in row]
-        counter_moves = [f"{f} {row.get(f, 0) - before.get(f, 0):+d}"
-                         for f in ("prefetch_hits", "prefetch_misses")
-                         if row.get(f, 0) != before.get(f, 0)]
-        lines.append(f"  {label}: {', '.join(changes + counter_moves) or 'unchanged'}")
-
-    # Engine on/off ablation rows, keyed by the engine name.
-    prev_eng = {r.get("engine"): r for r in prev.get("compiled_ablation", [])}
-    for row in curr.get("compiled_ablation", []):
-        label = f"compiled_ablation[engine={row.get('engine')}]"
-        before = prev_eng.get(row.get("engine"))
-        if before is None:
-            lines.append(f"  {label}: (new) epoch_s={row.get('epoch_s')} "
-                         f"backend={row.get('backend')} "
-                         f"fusion%={row.get('fusion_hit_%')}")
-            continue
-        changes = [f"{f} {_pct(before.get(f, 0), row.get(f, 0))}"
-                   for f in ("epoch_s", "compile_s") if f in row]
-        counter_moves = [f"{f} {row.get(f, 0) - before.get(f, 0):+d}"
-                         for f in ("fusion_hits", "fusion_misses")
-                         if row.get(f, 0) != before.get(f, 0)]
-        if before.get("backend") != row.get("backend"):
-            counter_moves.append(f"backend {before.get('backend')} -> {row.get('backend')}")
-        lines.append(f"  {label}: {', '.join(changes + counter_moves) or 'unchanged'}")
 
     # Serving ablation rows, keyed by mode (coalescing/invalidation on-off).
     prev_serve = {r.get("mode"): r for r in prev.get("serving_ablation", [])}

@@ -33,39 +33,37 @@ from repro.bench.experiments import (
 
 
 def _micro_medians(repeats: int = 5) -> dict:
-    """Median seconds for the snapshot-cache micro roundtrip, cached vs not.
+    """Median seconds for the context-store micro roundtrip, store on vs off.
 
-    The same forward + LIFO-backward positioning walk the micro-benchmarks
+    The same forward + LIFO-backward executor walk the micro-benchmarks
     time under pytest-benchmark, repeated ``repeats`` times inline so the
     nightly JSON carries comparable medians without the pytest harness.
     """
     import statistics
 
+    from repro.core.executor import TemporalExecutor
     from repro.dataset import load_sx_mathoverflow
     from repro.device import Device, use_device
     from repro.graph import GPMAGraph
 
     ds = load_sx_mathoverflow(scale=0.02, feature_size=8, max_snapshots=12)
 
-    def roundtrip(graph) -> None:
+    def roundtrip(executor) -> None:
         for t in range(ds.num_timestamps):
-            graph.get_graph(t)
-            graph.forward_csr()
+            executor.begin_timestamp(t)
         for t in range(ds.num_timestamps - 1, -1, -1):
-            graph.get_backward_graph(t)
-            graph.forward_csr()
+            executor.backward_context(t)
 
     out: dict = {}
     with use_device(Device(name="nightly-micro")):
-        for label, kwargs in (
-            ("backward_walk_cached", {"csr_cache_size": ds.num_timestamps}),
-            ("backward_walk_uncached", {"enable_csr_cache": False}),
-        ):
-            graph = GPMAGraph(ds.dtdg, **kwargs)
+        for label, enabled in (("backward_walk_cached", True), ("backward_walk_uncached", False)):
+            executor = TemporalExecutor(
+                GPMAGraph(ds.dtdg, enable_csr_cache=enabled), ctx_cache_size=ds.num_timestamps
+            )
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                roundtrip(graph)
+                roundtrip(executor)
                 times.append(time.perf_counter() - t0)
             out[f"{label}_median_s"] = round(statistics.median(times), 6)
     return out
@@ -90,74 +88,6 @@ def _nightly_reuse_counters() -> dict:
         "csr_cache_hit_rate": round(r.csr_cache_hit_rate, 4),
         "reuse_rate": round(r.reuse_rate, 4),
     }
-
-
-def _pipeline_ablation() -> tuple[list[dict], str]:
-    """Pipeline on/off: the same GPMA training cell serial vs staleness 2.
-
-    Numerics must be identical (the differential test gates that); what the
-    ablation tracks nightly is the wall-clock delta, the staged-snapshot hit
-    rate, and the main-thread prefetch-wait stall.
-    """
-    from repro.bench import run_dynamic_experiment
-    from repro.bench.report import format_table
-    from repro.dataset import load_sx_mathoverflow
-
-    rows = []
-    for pipeline in (0, 2):
-        r = run_dynamic_experiment(
-            "gpma", load_sx_mathoverflow,
-            scale=0.02, feature_size=16, max_snapshots=12,
-            sequence_length=4, epochs=3, warmup=1,
-            pipeline=pipeline,
-        )
-        rows.append({
-            "pipeline": pipeline,
-            "epoch_s": round(r.per_epoch_seconds, 5),
-            "loss": round(r.final_loss, 6),
-            "prefetch_hits": r.prefetch_hits,
-            "prefetch_misses": r.prefetch_misses,
-            "prefetch_hit_%": round(100 * r.prefetch_hit_rate, 1),
-            "prefetch_wait_s": round(r.prefetch_wait_seconds, 5),
-        })
-    return rows, format_table(rows, title="Pipeline ablation (GPMA, staleness 0 vs 2)")
-
-
-def _compiled_ablation() -> tuple[list[dict], str]:
-    """Engine ablation: the same GPMA training cell kernel vs compiled.
-
-    Losses must be identical (the engine-axis differential tests gate
-    that); what the ablation tracks nightly is the wall-clock delta, the
-    one-time driver compile cost, and the cross-timestamp fusion hit rate.
-    The backend column records which toolchain actually ran ("numba",
-    "c", or "fallback" when the compiled engine delegated to kernel).
-    """
-    from repro.bench import run_dynamic_experiment
-    from repro.bench.report import format_table
-    from repro.compiler.native import native_backend
-    from repro.dataset import load_sx_mathoverflow
-
-    backend = native_backend()
-    rows = []
-    for engine in ("kernel", "compiled"):
-        r = run_dynamic_experiment(
-            "gpma", load_sx_mathoverflow,
-            scale=0.02, feature_size=16, max_snapshots=12,
-            sequence_length=4, epochs=3, warmup=1,
-            engine=engine,
-        )
-        fh, fm = r.compiled_fusion_hits, r.compiled_fusion_misses
-        rows.append({
-            "engine": engine,
-            "backend": (backend or "fallback") if engine == "compiled" else "-",
-            "epoch_s": round(r.per_epoch_seconds, 5),
-            "loss": round(r.final_loss, 6),
-            "compile_s": round(r.compile_seconds, 5),
-            "fusion_hits": fh,
-            "fusion_misses": fm,
-            "fusion_hit_%": round(100 * fh / (fh + fm), 1) if fh + fm else 0.0,
-        })
-    return rows, format_table(rows, title="Compiled-tier ablation (GPMA, kernel vs compiled engine)")
 
 
 def _serving_ablation() -> tuple[list[dict], str]:
@@ -256,14 +186,6 @@ def main(argv: list[str] | None = None) -> int:
     print(t3, "\n")
     sections.append(("Table III", t3))
 
-    pipeline_rows, pipe_table = _pipeline_ablation()
-    print(pipe_table, "\n")
-    sections.append(("Pipeline ablation", pipe_table))
-
-    compiled_rows, compiled_table = _compiled_ablation()
-    print(compiled_table, "\n")
-    sections.append(("Compiled-tier ablation", compiled_table))
-
     serving_rows, serving_table = _serving_ablation()
     print(serving_table, "\n")
     sections.append(("Serving ablation", serving_table))
@@ -283,8 +205,6 @@ def main(argv: list[str] | None = None) -> int:
             "rows": rows,
             "micro": _micro_medians(),
             "reuse_counters": _nightly_reuse_counters(),
-            "pipeline_ablation": pipeline_rows,
-            "compiled_ablation": compiled_rows,
             "serving_ablation": serving_rows,
         }
         args.json.write_text(json.dumps(payload, indent=2))

@@ -5,24 +5,48 @@ PyG-T at small feature sizes but crossing over as GNN processing grows to
 dominate graph-update time; crossover earlier on denser graphs.
 """
 
+import statistics
+
 from repro.bench.experiments import fig7_dtdg_time
 from repro.dataset import DYNAMIC_DATASETS
 
 _DATASETS = {"sx-mathoverflow": DYNAMIC_DATASETS["sx-mathoverflow"]}
+_ROUNDS = 5
 
 
 def test_fig7(benchmark):
-    results, text = benchmark.pedantic(
-        fig7_dtdg_time,
-        kwargs=dict(feature_sizes=(8, 64), datasets=_DATASETS, scale=0.05),
-        rounds=1, iterations=1,
-    )
-    print("\n" + text)
+    """The figure's three shape inequalities, on medians of five runs per cell.
+
+    One run of the figure visits every (system, F) cell once, so five runs
+    interleave the cells (A B C A B C ...) and drift hits all of them alike.
+    A single-shot cell spreads by +-15 %, which is wider than Naive's lead
+    over GPMA at F=64; the median of five is not.
+    """
+    def five_runs():
+        return [
+            fig7_dtdg_time(feature_sizes=(8, 64), datasets=_DATASETS, scale=0.05)
+            for _ in range(_ROUNDS)
+        ]
+
+    runs = benchmark.pedantic(five_runs, rounds=1, iterations=1)
+    print("\n" + runs[-1][1])
+
+    def samples(system, fs):
+        return [
+            r.per_epoch_seconds
+            for results, _ in runs for r in results
+            if r.system == system and r.params["F"] == fs
+        ]
 
     def t(system, fs):
-        return next(
-            r for r in results if r.system == system and r.params["F"] == fs
-        ).per_epoch_seconds
+        return statistics.median(samples(system, fs))
+
+    print(f"per-epoch seconds, median of {_ROUNDS} (spread = (max - min) / median):")
+    for fs in (8, 64):
+        for system in ("naive", "gpma", "pygt"):
+            xs = samples(system, fs)
+            assert len(xs) == _ROUNDS
+            print(f"  F={fs:<3} {system:<6} {t(system, fs):.4f}  spread {(max(xs) - min(xs)) / t(system, fs):.0%}")
 
     # Naive fastest at every feature size
     for fs in (8, 64):
@@ -31,47 +55,5 @@ def test_fig7(benchmark):
     # GPMA crossover: behind (or close) at F=8, ahead at F=64
     assert t("gpma", 64) < t("pygt", 64)
     # losses agree across systems
-    losses = [r.final_loss for r in results if r.params["F"] == 8]
+    losses = [r.final_loss for r in runs[0][0] if r.params["F"] == 8]
     assert max(losses) - min(losses) < 1e-3 * max(1.0, abs(losses[0]))
-
-
-def test_fig7_pipeline_overlap(benchmark):
-    """Pipelined GPMA on the quick fig7 config: identical numerics, staged
-    snapshots serving ≥90% of prefetch-eligible builds, and the serial-vs-
-    pipelined wall clock reported.
-
-    With deferred positioning the training thread does no structural graph
-    work on a prefetch hit (no update replay, no build), so the pipelined
-    run should be no slower than serial — typically ~1.2-1.3x faster here —
-    but the *gated* bound is kept loose (1.15x) because build/compute
-    overlap on shared CI runners is noisy.
-    """
-    from repro.bench.measure import run_dynamic_experiment
-
-    loader = _DATASETS["sx-mathoverflow"]
-    kwargs = dict(feature_size=32, scale=0.05, epochs=4, warmup=1)
-
-    def both():
-        serial = run_dynamic_experiment("gpma", loader, pipeline=0, **kwargs)
-        piped = run_dynamic_experiment("gpma", loader, pipeline=2, **kwargs)
-        return serial, piped
-
-    serial, piped = benchmark.pedantic(both, rounds=1, iterations=1)
-
-    # Numerics: pipelining must not move the loss at all.
-    assert piped.final_loss == serial.final_loss
-    # Effectiveness: ≥90% of prefetch-eligible builds came from the worker.
-    assert piped.prefetch_hits > 0
-    assert piped.prefetch_hit_rate >= 0.90, (
-        f"prefetch hit rate {piped.prefetch_hit_rate:.2%} "
-        f"({piped.prefetch_hits} hits / {piped.prefetch_misses} misses)"
-    )
-    speedup = serial.per_epoch_seconds / piped.per_epoch_seconds
-    print(
-        f"\npipeline ablation: serial {serial.per_epoch_seconds * 1e3:.2f} ms/epoch, "
-        f"pipelined {piped.per_epoch_seconds * 1e3:.2f} ms/epoch "
-        f"({speedup:.2f}x), wait {piped.prefetch_wait_seconds * 1e3:.2f} ms"
-    )
-    # Pipelining must never make the run materially slower than serial
-    # (locally it is ~1.25x faster; the margin absorbs runner noise).
-    assert piped.per_epoch_seconds < 1.15 * serial.per_epoch_seconds

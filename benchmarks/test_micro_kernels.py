@@ -1,5 +1,5 @@
 """Kernel micro-benchmarks: vertex-centric SpMM vs edge-parallel
-gather/scatter, the fusion ablation, and the compiled (native) tier."""
+gather/scatter, the fusion ablation, and the aggregation launch path."""
 
 import time
 
@@ -9,7 +9,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.compiler import compile_vertex_program
-from repro.compiler.native import native_backend
 from repro.compiler.runtime import GraphContext, spmm
 from repro.graph import StaticGraph
 from repro.tensor import Tensor, functional as F
@@ -88,78 +87,6 @@ def test_ablation_degree_sort_on(benchmark, graph, rng):
     prog = compile_vertex_program(_gcn_fn, {"h": "v", "norm": "s"}, {"h"}, name="mb_ds")
     h, norm = _inputs(ctx, rng)
     benchmark(lambda: prog.forward(ctx, {"h": h, "norm": norm}))
-
-
-def test_compiled_forward(benchmark, ctx, rng):
-    """The compiled (native) tier on the same CSR aggregation cell.
-
-    Skipped without a toolchain — with neither numba nor a working cc the
-    compiled engine is a documented delegate to the kernel engine, so
-    timing it would just re-measure ``test_vertex_centric_forward``.
-    """
-    if native_backend() is None:
-        pytest.skip("no native toolchain (numba or cc)")
-    prog = compile_vertex_program(
-        _gcn_fn, {"h": "v", "norm": "s"}, {"h"}, name="mb_cc", engine="compiled"
-    )
-    h, norm = _inputs(ctx, rng)
-    prog.forward(ctx, {"h": h, "norm": norm})  # warm the driver cache
-    benchmark(lambda: prog.forward(ctx, {"h": h, "norm": norm}))
-
-
-def test_compiled_matches_kernel_bitwise(ctx, rng):
-    """Compiled vs kernel on the micro cell: bitwise-equal fwd and bwd.
-
-    Runs on every machine — without a toolchain the compiled engine
-    delegates to the kernel engine, so equality is trivially preserved.
-    """
-    prog = compile_vertex_program(_gcn_fn, {"h": "v", "norm": "s"}, {"h"}, name="mb_eq")
-    h, norm = _inputs(ctx, rng)
-    env = {"h": h, "norm": norm}
-    out_k, saved_k = prog.forward(ctx, env)
-    out_c, saved_c = prog.with_engine("compiled").forward(ctx, env)
-    assert np.array_equal(out_k, out_c)
-    gout = rng.standard_normal(out_k.shape).astype(np.float32)
-    grads_k = prog.backward(ctx, gout, saved_k)
-    grads_c = prog.with_engine("compiled").backward(ctx, gout, saved_c)
-    assert sorted(grads_k) == sorted(grads_c)
-    for name in grads_k:
-        assert np.array_equal(grads_k[name], grads_c[name])
-
-
-def _median_seconds(fn, repeats: int = 15) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return times[len(times) // 2]
-
-
-@pytest.mark.skipif(
-    native_backend() != "numba",
-    reason="the >=2x speedup gate applies only when numba is available",
-)
-def test_compiled_speedup_gate(ctx, rng):
-    """Acceptance gate: compiled tier >= 2x kernel tier on CSR aggregation.
-
-    Tied to the numba backend (the CI compiled-tier job installs it); on
-    machines with only the cc path — or no toolchain at all — the gate is
-    skipped, not failed.
-    """
-    prog = compile_vertex_program(_gcn_fn, {"h": "v", "norm": "s"}, {"h"}, name="mb_gate")
-    compiled = prog.with_engine("compiled")
-    h, norm = _inputs(ctx, rng)
-    env = {"h": h, "norm": norm}
-    prog.forward(ctx, env)
-    compiled.forward(ctx, env)  # warm drivers + numba dispatch
-    t_kernel = _median_seconds(lambda: prog.forward(ctx, env))
-    t_compiled = _median_seconds(lambda: compiled.forward(ctx, env))
-    assert t_compiled > 0
-    assert t_kernel / t_compiled >= 2.0, (
-        f"compiled tier {t_kernel / t_compiled:.2f}x vs kernel; expected >= 2x"
-    )
 
 
 def _best_seconds(fn, repeats: int = 7, calls: int = 50) -> float:

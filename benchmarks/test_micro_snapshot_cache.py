@@ -1,10 +1,10 @@
-"""Snapshot-cache micro-benchmark: CSR/context reuse on vs off.
+"""Snapshot-store micro-benchmark: context reuse on vs off.
 
 Every training sequence visits its snapshots twice (forward, then the LIFO
-backward walk).  The (timestamp, version)-keyed CSR cache plus the
-executor's context cache serve the second visit — and every later epoch —
-from the forward pass's builds, so the graph_update share of epoch time
-(Figure 9's y-axis) drops while the computed losses stay bitwise equal.
+backward walk).  The executor's ``snapshot_key() -> GraphContext`` store
+serves the second visit — and every later epoch it still holds — from the
+forward pass's builds, so the graph_update share of epoch time (Figure 9's
+y-axis) drops while the computed losses stay bitwise equal.
 """
 
 import pytest
@@ -51,40 +51,34 @@ def test_csr_cache_cuts_graph_update_work(benchmark):
     assert on.final_loss == pytest.approx(off.final_loss, rel=1e-6)
 
 
-def test_bench_backward_walk_cached(benchmark):
-    """Forward+backward positioning with the CSR cache warm: the backward
-    walk is PMA repositioning only, zero Algorithm 3 runs."""
+def _executor_roundtrip(enable_csr_cache):
+    from repro.core.executor import TemporalExecutor
     from repro.graph import GPMAGraph
 
     ds = load_sx_mathoverflow(scale=0.02, feature_size=8, max_snapshots=12)
-    graph = GPMAGraph(ds.dtdg, csr_cache_size=ds.num_timestamps)
+    graph = GPMAGraph(ds.dtdg, enable_csr_cache=enable_csr_cache)
+    executor = TemporalExecutor(graph, ctx_cache_size=ds.num_timestamps)
 
     def roundtrip():
         for t in range(ds.num_timestamps):
-            graph.get_graph(t)
-            graph.forward_csr()
+            executor.begin_timestamp(t)
         for t in range(ds.num_timestamps - 1, -1, -1):
-            graph.get_backward_graph(t)
-            graph.forward_csr()
+            executor.backward_context(t)
 
+    return ds, graph, executor, roundtrip
+
+
+def test_bench_backward_walk_cached(benchmark):
+    """Forward+backward positioning with the context store warm: the backward
+    walk is logical repositioning only, zero Algorithm 3 runs."""
+    ds, graph, executor, roundtrip = _executor_roundtrip(True)
     benchmark(roundtrip)
     assert graph.csr_cache_misses == ds.num_timestamps  # first pass only
+    assert executor.ctx_cache_misses == ds.num_timestamps
 
 
 def test_bench_backward_walk_uncached(benchmark):
     """The same roundtrip with reuse disabled: every repositioning rebuilds."""
-    from repro.graph import GPMAGraph
-
-    ds = load_sx_mathoverflow(scale=0.02, feature_size=8, max_snapshots=12)
-    graph = GPMAGraph(ds.dtdg, enable_csr_cache=False)
-
-    def roundtrip():
-        for t in range(ds.num_timestamps):
-            graph.get_graph(t)
-            graph.forward_csr()
-        for t in range(ds.num_timestamps - 1, -1, -1):
-            graph.get_backward_graph(t)
-            graph.forward_csr()
-
+    _, graph, executor, roundtrip = _executor_roundtrip(False)
     benchmark(roundtrip)
-    assert graph.csr_cache_hits == 0
+    assert graph.csr_cache_hits == 0 and executor.ctx_cache_hits == 0

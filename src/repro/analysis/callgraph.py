@@ -14,7 +14,7 @@ Resolution is deliberately conservative.  A receiver is resolved only when
   names an analyzed class,
 * it is a local variable assigned from an analyzed class constructor, or
 * the method name is defined by **exactly one** analyzed class (unique-name
-  fallback — precise for framework-specific names like ``mark_inflight``,
+  fallback — precise for framework-specific names like ``enqueue_update``,
   skipped for ubiquitous ones like ``get``).
 
 Unresolved calls contribute nothing — the analysis under-approximates
@@ -71,7 +71,7 @@ _SUPPRESS_RE = re.compile(r"#\s*lockcheck:\s*ok\((?P<reason>[^)]*)\)")
 class LockSite:
     """One lock attribute (``Class._lock``) or module-level lock."""
 
-    key: str          #: canonical identity, e.g. ``"SnapshotCache._lock"``
+    key: str          #: canonical identity, e.g. ``"PlanCache._lock"``
     kind: str         #: ``lock`` | ``rlock`` | ``condition``
     module: str
     lineno: int

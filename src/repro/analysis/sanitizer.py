@@ -209,7 +209,7 @@ class LockOrderSanitizer:
         """An instrumented condition variable.
 
         ``lock`` may be a :class:`SanitizedLock` this sanitizer issued
-        (the condition shares it — the ``SnapshotCache`` pattern), ``None``
+        (the condition shares it), ``None``
         (a private instrumented lock is created), or a raw primitive from
         before activation — in which case a plain ``threading.Condition``
         over that same mutex is returned, uninstrumented but correct.

@@ -7,13 +7,10 @@ regenerates EXPERIMENTS.md with whatever scale the environment requests:
 * ``REPRO_BENCH_STATIC_SCALE``  (default 0.3)
 * ``REPRO_BENCH_DYNAMIC_SCALE`` (default 0.02)
 * ``REPRO_BENCH_EPOCHS``        (default 4; the paper uses 100)
-* ``REPRO_BENCH_PIPELINE``      (default 0; prefetch staleness for the
-  GPMA cells of the DTDG figures — numerics are unchanged, only wall
-  clock and the prefetch counters move)
 * ``REPRO_BENCH_ENGINE``        (default unset; execution engine for the
-  STGraph cells — "kernel", "interpreter", or "compiled".  Engines are
-  bitwise-identical, so again only wall clock moves; ``repro bench
-  --engine compiled`` sets this)
+  STGraph cells — "kernel" or "interpreter".  Engines are
+  bitwise-identical, so only wall clock moves; ``repro bench
+  --engine interpreter`` sets this)
 
 Scales multiply Table II's node/edge counts; the paper's qualitative
 claims (orderings, crossovers, slopes) are stable across scales — the
@@ -34,7 +31,6 @@ __all__ = [
     "static_scale",
     "dynamic_scale",
     "bench_epochs",
-    "bench_pipeline",
     "bench_engine",
     "table1_capabilities",
     "table2_datasets",
@@ -60,11 +56,6 @@ def dynamic_scale() -> float:
 def bench_epochs() -> int:
     """Epochs per measured run from REPRO_BENCH_EPOCHS (default 4; paper uses 100)."""
     return int(os.environ.get("REPRO_BENCH_EPOCHS", "4"))
-
-
-def bench_pipeline() -> int:
-    """Prefetch staleness for GPMA cells from REPRO_BENCH_PIPELINE (default 0)."""
-    return int(os.environ.get("REPRO_BENCH_PIPELINE", "0"))
 
 
 def bench_engine() -> str | None:
@@ -197,7 +188,6 @@ def fig7_dtdg_time(
                 r = run_dynamic_experiment(
                     system, loader, feature_size=fs, percent_change=percent_change,
                     scale=scale, epochs=epochs,
-                    pipeline=bench_pipeline() if system == "gpma" else 0,
                     engine=bench_engine(),
                 )
                 results.append(r)
@@ -266,7 +256,6 @@ def fig9_time_breakup(
         for fs in feature_sizes:
             r = run_dynamic_experiment(
                 "gpma", loader, feature_size=fs, scale=scale, epochs=epochs,
-                pipeline=bench_pipeline(),
                 engine=bench_engine(),
                 tracer=Tracer(name=f"fig9:{name}:F{fs}", keep_events=False),
             )

@@ -47,20 +47,8 @@ class RunResult:
     noop_updates_skipped: int = 0
     ctx_cache_hits: int = 0
     ctx_cache_misses: int = 0
-    # Pipelined-prefetch effectiveness (all zero for pipeline=0 runs):
-    # staged snapshots consumed / synchronous rebuilds while a scheduler was
-    # attached / main-thread seconds stalled on an in-flight worker build.
-    pipeline: int = 0
-    prefetch_hits: int = 0
-    prefetch_misses: int = 0
-    prefetch_wait_seconds: float = 0.0
-    # Execution-engine ablation: empty string = the executor default
-    # (kernel).  The fusion counters move only under the compiled tier —
-    # cross-timestamp reuse of the packed native graph (see
-    # ``repro.compiler.native``).
+    # Execution-engine ablation: empty string = the executor default (kernel).
     engine: str = ""
-    compiled_fusion_hits: int = 0
-    compiled_fusion_misses: int = 0
     #: per-category span self-seconds (``Tracer.aggregate_by_cat``) when the
     #: run executed under a tracer; empty otherwise.
     span_seconds: dict = field(default_factory=dict)
@@ -98,14 +86,8 @@ class RunResult:
         return self.compile_seconds / denom if denom > 0 else 0.0
 
     @property
-    def prefetch_hit_rate(self) -> float:
-        """Fraction of prefetch-eligible builds served from staged snapshots."""
-        denom = self.prefetch_hits + self.prefetch_misses
-        return self.prefetch_hits / denom if denom > 0 else 0.0
-
-    @property
     def csr_cache_hit_rate(self) -> float:
-        """Fraction of CSR-level positionings served from the reuse cache."""
+        """Fraction of CSR-level positionings served by the graph's installed build."""
         denom = self.csr_cache_hits + self.csr_cache_misses
         return self.csr_cache_hits / denom if denom > 0 else 0.0
 
@@ -114,9 +96,9 @@ class RunResult:
         """Fraction of temporal positionings that skipped the CSR rebuild.
 
         Each positioning ends one of three ways: an executor context hit
-        (the CSRs are never consulted), a graph-level CSR cache hit, or a
-        full rebuild.  A context miss triggers exactly one CSR-level event,
-        so the three counters partition the positionings.
+        (the CSRs are never consulted), a hit on the graph's installed
+        build, or a full rebuild.  A context miss triggers exactly one
+        CSR-level event, so the three counters partition the positionings.
         """
         served = self.ctx_cache_hits + self.csr_cache_hits
         denom = served + self.csr_cache_misses
@@ -125,7 +107,7 @@ class RunResult:
     def row(self) -> dict:
         """Flat JSON-friendly dict for tables and CI tracking.
 
-        Engine/fusion keys appear only for runs with an explicit engine
+        The engine key appears only for runs with an explicit engine
         selection, so default-engine rows keep their historical key set
         (the nightly differ compares rows key-by-key).
         """
@@ -141,15 +123,9 @@ class RunResult:
             "csr_hits": self.csr_cache_hits,
             "csr_misses": self.csr_cache_misses,
             "noop_skipped": self.noop_updates_skipped,
-            "pipeline": self.pipeline,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_misses": self.prefetch_misses,
-            "prefetch_wait_s": round(self.prefetch_wait_seconds, 5),
         }
         if self.engine:
             row["engine"] = self.engine
-            row["fusion_hits"] = self.compiled_fusion_hits
-            row["fusion_misses"] = self.compiled_fusion_misses
         return row
 
 
@@ -162,11 +138,6 @@ def _reuse_counters(device: Device) -> dict:
         "noop_updates_skipped": p.counter("noop_updates_skipped"),
         "ctx_cache_hits": p.counter("ctx_cache_hits"),
         "ctx_cache_misses": p.counter("ctx_cache_misses"),
-        "prefetch_hits": p.counter("prefetch_hits"),
-        "prefetch_misses": p.counter("prefetch_misses"),
-        "prefetch_wait_seconds": p.seconds("prefetch_wait"),
-        "compiled_fusion_hits": p.counter("compiled_fusion_hits"),
-        "compiled_fusion_misses": p.counter("compiled_fusion_misses"),
     }
 
 
@@ -251,7 +222,6 @@ def run_dynamic_experiment(
     sort_by_degree: bool = True,
     gpma_cache: bool = True,
     csr_cache: bool = True,
-    pipeline: int = 0,
     tracer: Tracer | None = None,
     engine: str | None = None,
 ) -> RunResult:
@@ -259,10 +229,8 @@ def run_dynamic_experiment(
 
     Passing ``tracer`` runs the whole training under it and fills
     :attr:`RunResult.span_seconds` with its per-category self-time aggregate.
-    ``pipeline`` is the prefetch staleness bound (STGraph systems only;
-    numerics are unchanged — only the wall-clock and the prefetch counters
-    move).  ``engine`` selects the STGraph execution engine ("kernel",
-    "interpreter", "compiled"); ignored for the PyG-T baseline.
+    ``engine`` selects the STGraph execution engine ("kernel",
+    "interpreter"); ignored for the PyG-T baseline.
     """
     from repro.train.models import PyGTLinkPredictor, STGraphLinkPredictor
     from repro.train.tasks import make_link_prediction_samples
@@ -311,7 +279,6 @@ def run_dynamic_experiment(
                 sequence_length=sequence_length,
                 task="link_prediction",
                 link_samples=samples,
-                pipeline=pipeline,
                 engine=engine,
             )
         with use_tracer(tracer):
@@ -320,7 +287,6 @@ def run_dynamic_experiment(
             system=system,
             dataset=ds.name,
             params={"F": feature_size, "pct": percent_change},
-            pipeline=int(pipeline) if system != "pygt" else 0,
             engine=engine or "" if system != "pygt" else "",
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,

@@ -61,9 +61,9 @@ def format_reuse_counters(
     """Render the profiler's reuse counters with hit rates.
 
     Pairs with :meth:`repro.device.profiler.Profiler.counters`; the
-    ``csr_cache`` row shows how many snapshot positionings were served from
-    the ``(timestamp, version)`` CSR cache instead of re-running Algorithm 3,
-    the ``ctx_cache`` row the executor-level GraphContext reuse, and
+    ``csr_cache`` row shows how many snapshot positionings were served by
+    the graph's installed build instead of re-running Algorithm 3, the
+    ``ctx_cache`` row the executor-level GraphContext reuse, and
     ``noop_updates_skipped`` the empty update batches that never dirtied the
     snapshot at all.
     """
@@ -124,9 +124,8 @@ def fig9_rows(results: Sequence) -> list[dict]:
     separately-maintained summation of profiler phases.
 
     When any run carries an explicit execution-engine selection the rows
-    gain an ``engine`` column (plus the compiled tier's fusion hit rate),
-    so engine-ablation tables stay self-describing while default runs
-    keep the historical column set.
+    gain an ``engine`` column, so engine-ablation tables stay
+    self-describing while default runs keep the historical column set.
     """
     with_engine = any(getattr(r, "engine", "") for r in results)
     rows = []
@@ -142,23 +141,14 @@ def fig9_rows(results: Sequence) -> list[dict]:
             # 0 when the process-wide plan cache was already warm.
             "compile_%": round(100 * r.compile_fraction, 1),
             # Snapshot-reuse counters: positionings served from either
-            # reuse level (executor context or (timestamp, version) CSR
-            # cache) vs fully rebuilt, and empty update batches that
+            # reuse level (executor context or the graph's installed
+            # build) vs fully rebuilt, and empty update batches that
             # never dirtied the snapshot.
             "reuse_%": round(100 * r.reuse_rate, 1),
             "noop_skipped": r.noop_updates_skipped,
-            # Pipelined prefetch: staleness bound, staged-snapshot hit rate,
-            # and main-thread seconds stalled behind an in-flight build
-            # (all trivial for pipeline=0 runs).
-            "pipeline": getattr(r, "pipeline", 0),
-            "prefetch_%": round(100 * getattr(r, "prefetch_hit_rate", 0.0), 1),
-            "prefetch_wait_s": round(getattr(r, "prefetch_wait_seconds", 0.0), 5),
         }
         if with_engine:
             row["engine"] = getattr(r, "engine", "") or "kernel"
-            fh = getattr(r, "compiled_fusion_hits", 0)
-            fm = getattr(r, "compiled_fusion_misses", 0)
-            row["fusion_%"] = round(100 * fh / (fh + fm), 1) if fh + fm else 0.0
         rows.append(row)
     return rows
 

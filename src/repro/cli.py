@@ -12,9 +12,9 @@ Commands
     timing, and memory.  ``--system pygt`` runs the baseline instead.
     ``--checkpoint runs/ck.npz`` checkpoints atomically at every sequence
     boundary; adding ``--resume`` restores from the checkpoint and
-    continues to bitwise-identical final losses.  ``--engine compiled``
-    runs every aggregation on the machine-code tier (``docs/COMPILER.md``
-    §10); engines never change the numbers, only the speed.
+    continues to bitwise-identical final losses.  ``--engine interpreter``
+    runs every aggregation on the tensor-IR interpreter (the differential
+    oracle); engines never change the numbers, only the speed.
 ``chaos --plan smoke``
     Train a small DTDG workload under a named (or JSON) fault plan with
     kill/resume through boundary checkpoints, and verify the resilience
@@ -216,7 +216,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     checkpoint_path = getattr(args, "checkpoint", None)
     resume = bool(getattr(args, "resume", False))
-    pipeline = int(getattr(args, "pipeline", 0) or 0)
     engine = _resolve_engine(getattr(args, "engine", None))
     telemetry_port = getattr(args, "telemetry_port", None)
     flight_path = getattr(args, "flight_recorder", None)
@@ -224,8 +223,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise SystemExit("--resume requires --checkpoint PATH")
     if checkpoint_path is not None and args.system == "pygt":
         raise SystemExit("--checkpoint/--resume are STGraph-only; the pygt baseline has no resume path")
-    if pipeline and args.system == "pygt":
-        raise SystemExit("--pipeline is STGraph-only; the pygt baseline has no snapshot prefetch")
     if engine and args.system == "pygt":
         raise SystemExit("--engine is STGraph-only; the pygt baseline has no execution engines")
     if telemetry_port is not None and args.system == "pygt":
@@ -260,7 +257,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 trainer = STGraphTrainer(
                     model, ds.build_graph(), lr=args.lr,
                     sequence_length=args.sequence_length,
-                    pipeline=pipeline, engine=engine,
+                    engine=engine,
                     telemetry_port=telemetry_port,
                 )
                 _start_telemetry(trainer)
@@ -284,7 +281,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 model, ds.build_gpma(), lr=args.lr,
                 sequence_length=args.sequence_length,
                 task="link_prediction", link_samples=samples,
-                pipeline=pipeline, engine=engine,
+                engine=engine,
                 telemetry_port=telemetry_port,
             )
             _start_telemetry(trainer)
@@ -316,14 +313,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         upd = device.profiler.seconds("graph_update")
         if gnn + upd > 0:
             print(f"time split: gnn {100 * gnn / (gnn + upd):.1f}% / updates {100 * upd / (gnn + upd):.1f}%")
-        if pipeline:
-            hits = device.profiler.counter("prefetch_hits")
-            misses = device.profiler.counter("prefetch_misses")
-            rate = 100 * hits / (hits + misses) if hits + misses else 0.0
-            print(
-                f"prefetch (staleness {pipeline}): {hits} hits / {misses} misses "
-                f"({rate:.1f}%), wait {device.profiler.seconds('prefetch_wait') * 1e3:.1f} ms"
-            )
         if tracer is not None:
             _write_trace_artifacts(
                 tracer, device, trace_path,
@@ -397,8 +386,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.device import current_device
     from repro.obs.tracer import Tracer, use_tracer
 
-    if getattr(args, "pipeline", None) is not None:
-        os.environ["REPRO_BENCH_PIPELINE"] = str(int(args.pipeline))
     engine = _resolve_engine(getattr(args, "engine", None))
     if engine is not None:
         os.environ["REPRO_BENCH_ENGINE"] = engine
@@ -727,12 +714,9 @@ def main(argv: list[str] | None = None) -> int:
                               "OUT.events.jsonl, OUT.manifest.json, OUT.metrics.prom")
     p_train.add_argument("--checkpoint", metavar="PATH.npz", default=None,
                          help="write an atomic training checkpoint at every sequence boundary")
-    p_train.add_argument("--pipeline", type=int, default=0, metavar="K",
-                         help="prefetch staleness: build up to K future snapshots on a "
-                              "worker thread (0 = strictly serial; numerics unchanged)")
     p_train.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine override (kernel, interpreter, compiled); "
-                              "all engines are bitwise-identical — this is a speed knob")
+                         help="execution engine override (kernel, interpreter); "
+                              "all engines are bitwise-identical")
     p_train.add_argument("--resume", action="store_true",
                          help="resume from --checkpoint if it exists (bitwise-identical losses)")
     p_train.add_argument("--telemetry-port", type=int, default=None, metavar="PORT",
@@ -754,8 +738,8 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--workdir", default=None,
                          help="directory for the chaos checkpoint (default: a fresh temp dir)")
     p_chaos.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine for the chaos run (e.g. compiled exercises "
-                              "the compiled → kernel → interpreter degradation ladder)")
+                         help="execution engine the chaos run starts on (the ladder is "
+                              "kernel → interpreter)")
     p_chaos.add_argument("--json", metavar="OUT.json", default=None,
                          help="write the full ChaosReport (manifest inlined) as JSON")
     p_chaos.add_argument("--trace", metavar="OUT.json", default=None,
@@ -767,9 +751,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_bench = sub.add_parser("bench", help="run one paper experiment")
     p_bench.add_argument("--experiment", choices=_EXPERIMENTS, required=True)
-    p_bench.add_argument("--pipeline", type=int, default=None, metavar="K",
-                         help="prefetch staleness for GPMA cells (overrides "
-                              "REPRO_BENCH_PIPELINE for this invocation)")
     p_bench.add_argument("--engine", default=None, metavar="NAME",
                          help="execution engine for STGraph cells (sets REPRO_BENCH_ENGINE "
                               "for this invocation)")
@@ -815,8 +796,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="GPMA update batches ingested during the run")
     p_serve.add_argument("--freshness", type=int, default=0, metavar="K",
                          help="staleness bound: serve while up to K ingested update "
-                              "batches are still pending (0 = always fully fresh; "
-                              "mirrors train --pipeline)")
+                              "batches are still pending (0 = always fully fresh)")
     p_serve.add_argument("--hops", type=int, default=1,
                          help="receptive-field hops for dirty-set invalidation "
                               "(match the model depth)")

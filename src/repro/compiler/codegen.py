@@ -13,16 +13,6 @@ Two modes:
 * **unfused** — one tiny kernel per tensor-IR op, launched individually
   (the fusion ablation: same math, per-op launch overhead and materialized
   intermediates).
-
-A third flavour serves the compiled engine (``repro.core.engine
-.CompiledEngine``): :func:`generate_compiled_forward_source` /
-:func:`generate_compiled_backward_source` emit the same fused driver shape
-but route the CSR aggregation ops through the native ``nat_*`` primitives of
-:mod:`repro.compiler.native` (machine code via numba or cc/cffi) and open
-with ``G = native_graph(ctx)`` — the cross-timestamp fusion point that
-reuses the packed structural arrays while the snapshot identity is
-unchanged.  Every other op keeps calling the regular runtime primitives, so
-compiled drivers are bitwise-identical to the interpreter by construction.
 """
 
 from __future__ import annotations
@@ -33,10 +23,7 @@ from repro.device.kernel import CompiledKernel
 __all__ = [
     "generate_forward_source",
     "generate_backward_source",
-    "generate_compiled_forward_source",
-    "generate_compiled_backward_source",
     "compile_program",
-    "compile_native_program",
     "generate_op_kernels",
 ]
 
@@ -62,19 +49,6 @@ _CTX_CALLS = {
 }
 _PLAIN_CALLS = {"colsum", "relu_mask", "leaky_mask"}
 
-#: op kinds with a native (machine-code) implementation in repro.compiler.native;
-#: compiled drivers route these through nat_* and leave the rest on the
-#: regular runtime primitives.
-_NATIVE_CALLS = {
-    "spmm",
-    "spmm_T",
-    "segment_sum",
-    "segment_sum_dst",
-    "scatter_src",
-    "gather_src",
-    "gather_dst",
-}
-
 
 def _render_call(op: TOp) -> str:
     """One IR op as a runtime-primitive call expression."""
@@ -90,19 +64,6 @@ def _render_call(op: TOp) -> str:
         extra = [f"{k}={v!r}" for k, v in sorted(op.attrs.items())]
         return f"{op.kind}({', '.join(args + extra)})"
     raise ValueError(f"codegen: unknown op kind {op.kind!r}")
-
-
-def _render_native_call(op: TOp) -> str:
-    """One IR op for a compiled driver: native where available, runtime else."""
-    if op.kind in _NATIVE_CALLS:
-        args = ["None" if n == IMPLICIT_ONES else n for n in op.ins]
-        extra = [f"{k}={v!r}" for k, v in sorted(op.attrs.items())]
-        return f"nat_{op.kind}({', '.join(['G'] + args + extra)})"
-    return _render_call(op)
-
-
-def _uses_native(prog: TProgram) -> bool:
-    return any(op.kind in _NATIVE_CALLS for op in prog.ops)
 
 
 def _bind_lines(prog: TProgram, env_name: str) -> list[str]:
@@ -149,49 +110,6 @@ def generate_backward_source(prog: TProgram, grad_map: dict[str, str], entry: st
     return "\n".join(lines) + "\n"
 
 
-def generate_compiled_forward_source(prog: TProgram, saved: list[str], entry: str) -> str:
-    """Forward driver for the compiled engine: ``entry(ctx, env) -> (out, saved)``.
-
-    Same shape as :func:`generate_forward_source`, but aggregation ops call
-    the native ``nat_*`` primitives against the packed ``G = native_graph(ctx)``
-    arrays (the cross-timestamp fusion point).  The G binding is emitted only
-    when the program actually aggregates.
-    """
-    lines = [
-        f"def {entry}(ctx, env):",
-        f'    """Generated compiled forward driver {entry}."""',
-    ]
-    if _uses_native(prog):
-        lines.append("    G = native_graph(ctx)")
-    lines += _bind_lines(prog, "env")
-    for op in prog.ops:
-        lines.append(f"    {op.out} = {_render_native_call(op)}")
-    saved_items = ", ".join(f"{name!r}: {name}" for name in saved)
-    lines.append(f"    saved = {{{saved_items}}}")
-    lines.append(f"    return {prog.outputs[0]}, saved")
-    return "\n".join(lines) + "\n"
-
-
-def generate_compiled_backward_source(prog: TProgram, grad_map: dict[str, str], entry: str) -> str:
-    """Backward driver for the compiled engine: ``entry(ctx, g_out, saved) -> grads``."""
-    lines = [
-        f"def {entry}(ctx, g_out, saved):",
-        f'    """Generated compiled backward driver {entry}."""',
-    ]
-    if _uses_native(prog):
-        lines.append("    G = native_graph(ctx)")
-    for buf, (kind, _) in prog.inputs.items():
-        if kind == "saved":
-            lines.append(f"    {buf} = saved[{buf!r}]")
-    for buf, value in prog.consts.items():
-        lines.append(f"    {buf} = {value!r}")
-    for op in prog.ops:
-        lines.append(f"    {op.out} = {_render_native_call(op)}")
-    grad_items = ", ".join(f"{inp!r}: {gbuf}" for inp, gbuf in grad_map.items())
-    lines.append(f"    return {{{grad_items}}}")
-    return "\n".join(lines) + "\n"
-
-
 def compile_program(source: str, entry: str, meta: dict | None = None) -> CompiledKernel:
     """Compile generated source against the runtime namespace into a launchable kernel.
 
@@ -204,23 +122,6 @@ def compile_program(source: str, entry: str, meta: dict | None = None) -> Compil
 
     return current_device().launcher.compile(
         source, entry, globals_extra=dict(RUNTIME_NAMESPACE), meta=meta
-    )
-
-
-def compile_native_program(source: str, entry: str, meta: dict | None = None) -> CompiledKernel:
-    """Compile a generated compiled-engine driver.
-
-    Same launcher path (and source-level dedup) as :func:`compile_program`,
-    with the native ``nat_*`` primitives layered over the runtime namespace.
-    """
-    from repro.compiler.native import NATIVE_NAMESPACE
-    from repro.compiler.runtime import RUNTIME_NAMESPACE
-    from repro.device import current_device
-
-    namespace = dict(RUNTIME_NAMESPACE)
-    namespace.update(NATIVE_NAMESPACE)
-    return current_device().launcher.compile(
-        source, entry, globals_extra=namespace, meta=meta
     )
 
 

@@ -65,7 +65,7 @@ class GraphContext:
         self._operators: dict[tuple[str, bool], _AggregationOperator] = {}
 
     # Edge-length maps no unweighted launch reads: built by the first
-    # gather_dst / edge-softmax / weighted launch / native pack that asks.
+    # gather_dst / edge-softmax / weighted launch that asks.
     @cached_property
     def dst_per_edge(self) -> np.ndarray:
         """Destination vertex of each edge, in canonical (fwd) order."""

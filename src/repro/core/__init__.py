@@ -11,14 +11,10 @@
 * execution engines — the run-time half of the compile/run split: the
   generated-kernel engine and the tensor-IR interpreter behind one
   interface, selectable per program or per executor.
-* :class:`PrefetchScheduler` — pipelined temporal execution: builds future
-  snapshots on a worker thread under a bounded-staleness knob.
 """
 
 from repro.core.stacks import GraphStack, StateStack, StackEntry
-from repro.core.prefetch import PrefetchScheduler
 from repro.core.engine import (
-    CompiledEngine,
     ExecutionEngine,
     InterpreterEngine,
     KernelEngine,
@@ -35,12 +31,10 @@ __all__ = [
     "GraphStack",
     "StackEntry",
     "TemporalExecutor",
-    "PrefetchScheduler",
     "VertexCentricLayer",
     "ExecutionEngine",
     "KernelEngine",
     "InterpreterEngine",
-    "CompiledEngine",
     "get_engine",
     "register_engine",
     "available_engines",

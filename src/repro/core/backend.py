@@ -17,6 +17,8 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.util.registry import Registry
+
 __all__ = ["BackendInterface", "register_backend", "get_backend", "available_backends"]
 
 
@@ -100,29 +102,23 @@ class ReproBackend(BackendInterface):
         return module.parameters()
 
 
-_REGISTRY: dict[str, Callable[[], BackendInterface]] = {}
-_INSTANCES: dict[str, BackendInterface] = {}
+_BACKENDS: Registry[BackendInterface] = Registry("backend")
 
 
 def register_backend(name: str, factory: Callable[[], BackendInterface]) -> None:
-    """Register a backend factory under ``name`` (Factory pattern)."""
-    if name in _REGISTRY:
-        raise ValueError(f"backend {name!r} already registered")
-    _REGISTRY[name] = factory
+    """Register a backend factory under ``name`` (identical re-registration
+    is a no-op, a different factory for a taken name raises ``ValueError``)."""
+    _BACKENDS.register(name, factory)
 
 
 def get_backend(name: str = "repro") -> BackendInterface:
     """Instantiate (once) and return the named backend."""
-    if name not in _INSTANCES:
-        if name not in _REGISTRY:
-            raise KeyError(f"unknown backend {name!r}; available: {sorted(_REGISTRY)}")
-        _INSTANCES[name] = _REGISTRY[name]()
-    return _INSTANCES[name]
+    return _BACKENDS.get(name)
 
 
 def available_backends() -> list[str]:
     """Names of all registered backends."""
-    return sorted(_REGISTRY)
+    return _BACKENDS.available()
 
 
 register_backend("repro", ReproBackend)

@@ -12,15 +12,20 @@ The executor sits between the model and the graph object:
   the graph via ``Get-Backward-Graph`` and rebuilds the context; each
   aggregation pops its own State Stack entry.
 
-**Context reuse.**  Preparing a :class:`GraphContext` (CSR views, label
-permutations) is structural work billed to ``graph_update``, and a training
-sequence visits every snapshot twice — forward, then again on the LIFO
-backward walk.  Contexts are therefore kept in a small LRU keyed by the
-graph's ``snapshot_key()`` (its snapshot-version content identity): a
-backward step whose key matches the forward pass's build reuses that
-context outright instead of blindly rebuilding, and a no-op update batch
-(which leaves the version untouched) even reuses the previous timestamp's
-context.  See ``docs/EXECUTOR.md`` for the lifecycle rules.
+**Context reuse: the one snapshot store.**  Preparing a
+:class:`GraphContext` (CSR views, label permutations) is structural work
+billed to ``graph_update``, and a training sequence visits every snapshot
+twice — forward, then again on the LIFO backward walk.  Contexts are
+therefore kept in a small LRU keyed by the graph's ``snapshot_key()`` (its
+snapshot-version content identity): a backward step whose key matches the
+forward pass's build reuses that context outright instead of blindly
+rebuilding, and a no-op update batch (which leaves the version untouched)
+even reuses the previous timestamp's context.  A context carries both CSRs,
+the degrees and its aggregation operators, so this LRU is the only
+multi-entry store of built snapshots (a graph keeps just the build it
+exposes); ``ctx_cache_size`` is its one capacity and the graph's
+``enable_csr_cache`` its one on/off flag.  See ``docs/EXECUTOR.md`` for the
+lifecycle rules.
 
 GNN processing time (kernel launches) is attributed to the ``"gnn"``
 profiler phase; everything the graph object does is attributed to
@@ -62,19 +67,11 @@ class TemporalExecutor:
         graph: STGraphBase,
         engine: str | ExecutionEngine | None = None,
         ctx_cache_size: int = 4,
-        pipeline: int = 0,
     ) -> None:
         self.graph = graph
         self.engine: ExecutionEngine | None = (
             None if engine is None else get_engine(engine)
         )
-        # Pipelined execution (docs/EXECUTOR.md §Pipelined execution):
-        # pipeline = bounded staleness k.  0 = strictly serial (no worker
-        # thread is ever created, bitwise-identical to pre-pipeline runs);
-        # k >= 1 lets a PrefetchScheduler build up to k future snapshots on
-        # a worker thread while this thread computes the current one.
-        self.pipeline = int(pipeline)
-        self._prefetcher = None
         self.state_stack = StateStack()
         self.graph_stack = GraphStack()
         self._fwd_ctx: GraphContext | None = None
@@ -98,45 +95,6 @@ class TemporalExecutor:
     @property
     def _ctx_cache_enabled(self) -> bool:
         return self.ctx_cache_size > 0 and getattr(self.graph, "enable_csr_cache", True)
-
-    # ------------------------------------------------------------------
-    # Pipelined execution
-    # ------------------------------------------------------------------
-    def set_pipeline(self, staleness: int) -> None:
-        """Change the staleness bound; tears down a live scheduler on change."""
-        staleness = int(staleness)
-        if staleness == self.pipeline:
-            return
-        if self._prefetcher is not None:
-            self._prefetcher.stop()
-            self._prefetcher = None
-        self.pipeline = staleness
-
-    @property
-    def prefetcher(self):
-        """The live :class:`~repro.core.prefetch.PrefetchScheduler` (or None)."""
-        return self._prefetcher
-
-    def _maybe_prefetch(self, t: int) -> None:
-        """Queue builds for the next ``pipeline`` timestamps, if eligible.
-
-        Prefetch engages only for dynamic graphs that expose a
-        side-effect-free builder (``snapshot_builder``) *and* have their
-        snapshot cache enabled — the cache is the worker→consumer handoff
-        point, so without it staged builds would have nowhere to land.
-        """
-        if self.pipeline <= 0:
-            return
-        graph = self.graph
-        if not getattr(graph, "enable_csr_cache", False):
-            return
-        if getattr(graph, "snapshot_builder", None) is None:
-            return
-        if self._prefetcher is None:
-            from repro.core.prefetch import PrefetchScheduler
-
-            self._prefetcher = PrefetchScheduler(graph, staleness=self.pipeline)
-        self._prefetcher.schedule_ahead(t)
 
     def _context_for_current(self) -> GraphContext:
         """Context for the graph's current snapshot, via the keyed LRU.
@@ -185,10 +143,6 @@ class TemporalExecutor:
             self.graph_stack.push(t)
             self._fwd_t = t
             self._fwd_ctx = self._context_for_current()
-        # With pipelining on, hand the next k snapshots to the prefetch
-        # worker *after* positioning: they build while this timestamp's GNN
-        # computes.
-        self._maybe_prefetch(t)
         # A fresh forward ends any in-flight backward positioning; the
         # contexts themselves stay reusable through the keyed cache.
         self._bwd_ctx = None
@@ -198,10 +152,10 @@ class TemporalExecutor:
     def begin_inference(self, t: int) -> GraphContext:
         """Position for a read-only (serving) forward at timestamp ``t``.
 
-        Like :meth:`begin_timestamp` but with **no Graph-Stack push** and no
-        prefetch scheduling: a serving forward runs under ``no_grad()``, so
-        no backward pass will ever pop the stack, and leaving entries behind
-        would trip :meth:`check_drained`.  Positioning still goes through
+        Like :meth:`begin_timestamp` but with **no Graph-Stack push**: a
+        serving forward runs under ``no_grad()``, so no backward pass will
+        ever pop the stack, and leaving entries behind would trip
+        :meth:`check_drained`.  Positioning still goes through
         ``Get-Graph`` and the keyed context LRU, so repeated inference at an
         unchanged snapshot version reuses the cached CSR artifacts and
         context with zero Algorithm-3 rebuilds — the read-mostly fast path
@@ -318,10 +272,6 @@ class TemporalExecutor:
         return a context positioned at a dead timestamp from the aborted
         sequence.  The keyed context cache is content-addressed, so it stays
         valid and is kept.
-
-        Pending prefetch work is cancelled (the walk is about to jump), but
-        the worker thread stays up: already-staged snapshots remain valid —
-        the cache is content-addressed — and the next sequence re-schedules.
         """
         self.state_stack.clear()
         self.graph_stack.clear()
@@ -329,8 +279,6 @@ class TemporalExecutor:
         self._fwd_t = None
         self._bwd_ctx = None
         self._bwd_t = None
-        if self._prefetcher is not None:
-            self._prefetcher.cancel_pending()
 
     def abort_sequence(self) -> None:
         """Exception-safe unwinding after a mid-sequence failure.
@@ -340,19 +288,10 @@ class TemporalExecutor:
         partially pushed State/Graph Stacks and a context positioned at a
         dead timestamp.  This drains both stacks and drops the positioning
         so :meth:`check_drained` passes and the next sequence starts clean;
-        the content-addressed caches (context LRU here, CSR LRU on the
-        graph) stay valid and are kept.
-
-        The prefetch worker, if any, is **fully stopped** (queue drained,
-        thread joined) — after a fault the process may be about to
-        checkpoint-exit or rewrite the version map on resume, and no build
-        may straddle that.  Pipelining restarts lazily on the next
-        ``begin_timestamp``.
+        the content-addressed context LRU stays valid and is kept.
         """
         dropped_state = len(self.state_stack)
         dropped_graph = len(self.graph_stack)
-        if self._prefetcher is not None:
-            self._prefetcher.stop()
         self.reset()
         self.sequence_aborts += 1
         current_device().profiler.count("sequence_aborts")
@@ -379,20 +318,10 @@ class TemporalExecutor:
         if not self.graph_stack.is_empty:
             raise RuntimeError(f"graph stack not drained: {len(self.graph_stack)} entries left")
 
-    def shutdown(self) -> None:
-        """Stop the prefetch worker (if any) and drop its scheduler.
-
-        Idempotent; the trainer calls this at the end of every ``train()``
-        so a pipelined run never leaves a worker thread behind.
-        """
-        if self._prefetcher is not None:
-            self._prefetcher.stop()
-            self._prefetcher = None
-
     def stats(self) -> dict[str, int | str]:
         """Peak stack depths/bytes, push counts, engine override, and
-        context/prefetch counters."""
-        stats: dict[str, int | str] = {
+        context-store counters."""
+        return {
             "engine": self.engine.name if self.engine is not None else "default",
             "state_stack_peak_depth": self.state_stack.peak_depth,
             "state_stack_peak_bytes": self.state_stack.peak_bytes,
@@ -403,10 +332,4 @@ class TemporalExecutor:
             "kernel_retries": self.kernel_retries,
             "engine_fallbacks": self.engine_fallbacks,
             "sequence_aborts": self.sequence_aborts,
-            "pipeline": self.pipeline,
-            "prefetch_hits": getattr(self.graph, "prefetch_hits", 0),
-            "prefetch_misses": getattr(self.graph, "prefetch_misses", 0),
         }
-        if self._prefetcher is not None:
-            stats.update(self._prefetcher.stats())
-        return stats

@@ -67,21 +67,6 @@ def _differential_check(
         )
 
 
-#: Degradation order per starting engine: the compiled tier walks down to
-#: the generated-kernel engine before surrendering to the interpreter (all
-#: three are bitwise-identical, so each step only trades speed for safety).
-_FALLBACK_LADDER: dict[str, tuple[str, ...]] = {
-    "compiled": ("kernel", "interpreter"),
-    "interpreter": (),
-}
-_DEFAULT_LADDER: tuple[str, ...] = ("interpreter",)
-
-
-def _fallback_chain(engine_name: str) -> tuple[str, ...]:
-    """Engines to try, in order, after the current engine exhausts its retry."""
-    return _FALLBACK_LADDER.get(engine_name, _DEFAULT_LADDER)
-
-
 def _resilient_run(
     executor: TemporalExecutor,
     program: VertexProgram,
@@ -94,13 +79,12 @@ def _resilient_run(
 
     An :class:`~repro.resilience.faults.InjectedKernelFault` triggers
     exactly one retry on the current engine; if the retry faults too, the
-    aggregation walks down the fallback ladder — compiled → kernel →
-    interpreter, kernel → interpreter — until an engine completes (every
-    tier is bitwise-identical by construction, so training continues
-    unperturbed).  A retry that *succeeds* is differentially checked against
-    the interpreter oracle before its result is trusted.  Returns
-    ``(result, engine_used)`` so the tape can pin backward to the engine
-    forward actually ran on.
+    aggregation follows each engine's ``fallback`` (kernel → interpreter →
+    none) until an engine completes (engines are bitwise-identical by
+    construction, so training continues unperturbed).  A retry that
+    *succeeds* is differentially checked against the interpreter oracle
+    before its result is trusted.  Returns ``(result, engine_used)`` so the
+    tape can pin backward to the engine forward actually ran on.
     """
     try:
         return call(engine), engine
@@ -122,11 +106,11 @@ def _resilient_run(
             )
         try:
             result = call(engine)
-        except InjectedKernelFault:
-            resolved = engine if engine is not None else program.engine
-            last_fault: InjectedKernelFault | None = None
-            for fb_name in _fallback_chain(resolved.name):
-                fallback = get_engine(fb_name)
+        except InjectedKernelFault as exc:
+            last_fault = exc
+            fallback = engine if engine is not None else program.engine
+            while fallback.fallback is not None:
+                fallback = get_engine(fallback.fallback)
                 executor.engine_fallbacks += 1
                 device.profiler.count("engine_fallbacks")
                 if tracer.enabled:
@@ -148,10 +132,7 @@ def _resilient_run(
                     return call(fallback), fallback
                 except InjectedKernelFault as exc:
                     last_fault = exc
-                    continue
-            raise last_fault if last_fault is not None else RuntimeError(
-                f"no fallback engine for {resolved.name!r}"
-            )
+            raise last_fault
         _differential_check(program, engine, call, result, direction)
         return result, engine
 

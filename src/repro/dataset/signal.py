@@ -104,10 +104,9 @@ class DynamicTemporalDataset:
         sort_by_degree: bool = True,
         enable_cache: bool = True,
         enable_csr_cache: bool = True,
-        csr_cache_size: int = 4,
     ) -> GPMAGraph:
         """Construct the on-demand GPMAGraph."""
-        return GPMAGraph(self.dtdg, sort_by_degree, enable_cache, enable_csr_cache, csr_cache_size)
+        return GPMAGraph(self.dtdg, sort_by_degree, enable_cache, enable_csr_cache)
 
     def to_pygt_signal(self) -> DynamicGraphTemporalSignal:
         """The same data as a PyG-T dynamic signal iterator."""

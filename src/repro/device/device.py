@@ -88,7 +88,7 @@ def current_device() -> Device:
 
     Per-thread, like every :class:`~repro.util.ctxstack.ContextStack`: a
     worker thread sees the process default unless a device is installed on
-    that thread (the prefetch scheduler does exactly that with the device it
+    that thread (the serving dispatcher does exactly that with the device it
     captured from the thread that started it).
     """
     return _STACK.current()

@@ -86,9 +86,9 @@ class KernelLauncher:
         self.launch_seconds = 0.0
         self.compile_count = 0
         self.source_dedup_hits = 0
-        #: launches per execution tier ("python" for the regular generated
-        #: kernels, "native" for compiled-engine drivers, per kernel meta) —
-        #: lets benchmarks verify which tier actually ran.
+        #: launches per execution tier (a kernel's ``meta["tier"]``; the
+        #: generated kernels are all "python") — lets benchmarks verify
+        #: which tier actually ran.
         self.launches_by_tier: dict[str, int] = {}
         #: optional :class:`~repro.obs.metrics.MetricRegistry` (the owning
         #: device's) receiving per-launch latency into the

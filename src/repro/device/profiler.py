@@ -10,8 +10,8 @@ measurable (a warm cache records zero compile time).
 
 Beyond timers, the profiler also accumulates named event **counters**.  The
 snapshot-reuse machinery reports through them: ``csr_cache_hits`` /
-``csr_cache_misses`` (snapshot CSR builds served from / missing the
-``(timestamp, version)`` reuse cache), ``noop_updates_skipped`` (empty
+``csr_cache_misses`` (positionings served by the graph's installed build /
+Algorithm-3 builds), ``noop_updates_skipped`` (empty
 update batches that left the snapshot version untouched), and
 ``ctx_cache_hits`` / ``ctx_cache_misses`` (executor-level
 :class:`~repro.compiler.runtime.GraphContext` reuse).  Counters are
@@ -31,15 +31,11 @@ from repro.analysis.sanitizer import new_lock
 __all__ = ["PHASES", "COUNTERS", "PhaseTimer", "Profiler"]
 
 #: The phases the framework itself reports: one-time compilation (plan
-#: cache misses), GNN kernel execution, dynamic-graph updates, dataset
-#: preprocessing, snapshot builds done off the critical path by the
-#: prefetch worker, and main-thread stalls waiting on an in-flight
-#: prefetch.  User code may time arbitrary extra phases.
-PHASES = ("compile", "gnn", "graph_update", "preprocess", "prefetch", "prefetch_wait")
+#: cache misses), GNN kernel execution, dynamic-graph updates and dataset
+#: preprocessing.  User code may time arbitrary extra phases.
+PHASES = ("compile", "gnn", "graph_update", "preprocess")
 
-#: The event counters the framework itself reports: snapshot/context reuse,
-#: pipelined-prefetch effectiveness, the compiled tier's cross-timestamp
-#: fusion cache (packed native-graph reuse) and plan-build hook failures,
+#: The event counters the framework itself reports: snapshot/context reuse
 #: plus the resilience ladder (injected faults, kernel retries, engine
 #: fallbacks, cache-corruption rebuilds, aborted sequences).  User code may
 #: count arbitrary extra events.
@@ -49,11 +45,6 @@ COUNTERS = (
     "noop_updates_skipped",
     "ctx_cache_hits",
     "ctx_cache_misses",
-    "prefetch_hits",
-    "prefetch_misses",
-    "compiled_fusion_hits",
-    "compiled_fusion_misses",
-    "plan_hook_errors",
     "faults_injected",
     "kernel_retries",
     "engine_fallbacks",
@@ -85,7 +76,7 @@ class Profiler:
     update" time inside a training step is not double counted as "gnn" time.
 
     Thread-safe: the nesting stack is per-thread (a phase opened on the
-    prefetch worker pauses only that thread's enclosing phase), while the
+    serving dispatcher pauses only that thread's enclosing phase), while the
     accumulated timers and event counters are shared across threads under a
     lock — so concurrent phases on two threads both accumulate wall time,
     which is exactly what overlap should look like in the totals.
@@ -142,10 +133,6 @@ class Profiler:
                 if stack:
                     outer_name, _ = stack[-1]
                     stack[-1] = (outer_name, end)
-
-    def in_phase(self, name: str) -> bool:
-        """Whether ``name`` is open anywhere on this thread's phase stack."""
-        return any(n == name for n, _ in self._stack())
 
     def seconds(self, name: str) -> float:
         """Accumulated seconds for a phase (0 if never entered)."""

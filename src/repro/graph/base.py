@@ -20,12 +20,12 @@ identifies the *content* of the snapshot it currently exposes.  The version
 changes only on actual structural change: applying a non-empty update batch
 moves to the (stable, per-timestamp) version of the new snapshot, while
 no-op batches — zero additions and zero deletions — leave it untouched.
-``snapshot_key()`` combines position and version into the key the reuse
-caches are built on: the graph-level CSR cache keys its built
-``(fwd_csr, bwd_csr, in_deg, out_deg)`` artifacts by it, and the executor
-keys :class:`~repro.compiler.runtime.GraphContext` reuse on it, so the LIFO
-backward walk over a sequence reuses the forward pass's builds instead of
-re-running Algorithm 3 per timestamp (see ``docs/EXECUTOR.md``).
+``snapshot_key()`` combines position and version into the key the one
+reuse store is built on: the executor keys
+:class:`~repro.compiler.runtime.GraphContext` reuse on it (a context carries
+both CSRs and the degrees), so the LIFO backward walk over a sequence reuses
+the forward pass's builds instead of re-running Algorithm 3 per timestamp
+(see ``docs/EXECUTOR.md``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class STGraphBase(abc.ABC):
         #: version of the snapshot currently exposed; bumped only by actual
         #: structural change (static graphs stay at 0 forever).
         self.snapshot_version = 0
-        #: whether built snapshots may be reuse-cached by (timestamp, version)
-        #: — also consulted by the executor for GraphContext reuse.
+        #: whether built snapshots may be reused: the on/off ablation flag of
+        #: the executor's GraphContext store.
         self.enable_csr_cache = True
         # Reuse accounting (mirrored into the device profiler's counters).
         self.csr_cache_hits = 0

@@ -3,7 +3,7 @@
 Snapshots are constructed *on demand* (Algorithm 2): the PMA holds the
 current snapshot's edge set as sorted ``src * N + dst`` keys with SPACE gaps;
 moving between timestamps applies batched edge insertions/deletions.  The
-snapshot cache avoids replaying a whole sequence of updates when training
+state slot avoids replaying a whole sequence of updates when training
 advances from one sequence to the next (Algorithm 2 lines 1-5 / 10).
 
 Whenever a snapshot is built it is **relabelled** (Algorithm 2 line 8):
@@ -14,31 +14,24 @@ compaction of the PMA; the forward (reverse) CSR is Algorithm 3 —
 that compact CSR.  The *gapped* view the paper's kernel reads is still
 available (:meth:`GPMAGraph.gapped_csr`) but a build does not pay for it.
 
-Snapshot builds are **versioned and reuse-cached**: every timestamp is
-assigned a stable snapshot version the first time its content is realized
-(no-op update batches reuse the previous timestamp's version, since the
-content is identical), and built artifacts are kept in a
-``(timestamp, version)``-keyed LRU.  Positioning is **logical**: once a
-timestamp's version is known, ``get_graph`` / ``get_backward_graph`` only
-resolve that identity, and the PMA replays update batches when a snapshot
-actually has to be built.  The LIFO backward walk over a training sequence
-is served from built snapshots, so it neither re-runs relabelling +
-Algorithm 3 nor rewinds the PMA (the paper rewinds because it keeps no
-built CSR; see DESIGN.md).
+Snapshots are **versioned**: every timestamp is assigned a stable snapshot
+version the first time its content is realized (no-op update batches reuse
+the previous timestamp's version, since the content is identical).
+Positioning is **logical**: once a timestamp's version is known,
+``get_graph`` / ``get_backward_graph`` only resolve that identity, and the
+PMA replays update batches when a snapshot actually has to be built.
 
-Since the pipelined-execution refactor the graph is split along the seam in
-:mod:`repro.graph.snapshot_builder`: the mutable position lives in an
-:class:`~repro.graph.snapshot_builder.UpdateCursor`, and
-:meth:`GPMAGraph.snapshot_builder` hands out side-effect-free
-:class:`~repro.graph.snapshot_builder.SnapshotBuilder`\\ s that materialize
-future snapshots on a worker thread; the thread-safe
-:class:`~repro.graph.snapshot_builder.SnapshotCache` is the single handoff
-point (see docs/EXECUTOR.md §Pipelined execution).
+The graph keeps **one** build, the one it currently exposes; it is valid
+for as long as the position's version equals the build's.  Built snapshots
+of other timestamps live in the executor's ``snapshot_key() ->
+GraphContext`` LRU, the only multi-entry store: the LIFO backward walk over
+a training sequence takes its contexts from there, so it neither re-runs
+relabelling + Algorithm 3 nor rewinds the PMA (the paper rewinds because it
+keeps no built CSR; see DESIGN.md).  The mutable position lives in an
+:class:`~repro.graph.snapshot_builder.UpdateCursor`.
 
-All structural work (updates, relabelling, CSR builds) done on the training
-thread is attributed to the ``"graph_update"`` profiler phase; worker-side
-builds are attributed to ``"prefetch"``, and main-thread stalls on an
-in-flight prefetch to ``"prefetch_wait"``.  Figure 9 plots the split.
+All structural work (updates, relabelling, CSR builds) is attributed to the
+``"graph_update"`` profiler phase.  Figure 9 plots the split.
 """
 
 from __future__ import annotations
@@ -53,8 +46,6 @@ from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
 from repro.graph.snapshot_builder import (
     BuiltSnapshot,
-    SnapshotBuilder,
-    SnapshotCache,
     SnapshotVersionMap,
     UpdateCursor,
     build_snapshot_arrays,
@@ -64,10 +55,6 @@ from repro.obs.tracer import current_tracer
 from repro.resilience.faults import current_injector
 
 __all__ = ["GPMAGraph"]
-
-#: Upper bound on a main-thread stall behind one in-flight prefetch build;
-#: on expiry the graph falls back to a synchronous rebuild.
-_PREFETCH_WAIT_TIMEOUT = 60.0
 
 
 class GPMAGraph(STGraphBase):
@@ -80,7 +67,6 @@ class GPMAGraph(STGraphBase):
         sort_by_degree: bool = True,
         enable_cache: bool = True,
         enable_csr_cache: bool = True,
-        csr_cache_size: int = 4,
     ) -> None:
         self.dtdg = dtdg
         self._versions = SnapshotVersionMap()
@@ -93,7 +79,7 @@ class GPMAGraph(STGraphBase):
             )
         # Logical position: the (timestamp, version) identity this graph
         # *claims*.  Positioning is deferred — once a timestamp's version is
-        # known the identity is resolved from the shared version map and the
+        # known the identity is resolved from the version map and the
         # physical PMA only catches up when a snapshot has to be built or
         # the storage itself is read (see _advance).
         self._pos_time = 0
@@ -102,28 +88,18 @@ class GPMAGraph(STGraphBase):
         self._built_version: int | None = None
         super().__init__(dtdg.num_nodes, sort_by_degree)
         self.enable_cache = enable_cache
-        self.enable_csr_cache = bool(enable_csr_cache) and csr_cache_size > 0
-        self.csr_cache_size = int(csr_cache_size)
+        # Ablation flag of the executor's context store (and of the hit
+        # accounting below); the installed build is served either way.
+        self.enable_csr_cache = bool(enable_csr_cache)
         self._fwd: CSR | None = None
         self._bwd: CSR | None = None
         self._in_deg: np.ndarray | None = None
         self._out_deg: np.ndarray | None = None
-        # (timestamp, version) -> BuiltSnapshot; thread-safe — the single
-        # handoff point between the prefetch worker and this thread.
-        self._csr_cache = SnapshotCache(self.csr_cache_size)
         # One hit/miss is recorded per temporal positioning (not per CSR
         # accessor call); reset on every _advance.
         self._reuse_counted = False
-        # Bumped whenever the version map is rewritten (checkpoint resume);
-        # builders re-seed their private cursors when they observe a bump.
-        self._builder_epoch = 0
-        # True while a PrefetchScheduler is attached: misses then count as
-        # prefetch_misses and an in-flight build is worth waiting for.
-        self._prefetch_active = False
         # Planned cache-corruption faults that forced Algorithm-3 rebuilds.
         self.cache_fault_rebuilds = 0
-        self.prefetch_hits = 0
-        self.prefetch_misses = 0
 
     # ------------------------------------------------------------------
     # Mutable-core delegation (the update cursor owns position state)
@@ -165,7 +141,7 @@ class GPMAGraph(STGraphBase):
 
     @property
     def _ts_versions(self) -> dict[int, int]:
-        """Copy of the shared timestamp -> version assignments (tests/diagnostics)."""
+        """Copy of the timestamp -> version assignments (tests/diagnostics)."""
         return self._versions.as_dict()
 
     # ------------------------------------------------------------------
@@ -174,22 +150,15 @@ class GPMAGraph(STGraphBase):
     def get_graph(self, timestamp: int) -> "GPMAGraph":
         """Get-Graph(G, t): position at ``t``; update batches (with cache
         retrieval) are applied when the snapshot is first visited or built."""
-        device = current_device()
-        start = time.perf_counter()
-        with current_tracer().span("gpma.advance", "graph_update", t=int(timestamp)):
-            with device.profiler.phase("graph_update"):
-                self._advance(int(timestamp))
-        if device.metrics.enabled:
-            device.metrics.observe(
-                "repro_graph_advance_seconds", time.perf_counter() - start,
-                "GPMA temporal positioning (Get-Graph) latency.",
-            )
-        return self
+        return self._position(timestamp)
 
     def get_backward_graph(self, timestamp: int) -> "GPMAGraph":
         """Reverse update to ``timestamp``; the backward pass then reads the
         out-CSR (the "graph has to be reversed" part is the forward CSR,
         already produced by Algorithm 3)."""
+        return self._position(timestamp)
+
+    def _position(self, timestamp: int) -> "GPMAGraph":
         device = current_device()
         start = time.perf_counter()
         with current_tracer().span("gpma.advance", "graph_update", t=int(timestamp)):
@@ -206,9 +175,9 @@ class GPMAGraph(STGraphBase):
         """Algorithm 2 line 10: save the current PMA state.
 
         The executor calls this at the end of a sequence's forward pass so
-        that, if the backward pass has to rewind the PMA (a build that no
-        cache served), the next sequence resumes from here with a single
-        update batch.
+        that, if the backward pass has to rewind the PMA (a build the
+        executor's store did not serve), the next sequence resumes from here
+        with a single update batch.
         """
         if not self.enable_cache or self._cursor.time != self._pos_time:
             # A cursor that lags the logical position served this sequence
@@ -228,24 +197,6 @@ class GPMAGraph(STGraphBase):
         which lets a no-op boundary reuse the previous timestamp's context.
         """
         return (None, self.snapshot_version)
-
-    # ------------------------------------------------------------------
-    # Pipelined execution: side-effect-free builders
-    # ------------------------------------------------------------------
-    def snapshot_builder(self) -> SnapshotBuilder:
-        """A side-effect-free builder over this graph's DTDG + version map.
-
-        The builder owns a private :class:`UpdateCursor`; building snapshot
-        ``t+k`` on a worker thread never touches this graph's PMA.  Handoff
-        happens through the thread-safe :attr:`_csr_cache` (the scheduler
-        stages worker builds there).
-        """
-        return SnapshotBuilder(self)
-
-    def attach_prefetcher(self, active: bool) -> None:
-        """Mark whether a prefetch scheduler is feeding the snapshot cache
-        (switches miss accounting and in-flight waiting on or off)."""
-        self._prefetch_active = bool(active)
 
     # ------------------------------------------------------------------
     # Checkpoint/resume: snapshot-version cursor
@@ -271,9 +222,8 @@ class GPMAGraph(STGraphBase):
 
         The PMA replays update batches to reach ``curr_time`` (allocating
         throwaway versions along the way), then the recorded assignments
-        overwrite the bookkeeping.  Both caches are dropped (their keys were
-        minted under the throwaway versions) and the builder epoch is bumped
-        so any prefetch builder re-seeds its private cursor.
+        overwrite the bookkeeping.  The saved PMA state and the installed
+        build are dropped (they were minted under the throwaway versions).
         """
         self.get_graph(int(cursor["curr_time"]))
         self._catch_up()  # the version written below is the physical cursor's too
@@ -283,38 +233,22 @@ class GPMAGraph(STGraphBase):
         )
         self.snapshot_version = int(cursor["snapshot_version"])
         self._cursor.drop_cache()
-        self._csr_cache.clear()
         self._built_version = None
-        self._builder_epoch += 1
 
     def _advance(self, t: int) -> None:
         """Position at ``t`` — logically whenever its version is known.
 
         Positioning only has to resolve the ``(t, version)`` content
-        identity: the version map is shared, so once *any* cursor (this
-        graph's or a prefetch worker's) has realized ``t``, the cache key is
-        known without replaying a single update batch.  The physical PMA
-        stays parked and only catches up when a snapshot is built (cache
-        miss) or the storage is read — the LIFO backward walk, served from
-        built snapshots, does no structural graph work at all.  If the
-        version is still unknown, an in-flight prefetch build for ``t`` is
-        waited for (``prefetch_wait``); otherwise this is a first visit and
-        the cursor advances physically (Algorithm 2), allocating the version.
+        identity: once ``t`` has been realized, the version map knows it
+        without replaying a single update batch.  The physical PMA stays
+        parked and only catches up when a snapshot is built or the storage
+        is read — the LIFO backward walk, served from the executor's
+        contexts, does no structural graph work at all.  If the version is
+        still unknown this is a first visit and the cursor advances
+        physically (Algorithm 2), allocating the version.
         """
         self._reuse_counted = False
-        t = int(t)
         version = self._versions.get(t)
-        if version is None and self._prefetch_active and self._csr_cache.inflight(t):
-            device = current_device()
-            start = time.perf_counter()
-            with device.profiler.phase("prefetch_wait"):
-                self._csr_cache.wait_not_inflight(t, timeout=_PREFETCH_WAIT_TIMEOUT)
-            if device.metrics.enabled:
-                device.metrics.observe(
-                    "repro_prefetch_wait_seconds", time.perf_counter() - start,
-                    "Main-thread stall behind an in-flight prefetch build.",
-                )
-            version = self._versions.get(t)
         if version is not None:
             self._pos_time = t
             self._pos_version = version
@@ -345,7 +279,7 @@ class GPMAGraph(STGraphBase):
         self._in_deg, self._out_deg = snap.in_deg, snap.out_deg
         self._built_version = int(version)
 
-    def _rebuild(self) -> BuiltSnapshot:
+    def _rebuild(self) -> None:
         device = current_device()
         with device.profiler.phase("graph_update"):
             pma = self.pma  # Algorithm 2: replay the batches that lead here
@@ -362,78 +296,37 @@ class GPMAGraph(STGraphBase):
                     "Snapshot rebuild (relabel + Algorithm 3) latency.",
                 )
             self._install(snap, self._pos_version)
-            return snap
 
     def _ensure_built(self) -> None:
-        """Serve the current snapshot's artifacts, via the reuse cache.
+        """Serve the current snapshot's artifacts from the installed build.
 
         One ``csr_cache_hits``/``csr_cache_misses`` event is recorded per
-        temporal positioning: a hit when the ``(timestamp, version)`` pair is
-        served without re-running relabelling + Algorithm 3 (either the
-        current build is still valid or the cache holds it), a miss when a
-        rebuild was unavoidable.  While a prefetch scheduler is attached,
-        a hit on a worker-built (staged) entry additionally counts as a
-        ``prefetch_hit``, a synchronous rebuild as a ``prefetch_miss``, and
-        a build the worker has in flight for exactly this timestamp is
-        waited for (billed to the ``prefetch_wait`` phase) rather than
-        duplicated.
+        temporal positioning: a hit when the installed build already has the
+        position's version (a no-op chain, a revisit, a second accessor), a
+        miss when relabelling + Algorithm 3 had to run.
 
-        A planned ``"cache"`` fault (``use_fault_plan``) marks every cached
-        artifact — the current build, the CSR reuse cache, and the PMA
-        snapshot cache — as corrupted; the graph then degrades to the
-        Algorithm-3 rebuild path, which derives everything from the PMA's
-        authoritative storage.  Counted as ``cache_fault_rebuilds``.
+        A planned ``"cache"`` fault (``use_fault_plan``) marks the installed
+        build and the saved PMA state as corrupted; the graph then rebuilds
+        from the PMA's authoritative storage.  Counted as
+        ``cache_fault_rebuilds``.
         """
         injector = current_injector()
         if injector.enabled and injector.take("cache") is not None:
-            self._csr_cache.clear()
             self._cursor.drop_cache()
-            self._fwd = self._bwd = None
-            self._in_deg = self._out_deg = None
-            self._built_version = None
+            self._built_version = None  # the rebuild below replaces all four arrays
             self._count("cache_fault_rebuilds")
         # The stable version alone is content identity, so the installed
         # artifacts are valid whenever their version matches the logical
         # position's — across no-op chains and backward revisits alike.
-        if self._built_version == self._pos_version and self._fwd is not None:
+        if self._built_version == self._pos_version:
             if self.enable_csr_cache and not self._reuse_counted:
                 self._reuse_counted = True
                 self._count("csr_cache_hits")
             return
-        key = (self.curr_time, self.snapshot_version)
-        if self.enable_csr_cache:
-            snap, from_prefetch = self._csr_cache.get(key)
-            if (
-                snap is None
-                and self._prefetch_active
-                and self._csr_cache.inflight(self.curr_time)
-            ):
-                device = current_device()
-                start = time.perf_counter()
-                with device.profiler.phase("prefetch_wait"):
-                    self._csr_cache.wait_not_inflight(self.curr_time, timeout=_PREFETCH_WAIT_TIMEOUT)
-                if device.metrics.enabled:
-                    device.metrics.observe(
-                        "repro_prefetch_wait_seconds", time.perf_counter() - start,
-                        "Main-thread stall behind an in-flight prefetch build.",
-                    )
-                snap, from_prefetch = self._csr_cache.get(key)
-            if snap is not None:
-                self._install(snap, key[1])
-                if from_prefetch:
-                    self._count("prefetch_hits")
-                if not self._reuse_counted:
-                    self._reuse_counted = True
-                    self._count("csr_cache_hits")
-                return
-        snap = self._rebuild()
+        self._rebuild()
         if not self._reuse_counted:
             self._reuse_counted = True
             self._count("csr_cache_misses")
-            if self._prefetch_active:
-                self._count("prefetch_misses")
-        if self.enable_csr_cache:
-            self._csr_cache.put(key, snap)
 
     def forward_csr(self) -> CSR:
         """Current snapshot's reverse CSR (Algorithm 3)."""

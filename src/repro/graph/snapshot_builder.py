@@ -1,43 +1,34 @@
-"""Side-effect-free snapshot building for pipelined temporal execution.
-
-This module is the seam that lets snapshot construction run off the
-critical path (ROADMAP item 2, MSPipe-style pipelining):
+"""Algorithm 2 and the snapshot build behind :class:`~repro.graph.gpma_graph.GPMAGraph`.
 
 * :class:`UpdateCursor` — the mutable core of a GPMA-backed temporal graph:
   one PMA positioned at one timestamp, with Algorithm 2's update-batch
-  replay and its restore points (the DTDG base graph, kept from
-  construction, and the state cache).  :class:`~repro.graph.gpma_graph.GPMAGraph` owns
-  one as its main-thread position; a :class:`SnapshotBuilder` owns a
-  *private* one, so building snapshot ``t+k`` never repositions the PMA the
-  training loop is reading.
-* :class:`SnapshotVersionMap` — the shared, lock-protected per-timestamp
-  version bookkeeping.  Versions are content identity: whichever cursor
-  realizes a timestamp first allocates its version, and because both
-  cursors replay the same immutable DTDG update batches, a
-  ``(timestamp, version)`` key produced by the builder is bitwise
-  interchangeable with the one the main cursor would produce.
-* :class:`SnapshotCache` — the ``(timestamp, version)`` LRU of built CSR
-  artifacts, now thread-safe and the **single handoff point** between the
-  prefetch worker and the main thread.  Worker-built snapshots go into a
-  bounded *staging* area (they never evict LRU entries the LIFO backward
-  walk still needs); the first main-thread consumption promotes them into
-  the LRU proper and reports a ``prefetch_hit``.
-* :func:`build_snapshot_arrays` — the pure relabel + Algorithm 3 function
-  both the main rebuild path and the builder call: PMA storage in,
-  immutable :class:`BuiltSnapshot` out, no shared state touched.  One
-  compaction of the PMA, O(E + N) after it; :func:`gapped_csr_arrays` is the
-  paper's gapped input shape, kept for the tests of Algorithm 3 as written.
+  replay and its two restore points (the DTDG base graph, kept from
+  construction, and the state slot ``cache_state`` fills at a sequence
+  boundary).
+* :class:`SnapshotVersionMap` — the lock-protected per-timestamp version
+  bookkeeping.  Versions are content identity: the first visit of a
+  timestamp allocates its version, a no-op batch inherits the previous
+  one, so equal versions mean bitwise-identical structure.  Logical
+  positioning (moving without replaying batches) resolves versions here.
+* :func:`build_snapshot_arrays` — the pure relabel + Algorithm 3 function:
+  PMA storage in, immutable :class:`BuiltSnapshot` out, no shared state
+  touched.  One compaction of the PMA, O(E + N) after it;
+  :func:`gapped_csr_arrays` is the paper's gapped input shape, kept for the
+  tests of Algorithm 3 as written.
+
+A graph keeps the one build it currently exposes; the only multi-entry
+store of built snapshots is the executor's ``snapshot_key() ->
+GraphContext`` LRU (docs/EXECUTOR.md).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.analysis.sanitizer import new_condition, new_lock
+from repro.analysis.sanitizer import new_lock
 from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
 from repro.graph.labels import decode_edges, encode_edges
@@ -46,9 +37,7 @@ from repro.pma import PackedMemoryArray, SPACE_KEY
 __all__ = [
     "BuiltSnapshot",
     "SnapshotVersionMap",
-    "SnapshotCache",
     "UpdateCursor",
-    "SnapshotBuilder",
     "build_snapshot_arrays",
     "gapped_csr_arrays",
 ]
@@ -60,8 +49,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 class BuiltSnapshot:
     """One immutable built snapshot: the artifacts Algorithm 3 produces.
 
-    Instances are never mutated after construction; the arrays inside are
-    shared freely across threads (the worker builds, the main thread reads).
+    Instances are never mutated after construction, so the graph that
+    built one and every context made from it share the arrays.
     """
 
     fwd: CSR
@@ -85,13 +74,10 @@ class _CursorState:
 class SnapshotVersionMap:
     """Thread-safe stable per-timestamp snapshot versions.
 
-    Every timestamp gets a version the first time its content is realized
-    — by *any* cursor.  No-op update batches inherit the previous
-    timestamp's version (identical content); non-empty batches allocate
-    monotonically, so a version is never reused for different content.
-    Both the graph's main cursor and every builder cursor resolve versions
-    here, which is what makes their ``(timestamp, version)`` keys
-    interchangeable.
+    Every timestamp gets a version the first time its content is realized.
+    No-op update batches inherit the previous timestamp's version (identical
+    content); non-empty batches allocate monotonically, so a version is
+    never reused for different content.
     """
 
     def __init__(self) -> None:
@@ -137,107 +123,6 @@ class SnapshotVersionMap:
             self._counter = int(counter)
 
 
-class SnapshotCache:
-    """Thread-safe ``(timestamp, version)`` LRU of :class:`BuiltSnapshot`\\ s.
-
-    Two tiers:
-
-    * the **LRU proper** — entries the main thread built or consumed,
-      bounded by ``capacity`` (the PR 2 reuse cache, unchanged semantics);
-    * the **staging area** — entries the prefetch worker built ahead of
-      time.  Staged entries do not count against (or evict from) the LRU
-      until the main thread consumes one, at which point it is promoted.
-      Boundedness comes from the scheduler's queue, not from this dict.
-
-    The in-flight set + condition variable let the main thread *wait* for a
-    snapshot the worker is mid-build on instead of duplicating the build.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = int(capacity)
-        self._lock = new_lock("SnapshotCache._lock")
-        self._cond = new_condition(self._lock, "SnapshotCache._cond")
-        self._lru: OrderedDict[tuple[int, int], BuiltSnapshot] = OrderedDict()
-        self._staged: dict[tuple[int, int], BuiltSnapshot] = {}
-        self._inflight: set[int] = set()
-        #: total snapshots the worker ever staged (diagnostics)
-        self.staged_total = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
-
-    def _insert(self, key: tuple[int, int], snap: BuiltSnapshot) -> None:
-        self._lru[key] = snap
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-
-    def get(self, key: tuple[int, int]) -> tuple[BuiltSnapshot | None, bool]:
-        """Look up ``key`` -> ``(snapshot, from_prefetch)``.
-
-        A staged (worker-built) entry is promoted into the LRU on its first
-        consumption and reported with ``from_prefetch=True`` exactly once.
-        """
-        with self._lock:
-            snap = self._lru.get(key)
-            if snap is not None:
-                self._lru.move_to_end(key)
-                return snap, False
-            snap = self._staged.pop(key, None)
-            if snap is not None:
-                self._insert(key, snap)
-                return snap, True
-            return None, False
-
-    def put(self, key: tuple[int, int], snap: BuiltSnapshot) -> None:
-        """Main-thread insert (a synchronous build)."""
-        with self._lock:
-            self._staged.pop(key, None)
-            self._insert(key, snap)
-
-    def stage(self, key: tuple[int, int], snap: BuiltSnapshot) -> None:
-        """Worker-thread insert: parked in staging until first consumption."""
-        with self._lock:
-            if key not in self._lru:
-                self._staged[key] = snap
-                self.staged_total += 1
-
-    def contains(self, key: tuple[int, int]) -> bool:
-        """Whether ``key`` is already available (LRU or staged)."""
-        with self._lock:
-            return key in self._lru or key in self._staged
-
-    # -- in-flight coordination -----------------------------------------
-    def mark_inflight(self, ts: int) -> None:
-        """Worker: announce a build for timestamp ``ts`` has started."""
-        with self._cond:
-            self._inflight.add(int(ts))
-
-    def clear_inflight(self, ts: int) -> None:
-        """Worker: the build for ``ts`` finished (or was abandoned)."""
-        with self._cond:
-            self._inflight.discard(int(ts))
-            self._cond.notify_all()
-
-    def inflight(self, ts: int) -> bool:
-        """Whether a build for timestamp ``ts`` is currently running."""
-        with self._lock:
-            return int(ts) in self._inflight
-
-    def wait_not_inflight(self, ts: int, timeout: float = 60.0) -> bool:
-        """Block until no build for ``ts`` is in flight (True) or timeout."""
-        with self._cond:
-            return self._cond.wait_for(lambda: int(ts) not in self._inflight, timeout=timeout)
-
-    def clear(self) -> None:
-        """Drop every cached and staged entry (in-flight marks are the
-        worker's to clear)."""
-        with self._lock:
-            self._lru.clear()
-            self._staged.clear()
-
-
 # ---------------------------------------------------------------------------
 # Pure snapshot materialization (relabel + Algorithm 3)
 # ---------------------------------------------------------------------------
@@ -272,10 +157,8 @@ def build_snapshot_arrays(
     One compaction (``export_items``) yields the sorted keys, hence the
     out-CSR; the in-CSR is its stable counting-sort transpose.
 
-    Pure with respect to shared graph state: the only inputs are the given
-    PMA's storage (read), and the only side effect is byte accounting on
-    ``alloc`` (whose tracker is lock-protected) — safe to run on a worker
-    thread against a private cursor's PMA.
+    Pure with respect to graph state: the only input is the given PMA's
+    storage (read), the only side effect byte accounting on ``alloc``.
     """
     from repro.graph.reverse import reverse_gpma_vectorized
 
@@ -322,10 +205,7 @@ def build_snapshot_arrays(
 class UpdateCursor:
     """One PMA positioned at one timestamp, with Algorithm 2 replay.
 
-    Single-threaded by design: the graph's main cursor is driven by the
-    training loop, a builder's private cursor by the prefetch worker.  The
-    only cross-thread structure a cursor touches is the shared
-    :class:`SnapshotVersionMap`.
+    Single-threaded by design: whichever thread owns the graph drives it.
     """
 
     def __init__(
@@ -346,9 +226,6 @@ class UpdateCursor:
         self.pma.insert_batch(keys, keys)
         self.time = 0
         self.version = 0
-        #: True when the PMA content changed since the consumer's last build
-        #: (the consumer clears it after installing/building artifacts).
-        self.dirty = True
         self._cache: _CursorState | None = None
         # The DTDG base graph is a restore point the cursor always has: the
         # per-epoch wrap T-1 -> 0 is one copy, not T-1 reverse batches.
@@ -390,7 +267,6 @@ class UpdateCursor:
         # The restored snapshot keeps the version it was assigned when first
         # realized, so its built CSRs remain valid cache entries.
         self.version = saved.version
-        self.dirty = True
         self.cache_restores += 1
 
     def advance(self, t: int) -> None:
@@ -437,71 +313,3 @@ class UpdateCursor:
             self.pma.insert_batch(keys, keys)
         self.update_batches_applied += 1
         self.version = self.versions.realized(ts_new)
-        self.dirty = True
-
-
-# ---------------------------------------------------------------------------
-# The side-effect-free snapshot builder
-# ---------------------------------------------------------------------------
-class SnapshotBuilder:
-    """Builds :class:`BuiltSnapshot`\\ s without touching the owning graph's PMA.
-
-    Thread-safety contract: a builder shares only immutable or
-    lock-protected structures with its graph — the DTDG (read-only), the
-    :class:`SnapshotVersionMap`, and (via the scheduler) the
-    :class:`SnapshotCache`.  All mutable positioning lives in the builder's
-    *private* :class:`UpdateCursor`, so :meth:`build` may run concurrently
-    with main-thread training.  One builder instance must itself be driven
-    from a single thread at a time (the prefetch worker).
-
-    The builder observes the graph's *builder epoch*: checkpoint resume
-    rewrites the version map, at which point every existing private cursor
-    is stale and is rebuilt from the DTDG on next use.
-    """
-
-    def __init__(self, graph) -> None:
-        self._graph = graph
-        self.dtdg: DTDG = graph.dtdg
-        self.num_nodes: int = graph.num_nodes
-        self.sort_by_degree: bool = graph.sort_by_degree
-        self._versions: SnapshotVersionMap = graph._versions
-        self._cursor: UpdateCursor | None = None
-        self._epoch: int | None = None
-        #: snapshots actually materialized by this builder (diagnostics)
-        self.builds = 0
-
-    def _ensure_cursor(self) -> UpdateCursor:
-        epoch = getattr(self._graph, "_builder_epoch", 0)
-        if self._cursor is None or self._epoch != epoch:
-            # enable_cache: the per-epoch wraparound (prefetching t=0 for the
-            # next epoch while the last timestamps compute) restores the
-            # cursor's base state instead of replaying in reverse.
-            self._cursor = UpdateCursor(self.dtdg, self._versions, enable_cache=True)
-            self._epoch = epoch
-        return self._cursor
-
-    def key_for(self, ts: int) -> tuple[int, int]:
-        """The ``(timestamp, version)`` cache key for ``ts`` (advances the
-        private cursor; resolves the shared version map)."""
-        cursor = self._ensure_cursor()
-        cursor.advance(int(ts))
-        return (int(ts), cursor.version)
-
-    def build(self, ts: int) -> tuple[tuple[int, int], BuiltSnapshot]:
-        """Materialize the snapshot at ``ts`` → ``(key, BuiltSnapshot)``.
-
-        Positions the private cursor, then runs the pure relabel +
-        Algorithm 3 function over its PMA.  Never touches the owning
-        graph's PMA, current build, or non-thread-safe bookkeeping.
-        """
-        from repro.device import current_device
-
-        cursor = self._ensure_cursor()
-        cursor.advance(int(ts))
-        key = (int(ts), cursor.version)
-        snap = build_snapshot_arrays(
-            cursor.pma, self.num_nodes, self.sort_by_degree, current_device().alloc
-        )
-        cursor.dirty = False
-        self.builds += 1
-        return key, snap

@@ -44,8 +44,7 @@ def chrome_trace(tracer: "Tracer", tid: int = 1) -> dict[str, Any]:
     ``i`` events.  Events are emitted sorted by timestamp with ``E`` before
     ``B`` on ties, which is the ordering the Trace Event format requires for
     well-nested stacks.  Spans recorded on worker threads carry the tracer's
-    per-thread lane in ``SpanEvent.tid`` (the prefetch scheduler's
-    ``prefetch.snapshot`` spans land on lane 2+), so overlap with the main
+    per-thread lane in ``SpanEvent.tid`` (2+), so overlap with the main
     lane is visible as parallel tracks; ``tid`` here only renames lane 1.
     """
     raw: list[tuple[float, int, dict]] = []
@@ -79,7 +78,7 @@ def chrome_trace(tracer: "Tracer", tid: int = 1) -> dict[str, Any]:
     for lane_id in sorted(set(lanes.values()) - {tid}):
         events.append({
             "name": "thread_name", "ph": "M", "pid": _PID, "tid": lane_id,
-            "args": {"name": f"prefetch-{lane_id}"},
+            "args": {"name": f"worker-{lane_id}"},
         })
     events.extend(item[2] for item in raw)
     return {

@@ -181,6 +181,5 @@ def build_run_manifest(
         manifest.cache_config = {
             "enable_cache": getattr(graph, "enable_cache", None),
             "enable_csr_cache": getattr(graph, "enable_csr_cache", None),
-            "csr_cache_size": getattr(graph, "csr_cache_size", None),
         }
     return manifest

@@ -55,8 +55,8 @@ class SpanEvent:
 
     ``tid`` is the tracer-assigned lane of the thread that emitted the
     event: 1 for the thread that created the tracer (the training loop),
-    2+ for worker threads (e.g. the prefetch scheduler's ``prefetch.*``
-    spans), so the Chrome export shows overlap as parallel tracks.
+    2+ for worker threads (e.g. the serving dispatcher), so the Chrome
+    export shows overlap as parallel tracks.
     """
 
     __slots__ = ("name", "cat", "ts", "dur", "depth", "args", "tid")
@@ -170,7 +170,7 @@ class Tracer:
         self.dropped_events = 0
         self._epoch = time.perf_counter()
         # Open-span stacks are per-thread: a span opened on a worker thread
-        # (the prefetch scheduler) nests under that thread's own spans and
+        # (the serving dispatcher) nests under that thread's own spans and
         # can never corrupt the main thread's stack.  Completed events and
         # the two aggregates are shared, merged under one lock.
         self._tls = threading.local()

@@ -368,8 +368,7 @@ def current_injector() -> FaultInjector | NullInjector:
     """The innermost active injector (:data:`NULL_INJECTOR` by default).
 
     Per-thread: fault sites never fire on a worker thread unless an injector
-    is installed there — the prefetch scheduler deliberately leaves its
-    worker uninstrumented so planned faults keep their positional meaning on
+    is installed there, so planned faults keep their positional meaning on
     the training loop's cursor.
     """
     return _STACK.current()

@@ -2,11 +2,10 @@
 
 Point queries ("embedding/prediction for vertex *v* at the latest time")
 are coalesced into batches and answered from one no-grad forward per
-snapshot version, reusing the executor's ProgramPlan and snapshot/CSR
-caches.  GPMA update batches land concurrently through
+snapshot version, reusing the executor's ProgramPlan and context store.  GPMA update batches land concurrently through
 :class:`UpdateIngest`, invalidating only the k-hop dirty neighborhood;
 the ``freshness`` knob bounds how many applied-but-unserved batches a
-response may lag behind, mirroring ``pipeline=k`` on the training side.
+response may lag behind.
 
 See ``docs/SERVING.md`` for the architecture and staleness semantics.
 """

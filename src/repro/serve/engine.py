@@ -18,12 +18,11 @@ training machinery:
   ``repro.graph.dirty``), so everything else keeps serving from cache with
   zero forwards — and stays *bitwise* equal to a fresh recompute at the new
   snapshot version.  One dirty set is kept per snapshot version.
-* **Bounded staleness.**  ``freshness=k`` mirrors the executor's
-  ``pipeline=k`` knob: up to ``k`` ingested update batches may stay pending
-  while queries are served at the current version; the ``k+1``-th forces a
-  catch-up before the next batch is served.  ``freshness=0`` is strictly
-  fresh — every query reflects all updates ingested before it was
-  dispatched.
+* **Bounded staleness.**  With ``freshness=k`` up to ``k`` ingested update
+  batches may stay pending while queries are served at the current version;
+  the ``k+1``-th forces a catch-up before the next batch is served.
+  ``freshness=0`` is strictly fresh — every query reflects all updates
+  ingested before it was dispatched.
 
 Every answer is equal to *some* serial order of queries and update batches
 consistent with snapshot versions (each result carries the version and
@@ -147,7 +146,7 @@ class InferenceEngine:
         state) is 1.
     freshness:
         Bounded staleness: max ingested-but-unapplied update batches while
-        serving (0 = strictly fresh), mirroring ``pipeline=k``.
+        serving (0 = strictly fresh).
     batching:
         ``False`` ablates request coalescing *and* the row cache: every
         query dispatches its own forward (the naive per-query baseline).
@@ -193,7 +192,7 @@ class InferenceEngine:
 
         self._device = current_device()
         self._tracer = current_tracer()
-        self._executor = TemporalExecutor(graph, engine=engine, pipeline=0)
+        self._executor = TemporalExecutor(graph, engine=engine)
         self._features = np.ascontiguousarray(features, dtype=np.float32)
         self._state = None if state is None else np.asarray(state, dtype=np.float32)
         self._num_nodes = int(graph.num_nodes)

@@ -210,7 +210,7 @@ def serial_reference(
     :class:`ServeResult` against ``reference[result.timestamp]`` bitwise.
     """
     graph = GPMAGraph(dtdg)
-    executor = TemporalExecutor(graph, engine=engine, pipeline=0)
+    executor = TemporalExecutor(graph, engine=engine)
     x = np.ascontiguousarray(features, dtype=np.float32)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in timestamps:

@@ -60,7 +60,6 @@ class STGraphTrainer:
         sequence_length: int | None = None,
         task: str = "regression",
         link_samples: Sequence[LinkSamples] | None = None,
-        pipeline: int = 0,
         engine: str | None = None,
         telemetry_port: int | None = None,
     ) -> None:
@@ -74,14 +73,11 @@ class STGraphTrainer:
         self.sequence_length = sequence_length
         self.task = task
         self.link_samples = link_samples
-        # pipeline = prefetch staleness bound (0 = strictly serial; k >= 1
-        # builds up to k future snapshots on a worker thread).  Numerics are
-        # identical either way — see docs/EXECUTOR.md §Pipelined execution.
         # engine = executor-wide ExecutionEngine override ("kernel",
-        # "interpreter", "compiled"); None lets each program pick its own.
-        # All registered engines are bitwise-identical, so this is a pure
-        # speed/differential-testing switch.
-        self.executor = TemporalExecutor(graph, engine=engine, pipeline=pipeline)
+        # "interpreter"); None lets each program pick its own.  All
+        # registered engines are bitwise-identical, so this is a pure
+        # differential-testing switch.
+        self.executor = TemporalExecutor(graph, engine=engine)
         self.epoch_times: list[float] = []
         #: checkpoint path this run resumed from (None for a fresh run);
         #: surfaced in the RunManifest's ``resumed_from`` field.
@@ -220,15 +216,9 @@ class STGraphTrainer:
         checkpoint_path: str | pathlib.Path | None = None,
         checkpoint_every: int = 1,
         resume: bool = False,
-        pipeline: int | None = None,
     ) -> list[float]:
         """Run ``epochs`` epochs; the first ``warmup`` epoch times are
         dropped from :attr:`epoch_times` (GPU-warm-up convention, §VII).
-
-        ``pipeline`` (when not None) overrides the constructor's staleness
-        bound for this call.  The prefetch worker, if one was started, is
-        always shut down before this method returns — a pipelined ``train()``
-        never leaks a thread.
 
         With ``checkpoint_path`` the run writes an atomic training
         checkpoint every ``checkpoint_every``-th sequence boundary (always
@@ -241,8 +231,6 @@ class STGraphTrainer:
         round-trips exactly through the checkpoint's JSON meta).
         """
         self.resumed_from = None
-        if pipeline is not None:
-            self.executor.set_pipeline(int(pipeline))
         self.start_telemetry()
         try:
             return self._train_impl(
@@ -252,7 +240,6 @@ class STGraphTrainer:
                 resume=resume,
             )
         finally:
-            self.executor.shutdown()
             self.stop_telemetry()
 
     def start_telemetry(self) -> int | None:

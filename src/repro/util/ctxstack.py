@@ -7,9 +7,9 @@ Three subsystems install a per-run object with the same shape of plumbing:
 list; :class:`ContextStack` is the one implementation they now share.
 
 Stacks are **thread-local**: a ``use_*`` block entered on one thread never
-changes what another thread observes, so a worker (e.g. the executor's
-prefetch thread) always starts from the process default and must be handed
-its contexts explicitly.  That is a deliberate safety property — the
+changes what another thread observes, so a worker (e.g. the serving
+dispatcher) always starts from the process default and must be handed its
+contexts explicitly.  That is a deliberate safety property — the
 alternative (a global list mutated from several threads) would let a
 worker's push/pop tear down a context the main thread is still inside.
 

@@ -144,8 +144,8 @@ def test_wait_while_holding_foreign_lock_is_flagged():
 
 def test_wait_holding_only_the_conditions_own_lock_is_clean():
     san = LockOrderSanitizer(strict=True)
-    mutex = san.lock("SnapshotCache._lock")
-    cv = san.condition(mutex, "SnapshotCache._cond")
+    mutex = san.lock("Holder._lock")
+    cv = san.condition(mutex, "Holder._cond")
     with cv:
         cv.wait(timeout=0.01)
     assert san.violations == []
@@ -259,26 +259,31 @@ def test_repro_tsan_off_keeps_null_default():
 
 
 # ---------------------------------------------------------------------------
-# Framework integration: instrumented SnapshotCache stays correct
+# Framework integration: an instrumented serving engine stays correct
 # ---------------------------------------------------------------------------
-def test_snapshot_cache_runs_instrumented_without_violations():
-    from repro.graph.snapshot_builder import SnapshotCache
+def test_serving_condvar_runs_instrumented_without_violations():
+    """``InferenceEngine._cv`` (lock + condition, built through the factories)
+    hands queries and an update batch between this thread and the dispatcher."""
+    import numpy as np
 
+    from repro.graph import DTDG, GPMAGraph
+    from repro.serve import InferenceEngine, random_update_batches
+    from repro.train import STGraphNodeRegressor
+
+    rng = np.random.default_rng(0)
+    n = 24
+    keys = np.unique(rng.integers(0, n * n, 90))
+    keys = keys[keys // n != keys % n]
+    dtdg = DTDG([(keys // n, keys % n)], num_nodes=n)
+    feats = rng.standard_normal((n, 4)).astype(np.float32)
     san = LockOrderSanitizer(strict=True)
     with use_sanitizer(san):
-        cache = SnapshotCache(capacity=4)
-    key = (0, 1)
-    cache.mark_inflight(0)
-
-    def producer():
-        cache.stage(key, "snapshot")
-        cache.clear_inflight(0)
-
-    t = threading.Thread(target=producer)
-    t.start()
-    assert cache.wait_not_inflight(0, timeout=5.0)
-    t.join(timeout=5.0)
-    snap, hit = cache.get(key)
-    assert hit and snap == "snapshot"
+        engine = InferenceEngine(STGraphNodeRegressor(4, 6), GPMAGraph(dtdg), feats)
+    (batch,) = random_update_batches(dtdg, 1, seed=0)
+    with engine:
+        first = engine.query(3)
+        engine.enqueue_update(batch, timeout=5.0)  # waits on _cv until applied
+        second = engine.query(3)
+    assert first.served_from == "forward" and second.version > first.version
     assert san.violations == []
     assert san.acquisitions > 0

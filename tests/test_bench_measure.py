@@ -72,7 +72,7 @@ def test_csr_cache_flag_ablates_reuse():
     assert on.csr_cache_hits + on.ctx_cache_hits > 0
     assert off.csr_cache_hits == 0 and off.ctx_cache_hits == 0
     assert on.csr_cache_misses < off.csr_cache_misses
-    assert 0.0 < on.csr_cache_hit_rate <= 1.0
+    assert 0.0 < on.reuse_rate <= 1.0 and off.reuse_rate == 0.0
 
 
 def test_dynamic_runs_isolated_devices():

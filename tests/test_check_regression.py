@@ -31,12 +31,6 @@ _BASE = {
          "epoch_s": 2.00, "loss": 0.5},
     ],
     "micro": {"gpma_advance_s": 0.010, "spmm_s": 0.005, "launches": 42},
-    "pipeline_ablation": [
-        {"pipeline": "off", "epoch_s": 1.2, "prefetch_wait_s": 0.30, "prefetch_hits": 3},
-    ],
-    "compiled_ablation": [
-        {"engine": "compiled", "epoch_s": 0.80, "compile_s": 0.20, "backend": "numba"},
-    ],
     "serving_ablation": [
         {"mode": "batched+inval", "p50_ms": 0.25, "p99_ms": 2.5, "qps": 4000,
          "forwards": 7, "row_cache_hits": 300, "updates": 6},
@@ -71,8 +65,6 @@ def test_extract_metrics_covers_all_timing_sections():
     metrics = check_regression.extract_metrics(_BASE)
     assert any(k.startswith("rows[") and "system=stgraph" in k for k in metrics)
     assert metrics["micro.gpma_advance_s"] == 0.010
-    assert metrics["pipeline_ablation[pipeline=off].prefetch_wait_s"] == 0.30
-    assert metrics["compiled_ablation[engine=compiled].compile_s"] == 0.20
     assert metrics["serving_ablation[mode=batched+inval].p50_ms"] == 0.25
     assert metrics["serving_ablation[mode=unbatched].p99_ms"] == 9.0
     # Counters/losses are excluded; only numbers survive.

@@ -112,3 +112,23 @@ def test_lint_codes_table(capsys):
     out = capsys.readouterr().out
     assert "STG001" in out and "STG030" in out
     assert "error" in out and "warning" in out
+
+
+def test_cli_unknown_engine_exits_nonzero_with_message():
+    """``repro train --engine kernl`` must exit non-zero with the engine
+    list on stderr — not a traceback."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "train", "--dataset", "HC", "--engine", "kernl"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert "unknown engine" in proc.stderr
+    assert "interpreter, kernel" in proc.stderr  # the available list names the real ones
+    assert "Traceback" not in proc.stderr

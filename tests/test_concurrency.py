@@ -1,32 +1,22 @@
-"""Thread-safety of the structures the prefetch worker touches.
+"""Thread-safety of the structures more than one thread touches.
 
-Pipelined execution puts a second thread inside the framework: the
-PrefetchScheduler's worker builds snapshots while the training thread
-computes.  These tests hammer the shared structures directly — the plan
-cache's hit/miss counters, the tracer's per-thread span stacks, the
-profiler's counters — and exercise the lifecycle edge that matters for
-resilience: a simulated kill arriving mid-prefetch must drain the queue
-and leave no dangling thread.
+Training runs on the caller's thread alone, but serving and telemetry put
+other threads inside the framework.  These tests hammer the shared
+structures directly — the plan cache's hit/miss counters, the tracer's
+per-thread span stacks, the profiler's counters — and check that a full
+``train()`` on a GPMA graph starts no thread of its own.
 """
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.compiler.plan import PlanCache
-from repro.core.executor import TemporalExecutor
 from repro.dataset import load_sx_mathoverflow
 from repro.device import Device, use_device
 from repro.obs.tracer import Tracer, use_tracer
-from repro.resilience import FaultPlan, FaultSite, SimulatedKill, use_fault_plan
 from repro.tensor import init
 from repro.train import STGraphLinkPredictor, STGraphTrainer, make_link_prediction_samples
-
-
-def _prefetch_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("repro-prefetch")]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +106,7 @@ def test_worker_thread_spans_never_corrupt_main_stack():
         with use_device(device), use_tracer(tracer):
             go.wait()
             for i in range(50):
-                with tracer.span("worker.op", "prefetch", i=i):
+                with tracer.span("worker.op", "worker", i=i):
                     pass
         done.set()
 
@@ -182,144 +172,28 @@ def test_profiler_counters_exact_under_concurrent_counts():
 
 
 # ---------------------------------------------------------------------------
-# Kill mid-prefetch: queue drained, no dangling thread
+# One thread: training starts none
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def dynamic_workload():
+def test_trainer_shutdown_never_leaks_worker():
+    """A full ``train()`` on a GPMA graph runs on the caller's thread alone:
+    the live threads are the same before, after every epoch, and after."""
     ds = load_sx_mathoverflow(scale=0.02, feature_size=8, max_snapshots=8)
     samples = make_link_prediction_samples(ds.dtdg, samples_per_timestamp=32, seed=0)
-    return ds, samples
-
-
-def test_kill_mid_prefetch_drains_and_joins_worker(dynamic_workload):
-    """A planned kill during a pipelined run unwinds the executor AND fully
-    stops the prefetch worker: queue drained, thread joined, no leak."""
-    ds, samples = dynamic_workload
-    plan = FaultPlan(
-        name="kill-pipelined",
-        sites=[FaultSite(kind="kill", epoch=0, sequence=1, timestamp=4)],
-    )
-    with use_device(Device(name="kill-pipe")), use_fault_plan(plan):
+    before = set(threading.enumerate())
+    with use_device(Device(name="one-thread")):
         init.set_seed(0)
-        model = STGraphLinkPredictor(ds.feature_size, 8)
         trainer = STGraphTrainer(
-            model, ds.build_gpma(), lr=1e-2, sequence_length=3,
-            task="link_prediction", link_samples=samples, pipeline=2,
+            STGraphLinkPredictor(ds.feature_size, 8), ds.build_gpma(), lr=1e-2,
+            sequence_length=3, task="link_prediction", link_samples=samples,
         )
-        with pytest.raises(SimulatedKill):
-            trainer.train(ds.features, epochs=2)
-        trainer.executor.check_drained()
-    assert _prefetch_threads() == []
-    prefetcher = trainer.executor.prefetcher
-    if prefetcher is not None:
-        assert not prefetcher.running
-        assert prefetcher.stats()["prefetch_pending"] == 0
-    # The graph is back in strictly-serial accounting mode.
-    assert trainer.graph._prefetch_active is False
+        train_epoch, during = trainer.train_epoch, []
 
+        def spy(*args, **kwargs):
+            loss = train_epoch(*args, **kwargs)
+            during.append(set(threading.enumerate()))
+            return loss
 
-def test_abort_sequence_stops_worker_directly(dynamic_workload):
-    """Executor-level abort (no trainer) also joins the worker."""
-    ds, _ = dynamic_workload
-    with use_device(Device(name="abort-pipe")):
-        graph = ds.build_gpma()
-        ex = TemporalExecutor(graph, pipeline=3)
-        for t in range(3):
-            ex.begin_timestamp(t)
-        assert ex.prefetcher is not None and ex.prefetcher.running
-        ex.abort_sequence()
-        assert not ex.prefetcher.running
-        assert ex.prefetcher.stats()["prefetch_pending"] == 0
-        assert _prefetch_threads() == []
-        # Pipelining resumes lazily after the abort.
-        ex.reset()
-        ex.begin_timestamp(0)
-        assert ex.prefetcher.running
-        ex.shutdown()
-        assert ex.prefetcher is None
-        assert _prefetch_threads() == []
-
-
-def test_trainer_shutdown_never_leaks_worker(dynamic_workload):
-    """A successful pipelined train() leaves no prefetch thread behind."""
-    ds, samples = dynamic_workload
-    with use_device(Device(name="clean-pipe")):
-        init.set_seed(0)
-        model = STGraphLinkPredictor(ds.feature_size, 8)
-        trainer = STGraphTrainer(
-            model, ds.build_gpma(), lr=1e-2, sequence_length=3,
-            task="link_prediction", link_samples=samples, pipeline=2,
-        )
-        trainer.train(ds.features, epochs=1)
-    assert _prefetch_threads() == []
-
-
-# ---------------------------------------------------------------------------
-# Builder failure while a snapshot is in flight: waiters must wake
-# ---------------------------------------------------------------------------
-class _GatedExplodingBuilder:
-    """A builder that blocks on a gate, then raises — never stages anything."""
-
-    def __init__(self, gate: threading.Event) -> None:
-        self.gate = gate
-        self.builds = 0
-
-    def build(self, ts: int):
-        self.gate.wait(timeout=10.0)
-        raise RuntimeError(f"builder exploded at t={ts}")
-
-
-class _FakeGraph:
-    """The minimal graph surface a PrefetchScheduler drives."""
-
-    def __init__(self, cache, builder) -> None:
-        self._csr_cache = cache
-        self._versions: dict[int, int] = {}
-        self.dtdg = type("DTDG", (), {"num_timestamps": 4})()
-        self._builder = builder
-        self.prefetcher_attached = False
-
-    def snapshot_builder(self):
-        return self._builder
-
-    def attach_prefetcher(self, flag: bool) -> None:
-        self.prefetcher_attached = flag
-
-
-def test_builder_exception_while_inflight_wakes_condvar_waiters():
-    """Regression: a builder crash between ``mark_inflight`` and ``stage``
-    must still wake every ``wait_not_inflight`` waiter (via the ``finally``
-    ``clear_inflight``) and surface the error on ``worker_error`` — not
-    strand the main thread until its timeout expires."""
-    from repro.core.prefetch import PrefetchScheduler
-    from repro.graph.snapshot_builder import SnapshotCache
-
-    cache = SnapshotCache(capacity=4)
-    gate = threading.Event()
-    graph = _FakeGraph(cache, _GatedExplodingBuilder(gate))
-    sched = PrefetchScheduler(graph, staleness=1)
-    try:
-        assert sched.schedule_ahead(0) == 1  # queues t=1
-        deadline = 50
-        while not cache.inflight(1) and deadline:  # worker inside build()
-            threading.Event().wait(0.02)
-            deadline -= 1
-        assert cache.inflight(1), "worker never marked t=1 in flight"
-
-        woke: list[bool] = []
-        waiter = threading.Thread(
-            target=lambda: woke.append(cache.wait_not_inflight(1, timeout=10.0))
-        )
-        waiter.start()
-        gate.set()  # builder now raises inside the in-flight window
-        waiter.join(timeout=5.0)
-        assert not waiter.is_alive(), "waiter stranded after builder crash"
-        assert woke == [True]
-        assert not cache.inflight(1)
-        assert isinstance(sched.worker_error, RuntimeError)
-        assert cache.contains((1, 0)) is False  # nothing was staged
-    finally:
-        gate.set()
-        sched.stop()
-    assert _prefetch_threads() == []
-    assert graph.prefetcher_attached is False
+        trainer.train_epoch = spy
+        trainer.train(ds.features, epochs=2)
+    assert during == [before, before]
+    assert set(threading.enumerate()) == before

@@ -7,10 +7,12 @@ import pytest
 
 from repro.core.backend import (
     BackendInterface,
+    ReproBackend,
     available_backends,
     get_backend,
     register_backend,
 )
+from repro.core.engine import KernelEngine, available_engines, get_engine, register_engine
 from repro.tensor import Tensor, functional as F
 
 
@@ -30,6 +32,33 @@ def test_unknown_backend_raises():
 def test_duplicate_registration_rejected():
     with pytest.raises(ValueError):
         register_backend("repro", lambda: None)
+
+
+@pytest.mark.parametrize(
+    "register, get, available, taken, factory",
+    [
+        (register_backend, get_backend, available_backends, "repro", ReproBackend),
+        (register_engine, get_engine, available_engines, "kernel", KernelEngine),
+    ],
+    ids=["backend", "engine"],
+)
+def test_registry_contract(register, get, available, taken, factory):
+    """Backends and engines share one registry: identical re-registration is
+    a no-op, a different factory for a taken name raises, and an unknown
+    name lists what is available."""
+    before = available()
+    register(taken, factory)
+    # what a re-import of the defining module produces: a new object, same definition
+    reimported = type(factory.__name__, (factory,), {"__module__": factory.__module__})
+    reimported.__qualname__ = factory.__qualname__
+    register(taken, reimported)
+    assert available() == before
+    assert type(get(taken)) is factory and get(taken) is get(taken)
+    with pytest.raises(ValueError, match="already registered"):
+        register(taken, lambda: None)
+    with pytest.raises(KeyError) as excinfo:
+        get("no-such-name")
+    assert all(name in str(excinfo.value) for name in before)
 
 
 def test_tensor_bridge(rng):

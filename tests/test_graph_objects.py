@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.executor import TemporalExecutor
 from repro.graph import DTDG, GPMAGraph, NaiveGraph, StaticGraph
 from repro.graph.labels import decode_edges
 from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor
@@ -158,16 +159,19 @@ def test_gpma_cache_restores_state(random_dtdg):
     assert cur.update_batches_applied == batches
     assert _cursor_edge_set(cur) == _snapshot_edges(random_dtdg, 5)
 
-    # The graph serves the rewind from built snapshots, so the same walk does
-    # not move its PMA at all: forward batches once, nothing afterwards.
-    gg = GPMAGraph(random_dtdg, csr_cache_size=6)
+    # An executor serves the rewind from its context store, so the same walk
+    # does not move the graph's PMA at all: forward batches once, nothing after.
+    gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg, ctx_cache_size=6)
     for t in range(6):
-        gg.get_graph(t)
-        assert _edge_set(gg) == _snapshot_edges(random_dtdg, t)
-    gg.cache_snapshot()
-    for t in [5, 4, 3, 2, 1, 0, 5]:
-        gg.get_backward_graph(t)
-        assert _edge_set(gg) == _snapshot_edges(random_dtdg, t)
+        ex.begin_timestamp(t)
+    ex.end_sequence_forward()
+    for t in [5, 4, 3, 2, 1, 0]:
+        ctx = ex.backward_context(t)
+        src = np.repeat(np.arange(ctx.num_nodes), np.diff(ctx.bwd_row))
+        assert set(zip(src.tolist(), ctx.bwd_col.tolist())) == _snapshot_edges(random_dtdg, t)
+    ex.begin_inference(5)
+    assert ex.ctx_cache_hits == 7
     assert gg.update_batches_applied == 5
     assert gg.cache_restores == 0
 

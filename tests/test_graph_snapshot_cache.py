@@ -1,10 +1,12 @@
-"""Snapshot versioning and the (timestamp, version) CSR reuse cache."""
+"""Snapshot versioning and the one store of built snapshots: the executor's
+``snapshot_key() -> GraphContext`` LRU (a graph keeps only the build it exposes)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.executor import TemporalExecutor
 from repro.graph import DTDG, GPMAGraph, NaiveGraph
 from repro.graph.labels import decode_edges
 from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor
@@ -54,6 +56,12 @@ def _edge_set(graph):
     return out
 
 
+def _ctx_edge_set(ctx):
+    """Edges of a served context, from its out-CSR arrays."""
+    src = np.repeat(np.arange(ctx.num_nodes), np.diff(ctx.bwd_row))
+    return set(zip(src.tolist(), ctx.bwd_col.tolist()))
+
+
 def _snapshot_edge_set(dtdg, t):
     s, d = dtdg.snapshot_edges(t)
     return set(zip(s.tolist(), d.tolist()))
@@ -69,45 +77,50 @@ def _cursor_edge_set(cursor):
 # ---------------------------------------------------------------------------
 def test_backward_walk_serves_all_csrs_from_cache(random_dtdg):
     T = random_dtdg.num_timestamps
-    gg = GPMAGraph(random_dtdg, csr_cache_size=T)
+    gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg, ctx_cache_size=T)
     for t in range(T):
-        gg.get_graph(t)
-        gg.forward_csr()
+        ex.begin_timestamp(t)
     assert gg.csr_cache_misses == T  # every snapshot built exactly once
     assert gg.csr_cache_hits == 0
-    gg.cache_snapshot()
+    assert (ex.ctx_cache_hits, ex.ctx_cache_misses) == (0, T)
+    ex.end_sequence_forward()
     for t in range(T - 1, -1, -1):
-        gg.get_backward_graph(t)
-        gg.forward_csr()
-        gg.backward_csr()
-        assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
-    # Zero CSR rebuilds on the backward walk: one hit per timestamp.
-    assert gg.csr_cache_hits == T
+        ctx = ex.backward_context(t)
+        assert _ctx_edge_set(ctx) == _snapshot_edge_set(random_dtdg, t)
+    # Zero CSR rebuilds on the backward walk: one store hit per timestamp.
+    assert ex.ctx_cache_hits == T
     assert gg.csr_cache_misses == T
 
 
 def test_cached_csrs_match_fresh_builds(random_dtdg):
-    """LRU-served artifacts are the same structure a cold build produces."""
-    gg = GPMAGraph(random_dtdg, csr_cache_size=random_dtdg.num_timestamps)
+    """Store-served contexts hold the same structure a cold build produces."""
+    T = random_dtdg.num_timestamps
+    gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg, ctx_cache_size=T)
     ng = NaiveGraph(random_dtdg)
-    for t in range(random_dtdg.num_timestamps):
-        gg.get_graph(t)
-        gg.forward_csr()
-    for t in range(random_dtdg.num_timestamps - 1, -1, -1):
-        gg.get_backward_graph(t)
+    for t in range(T):
+        ex.begin_timestamp(t)
+    for t in range(T - 1, -1, -1):
+        ctx = ex.backward_context(t)
         ng.get_backward_graph(t)
-        assert _edge_set(gg) == _edge_set(ng)
-        assert np.array_equal(gg.in_degrees(), ng.in_degrees())
-        assert np.array_equal(gg.out_degrees(), ng.out_degrees())
-        gg.validate_label_consistency()
+        assert _ctx_edge_set(ctx) == _edge_set(ng)
+        assert np.array_equal(ctx.in_deg, ng.in_degrees())
+        assert np.array_equal(ctx.out_deg, ng.out_degrees())
+        # both orientations agree edge by edge: label l is the same (u, v)
+        fwd_dst = np.repeat(np.arange(ctx.num_nodes), np.diff(ctx.fwd_row))
+        bwd_src = np.repeat(np.arange(ctx.num_nodes), np.diff(ctx.bwd_row))
+        by_label = np.empty((ctx.num_edges, 2), dtype=np.int64)
+        by_label[ctx.bwd_eids] = np.stack([bwd_src, ctx.bwd_col], axis=1)
+        assert np.array_equal(by_label[ctx.fwd_eids], np.stack([ctx.fwd_col, fwd_dst], axis=1))
+    assert ex.ctx_cache_hits == T
 
 
 def test_lru_stays_bounded(random_dtdg):
-    gg = GPMAGraph(random_dtdg, csr_cache_size=2)
+    ex = TemporalExecutor(GPMAGraph(random_dtdg), ctx_cache_size=2)
     for t in list(range(6)) + [4, 3, 2, 1, 0]:
-        gg.get_graph(t)
-        gg.forward_csr()
-        assert len(gg._csr_cache) <= 2
+        ex.begin_inference(t)
+        assert len(ex._ctx_cache) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +188,25 @@ def test_csr_cache_disabled_counts_no_hits(random_dtdg):
         gg.forward_csr()
         assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
     assert gg.csr_cache_hits == 0
-    assert len(gg._csr_cache) == 0
     # Every repositioned snapshot paid a full rebuild.
     assert gg.csr_cache_misses == 11  # 6 forward + 5 backward (t=5 unmoved)
 
 
-def test_csr_cache_size_zero_disables(random_dtdg):
-    gg = GPMAGraph(random_dtdg, csr_cache_size=0)
-    assert not gg.enable_csr_cache
+@pytest.mark.parametrize(
+    "off", [{"enable_csr_cache": False}, {"ctx_cache_size": 0}], ids=["flag-off", "capacity-0"]
+)
+def test_ctx_cache_size_zero_disables(random_dtdg, off):
+    """The store has one flag and one capacity; either switches it off, and
+    every positioning then builds its context (and its snapshot) afresh."""
+    gg = GPMAGraph(random_dtdg, enable_csr_cache=off.get("enable_csr_cache", True))
+    ex = TemporalExecutor(gg, ctx_cache_size=off.get("ctx_cache_size", 4))
+    for t in (0, 1, 2):
+        ex.begin_timestamp(t)
+    for t in (2, 1, 0):
+        assert _ctx_edge_set(ex.backward_context(t)) == _snapshot_edge_set(random_dtdg, t)
+    assert len(ex._ctx_cache) == 0
+    assert (ex.ctx_cache_hits, ex.ctx_cache_misses) == (0, 0)
+    assert gg.csr_cache_misses == 5  # 3 forward + 2 backward (t=2 unmoved)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +257,17 @@ def test_sequence_boundary_cache_flow(random_dtdg):
     assert _cursor_edge_set(cur) == _snapshot_edge_set(random_dtdg, 3)
     cur.pma.check_invariants()
 
-    # A graph that served the LIFO walk from built snapshots never rewound:
-    # the next sequence is the same single batch, with nothing to restore.
+    # An executor that served the LIFO walk from its store never rewound the
+    # graph: the next sequence is the same single batch, nothing to restore.
     gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg)
     for t in range(3):
-        gg.get_graph(t)
-        gg.forward_csr()
-    gg.cache_snapshot()
+        ex.begin_timestamp(t)
+    ex.end_sequence_forward()
     for t in range(2, -1, -1):
-        gg.get_backward_graph(t)
-        assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
+        assert _ctx_edge_set(ex.backward_context(t)) == _snapshot_edge_set(random_dtdg, t)
     before = gg.update_batches_applied
-    gg.get_graph(3)
-    assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, 3)
+    assert _ctx_edge_set(ex.begin_timestamp(3)) == _snapshot_edge_set(random_dtdg, 3)
     assert gg.update_batches_applied == before + 1
     assert gg.cache_restores == 0
     gg.pma.check_invariants()
@@ -300,29 +322,27 @@ def test_each_batch_applied_at_most_once_per_epoch(random_dtdg):
     """Forward sweep + LIFO walk + wrap, twice: T-1 batches an epoch, and the
     wrap is one restore of the base graph instead of T-1 reverse batches."""
     T = random_dtdg.num_timestamps
-    gg = GPMAGraph(random_dtdg, csr_cache_size=T)
+    gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg, ctx_cache_size=T)
     for epoch in (1, 2):
         for t in range(T):
-            gg.get_graph(t)
-            assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
-        gg.cache_snapshot()
+            assert _ctx_edge_set(ex.begin_timestamp(t)) == _snapshot_edge_set(random_dtdg, t)
+        ex.end_sequence_forward()
         for t in range(T - 1, -1, -1):
-            gg.get_backward_graph(t)
-            assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
-        assert gg.update_batches_applied == T - 1  # epoch 2 is all cache hits
+            assert _ctx_edge_set(ex.backward_context(t)) == _snapshot_edge_set(random_dtdg, t)
+        assert gg.update_batches_applied == T - 1  # epoch 2 is all store hits
         assert gg.cache_restores == 0
-    # With a cache too small to keep an epoch, every forward build replays its
+    # With a store too small to keep an epoch, every forward build replays its
     # one batch; the backward walk and the wrap still replay none.
-    small = GPMAGraph(random_dtdg, csr_cache_size=2)
+    small = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(small, ctx_cache_size=3)
     for epoch in (1, 2):
         for t0 in (0, 3):
             for t in (t0, t0 + 1, t0 + 2):
-                small.get_graph(t)
-                assert _edge_set(small) == _snapshot_edge_set(random_dtdg, t)
-            small.cache_snapshot()
-            for t in (t0 + 2, t0 + 1):
-                small.get_backward_graph(t)  # still installed / in the LRU
-                assert _edge_set(small) == _snapshot_edge_set(random_dtdg, t)
+                assert _ctx_edge_set(ex.begin_timestamp(t)) == _snapshot_edge_set(random_dtdg, t)
+            ex.end_sequence_forward()
+            for t in (t0 + 2, t0 + 1, t0):
+                assert _ctx_edge_set(ex.backward_context(t)) == _snapshot_edge_set(random_dtdg, t)
         assert small.update_batches_applied == epoch * (T - 1)
         assert small.cache_restores == epoch - 1  # the wrap T-1 -> 0
 

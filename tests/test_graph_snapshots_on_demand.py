@@ -2,8 +2,11 @@
 
 * ``build_snapshot_arrays`` against the frozen comparison-sort build in
   ``tests/_snapshot_reference.py`` (all ten arrays, dtypes included);
-* a state machine that moves a :class:`GPMAGraph` in random order and checks
-  every exposed array against ``DTDG.snapshot_edges(t)`` and every
+* a state machine that moves a :class:`GPMAGraph` in random order, directly
+  and through a :class:`TemporalExecutor` (its context store on, off and at
+  capacity 1; live ``append_update``, planned ``"cache"`` faults, version
+  cursor restores), and checks every exposed array and every served
+  ``GraphContext`` against ``DTDG.snapshot_edges(t)`` and every
   ``snapshot_key`` against an eagerly positioned cursor;
 * the regression for ``num_edges`` reading a parked PMA.
 """
@@ -12,13 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
+from repro.core.executor import TemporalExecutor
 from repro.device import current_device
 from repro.graph import DTDG, GPMAGraph
+from repro.graph.dtdg import EdgeUpdate
 from repro.graph.labels import encode_edges
 from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor, build_snapshot_arrays
 from repro.pma import PackedMemoryArray
+from repro.resilience import FaultInjector, FaultPlan, FaultSite, use_fault_plan
 from tests._snapshot_reference import reference_build_snapshot_arrays
 
 
@@ -81,30 +87,96 @@ def _dtdgs(draw):
 
 
 class OnDemandSnapshots(RuleBasedStateMachine):
-    """``get_graph`` / ``get_backward_graph`` / ``cache_snapshot`` and every
-    reader, in random order, under all eight cache / ordering configurations."""
+    """``get_graph`` / ``get_backward_graph`` / ``cache_snapshot``, every
+    reader and every executor entry point, in random order, under all cache /
+    ordering configurations and with the context store on, off and at capacity 1."""
 
     @initialize(
         dtdg=_dtdgs(),
         enable_csr_cache=st.booleans(),
         enable_cache=st.booleans(),
         sort_by_degree=st.booleans(),
+        ctx_cache_size=st.sampled_from([1, 4]),
     )
-    def build(self, dtdg, enable_csr_cache, enable_cache, sort_by_degree):
+    def build(self, dtdg, enable_csr_cache, enable_cache, sort_by_degree, ctx_cache_size):
         self.dtdg = dtdg
         self.graph = GPMAGraph(
             dtdg, sort_by_degree=sort_by_degree, enable_cache=enable_cache,
-            enable_csr_cache=enable_csr_cache, csr_cache_size=2,
+            enable_csr_cache=enable_csr_cache,
         )
+        self.executor = TemporalExecutor(self.graph, ctx_cache_size=ctx_cache_size)
         # The eager path: a cursor physically driven to every requested
         # timestamp, allocating versions from its own map as it goes.
         self.eager = UpdateCursor(dtdg, SnapshotVersionMap(), enable_cache=enable_cache)
         self.t = 0
+        self.saved_cursor = None
+        # Planned faults are appended to the armed plan as the run goes.
+        self.injector = FaultInjector(FaultPlan(name="state-machine"))
 
     def _expected_keys(self) -> np.ndarray:
         return encode_edges(*self.dtdg.snapshot_edges(self.t), self.dtdg.num_nodes)
 
-    @rule(t=st.integers(0, 5), backward=st.booleans())
+    def _moved_to(self, t):
+        self.t = t
+        self.eager.advance(t)
+        assert self.graph.curr_time == t
+
+    def _check_context(self, ctx, t):
+        n = self.dtdg.num_nodes
+        want = encode_edges(*self.dtdg.snapshot_edges(t), n)
+        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(ctx.fwd_row))
+        assert np.array_equal(encode_edges(ctx.fwd_col, dst, n)[np.argsort(ctx.fwd_eids)], want)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(ctx.bwd_row))
+        assert np.array_equal(encode_edges(src, ctx.bwd_col, n), want)
+        assert np.array_equal(ctx.bwd_eids, np.arange(len(want)))
+        assert np.array_equal(ctx.in_deg, np.diff(ctx.fwd_row))
+        assert np.array_equal(ctx.out_deg, np.diff(ctx.bwd_row))
+        if not self.graph.enable_csr_cache:
+            assert len(self.executor._ctx_cache) == 0
+        assert len(self.executor._ctx_cache) <= self.executor.ctx_cache_size
+
+    @rule(t=st.integers(0, 9), inference=st.booleans())
+    def begin(self, t, inference):
+        t %= self.dtdg.num_timestamps
+        ex = self.executor
+        with use_fault_plan(self.injector):
+            ctx = (ex.begin_inference if inference else ex.begin_timestamp)(t)
+        self._moved_to(t)
+        self._check_context(ctx, t)
+
+    @precondition(lambda self: len(self.executor.graph_stack) > 0)
+    @rule()
+    def backward_context(self):
+        ex = self.executor
+        t, depth = ex.graph_stack.top(), len(ex.graph_stack)
+        with use_fault_plan(self.injector):
+            ctx = ex.backward_context(t)
+        if len(ex.graph_stack) < depth:  # else: the step's context, kept
+            self._moved_to(t)
+        self._check_context(ctx, t)
+
+    @precondition(lambda self: self.dtdg.num_timestamps < 9)
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def append_update(self, seed):
+        rng, n = np.random.default_rng(seed), self.dtdg.num_nodes
+        e = int(rng.integers(0, 5))  # 0: a no-op boundary
+        self.dtdg.append_update(EdgeUpdate(*(rng.integers(0, n, e) for _ in range(4))))
+
+    @rule()
+    def plan_cache_fault(self):
+        self.injector.plan.sites.append(FaultSite("cache"))
+
+    @rule()
+    def save_version_cursor(self):
+        self.saved_cursor = self.graph.version_cursor()
+
+    @precondition(lambda self: self.saved_cursor is not None)
+    @rule()
+    def restore_version_cursor(self):
+        self.graph.restore_version_cursor(self.saved_cursor)
+        self._moved_to(self.saved_cursor["curr_time"])
+
+    @rule(t=st.integers(0, 9), backward=st.booleans())
     def move(self, t, backward):
         self.t = t % self.dtdg.num_timestamps
         (self.graph.get_backward_graph if backward else self.graph.get_graph)(self.t)
@@ -158,7 +230,7 @@ test_on_demand_snapshots_state_machine = OnDemandSnapshots.TestCase
 # ---------------------------------------------------------------------------
 # Regression: num_edges answers for the logical position
 # ---------------------------------------------------------------------------
-def test_num_edges_is_the_logical_positions_with_prefetcher_attached():
+def test_num_edges_is_the_logical_positions():
     """After visiting every timestamp the PMA is parked at the last one;
     repositioning at t=0 used to report the parked PMA's count."""
     rng = np.random.default_rng(5)
@@ -171,7 +243,6 @@ def test_num_edges_is_the_logical_positions_with_prefetcher_attached():
     gg = GPMAGraph(dtdg)
     for t in range(12):
         gg.get_graph(t)
-    gg.attach_prefetcher(True)
     gg.get_graph(0)
     assert gg.num_edges == dtdg.snapshot_edge_count(0)
     assert gg.storage_bytes() == gg.pma.keys.nbytes + gg.pma.values.nbytes
