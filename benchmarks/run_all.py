@@ -79,12 +79,10 @@ def _nightly_reuse_counters() -> dict:
         scale=0.02, feature_size=8, max_snapshots=12,
         sequence_length=4, epochs=3, warmup=1,
     )
+    reuse = ("csr_cache_hits", "csr_cache_misses", "ctx_cache_hits", "ctx_cache_misses",
+             "noop_updates_skipped")
     return {
-        "csr_cache_hits": r.csr_cache_hits,
-        "csr_cache_misses": r.csr_cache_misses,
-        "ctx_cache_hits": r.ctx_cache_hits,
-        "ctx_cache_misses": r.ctx_cache_misses,
-        "noop_updates_skipped": r.noop_updates_skipped,
+        **{name: r.totals.count(name) for name in reuse},
         "csr_cache_hit_rate": round(r.csr_cache_hit_rate, 4),
         "reuse_rate": round(r.reuse_rate, 4),
     }

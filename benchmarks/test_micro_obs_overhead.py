@@ -1,17 +1,20 @@
-"""Gate: observability must add <2% to a training step.
+"""Gate: telemetry must add <2% to a training epoch.
 
-Two always-on costs are gated with the same projection methodology: the
-disabled (no-op) tracer that every hot path runs through, and the live
-latency histograms (``device.metrics``) that every timestamp, optimizer
-step, and kernel launch observes into.  A raw A/B epoch timing is too
-noisy to gate on in CI, so each gate is computed:
+There is one always-on cost — the default path of the telemetry spine
+(device totals + latency histograms; no tracer, no flight recorder) that
+every ``span`` / ``emit`` in the framework runs through — and so one gate.
+A raw A/B epoch timing is too noisy to gate on in CI, so the gate is
+computed:
 
-1. count the instrumentation call sites one real epoch executes
-   (spans + instants, from a kept-events tracer),
-2. measure the per-call cost of the disabled path in a tight loop,
+1. read the calls one real epoch makes from the always-on per-site totals
+   (intervals and events, a delta over the epoch),
+2. measure the per-call cost of the whole default path in a tight loop, for
+   each kind of row (an interval feeding a labelled histogram, a plain
+   interval, a five-attr event),
 3. assert ``calls x cost < 2% of the measured epoch wall time``.
 
-The A/B comparison is printed for the curious but not asserted.
+The enabled-tracer A/B comparison is printed for the curious but not
+asserted.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import time
 
 from repro.dataset import load_sx_mathoverflow
-from repro.obs.tracer import Tracer, current_tracer, use_tracer
+from repro.device import Device, current_device, use_device
+from repro.obs import SITES, Tracer, emit, span, use_tracer
 from repro.tensor import init
 from repro.train import STGraphLinkPredictor, STGraphTrainer, make_link_prediction_samples
 
@@ -36,53 +40,67 @@ def _build_trainer():
     return ds, trainer
 
 
-def _null_path_cost_seconds(iterations: int = 200_000) -> tuple[float, float]:
-    """Per-call seconds of the disabled span / instant paths."""
-    tracer = current_tracer()
-    assert not tracer.enabled  # the default NullTracer
-    start = time.perf_counter()
-    for _ in range(iterations):
-        with tracer.span("x", "cat", t=0):
-            pass
-    span_cost = (time.perf_counter() - start) / iterations
-    start = time.perf_counter()
-    for _ in range(iterations):
-        if tracer.enabled:
-            tracer.instant("x", "cat", t=0)
-    instant_cost = (time.perf_counter() - start) / iterations
-    return span_cost, instant_cost
+#: One representative call per kind of row, with the attrs its site passes:
+#: an interval feeding a labelled histogram, a plain interval, an event.
+_KINDS = {
+    "histogram span": lambda: span("train.timestamp", t=0, epoch=0, sequence=0, engine="default"),
+    "plain span": lambda: span("core.engine_forward", program="p", t=0),
+}
 
 
-def test_noop_tracer_overhead_under_2_percent():
+def _default_path_cost_seconds(iterations: int = 50_000) -> dict[str, float]:
+    """Per-call seconds of each kind of record with nothing installed."""
+    costs = {}
+    with use_device(Device(name="overhead")):  # keep the loops out of the run's totals
+        for kind, make in _KINDS.items():
+            start = time.perf_counter()
+            for _ in range(iterations):
+                with make():
+                    pass
+            costs[kind] = (time.perf_counter() - start) / iterations
+        start = time.perf_counter()
+        for _ in range(iterations):
+            emit("core.state_push", tag="x", t=0, bytes=0, total_bytes=0, depth=0)
+        costs["event"] = (time.perf_counter() - start) / iterations
+    return costs
+
+
+def _calls(totals) -> dict[str, int]:
+    """Calls per kind of record; events are the rows that carry no seconds."""
+    calls = dict.fromkeys((*_KINDS, "event"), 0)
+    for site, (n, seconds) in totals.site_totals.items():
+        kind = "event" if seconds == 0 else "histogram span" if SITES[site].hist else "plain span"
+        calls[kind] += n
+    return calls
+
+
+def test_default_telemetry_overhead_under_2_percent():
     ds, trainer = _build_trainer()
     trainer.train_epoch(ds.features)  # warm up: plan compile, caches
 
-    # 1. instrumentation call sites per epoch
-    counter = Tracer(name="count", keep_events=True)
-    with use_tracer(counter):
-        trainer.train_epoch(ds.features)
-    span_calls = sum(v["calls"] for v in counter.aggregate_by_name().values())
-    instant_calls = sum(1 for e in counter.events if e.dur is None)
-    assert span_calls > 0
+    # 1. calls per epoch, from the always-on per-site totals
+    totals = current_device().totals
+    before = _calls(totals.read())
+    trainer.train_epoch(ds.features)
+    calls = {kind: n - before[kind] for kind, n in _calls(totals.read()).items()}
+    assert all(n > 0 for n in calls.values()), calls
 
-    # 2. per-call cost of the disabled path
-    span_cost, instant_cost = _null_path_cost_seconds()
+    # 2. per-call cost of the whole default path
+    costs = _default_path_cost_seconds()
 
-    # 3. the gate, against the untraced epoch time
-    epoch_seconds = min(
-        _timed_epoch(trainer, ds) for _ in range(3)
-    )
-    projected = span_calls * span_cost + instant_calls * instant_cost
+    # 3. the gate, against the measured epoch time
+    epoch_seconds = min(_timed_epoch(trainer, ds) for _ in range(3))
+    projected = sum(calls[kind] * costs[kind] for kind in calls)
     overhead_frac = projected / epoch_seconds
     print(
-        f"\nno-op tracer: {span_calls} spans x {span_cost * 1e9:.0f}ns "
-        f"+ {instant_calls} instants x {instant_cost * 1e9:.0f}ns "
-        f"= {projected * 1e6:.1f}us projected over a {epoch_seconds * 1e3:.1f}ms epoch "
+        "\ndefault telemetry: "
+        + " + ".join(f"{calls[k]} {k}s x {costs[k] * 1e9:.0f}ns" for k in calls)
+        + f" = {projected * 1e6:.1f}us projected over a {epoch_seconds * 1e3:.1f}ms epoch "
         f"({100 * overhead_frac:.3f}%)"
     )
     assert overhead_frac < 0.02, (
-        f"no-op tracer projects {100 * overhead_frac:.2f}% overhead "
-        f"(gate: 2%); the NullTracer fast path has regressed"
+        f"the spine's default path projects {100 * overhead_frac:.2f}% overhead "
+        f"(gate: 2%); span()/emit() have regressed"
     )
 
 
@@ -92,69 +110,12 @@ def _timed_epoch(trainer, ds) -> float:
     return time.perf_counter() - start
 
 
-def test_histogram_observation_overhead_under_2_percent():
-    """Gate: the always-on latency histograms must add <2% to an epoch.
-
-    Unlike the tracer, ``device.metrics`` is enabled by default — every
-    timestamp, optimizer step, kernel launch, and graph advance pays one
-    ``perf_counter`` pair plus one ``Histogram.observe``.  Same
-    methodology as the tracer gate: count the observations one epoch makes
-    (from the live registry's ``_count`` totals), measure the per-observe
-    cost in a tight loop, and assert the projection stays under 2%.
-    """
-    from repro.device import current_device
-    from repro.obs.metrics import Histogram
-
-    ds, trainer = _build_trainer()
-    trainer.train_epoch(ds.features)  # warm up: plan compile, caches
-
-    # 1. histogram observations per epoch, from the registry deltas
-    metrics = current_device().metrics
-
-    def _total_observations() -> int:
-        total = 0
-        for family in metrics.families():
-            if family.kind != "histogram":
-                continue
-            for _, child in family.child_items():
-                total += child.count
-        return total
-
-    before = _total_observations()
-    trainer.train_epoch(ds.features)
-    observations = _total_observations() - before
-    assert observations > 0, "histograms-enabled path recorded nothing"
-
-    # 2. per-call cost: perf_counter pair + observe (the full hot-path shape)
-    hist = Histogram()
-    iterations = 200_000
-    start = time.perf_counter()
-    for _ in range(iterations):
-        t0 = time.perf_counter()
-        hist.observe(time.perf_counter() - t0)
-    observe_cost = (time.perf_counter() - start) / iterations
-
-    # 3. the gate, against the measured epoch time
-    epoch_seconds = min(_timed_epoch(trainer, ds) for _ in range(3))
-    projected = observations * observe_cost
-    overhead_frac = projected / epoch_seconds
-    print(
-        f"\nhistograms: {observations} observes x {observe_cost * 1e9:.0f}ns "
-        f"= {projected * 1e6:.1f}us projected over a {epoch_seconds * 1e3:.1f}ms epoch "
-        f"({100 * overhead_frac:.3f}%)"
-    )
-    assert overhead_frac < 0.02, (
-        f"live histograms project {100 * overhead_frac:.2f}% overhead "
-        f"(gate: 2%); the observe() hot path has regressed"
-    )
-
-
 def test_enabled_tracer_ab_comparison_informational():
     """Print (don't gate) the measured cost of a *enabled* tracer epoch."""
     ds, trainer = _build_trainer()
     trainer.train_epoch(ds.features)  # warm up
     plain = min(_timed_epoch(trainer, ds) for _ in range(2))
-    with use_tracer(Tracer(name="ab", keep_events=True)):
+    with use_tracer(Tracer(name="ab")):
         traced = min(_timed_epoch(trainer, ds) for _ in range(2))
     print(
         f"\nepoch: {plain * 1e3:.1f}ms untraced vs {traced * 1e3:.1f}ms traced "

@@ -76,20 +76,19 @@ def test_same_version_queries_are_pure_reuse(setup, fresh_device):
     dtdg, feats = setup
     model = STGraphNodeRegressor(F, HIDDEN)
     engine = InferenceEngine(model, GPMAGraph(dtdg), feats)
-    profiler = fresh_device.profiler
+    counters = lambda: fresh_device.totals.read().counters()  # noqa: E731
     with engine:
         engine.query(0)  # warm
         before = {
-            "csr_cache_misses": profiler.counter("csr_cache_misses"),
-            "cache_fault_rebuilds": profiler.counter("cache_fault_rebuilds"),
+            **counters(),
             "ctx_cache_misses": engine._executor.ctx_cache_misses,
             "forwards": engine.forwards,
         }
         for v in range(200):
             engine.query(v % N)
         stats = engine.stats()
-    assert profiler.counter("csr_cache_misses") == before["csr_cache_misses"]
-    assert profiler.counter("cache_fault_rebuilds") == before["cache_fault_rebuilds"]
+    assert counters()["csr_cache_misses"] == before["csr_cache_misses"]
+    assert counters()["cache_fault_rebuilds"] == before["cache_fault_rebuilds"]
     assert engine._executor.ctx_cache_misses == before["ctx_cache_misses"]
     assert stats["forwards"] == before["forwards"]
     assert stats["row_cache_hits"] == 200

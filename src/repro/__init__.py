@@ -8,7 +8,7 @@ GPU required; see DESIGN.md for the substitution table):
 
 ==========================  ==================================================
 ``repro.device``            simulated accelerator: tracked allocator, kernel
-                            launcher, phase profiler
+                            launcher, telemetry totals
 ``repro.tensor``            reverse-mode autodiff engine (the PyTorch stand-in)
 ``repro.compiler``          the Seastar vertex-centric compiler: trace → IR →
                             autodiff → passes → generated kernels

@@ -25,7 +25,7 @@ Violations are recorded on the sanitizer (``.violations``) and as a
 flight-recorder event (kind ``"tsan"``); in ``strict`` mode they raise
 :class:`LockOrderViolation` at the offending call site.
 
-Activation mirrors the tracer/device/fault-injector pattern
+Activation mirrors the device/fault-injector pattern
 (:mod:`repro.util.ctxstack`): the default is a :class:`NullSanitizer`
 whose factories return the **raw** ``threading`` primitives — the
 disabled-path overhead is exactly zero because nothing is wrapped.
@@ -319,11 +319,9 @@ class LockOrderSanitizer:
             self.violations.append(record)
         # The flight recorder is the incident-response channel: a violation
         # lands in the ring even when the run carries on.
-        from repro.obs.flight import current_flight_recorder
+        from repro.obs.spine import emit  # here: the spine's locks come from this module
 
-        current_flight_recorder().record("tsan", kind, **{
-            k: v for k, v in record.items() if k != "kind"
-        })
+        emit("analysis.tsan_violation", violation=kind, message=message, thread=record["thread"], **details)
         if self.strict:
             raise LockOrderViolation(message, record)
 

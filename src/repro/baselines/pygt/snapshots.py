@@ -40,13 +40,12 @@ class SnapshotStore:
         alloc = current_device().alloc
         self.num_nodes = dtdg.num_nodes
         self.snapshots: list[Snapshot] = []
-        with current_device().profiler.phase("preprocess"):
-            for t in range(dtdg.num_timestamps):
-                src, dst = dtdg.snapshot_edges(t)
-                ei = alloc.adopt(
-                    np.ascontiguousarray(np.stack([src, dst])), tag="pygt.snapshot"
-                )
-                self.snapshots.append(Snapshot(ei))
+        for t in range(dtdg.num_timestamps):
+            src, dst = dtdg.snapshot_edges(t)
+            ei = alloc.adopt(
+                np.ascontiguousarray(np.stack([src, dst])), tag="pygt.snapshot"
+            )
+            self.snapshots.append(Snapshot(ei))
 
     def __len__(self) -> int:
         return len(self.snapshots)

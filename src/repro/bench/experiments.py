@@ -25,7 +25,6 @@ from typing import Callable
 from repro.bench.measure import RunResult, run_dynamic_experiment, run_static_experiment
 from repro.bench.report import ascii_series, format_fig9_table, format_table, improvement
 from repro.dataset import DYNAMIC_DATASETS, STATIC_DATASETS
-from repro.obs.tracer import Tracer
 
 __all__ = [
     "static_scale",
@@ -242,24 +241,21 @@ def fig9_time_breakup(
 ) -> tuple[list[RunResult], str]:
     """Figure 9: GNN vs graph-update share of STGraph-GPMA's time.
 
-    Each cell trains under an aggregation-only :class:`Tracer`
-    (``keep_events=False``: no per-event retention) and the table is
-    rendered by :func:`repro.bench.report.format_fig9_table` from the span
-    self-time aggregates — the same attribution the Chrome trace of a
-    ``--trace`` run shows, through one shared code path.
+    No tracer is installed: the table is rendered by
+    :func:`repro.bench.report.format_fig9_table` from each cell's device
+    totals (self time per category) — the same records, hence the same
+    attribution, the Chrome trace of a ``--trace`` run shows.
     """
     datasets = datasets or DYNAMIC_DATASETS
     epochs = epochs or bench_epochs()
     scale = dynamic_scale() if scale is None else scale
-    results: list[RunResult] = []
-    for name, loader in datasets.items():
-        for fs in feature_sizes:
-            r = run_dynamic_experiment(
-                "gpma", loader, feature_size=fs, scale=scale, epochs=epochs,
-                engine=bench_engine(),
-                tracer=Tracer(name=f"fig9:{name}:F{fs}", keep_events=False),
-            )
-            results.append(r)
+    results = [
+        run_dynamic_experiment(
+            "gpma", loader, feature_size=fs, scale=scale, epochs=epochs, engine=bench_engine(),
+        )
+        for loader in datasets.values()
+        for fs in feature_sizes
+    ]
     return results, format_fig9_table(results)
 
 

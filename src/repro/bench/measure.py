@@ -13,7 +13,8 @@ timing), and report:
 Every run executes inside a fresh :class:`~repro.device.Device` so
 measurements never bleed across configurations, and both frameworks draw
 identical initial weights (seeded initializer) so loss trajectories are
-comparable.
+comparable.  The time split and the reuse counters are one read of that
+device's always-on totals (``device.totals.read()``): no tracer is needed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.device import Device, use_device
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.spine import Totals
 from repro.tensor import init
 
 __all__ = ["RunResult", "run_static_experiment", "run_dynamic_experiment"]
@@ -38,36 +39,17 @@ class RunResult:
     per_epoch_seconds: float = 0.0
     peak_memory_bytes: int = 0
     final_loss: float = 0.0
-    gnn_seconds: float = 0.0
-    graph_update_seconds: float = 0.0
-    compile_seconds: float = 0.0
-    # Snapshot/context reuse counters (zero for systems without them).
-    csr_cache_hits: int = 0
-    csr_cache_misses: int = 0
-    noop_updates_skipped: int = 0
-    ctx_cache_hits: int = 0
-    ctx_cache_misses: int = 0
     # Execution-engine ablation: empty string = the executor default (kernel).
     engine: str = ""
-    #: per-category span self-seconds (``Tracer.aggregate_by_cat``) when the
-    #: run executed under a tracer; empty otherwise.
-    span_seconds: dict = field(default_factory=dict)
+    #: the run device's totals: self seconds per category (``gnn``,
+    #: ``graph_update``, ``compile``, ...) and the snapshot/context reuse
+    #: counters (zero for systems without them)
+    totals: Totals = field(default_factory=Totals)
 
     def time_split(self) -> tuple[float, float]:
-        """(gnn_seconds, graph_update_seconds) for the Figure 9 breakup.
-
-        One code path: span aggregates when the run was traced — the same
-        self-time attribution the Chrome trace shows — falling back to the
-        profiler's phase timers for untraced runs.  The two agree (see
-        ``tests/test_obs_tracing.py``'s consistency test) because the spans
-        wrap exactly the profiler's ``gnn``/``graph_update`` phase regions.
-        """
-        if self.span_seconds:
-            return (
-                self.span_seconds.get("gnn", 0.0),
-                self.span_seconds.get("graph_update", 0.0),
-            )
-        return self.gnn_seconds, self.graph_update_seconds
+        """(gnn seconds, graph-update seconds) for the Figure 9 breakup:
+        the two categories' self time, the attribution a trace shows."""
+        return self.totals.seconds("gnn"), self.totals.seconds("graph_update")
 
     @property
     def graph_update_fraction(self) -> float:
@@ -82,14 +64,16 @@ class RunResult:
         Zero for runs whose plans were already warm in the process-wide
         plan cache — the compile-once/run-every-timestamp amortization.
         """
-        denom = self.gnn_seconds + self.graph_update_seconds + self.compile_seconds
-        return self.compile_seconds / denom if denom > 0 else 0.0
+        compile_seconds = self.totals.seconds("compile")
+        denom = sum(self.time_split()) + compile_seconds
+        return compile_seconds / denom if denom > 0 else 0.0
 
     @property
     def csr_cache_hit_rate(self) -> float:
         """Fraction of CSR-level positionings served by the graph's installed build."""
-        denom = self.csr_cache_hits + self.csr_cache_misses
-        return self.csr_cache_hits / denom if denom > 0 else 0.0
+        hits = self.totals.count("csr_cache_hits")
+        denom = hits + self.totals.count("csr_cache_misses")
+        return hits / denom if denom > 0 else 0.0
 
     @property
     def reuse_rate(self) -> float:
@@ -100,8 +84,8 @@ class RunResult:
         build, or a full rebuild.  A context miss triggers exactly one
         CSR-level event, so the three counters partition the positionings.
         """
-        served = self.ctx_cache_hits + self.csr_cache_hits
-        denom = served + self.csr_cache_misses
+        served = self.totals.count("ctx_cache_hits") + self.totals.count("csr_cache_hits")
+        denom = served + self.totals.count("csr_cache_misses")
         return served / denom if denom > 0 else 0.0
 
     def row(self) -> dict:
@@ -119,26 +103,14 @@ class RunResult:
             "peak_MB": round(self.peak_memory_bytes / 1e6, 3),
             "loss": round(self.final_loss, 4),
             "update_frac": round(self.graph_update_fraction, 3),
-            "compile_s": round(self.compile_seconds, 5),
-            "csr_hits": self.csr_cache_hits,
-            "csr_misses": self.csr_cache_misses,
-            "noop_skipped": self.noop_updates_skipped,
+            "compile_s": round(self.totals.seconds("compile"), 5),
+            "csr_hits": self.totals.count("csr_cache_hits"),
+            "csr_misses": self.totals.count("csr_cache_misses"),
+            "noop_skipped": self.totals.count("noop_updates_skipped"),
         }
         if self.engine:
             row["engine"] = self.engine
         return row
-
-
-def _reuse_counters(device: Device) -> dict:
-    """The profiler's snapshot/context reuse counters as RunResult kwargs."""
-    p = device.profiler
-    return {
-        "csr_cache_hits": p.counter("csr_cache_hits"),
-        "csr_cache_misses": p.counter("csr_cache_misses"),
-        "noop_updates_skipped": p.counter("noop_updates_skipped"),
-        "ctx_cache_hits": p.counter("ctx_cache_hits"),
-        "ctx_cache_misses": p.counter("ctx_cache_misses"),
-    }
 
 
 def run_static_experiment(
@@ -153,16 +125,13 @@ def run_static_experiment(
     warmup: int = 1,
     weight_seed: int = 42,
     sort_by_degree: bool = True,
-    tracer: Tracer | None = None,
     engine: str | None = None,
 ) -> RunResult:
     """One cell of Figure 5/6: ``system`` ∈ {"stgraph", "pygt"}.
 
-    Passing ``tracer`` runs the whole training under it and fills
-    :attr:`RunResult.span_seconds` with its per-category self-time aggregate.
     ``engine`` selects the STGraph execution engine ("kernel",
-    "interpreter", "compiled"); ignored for the PyG-T baseline.  All
-    engines are bitwise-identical, so only wall clock moves.
+    "interpreter"); ignored for the PyG-T baseline.  All engines are
+    bitwise-identical, so only wall clock moves.
     """
     from repro.train.models import PyGTNodeRegressor, STGraphNodeRegressor
     from repro.train.trainer import BaselineTrainer, STGraphTrainer
@@ -188,8 +157,7 @@ def run_static_experiment(
             model = PyGTNodeRegressor(feature_size, hidden)
             signal = ds.to_pygt_signal()
             trainer = BaselineTrainer(model, signal.edge_index, sequence_length=sequence_length)
-        with use_tracer(tracer):
-            losses = trainer.train(ds.features, ds.targets, epochs=epochs, warmup=warmup)
+        losses = trainer.train(ds.features, ds.targets, epochs=epochs, warmup=warmup)
         return RunResult(
             system=system,
             dataset=ds.name,
@@ -198,11 +166,7 @@ def run_static_experiment(
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,
             final_loss=losses[-1],
-            gnn_seconds=device.profiler.seconds("gnn"),
-            graph_update_seconds=device.profiler.seconds("graph_update"),
-            compile_seconds=device.profiler.seconds("compile"),
-            span_seconds=dict(tracer.aggregate_by_cat()) if tracer is not None else {},
-            **_reuse_counters(device),
+            totals=device.totals.read(),
         )
 
 
@@ -222,13 +186,10 @@ def run_dynamic_experiment(
     sort_by_degree: bool = True,
     gpma_cache: bool = True,
     csr_cache: bool = True,
-    tracer: Tracer | None = None,
     engine: str | None = None,
 ) -> RunResult:
     """One cell of Figure 7/8/9: ``system`` ∈ {"naive", "gpma", "pygt"}.
 
-    Passing ``tracer`` runs the whole training under it and fills
-    :attr:`RunResult.span_seconds` with its per-category self-time aggregate.
     ``engine`` selects the STGraph execution engine ("kernel",
     "interpreter"); ignored for the PyG-T baseline.
     """
@@ -281,8 +242,7 @@ def run_dynamic_experiment(
                 link_samples=samples,
                 engine=engine,
             )
-        with use_tracer(tracer):
-            losses = trainer.train(ds.features, targets=None, epochs=epochs, warmup=warmup)
+        losses = trainer.train(ds.features, targets=None, epochs=epochs, warmup=warmup)
         return RunResult(
             system=system,
             dataset=ds.name,
@@ -291,9 +251,5 @@ def run_dynamic_experiment(
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,
             final_loss=losses[-1],
-            gnn_seconds=device.profiler.seconds("gnn"),
-            graph_update_seconds=device.profiler.seconds("graph_update"),
-            compile_seconds=device.profiler.seconds("compile"),
-            span_seconds=dict(tracer.aggregate_by_cat()) if tracer is not None else {},
-            **_reuse_counters(device),
+            totals=device.totals.read(),
         )

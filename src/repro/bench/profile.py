@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.bench.report import format_table
 from repro.device import Device, use_device
+from repro.obs.spine import Totals
 
 __all__ = ["ProfileReport", "profile_training"]
 
@@ -21,59 +22,47 @@ class ProfileReport:
     """Phase/stack/memory summary of one profiled training run."""
     epochs: int
     total_seconds: float
-    gnn_seconds: float
-    graph_update_seconds: float
-    preprocess_seconds: float
     peak_memory_bytes: int
     state_stack_peak_depth: int
     state_stack_peak_bytes: int
     graph_stack_peak_depth: int
-    kernel_launches: int
     final_loss: float
-    compile_seconds: float = 0.0
-    csr_cache_hits: int = 0
-    csr_cache_misses: int = 0
-    noop_updates_skipped: int = 0
-    ctx_cache_hits: int = 0
-    ctx_cache_misses: int = 0
+    #: the profiled device's totals: self seconds per phase, reuse
+    #: counters, kernel launches
+    totals: Totals
 
     @property
     def other_seconds(self) -> float:
         """Wall time outside the compile/gnn/update/preprocess phases."""
-        return max(
-            0.0,
-            self.total_seconds
-            - self.compile_seconds
-            - self.gnn_seconds
-            - self.graph_update_seconds
-            - self.preprocess_seconds,
-        )
+        return max(0.0, self.total_seconds - sum(self.totals.phase_seconds().values()))
 
     def render(self) -> str:
         """ASCII table plus a one-line memory/stack summary."""
-        def pct(x: float) -> str:
-            return f"{100 * x / self.total_seconds:.1f}%" if self.total_seconds else "-"
+        def row(phase: str, seconds: float) -> dict:
+            share = f"{100 * seconds / self.total_seconds:.1f}%" if self.total_seconds else "-"
+            return {"phase": phase, "seconds": round(seconds, 4), "share": share}
 
+        totals = self.totals
         rows = [
-            {"phase": "plan compilation", "seconds": round(self.compile_seconds, 4), "share": pct(self.compile_seconds)},
-            {"phase": "gnn kernels", "seconds": round(self.gnn_seconds, 4), "share": pct(self.gnn_seconds)},
-            {"phase": "graph updates", "seconds": round(self.graph_update_seconds, 4), "share": pct(self.graph_update_seconds)},
-            {"phase": "preprocessing", "seconds": round(self.preprocess_seconds, 4), "share": pct(self.preprocess_seconds)},
-            {"phase": "other (optimizer, losses, host)", "seconds": round(self.other_seconds, 4), "share": pct(self.other_seconds)},
+            row("plan compilation", totals.seconds("compile")),
+            row("gnn kernels", totals.seconds("gnn")),
+            row("graph updates", totals.seconds("graph_update")),
+            row("preprocessing", totals.seconds("preprocess")),
+            row("other (optimizer, losses, host)", self.other_seconds),
         ]
         extra = (
             f"peak memory: {self.peak_memory_bytes / 1e6:.2f} MB | "
-            f"kernel launches: {self.kernel_launches} | "
+            f"kernel launches: {totals.calls('device.kernel_launch')} | "
             f"state stack: depth {self.state_stack_peak_depth}, "
             f"{self.state_stack_peak_bytes / 1e3:.1f} KB peak | "
             f"graph stack: depth {self.graph_stack_peak_depth} | "
             f"final loss: {self.final_loss:.4f}"
         )
         reuse = (
-            f"snapshot reuse: csr cache {self.csr_cache_hits} hit / "
-            f"{self.csr_cache_misses} miss | ctx cache {self.ctx_cache_hits} hit / "
-            f"{self.ctx_cache_misses} miss | "
-            f"noop updates skipped: {self.noop_updates_skipped}"
+            f"snapshot reuse: csr cache {totals.count('csr_cache_hits')} hit / "
+            f"{totals.count('csr_cache_misses')} miss | ctx cache "
+            f"{totals.count('ctx_cache_hits')} hit / {totals.count('ctx_cache_misses')} miss | "
+            f"noop updates skipped: {totals.count('noop_updates_skipped')}"
         )
         return (
             format_table(rows, title=f"Profile ({self.epochs} epochs, {self.total_seconds:.3f}s)")
@@ -104,19 +93,10 @@ def profile_training(build_trainer, features, targets=None, epochs: int = 3) -> 
         return ProfileReport(
             epochs=epochs,
             total_seconds=total,
-            gnn_seconds=device.profiler.seconds("gnn"),
-            graph_update_seconds=device.profiler.seconds("graph_update"),
-            preprocess_seconds=device.profiler.seconds("preprocess"),
             peak_memory_bytes=device.tracker.peak_bytes,
             state_stack_peak_depth=stats["state_stack_peak_depth"],
             state_stack_peak_bytes=stats["state_stack_peak_bytes"],
             graph_stack_peak_depth=stats["graph_stack_peak_depth"],
-            kernel_launches=device.launcher.launch_count,
             final_loss=loss,
-            compile_seconds=device.profiler.seconds("compile"),
-            csr_cache_hits=device.profiler.counter("csr_cache_hits"),
-            csr_cache_misses=device.profiler.counter("csr_cache_misses"),
-            noop_updates_skipped=device.profiler.counter("noop_updates_skipped"),
-            ctx_cache_hits=device.profiler.counter("ctx_cache_hits"),
-            ctx_cache_misses=device.profiler.counter("ctx_cache_misses"),
+            totals=device.totals.read(),
         )

@@ -8,7 +8,6 @@ __all__ = [
     "format_table",
     "format_phase_breakdown",
     "format_reuse_counters",
-    "format_span_aggregates",
     "fig9_rows",
     "format_fig9_table",
     "ascii_series",
@@ -37,9 +36,9 @@ def format_table(rows: Sequence[Mapping], headers: Sequence[str] | None = None, 
 def format_phase_breakdown(
     phase_seconds: Mapping[str, float], title: str = "Phase breakdown"
 ) -> str:
-    """Render a profiler's per-phase seconds as a share table.
+    """Render per-phase seconds as a share table.
 
-    Pairs with :meth:`repro.device.profiler.Profiler.phase_seconds`; the
+    Pairs with :meth:`repro.obs.spine.Totals.phase_seconds`; the
     ``compile`` row shows the one-time plan-compilation cost amortized by
     the plan cache (zero when every plan was already warm).
     """
@@ -58,9 +57,9 @@ def format_phase_breakdown(
 def format_reuse_counters(
     counters: Mapping[str, int], title: str = "Snapshot reuse"
 ) -> str:
-    """Render the profiler's reuse counters with hit rates.
+    """Render the reuse counters with hit rates.
 
-    Pairs with :meth:`repro.device.profiler.Profiler.counters`; the
+    Pairs with :meth:`repro.obs.spine.Totals.counters`; the
     ``csr_cache`` row shows how many snapshot positionings were served by
     the graph's installed build instead of re-running Algorithm 3, the
     ``ctx_cache`` row the executor-level GraphContext reuse, and
@@ -93,35 +92,11 @@ def format_reuse_counters(
     return table + f"\nnoop updates skipped: {counters.get('noop_updates_skipped', 0)}"
 
 
-def format_span_aggregates(tracer, title: str = "Span aggregates") -> str:
-    """Render a tracer's per-name inclusive times as a call-count table.
-
-    Pairs with :meth:`repro.obs.tracer.Tracer.aggregate_by_name`; the
-    complementary per-category *self*-time view is what
-    :func:`format_phase_breakdown` renders when fed
-    :meth:`~repro.obs.tracer.Tracer.aggregate_by_cat`.
-    """
-    rows = [
-        {
-            "span": name,
-            "calls": info["calls"],
-            "seconds": round(info["seconds"], 5),
-            "mean_us": round(1e6 * info["seconds"] / info["calls"], 1),
-        }
-        for name, info in sorted(
-            tracer.aggregate_by_name().items(), key=lambda kv: -kv[1]["seconds"]
-        )
-    ]
-    return format_table(rows, title=title)
-
-
 def fig9_rows(results: Sequence) -> list[dict]:
     """Figure 9 table rows from a list of :class:`RunResult`.
 
-    The GNN vs graph-update split comes from one code path —
-    ``RunResult.time_split()``, i.e. the tracer's per-category span
-    self-time aggregate for traced runs — rather than a second,
-    separately-maintained summation of profiler phases.
+    The GNN vs graph-update split is ``RunResult.time_split()``: the two
+    categories' self time in the run device's totals, traced or not.
 
     When any run carries an explicit execution-engine selection the rows
     gain an ``engine`` column, so engine-ablation tables stay
@@ -145,7 +120,7 @@ def fig9_rows(results: Sequence) -> list[dict]:
             # build) vs fully rebuilt, and empty update batches that
             # never dirtied the snapshot.
             "reuse_%": round(100 * r.reuse_rate, 1),
-            "noop_skipped": r.noop_updates_skipped,
+            "noop_skipped": r.totals.count("noop_updates_skipped"),
         }
         if with_engine:
             row["engine"] = getattr(r, "engine", "") or "kernel"

@@ -177,13 +177,13 @@ def _write_trace_artifacts(
     chrome = write_chrome_trace(tracer, base + ".json")
     jsonl = write_jsonl(tracer.events, base + ".events.jsonl")
     manifest = build_run_manifest(
-        device, tracer=tracer, graph=graph,
+        device, graph=graph,
         run_name=tracer.name, command=command,
         system=system, dataset=dataset, results=results,
         resumed_from=resumed_from,
     )
     manifest_path = manifest.write(base + ".manifest.json")
-    prom = write_prometheus(device, base + ".metrics.prom", tracer)
+    prom = write_prometheus(device, base + ".metrics.prom")
     print(f"chrome trace:  {chrome}")
     print(f"event log:     {jsonl}")
     print(f"run manifest:  {manifest_path}")
@@ -202,7 +202,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     from repro.dataset import DYNAMIC_DATASETS, STATIC_DATASETS
     from repro.device import Device, use_device
-    from repro.obs.tracer import Tracer, use_tracer
+    from repro.obs import Tracer, use_tracer
     from repro.tensor import init
     from repro.train import (
         BaselineTrainer,
@@ -234,7 +234,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     recorder = None
     flight_ctx = contextlib.nullcontext()
     if flight_path is not None:
-        from repro.obs.flight import FlightRecorder, use_flight_recorder
+        from repro.obs import FlightRecorder, use_flight_recorder
 
         recorder = FlightRecorder(path=flight_path)
         flight_ctx = use_flight_recorder(recorder)
@@ -309,8 +309,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"loss: {losses[0]:.4f} -> {losses[-1]:.4f} over {args.epochs} epochs")
         print(f"per-epoch time: {trainer.mean_epoch_time * 1e3:.1f} ms")
         print(f"peak device memory: {device.tracker.peak_bytes / 1e6:.2f} MB")
-        gnn = device.profiler.seconds("gnn")
-        upd = device.profiler.seconds("graph_update")
+        totals = device.totals.read()
+        gnn, upd = totals.seconds("gnn"), totals.seconds("graph_update")
         if gnn + upd > 0:
             print(f"time split: gnn {100 * gnn / (gnn + upd):.1f}% / updates {100 * upd / (gnn + upd):.1f}%")
         if tracer is not None:
@@ -334,7 +334,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.obs.tracer import Tracer
+    from repro.obs import Tracer
     from repro.resilience import FaultPlan, NAMED_PLANS, named_plan, run_chaos
 
     if args.plan in NAMED_PLANS:
@@ -384,7 +384,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
     from repro.device import current_device
-    from repro.obs.tracer import Tracer, use_tracer
+    from repro.obs import Tracer, use_tracer
 
     engine = _resolve_engine(getattr(args, "engine", None))
     if engine is not None:

@@ -20,8 +20,8 @@ the compile-time half of that split:
   per process.
 
 All pipeline work (lower → autodiff → passes → codegen → kernel compile)
-runs under the device profiler's ``"compile"`` phase, so compile cost is
-measurable and visibly amortized in Figure-9-style breakdowns.
+is one ``compiler.plan_build`` interval (category ``compile``), so compile
+cost is measurable and visibly amortized in Figure-9-style breakdowns.
 
 Every build also runs the compiler verifier (:mod:`repro.compiler.verify`)
 before codegen: stage-algebra, SSA, gradient-completeness, ``F_b ⊆ F_f``
@@ -53,8 +53,8 @@ from repro.compiler.passes import SavedAnalysis, cse, dce, saved_analysis
 from repro.compiler.symbols import TraceResult, Vertex, trace
 from repro.compiler.tir import TOp, TProgram
 from repro.compiler.verify import run_verifier, verification_enabled
-from repro.device import current_device
 from repro.device.kernel import CompiledKernel
+from repro.obs.spine import emit, span
 
 __all__ = [
     "ProgramPlan",
@@ -284,14 +284,11 @@ def _build_plan(
 
 
 def _emit_lint_warnings(lint: LintReport) -> None:
-    """Surface verifier warnings on the active tracer as instant events."""
-    from repro.obs.tracer import current_tracer
-
-    tracer = current_tracer()
+    """Surface verifier warnings as ``compiler.lint_warning`` events."""
     for diag in lint.warnings:
-        tracer.instant(
-            f"lint:{diag.code}",
-            cat="verify",
+        emit(
+            "compiler.lint_warning",
+            code=diag.code,
             program=diag.program or lint.subject,
             message=diag.message,
             where=diag.where,
@@ -303,8 +300,8 @@ class PlanCache:
 
     A *hit* returns the cached plan after nothing more than a re-trace (the
     trace is how the structural key is computed; it is symbolic and cheap).
-    A *miss* runs the full pipeline under the device profiler's ``"compile"``
-    phase.  Thread-safe; the lock is held across builds so concurrent
+    A *miss* runs the full pipeline as one ``compiler.plan_build`` interval
+    (category ``compile``).  Thread-safe; the lock is held across builds so concurrent
     requests for the same key compile once.
     """
 
@@ -344,7 +341,7 @@ class PlanCache:
                 self.hits += 1
                 return plan
             self.misses += 1
-            with current_device().profiler.phase("compile"):
+            with span("compiler.plan_build", program=name):
                 plan = _build_plan(
                     traced,
                     key,

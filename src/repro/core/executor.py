@@ -27,10 +27,12 @@ exposes); ``ctx_cache_size`` is its one capacity and the graph's
 ``enable_csr_cache`` its one on/off flag.  See ``docs/EXECUTOR.md`` for the
 lifecycle rules.
 
-GNN processing time (kernel launches) is attributed to the ``"gnn"``
-profiler phase; everything the graph object does is attributed to
-``"graph_update"`` inside the graph implementations, giving Figure 9 its
-two-way split.
+Every instrumented step here is one call into the telemetry spine
+(:mod:`repro.obs.spine`): positioning (``core.begin_timestamp`` /
+``core.begin_inference`` / ``core.backward_context``) and context
+preparation (``compiler.context``) are ``graph_update`` intervals, the
+aggregations in ``repro.core.module`` are ``gnn`` intervals, and the device
+totals of those two categories are Figure 9's two-way split.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ import numpy as np
 from repro.compiler.runtime import GraphContext
 from repro.core.engine import ExecutionEngine, get_engine
 from repro.core.stacks import GraphStack, StateStack
-from repro.device import current_device
 from repro.graph.base import STGraphBase
-from repro.obs.flight import current_flight_recorder
-from repro.obs.tracer import current_tracer
+from repro.obs.spine import emit, span
 
 __all__ = ["TemporalExecutor"]
 
@@ -104,22 +104,21 @@ class TemporalExecutor:
         batches reuse the previous timestamp's — replacing the old blind
         ``_bwd_ctx`` invalidation on every ``begin_timestamp``.
         """
-        profiler = current_device().profiler
         if self._ctx_cache_enabled:
             key = self.graph.snapshot_key()
             ctx = self._ctx_cache.get(key)
             if ctx is not None:
                 self._ctx_cache.move_to_end(key)
                 self.ctx_cache_hits += 1
-                profiler.count("ctx_cache_hits")
+                emit("core.ctx_cache_hit")
                 return ctx
         # Context preparation (CSR views, label permutations) is structural
         # work — part of the snapshot cost Figure 9 bills to graph updates.
-        with profiler.phase("graph_update"):
+        with span("compiler.context"):
             ctx = GraphContext(self.graph)
         if self._ctx_cache_enabled:
             self.ctx_cache_misses += 1
-            profiler.count("ctx_cache_misses")
+            emit("core.ctx_cache_miss")
             self._ctx_cache[ctx.snapshot_key] = ctx
             while len(self._ctx_cache) > self.ctx_cache_size:
                 self._ctx_cache.popitem(last=False)
@@ -138,7 +137,7 @@ class TemporalExecutor:
             self._fwd_t = t
             self._fwd_ctx = self._static_ctx
             return self._fwd_ctx
-        with current_tracer().span("graph_update", "graph_update", t=t, dir="fwd"):
+        with span("core.begin_timestamp", t=t):
             self.graph.get_graph(t)
             self.graph_stack.push(t)
             self._fwd_t = t
@@ -169,7 +168,7 @@ class TemporalExecutor:
             self._fwd_t = t
             self._fwd_ctx = self._static_ctx
             return self._fwd_ctx
-        with current_tracer().span("graph_update", "graph_update", t=t, dir="infer"):
+        with span("core.begin_inference", t=t):
             self.graph.get_graph(t)
             self._fwd_t = t
             self._fwd_ctx = self._context_for_current()
@@ -204,28 +203,24 @@ class TemporalExecutor:
         """Push one aggregation's pruned saved state for the current timestamp."""
         assert self._fwd_t is not None, "push_state outside a timestamp"
         token = self.state_stack.push(self._fwd_t, saved, tag)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "state_stack.push", "stack",
-                tag=tag, t=self._fwd_t,
-                bytes=self.state_stack.last_push_bytes,
-                total_bytes=self.state_stack.current_bytes(),
-                depth=len(self.state_stack),
-            )
+        emit(
+            "core.state_push",
+            tag=tag, t=self._fwd_t,
+            bytes=self.state_stack.last_push_bytes,
+            total_bytes=self.state_stack.current_bytes(),
+            depth=len(self.state_stack),
+        )
         return token
 
     def pop_state(self, token: int) -> dict[str, np.ndarray]:
         """Pop a saved-state entry by its token (LIFO-checked)."""
         saved = self.state_stack.pop(token)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "state_stack.pop", "stack",
-                bytes=self.state_stack.last_pop_bytes,
-                total_bytes=self.state_stack.current_bytes(),
-                depth=len(self.state_stack),
-            )
+        emit(
+            "core.state_pop",
+            bytes=self.state_stack.last_pop_bytes,
+            total_bytes=self.state_stack.current_bytes(),
+            depth=len(self.state_stack),
+        )
         return saved
 
     # ------------------------------------------------------------------
@@ -245,7 +240,7 @@ class TemporalExecutor:
             return self._static_ctx
         if self._bwd_t == t and self._bwd_ctx is not None:
             return self._bwd_ctx
-        with current_tracer().span("graph_update", "graph_update", t=t, dir="bwd"):
+        with span("core.backward_context", t=t):
             popped = self.graph_stack.pop()
             if popped != t:
                 raise RuntimeError(
@@ -294,22 +289,9 @@ class TemporalExecutor:
         dropped_graph = len(self.graph_stack)
         self.reset()
         self.sequence_aborts += 1
-        current_device().profiler.count("sequence_aborts")
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "executor.abort_sequence", "fault",
-                dropped_state=dropped_state, dropped_graph=dropped_graph,
-            )
-        recorder = current_flight_recorder()
-        if recorder.enabled:
-            # A mid-sequence teardown is exactly the incident window the
-            # flight recorder exists for: dump the last-N-events ring.
-            recorder.record(
-                "span", "executor.abort_sequence",
-                dropped_state=dropped_state, dropped_graph=dropped_graph,
-            )
-            recorder.drain("abort_sequence")
+        # A mid-sequence teardown is exactly the incident window the flight
+        # recorder exists for: the site's table row drains the ring.
+        emit("core.abort_sequence", dropped_state=dropped_state, dropped_graph=dropped_graph)
 
     def check_drained(self) -> None:
         """Assert both stacks emptied — i.e. forward/backward were balanced."""

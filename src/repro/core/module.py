@@ -27,9 +27,7 @@ from repro.compiler.program import VertexProgram, compile_vertex_program
 from repro.compiler.runtime import GraphContext
 from repro.core.engine import ExecutionEngine, get_engine
 from repro.core.executor import TemporalExecutor
-from repro.device import current_device
-from repro.obs.flight import current_flight_recorder
-from repro.obs.tracer import current_tracer
+from repro.obs.spine import emit, span
 from repro.resilience.faults import InjectedKernelFault
 from repro.tensor import nn
 from repro.tensor.tensor import Tensor, is_grad_enabled
@@ -89,21 +87,8 @@ def _resilient_run(
     try:
         return call(engine), engine
     except InjectedKernelFault:
-        device = current_device()
-        tracer = current_tracer()
-        recorder = current_flight_recorder()
         executor.kernel_retries += 1
-        device.profiler.count("kernel_retries")
-        if tracer.enabled:
-            tracer.instant(
-                "fault.retry", "fault",
-                program=program.name, dir=direction, t=timestamp,
-            )
-        if recorder.enabled:
-            recorder.record(
-                "counter", "kernel_retry",
-                program=program.name, dir=direction, t=timestamp,
-            )
+        emit("core.kernel_retry", program=program.name, dir=direction, t=timestamp)
         try:
             result = call(engine)
         except InjectedKernelFault as exc:
@@ -112,22 +97,12 @@ def _resilient_run(
             while fallback.fallback is not None:
                 fallback = get_engine(fallback.fallback)
                 executor.engine_fallbacks += 1
-                device.profiler.count("engine_fallbacks")
-                if tracer.enabled:
-                    tracer.instant(
-                        "fault.engine_fallback", "fault",
-                        program=program.name, dir=direction, t=timestamp,
-                        engine=fallback.name,
-                    )
-                if recorder.enabled:
-                    # A ladder step is a failure edge worth a full window
-                    # dump: record the step, then drain the ring.
-                    recorder.record(
-                        "counter", "engine_fallback",
-                        program=program.name, dir=direction, t=timestamp,
-                        engine=fallback.name,
-                    )
-                    recorder.drain("engine_fallback")
+                # A ladder step is a failure edge worth a full window dump:
+                # the site's table row records the step, then drains the ring.
+                emit(
+                    "core.engine_fallback",
+                    program=program.name, dir=direction, t=timestamp, engine=fallback.name,
+                )
                 try:
                     return call(fallback), fallback
                 except InjectedKernelFault as exc:
@@ -166,19 +141,17 @@ class _GraphAggregationTape:
         self.engine = engine
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        device = current_device()
         ctx = self.executor.backward_context(self.timestamp)
         saved = self.executor.pop_state(self.token)
 
         def run_backward(engine: ExecutionEngine | None):
             return self.program.backward(ctx, grad, saved, engine=engine)
 
-        with current_tracer().span("backward/" + self.program.name, "gnn", t=self.timestamp):
-            with device.profiler.phase("gnn"):
-                grads, _ = _resilient_run(
-                    self.executor, self.program, self.engine, run_backward,
-                    direction="bwd", timestamp=self.timestamp,
-                )
+        with span("core.engine_backward", program=self.program.name, t=self.timestamp):
+            grads, _ = _resilient_run(
+                self.executor, self.program, self.engine, run_backward,
+                direction="bwd", timestamp=self.timestamp,
+            )
         return tuple(grads.get(name) for name, _kind in self.tensor_slots)
 
 
@@ -193,7 +166,6 @@ def graph_aggregate(
     Tensor-valued features participate in autodiff; ndarray-valued features
     (degree norms etc.) are structural constants.
     """
-    device = current_device()
     ctx: GraphContext = executor.current_context()
     timestamp = executor.current_timestamp
     assert timestamp is not None
@@ -221,12 +193,11 @@ def graph_aggregate(
     def run_forward(eng: ExecutionEngine | None):
         return program.forward(ctx, node_arrays, edge_arrays or None, engine=eng)
 
-    with current_tracer().span("forward/" + program.name, "gnn", t=timestamp):
-        with device.profiler.phase("gnn"):
-            (out_np, saved), engine = _resilient_run(
-                executor, program, engine, run_forward,
-                direction="fwd", timestamp=timestamp,
-            )
+    with span("core.engine_forward", program=program.name, t=timestamp):
+        (out_np, saved), engine = _resilient_run(
+            executor, program, engine, run_forward,
+            direction="fwd", timestamp=timestamp,
+        )
     out = Tensor(out_np)
 
     if is_grad_enabled() and any(t.requires_grad or t._ctx is not None for t in tensor_inputs):

@@ -1,7 +1,7 @@
 """The simulated device and the active-device context.
 
-A :class:`Device` bundles the allocator, kernel launcher, and profiler that
-together stand in for one GPU.  The framework (tensor engine, graph
+A :class:`Device` bundles the allocator, kernel launcher, and telemetry
+totals that together stand in for one GPU.  The framework (tensor engine, graph
 structures, executor, and the PyG-T baseline) always allocates through
 ``current_device().alloc`` so that every comparison in the benchmark harness
 is measured by the same instrument.
@@ -14,8 +14,8 @@ from typing import Iterator
 
 from repro.device.allocator import DeviceAllocator, MemoryTracker
 from repro.device.kernel import KernelLauncher
-from repro.device.profiler import Profiler
 from repro.obs.metrics import MetricRegistry
+from repro.obs.spine import LiveTotals
 from repro.util.ctxstack import ContextStack
 
 __all__ = ["Device", "default_device", "current_device", "use_device"]
@@ -39,9 +39,9 @@ class Device:
         self.name = name
         self.tracker = MemoryTracker()
         self.alloc = DeviceAllocator(self.tracker)
+        self.totals = LiveTotals()  # what span() / emit() record while this device is current
         self.metrics = MetricRegistry()
-        self.launcher = KernelLauncher(metrics=self.metrics)
-        self.profiler = Profiler()
+        self.launcher = KernelLauncher()
         self.memory_limit_bytes = memory_limit_bytes
 
     def check_oom(self) -> None:
@@ -56,10 +56,10 @@ class Device:
         """No-op on the simulated device; kept for API parity with CUDA."""
 
     def reset(self) -> None:
-        """Clear profiler, kernel cache, and live metrics; memory accounting
+        """Clear totals, kernel cache, and live metrics; memory accounting
         is preserved (live arrays are still live).  The metric registry is
-        zeroed *in place* so child references cached by hot paths survive."""
-        self.profiler.reset()
+        zeroed *in place* so the children the spine caches survive."""
+        self.totals.reset()
         self.launcher.clear()
         self.metrics.reset()
 

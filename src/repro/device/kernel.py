@@ -5,16 +5,18 @@ executor then launches those kernels.  Our codegen (``repro.compiler.codegen``)
 emits Python source targeting vectorized NumPy; :class:`CompiledKernel` holds
 the source plus the compiled callable, and :class:`KernelLauncher` plays the
 role of the CUDA launch layer: it resolves kernels from a cache keyed by the
-IR signature and records launch counts/timings.
+IR signature.  Every launch is one ``device.kernel_launch`` interval of the
+telemetry spine: launch counts and seconds are that site's device totals
+(``device.totals.read()``), the per-tier latency histogram and the trace
+span are derived from the same record.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.tracer import current_tracer
+from repro.obs.spine import span
 from repro.resilience.faults import current_injector
 
 __all__ = ["CompiledKernel", "KernelLauncher"]
@@ -65,7 +67,7 @@ def compile_kernel_source(source: str, entry: str, globals_extra: dict[str, Any]
 
 
 class KernelLauncher:
-    """Caches compiled kernels and launches them with timing.
+    """Caches compiled kernels and launches them.
 
     Keyed by an arbitrary hashable signature (the compiler uses the IR hash),
     so re-tracing the same vertex-centric function reuses the compiled
@@ -79,23 +81,15 @@ class KernelLauncher:
     ``source_dedup_hits`` counts requests served from the source cache.
     """
 
-    def __init__(self, metrics: Any | None = None) -> None:
+    def __init__(self) -> None:
         self._cache: dict[Any, CompiledKernel] = {}
         self._by_source: dict[tuple[str, str], CompiledKernel] = {}
-        self.launch_count = 0
-        self.launch_seconds = 0.0
         self.compile_count = 0
         self.source_dedup_hits = 0
         #: launches per execution tier (a kernel's ``meta["tier"]``; the
         #: generated kernels are all "python") — lets benchmarks verify
         #: which tier actually ran.
         self.launches_by_tier: dict[str, int] = {}
-        #: optional :class:`~repro.obs.metrics.MetricRegistry` (the owning
-        #: device's) receiving per-launch latency into the
-        #: ``repro_kernel_launch_seconds{tier=...}`` histogram; children
-        #: are cached per tier so the hot path pays one dict lookup.
-        self._metrics = metrics
-        self._launch_hist: dict[str, Any] = {}
 
     def get(self, key: Any) -> CompiledKernel | None:
         """Cached kernel for ``key``, or None."""
@@ -132,11 +126,11 @@ class KernelLauncher:
         return kernel
 
     def launch(self, kernel: CompiledKernel, *args: Any, **kwargs: Any) -> Any:
-        """Execute a kernel, recording count and wall time.
+        """Execute a kernel as one ``device.kernel_launch`` interval.
 
-        Under an active tracer every launch is a span named by the kernel's
-        entry point — which embeds the plan id (``plan_<hash>_fwd`` etc.),
-        so traces attribute kernel time to specific compiled plans.
+        The ``kernel=`` attr is the entry point — which embeds the plan id
+        (``plan_<hash>_fwd`` etc.), so traces attribute kernel time to
+        specific compiled plans; a launch that raises is still counted.
 
         An armed fault injector (``use_fault_plan``) can fail the launch
         here with :class:`~repro.resilience.faults.InjectedKernelFault`; the
@@ -147,32 +141,14 @@ class KernelLauncher:
         if injector.enabled:
             injector.fire("kernel")
         tier = kernel.meta.get("tier", "python")
-        start = time.perf_counter()
-        try:
-            with current_tracer().span(kernel.name, "gnn", tier=tier):
-                return kernel(*args, **kwargs)
-        finally:
-            elapsed = time.perf_counter() - start
-            self.launch_seconds += elapsed
-            self.launch_count += 1
-            self.launches_by_tier[tier] = self.launches_by_tier.get(tier, 0) + 1
-            metrics = self._metrics
-            if metrics is not None and metrics.enabled:
-                hist = self._launch_hist.get(tier)
-                if hist is None:
-                    hist = metrics.histogram(
-                        "repro_kernel_launch_seconds",
-                        "Per-launch kernel wall time by execution tier.",
-                    ).labels(tier=tier)
-                    self._launch_hist[tier] = hist
-                hist.observe(elapsed)
+        self.launches_by_tier[tier] = self.launches_by_tier.get(tier, 0) + 1
+        with span("device.kernel_launch", kernel=kernel.name, tier=tier):
+            return kernel(*args, **kwargs)
 
     def clear(self) -> None:
         """Drop the caches and reset launch/compile counters."""
         self._cache.clear()
         self._by_source.clear()
-        self.launch_count = 0
-        self.launch_seconds = 0.0
         self.compile_count = 0
         self.source_dedup_hits = 0
         self.launches_by_tier.clear()

@@ -34,8 +34,8 @@ import abc
 
 import numpy as np
 
-from repro.device import current_device
 from repro.graph.csr import CSR
+from repro.obs.spine import emit
 
 __all__ = ["STGraphBase"]
 
@@ -55,7 +55,7 @@ class STGraphBase(abc.ABC):
         #: whether built snapshots may be reused: the on/off ablation flag of
         #: the executor's GraphContext store.
         self.enable_csr_cache = True
-        # Reuse accounting (mirrored into the device profiler's counters).
+        # Reuse accounting (each bump is also one event of the device totals).
         self.csr_cache_hits = 0
         self.csr_cache_misses = 0
         self.noop_updates_skipped = 0
@@ -72,9 +72,9 @@ class STGraphBase(abc.ABC):
         return (None, self.snapshot_version)
 
     def _count(self, name: str, n: int = 1) -> None:
-        """Bump a reuse counter on self and in the device profiler."""
+        """Bump a reuse counter on self and emit its ``graph.<name>`` event."""
         setattr(self, name, getattr(self, name) + n)
-        current_device().profiler.count(name, n)
+        emit("graph." + name, n)
 
     def cache_stats(self) -> dict[str, int]:
         """Snapshot-reuse counters (diagnostics / bench reporting)."""

@@ -30,13 +30,14 @@ relabelling + Algorithm 3 nor rewinds the PMA (the paper rewinds because it
 keeps no built CSR; see DESIGN.md).  The mutable position lives in an
 :class:`~repro.graph.snapshot_builder.UpdateCursor`.
 
-All structural work (updates, relabelling, CSR builds) is attributed to the
-``"graph_update"`` profiler phase.  Figure 9 plots the split.
+All structural work is attributed to the ``graph_update`` category through
+three sites of the telemetry spine, one call each: ``graph.position``
+(Get-Graph / Get-Backward-Graph), ``graph.build_snapshot`` (relabel +
+Algorithm 3) and ``graph.cache_state`` (Algorithm 2 line 10).  Figure 9
+plots the split.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from repro.graph.snapshot_builder import (
     build_snapshot_arrays,
     gapped_csr_arrays,
 )
-from repro.obs.tracer import current_tracer
+from repro.obs.spine import span
 from repro.resilience.faults import current_injector
 
 __all__ = ["GPMAGraph"]
@@ -70,7 +71,7 @@ class GPMAGraph(STGraphBase):
     ) -> None:
         self.dtdg = dtdg
         self._versions = SnapshotVersionMap()
-        with current_device().profiler.phase("preprocess"):
+        with span("graph.preprocess", kind="gpma"):
             self._cursor = UpdateCursor(
                 dtdg,
                 self._versions,
@@ -159,16 +160,8 @@ class GPMAGraph(STGraphBase):
         return self._position(timestamp)
 
     def _position(self, timestamp: int) -> "GPMAGraph":
-        device = current_device()
-        start = time.perf_counter()
-        with current_tracer().span("gpma.advance", "graph_update", t=int(timestamp)):
-            with device.profiler.phase("graph_update"):
-                self._advance(int(timestamp))
-        if device.metrics.enabled:
-            device.metrics.observe(
-                "repro_graph_advance_seconds", time.perf_counter() - start,
-                "GPMA temporal positioning (Get-Graph) latency.",
-            )
+        with span("graph.position", t=int(timestamp)):
+            self._advance(int(timestamp))
         return self
 
     def cache_snapshot(self) -> None:
@@ -183,7 +176,7 @@ class GPMAGraph(STGraphBase):
             # A cursor that lags the logical position served this sequence
             # from built snapshots: there is no state worth saving.
             return
-        with current_device().profiler.phase("graph_update"):
+        with span("graph.cache_state", t=self._pos_time):
             self._cursor.cache_state()
 
     def snapshot_key(self) -> tuple:
@@ -280,22 +273,12 @@ class GPMAGraph(STGraphBase):
         self._built_version = int(version)
 
     def _rebuild(self) -> None:
-        device = current_device()
-        with device.profiler.phase("graph_update"):
-            pma = self.pma  # Algorithm 2: replay the batches that lead here
-            start = time.perf_counter()
-            with current_tracer().span(
-                "gpma.rebuild", "graph_update", t=self.curr_time, edges=pma.n_items
-            ):
-                snap = build_snapshot_arrays(
-                    pma, self.num_nodes, self.sort_by_degree, device.alloc
-                )
-            if device.metrics.enabled:
-                device.metrics.observe(
-                    "repro_graph_rebuild_seconds", time.perf_counter() - start,
-                    "Snapshot rebuild (relabel + Algorithm 3) latency.",
-                )
-            self._install(snap, self._pos_version)
+        pma = self.pma  # Algorithm 2: replay the batches that lead here
+        with span("graph.build_snapshot", t=self.curr_time, edges=pma.n_items):
+            snap = build_snapshot_arrays(
+                pma, self.num_nodes, self.sort_by_degree, current_device().alloc
+            )
+        self._install(snap, self._pos_version)
 
     def _ensure_built(self) -> None:
         """Serve the current snapshot's artifacts from the installed build.

@@ -19,6 +19,7 @@ from repro.device import current_device
 from repro.graph.base import STGraphBase
 from repro.graph.csr import CSR, csr_from_edges
 from repro.graph.dtdg import DTDG
+from repro.obs.spine import span
 
 __all__ = ["NaiveGraph"]
 
@@ -42,9 +43,8 @@ class NaiveGraph(STGraphBase):
         super().__init__(dtdg.num_nodes, sort_by_degree)
         self.dtdg = dtdg
         alloc = current_device().alloc
-        profiler = current_device().profiler
         self._snapshots: list[_Snapshot] = []
-        with profiler.phase("preprocess"):
+        with span("graph.preprocess", kind="naive"):
             for t in range(dtdg.num_timestamps):
                 src, dst = dtdg.snapshot_edges(t)
                 bwd, fwd = csr_from_edges(src, dst, dtdg.num_nodes, sort_by_degree)
@@ -70,20 +70,18 @@ class NaiveGraph(STGraphBase):
     def get_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for ``timestamp``."""
         # "Accessing these snapshots is immediate since it only involves
-        # array indexing" — still profiled so Figure 9 can show ~0 update
-        # share for the Naive variant.
-        with current_device().profiler.phase("graph_update"):
-            self._current = int(timestamp)
+        # array indexing": Figure 9's ~0 update share for the Naive variant
+        # is the executor's begin_timestamp interval around this call.
+        self._current = int(timestamp)
         return self
 
     def get_backward_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for the backward step."""
-        with current_device().profiler.phase("graph_update"):
-            self._current = int(timestamp)
-            # The backward walk reuses the forward build keyed (t, 0):
-            # structurally free here, but counted so all dynamic graphs
-            # report the same reuse statistics.
-            self._count("csr_cache_hits")
+        self._current = int(timestamp)
+        # The backward walk reuses the forward build keyed (t, 0):
+        # structurally free here, but counted so all dynamic graphs
+        # report the same reuse statistics.
+        self._count("csr_cache_hits")
         return self
 
     def snapshot_key(self) -> tuple:

@@ -1,11 +1,14 @@
-"""Observability: tracing, live metrics, run manifests, and exports.
+"""Observability: one telemetry spine and the views derived from it.
 
 The subsystem's parts (see ``docs/OBSERVABILITY.md``):
 
-* :mod:`repro.obs.tracer` — nested spans over the hot paths (executor,
-  kernels, graph updates, trainer), with allocator bytes and profiler
-  counter deltas captured at span boundaries.  Disabled by default via a
-  zero-overhead :class:`NullTracer`; enable per run with :func:`use_tracer`.
+* :mod:`repro.obs.spine` — the one module instrumented sites call:
+  ``span(site, **attrs)`` / ``emit(site, n, **attrs)``, the site table, the
+  per-thread open-interval stack, and the always-on device totals
+  (:class:`LiveTotals` / :class:`Totals`) that Figure 9, ``/metrics`` and
+  the run manifest read.
+* :mod:`repro.obs.tracer` — the :class:`Tracer` event buffer a run installs
+  with :func:`use_tracer`; spans carry allocator bytes and counter deltas.
 * :mod:`repro.obs.metrics` — the labeled :class:`MetricRegistry` with
   streaming log-bucket latency :class:`Histogram` s (p50/p95/p99); one
   lives on every device as ``device.metrics``.
@@ -29,13 +32,7 @@ from repro.obs.exporters import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.flight import (
-    NULL_FLIGHT_RECORDER,
-    FlightRecorder,
-    NullFlightRecorder,
-    current_flight_recorder,
-    use_flight_recorder,
-)
+from repro.obs.flight import FlightRecorder
 from repro.obs.manifest import RunManifest, build_run_manifest, git_revision
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -47,21 +44,37 @@ from repro.obs.metrics import (
     log_buckets,
 )
 from repro.obs.server import TelemetryServer, TrainingProgress
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    SpanEvent,
-    Tracer,
-    current_tracer,
+from repro.obs.spine import (
+    COUNTERS,
+    PHASES,
+    SITES,
+    LiveTotals,
+    Site,
+    Totals,
+    emit,
+    installed,
+    open_span_count,
+    span,
+    use_flight_recorder,
+    use_installed,
     use_tracer,
 )
+from repro.obs.tracer import SpanEvent, Tracer
 
 __all__ = [
+    "span",
+    "emit",
+    "SITES",
+    "Site",
+    "PHASES",
+    "COUNTERS",
+    "Totals",
+    "LiveTotals",
+    "open_span_count",
+    "installed",
+    "use_installed",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "SpanEvent",
-    "current_tracer",
     "use_tracer",
     "chrome_trace",
     "write_chrome_trace",
@@ -82,8 +95,5 @@ __all__ = [
     "TelemetryServer",
     "TrainingProgress",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT_RECORDER",
-    "current_flight_recorder",
     "use_flight_recorder",
 ]

@@ -9,8 +9,9 @@ Three formats for three audiences:
 * :func:`write_jsonl` — one JSON object per event, for ``jq``-style diffing
   of traces across PRs.
 * :func:`prometheus_text` — a text-format dump of the run's metric registry
-  (profiler phases and counters, allocator residency/peaks incl. per-tag,
-  span aggregates), for scraping or snapshotting next to ``BENCH_*.json``.
+  (the device totals per phase, counter, site and category, allocator
+  residency/peaks incl. per-tag, the live histograms), for scraping or
+  snapshotting next to ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.metrics import MetricRegistry, prom_escape
+from repro.obs.metrics import MetricRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.device import Device
@@ -108,30 +109,27 @@ def write_jsonl(events: "Iterable[SpanEvent]", path: str) -> str:
     return path
 
 
-def _prom_escape(value: str) -> str:
-    return prom_escape(value)
-
-
-def snapshot_registry(device: "Device", tracer: "Tracer | None" = None) -> MetricRegistry:
+def snapshot_registry(device: "Device") -> MetricRegistry:
     """A throwaway registry holding everything a scrape should expose.
 
-    The legacy totals (profiler phases/counters, allocator residency,
-    kernel-launcher sums, tracer span aggregates) are snapshotted into
-    fresh families in their historical order and names, then the device's
-    *live* registry (``device.metrics`` — the latency histograms) is
-    merged in.  Both the post-hoc dump and the live ``/metrics`` endpoint
-    render the result through :meth:`MetricRegistry.render`, so there is
-    exactly one code path deciding names, labels, and escaping.
+    One read of the device totals (phase and category self seconds, event
+    counters, the ``device.kernel_launch`` site) and the allocator's
+    residency are snapshotted into fresh families in their historical order
+    and names, then the device's *live* registry (``device.metrics`` — the
+    latency histograms) is merged in.  Both the post-hoc dump and the live
+    ``/metrics`` endpoint render the result through
+    :meth:`MetricRegistry.render`, so there is exactly one code path
+    deciding names, labels, and escaping.
     """
     reg = MetricRegistry()
-    profiler = device.profiler
+    totals = device.totals.read()
     phases = reg.counter(
         "repro_phase_seconds_total", "Accumulated wall seconds per profiler phase.")
-    for name, seconds in profiler.phase_seconds().items():
+    for name, seconds in totals.phase_seconds().items():
         phases.labels(phase=name).inc(seconds)
     events = reg.counter(
         "repro_events_total", "Accumulated event counts (cache reuse etc.).")
-    for name, count in profiler.counters().items():
+    for name, count in totals.counters().items():
         events.labels(event=name).inc(float(count))
     tracker = device.tracker
     reg.gauge("repro_memory_current_bytes",
@@ -148,39 +146,37 @@ def snapshot_registry(device: "Device", tracer: "Tracer | None" = None) -> Metri
         fam = reg.gauge("repro_memory_tag_peak_bytes", "Peak resident bytes per allocation tag.")
         for tag, b in sorted(peak_by_tag.items()):
             fam.labels(tag=tag or "untagged").set(float(b))
+    launches, launch_seconds = totals.site_totals.get("device.kernel_launch", (0, 0.0))
     reg.counter("repro_kernel_launches_total",
-                "Kernel launches on this device.").labels().inc(float(device.launcher.launch_count))
+                "Kernel launches on this device.").labels().inc(float(launches))
     reg.counter("repro_kernel_seconds_total",
-                "Wall seconds inside launched kernels.").labels().inc(device.launcher.launch_seconds)
-    if tracer is not None:
-        fam = reg.counter("repro_span_self_seconds_total",
-                          "Span self time (duration minus children) per category.")
-        for cat, seconds in sorted(tracer.aggregate_by_cat().items()):
-            fam.labels(cat=cat).inc(seconds)
-    live = getattr(device, "metrics", None)
-    if live is not None:
-        reg.merge(live)
+                "Wall seconds inside launched kernels.").labels().inc(launch_seconds)
+    fam = reg.counter("repro_span_self_seconds_total",
+                      "Span self time (duration minus children) per category.")
+    for cat, seconds in sorted(totals.cat_seconds.items()):
+        fam.labels(cat=cat).inc(seconds)
+    reg.merge(device.metrics)
     return reg
 
 
-def prometheus_text(device: "Device", tracer: "Tracer | None" = None) -> str:
+def prometheus_text(device: "Device") -> str:
     """Prometheus text-format dump of the device's metric registry.
 
-    Covers the profiler's phase timers and event counters, the allocator's
-    current/peak residency (global and per tag), kernel-launcher totals,
-    the device's live :class:`~repro.obs.metrics.MetricRegistry` (latency
-    histograms etc.), and — when a tracer is supplied — per-category span
-    self-time aggregates.  The live ``/metrics`` telemetry endpoint serves
-    this exact function, so post-hoc dumps and scrapes cannot drift.
+    Covers the device totals (phase and category self seconds, event
+    counters, kernel-launch totals), the allocator's current/peak residency
+    (global and per tag) and the device's live
+    :class:`~repro.obs.metrics.MetricRegistry` (latency histograms etc.).
+    The live ``/metrics`` telemetry endpoint serves this exact function, so
+    post-hoc dumps and scrapes cannot drift.
     """
-    return snapshot_registry(device, tracer).render()
+    return snapshot_registry(device).render()
 
 
-def write_prometheus(device: "Device", path: str, tracer: "Tracer | None" = None) -> str:
+def write_prometheus(device: "Device", path: str) -> str:
     """Write :func:`prometheus_text` to ``path``; returns the path."""
     _ensure_parent(path)
     with open(path, "w") as fh:
-        fh.write(prometheus_text(device, tracer))
+        fh.write(prometheus_text(device))
     return path
 
 

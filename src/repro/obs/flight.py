@@ -16,12 +16,14 @@ failure edge fires:
   mid-sequence — the injector drains *before* raising, since a boundary
   kill never reaches ``abort_sequence``).
 
-Like the tracer, the recorder is off by default through a zero-overhead
-:class:`NullFlightRecorder`; ``repro train --flight-recorder out.jsonl``
-and ``repro chaos --flight-recorder out.jsonl`` install a real one via
-:func:`use_flight_recorder`.  The context stack is thread-local over a
-process default (see :mod:`repro.util.ctxstack`), so worker threads see
-the null recorder unless handed the real one explicitly.
+Like the tracer, a recorder is something a user *installs*; instrumented
+code never calls it.  ``repro train --flight-recorder out.jsonl`` and
+``repro chaos --flight-recorder out.jsonl`` install one with
+:func:`~repro.obs.spine.use_flight_recorder`, and while it is installed on
+a thread :mod:`repro.obs.spine` records every site whose table row names a
+flight kind, and drains on the rows that name a reason.  Installation is
+per thread: a worker records nothing unless handed the recorder
+(:func:`~repro.obs.spine.use_installed`).
 """
 
 from __future__ import annotations
@@ -31,19 +33,11 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.analysis.sanitizer import new_lock
-from repro.util.ctxstack import ContextStack
 
-__all__ = [
-    "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT_RECORDER",
-    "current_flight_recorder",
-    "use_flight_recorder",
-]
+__all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
@@ -57,21 +51,19 @@ class FlightRecorder:
         Default artifact path for :meth:`drain` (a drain can override it).
     """
 
-    enabled = True
-
     def __init__(self, capacity: int = 256, path: str | os.PathLike | None = None) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self.path = os.fspath(path) if path is not None else None
         self._lock = new_lock("FlightRecorder._lock")
-        self._rings: dict[int, deque[dict[str, Any]]] = {}
-        # Recorded-event totals are kept per thread (a cell registered next
-        # to each ring) and summed on read: a single shared `+= 1` from the
-        # documented lock-free record() path would lose updates under
-        # contention — the first genuine data race the concurrency
-        # analyzer's review of this module turned up.
-        self._counts: dict[int, list[int]] = {}
+        # One (ring, recorded-count cell) pair per thread, registered by
+        # object on the thread's first record and never keyed by the thread
+        # ident, which CPython reuses: a later thread must not overwrite a
+        # dead one's ring.  The count is a per-thread cell summed on read
+        # because a shared `+= 1` from the lock-free record() path would
+        # lose updates under contention.
+        self._threads: list[tuple[deque[dict[str, Any]], list[int]]] = []
         self._tls = threading.local()
         self.drains: list[dict[str, Any]] = []
 
@@ -83,16 +75,14 @@ class FlightRecorder:
             self._tls.ring = ring
             self._tls.count = cell
             with self._lock:
-                ident = threading.get_ident()
-                self._rings[ident] = ring
-                self._counts[ident] = cell
+                self._threads.append((ring, cell))
         return ring
 
     @property
     def total_recorded(self) -> int:
         """Events recorded across all threads (exact, summed under lock)."""
         with self._lock:
-            return sum(cell[0] for cell in self._counts.values())
+            return sum(cell[0] for _, cell in self._threads)
 
     def record(self, kind: str, name: str, **fields: Any) -> None:
         """Append one event to the calling thread's ring (O(1), lock-free).
@@ -115,7 +105,7 @@ class FlightRecorder:
     def events(self) -> list[dict[str, Any]]:
         """The merged window across all threads, oldest first."""
         with self._lock:
-            rings = list(self._rings.values())
+            rings = [ring for ring, _ in self._threads]
         merged: list[dict[str, Any]] = []
         for ring in rings:
             merged.extend(ring)
@@ -160,43 +150,3 @@ class FlightRecorder:
 
     def drain_count(self) -> int:
         return len(self.drains)
-
-
-class NullFlightRecorder:
-    """Zero-overhead stand-in when no flight recorder is installed."""
-
-    enabled = False
-    capacity = 0
-    path = None
-    total_recorded = 0
-    drains: list[dict[str, Any]] = []
-
-    def record(self, kind: str, name: str, **fields: Any) -> None:
-        pass
-
-    def events(self) -> list[dict[str, Any]]:
-        return []
-
-    def drain(self, reason: str, path: str | os.PathLike | None = None) -> int:
-        return 0
-
-    def drain_count(self) -> int:
-        return 0
-
-
-#: The process-wide default: recording disabled.
-NULL_FLIGHT_RECORDER = NullFlightRecorder()
-
-_STACK: ContextStack[FlightRecorder | NullFlightRecorder] = ContextStack(NULL_FLIGHT_RECORDER)
-
-
-def current_flight_recorder() -> FlightRecorder | NullFlightRecorder:
-    """The innermost active recorder (the null recorder unless installed)."""
-    return _STACK.current()
-
-
-@contextmanager
-def use_flight_recorder(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Run a block with ``recorder`` installed on this thread."""
-    with _STACK.use(recorder):
-        yield recorder

@@ -3,10 +3,11 @@
 A ``BENCH_*.json`` row (or a one-off ``repro train`` run) is only comparable
 across PRs if it records *what* ran: which revision, which compiled plans,
 which dataset/graph kind, and which cache configuration.  The
-:class:`RunManifest` bundles that provenance with the run's per-phase
-totals, reuse counters, span aggregates, and memory watermarks — one JSON
-file written next to the trace, so a trajectory of benchmark results is
-self-describing without consulting git history.
+:class:`RunManifest` bundles that provenance with one read of the device
+totals (per-phase and per-category self seconds, reuse counters, calls +
+seconds per site) and the memory watermarks — one JSON file written next to
+the trace, so a trajectory of benchmark results is self-describing without
+consulting git history.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.device import Device
-    from repro.obs.tracer import Tracer
 
 __all__ = ["RunManifest", "build_run_manifest", "git_revision"]
 
@@ -65,6 +65,8 @@ class RunManifest:
     #: verifier warnings across all cached plans, keyed by STG0xx code
     #: (builds with errors never produce a plan, so only warnings appear)
     lint_warnings: dict[str, int] = field(default_factory=dict)
+    #: one read of the device totals: self seconds per Figure 9 phase and
+    #: per category, event counters, calls + inclusive seconds per site
     phase_seconds: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
     span_seconds: dict[str, float] = field(default_factory=dict)
@@ -116,7 +118,6 @@ class RunManifest:
 
 def build_run_manifest(
     device: "Device",
-    tracer: "Tracer | None" = None,
     graph: Any | None = None,
     run_name: str = "",
     command: str = "",
@@ -126,18 +127,21 @@ def build_run_manifest(
     resumed_from: str | None = None,
     serving: dict[str, Any] | None = None,
 ) -> RunManifest:
-    """Collect a :class:`RunManifest` from the live device/tracer/graph.
+    """Collect a :class:`RunManifest` from the live device and graph.
 
     ``graph`` (any :class:`~repro.graph.base.STGraphBase`) contributes the
     graph kind and the snapshot-cache configuration; the process-wide plan
     cache contributes the plan ids a future reader can match against
-    ``docs/COMPILER.md`` §7 cache keys.
+    ``docs/COMPILER.md`` §7 cache keys.  Every telemetry field is a view of
+    one ``device.totals.read()``.
     """
     from repro.compiler.plan import plan_cache
-    from repro.obs.flight import current_flight_recorder
+    from repro.obs.spine import installed
     from repro.resilience.faults import current_injector
 
     cache = plan_cache()
+    totals = device.totals.read()
+    _, recorder = installed()
     lint_warnings: dict[str, int] = {}
     for plan in cache.plans():
         if plan.lint is None:
@@ -154,28 +158,26 @@ def build_run_manifest(
         plan_ids=sorted(p.plan_id for p in cache.plans()),
         plan_cache_stats=cache.stats(),
         lint_warnings=lint_warnings,
-        phase_seconds={k: round(v, 6) for k, v in device.profiler.phase_seconds().items()},
-        counters=dict(device.profiler.counters()),
+        phase_seconds={k: round(v, 6) for k, v in totals.phase_seconds().items()},
+        counters=totals.counters(),
+        span_seconds={k: round(v, 6) for k, v in totals.cat_seconds.items()},
+        span_calls={
+            name: {"calls": calls, "seconds": round(seconds, 6)}
+            for name, (calls, seconds) in totals.site_totals.items()
+        },
         peak_memory_bytes=device.tracker.peak_bytes,
         current_memory_bytes=device.tracker.current_bytes,
         peak_memory_by_tag={t or "untagged": b for t, b in sorted(device.tracker.peak_bytes_by_tag().items())},
-        kernel_launches=device.launcher.launch_count,
+        kernel_launches=totals.calls("device.kernel_launch"),
         faults_injected=current_injector().faults_injected(),
-        retries=device.profiler.counter("kernel_retries"),
-        engine_fallbacks=device.profiler.counter("engine_fallbacks"),
+        retries=totals.count("kernel_retries"),
+        engine_fallbacks=totals.count("engine_fallbacks"),
         resumed_from=resumed_from,
-        flight_recorder_events=current_flight_recorder().total_recorded,
-        flight_recorder_drains=current_flight_recorder().drain_count(),
+        flight_recorder_events=recorder.total_recorded if recorder is not None else 0,
+        flight_recorder_drains=recorder.drain_count() if recorder is not None else 0,
         results=dict(results or {}),
         serving=dict(serving or {}),
     )
-    if tracer is not None:
-        manifest.run_name = manifest.run_name or tracer.name
-        manifest.span_seconds = {k: round(v, 6) for k, v in tracer.aggregate_by_cat().items()}
-        manifest.span_calls = {
-            name: {"calls": info["calls"], "seconds": round(info["seconds"], 6)}
-            for name, info in tracer.aggregate_by_name().items()
-        }
     if graph is not None:
         manifest.graph_kind = getattr(graph, "graph_type", "")
         manifest.cache_config = {

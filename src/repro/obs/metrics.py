@@ -1,9 +1,7 @@
 """Labeled metric registry with streaming latency histograms.
 
-PR 3's observability layer was strictly *post-hoc*: totals accumulated on
-the device (profiler phases, allocator peaks, kernel launch sums) rendered
-to Prometheus text after the run ended.  This module adds the live half —
-the registry a scrape endpoint can read mid-run, and the latency
+The device totals (:mod:`repro.obs.spine`) answer "how much in all"; this
+module is the registry a scrape endpoint reads mid-run and the latency
 *distributions* (p50/p95/p99) that totals cannot express:
 
 * :class:`Counter` / :class:`Gauge` — labeled scalar families.
@@ -243,8 +241,9 @@ class MetricFamily:
     def labels(self, **labels: str) -> Counter | Gauge | Histogram:
         """The child for this label set (created on first use).
 
-        Hot paths should cache the returned child — ``labels()`` takes the
-        family lock, the child's own methods only its child lock.
+        The spine caches the returned child per site and thread —
+        ``labels()`` takes the family lock, the child's own methods only
+        its child lock.
         """
         key = _label_key(labels)
         child = self._children.get(key)
@@ -300,14 +299,12 @@ class MetricRegistry:
 
     One registry lives on every device (``device.metrics``); the exporter
     additionally builds throwaway snapshot registries to render the legacy
-    totals through the same code path.  ``enabled`` is a hint hot paths
-    check before timing work (mirroring ``Profiler.enabled``).
+    totals through the same code path.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = new_lock("MetricRegistry._lock")
         self._families: dict[str, MetricFamily] = {}
-        self.enabled = enabled
 
     def _family(self, name: str, kind: str, help_text: str,
                 buckets: tuple[float, ...] | None = None) -> MetricFamily:
@@ -340,10 +337,6 @@ class MetricRegistry:
         """Get-or-create a histogram family (default log buckets, see
         :data:`DEFAULT_BUCKETS`)."""
         return self._family(name, "histogram", help_text, buckets)
-
-    def observe(self, name: str, value: float, help_text: str = "", **labels: str) -> None:
-        """One-shot histogram observation (hot-path convenience)."""
-        self.histogram(name, help_text).labels(**labels).observe(value)
 
     def get(self, name: str) -> MetricFamily | None:
         """The family registered under ``name``, or None."""
@@ -388,9 +381,8 @@ class MetricRegistry:
     def reset(self) -> None:
         """Zero every child in place.
 
-        Families and children survive so references cached by hot paths
-        (e.g. the launcher's per-tier histogram children) keep recording
-        into the registry after ``Device.reset()``.
+        Families and children survive so the children the spine caches
+        per site keep recording into the registry after ``Device.reset()``.
         """
         for fam in self.families():
             fam.reset()

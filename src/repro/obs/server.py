@@ -29,7 +29,6 @@ from repro.analysis.sanitizer import new_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.device import Device
-    from repro.obs.tracer import Tracer
 
 __all__ = ["TelemetryServer", "TrainingProgress"]
 
@@ -74,7 +73,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/metrics":
                 from repro.obs.exporters import prometheus_text
 
-                body = prometheus_text(telemetry.device, telemetry.tracer).encode()
+                body = prometheus_text(telemetry.device).encode()
                 self._send(200, "text/plain; version=0.0.4; charset=utf-8", body)
             elif path == "/healthz":
                 payload = {
@@ -101,19 +100,15 @@ class TelemetryServer:
         The device whose metric registry backs ``/metrics``.  Passed
         explicitly (not via ``current_device()``) because HTTP handler
         threads never have the training thread's context installed.
-    tracer:
-        Optional tracer whose span aggregates join the scrape.
     port:
         TCP port; 0 picks an ephemeral one (see :meth:`start`).
     progress:
         Optional shared :class:`TrainingProgress`; a fresh one otherwise.
     """
 
-    def __init__(self, device: "Device", tracer: "Tracer | None" = None,
-                 port: int = 0, host: str = "127.0.0.1",
+    def __init__(self, device: "Device", port: int = 0, host: str = "127.0.0.1",
                  progress: TrainingProgress | None = None) -> None:
         self.device = device
-        self.tracer = tracer
         self.host = host
         self.port = port
         self.progress = progress if progress is not None else TrainingProgress()

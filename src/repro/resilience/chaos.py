@@ -21,7 +21,7 @@ The harness then verifies the resilience contract end to end:
 * kernel faults walked the **degradation ladder** (≥1 retry; an interpreter
   fallback whenever a site out-fired the single retry).
 
-One device is shared across kill/resume attempts so the profiler's fault
+One device is shared across kill/resume attempts so the device totals' fault
 counters and the :class:`~repro.obs.manifest.RunManifest` describe the whole
 chaos run; checkpoints never depend on device state, so this does not weaken
 the resume claim (the test suite separately resumes across fresh devices).
@@ -39,7 +39,7 @@ from repro.resilience.faults import FaultInjector, FaultPlan, SimulatedKill, use
 
 __all__ = ["ChaosReport", "run_chaos"]
 
-#: Profiler counters the report surfaces (summed over all resume attempts,
+#: Event counters the report surfaces (summed over all resume attempts,
 #: since the device is shared across them).
 _LADDER_COUNTERS = (
     "faults_injected",
@@ -180,9 +180,7 @@ def run_chaos(
 
     from repro.dataset.dynamic_datasets import DYNAMIC_DATASETS
     from repro.device import Device, use_device
-    from repro.obs.flight import FlightRecorder, use_flight_recorder
-    from repro.obs.manifest import build_run_manifest
-    from repro.obs.tracer import use_tracer
+    from repro.obs import FlightRecorder, build_run_manifest, use_flight_recorder, use_tracer
     from repro.tensor import init
     from repro.train.models import STGraphLinkPredictor
     from repro.train.tasks import make_link_prediction_samples
@@ -240,10 +238,8 @@ def run_chaos(
                         f"chaos run still dying after {max_resumes} resumes; "
                         f"plan: {plan.to_dict()}"
                     ) from None
-        counters = {name: device.profiler.counter(name) for name in _LADDER_COUNTERS}
         manifest = build_run_manifest(
             device,
-            tracer=tracer,
             graph=trainer.graph,
             run_name=f"chaos-{plan.name}",
             command=f"repro chaos --plan {plan.name}",
@@ -257,6 +253,8 @@ def run_chaos(
             resumed_from=trainer.resumed_from,
         )
 
+    # the same totals snapshot the manifest holds
+    counters = {name: manifest.counters[name] for name in _LADDER_COUNTERS}
     kernel_sites = [s for s in plan.sites if s.kind == "kernel"]
     ladder_ok = not kernel_sites or counters["kernel_retries"] >= 1
     if any(s.times >= 2 for s in kernel_sites):

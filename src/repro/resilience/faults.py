@@ -6,7 +6,7 @@ kernel-launch failures, corrupted snapshot caches, and plain process death
 mid-sequence.  This module makes those faults *reproducible*: a
 :class:`FaultPlan` names the exact ``(epoch, sequence, timestamp)`` sites
 where faults fire, and a :class:`FaultInjector` — installed per run with
-:func:`use_fault_plan`, mirroring the tracer/device stacks — arms them.
+:func:`use_fault_plan`, mirroring the device stack — arms them.
 
 Fault kinds
 -----------
@@ -32,9 +32,10 @@ Sites are matched positionally: the trainer reports the epoch/sequence
 cursor, the executor reports the timestamp.  ``None`` fields are wildcards;
 ``timestamp=BOUNDARY`` (``-1``) matches only the sequence boundary — after
 the sequence's optimizer step and checkpoint write.  Every firing is
-recorded on the injector, counted on the device profiler
-(``faults_injected``), and emitted as a ``fault.<kind>`` tracer instant so
-it is visible in the Chrome trace and the :class:`~repro.obs.manifest.RunManifest`.
+recorded on the injector and emitted as one ``fault.<kind>`` event of the
+telemetry spine: counted in the device totals (``faults_injected``), visible
+in the Chrome trace and the :class:`~repro.obs.manifest.RunManifest`, and
+kept in the flight ring (a kill drains it).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.obs.spine import emit
 from repro.util.ctxstack import ContextStack
 
 __all__ = [
@@ -287,27 +289,10 @@ class FaultInjector:
             "timestamp": self.timestamp,
         }
         self.fired.append(record)
-        # Lazy imports: this module sits under the allocator/launcher and
-        # must not create import cycles with repro.device.
-        from repro.device import current_device
-        from repro.obs.flight import current_flight_recorder
-        from repro.obs.tracer import current_tracer
-
-        current_device().profiler.count("faults_injected")
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.instant(f"fault.{kind}", "fault", **record)
-        recorder = current_flight_recorder()
-        if recorder.enabled:
-            # The record dict's own "kind" key (the fault kind) would
-            # collide with the event-kind parameter.
-            fields = {k: v for k, v in record.items() if k != "kind"}
-            recorder.record("fault", f"fault.{kind}", **fields)
-            if kind == "kill":
-                # A kill is about to unwind as a BaseException; boundary
-                # kills never reach abort_sequence, so the drain must
-                # happen here, before the raise.
-                recorder.drain("simulated_kill")
+        # A kill is about to unwind as a BaseException and a boundary kill
+        # never reaches abort_sequence, so the fault.kill row drains the
+        # flight ring here, before the raise.
+        emit("fault." + kind, epoch=self.epoch, sequence=self.sequence, timestamp=self.timestamp)
         return site
 
     def fire(self, kind: str) -> None:
@@ -358,7 +343,7 @@ class NullInjector:
 NULL_INJECTOR = NullInjector()
 
 # ---------------------------------------------------------------------------
-# Current-injector plumbing (shared ContextStack; mirrors repro.obs.tracer /
+# Current-injector plumbing (shared ContextStack; mirrors repro.analysis.sanitizer /
 # repro.device)
 # ---------------------------------------------------------------------------
 _STACK: ContextStack[FaultInjector | NullInjector] = ContextStack(NULL_INJECTOR)

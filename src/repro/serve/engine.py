@@ -29,11 +29,13 @@ consistent with snapshot versions (each result carries the version and
 timestamp it was served at); ``tests/test_serve_concurrency.py`` gates
 that property under the runtime lock sanitizer.
 
-Latency and throughput surface through the device
-:class:`~repro.obs.metrics.MetricRegistry` —
-``repro_serve_request_seconds{kind,served_from}`` and friends — scraped
-live by the :class:`~repro.obs.server.TelemetryServer`.  See
-``docs/SERVING.md``.
+Every measured step is one record of the telemetry spine
+(:mod:`repro.obs.spine`), so a request's latency is attributable live from
+``/metrics``: ``repro_serve_request_seconds{kind,served_from}`` = queue wait
+(``repro_serve_queue_wait_seconds``, behind any ``repro_serve_ingest_seconds``
+ahead of it) + the forward when a row is dirty
+(``repro_serve_forward_seconds``) + row read
+(``repro_serve_row_read_seconds``).  See ``docs/SERVING.md``.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ import numpy as np
 
 from repro.analysis.sanitizer import new_condition
 from repro.core.executor import TemporalExecutor
+from repro.device import current_device, use_device
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
 from repro.graph.dtdg import EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
-from repro.obs.metrics import Histogram
-from repro.obs.tracer import current_tracer, use_tracer
+from repro.obs.spine import emit, installed, span, use_installed
 from repro.serve.ingest import UpdateIngest
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -65,13 +67,7 @@ _JOIN_TIMEOUT = 30.0
 #: Dirty sets retained for diagnostics, keyed by snapshot version.
 _DIRTY_HISTORY = 32
 
-_REQUEST_HELP = "Serving request latency (enqueue to response), by kind and source."
-_FORWARD_HELP = "Batched no-grad forward latency for serving compute batches."
-_INGEST_HELP = "Update-batch ingest latency (append + position + invalidate)."
-_BATCH_SIZE_HELP = "Coalesced request-batch sizes."
 _PENDING_HELP = "Update batches ingested but not yet applied (staleness lag)."
-
-_BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 _KINDS = ("embedding", "prediction")
 
@@ -110,13 +106,14 @@ class _Request:
     """Internal queue entry; completed fields are filled by the dispatcher."""
 
     __slots__ = (
-        "vertex", "kind", "ready", "value", "version", "timestamp",
+        "vertex", "kind", "enqueued", "ready", "value", "version", "timestamp",
         "served_from", "batch_size", "lag",
     )
 
-    def __init__(self, vertex: int, kind: str) -> None:
+    def __init__(self, vertex: int, kind: str, enqueued: float) -> None:
         self.vertex = vertex
         self.kind = kind
+        self.enqueued = enqueued  # perf_counter when the client queued it
         self.ready = False
         self.value: np.ndarray | None = None
         self.version = -1
@@ -188,10 +185,8 @@ class InferenceEngine:
         self.batching = bool(batching)
         self.invalidation = bool(invalidation)
         self.max_batch = int(max_batch)
-        from repro.device import current_device
-
         self._device = current_device()
-        self._tracer = current_tracer()
+        self._telemetry = installed()  # tracer / flight recorder for the dispatcher
         self._executor = TemporalExecutor(graph, engine=engine)
         self._features = np.ascontiguousarray(features, dtype=np.float32)
         self._state = None if state is None else np.asarray(state, dtype=np.float32)
@@ -222,18 +217,10 @@ class InferenceEngine:
         self.updates_applied = 0
         self.max_batch_observed = 0
 
-        # Metric families pre-registered so /metrics lists them from boot.
-        metrics = self._device.metrics
-        metrics.histogram("repro_serve_request_seconds", _REQUEST_HELP)
-        metrics.histogram("repro_serve_forward_seconds", _FORWARD_HELP)
-        metrics.histogram("repro_serve_ingest_seconds", _INGEST_HELP)
-        metrics.histogram(
-            "repro_serve_batch_size", _BATCH_SIZE_HELP, buckets=_BATCH_SIZE_BUCKETS
-        )
-        self._pending_gauge = metrics.gauge(
+        # The one metric a site sets directly: a gauge is a level, not a record.
+        self._pending_gauge = self._device.metrics.gauge(
             "repro_serve_pending_updates", _PENDING_HELP
         ).labels()
-        self._request_hist: dict[tuple[str, str], Histogram] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -297,8 +284,8 @@ class InferenceEngine:
         vertex = int(vertex)
         if not 0 <= vertex < self._num_nodes:
             raise ValueError(f"vertex {vertex} out of range [0, {self._num_nodes})")
-        req = _Request(vertex, kind)
         start = time.perf_counter()
+        req = _Request(vertex, kind, enqueued=start)
         deadline = start + timeout
         with self._cv:
             self._raise_if_unserviceable_locked()
@@ -316,13 +303,8 @@ class InferenceEngine:
                     ) from self._worker_error
         latency = time.perf_counter() - start
         assert req.value is not None
-        hist = self._request_hist.get((kind, req.served_from))
-        if hist is None:
-            hist = self._device.metrics.histogram(
-                "repro_serve_request_seconds", _REQUEST_HELP
-            ).labels(kind=kind, served_from=req.served_from)
-            self._request_hist.setdefault((kind, req.served_from), hist)
-        hist.observe(latency)
+        with use_device(self._device):  # client threads carry no device of their own
+            emit("serve.query", seconds=latency, kind=kind, served_from=req.served_from)
         return ServeResult(
             vertex=vertex,
             kind=kind,
@@ -407,9 +389,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         try:
-            from repro.device import use_device
-
-            with use_device(self._device), use_tracer(self._tracer):
+            with use_device(self._device), use_installed(self._telemetry):
                 self._loop()
         except BaseException as exc:  # noqa: BLE001 - relayed to clients
             with self._cv:
@@ -450,34 +430,30 @@ class InferenceEngine:
 
     def _apply_update(self, seq: int, update: EdgeUpdate) -> None:
         """Append + position + invalidate for one ingested batch."""
-        start = time.perf_counter()
-        t_new = self.graph.dtdg.append_update(update)
-        self.graph.get_graph(t_new)
-        self._latest_t = t_new
-        version = int(self.graph.snapshot_version)
-        effective = self.graph.dtdg.updates[t_new]
-        touched = touched_vertices(effective)
-        if not self.invalidation:
-            dirty = np.ones(self._num_nodes, dtype=bool)
-        elif touched.size == 0:
-            dirty = np.zeros(self._num_nodes, dtype=bool)
-        else:
-            # Out-edge expansion over the *new* snapshot; building the CSR
-            # here also warms the snapshot cache for the next forward.
-            bwd = self.graph.backward_csr()
-            dirty = k_hop_neighborhood(
-                bwd.row_offset, bwd.col_indices, touched, self.hops, self._num_nodes
-            )
-        self._valid &= ~dirty
-        self._dirty_by_version[version] = np.flatnonzero(dirty)
-        while len(self._dirty_by_version) > _DIRTY_HISTORY:
-            self._dirty_by_version.pop(next(iter(self._dirty_by_version)))
-        self.rows_invalidated += int(dirty.sum())
-        self.updates_applied += 1
-        metrics = self._device.metrics
-        metrics.observe(
-            "repro_serve_ingest_seconds", time.perf_counter() - start, _INGEST_HELP
-        )
+        with span("serve.ingest", seq=seq):
+            t_new = self.graph.dtdg.append_update(update)
+            self.graph.get_graph(t_new)
+            self._latest_t = t_new
+            version = int(self.graph.snapshot_version)
+            effective = self.graph.dtdg.updates[t_new]
+            touched = touched_vertices(effective)
+            if not self.invalidation:
+                dirty = np.ones(self._num_nodes, dtype=bool)
+            elif touched.size == 0:
+                dirty = np.zeros(self._num_nodes, dtype=bool)
+            else:
+                # Out-edge expansion over the *new* snapshot; building the CSR
+                # here also warms the snapshot cache for the next forward.
+                bwd = self.graph.backward_csr()
+                dirty = k_hop_neighborhood(
+                    bwd.row_offset, bwd.col_indices, touched, self.hops, self._num_nodes
+                )
+            self._valid &= ~dirty
+            self._dirty_by_version[version] = np.flatnonzero(dirty)
+            while len(self._dirty_by_version) > _DIRTY_HISTORY:
+                self._dirty_by_version.pop(next(iter(self._dirty_by_version)))
+            self.rows_invalidated += int(dirty.sum())
+            self.updates_applied += 1
         with self._cv:
             self._applied_seq = seq
             self._applied_version = version
@@ -485,8 +461,7 @@ class InferenceEngine:
 
     def _forward(self) -> None:
         """One batched no-grad forward at the latest applied snapshot."""
-        start = time.perf_counter()
-        with no_grad():
+        with span("serve.forward", t=self._latest_t), no_grad():
             self._executor.begin_inference(self._latest_t)
             state = None if self._state is None else Tensor(self._state)
             pred, h = self.model.step(self._executor, Tensor(self._features), state)
@@ -494,11 +469,11 @@ class InferenceEngine:
         self._pred = pred.data
         self._valid[:] = True
         self.forwards += 1
-        self._device.metrics.observe(
-            "repro_serve_forward_seconds", time.perf_counter() - start, _FORWARD_HELP
-        )
 
     def _serve_batch(self, batch: list[_Request], lag: int) -> None:
+        dispatched = time.perf_counter()
+        for r in batch:
+            emit("serve.queue_wait", seconds=dispatched - r.enqueued)
         hit_rows = 0
         if self.batching and self._h is not None:
             hit_rows = sum(1 for r in batch if self._valid[r.vertex])
@@ -518,24 +493,23 @@ class InferenceEngine:
         version = int(self.graph.snapshot_version)
         timestamp = int(self.graph.curr_time)
         size = len(batch)
-        self._device.metrics.observe(
-            "repro_serve_batch_size", float(size), _BATCH_SIZE_HELP
-        )
+        emit("serve.batch", size=float(size))
         self.queries_served += size
         self.batches_served += 1
         self.max_batch_observed = max(self.max_batch_observed, size)
-        for r in batch:
-            source = h if r.kind == "embedding" else pred
-            r.value = np.array(source[r.vertex], copy=True)
-            r.version = version
-            r.timestamp = timestamp
-            r.served_from = served_from
-            r.batch_size = size
-            r.lag = lag
-        with self._cv:
+        with span("serve.row_read", rows=size):
             for r in batch:
-                r.ready = True
-            self._cv.notify_all()
+                source = h if r.kind == "embedding" else pred
+                r.value = np.array(source[r.vertex], copy=True)
+                r.version = version
+                r.timestamp = timestamp
+                r.served_from = served_from
+                r.batch_size = size
+                r.lag = lag
+            with self._cv:
+                for r in batch:
+                    r.ready = True
+                self._cv.notify_all()
 
     # ------------------------------------------------------------------
     # Diagnostics

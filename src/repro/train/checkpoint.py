@@ -167,30 +167,16 @@ def save_training_checkpoint(
     the initializer RNG state, the graph's snapshot-version cursor, and the
     compiled plan ids.
 
-    Each write's wall time lands in the ``repro_checkpoint_write_seconds``
-    histogram, and the flight recorder (when armed) gets a breadcrumb —
-    checkpoints sit exactly on the failure edges the recorder documents.
+    Each write is one ``train.checkpoint_write`` interval: its wall time
+    lands in the ``repro_checkpoint_write_seconds`` histogram, and the flight
+    recorder (when armed) gets a breadcrumb — checkpoints sit exactly on the
+    failure edges the recorder documents.
     """
-    import time
+    from repro.obs.spine import span
 
-    from repro.device import current_device
-    from repro.obs.flight import current_flight_recorder
-
-    start = time.perf_counter()
-    out = save_checkpoint(path, model, optimizer, extra={"training": training_state})
-    device = current_device()
-    if device.metrics.enabled:
-        device.metrics.observe(
-            "repro_checkpoint_write_seconds", time.perf_counter() - start,
-            "Atomic training-checkpoint write latency.",
-        )
-    recorder = current_flight_recorder()
-    if recorder.enabled:
-        recorder.record(
-            "mark", "checkpoint_write", path=str(out),
-            epoch=training_state.get("epoch"), sequence=training_state.get("sequence"),
-        )
-    return out
+    with span("train.checkpoint_write", path=str(path), epoch=training_state.get("epoch"),
+              sequence=training_state.get("sequence")):
+        return save_checkpoint(path, model, optimizer, extra={"training": training_state})
 
 
 def load_training_checkpoint(

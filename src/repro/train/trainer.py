@@ -9,6 +9,10 @@ PyG-T baseline, where the autodiff tape itself retains the whole sequence's
 intermediates (no stacks, no pruning).
 
 Both report per-epoch wall time so benches can reuse the loop directly.
+
+The STGraph loop records five intervals into the telemetry spine
+(:mod:`repro.obs.spine`), one call each; the latency histograms, the
+flight-ring timestamp marks and the trace spans all derive from them.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import numpy as np
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device
 from repro.graph.base import STGraphBase
-from repro.obs.flight import current_flight_recorder
 from repro.obs.server import TelemetryServer, TrainingProgress
-from repro.obs.tracer import current_tracer
+from repro.obs.spine import span
 from repro.resilience.faults import BOUNDARY, current_injector
 from repro.tensor import functional as F
 from repro.tensor import init, optim
@@ -99,11 +102,12 @@ class STGraphTrainer:
     def train_epoch(self, features: Sequence[np.ndarray], targets: Sequence[np.ndarray] | None = None) -> float:
         """One epoch of Algorithm 1; returns the summed loss.
 
-        Under an active tracer the epoch is a span tree:
-        ``epoch > sequence > timestamp[t] > {graph_update, forward/<layer>}``
-        on the way forward, then per-sequence ``backward`` (containing the
-        per-layer ``backward/<layer>`` and ``graph_update`` spans of the
-        LIFO walk) and ``optimizer`` spans.
+        Under an installed tracer the epoch is a span tree: ``train.epoch >
+        train.sequence > train.timestamp > {core.begin_timestamp,
+        core.engine_forward}`` on the way forward, then per-sequence
+        ``tensor.backward`` (containing the ``core.engine_backward`` and
+        ``core.backward_context`` spans of the LIFO walk) and
+        ``tensor.optim_step``.
         """
         return self._train_epoch_impl(features, targets, epoch_index=len(self.epoch_times))
 
@@ -130,35 +134,20 @@ class STGraphTrainer:
         before propagating, so the State/Graph Stacks are drained and
         ``check_drained()`` holds even after an aborted sequence.
         """
-        tracer = current_tracer()
         injector = current_injector()
-        recorder = current_flight_recorder()
-        # Live latency histograms: children resolved once per epoch so the
-        # per-timestamp cost is one perf_counter pair + one observe().
-        metrics = current_device().metrics
         engine = self.executor.engine
         engine_label = engine.name if engine is not None else "default"
-        if metrics.enabled:
-            ts_hist = metrics.histogram(
-                "repro_timestamp_seconds",
-                "Per-timestamp executor latency (forward step incl. graph update).",
-            ).labels(engine=engine_label)
-            opt_hist = metrics.histogram(
-                "repro_optimizer_step_seconds", "Optimizer step latency.",
-            ).labels()
-        else:
-            ts_hist = opt_hist = None
         progress = self.progress if self.telemetry_server is not None else None
         total_timestamps = len(features)
         seq_len = self.sequence_length or total_timestamps
         start = time.perf_counter()
         injector.at_epoch(epoch_index)
-        with tracer.span("epoch", "train", epoch=epoch_index):
+        with span("train.epoch", epoch=epoch_index):
             for seq_index, seq in enumerate(_sequences(total_timestamps, seq_len)):
                 if seq_index < start_sequence:
                     continue
                 injector.at_sequence(seq_index)
-                with tracer.span("sequence", "train", start=seq.start, stop=seq.stop):
+                with span("train.sequence", start=seq.start, stop=seq.stop):
                     try:
                         self.optimizer.zero_grad()
                         state = None
@@ -166,28 +155,20 @@ class STGraphTrainer:
                         for t in seq:  # forward over the sequence (Alg. 1 lines 8-16)
                             injector.at_timestamp(t)
                             injector.fire("kill")
-                            ts_start = time.perf_counter()
-                            with tracer.span(f"timestamp[{t}]", "train", t=t):
+                            with span("train.timestamp", t=t, epoch=epoch_index,
+                                      sequence=seq_index, engine=engine_label):
                                 self.executor.begin_timestamp(t)
                                 pred, state = self.model.step(self.executor, Tensor(features[t]), state)
                                 acc.add(self._loss_at(t, pred, targets))
-                            if ts_hist is not None:
-                                ts_hist.observe(time.perf_counter() - ts_start)
-                            if recorder.enabled:
-                                recorder.record("mark", "timestamp", t=t,
-                                                epoch=epoch_index, sequence=seq_index)
                             if progress is not None:
                                 progress.update(epoch=epoch_index, sequence=seq_index,
                                                 timestamp=t)
                         self.executor.end_sequence_forward()
-                        with tracer.span("backward", "train", start=seq.start, stop=seq.stop):
+                        with span("tensor.backward", start=seq.start, stop=seq.stop):
                             acc.total.backward()  # LIFO backward (Alg. 1 lines 18-25)
                         self.executor.check_drained()
-                        opt_start = time.perf_counter()
-                        with tracer.span("optimizer", "optimizer"):
+                        with span("tensor.optim_step"):
                             self.optimizer.step()
-                        if opt_hist is not None:
-                            opt_hist.observe(time.perf_counter() - opt_start)
                         epoch_loss += acc.total.item()
                         if progress is not None:
                             progress.update(epoch_loss=epoch_loss)

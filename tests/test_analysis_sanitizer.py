@@ -30,7 +30,7 @@ from repro.analysis.sanitizer import (
     new_rlock,
     use_sanitizer,
 )
-from repro.obs.flight import FlightRecorder, use_flight_recorder
+from repro.obs import FlightRecorder, use_flight_recorder
 
 _RAW_LOCK_TYPE = type(threading.Lock())
 _RAW_RLOCK_TYPE = type(threading.RLock())
@@ -106,7 +106,8 @@ def test_nonstrict_abba_records_violation_and_flight_event():
     cycles = san.order_cycles()
     assert cycles and set(cycles[0]) == {"A", "B"}
     tsan_events = [e for e in recorder.events() if e["kind"] == "tsan"]
-    assert tsan_events and tsan_events[0]["name"] == "lock-order-cycle"
+    assert tsan_events and tsan_events[0]["name"] == "analysis.tsan_violation"
+    assert tsan_events[0]["violation"] == "lock-order-cycle"
 
 
 def test_consistent_order_is_clean():

@@ -69,9 +69,10 @@ def test_csr_cache_flag_ablates_reuse():
     )
     # Reuse is a pure optimization: identical training, fewer rebuilds.
     assert on.final_loss == pytest.approx(off.final_loss, rel=1e-4)
-    assert on.csr_cache_hits + on.ctx_cache_hits > 0
-    assert off.csr_cache_hits == 0 and off.ctx_cache_hits == 0
-    assert on.csr_cache_misses < off.csr_cache_misses
+    on_t, off_t = on.totals, off.totals
+    assert on_t.count("csr_cache_hits") + on_t.count("ctx_cache_hits") > 0
+    assert off_t.count("csr_cache_hits") == 0 and off_t.count("ctx_cache_hits") == 0
+    assert on_t.count("csr_cache_misses") < off_t.count("csr_cache_misses")
     assert 0.0 < on.reuse_rate <= 1.0 and off.reuse_rate == 0.0
 
 
@@ -84,7 +85,7 @@ def test_dynamic_runs_isolated_devices():
 
 def test_pygt_has_no_graph_update_time():
     r = run_dynamic_experiment("pygt", load_sx_mathoverflow, **_FAST_DYNAMIC)
-    assert r.graph_update_seconds == 0.0
+    assert r.totals.seconds("graph_update") == 0.0
     assert r.graph_update_fraction == 0.0
 
 

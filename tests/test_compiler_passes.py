@@ -153,19 +153,20 @@ def test_unfused_equals_fused(ctx, rng):
 
 
 def test_unfused_launches_more_kernels(ctx, rng):
-    launcher = current_device().launcher
+    totals = current_device().totals
+    launches = lambda: totals.read().calls("device.kernel_launch")  # noqa: E731
     fn = lambda v: v.agg_sum(lambda nb: nb.h * nb.norm) * v.norm  # noqa: E731
     widths = {"h": "v", "norm": "s"}
     fused = compile_vertex_program(fn, widths, {"h"}, name="fl", fused=True)
     unfused = compile_vertex_program(fn, widths, {"h"}, name="ul", fused=False)
     h = rng.standard_normal((ctx.num_nodes, 3)).astype(np.float32)
     norm = np.ones(ctx.num_nodes, dtype=np.float32)
-    before = launcher.launch_count
+    before = launches()
     fused.forward(ctx, {"h": h, "norm": norm})
-    fused_launches = launcher.launch_count - before
-    before = launcher.launch_count
+    fused_launches = launches() - before
+    before = launches()
     unfused.forward(ctx, {"h": h, "norm": norm})
-    unfused_launches = launcher.launch_count - before
+    unfused_launches = launches() - before
     assert fused_launches == 1
     assert unfused_launches > 1
 

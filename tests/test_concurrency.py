@@ -2,9 +2,9 @@
 
 Training runs on the caller's thread alone, but serving and telemetry put
 other threads inside the framework.  These tests hammer the shared
-structures directly — the plan cache's hit/miss counters, the tracer's
-per-thread span stacks, the profiler's counters — and check that a full
-``train()`` on a GPMA graph starts no thread of its own.
+structures directly — the plan cache's hit/miss counters, the telemetry
+spine's per-thread span stacks and per-thread totals cells — and check that
+a full ``train()`` on a GPMA graph starts no thread of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import threading
 from repro.compiler.plan import PlanCache
 from repro.dataset import load_sx_mathoverflow
 from repro.device import Device, use_device
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs import Tracer, emit, open_span_count, span, use_tracer
 from repro.tensor import init
 from repro.train import STGraphLinkPredictor, STGraphTrainer, make_link_prediction_samples
 
@@ -91,7 +91,7 @@ def test_plan_cache_distinct_keys_partition_counters():
 
 
 # ---------------------------------------------------------------------------
-# Tracer: per-thread span stacks
+# The spine: per-thread span stacks, per-thread totals cells
 # ---------------------------------------------------------------------------
 def test_worker_thread_spans_never_corrupt_main_stack():
     """Spans opened/closed on a worker interleave with an open main-thread
@@ -106,42 +106,41 @@ def test_worker_thread_spans_never_corrupt_main_stack():
         with use_device(device), use_tracer(tracer):
             go.wait()
             for i in range(50):
-                with tracer.span("worker.op", "worker", i=i):
+                with span("serve.forward", i=i):
                     pass
         done.set()
 
     t = threading.Thread(target=worker)
     t.start()
     with use_device(device), use_tracer(tracer):
-        with tracer.span("main.outer", "train"):
-            assert tracer.open_span_count == 1
+        with span("train.epoch"):
+            assert open_span_count() == 1
             go.set()
             done.wait()
             # The worker opened and closed 50 spans; this thread's stack
             # must still hold exactly its own open span.
-            assert tracer.open_span_count == 1
+            assert open_span_count() == 1
     t.join()
-    assert tracer.open_span_count == 0
-    by_name = tracer.aggregate_by_name()
-    assert by_name["worker.op"]["calls"] == 50
-    assert by_name["main.outer"]["calls"] == 1
-    tids = {e.tid for e in tracer.events if e.name == "worker.op"}
+    assert open_span_count() == 0
+    totals = device.totals.read()
+    assert totals.calls("serve.forward") == 50
+    assert totals.calls("train.epoch") == 1
+    tids = {e.tid for e in tracer.events if e.name == "serve.forward"}
     assert tids == {2}
-    assert {e.tid for e in tracer.events if e.name == "main.outer"} == {1}
+    assert {e.tid for e in tracer.events if e.name == "train.epoch"} == {1}
 
 
 def test_tracer_aggregates_exact_under_concurrent_spans():
-    """Span-name call counts stay exact when many threads record at once."""
-    tracer = Tracer(name="hammer", keep_events=False)
+    """Per-site call counts stay exact when many threads record at once."""
     device = Device(name="hammer")
     n_threads, n_spans = 8, 100
     barrier = threading.Barrier(n_threads)
 
     def worker():
-        with use_device(device), use_tracer(tracer):
+        with use_device(device):
             barrier.wait()
             for _ in range(n_spans):
-                with tracer.span("op", "cat"):
+                with span("device.kernel_launch", tier="python"):
                     pass
 
     threads = [threading.Thread(target=worker) for _ in range(n_threads)]
@@ -149,26 +148,30 @@ def test_tracer_aggregates_exact_under_concurrent_spans():
         t.start()
     for t in threads:
         t.join()
-    assert tracer.aggregate_by_name()["op"]["calls"] == n_threads * n_spans
+    assert device.totals.read().calls("device.kernel_launch") == n_threads * n_spans
+    # ...and the labelled histogram child shared by the threads agrees.
+    child = device.metrics.get("repro_kernel_launch_seconds").labels(tier="python")
+    assert child.count == n_threads * n_spans
 
 
 def test_profiler_counters_exact_under_concurrent_counts():
-    """Profiler event counters accumulate exactly across threads."""
+    """Event counters accumulate exactly across threads."""
     device = Device(name="counters")
     n_threads, n_counts = 8, 200
     barrier = threading.Barrier(n_threads)
 
     def worker():
-        barrier.wait()
-        for _ in range(n_counts):
-            device.profiler.count("hammered")
+        with use_device(device):
+            barrier.wait()
+            for _ in range(n_counts):
+                emit("core.ctx_cache_hit")
 
     threads = [threading.Thread(target=worker) for _ in range(n_threads)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert device.profiler.counter("hammered") == n_threads * n_counts
+    assert device.totals.read().count("ctx_cache_hits") == n_threads * n_counts
 
 
 # ---------------------------------------------------------------------------

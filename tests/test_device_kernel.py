@@ -6,6 +6,8 @@ import pytest
 
 from repro.device.kernel import CompiledKernel, KernelLauncher, compile_kernel_source
 
+SITE = "device.kernel_launch"  # a launch is one interval of this site
+
 
 def test_compile_kernel_source_basic():
     fn = compile_kernel_source("def k(x):\n    return x * 2\n", "k")
@@ -38,16 +40,18 @@ def test_launcher_cache_roundtrip():
     assert len(launcher) == 1
 
 
-def test_launcher_counts_and_times():
+def test_launcher_counts_and_times(fresh_device):
     launcher = KernelLauncher()
     kernel = CompiledKernel("k", "", lambda a, b: a + b, ())
     assert launcher.launch(kernel, 1, 2) == 3
     assert launcher.launch(kernel, 3, 4) == 7
-    assert launcher.launch_count == 2
-    assert launcher.launch_seconds >= 0.0
+    calls, seconds = fresh_device.totals.read().site_totals[SITE]
+    assert calls == 2
+    assert seconds >= 0.0
+    assert launcher.launches_by_tier == {"python": 2}
 
 
-def test_launcher_counts_failed_launches():
+def test_launcher_counts_failed_launches(fresh_device):
     launcher = KernelLauncher()
 
     def bad():
@@ -56,7 +60,8 @@ def test_launcher_counts_failed_launches():
     kernel = CompiledKernel("k", "", bad, ())
     with pytest.raises(RuntimeError):
         launcher.launch(kernel)
-    assert launcher.launch_count == 1
+    assert fresh_device.totals.read().calls(SITE) == 1
+    assert launcher.launches_by_tier == {"python": 1}
 
 
 def test_launcher_clear():
@@ -65,4 +70,4 @@ def test_launcher_clear():
     launcher.launch(launcher.get("a"))
     launcher.clear()
     assert len(launcher) == 0
-    assert launcher.launch_count == 0
+    assert launcher.launches_by_tier == {}

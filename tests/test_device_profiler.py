@@ -1,4 +1,10 @@
-"""Profiler phase accounting (Figure 9's instrument)."""
+"""Phase accounting of the device totals (Figure 9's instrument).
+
+These cases used to drive ``device/profiler.py``; the profiler is gone and
+the same contracts — nesting, siblings, exceptions, reset, reset inside an
+open interval — now hold for the telemetry spine's always-on totals
+(``device.totals``), recorded through ``span`` / ``emit``.
+"""
 
 from __future__ import annotations
 
@@ -6,139 +12,132 @@ import time
 
 import pytest
 
-from repro.device import COUNTERS, Profiler
+from repro.obs import COUNTERS, emit, span
+
+# Real rows of the site table, picked for their categories.
+OUTER = "train.epoch"  # cat train
+INNER = "core.engine_forward"  # cat gnn
+SIBLING = "core.begin_timestamp"  # cat graph_update
 
 
-def test_single_phase_accumulates():
-    p = Profiler()
-    with p.phase("a"):
-        time.sleep(0.01)
-    with p.phase("a"):
-        time.sleep(0.01)
-    assert p.seconds("a") >= 0.02
-    assert p.calls("a") == 2
+def test_single_phase_accumulates(fresh_device):
+    for _ in range(2):
+        with span(INNER):
+            time.sleep(0.01)
+    totals = fresh_device.totals.read()
+    assert totals.seconds("gnn") >= 0.02
+    assert totals.calls(INNER) == 2
+    assert totals.site_totals[INNER][1] >= 0.02
 
 
-def test_unknown_phase_zero():
-    p = Profiler()
-    assert p.seconds("nope") == 0.0
-    assert p.calls("nope") == 0
+def test_unknown_phase_zero(fresh_device):
+    totals = fresh_device.totals.read()
+    assert totals.seconds("nope") == 0.0
+    assert totals.calls("nope") == 0
+    assert totals.count("nope") == 0
+    with pytest.raises(KeyError):
+        span("not.a.site")  # a typo fails at the call site, not silently
 
 
-def test_nested_phases_attributed_once():
-    """Inner phase time must not be double counted in the outer phase."""
-    p = Profiler()
-    with p.phase("outer"):
+def test_nested_phases_attributed_once(fresh_device):
+    """Inner interval time must not be double counted in the outer category."""
+    with span(OUTER):
         time.sleep(0.02)
-        with p.phase("inner"):
+        with span(INNER):
             time.sleep(0.04)
         time.sleep(0.02)
-    outer = p.seconds("outer")
-    inner = p.seconds("inner")
+    totals = fresh_device.totals.read()
+    outer, inner = totals.seconds("train"), totals.seconds("gnn")
     assert inner >= 0.04
     assert outer >= 0.04 * 0.9  # own time only (two 0.02 sleeps)
     # The key invariant: outer does NOT include inner's 0.04s.
     assert outer < 0.04 + 0.04 + 0.02
-    total = outer + inner
-    assert total == pytest.approx(0.08, abs=0.04)
+    assert outer + inner == pytest.approx(0.08, abs=0.04)
+    # ...while the per-site view stays inclusive.
+    assert totals.site_totals[OUTER][1] >= 0.08
 
 
-def test_breakdown_sums_to_one():
-    p = Profiler()
-    with p.phase("a"):
-        time.sleep(0.01)
-    with p.phase("b"):
-        time.sleep(0.03)
-    frac = p.breakdown()
+def test_breakdown_sums_to_one(fresh_device):
+    """Self seconds partition the root interval: the shares sum to 1."""
+    with span(OUTER):
+        with span(INNER):
+            time.sleep(0.01)
+        with span(SIBLING):
+            time.sleep(0.03)
+    totals = fresh_device.totals.read()
+    root = totals.site_totals[OUTER][1]
+    frac = {cat: seconds / root for cat, seconds in totals.cat_seconds.items()}
     assert abs(sum(frac.values()) - 1.0) < 1e-9
-    assert frac["b"] > frac["a"]
+    assert frac["graph_update"] > frac["gnn"]
 
 
-def test_disabled_profiler_is_noop():
-    p = Profiler()
-    p.enabled = False
-    with p.phase("a"):
+def test_reset(fresh_device):
+    with span(INNER):
         pass
-    assert p.calls("a") == 0
-    assert p.breakdown() == {}
+    fresh_device.reset()
+    totals = fresh_device.totals.read()
+    assert totals.seconds("gnn") == 0.0
+    assert totals.cat_seconds == {} and totals.site_totals == {}
 
 
-def test_reset():
-    p = Profiler()
-    with p.phase("a"):
-        pass
-    p.reset()
-    assert p.seconds("a") == 0.0
-    assert p.breakdown() == {}
-
-
-def test_exception_inside_phase_still_recorded():
-    p = Profiler()
+def test_exception_inside_phase_still_recorded(fresh_device):
     with pytest.raises(ValueError):
-        with p.phase("a"):
+        with span(INNER):
             raise ValueError("boom")
-    assert p.calls("a") == 1
+    assert fresh_device.totals.read().calls(INNER) == 1
 
 
-def test_event_counters():
-    p = Profiler()
-    p.count("csr_cache_hits")
-    p.count("csr_cache_hits", 2)
-    assert p.counter("csr_cache_hits") == 3
-    assert p.counter("never_counted") == 0
-    snapshot = p.counters()
+def test_event_counters(fresh_device):
+    emit("graph.csr_cache_hits")
+    emit("graph.csr_cache_hits", 2)
+    totals = fresh_device.totals.read()
+    assert totals.count("csr_cache_hits") == 3
+    assert totals.calls("graph.csr_cache_hits") == 3
+    assert totals.count("never_counted") == 0
+    snapshot = totals.counters()
     assert set(snapshot) == set(COUNTERS)
     assert snapshot["csr_cache_hits"] == 3
 
 
-def test_counters_respect_enabled_and_reset():
-    p = Profiler()
-    p.enabled = False
-    p.count("csr_cache_hits")
-    assert p.counter("csr_cache_hits") == 0
-    p.enabled = True
-    p.count("ctx_cache_misses")
-    p.reset()
-    assert p.counter("ctx_cache_misses") == 0
-
-
-def test_sibling_phases_inside_outer():
-    p = Profiler()
-    with p.phase("outer"):
-        with p.phase("x"):
+def test_sibling_phases_inside_outer(fresh_device):
+    with span(OUTER):
+        with span(INNER):
             time.sleep(0.01)
-        with p.phase("y"):
+        with span(SIBLING):
             time.sleep(0.01)
-    assert p.calls("x") == 1 and p.calls("y") == 1
-    assert p.calls("outer") == 1
+    totals = fresh_device.totals.read()
+    assert totals.calls(INNER) == 1 and totals.calls(SIBLING) == 1
+    assert totals.calls(OUTER) == 1
 
 
-def test_reset_clears_adhoc_counters_and_timers():
-    """Regression: reset() must clear *every* counter, including ad-hoc
-    event names outside COUNTERS, and the phase timers with them."""
-    p = Profiler()
-    with p.phase("gnn"):
+def test_reset_clears_adhoc_counters_and_timers(fresh_device):
+    """Regression: reset() must clear *every* counter, including events of
+    sites that feed no framework counter, and the phase timers with them."""
+    with span(INNER):
         pass
-    p.count("csr_cache_hits", 2)
-    p.count("my_adhoc_event", 5)
-    assert p.counters_snapshot() == {"csr_cache_hits": 2, "my_adhoc_event": 5}
-    p.reset()
-    assert p.counters_snapshot() == {}
-    assert p.counter("csr_cache_hits") == 0
-    assert p.counter("my_adhoc_event") == 0
-    assert p.seconds("gnn") == 0.0 and p.calls("gnn") == 0
+    emit("graph.csr_cache_hits", 2)
+    emit("core.state_pop", 5)  # counted per site only: no COUNTERS entry
+    totals = fresh_device.totals.read()
+    assert totals.event_counts == {"csr_cache_hits": 2}
+    assert totals.calls("core.state_pop") == 5
+    fresh_device.totals.reset()
+    totals = fresh_device.totals.read()
+    assert totals.event_counts == {}
+    assert totals.count("csr_cache_hits") == 0
+    assert totals.calls("core.state_pop") == 0
+    assert totals.seconds("gnn") == 0.0 and totals.calls(INNER) == 0
 
 
-def test_reset_inside_open_phase_does_not_crash():
-    """Regression: reset() while a phase() context is still open used to
-    leave the context's finally popping an empty stack (IndexError)."""
-    p = Profiler()
-    with p.phase("outer"):
-        with p.phase("inner"):
-            p.reset()
+def test_reset_inside_open_phase_does_not_crash(fresh_device):
+    """Regression: reset() while an interval is still open used to leave the
+    context's exit popping an empty stack (IndexError)."""
+    with span(OUTER):
+        with span(INNER):
+            fresh_device.totals.reset()
     # The discarded intervals are dropped, not recorded.
-    assert p.calls("inner") == 0 and p.calls("outer") == 0
-    # The profiler is fully usable afterwards.
-    with p.phase("after"):
+    totals = fresh_device.totals.read()
+    assert totals.calls(INNER) == 0 and totals.calls(OUTER) == 0
+    # The totals are fully usable afterwards.
+    with span(SIBLING):
         pass
-    assert p.calls("after") == 1
+    assert fresh_device.totals.read().calls(SIBLING) == 1

@@ -32,7 +32,7 @@ def _assert_clean(trainer, fresh_device, aborts: int = 1) -> None:
         trainer.executor.current_context()  # context cleared by reset
     stats = trainer.executor.stats()
     assert stats["sequence_aborts"] == aborts
-    assert fresh_device.profiler.counter("sequence_aborts") == aborts
+    assert fresh_device.totals.read().count("sequence_aborts") == aborts
 
 
 def _assert_recovers(ds, trainer) -> None:
@@ -122,9 +122,9 @@ def test_cache_stats_stay_consistent_after_abort(fresh_device):
     with use_fault_plan(plan), pytest.raises(MemoryError):
         trainer.train_epoch(ds.features)
     _assert_recovers(ds, trainer)
-    p = fresh_device.profiler
-    served = p.counter("ctx_cache_hits") + p.counter("csr_cache_hits")
-    rebuilt = p.counter("csr_cache_misses")
+    totals = fresh_device.totals.read()
+    served = totals.count("ctx_cache_hits") + totals.count("csr_cache_hits")
+    rebuilt = totals.count("csr_cache_misses")
     # Every CSR-level event maps to a real positioning; an aborted sequence
     # must not leave phantom hits or misses behind.
     assert served + rebuilt > 0

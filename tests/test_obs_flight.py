@@ -17,10 +17,10 @@ import pytest
 from repro.dataset import load_sx_mathoverflow
 from repro.device import current_device
 from repro.obs import (
-    NULL_FLIGHT_RECORDER,
     FlightRecorder,
     build_run_manifest,
-    current_flight_recorder,
+    emit,
+    installed,
     use_flight_recorder,
 )
 from repro.resilience import FaultPlan, FaultSite, run_chaos
@@ -41,11 +41,15 @@ def dynamic_ds():
 # Ring mechanics
 # ---------------------------------------------------------------------------
 def test_null_recorder_is_default_and_inert():
-    assert current_flight_recorder() is NULL_FLIGHT_RECORDER
-    assert not NULL_FLIGHT_RECORDER.enabled
-    NULL_FLIGHT_RECORDER.record("mark", "x")
-    assert NULL_FLIGHT_RECORDER.drain("whatever") == 0
-    assert NULL_FLIGHT_RECORDER.events() == []
+    """No recorder is installed by default: a flight site records into the
+    totals only, and an installed recorder sees nothing from before."""
+    assert installed() == (None, None)
+    emit("core.abort_sequence", dropped_state=0, dropped_graph=0)  # flight + drain row
+    rec = FlightRecorder()
+    with use_flight_recorder(rec):
+        assert installed() == (None, rec)
+    assert installed() == (None, None)
+    assert rec.events() == [] and rec.drain_count() == 0
 
 
 def test_ring_is_bounded_per_thread():
@@ -126,8 +130,8 @@ def test_abort_sequence_drains_recorder(dynamic_ds):
     assert rec.drain_count() == 1
     assert rec.drains[0]["reason"] == "abort_sequence"
     names = [e["name"] for e in rec.events()]
-    assert "timestamp" in names, "breadcrumbs should precede the abort"
-    assert "executor.abort_sequence" in names
+    assert "train.timestamp" in names, "breadcrumbs should precede the abort"
+    assert "core.abort_sequence" in names
 
 
 def test_chaos_with_flight_recorder_captures_kill_window(tmp_path):

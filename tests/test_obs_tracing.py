@@ -3,8 +3,8 @@
 Covers the observability acceptance criteria: matched B/E pairs in the
 Chrome export, spans closed even when a timestep raises mid-sequence,
 bitwise-identical training losses with the tracer disabled, and the
-Figure 9 span-aggregate/profiler consistency that lets the bench table be
-rendered from one code path.
+Figure 9 table rendered from the one attribution there is (the device
+totals' self time per category).
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ import pytest
 from repro.dataset import load_sx_mathoverflow
 from repro.device import current_device
 from repro.obs import (
-    NULL_TRACER,
     RunManifest,
+    Totals,
     Tracer,
     build_run_manifest,
     chrome_trace,
-    current_tracer,
+    emit,
+    installed,
+    open_span_count,
     prometheus_text,
+    span,
     use_tracer,
     write_chrome_trace,
     write_jsonl,
@@ -58,77 +61,81 @@ def _make_trainer(ds, seed: int = 7) -> tuple[STGraphTrainer, list]:
 # Core span semantics
 # ---------------------------------------------------------------------------
 def test_null_tracer_is_default_and_inert():
-    assert current_tracer() is NULL_TRACER
-    assert not NULL_TRACER.enabled
-    with NULL_TRACER.span("anything", "cat", t=3):
-        pass
-    NULL_TRACER.instant("nothing")
-    assert NULL_TRACER.open_span_count == 0
+    """No tracer is installed by default, and records still flow (totals)."""
+    assert installed() == (None, None)
+    with span("train.sequence", start=0, stop=3):
+        emit("core.state_push")
+    assert open_span_count() == 0
+    assert current_device().totals.read().calls("train.sequence") == 1
 
 
 def test_use_tracer_nests_and_restores():
     t1, t2 = Tracer(name="one"), Tracer(name="two")
     with use_tracer(t1):
-        assert current_tracer() is t1
+        assert installed()[0] is t1
         with use_tracer(t2):
-            assert current_tracer() is t2
+            assert installed()[0] is t2
         with use_tracer(None):  # None keeps tracing disabled
-            assert current_tracer() is NULL_TRACER
-        assert current_tracer() is t1
-    assert current_tracer() is NULL_TRACER
+            assert installed()[0] is None
+        assert installed()[0] is t1
+    assert installed()[0] is None
 
 
 def test_self_time_aggregation_no_double_count():
     tr = Tracer()
-    with tr.span("outer", "work"):
-        time.sleep(0.02)
-        with tr.span("inner", "work"):
+    # Two sites of one category (gnn), nested like a launch in an aggregation.
+    with use_tracer(tr):
+        with span("core.engine_forward"):
             time.sleep(0.02)
-    by_cat = tr.aggregate_by_cat()
-    by_name = tr.aggregate_by_name()
-    # Self time per cat: outer's self excludes inner, so the "work" total
+            with span("device.kernel_launch", tier="python"):
+                time.sleep(0.02)
+    totals = current_device().totals.read()
+    # Self time per cat: outer's self excludes inner, so the "gnn" total
     # equals outer's inclusive duration (both spans share the category).
-    assert by_cat["work"] == pytest.approx(by_name["outer"]["seconds"], rel=0.2)
-    assert by_name["outer"]["calls"] == 1
-    assert by_name["inner"]["calls"] == 1
-    assert by_name["inner"]["seconds"] < by_name["outer"]["seconds"]
+    outer_calls, outer_seconds = totals.site_totals["core.engine_forward"]
+    inner_calls, inner_seconds = totals.site_totals["device.kernel_launch"]
+    assert totals.seconds("gnn") == pytest.approx(outer_seconds, rel=0.2)
+    assert outer_calls == 1 and inner_calls == 1
+    assert inner_seconds < outer_seconds
     # Event depths are recorded.
     events = {e.name: e for e in tr.span_events()}
-    assert events["inner"].depth == 1 and events["outer"].depth == 0
+    assert events["device.kernel_launch"].depth == 1
+    assert events["core.engine_forward"].depth == 0
 
 
 def test_span_captures_memory_and_counter_deltas():
     device = current_device()
     tr = Tracer()
     with use_tracer(tr):
-        with tr.span("alloc-span", "test"):
+        with span("train.sequence"):
             keep = device.alloc.zeros(1024, dtype=np.float32, tag="obs-test")
-            device.profiler.count("obs_test_events", 3)
+            emit("graph.csr_cache_hits", 3)
     (event,) = tr.span_events()
     assert event.args["mem_delta_bytes"] == 4096
-    assert event.args["d_obs_test_events"] == 3
+    assert event.args["d_csr_cache_hits"] == 3
     assert event.args["mem_bytes"] >= 4096
     del keep
 
 
 def test_span_closed_and_tagged_on_exception():
     tr = Tracer()
-    with pytest.raises(ValueError):
-        with tr.span("failing", "test"):
+    with use_tracer(tr), pytest.raises(ValueError):
+        with span("train.sequence"):
             raise ValueError("boom")
-    assert tr.open_span_count == 0
+    assert open_span_count() == 0
     (event,) = tr.span_events()
     assert event.args["error"] == "ValueError"
 
 
 def test_max_events_cap_keeps_aggregates():
     tr = Tracer(max_events=2)
-    for i in range(5):
-        with tr.span(f"s{i}", "capped"):
-            pass
+    with use_tracer(tr):
+        for i in range(5):
+            with span("train.sequence", start=i):
+                pass
     assert len(tr.events) == 2
     assert tr.dropped_events == 3
-    assert sum(v["calls"] for v in tr.aggregate_by_name().values()) == 5
+    assert current_device().totals.read().calls("train.sequence") == 5
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +161,11 @@ def test_tracing_survives_mid_sequence_failure(dynamic_ds):
         with pytest.raises(RuntimeError, match="injected"):
             trainer.train_epoch(dynamic_ds.features)
     # Every span closed on the way out of the raise...
-    assert tr.open_span_count == 0
+    assert open_span_count() == 0
     # ...the failing timestamp (and its ancestors) carry the error tag...
     tagged = [e for e in tr.span_events() if e.args.get("error") == "RuntimeError"]
-    assert any(e.name == "timestamp[1]" for e in tagged)
-    assert any(e.name == "epoch" for e in tagged)
+    assert any(e.name == "train.timestamp" and e.args["t"] == 1 for e in tagged)
+    assert any(e.name == "train.epoch" for e in tagged)
     # ...and the Chrome export still has matched, well-nested B/E pairs.
     _assert_balanced(chrome_trace(tr)["traceEvents"])
 
@@ -195,13 +202,15 @@ def test_chrome_trace_structure(dynamic_ds):
     # The taxonomy is present: per-timestamp spans with graph_update vs
     # per-layer forward/backward splits, plus state-stack instants.
     names = {e["name"] for e in events}
-    assert {"epoch", "sequence", "graph_update", "backward", "optimizer"} <= names
-    assert any(n.startswith("timestamp[") for n in names)
-    assert any(n.startswith("forward/") for n in names)
-    assert any(n.startswith("backward/") for n in names)
-    assert any(e["ph"] == "i" and e["name"] == "state_stack.push" for e in events)
-    # Kernel spans embed the plan id in their name.
-    assert any(n.startswith("plan_") and n.endswith("_fwd") for n in names)
+    assert {"train.epoch", "train.sequence", "core.begin_timestamp", "core.backward_context",
+            "tensor.backward", "tensor.optim_step", "train.timestamp"} <= names
+    begins = [e for e in events if e["ph"] == "B"]
+    assert any(e["name"] == "core.engine_forward" and e["args"]["program"] for e in begins)
+    assert any(e["name"] == "core.engine_backward" and e["args"]["program"] for e in begins)
+    assert any(e["ph"] == "i" and e["name"] == "core.state_push" for e in events)
+    # Kernel spans carry the plan id in their kernel= attr.
+    kernels = {e["args"]["kernel"] for e in begins if e["name"] == "device.kernel_launch"}
+    assert any(k.startswith("plan_") and k.endswith("_fwd") for k in kernels)
     # Allocator byte deltas ride on span args.
     assert any("mem_delta_bytes" in e.get("args", {}) for e in events if e["ph"] == "B")
 
@@ -218,7 +227,7 @@ def test_write_exporters_roundtrip(tmp_path, dynamic_ds):
     rows = [json.loads(line) for line in open(jsonl_path)]
     assert len(rows) == len(tr.events)
     assert all("name" in r and "ts_us" in r for r in rows)
-    prom_path = write_prometheus(current_device(), str(tmp_path / "run.prom"), tr)
+    prom_path = write_prometheus(current_device(), str(tmp_path / "run.prom"))
     text = open(prom_path).read()
     assert 'repro_span_self_seconds_total{cat="gnn"}' in text
     assert "repro_memory_peak_bytes" in text
@@ -226,9 +235,19 @@ def test_write_exporters_roundtrip(tmp_path, dynamic_ds):
 
 
 def test_prometheus_text_without_tracer():
+    """The totals are always on, so the self-time family needs no tracer
+    and agrees with the phase family: they are one attribution."""
+    with span("core.engine_forward"):
+        pass
     text = prometheus_text(current_device())
     assert "repro_phase_seconds_total" in text
-    assert "repro_span_self_seconds_total" not in text
+    values = {
+        line.split(" ")[0]: line.split(" ")[1]
+        for line in text.splitlines() if not line.startswith("#")
+    }
+    assert float(values['repro_span_self_seconds_total{cat="gnn"}']) > 0
+    assert (values['repro_span_self_seconds_total{cat="gnn"}']
+            == values['repro_phase_seconds_total{phase="gnn"}'])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +259,7 @@ def test_manifest_collects_and_roundtrips(tmp_path, dynamic_ds):
     with use_tracer(tr):
         trainer.train_epoch(dynamic_ds.features)
     manifest = build_run_manifest(
-        current_device(), tracer=tr, graph=trainer.graph,
+        current_device(), graph=trainer.graph, run_name=tr.name,
         system="gpma", dataset=dynamic_ds.name,
         command="pytest", results={"final_loss": 1.0},
     )
@@ -278,42 +297,20 @@ def test_losses_bitwise_identical_with_and_without_tracer(dynamic_ds):
 
 
 # ---------------------------------------------------------------------------
-# Figure 9 single code path: span aggregates vs profiler phases
+# Figure 9: one attribution, the totals' self time per category
 # ---------------------------------------------------------------------------
-def test_fig9_span_aggregates_consistent_with_profiler(dynamic_ds):
-    from repro.bench.measure import run_dynamic_experiment
-
-    r = run_dynamic_experiment(
-        "gpma", lambda **kw: dynamic_ds, epochs=2, warmup=0,
-        feature_size=4, sequence_length=3,
-        tracer=Tracer(name="fig9-consistency", keep_events=False),
-    )
-    gnn_span, upd_span = r.time_split()
-    assert r.span_seconds, "traced run must fill span_seconds"
-    # The spans wrap exactly the profiler's gnn/graph_update phase regions,
-    # so the two attributions agree up to context-manager overhead.
-    for span_s, phase_s in ((gnn_span, r.gnn_seconds), (upd_span, r.graph_update_seconds)):
-        assert phase_s > 0
-        assert abs(span_s - phase_s) <= max(0.3 * phase_s, 5e-3)
-
-
 def test_fig9_rows_use_span_aggregates():
     from repro.bench.measure import RunResult
     from repro.bench.report import fig9_rows, format_fig9_table
 
     r = RunResult(
         system="gpma", dataset="d", params={"F": 8},
-        gnn_seconds=999.0, graph_update_seconds=999.0,  # must be ignored
-        span_seconds={"gnn": 3.0, "graph_update": 1.0},
+        totals=Totals(cat_seconds={"gnn": 3.0, "graph_update": 1.0, "train": 999.0}),
     )
+    assert r.time_split() == (3.0, 1.0)
     (row,) = fig9_rows([r])
     assert row["gnn_%"] == 75.0 and row["update_%"] == 25.0
     assert "gnn_%" in format_fig9_table([r])
-    # Untraced runs fall back to the profiler fields through the same path.
-    r2 = RunResult(system="gpma", dataset="d", params={"F": 8},
-                   gnn_seconds=1.0, graph_update_seconds=3.0)
-    (row2,) = fig9_rows([r2])
-    assert row2["update_%"] == 75.0
 
 
 def test_manifest_aggregates_lint_warnings():

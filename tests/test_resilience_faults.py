@@ -141,7 +141,7 @@ def test_firings_count_on_device_profiler(fresh_device):
     with use_fault_plan(injector):
         injector.take("cache")
         injector.take("cache")
-    assert fresh_device.profiler.counter("faults_injected") == 2
+    assert fresh_device.totals.read().count("faults_injected") == 2
 
 
 def test_context_stack_mirrors_tracer_pattern():

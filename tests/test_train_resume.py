@@ -16,7 +16,7 @@ import pytest
 from repro.dataset import load_sx_mathoverflow
 from repro.device import Device, use_device
 from repro.obs import build_run_manifest, write_chrome_trace
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs import Tracer, use_tracer
 from repro.resilience import (
     BOUNDARY,
     FaultPlan,
@@ -107,7 +107,7 @@ def test_kernel_fault_walks_retry_then_fallback(tmp_path, workload):
         trainer = _fresh_trainer(workload)
         losses = trainer.train(ds.features, epochs=_EPOCHS)
         manifest = build_run_manifest(
-            device, tracer=tracer, graph=trainer.graph,
+            device, graph=trainer.graph,
             run_name="ladder", command="pytest", system="stgraph", dataset=ds.name,
         )
 
@@ -123,8 +123,8 @@ def test_kernel_fault_walks_retry_then_fallback(tmp_path, workload):
     trace_path = write_chrome_trace(tracer, str(tmp_path / "ladder.json"))
     events = json.loads(open(trace_path).read())["traceEvents"]
     by_name = {e["name"] for e in events}
-    assert {"fault.kernel", "fault.retry", "fault.engine_fallback"} <= by_name
-    fallback = next(e for e in events if e["name"] == "fault.engine_fallback")
+    assert {"fault.kernel", "core.kernel_retry", "core.engine_fallback"} <= by_name
+    fallback = next(e for e in events if e["name"] == "core.engine_fallback")
     assert fallback["ph"] == "i" and fallback["cat"] == "fault"
 
 
@@ -159,7 +159,7 @@ def test_cache_fault_rebuilds_and_preserves_losses(workload):
         losses = trainer.train(ds.features, epochs=_EPOCHS)
     assert injector.exhausted()
     assert trainer.graph.cache_fault_rebuilds == 1
-    assert device.profiler.counter("cache_fault_rebuilds") == 1
+    assert device.totals.read().count("cache_fault_rebuilds") == 1
     # The Algorithm-3 rebuild path is a pure re-derivation: same losses.
     assert all(np.float64(a) == np.float64(b) for a, b in zip(losses, reference))
 
