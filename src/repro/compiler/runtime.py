@@ -37,8 +37,8 @@ __all__ = ["GraphContext", "RUNTIME_NAMESPACE"]
 class GraphContext:
     """Structural arrays of one snapshot, prepared for kernel launches.
 
-    ``snapshot_key`` records the graph's ``(position, snapshot_version)``
-    identity at build time — the executor's context cache uses it to decide
+    ``snapshot_key`` records the graph's content identity (its snapshot
+    version) at build time — the executor's context cache uses it to decide
     when a context built for one pass (e.g. forward at ``t``) is valid for
     another (the LIFO backward step at the same ``t``).
     """

@@ -82,7 +82,7 @@ class TemporalExecutor:
         # snapshot_key() -> GraphContext LRU; disabled when the graph opts
         # out of snapshot reuse (the enable_csr_cache ablation flag).
         self.ctx_cache_size = int(ctx_cache_size)
-        self._ctx_cache: OrderedDict[tuple, GraphContext] = OrderedDict()
+        self._ctx_cache: OrderedDict[int, GraphContext] = OrderedDict()
         self.ctx_cache_hits = 0
         self.ctx_cache_misses = 0
         # Degradation-ladder accounting (repro.core.module increments these):

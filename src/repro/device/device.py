@@ -66,7 +66,7 @@ class Device:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Device({self.name!r}, resident={self.tracker.current_bytes}B, "
-            f"peak={self.tracker.peak_bytes}B, kernels={len(self.launcher)})"
+            f"peak={self.tracker.peak_bytes}B)"
         )
 
 

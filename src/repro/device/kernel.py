@@ -4,8 +4,9 @@ Seastar's codegen emits CUDA source that is NVRTC-compiled and cached; the
 executor then launches those kernels.  Our codegen (``repro.compiler.codegen``)
 emits Python source targeting vectorized NumPy; :class:`CompiledKernel` holds
 the source plus the compiled callable, and :class:`KernelLauncher` plays the
-role of the CUDA launch layer: it resolves kernels from a cache keyed by the
-IR signature.  Every launch is one ``device.kernel_launch`` interval of the
+role of the CUDA launch layer: it compiles generated source (once per
+distinct source) and launches the kernels the plans hold.  Every launch is
+one ``device.kernel_launch`` interval of the
 telemetry spine: launch counts and seconds are that site's device totals
 (``device.totals.read()``), the per-tier latency histogram and the trace
 span are derived from the same record.
@@ -67,14 +68,12 @@ def compile_kernel_source(source: str, entry: str, globals_extra: dict[str, Any]
 
 
 class KernelLauncher:
-    """Caches compiled kernels and launches them.
+    """Compiles generated kernels and launches them.
 
-    Keyed by an arbitrary hashable signature (the compiler uses the IR hash),
-    so re-tracing the same vertex-centric function reuses the compiled
-    kernel — matching Seastar's kernel cache.
-
-    :meth:`compile` additionally deduplicates at the *source* level: two
-    compilation requests with byte-identical generated source (and the same
+    Kernels live on the compiler's plans (``repro.compiler.plan_cache()`` is
+    the cache a re-traced vertex-centric function hits).  :meth:`compile`
+    deduplicates at the *source* level: two compilation requests
+    with byte-identical generated source (and the same
     entry point) share one :class:`CompiledKernel`, so e.g. plans that differ
     only in a specialization attribute never pay for ``compile()``/``exec``
     twice.  ``compile_count`` counts actual compilations and
@@ -82,7 +81,6 @@ class KernelLauncher:
     """
 
     def __init__(self) -> None:
-        self._cache: dict[Any, CompiledKernel] = {}
         self._by_source: dict[tuple[str, str], CompiledKernel] = {}
         self.compile_count = 0
         self.source_dedup_hits = 0
@@ -90,15 +88,6 @@ class KernelLauncher:
         #: generated kernels are all "python") — lets benchmarks verify
         #: which tier actually ran.
         self.launches_by_tier: dict[str, int] = {}
-
-    def get(self, key: Any) -> CompiledKernel | None:
-        """Cached kernel for ``key``, or None."""
-        return self._cache.get(key)
-
-    def put(self, key: Any, kernel: CompiledKernel) -> CompiledKernel:
-        """Cache ``kernel`` under ``key`` and return it."""
-        self._cache[key] = kernel
-        return kernel
 
     def compile(
         self,
@@ -146,12 +135,8 @@ class KernelLauncher:
             return kernel(*args, **kwargs)
 
     def clear(self) -> None:
-        """Drop the caches and reset launch/compile counters."""
-        self._cache.clear()
+        """Drop the source cache and reset launch/compile counters."""
         self._by_source.clear()
         self.compile_count = 0
         self.source_dedup_hits = 0
         self.launches_by_tier.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -16,12 +16,12 @@ snapshot at ``t``; ``get_backward_graph(t)`` repositions during the LIFO
 backward walk.
 
 **Snapshot versioning.**  Every graph carries a ``snapshot_version`` that
-identifies the *content* of the snapshot it currently exposes.  The version
-changes only on actual structural change: applying a non-empty update batch
-moves to the (stable, per-timestamp) version of the new snapshot, while
-no-op batches — zero additions and zero deletions — leave it untouched.
-``snapshot_key()`` combines position and version into the key the one
-reuse store is built on: the executor keys
+identifies the *content* of the snapshot it currently exposes.  On a
+DTDG-backed graph it is a function of the data,
+``dtdg.version_of(position)``: the number of non-empty update batches up to
+the position, so no-op batches — zero additions and zero deletions — leave
+it untouched; a static graph stays at 0.  ``snapshot_key()`` returns it, and
+it is the key the one reuse store is built on: the executor keys
 :class:`~repro.compiler.runtime.GraphContext` reuse on it (a context carries
 both CSRs and the degrees), so the LIFO backward walk over a sequence reuses
 the forward pass's builds instead of re-running Algorithm 3 per timestamp
@@ -45,13 +45,13 @@ class STGraphBase(abc.ABC):
 
     #: set by subclasses: "static" | "naive" | "gpma"
     graph_type: str = "base"
+    #: content version of the snapshot currently exposed: a read-only
+    #: property on the DTDG-backed graphs, 0 forever on a static one.
+    snapshot_version: int = 0
 
     def __init__(self, num_nodes: int, sort_by_degree: bool = True) -> None:
         self.num_nodes = int(num_nodes)
         self.sort_by_degree = bool(sort_by_degree)
-        #: version of the snapshot currently exposed; bumped only by actual
-        #: structural change (static graphs stay at 0 forever).
-        self.snapshot_version = 0
         #: whether built snapshots may be reused: the on/off ablation flag of
         #: the executor's GraphContext store.
         self.enable_csr_cache = True
@@ -61,15 +61,14 @@ class STGraphBase(abc.ABC):
         self.noop_updates_skipped = 0
 
     # -- snapshot identity -------------------------------------------------
-    def snapshot_key(self) -> tuple:
-        """Identity of the currently exposed snapshot: ``(position, version)``.
+    def snapshot_key(self) -> int:
+        """Content identity of the currently exposed snapshot: its version.
 
         Two calls returning equal keys expose bitwise-identical structure, so
         artifacts built from one (CSRs, :class:`GraphContext`) are valid for
-        the other.  Subclasses with a temporal position refine the first
-        element; the static default never changes.
+        the other: a no-op boundary reuses the previous timestamp's context.
         """
-        return (None, self.snapshot_version)
+        return self.snapshot_version
 
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a reuse counter on self and emit its ``graph.<name>`` event."""

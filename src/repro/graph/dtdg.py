@@ -9,7 +9,8 @@ storage strategies the paper compares need different inputs:
   than 10%").
 
 :class:`DTDG` holds both views and guarantees they are consistent: updates
-are computed as exact set differences between consecutive snapshots.
+are computed as exact set differences between consecutive snapshots.  It owns
+each snapshot's content version (:meth:`DTDG.version_of`), the key of all reuse.
 """
 
 from __future__ import annotations
@@ -80,13 +81,18 @@ class DTDG:
                 np.empty(0, dtype=np.int64),
             )
         ]
+        self._versions = [0]  # version_of(t); grows wherever ``updates`` does
         for t in range(1, len(self._keys)):
             prev, curr = self._keys[t - 1], self._keys[t]
             added = np.setdiff1d(curr, prev, assume_unique=True)
             deleted = np.setdiff1d(prev, curr, assume_unique=True)
             a_src, a_dst = decode_edges(added, self.num_nodes)
             d_src, d_dst = decode_edges(deleted, self.num_nodes)
-            self.updates.append(EdgeUpdate(a_src, a_dst, d_src, d_dst))
+            self._record(EdgeUpdate(a_src, a_dst, d_src, d_dst))
+
+    def _record(self, update: EdgeUpdate) -> None:
+        self.updates.append(update)
+        self._versions.append(self._versions[-1] + (update.num_changes > 0))
 
     @property
     def num_timestamps(self) -> int:
@@ -101,8 +107,8 @@ class DTDG:
         adding an edge that already exists (or deleting one that does not) is
         dropped, and duplicate edges within the batch collapse.  A fully
         redundant batch still appends a timestamp — its stored update is
-        empty, which GPMA treats as a no-op boundary (the snapshot version is
-        inherited, so caches keyed on version keep hitting).
+        empty, a no-op boundary: the snapshot version is inherited, so caches
+        keyed on version keep hitting.
 
         Returns the new timestamp index.
         """
@@ -132,8 +138,15 @@ class DTDG:
         self._keys.append(np.insert(prev[keep], add_at - np.searchsorted(del_at, add_at), add))
         a_src, a_dst = decode_edges(add, self.num_nodes)
         d_src, d_dst = decode_edges(delete, self.num_nodes)
-        self.updates.append(EdgeUpdate(a_src, a_dst, d_src, d_dst))
+        self._record(EdgeUpdate(a_src, a_dst, d_src, d_dst))
         return self.num_timestamps - 1
+
+    def version_of(self, t: int) -> int:
+        """Content version of snapshot ``t``: the number of non-empty batches in
+        ``1..t``.  Equal versions mean equal edge sets; an append renumbers nothing."""
+        if not 0 <= t < len(self._versions):
+            raise IndexError(f"timestamp {t} out of range [0, {len(self._versions)})")
+        return self._versions[t]
 
     def snapshot_edges(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The (src, dst) arrays of snapshot ``t`` in sorted key order."""

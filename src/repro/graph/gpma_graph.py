@@ -14,12 +14,12 @@ compaction of the PMA; the forward (reverse) CSR is Algorithm 3 —
 that compact CSR.  The *gapped* view the paper's kernel reads is still
 available (:meth:`GPMAGraph.gapped_csr`) but a build does not pay for it.
 
-Snapshots are **versioned**: every timestamp is assigned a stable snapshot
-version the first time its content is realized (no-op update batches reuse
-the previous timestamp's version, since the content is identical).
-Positioning is **logical**: once a timestamp's version is known,
-``get_graph`` / ``get_backward_graph`` only resolve that identity, and the
-PMA replays update batches when a snapshot actually has to be built.
+Snapshots are **versioned** by the data: the content version of timestamp
+``t`` is ``dtdg.version_of(t)``, the number of non-empty update batches in
+``1..t`` (a no-op boundary keeps the version, since the content is
+identical).  Positioning is therefore **logical**, always: ``get_graph`` /
+``get_backward_graph`` set the timestamp, and the PMA replays update batches
+only when a snapshot has to be built or the storage is read.
 
 The graph keeps **one** build, the one it currently exposes; it is valid
 for as long as the position's version equals the build's.  Built snapshots
@@ -47,7 +47,6 @@ from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
 from repro.graph.snapshot_builder import (
     BuiltSnapshot,
-    SnapshotVersionMap,
     UpdateCursor,
     build_snapshot_arrays,
     gapped_csr_arrays,
@@ -70,21 +69,12 @@ class GPMAGraph(STGraphBase):
         enable_csr_cache: bool = True,
     ) -> None:
         self.dtdg = dtdg
-        self._versions = SnapshotVersionMap()
         with span("graph.preprocess", kind="gpma"):
-            self._cursor = UpdateCursor(
-                dtdg,
-                self._versions,
-                enable_cache=enable_cache,
-                on_noop=lambda: self._count("noop_updates_skipped"),
-            )
-        # Logical position: the (timestamp, version) identity this graph
-        # *claims*.  Positioning is deferred — once a timestamp's version is
-        # known the identity is resolved from the version map and the
-        # physical PMA only catches up when a snapshot has to be built or
-        # the storage itself is read (see _advance).
+            self._cursor = UpdateCursor(dtdg, enable_cache=enable_cache)
+        # Logical position: the timestamp this graph *claims*.  The physical
+        # PMA only catches up when a snapshot has to be built or the storage
+        # itself is read (see _advance).
         self._pos_time = 0
-        self._pos_version = 0
         # Version of the installed _fwd/_bwd artifacts (None = none valid).
         self._built_version: int | None = None
         super().__init__(dtdg.num_nodes, sort_by_degree)
@@ -122,13 +112,8 @@ class GPMAGraph(STGraphBase):
 
     @property
     def snapshot_version(self) -> int:
-        """Stable content version of the currently exposed snapshot."""
-        return self._pos_version
-
-    @snapshot_version.setter
-    def snapshot_version(self, value: int) -> None:
-        self._pos_version = int(value)
-        self._cursor.version = int(value)
+        """Content version of the currently exposed snapshot."""
+        return self.dtdg.version_of(self._pos_time)
 
     @property
     def update_batches_applied(self) -> int:
@@ -140,17 +125,12 @@ class GPMAGraph(STGraphBase):
         """Times the main cursor restored its saved PMA state."""
         return self._cursor.cache_restores
 
-    @property
-    def _ts_versions(self) -> dict[int, int]:
-        """Copy of the timestamp -> version assignments (tests/diagnostics)."""
-        return self._versions.as_dict()
-
     # ------------------------------------------------------------------
     # Algorithm 2: temporal positioning
     # ------------------------------------------------------------------
     def get_graph(self, timestamp: int) -> "GPMAGraph":
         """Get-Graph(G, t): position at ``t``; update batches (with cache
-        retrieval) are applied when the snapshot is first visited or built."""
+        retrieval) are applied when the snapshot is built."""
         return self._position(timestamp)
 
     def get_backward_graph(self, timestamp: int) -> "GPMAGraph":
@@ -179,76 +159,21 @@ class GPMAGraph(STGraphBase):
         with span("graph.cache_state", t=self._pos_time):
             self._cursor.cache_state()
 
-    def snapshot_key(self) -> tuple:
-        """Content identity of the snapshot the PMA currently holds.
-
-        The stable version alone identifies content: no-op chains share a
-        version, a revisited timestamp restores its recorded one, and fresh
-        versions are only ever allocated for newly realized content — so a
-        version match implies bitwise-identical structure.  The executor
-        keys :class:`~repro.compiler.runtime.GraphContext` reuse on this,
-        which lets a no-op boundary reuse the previous timestamp's context.
-        """
-        return (None, self.snapshot_version)
-
-    # ------------------------------------------------------------------
-    # Checkpoint/resume: snapshot-version cursor
-    # ------------------------------------------------------------------
-    def version_cursor(self) -> dict:
-        """JSON-ready snapshot-version bookkeeping for checkpoint/resume.
-
-        Captures the temporal position plus the stable per-timestamp version
-        assignments, so a resumed run (in a fresh process, with a freshly
-        built graph) reproduces the same ``(timestamp, version)`` cache keys
-        the killed run would have used.  Content is always rebuilt from the
-        DTDG itself — the cursor restores bookkeeping, not edges.
-        """
-        return {
-            "curr_time": int(self.curr_time),
-            "snapshot_version": int(self.snapshot_version),
-            "version_counter": int(self._versions.counter),
-            "ts_versions": {str(t): int(v) for t, v in self._versions.as_dict().items()},
-        }
-
-    def restore_version_cursor(self, cursor: dict) -> None:
-        """Reposition at the cursor's timestamp and restore its version map.
-
-        The PMA replays update batches to reach ``curr_time`` (allocating
-        throwaway versions along the way), then the recorded assignments
-        overwrite the bookkeeping.  The saved PMA state and the installed
-        build are dropped (they were minted under the throwaway versions).
-        """
-        self.get_graph(int(cursor["curr_time"]))
-        self._catch_up()  # the version written below is the physical cursor's too
-        self._versions.restore(
-            {int(t): int(v) for t, v in cursor["ts_versions"].items()},
-            int(cursor["version_counter"]),
-        )
-        self.snapshot_version = int(cursor["snapshot_version"])
-        self._cursor.drop_cache()
-        self._built_version = None
-
     def _advance(self, t: int) -> None:
-        """Position at ``t`` — logically whenever its version is known.
+        """Position at ``t``: a logical move, on every visit.
 
-        Positioning only has to resolve the ``(t, version)`` content
-        identity: once ``t`` has been realized, the version map knows it
+        The content identity of ``t`` is ``dtdg.version_of(t)``, known
         without replaying a single update batch.  The physical PMA stays
         parked and only catches up when a snapshot is built or the storage
         is read — the LIFO backward walk, served from the executor's
-        contexts, does no structural graph work at all.  If the version is
-        still unknown this is a first visit and the cursor advances
-        physically (Algorithm 2), allocating the version.
+        contexts, does no structural graph work at all.  A move that changes
+        the timestamp and not the version crossed only no-op boundaries.
         """
+        version = self.dtdg.version_of(t)  # IndexError outside [0, T)
+        if t != self._pos_time and version == self.snapshot_version:
+            self._count("noop_updates_skipped")
         self._reuse_counted = False
-        version = self._versions.get(t)
-        if version is not None:
-            self._pos_time = t
-            self._pos_version = version
-            return
-        self._cursor.advance(t)
-        self._pos_time = self._cursor.time
-        self._pos_version = self._cursor.version
+        self._pos_time = t
 
     def _catch_up(self) -> None:
         """Bring the physical cursor to the logical position (Algorithm 2's replay)."""
@@ -278,7 +203,7 @@ class GPMAGraph(STGraphBase):
             snap = build_snapshot_arrays(
                 pma, self.num_nodes, self.sort_by_degree, current_device().alloc
             )
-        self._install(snap, self._pos_version)
+        self._install(snap, self.snapshot_version)
 
     def _ensure_built(self) -> None:
         """Serve the current snapshot's artifacts from the installed build.
@@ -301,7 +226,7 @@ class GPMAGraph(STGraphBase):
         # The stable version alone is content identity, so the installed
         # artifacts are valid whenever their version matches the logical
         # position's — across no-op chains and backward revisits alike.
-        if self._built_version == self._pos_version:
+        if self._built_version == self.snapshot_version:
             if self.enable_csr_cache and not self._reuse_counted:
                 self._reuse_counted = True
                 self._count("csr_cache_hits")

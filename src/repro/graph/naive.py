@@ -7,6 +7,9 @@ just array indexing — the fastest option — but "storing each graph snapshot
 on the GPU along with additional data such as edge IDs, node IDs, in-degrees
 array, and out-degrees array creates a significant memory overhead", which
 is exactly what Figure 8 measures.
+
+A snapshot's identity is the DTDG's content version, the same rule as
+GPMAGraph's: across a no-op boundary the executor reuses one context.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class NaiveGraph(STGraphBase):
                 )
                 self._snapshots.append(_Snapshot(fwd, bwd, in_deg, out_deg))
                 # Every snapshot's CSRs are built exactly once, up front:
-                # each build is one (timestamp, 0) miss of the reuse cache.
+                # each build is one miss of the reuse cache.
                 self._count("csr_cache_misses")
         self._current = 0
 
@@ -78,15 +81,16 @@ class NaiveGraph(STGraphBase):
     def get_backward_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for the backward step."""
         self._current = int(timestamp)
-        # The backward walk reuses the forward build keyed (t, 0):
-        # structurally free here, but counted so all dynamic graphs
-        # report the same reuse statistics.
+        # The backward walk reuses the forward build: structurally free
+        # here, but counted so all dynamic graphs report the same reuse
+        # statistics.
         self._count("csr_cache_hits")
         return self
 
-    def snapshot_key(self) -> tuple:
-        """``(timestamp, 0)``: snapshots are immutable, version never bumps."""
-        return (self._current, self.snapshot_version)
+    @property
+    def snapshot_version(self) -> int:
+        """Content version of the snapshot currently pointed at."""
+        return self.dtdg.version_of(self._current)
 
     def forward_csr(self) -> CSR:
         """Current snapshot's reverse CSR."""

@@ -4,12 +4,8 @@
   one PMA positioned at one timestamp, with Algorithm 2's update-batch
   replay and its two restore points (the DTDG base graph, kept from
   construction, and the state slot ``cache_state`` fills at a sequence
-  boundary).
-* :class:`SnapshotVersionMap` — the lock-protected per-timestamp version
-  bookkeeping.  Versions are content identity: the first visit of a
-  timestamp allocates its version, a no-op batch inherits the previous
-  one, so equal versions mean bitwise-identical structure.  Logical
-  positioning (moving without replaying batches) resolves versions here.
+  boundary).  It holds storage, not identity: what content a timestamp
+  has is :meth:`DTDG.version_of <repro.graph.dtdg.DTDG.version_of>`.
 * :func:`build_snapshot_arrays` — the pure relabel + Algorithm 3 function:
   PMA storage in, immutable :class:`BuiltSnapshot` out, no shared state
   touched.  One compaction of the PMA, O(E + N) after it;
@@ -24,11 +20,9 @@ GraphContext`` LRU (docs/EXECUTOR.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.analysis.sanitizer import new_lock
 from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
 from repro.graph.labels import decode_edges, encode_edges
@@ -36,7 +30,6 @@ from repro.pma import PackedMemoryArray, SPACE_KEY
 
 __all__ = [
     "BuiltSnapshot",
-    "SnapshotVersionMap",
     "UpdateCursor",
     "build_snapshot_arrays",
     "gapped_csr_arrays",
@@ -64,63 +57,10 @@ class _CursorState:
     """A saved PMA state (Algorithm 2's graph cache)."""
 
     time: int
-    version: int
     keys: np.ndarray
     values: np.ndarray
     counts: np.ndarray
     n_items: int
-
-
-class SnapshotVersionMap:
-    """Thread-safe stable per-timestamp snapshot versions.
-
-    Every timestamp gets a version the first time its content is realized.
-    No-op update batches inherit the previous timestamp's version (identical
-    content); non-empty batches allocate monotonically, so a version is
-    never reused for different content.
-    """
-
-    def __init__(self) -> None:
-        self._lock = new_lock("SnapshotVersionMap._lock")
-        self._versions: dict[int, int] = {0: 0}
-        self._counter = 0
-
-    def get(self, ts: int) -> int | None:
-        """Version already assigned to ``ts`` (None if never realized)."""
-        with self._lock:
-            return self._versions.get(int(ts))
-
-    def noop(self, ts_new: int, current_version: int) -> int:
-        """Version for ``ts_new`` whose batch is empty: inherits ``current_version``."""
-        with self._lock:
-            return self._versions.setdefault(int(ts_new), int(current_version))
-
-    def realized(self, ts_new: int) -> int:
-        """Version for ``ts_new`` after applying a non-empty batch (allocates once)."""
-        with self._lock:
-            ver = self._versions.get(int(ts_new))
-            if ver is None:
-                self._counter += 1
-                ver = self._counter
-                self._versions[int(ts_new)] = ver
-            return ver
-
-    @property
-    def counter(self) -> int:
-        """Highest version allocated so far."""
-        with self._lock:
-            return self._counter
-
-    def as_dict(self) -> dict[int, int]:
-        """Copy of the timestamp -> version assignments."""
-        with self._lock:
-            return dict(self._versions)
-
-    def restore(self, versions: dict[int, int], counter: int) -> None:
-        """Replace the bookkeeping (checkpoint resume)."""
-        with self._lock:
-            self._versions = {int(t): int(v) for t, v in versions.items()}
-            self._counter = int(counter)
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +145,19 @@ def build_snapshot_arrays(
 class UpdateCursor:
     """One PMA positioned at one timestamp, with Algorithm 2 replay.
 
-    Single-threaded by design: whichever thread owns the graph drives it.
+    A PMA, a time and two restore points.  Nothing here is synchronised: a
+    cursor is driven only by the code that owns its graph.
     """
 
-    def __init__(
-        self,
-        dtdg: DTDG,
-        versions: SnapshotVersionMap,
-        enable_cache: bool = True,
-        on_noop: Callable[[], None] | None = None,
-    ) -> None:
+    def __init__(self, dtdg: DTDG, enable_cache: bool = True) -> None:
         self.dtdg = dtdg
         self.num_nodes = dtdg.num_nodes
-        self.versions = versions
         self.enable_cache = enable_cache
-        self.on_noop = on_noop
         src, dst = dtdg.snapshot_edges(0)
         keys = encode_edges(src, dst, dtdg.num_nodes)
         self.pma = PackedMemoryArray(capacity=max(64, 2 * len(keys)))
         self.pma.insert_batch(keys, keys)
         self.time = 0
-        self.version = 0
         self._cache: _CursorState | None = None
         # The DTDG base graph is a restore point the cursor always has: the
         # per-epoch wrap T-1 -> 0 is one copy, not T-1 reverse batches.
@@ -238,7 +170,6 @@ class UpdateCursor:
     def _saved_state(self) -> _CursorState:
         return _CursorState(
             time=self.time,
-            version=self.version,
             keys=self.pma.keys.copy(),
             values=self.pma.values.copy(),
             counts=self.pma.segment_counts(),
@@ -251,7 +182,7 @@ class UpdateCursor:
             self._cache = self._saved_state()
 
     def drop_cache(self) -> None:
-        """Invalidate the saved PMA state (corruption fault / resume)."""
+        """Invalidate the saved PMA state (corruption fault)."""
         self._cache = None
 
     def _restore(self, saved: _CursorState) -> None:
@@ -264,9 +195,6 @@ class UpdateCursor:
         self.pma.n_items = saved.n_items
         self.pma._refresh_seg_min()
         self.time = saved.time
-        # The restored snapshot keeps the version it was assigned when first
-        # realized, so its built CSRs remain valid cache entries.
-        self.version = saved.version
         self.cache_restores += 1
 
     def advance(self, t: int) -> None:
@@ -287,29 +215,21 @@ class UpdateCursor:
             if abs(t - saved.time) < abs(t - self.time):
                 self._restore(saved)
         while self.time < t:
-            self._apply_update(self.dtdg.updates[self.time + 1], forward=True, ts_new=self.time + 1)
+            self._apply_update(self.dtdg.updates[self.time + 1], forward=True)
             self.time += 1
         while self.time > t:
-            self._apply_update(self.dtdg.updates[self.time], forward=False, ts_new=self.time - 1)
+            self._apply_update(self.dtdg.updates[self.time], forward=False)
             self.time -= 1
 
-    def _apply_update(self, update, forward: bool, ts_new: int) -> None:
-        """One ``edge_update_t`` batch (Algorithm 2 line 7) arriving at ``ts_new``.
-
-        No-op batches (zero additions and zero deletions) neither dirty the
-        snapshot nor change its version: the content at ``ts_new`` is
-        bitwise identical to the current one, so the built CSRs stay valid.
-        """
-        upd = update if forward else update.reversed()
-        if len(upd.del_src) == 0 and len(upd.add_src) == 0:
-            if self.on_noop is not None:
-                self.on_noop()
-            self.version = self.versions.noop(ts_new, self.version)
+    def _apply_update(self, update, forward: bool) -> None:
+        """One ``edge_update_t`` batch (Algorithm 2 line 7); a no-op batch
+        (zero additions and zero deletions) leaves the PMA untouched."""
+        if update.num_changes == 0:
             return
+        upd = update if forward else update.reversed()
         if len(upd.del_src):
             self.pma.delete_batch(encode_edges(upd.del_src, upd.del_dst, self.num_nodes))
         if len(upd.add_src):
             keys = encode_edges(upd.add_src, upd.add_dst, self.num_nodes)
             self.pma.insert_batch(keys, keys)
         self.update_batches_applied += 1
-        self.version = self.versions.realized(ts_new)

@@ -44,7 +44,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -449,7 +449,8 @@ class InferenceEngine:
                     bwd.row_offset, bwd.col_indices, touched, self.hops, self._num_nodes
                 )
             self._valid &= ~dirty
-            self._dirty_by_version[version] = np.flatnonzero(dirty)
+            if touched.size:  # a redundant batch keeps the version and its dirty set
+                self._dirty_by_version[version] = np.flatnonzero(dirty)
             while len(self._dirty_by_version) > _DIRTY_HISTORY:
                 self._dirty_by_version.pop(next(iter(self._dirty_by_version)))
             self.rows_invalidated += int(dirty.sum())

@@ -13,8 +13,8 @@ raises :class:`CheckpointIntegrityError` on mismatch (torn copies, bit rot,
 hand-edited files).
 
 :func:`save_training_checkpoint`/:func:`load_training_checkpoint` layer the
-trainer's mid-run resume state (schedule position, RNG state, snapshot
-cursor, plan ids, losses) on top as the ``extra["training"]`` dict — see
+trainer's mid-run resume state (schedule position, RNG state, plan ids,
+losses) on top as the ``extra["training"]`` dict — see
 ``docs/RESILIENCE.md`` for the full layout.
 """
 
@@ -164,8 +164,7 @@ def save_training_checkpoint(
 
     ``training_state`` must be JSON-serializable; the trainer stores the
     next (epoch, sequence) position, total epochs, completed/partial losses,
-    the initializer RNG state, the graph's snapshot-version cursor, and the
-    compiled plan ids.
+    the initializer RNG state and the compiled plan ids.
 
     Each write is one ``train.checkpoint_write`` interval: its wall time
     lands in the ``repro_checkpoint_write_seconds`` histogram, and the flight
@@ -184,7 +183,8 @@ def load_training_checkpoint(
     model: Module,
     optimizer: Optimizer,
 ) -> dict:
-    """Restore a training checkpoint; returns its resume-state dict."""
+    """Restore a training checkpoint; returns its resume-state dict as stored
+    (keys an older tree wrote and this one does not read are left in it)."""
     extra = load_checkpoint(path, model, optimizer)
     training = extra.get("training")
     if training is None:

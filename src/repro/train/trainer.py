@@ -204,12 +204,13 @@ class STGraphTrainer:
         With ``checkpoint_path`` the run writes an atomic training
         checkpoint every ``checkpoint_every``-th sequence boundary (always
         at epoch boundaries): model params, optimizer state, initializer RNG
-        state, the graph's snapshot-version cursor, the compiled plan ids,
-        and the completed/partial losses.  ``resume=True`` restores all of
-        that and re-enters the schedule exactly where the checkpoint was
-        taken, so a killed run finishes with bitwise-identical final losses
-        (training itself draws no randomness and every loss float
-        round-trips exactly through the checkpoint's JSON meta).
+        state, the compiled plan ids, and the completed/partial losses.
+        ``resume=True`` restores all of that and re-enters the schedule
+        exactly where the checkpoint was taken, so a killed run finishes with
+        bitwise-identical final losses (training itself draws no randomness,
+        every loss float round-trips exactly through the checkpoint's JSON
+        meta, and a snapshot's identity is a function of the DTDG, so the
+        graph has nothing to checkpoint).
         """
         self.resumed_from = None
         self.start_telemetry()
@@ -292,17 +293,11 @@ class STGraphTrainer:
                     f"checkpoint plans missing from this process's plan cache: {missing}"
                 )
             init.set_rng_state(state["rng_state"])
-            cursor = state.get("graph_cursor")
-            restore = getattr(self.graph, "restore_version_cursor", None)
-            if cursor is not None and restore is not None:
-                restore(cursor)
             start_epoch = int(state["epoch"])
             start_sequence = int(state["sequence"])
             partial_loss = float(state["epoch_loss"])
             losses = [float(x) for x in state["losses"]]
             self.resumed_from = str(path)
-
-        cursor_fn = getattr(self.graph, "version_cursor", None)
 
         def boundary_hook(epoch: int, sequence: int, loss_so_far: float) -> None:
             last_in_epoch = sequence + 1 >= n_seq
@@ -318,7 +313,6 @@ class STGraphTrainer:
                     "losses": losses + [loss_so_far] if last_in_epoch else list(losses),
                     "epoch_loss": 0.0 if last_in_epoch else loss_so_far,
                     "rng_state": init.get_rng_state(),
-                    "graph_cursor": cursor_fn() if cursor_fn is not None else None,
                     "plan_ids": sorted(p.plan_id for p in plan_cache().plans()),
                 },
             )

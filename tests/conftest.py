@@ -21,6 +21,22 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def compile_cost(fresh_device, monkeypatch):
+    """``cost(build) -> (plan-cache misses, kernel compilations)`` added by
+    ``build()``, against a cold plan cache that is private to the test."""
+    from repro.compiler.plan import PlanCache, plan_cache
+
+    monkeypatch.setattr("repro.compiler.plan._PLAN_CACHE", PlanCache())
+
+    def cost(build):
+        before = plan_cache().misses, fresh_device.launcher.compile_count
+        build()
+        return plan_cache().misses - before[0], fresh_device.launcher.compile_count - before[1]
+
+    return cost
+
+
 def pytest_sessionfinish(session, exitstatus):
     """The ``REPRO_TSAN=1`` CI gate: any runtime lock-discipline violation
     observed during the run fails the session, even if every test passed."""

@@ -1,4 +1,4 @@
-"""Kernel compilation and the launcher cache."""
+"""Kernel compilation and the launcher."""
 
 from __future__ import annotations
 
@@ -31,15 +31,6 @@ def test_compile_syntax_error_surfaces():
         compile_kernel_source("def k(:\n", "k")
 
 
-def test_launcher_cache_roundtrip():
-    launcher = KernelLauncher()
-    kernel = CompiledKernel("k", "def k():\n    return 7\n", lambda: 7, ())
-    assert launcher.get("sig") is None
-    launcher.put("sig", kernel)
-    assert launcher.get("sig") is kernel
-    assert len(launcher) == 1
-
-
 def test_launcher_counts_and_times(fresh_device):
     launcher = KernelLauncher()
     kernel = CompiledKernel("k", "", lambda a, b: a + b, ())
@@ -66,8 +57,13 @@ def test_launcher_counts_failed_launches(fresh_device):
 
 def test_launcher_clear():
     launcher = KernelLauncher()
-    launcher.put("a", CompiledKernel("k", "", lambda: 0, ()))
-    launcher.launch(launcher.get("a"))
+    source = "def k():\n    return 7\n"
+    kernel = launcher.compile(source, "k")
+    assert launcher.launch(kernel) == 7
+    assert launcher.compile(source, "k") is kernel
+    assert (launcher.compile_count, launcher.source_dedup_hits) == (1, 1)
     launcher.clear()
-    assert len(launcher) == 0
+    assert (launcher.compile_count, launcher.source_dedup_hits) == (0, 0)
     assert launcher.launches_by_tier == {}
+    assert launcher.compile(source, "k") is not kernel  # the source cache went too
+    assert launcher.compile_count == 1

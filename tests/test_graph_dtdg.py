@@ -126,3 +126,48 @@ def test_append_update_matches_set_algebra(seed, shape):
         assert dtdg._keys[t].dtype == np.int64 and up.add_src.dtype == np.int64
         if shape in ("redundant", "empty"):
             assert up.num_changes == 0
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    kinds=st.lists(st.sampled_from(["fresh", "same", "empty"]), min_size=1, max_size=6),
+    appends=st.lists(st.sampled_from(["mixed", "redundant", "empty"]), max_size=5),
+)
+@settings(max_examples=120, deadline=None)
+def test_version_is_the_count_of_nonempty_batches(seed, kinds, appends):
+    """``version_of`` is a function of the data: it counts the non-empty
+    batches in ``1..t``, equal versions expose equal edge sets, and a live
+    append (fully redundant ones included) renumbers nothing before it."""
+    rng = np.random.default_rng(seed)
+    n, snaps = 6, []
+    for kind in kinds:  # no-op chains: "same" repeats, "empty" after "empty"
+        m = 0 if kind == "empty" else int(rng.integers(1, 3 * n))
+        snaps.append(snaps[-1] if kind == "same" and snaps else (rng.integers(0, n, m), rng.integers(0, n, m)))
+    dtdg = DTDG(snaps, n)
+
+    def check():
+        T = dtdg.num_timestamps
+        versions = [dtdg.version_of(t) for t in range(T)]
+        assert versions == [sum(dtdg.updates[i].num_changes > 0 for i in range(1, t + 1)) for t in range(T)]
+        for a in range(T):
+            for b in range(a):
+                if versions[a] == versions[b]:
+                    np.testing.assert_array_equal(dtdg._keys[a], dtdg._keys[b])
+        for t in (-1, T):
+            with pytest.raises(IndexError):
+                dtdg.version_of(t)
+        return versions
+
+    before = check()
+    for shape in appends:
+        prev = dtdg._keys[-1]
+        add = rng.integers(0, n * n, 0 if shape == "empty" else 4)
+        delete = rng.integers(0, n * n, 0 if shape == "empty" else 4)
+        if shape == "redundant":
+            add = rng.choice(prev, 4) if len(prev) else prev
+            delete = np.setdiff1d(np.arange(n * n), prev)[:4]
+        t = dtdg.append_update(EdgeUpdate(add // n, add % n, delete // n, delete % n))
+        after = check()
+        assert after[:t] == before
+        assert after[t] == before[-1] + (not np.array_equal(dtdg._keys[t], prev))
+        before = after

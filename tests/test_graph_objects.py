@@ -9,7 +9,7 @@ import pytest
 from repro.core.executor import TemporalExecutor
 from repro.graph import DTDG, GPMAGraph, NaiveGraph, StaticGraph
 from repro.graph.labels import decode_edges
-from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor
+from repro.graph.snapshot_builder import UpdateCursor
 from repro.pma.pma import SPACE_KEY
 
 
@@ -148,7 +148,7 @@ def _cursor_edge_set(cursor):
 def test_gpma_cache_restores_state(random_dtdg):
     """Algorithm 2 lines 1-5 at the layer that owns them: a cursor rewound to
     the sequence start jumps back onto its saved state with zero batches."""
-    cur = UpdateCursor(random_dtdg, SnapshotVersionMap())
+    cur = UpdateCursor(random_dtdg)
     cur.advance(5)
     cur.cache_state()
     for t in range(5, -1, -1):
@@ -178,7 +178,7 @@ def test_gpma_cache_restores_state(random_dtdg):
 
 def test_gpma_cache_disabled(random_dtdg):
     """``enable_cache=False`` means no restore points, the base graph included."""
-    cur = UpdateCursor(random_dtdg, SnapshotVersionMap(), enable_cache=False)
+    cur = UpdateCursor(random_dtdg, enable_cache=False)
     cur.advance(5)
     cur.cache_state()  # no-op
     for t in range(5, -1, -1):

@@ -3,13 +3,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.executor import TemporalExecutor
 from repro.graph import DTDG, GPMAGraph, NaiveGraph
 from repro.graph.labels import decode_edges
-from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor
+from repro.graph.snapshot_builder import UpdateCursor
 
 
 @pytest.fixture
@@ -155,7 +157,7 @@ def test_versions_stable_across_revisits(noop_dtdg):
     for t in range(4):
         gg.get_graph(t)
         gg.forward_csr()
-    assert gg._ts_versions == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert {t: noop_dtdg.version_of(t) for t in range(4)} == {0: 0, 1: 0, 2: 1, 3: 1}
     gg.get_graph(1)
     assert gg.snapshot_version == 0
     assert _edge_set(gg) == _snapshot_edge_set(noop_dtdg, 1)
@@ -172,6 +174,35 @@ def test_snapshot_key_is_content_identity(noop_dtdg):
     assert gg.snapshot_key() == key0  # no-op chain: identical content
     gg.get_graph(2)
     assert gg.snapshot_key() != key0
+
+
+def test_naive_and_gpma_share_one_identity_rule(noop_dtdg):
+    """One ``snapshot_key`` definition: the DTDG's content version on both
+    graph kinds, so a no-op boundary reuses the context on both."""
+    for graph in (GPMAGraph(noop_dtdg), NaiveGraph(noop_dtdg)):
+        ex = TemporalExecutor(graph)
+        ctxs = [ex.begin_inference(t) for t in range(4)]
+        assert [c.snapshot_key for c in ctxs] == [noop_dtdg.version_of(t) for t in range(4)] == [0, 0, 1, 1]
+        assert ctxs[1] is ctxs[0] and ctxs[3] is ctxs[2] and ctxs[2] is not ctxs[0]
+        assert (ex.ctx_cache_hits, ex.ctx_cache_misses) == (2, 2)
+        with pytest.raises(AttributeError):
+            graph.snapshot_version = 7  # read-only: identity comes from the data
+
+
+def test_dropped_graph_frees_its_arrays_without_the_collector(random_dtdg, fresh_device):
+    """A graph and its cursor form no reference cycle: with the cyclic
+    collector off, ``del graph`` alone returns every tracked byte."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = fresh_device.tracker.current_bytes
+        gg = GPMAGraph(random_dtdg)
+        gg.get_graph(1).forward_csr()
+        assert fresh_device.tracker.current_bytes > before
+        del gg
+        assert fresh_device.tracker.current_bytes == before
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +247,7 @@ def test_rewind_past_cache_restores_on_distance(random_dtdg):
     """Jumping to t=4 from t=0 with the cache at t=5 must restore the cache
     and apply ONE reverse batch — not replay four forward batches.  The rule
     is ``UpdateCursor.advance``'s; a graph only reaches it when it builds."""
-    versions = SnapshotVersionMap()
-    cur = UpdateCursor(random_dtdg, versions)
+    cur = UpdateCursor(random_dtdg)
     cur.advance(5)
     cur.cache_state()  # cache holds t=5
     for t in range(5, -1, -1):
@@ -227,7 +257,6 @@ def test_rewind_past_cache_restores_on_distance(random_dtdg):
     assert cur.cache_restores == restores + 1
     assert cur.update_batches_applied == before + 1
     assert _cursor_edge_set(cur) == _snapshot_edge_set(random_dtdg, 4)
-    assert cur.version == versions.get(4)
 
     gg = GPMAGraph(random_dtdg)
     for t in [0, 1, 2, 3, 4, 5]:
@@ -236,7 +265,7 @@ def test_rewind_past_cache_restores_on_distance(random_dtdg):
     for t in [5, 4, 3, 2, 1, 0, 4]:
         gg.get_backward_graph(t)
         assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
-        assert gg.snapshot_version == gg._ts_versions[t]
+        assert gg.snapshot_version == random_dtdg.version_of(t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +274,7 @@ def test_rewind_past_cache_restores_on_distance(random_dtdg):
 def test_sequence_boundary_cache_flow(random_dtdg):
     """Forward a sequence, cache, rewind, then start the next sequence from
     the cached snapshot with a single update batch."""
-    cur = UpdateCursor(random_dtdg, SnapshotVersionMap())
+    cur = UpdateCursor(random_dtdg)
     cur.advance(2)
     cur.cache_state()  # end of sequence [0..2]
     for t in range(2, -1, -1):
@@ -291,7 +320,7 @@ def test_restore_cache_after_capacity_change():
         snaps.append((arr[:, 0].copy(), arr[:, 1].copy()))
     dtdg = DTDG(snaps, n)
 
-    cur = UpdateCursor(dtdg, SnapshotVersionMap())
+    cur = UpdateCursor(dtdg)
     cap_before = cur.pma.capacity
     cur.cache_state()  # cache t=0 at the small capacity
     cur.advance(1)  # the 200-edge batch grows the PMA
@@ -301,7 +330,6 @@ def test_restore_cache_after_capacity_change():
     assert cur.pma.capacity == cap_before
     cur.pma.check_invariants()
     assert _cursor_edge_set(cur) == _snapshot_edge_set(dtdg, 0)
-    assert cur.version == 0
 
     # Through a graph the restore happens when the storage is next read.
     gg = GPMAGraph(dtdg)
@@ -360,7 +388,7 @@ def test_context_lru_hit_replays_nothing(random_dtdg):
     before, hits = gg.update_batches_applied, ex.ctx_cache_hits
     for t in range(3, -1, -1):
         ctx = ex.backward_context(t)
-        assert ctx.snapshot_key == (None, gg._ts_versions[t])
+        assert ctx.snapshot_key == random_dtdg.version_of(t)
     assert ex.ctx_cache_hits == hits + 4
     assert gg.update_batches_applied == before == 3
     assert gg.cache_restores == 0

@@ -4,25 +4,27 @@
   ``tests/_snapshot_reference.py`` (all ten arrays, dtypes included);
 * a state machine that moves a :class:`GPMAGraph` in random order, directly
   and through a :class:`TemporalExecutor` (its context store on, off and at
-  capacity 1; live ``append_update``, planned ``"cache"`` faults, version
-  cursor restores), and checks every exposed array and every served
-  ``GraphContext`` against ``DTDG.snapshot_edges(t)`` and every
-  ``snapshot_key`` against an eagerly positioned cursor;
+  capacity 1; live ``append_update``, planned ``"cache"`` faults), and checks
+  every exposed array and every served ``GraphContext`` against
+  ``DTDG.snapshot_edges(t)`` and every ``snapshot_key`` against
+  ``DTDG.version_of(t)`` and against a second graph over the same DTDG that
+  got there in a different order;
 * the regression for ``num_edges`` reading a parked PMA.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device
 from repro.graph import DTDG, GPMAGraph
 from repro.graph.dtdg import EdgeUpdate
 from repro.graph.labels import encode_edges
-from repro.graph.snapshot_builder import SnapshotVersionMap, UpdateCursor, build_snapshot_arrays
+from repro.graph.snapshot_builder import build_snapshot_arrays
 from repro.pma import PackedMemoryArray
 from repro.resilience import FaultInjector, FaultPlan, FaultSite, use_fault_plan
 from tests._snapshot_reference import reference_build_snapshot_arrays
@@ -34,6 +36,11 @@ def _ten_arrays(snap):
         snap.bwd.row_offset, snap.bwd.col_indices, snap.bwd.eids, snap.bwd.node_ids,
         snap.in_deg, snap.out_deg,
     )
+
+
+def _csr_arrays(graph):
+    fwd, bwd = graph.forward_csr(), graph.backward_csr()
+    return (fwd.row_offset, fwd.col_indices, fwd.eids, bwd.row_offset, bwd.col_indices, bwd.eids)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +112,10 @@ class OnDemandSnapshots(RuleBasedStateMachine):
             enable_csr_cache=enable_csr_cache,
         )
         self.executor = TemporalExecutor(self.graph, ctx_cache_size=ctx_cache_size)
-        # The eager path: a cursor physically driven to every requested
-        # timestamp, allocating versions from its own map as it goes.
-        self.eager = UpdateCursor(dtdg, SnapshotVersionMap(), enable_cache=enable_cache)
+        # A second graph over the same DTDG, moved only by ``move_other``: it
+        # reaches every timestamp in a different order than ``graph`` does.
+        self.other = GPMAGraph(dtdg, enable_cache=not enable_cache)
         self.t = 0
-        self.saved_cursor = None
         # Planned faults are appended to the armed plan as the run goes.
         self.injector = FaultInjector(FaultPlan(name="state-machine"))
 
@@ -118,7 +124,6 @@ class OnDemandSnapshots(RuleBasedStateMachine):
 
     def _moved_to(self, t):
         self.t = t
-        self.eager.advance(t)
         assert self.graph.curr_time == t
 
     def _check_context(self, ctx, t):
@@ -166,27 +171,48 @@ class OnDemandSnapshots(RuleBasedStateMachine):
     def plan_cache_fault(self):
         self.injector.plan.sites.append(FaultSite("cache"))
 
-    @rule()
-    def save_version_cursor(self):
-        self.saved_cursor = self.graph.version_cursor()
-
-    @precondition(lambda self: self.saved_cursor is not None)
-    @rule()
-    def restore_version_cursor(self):
-        self.graph.restore_version_cursor(self.saved_cursor)
-        self._moved_to(self.saved_cursor["curr_time"])
-
     @rule(t=st.integers(0, 9), backward=st.booleans())
     def move(self, t, backward):
         self.t = t % self.dtdg.num_timestamps
         (self.graph.get_backward_graph if backward else self.graph.get_graph)(self.t)
-        self.eager.advance(self.t)
         assert self.graph.curr_time == self.t
+
+    @rule(t=st.integers(0, 9), backward=st.booleans(), read=st.booleans())
+    def move_other(self, t, backward, read):
+        """Forward, backward and jump moves; a read parks the PMA there."""
+        t %= self.dtdg.num_timestamps
+        (self.other.get_backward_graph if backward else self.other.get_graph)(t)
+        if read:
+            held, _ = self.other.pma.export_items()
+            assert np.array_equal(held, encode_edges(*self.dtdg.snapshot_edges(t), self.dtdg.num_nodes))
+
+    @rule(t=st.integers(-3, 12))
+    def move_out_of_range(self, t):
+        if 0 <= t < self.dtdg.num_timestamps:
+            return
+        for move in (self.graph.get_graph, self.graph.get_backward_graph):
+            with pytest.raises(IndexError):
+                move(t)
+        assert self.graph.curr_time == self.t
+
+    @invariant()
+    def identity_is_order_independent(self):
+        """Wherever ``graph`` stands, ``other`` (arriving from wherever its own
+        moves left it) exposes the same key: the DTDG's, not a visit order's."""
+        self.other.get_graph(self.t)
+        assert self.graph.snapshot_key() == self.other.snapshot_key() == self.dtdg.version_of(self.t)
+
+    def teardown(self):
+        """After two different histories: equal keys and edges at every ``t``."""
+        for t in range(self.dtdg.num_timestamps):
+            a, b = self.graph.get_graph(t), self.other.get_backward_graph(t)
+            assert a.snapshot_key() == b.snapshot_key() == self.dtdg.version_of(t)
+            for x, y in zip(_csr_arrays(a), _csr_arrays(b)):
+                assert np.array_equal(x, y)
 
     @rule()
     def cache_snapshot(self):
         self.graph.cache_snapshot()
-        self.eager.cache_state()
 
     @rule()
     def read_forward_csr(self):
@@ -209,10 +235,6 @@ class OnDemandSnapshots(RuleBasedStateMachine):
     @rule()
     def read_num_edges(self):
         assert self.graph.num_edges == self.dtdg.snapshot_edge_count(self.t)
-
-    @rule()
-    def read_snapshot_key(self):
-        assert self.graph.snapshot_key() == (None, self.eager.version)
 
     @rule()
     def read_storage(self):
@@ -248,3 +270,21 @@ def test_num_edges_is_the_logical_positions():
     assert gg.storage_bytes() == gg.pma.keys.nbytes + gg.pma.values.nbytes
     assert gg.pma.n_items == gg.num_edges
     assert f"E={dtdg.snapshot_edge_count(0)}," in repr(gg)
+
+
+# ---------------------------------------------------------------------------
+# Positioning outside [0, T) is an IndexError that moves nothing
+# ---------------------------------------------------------------------------
+def test_out_of_range_positioning_raises_without_moving():
+    dtdg = DTDG([(np.array([0, 1]), np.array([1, 2])), (np.array([0]), np.array([2]))], 3)
+    gg = GPMAGraph(dtdg)
+    gg.get_graph(1)
+    fwd = gg.forward_csr()
+    for move in (gg.get_graph, gg.get_backward_graph):
+        for t in (2, -1):
+            with pytest.raises(IndexError):
+                move(t)
+    assert (gg.curr_time, gg.snapshot_version, gg.noop_updates_skipped) == (1, 1, 0)
+    assert gg.forward_csr() is fwd  # the installed build is still the position's
+    t_new = dtdg.append_update(EdgeUpdate(np.array([2]), np.array([0]), np.array([0]), np.array([2])))
+    assert gg.get_graph(t_new).snapshot_version == 2  # T grew: the same call is now a move

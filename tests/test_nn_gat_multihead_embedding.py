@@ -70,13 +70,13 @@ def test_invalid_heads():
         GATConv(5, 4, heads=0)
 
 
-def test_multihead_kernel_shared(setup, fresh_device):
-    """All heads (and all GAT layers) reuse the same compiled kernels."""
-    fresh_device.launcher.clear()
-    GATConv(5, 4, heads=1)
-    count = len(fresh_device.launcher)
-    GATConv(5, 4, heads=4)
-    assert len(fresh_device.launcher) == count
+def test_multihead_kernel_shared(compile_cost):
+    """All heads (and all GAT layers) reuse the same compiled kernels: the
+    first layer pays for the plan and its kernels, later ones for nothing."""
+    misses, compiles = compile_cost(lambda: GATConv(5, 4, heads=1))
+    assert misses > 0 and compiles > 0
+    assert compile_cost(lambda: GATConv(5, 4, heads=4)) == (0, 0)
+    assert compile_cost(lambda: GATConv(7, 3, heads=2)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

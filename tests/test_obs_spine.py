@@ -139,7 +139,9 @@ def traced_run():
             for update in random_update_batches(graph.dtdg, 2, seed=1):
                 engine.enqueue_update(update)
                 engine.query(2)
-    return device, tracer
+    # A generator fixture: this frame keeps ``graph`` alive for the module, so
+    # the scrape sees resident tagged bytes whatever the collector is doing.
+    yield device, tracer
 
 
 def _recomputed(tracer):

@@ -132,6 +132,21 @@ class TestInvalidation:
             assert np.array_equal(res.value, h[res.vertex])
         assert np.array_equal(dirty_res.value, h[dirty_res.vertex])
 
+    def test_redundant_batch_keeps_the_versions_dirty_set(self, model, dtdg, feats):
+        """The same batch again changes nothing, so it keeps the version; the
+        dirty set recorded for that version stays the first batch's 1-hop set."""
+        eng = _engine(model, dtdg, feats, hops=1)
+        update = random_update_batches(dtdg, 1, seed=5)[0]
+        with eng:
+            eng.ingest.apply_update(update)
+            version = eng.latest_version
+            dirty = eng.dirty_vertices(version).copy()
+            assert 0 < dirty.size < N
+            eng.ingest.apply_update(update)
+            assert eng.latest_version == version
+            assert np.array_equal(eng.dirty_vertices(version), dirty)
+            assert eng.stats()["rows_invalidated"] == dirty.size
+
     def test_invalidation_off_recomputes_every_version(self, model, dtdg, feats):
         eng = _engine(model, dtdg, feats, invalidation=False)
         update = random_update_batches(dtdg, 1, seed=5)[0]

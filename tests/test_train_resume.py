@@ -28,6 +28,7 @@ from repro.resilience import (
 )
 from repro.tensor import init
 from repro.train import STGraphLinkPredictor, STGraphTrainer, make_link_prediction_samples
+from repro.train.checkpoint import load_training_checkpoint, save_training_checkpoint
 
 _EPOCHS = 3
 _SEED = 0
@@ -89,6 +90,34 @@ def test_resume_is_bitwise_identical_across_fresh_devices(tmp_path, workload, si
         losses = trainer.train(ds.features, epochs=_EPOCHS, checkpoint_path=ckpt, resume=True)
     assert trainer.resumed_from == str(ckpt)
     assert len(losses) == len(reference) == _EPOCHS
+    assert all(np.float64(a) == np.float64(b) for a, b in zip(losses, reference))
+
+
+def test_resume_from_a_checkpoint_with_a_graph_cursor(tmp_path, workload):
+    """Older trees checkpointed the graph's version bookkeeping as
+    ``graph_cursor``; this one writes no such key and does not read one it is
+    given, because a snapshot's version is a function of the DTDG."""
+    ds, _ = workload
+    reference = _reference_losses(workload)
+    ckpt = tmp_path / "old-format.npz"
+    plan = FaultPlan(name="one-kill", sites=[FaultSite(kind="kill", epoch=1, sequence=1, timestamp=4)])
+    with use_device(Device(name="doomed")), use_fault_plan(plan):
+        with pytest.raises(SimulatedKill):
+            _fresh_trainer(workload).train(ds.features, epochs=_EPOCHS, checkpoint_path=ckpt)
+    with use_device(Device(name="rewriter")):
+        carrier = _fresh_trainer(workload)
+        state = load_training_checkpoint(ckpt, carrier.model, carrier.optimizer)
+        assert "graph_cursor" not in state
+        T = ds.dtdg.num_timestamps
+        state["graph_cursor"] = {  # what the killed run's parent would have written
+            "curr_time": 0, "snapshot_version": 0, "version_counter": T - 1,
+            "ts_versions": {str(t): t for t in range(T)},
+        }
+        save_training_checkpoint(ckpt, carrier.model, carrier.optimizer, state)
+    with use_device(Device(name="resumed")):
+        trainer = _fresh_trainer(workload)
+        losses = trainer.train(ds.features, epochs=_EPOCHS, checkpoint_path=ckpt, resume=True)
+    assert trainer.resumed_from == str(ckpt)
     assert all(np.float64(a) == np.float64(b) for a, b in zip(losses, reference))
 
 
