@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.tensor.ops import Function
 from repro.util.registry import Registry
 
 __all__ = ["BackendInterface", "register_backend", "get_backend", "available_backends"]
@@ -60,6 +61,18 @@ class BackendInterface(abc.ABC):
         """Trainable parameters of a backend module."""
 
 
+class _CallbackNode(Function):
+    """Tape node whose backward is a framework callback; the callback is
+    what backward reads, so it is the node's ``saved``."""
+
+    def __init__(self, backward_cb: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]) -> None:
+        super().__init__()
+        self.saved = (backward_cb,)
+
+    def backward(self, grad: np.ndarray):
+        return self.saved[0](grad)
+
+
 class ReproBackend(BackendInterface):
     """Adapter for the in-tree autodiff tensor engine."""
 
@@ -86,15 +99,7 @@ class ReproBackend(BackendInterface):
         from repro.tensor.tensor import Tensor
 
         out = Tensor(output_array)
-
-        class _Node:
-            def __init__(self) -> None:
-                self.inputs = inputs
-
-            def backward(self, grad: np.ndarray):
-                return backward_cb(grad)
-
-        out._ctx = _Node()
+        _CallbackNode(backward_cb).attach(out, tuple(inputs))
         return out
 
     def parameters_of(self, module: Any):

@@ -30,7 +30,8 @@ from repro.core.executor import TemporalExecutor
 from repro.obs.spine import emit, span
 from repro.resilience.faults import InjectedKernelFault
 from repro.tensor import nn
-from repro.tensor.tensor import Tensor, is_grad_enabled
+from repro.tensor.ops import Function
+from repro.tensor.tensor import Tensor
 
 __all__ = ["VertexCentricLayer", "graph_aggregate"]
 
@@ -112,14 +113,15 @@ def _resilient_run(
         return result, engine
 
 
-class _GraphAggregationTape:
+class _GraphAggregationTape(Function):
     """Autograd tape node for one compiled aggregation at one timestamp.
 
-    Implements the context protocol ``Tensor.backward`` expects (``inputs``
-    and ``backward(grad)``), but manages its saved state through the
-    executor's stacks rather than tape-local references.  The engine the
-    forward ran on is pinned so forward and backward of one aggregation
-    always execute on the same engine.
+    A :class:`~repro.tensor.ops.Function` node like any other op (it links
+    to the nodes that produced its inputs, never to the input tensors), but
+    its saved state lives on the executor's State Stack rather than in
+    ``saved``: the feature matrix ``h`` it aggregated is not retained.  The
+    engine the forward ran on is pinned so forward and backward of one
+    aggregation always execute on the same engine.
     """
 
     def __init__(
@@ -127,17 +129,15 @@ class _GraphAggregationTape:
         program: VertexProgram,
         executor: TemporalExecutor,
         timestamp: int,
-        token: int,
         tensor_slots: list[tuple[str, str]],
-        inputs: tuple[Tensor, ...],
         engine: ExecutionEngine | None = None,
     ) -> None:
+        super().__init__()
         self.program = program
         self.executor = executor
         self.timestamp = timestamp
-        self.token = token
+        self.token = -1  # State Stack entry, pushed once the node is attached
         self.tensor_slots = tensor_slots  # (feature_name, "node" | "edge")
-        self.inputs = inputs
         self.engine = engine
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
@@ -199,13 +199,9 @@ def graph_aggregate(
             direction="fwd", timestamp=timestamp,
         )
     out = Tensor(out_np)
-
-    if is_grad_enabled() and any(t.requires_grad or t._ctx is not None for t in tensor_inputs):
-        token = executor.push_state(saved, tag=program.name)
-        out._ctx = _GraphAggregationTape(
-            program, executor, timestamp, token, tensor_slots, tuple(tensor_inputs),
-            engine=engine,
-        )
+    node = _GraphAggregationTape(program, executor, timestamp, tensor_slots, engine=engine)
+    if node.attach(out, tuple(tensor_inputs)):
+        node.token = executor.push_state(saved, tag=program.name)
     return out
 
 

@@ -215,12 +215,7 @@ class _BCEWithLogits(ops.Function):
 
     def backward(self, grad: np.ndarray):
         logits, targets = self.saved
-        sig = np.where(
-            logits >= 0,
-            1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60))),
-            np.exp(np.clip(logits, -60, 60)) / (1.0 + np.exp(np.clip(logits, -60, 60))),
-        )
-        g = grad * (sig - targets) / logits.size
+        g = grad * (ops.stable_sigmoid(logits) - targets) / logits.size
         return g.astype(logits.dtype), None
 
 

@@ -1,17 +1,22 @@
 """Differentiable op implementations (:class:`Function` subclasses).
 
 Each op follows the classic tape pattern: ``apply`` computes the forward
-result and *saves whatever its backward needs* on the context instance.
-Those saved arrays stay referenced — and therefore device-resident — until
-``backward()`` consumes the node.  This retention is precisely the backend
-behaviour the paper's State Stack optimization targets, so it is load-bearing
-for the memory experiments, not an implementation accident.
+result and *saves whatever its backward needs* on the context instance, and
+the instance becomes a tape node linked to the nodes that produced its
+inputs, never to the input tensors themselves.  The saved arrays, *and only
+those*, stay referenced (and therefore device-resident) until ``backward()``
+consumes the node; an input that no backward reads is freed as soon as user
+code drops it, as in PyTorch, where graph edges point at ``grad_fn`` nodes.
+What each op saves is the backend behaviour the paper's State Stack
+optimization competes with, so it is load-bearing for the memory
+experiments, not an implementation accident.
 
 Broadcasting ops reverse broadcasting in backward via :func:`_unbroadcast`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 import numpy as np
@@ -19,6 +24,10 @@ import numpy as np
 from repro.tensor.tensor import Tensor, is_grad_enabled
 
 __all__ = ["Function"]
+
+#: Tape order: a node's ``seq`` is drawn when it is attached to its output,
+#: so ``Tensor.backward`` can unwind the forward pass in exact LIFO order.
+_node_seq = itertools.count()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -55,14 +64,20 @@ def _coerce(value: Any) -> Tensor:
 
 
 class Function:
-    """Base class for differentiable operations.
+    """Base class for differentiable operations, and the tape node protocol.
 
     Subclasses implement :meth:`forward` (returning an ndarray) and
     :meth:`backward` (returning one grad ndarray — or ``None`` — per input).
+    A node attached to the tape keeps its ``parents``, ``saved``,
+    ``needs_input_grad`` and its output's ``seq`` and ``shape``, nothing else
+    of the forward pass; ``Tensor.backward`` sets ``parents`` to ``None`` and
+    drops ``saved`` when it consumes the node.
     """
 
     def __init__(self) -> None:
-        self.inputs: tuple[Tensor, ...] = ()
+        #: per input: the node that produced it, the input itself if it is a
+        #: leaf that requires grad, else ``None`` (a constant).
+        self.parents: tuple[Function | Tensor | None, ...] | None = ()
         self.saved: tuple[Any, ...] = ()
         #: per input, whether ``Tensor.backward`` will keep its gradient (decided
         #: at apply time); ``backward`` may return ``None`` where it will not.
@@ -71,6 +86,30 @@ class Function:
     def save_for_backward(self, *items: Any) -> None:
         """Stash values the backward pass will need (kept until consumed)."""
         self.saved = items
+
+    def attach(self, out: Tensor, inputs: tuple[Tensor, ...]) -> bool:
+        """Record this node as ``out``'s producer if any input needs a gradient.
+
+        Returns whether it did (never under ``no_grad``).  An input whose
+        node a backward already consumed counts as a constant.
+        """
+        if not is_grad_enabled():
+            return False
+        parents = []
+        for t in inputs:
+            parent = t._ctx
+            if parent is None or parent.parents is None:
+                parent = t if t.requires_grad else None
+            parents.append(parent)
+        needs = tuple(p is not None for p in parents)
+        if not any(needs):
+            return False
+        self.parents = tuple(parents)
+        self.needs_input_grad = needs
+        self.seq = next(_node_seq)
+        self.shape = out.data.shape
+        out._ctx = self
+        return True
 
     # subclasses override -------------------------------------------------
     def forward(self, *arrays: np.ndarray, **kwargs: Any) -> np.ndarray:
@@ -86,14 +125,8 @@ class Function:
         """Run the op on coerced inputs and record it on the tape if needed."""
         ctx = cls()
         tensors = tuple(_coerce(a) for a in args)
-        out_data = ctx.forward(*(t.data for t in tensors), **kwargs)
-        out = Tensor(out_data)
-        if is_grad_enabled():
-            needs = tuple(t.requires_grad or t._ctx is not None for t in tensors)
-            if any(needs):
-                ctx.inputs = tensors
-                ctx.needs_input_grad = needs
-                out._ctx = ctx
+        out = Tensor(ctx.forward(*(t.data for t in tensors), **kwargs))
+        ctx.attach(out, tensors)
         return out
 
 

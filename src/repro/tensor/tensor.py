@@ -5,8 +5,12 @@ Design notes
 * A ``Tensor`` owns a ``numpy.ndarray`` (``data``) registered with the
   active simulated device so the benchmark harness can measure residency.
 * Ops are instances of :class:`repro.tensor.ops.Function`.  Applying one
-  records it as ``_ctx`` on the output tensor; ``backward()`` topologically
-  sorts the tape and pushes vector-Jacobian products backwards.
+  records it as ``_ctx`` on the output tensor; the tape is the graph of those
+  nodes, each linked to the nodes that produced its inputs (or to a leaf
+  that requires grad), so the arrays an op saved for backward, *and only
+  those*, stay alive until ``backward()``; every other intermediate is freed
+  when user code drops it.  ``backward()`` topologically sorts the nodes and
+  pushes vector-Jacobian products backwards.
 * Gradients accumulate into ``grad`` (``+=``), matching PyTorch semantics so
   the same parameter used at several timestamps of a TGNN sequence receives
   the sum of its per-timestamp gradients.
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import itertools
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -47,13 +50,10 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-_creation_counter = itertools.count()
-
-
 class Tensor:
     """An autodiff-capable array on the simulated device."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_ctx", "_seq", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_ctx", "__weakref__")
 
     def __init__(
         self,
@@ -71,7 +71,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._ctx = None  # Function that produced this tensor, if any
-        self._seq = next(_creation_counter)
         if _track:
             current_device().alloc.adopt(data, tag="tensor")
 
@@ -124,7 +123,6 @@ class Tensor:
         out.grad = None
         out.requires_grad = False
         out._ctx = None
-        out._seq = next(_creation_counter)
         return out
 
     def clone(self) -> "Tensor":
@@ -147,98 +145,89 @@ class Tensor:
         0-d/1-element tensor).
 
         Nodes are processed with Kahn's algorithm using a max-heap on each
-        tensor's creation sequence number: among all dependency-ready nodes
-        the most recently *created* runs first, so the sweep unwinds the
-        forward pass in exact LIFO order even across independent branches.
-        This ordering is what lets the temporally-aware executor rely on
-        strict State/Graph Stack discipline (Algorithm 1's per-timestamp
-        reverse walk) without driving backward itself.
+        node's ``seq`` (drawn when it was attached, in output creation
+        order): among all dependency-ready nodes the most recently *created*
+        runs first, so the sweep unwinds the forward pass in exact LIFO
+        order even across independent branches.  This ordering is what lets
+        the temporally-aware executor rely on strict State/Graph Stack
+        discipline (Algorithm 1's per-timestamp reverse walk) without
+        driving backward itself.  Each node drops its ``saved`` arrays and
+        ``parents`` as it is consumed; reaching a consumed node again (a
+        second backward through the same graph) raises ``RuntimeError``.
         """
-        if not self.requires_grad and self._ctx is None:
+        root = self._ctx
+        if root is None and not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar backward()")
             grad = np.ones_like(self.data)
+        if root is None:  # a leaf: the seed is its whole gradient
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad += grad
+            return
 
         # Discover the reachable tape and count, per node, how many
         # consumers will contribute gradient to it (iterative: recursion
         # would overflow on long TGNN sequences).
-        consumers: dict[int, int] = {}
-        nodes: dict[int, Tensor] = {id(self): self}
-        stack: list[Tensor] = [self]
-        visited: set[int] = {id(self)}
+        consumers: dict[Any, int] = {}
+        stack = [root]
         while stack:
             node = stack.pop()
-            if node._ctx is None:
-                continue
-            for parent in node._ctx.inputs:
-                if not isinstance(parent, Tensor) or parent._ctx is None:
+            if node.parents is None:
+                raise RuntimeError("backward through a graph that a previous backward already consumed")
+            for parent in node.parents:
+                if parent is None or isinstance(parent, Tensor):
                     continue
-                consumers[id(parent)] = consumers.get(id(parent), 0) + 1
-                if id(parent) not in visited:
-                    visited.add(id(parent))
-                    nodes[id(parent)] = parent
+                if parent in consumers:
+                    consumers[parent] += 1
+                else:
+                    consumers[parent] = 1
                     stack.append(parent)
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        ready: list[tuple[int, int]] = []
-        if self._ctx is not None:
-            heapq.heappush(ready, (-self._seq, id(self)))
+        grads: dict[Any, np.ndarray] = {root: grad}
+        ready = [(-root.seq, root)]
         while ready:
-            _, node_id = heapq.heappop(ready)
-            node = nodes[node_id]
-            node_grad = grads.pop(node_id, None)
-            ctx = node._ctx
-            node._ctx = None  # free saved tensors as soon as consumed
-            if ctx is None:
-                continue
+            node = heapq.heappop(ready)[1]
+            node_grad = grads.pop(node, None)
+            parents, node.parents = node.parents, None
             if node_grad is None:
                 # No gradient reached this node; its parents still become
                 # ready (with no contribution) so their tape state frees.
-                for parent in ctx.inputs:
-                    if isinstance(parent, Tensor) and parent._ctx is not None and id(parent) in consumers:
-                        consumers[id(parent)] -= 1
-                        if consumers[id(parent)] == 0:
-                            heapq.heappush(ready, (-parent._seq, id(parent)))
-                continue
-            input_grads = ctx.backward(node_grad)
-            if not isinstance(input_grads, tuple):
-                input_grads = (input_grads,)
-            if len(input_grads) != len(ctx.inputs):
-                raise RuntimeError(
-                    f"{type(ctx).__name__}.backward returned {len(input_grads)} grads "
-                    f"for {len(ctx.inputs)} inputs"
-                )
-            for parent, g in zip(ctx.inputs, input_grads):
-                if not isinstance(parent, Tensor):
+                input_grads = (None,) * len(parents)
+            else:
+                input_grads = node.backward(node_grad)
+                if not isinstance(input_grads, tuple):
+                    input_grads = (input_grads,)
+                if len(input_grads) != len(parents):
+                    raise RuntimeError(
+                        f"{type(node).__name__}.backward returned {len(input_grads)} grads "
+                        f"for {len(parents)} inputs"
+                    )
+            node.saved = ()  # free saved arrays as soon as consumed
+            for parent, g in zip(parents, input_grads):
+                if parent is None:
                     continue
+                leaf = isinstance(parent, Tensor)
                 if g is not None:
-                    if not (parent.requires_grad or parent._ctx is not None):
-                        g = None
-                    elif g.shape != parent.data.shape:
+                    shape = parent.data.shape if leaf else parent.shape
+                    if g.shape != shape:
                         raise RuntimeError(
-                            f"{type(ctx).__name__} produced grad of shape {g.shape} "
-                            f"for input of shape {parent.data.shape}"
+                            f"{type(node).__name__} produced grad of shape {g.shape} "
+                            f"for input of shape {shape}"
                         )
-                if g is not None:
-                    if parent._ctx is not None:
-                        acc = grads.get(id(parent))
-                        grads[id(parent)] = g if acc is None else acc + g
-                    if parent.requires_grad:
+                    if leaf:
                         if parent.grad is None:
                             parent.grad = np.zeros_like(parent.data)
                         parent.grad += g
-                if parent._ctx is not None and id(parent) in consumers:
-                    consumers[id(parent)] -= 1
-                    if consumers[id(parent)] == 0:
-                        heapq.heappush(ready, (-parent._seq, id(parent)))
-
-        if self.requires_grad and self._ctx is None:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            if not visited - {id(self)}:
-                self.grad += grad
+                    else:
+                        acc = grads.get(parent)
+                        grads[parent] = g if acc is None else acc + g
+                if not leaf:
+                    consumers[parent] -= 1
+                    if consumers[parent] == 0:
+                        heapq.heappush(ready, (-parent.seq, parent))
 
     # ------------------------------------------------------------------
     # Operator sugar (delegates to functional)

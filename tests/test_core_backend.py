@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,24 @@ def test_attach_tape_node_backward_called(rng):
     F.sum(out).backward()
     assert len(calls) == 1
     assert np.allclose(x.grad, 3.0)
+
+
+def test_attach_tape_node_does_not_keep_a_non_leaf_input_alive(fresh_device, rng):
+    """The backend's node links to the producing node of a non-leaf input, as
+    every op does: the input's data is freed when the caller drops it, and the
+    gradient still reaches the leaf behind it."""
+    be = get_backend("repro")
+    x = Tensor(rng.standard_normal((2, 2)).astype(np.float32), requires_grad=True)
+    mid = F.mul(x, 2.0)
+    data_ref = weakref.ref(mid.data)
+    out = be.attach_tape_node(mid.data * 3.0, (mid,), lambda grad: (grad * 3.0,))
+    resident = fresh_device.tracker.current_bytes
+    nbytes = mid.nbytes
+    del mid
+    assert data_ref() is None
+    assert fresh_device.tracker.current_bytes == resident - nbytes
+    F.sum(out).backward()
+    assert np.array_equal(x.grad, np.full((2, 2), 6.0, dtype=np.float32))
 
 
 def test_parameters_of_module():

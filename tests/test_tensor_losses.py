@@ -67,6 +67,27 @@ def test_bce_grad_is_sigmoid_minus_label(rng):
     assert np.allclose(t.grad, (sig - labels) / 20, atol=1e-5)
 
 
+def test_bce_backward_sigmoid_is_the_one_sigmoid():
+    """The BCE gradient uses the tape's sigmoid: for |x| <= 60 (and +-0, NaN)
+    its bits are those of the clipped two-branch formula it replaced, and
+    below -60 it is the true sigmoid, not sigmoid(-60) = 8.76e-27."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.uniform(-60.0, 60.0, 100_000),
+        np.linspace(-60.0, 60.0, 20_001),
+        [0.0, -0.0, np.nan, 60.0, -60.0],
+    ]).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    F.bce_with_logits_loss(t, np.zeros_like(x)).backward()
+    clipped = np.clip(x, -60, 60)
+    old_sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-clipped)), np.exp(clipped) / (1.0 + np.exp(clipped)))
+    assert t.grad.tobytes() == (np.float32(1.0) * old_sig / x.size).astype(np.float32).tobytes()
+    for v in (-61.0, -80.0, -100.0):
+        t = Tensor(np.array([v], dtype=np.float32), requires_grad=True)
+        F.bce_with_logits_loss(t, np.zeros(1, dtype=np.float32)).backward()
+        assert t.grad[0] == pytest.approx(np.exp(v), rel=0.05, abs=0)  # float32 subnormals near 1e-44
+
+
 def test_bce_balanced_at_zero_logits():
     logits = Tensor(np.zeros(10, dtype=np.float32))
     labels = np.ones(10, dtype=np.float32)
