@@ -1,12 +1,18 @@
 """PyG-T's TGCN: identical gate math to :class:`repro.nn.TGCN`, built on
 the edge-parallel convolution, so the two frameworks' losses coincide and
-the benchmark isolates the execution strategy."""
+the benchmark isolates the execution strategy.
+
+Everything after the three convolutions is the same tape node STGraph's
+TGCN uses (:class:`repro.nn.tgcn.TGCNGates`), so the non-graph part of a
+step keeps the same arrays on both sides and a memory or time difference
+between the frameworks is the graph part's."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.baselines.pygt.gcn_conv import PyGGCNConv
+from repro.nn.tgcn import tgcn_gates
 from repro.tensor import functional as F
 from repro.tensor.nn import Linear, Module
 from repro.tensor.tensor import Tensor
@@ -64,7 +70,7 @@ class PyGTTGCN(Module):
         """One recurrent step at one timestamp."""
         if h is None:
             h = self.initial_state(x.shape[0])
-        z = F.sigmoid(self.lin_z(F.concat([self.conv_z(x, edge_index), h], axis=1)))
-        r = F.sigmoid(self.lin_r(F.concat([self.conv_r(x, edge_index), h], axis=1)))
-        h_tilde = F.tanh(self.lin_h(F.concat([self.conv_h(x, edge_index), F.mul(r, h)], axis=1)))
-        return F.add(F.mul(z, h), F.mul(F.sub(1.0, z), h_tilde))
+        a_z = self.conv_z(x, edge_index)
+        a_r = self.conv_r(x, edge_index)
+        a_h = self.conv_h(x, edge_index)
+        return tgcn_gates(a_z, a_r, a_h, h, self.lin_z, self.lin_r, self.lin_h)

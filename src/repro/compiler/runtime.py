@@ -112,9 +112,10 @@ class _AggregationOperator:
     """One CSR orientation in launch order, shared by every ``spmm`` of a
     context: ``"in"`` is the forward CSR (rows = destinations), ``"out"`` the
     backward one.  With degree ordering its rows are stored in ``node_ids``
-    order (Figure 3) and ``order`` scatters a product back to vertex order;
-    without, ``order`` is ``None``.  ``mat`` is the unweighted matrix; SciPy
-    keeps its indices as int32 where they fit, so a launch copies nothing.
+    order (Figure 3) and ``inverse`` (the inverse permutation of ``order``)
+    gathers a product back to vertex order; without, both are ``None``.
+    ``mat`` is the unweighted matrix; SciPy keeps its indices as int32 where
+    they fit, so a launch copies nothing.
     """
 
     def __init__(self, ctx: GraphContext, direction: str) -> None:
@@ -128,6 +129,10 @@ class _AggregationOperator:
         mat = sp.csr_matrix((ones, col, row), shape=(n, n))
         self.order = order if ctx.use_degree_order else None
         self.mat = mat if self.order is None else mat[self.order]
+        self.inverse = None
+        if self.order is not None:
+            self.inverse = np.empty_like(self.order)
+            self.inverse[self.order] = np.arange(n)
         self._src = (row, col, owner)
 
     @cached_property
@@ -237,16 +242,14 @@ def spmm(ctx: GraphContext, w, x, direction: str = "in"):
 
     The structure comes from the context's cached operator.  When degree
     ordering is enabled its rows are in descending degree order (the paper's
-    node_ids mechanism, Figure 3) and the result is scattered back to vertex
+    node_ids mechanism, Figure 3) and the result is gathered back to vertex
     order.
     """
     op = ctx.operator(direction)
     out_perm = op.matrix(w) @ x.astype(np.float32, copy=False)
-    if op.order is None:
+    if op.inverse is None:
         return out_perm
-    out = np.empty_like(out_perm)
-    out[op.order] = out_perm
-    return out
+    return out_perm.take(op.inverse, axis=0)
 
 
 def spmm_T(ctx: GraphContext, w, g, direction: str = "in"):

@@ -48,13 +48,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def stable_sigmoid(a: np.ndarray) -> np.ndarray:
     """Logistic sigmoid that never exponentiates a positive number.
 
-    With ``e = exp(-|a|)`` this is ``1 / (1 + e)`` where ``a >= 0`` and
-    ``e / (1 + e)`` elsewhere: the two-branch formula, evaluated without
-    masked gathers and scatters.  Shared by the tape op and the generated
-    kernels' ``ew_sigmoid`` so both produce the same bits.
+    ``exp(min(a, 0)) / (1 + exp(-|a|))`` is ``1 / (1 + e^-a)`` where
+    ``a >= 0`` and ``e^a / (1 + e^a)`` elsewhere: the two-branch formula with
+    neither a mask nor a select (the numerator is exactly 1 on the first
+    branch), bit for bit the masked form in float32 and float64.  Shared by
+    the tape op and the generated kernels' ``ew_sigmoid`` so both produce the
+    same bits.
     """
-    e = np.exp(-np.abs(a))
-    return np.where(a >= 0, e.dtype.type(1), e) / (1 + e)
+    return np.exp(np.minimum(a, 0)) / (1 + np.exp(-np.abs(a)))
 
 
 def _coerce(value: Any) -> Tensor:

@@ -160,6 +160,22 @@ def test_stable_sigmoid_matches_masked_reference_bitwise(dtype, rng):
             assert np.array_equal(np.signbit(got)[finite], np.signbit(want)[finite])
 
 
+def test_stable_sigmoid_float64_sweep_matches_masked_reference_bitwise():
+    """A seeded sweep of float64 inputs: arbitrary bit patterns (every
+    exponent, NaN, inf), the range where ``exp`` under- and overflows, and
+    subnormals of both signs."""
+    from repro.tensor.ops import stable_sigmoid
+
+    rng = np.random.default_rng(20261015)
+    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, 50_000, dtype=np.uint64).view(np.float64) * rng.choice([-1.0, 1.0], 50_000)
+    a = np.concatenate([patterns, rng.uniform(-760, 760, 200_000), rng.standard_normal(200_000) * 10, subnormal])
+    with np.errstate(all="ignore"):
+        want, got = _masked_sigmoid(a), stable_sigmoid(a)
+    same = (want.view(np.uint64) == got.view(np.uint64)) | (np.isnan(want) & np.isnan(got))
+    assert same.all(), a[~same][:5]
+
+
 def test_tape_and_generated_kernel_sigmoid_share_bits(rng):
     """``F.sigmoid`` and the ``ew_sigmoid`` a generated kernel calls are one
     implementation: on a self-loop graph, where the aggregation is the
