@@ -58,7 +58,7 @@ def _micro_medians(repeats: int = 5) -> dict:
     with use_device(Device(name="nightly-micro")):
         for label, enabled in (("backward_walk_cached", True), ("backward_walk_uncached", False)):
             executor = TemporalExecutor(
-                GPMAGraph(ds.dtdg, enable_csr_cache=enabled), ctx_cache_size=ds.num_timestamps
+                GPMAGraph(ds.dtdg), ctx_cache_size=ds.num_timestamps if enabled else 0
             )
             times = []
             for _ in range(repeats):

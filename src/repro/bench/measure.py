@@ -228,11 +228,7 @@ def run_dynamic_experiment(
             graph = (
                 ds.build_naive(sort_by_degree=sort_by_degree)
                 if system == "naive"
-                else ds.build_gpma(
-                    sort_by_degree=sort_by_degree,
-                    enable_cache=gpma_cache,
-                    enable_csr_cache=csr_cache,
-                )
+                else ds.build_gpma(sort_by_degree=sort_by_degree, enable_cache=gpma_cache)
             )
             trainer = STGraphTrainer(
                 model,
@@ -242,6 +238,8 @@ def run_dynamic_experiment(
                 link_samples=samples,
                 engine=engine,
             )
+            if not csr_cache:
+                trainer.executor.ctx_cache_size = 0  # the snapshot-store ablation
         losses = trainer.train(ds.features, targets=None, epochs=epochs, warmup=warmup)
         return RunResult(
             system=system,

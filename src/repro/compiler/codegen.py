@@ -80,7 +80,7 @@ def generate_forward_source(prog: TProgram, saved: list[str], entry: str) -> str
     lines = [
         f"def {entry}(ctx, env):",
         # The docstring names the entry, not the display name, so source is
-        # byte-identical across re-traces and the launcher can dedup it.
+        # byte-identical across re-traces.
         f'    """Generated forward kernel {entry}."""',
     ]
     lines += _bind_lines(prog, "env")
@@ -113,9 +113,8 @@ def generate_backward_source(prog: TProgram, grad_map: dict[str, str], entry: st
 def compile_program(source: str, entry: str, meta: dict | None = None) -> CompiledKernel:
     """Compile generated source against the runtime namespace into a launchable kernel.
 
-    Goes through the active device's :meth:`KernelLauncher.compile`, which
-    deduplicates byte-identical generated source — identical kernels compile
-    once per device no matter how many plans request them.
+    Goes through the active device's :meth:`KernelLauncher.compile`; the
+    plan cache is what makes a kernel compile once per program shape.
     """
     from repro.compiler.runtime import RUNTIME_NAMESPACE
     from repro.device import current_device

@@ -171,11 +171,6 @@ def plan_key(
     return "plan_" + hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-#: verification results by plan content hash; survives plan-cache clears
-#: (soundness: the verifier's inputs are deterministic functions of the key)
-_VERIFY_MEMO: dict[str, LintReport] = {}
-
-
 def _build_plan(
     traced: TraceResult,
     plan_id: str,
@@ -228,19 +223,13 @@ def _build_plan(
     # Verification runs before codegen: a plan that fails the stage-algebra,
     # SSA, grad-completeness, F_b ⊆ F_f, or write-hazard checks never
     # reaches the kernel compiler.  Warnings ride on the plan and surface
-    # through any active tracer as `verify` instant events.  Like the kernel
-    # launcher's source dedup, the result is memoized by content hash across
-    # plan-cache clears: every verifier input is a deterministic function of
-    # the plan key, so a re-verification can never disagree with the first.
+    # through any active tracer as `verify` instant events.
     lint: LintReport | None = None
     if verification_enabled():
-        lint = _VERIFY_MEMO.get(plan_id)
-        if lint is None:
-            lint = run_verifier(
-                traced.root, fwd_prog, bwd_prog, grad_map, wrt, saved_spec,
-                subject=name, analysis=analysis,
-            )
-            _VERIFY_MEMO[plan_id] = lint
+        lint = run_verifier(
+            traced.root, fwd_prog, bwd_prog, grad_map, wrt, saved_spec,
+            subject=name, analysis=analysis,
+        )
         lint.raise_if_errors()
         if lint.warnings:
             _emit_lint_warnings(lint)

@@ -23,9 +23,8 @@ rebuilding, and a no-op update batch (which leaves the version untouched)
 even reuses the previous timestamp's context.  A context carries both CSRs,
 the degrees and its aggregation operators, so this LRU is the only
 multi-entry store of built snapshots (a graph keeps just the build it
-exposes); ``ctx_cache_size`` is its one capacity and the graph's
-``enable_csr_cache`` its one on/off flag.  See ``docs/EXECUTOR.md`` for the
-lifecycle rules.
+exposes); ``ctx_cache_size`` is its one capacity, and 0 switches it off.
+See ``docs/EXECUTOR.md`` for the lifecycle rules.
 
 Every instrumented step here is one call into the telemetry spine
 (:mod:`repro.obs.spine`): positioning (``core.begin_timestamp`` /
@@ -79,8 +78,7 @@ class TemporalExecutor:
         self._bwd_ctx: GraphContext | None = None
         self._bwd_t: int | None = None
         self._static_ctx: GraphContext | None = None
-        # snapshot_key() -> GraphContext LRU; disabled when the graph opts
-        # out of snapshot reuse (the enable_csr_cache ablation flag).
+        # snapshot_key() -> GraphContext LRU; capacity 0 disables it.
         self.ctx_cache_size = int(ctx_cache_size)
         self._ctx_cache: OrderedDict[int, GraphContext] = OrderedDict()
         self.ctx_cache_hits = 0
@@ -92,10 +90,6 @@ class TemporalExecutor:
         self.engine_fallbacks = 0
         self.sequence_aborts = 0
 
-    @property
-    def _ctx_cache_enabled(self) -> bool:
-        return self.ctx_cache_size > 0 and getattr(self.graph, "enable_csr_cache", True)
-
     def _context_for_current(self) -> GraphContext:
         """Context for the graph's current snapshot, via the keyed LRU.
 
@@ -104,7 +98,7 @@ class TemporalExecutor:
         batches reuse the previous timestamp's — replacing the old blind
         ``_bwd_ctx`` invalidation on every ``begin_timestamp``.
         """
-        if self._ctx_cache_enabled:
+        if self.ctx_cache_size > 0:
             key = self.graph.snapshot_key()
             ctx = self._ctx_cache.get(key)
             if ctx is not None:
@@ -116,7 +110,7 @@ class TemporalExecutor:
         # work — part of the snapshot cost Figure 9 bills to graph updates.
         with span("compiler.context"):
             ctx = GraphContext(self.graph)
-        if self._ctx_cache_enabled:
+        if self.ctx_cache_size > 0:
             self.ctx_cache_misses += 1
             emit("core.ctx_cache_miss")
             self._ctx_cache[ctx.snapshot_key] = ctx

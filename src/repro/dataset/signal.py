@@ -99,14 +99,9 @@ class DynamicTemporalDataset:
         """Construct the snapshot-materializing NaiveGraph."""
         return NaiveGraph(self.dtdg, sort_by_degree)
 
-    def build_gpma(
-        self,
-        sort_by_degree: bool = True,
-        enable_cache: bool = True,
-        enable_csr_cache: bool = True,
-    ) -> GPMAGraph:
+    def build_gpma(self, sort_by_degree: bool = True, enable_cache: bool = True) -> GPMAGraph:
         """Construct the on-demand GPMAGraph."""
-        return GPMAGraph(self.dtdg, sort_by_degree, enable_cache, enable_csr_cache)
+        return GPMAGraph(self.dtdg, sort_by_degree, enable_cache)
 
     def to_pygt_signal(self) -> DynamicGraphTemporalSignal:
         """The same data as a PyG-T dynamic signal iterator."""

@@ -56,7 +56,7 @@ class Device:
         """No-op on the simulated device; kept for API parity with CUDA."""
 
     def reset(self) -> None:
-        """Clear totals, kernel cache, and live metrics; memory accounting
+        """Clear totals, kernel counters, and live metrics; memory accounting
         is preserved (live arrays are still live).  The metric registry is
         zeroed *in place* so the children the spine caches survive."""
         self.totals.reset()

@@ -4,8 +4,8 @@ Seastar's codegen emits CUDA source that is NVRTC-compiled and cached; the
 executor then launches those kernels.  Our codegen (``repro.compiler.codegen``)
 emits Python source targeting vectorized NumPy; :class:`CompiledKernel` holds
 the source plus the compiled callable, and :class:`KernelLauncher` plays the
-role of the CUDA launch layer: it compiles generated source (once per
-distinct source) and launches the kernels the plans hold.  Every launch is
+role of the CUDA launch layer: it compiles the generated source of a plan
+when the plan is built and launches the kernels the plans hold.  Every launch is
 one ``device.kernel_launch`` interval of the
 telemetry spine: launch counts and seconds are that site's device totals
 (``device.totals.read()``), the per-tier latency histogram and the trace
@@ -71,19 +71,12 @@ class KernelLauncher:
     """Compiles generated kernels and launches them.
 
     Kernels live on the compiler's plans (``repro.compiler.plan_cache()`` is
-    the cache a re-traced vertex-centric function hits).  :meth:`compile`
-    deduplicates at the *source* level: two compilation requests
-    with byte-identical generated source (and the same
-    entry point) share one :class:`CompiledKernel`, so e.g. plans that differ
-    only in a specialization attribute never pay for ``compile()``/``exec``
-    twice.  ``compile_count`` counts actual compilations and
-    ``source_dedup_hits`` counts requests served from the source cache.
+    the cache a re-traced vertex-centric function hits), so a kernel is
+    compiled once per plan build; ``compile_count`` counts compilations.
     """
 
     def __init__(self) -> None:
-        self._by_source: dict[tuple[str, str], CompiledKernel] = {}
         self.compile_count = 0
-        self.source_dedup_hits = 0
         #: launches per execution tier (a kernel's ``meta["tier"]``; the
         #: generated kernels are all "python") — lets benchmarks verify
         #: which tier actually ran.
@@ -96,23 +89,10 @@ class KernelLauncher:
         globals_extra: dict[str, Any] | None = None,
         meta: dict[str, Any] | None = None,
     ) -> CompiledKernel:
-        """Compile ``source`` into a launchable kernel, deduplicating by source.
-
-        Identical (entry, source) pairs return the *same* kernel object
-        without recompiling — the NVRTC-cache analogue at the source level.
-        """
-        key = (entry, source)
-        kernel = self._by_source.get(key)
-        if kernel is not None:
-            self.source_dedup_hits += 1
-            return kernel
+        """Compile ``source`` into a launchable kernel."""
         fn = compile_kernel_source(source, entry, globals_extra=globals_extra)
-        kernel = CompiledKernel(
-            name=entry, source=source, fn=fn, arg_names=(), meta=dict(meta or {})
-        )
-        self._by_source[key] = kernel
         self.compile_count += 1
-        return kernel
+        return CompiledKernel(name=entry, source=source, fn=fn, arg_names=(), meta=dict(meta or {}))
 
     def launch(self, kernel: CompiledKernel, *args: Any, **kwargs: Any) -> Any:
         """Execute a kernel as one ``device.kernel_launch`` interval.
@@ -135,8 +115,6 @@ class KernelLauncher:
             return kernel(*args, **kwargs)
 
     def clear(self) -> None:
-        """Drop the source cache and reset launch/compile counters."""
-        self._by_source.clear()
+        """Reset the launch/compile counters."""
         self.compile_count = 0
-        self.source_dedup_hits = 0
         self.launches_by_tier.clear()

@@ -52,9 +52,6 @@ class STGraphBase(abc.ABC):
     def __init__(self, num_nodes: int, sort_by_degree: bool = True) -> None:
         self.num_nodes = int(num_nodes)
         self.sort_by_degree = bool(sort_by_degree)
-        #: whether built snapshots may be reused: the on/off ablation flag of
-        #: the executor's GraphContext store.
-        self.enable_csr_cache = True
         # Reuse accounting (each bump is also one event of the device totals).
         self.csr_cache_hits = 0
         self.csr_cache_misses = 0

@@ -66,7 +66,6 @@ class GPMAGraph(STGraphBase):
         dtdg: DTDG,
         sort_by_degree: bool = True,
         enable_cache: bool = True,
-        enable_csr_cache: bool = True,
     ) -> None:
         self.dtdg = dtdg
         with span("graph.preprocess", kind="gpma"):
@@ -79,9 +78,6 @@ class GPMAGraph(STGraphBase):
         self._built_version: int | None = None
         super().__init__(dtdg.num_nodes, sort_by_degree)
         self.enable_cache = enable_cache
-        # Ablation flag of the executor's context store (and of the hit
-        # accounting below); the installed build is served either way.
-        self.enable_csr_cache = bool(enable_csr_cache)
         self._fwd: CSR | None = None
         self._bwd: CSR | None = None
         self._in_deg: np.ndarray | None = None
@@ -226,15 +222,12 @@ class GPMAGraph(STGraphBase):
         # The stable version alone is content identity, so the installed
         # artifacts are valid whenever their version matches the logical
         # position's — across no-op chains and backward revisits alike.
-        if self._built_version == self.snapshot_version:
-            if self.enable_csr_cache and not self._reuse_counted:
-                self._reuse_counted = True
-                self._count("csr_cache_hits")
-            return
-        self._rebuild()
+        hit = self._built_version == self.snapshot_version
+        if not hit:
+            self._rebuild()
         if not self._reuse_counted:
             self._reuse_counted = True
-            self._count("csr_cache_misses")
+            self._count("csr_cache_hits" if hit else "csr_cache_misses")
 
     def forward_csr(self) -> CSR:
         """Current snapshot's reverse CSR (Algorithm 3)."""

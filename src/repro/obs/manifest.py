@@ -180,8 +180,5 @@ def build_run_manifest(
     )
     if graph is not None:
         manifest.graph_kind = getattr(graph, "graph_type", "")
-        manifest.cache_config = {
-            "enable_cache": getattr(graph, "enable_cache", None),
-            "enable_csr_cache": getattr(graph, "enable_csr_cache", None),
-        }
+        manifest.cache_config = {"enable_cache": getattr(graph, "enable_cache", None)}
     return manifest

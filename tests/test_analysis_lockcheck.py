@@ -11,6 +11,7 @@ The repo gate test at the bottom runs the real analyzer over the installed
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,88 @@ def test_stale_baseline_entries_are_reported_not_gating(tmp_path):
 
 def test_missing_baseline_file_is_an_empty_baseline(tmp_path):
     assert load_baseline(tmp_path / "nope.json") == []
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the shipped sources that the analyzer catches
+# ---------------------------------------------------------------------------
+#: name -> (module, old text, mutated text, expected code, finding's ``where``);
+#: the runtime half's catches are in ``tests/test_analysis_sanitizer.py`` and
+#: the whole table, misses included, is in DESIGN.md ("One lock checker, or
+#: two").
+_REAL_MUTATIONS = {
+    "manual_add-drops-its-lock": (
+        "repro.device.allocator",
+        "        with self._lock:\n"
+        "            alloc_id = self._next_id\n"
+        "            self._next_id += 1\n"
+        "            self._live[alloc_id] = AllocationRecord(int(nbytes), tag, alloc_id)\n"
+        "            self._account_add(int(nbytes), tag)\n"
+        "            return alloc_id\n",
+        "        alloc_id = self._next_id\n"
+        "        self._next_id += 1\n"
+        "        self._live[alloc_id] = AllocationRecord(int(nbytes), tag, alloc_id)\n"
+        "        self._account_add(int(nbytes), tag)\n"
+        "        return alloc_id\n",
+        "STG202", "repro.device.allocator.MemoryTracker.manual_add",
+    ),
+    "stop-writes-_stopping-outside-_cv": (
+        "repro.serve.engine",
+        "        with self._cv:\n"
+        "            thread = self._thread\n"
+        "            self._stopping = True\n",
+        "        self._stopping = True\n"
+        "        with self._cv:\n"
+        "            thread = self._thread\n",
+        "STG202", "repro.serve.engine.InferenceEngine.stop",
+    ),
+    "stop-joins-under-_cv": (
+        "repro.serve.engine",
+        "            self._cv.notify_all()\n"
+        "        if thread is None:\n"
+        "            return\n"
+        "        thread.join(timeout=_JOIN_TIMEOUT)\n",
+        "            self._cv.notify_all()\n"
+        "            if thread is None:\n"
+        "                return\n"
+        "            thread.join(timeout=_JOIN_TIMEOUT)\n",
+        "STG204", "repro.serve.engine.InferenceEngine.stop",
+    ),
+    "progress-update-bare-acquire": (
+        "repro.obs.server",
+        "        with self._lock:\n"
+        "            self._data.update(fields)\n",
+        "        self._lock.acquire()\n"
+        "        self._data.update(fields)\n"
+        "        self._lock.release()\n",
+        "STG203", "repro.obs.server.TrainingProgress.update",
+    ),
+    "plan-cache-lock-free-hit-path": (
+        "repro.compiler.plan",
+        "        with self._lock:\n"
+        "            plan = self._plans.get(key)\n",
+        "        plan = self._plans.get(key)\n"
+        "        if plan is not None:\n"
+        "            self.hits += 1\n"
+        "            return plan\n"
+        "        with self._lock:\n"
+        "            plan = self._plans.get(key)\n",
+        "STG202", "repro.compiler.plan.PlanCache.get_or_build",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_MUTATIONS))
+def test_seeded_mutation_of_the_shipped_source_is_reported(name):
+    module, old, new, code, where = _REAL_MUTATIONS[name]
+    source = Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, "the mutation no longer applies: update it with the code"
+
+    def findings(text):
+        return {(d.code, d.where) for d in analyze_source(text, module=module).diagnostics}
+
+    assert (code, where) not in findings(source)
+    assert (code, where) in findings(source.replace(old, new))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,20 @@ Mirrors the seeded-bug discipline of the static suite
 (``tests/test_analysis_lockcheck.py``): each violation kind is provoked
 with a tiny real interleaving and must be detected, and the disabled path
 is pinned to return *raw* ``threading`` primitives so the framework's hot
-paths pay nothing when ``REPRO_TSAN`` is off.
+paths pay nothing when ``REPRO_TSAN`` is off.  The seeded mutations of the
+shipped sources that the static analyzer misses and this half catches
+(DESIGN.md, "One lock checker, or two") are run live at the bottom.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -288,3 +293,131 @@ def test_serving_condvar_runs_instrumented_without_violations():
     assert first.served_from == "forward" and second.version > first.version
     assert san.violations == []
     assert san.acquisitions > 0
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the shipped sources that only this half catches
+# ---------------------------------------------------------------------------
+def _mutant(module_name: str, edits: list[tuple[str, str]]) -> types.ModuleType:
+    """The shipped module's source with ``old -> new`` edits, executed as a
+    fresh module."""
+    module = importlib.import_module(module_name)
+    source = inspect.getsource(module)
+    for old, new in edits:
+        assert source.count(old) == 1, "the mutation no longer applies: update it with the code"
+        source = source.replace(old, new)
+    mutant = types.ModuleType(module_name)
+    exec(compile(source, module.__file__, "exec"), mutant.__dict__)  # noqa: S102
+    return mutant
+
+
+#: ``_apply_update`` takes the pending gauge's lock around ``_cv``, the
+#: reverse of the ``_cv -> Gauge._lock`` order ``enqueue_update`` uses.
+_GAUGE_AROUND_CV = [(
+    "        with self._cv:\n"
+    "            self._applied_seq = seq\n"
+    "            self._applied_version = version\n"
+    "            self._cv.notify_all()\n",
+    "        with self._pending_gauge._lock:\n"
+    "            with self._cv:\n"
+    "                self._applied_seq = seq\n"
+    "                self._applied_version = version\n"
+    "                self._cv.notify_all()\n",
+)]
+
+#: ``flush`` serializes flushers with a second lock held across the ``_cv``
+#: wait; the helper's suppression comment hides the wait from the analyzer.
+_FLUSH_LOCK = [
+    ("from repro.analysis.sanitizer import new_condition\n",
+     "from repro.analysis.sanitizer import new_condition, new_lock\n"),
+    ('        self._cv = new_condition(name="InferenceEngine._cv")\n',
+     '        self._cv = new_condition(name="InferenceEngine._cv")\n'
+     '        self._flush_lock = new_lock("InferenceEngine._flush_lock")\n'),
+    ("        with self._cv:\n"
+     "            seq = self._ingest_seq\n",
+     "        with self._flush_lock, self._cv:\n"
+     "            seq = self._ingest_seq\n"),
+]
+
+
+@pytest.mark.parametrize("mutation,kind", [
+    (None, None),
+    (_GAUGE_AROUND_CV, "lock-order-cycle"),
+    (_FLUSH_LOCK, "wait-while-holding"),
+], ids=["shipped", "gauge-lock-around-cv", "flush-lock-around-wait"])
+def test_serving_engine_mutations_are_caught_live(mutation, kind):
+    """A query whose forward is held open, an update batch queued behind it,
+    and a ``flush`` that has to wait for it."""
+    import numpy as np
+
+    from repro.graph import DTDG, GPMAGraph
+    from repro.serve import random_update_batches
+    from repro.train import STGraphNodeRegressor
+
+    engine_module = _mutant("repro.serve.engine", mutation or [])
+
+    class Gated:
+        def __init__(self, model):
+            self.model, self.entered, self.gate = model, threading.Event(), threading.Event()
+
+        def step(self, executor, x, state):
+            self.entered.set()
+            assert self.gate.wait(5.0)
+            return self.model.step(executor, x, state)
+
+    rng = np.random.default_rng(0)
+    n = 24
+    keys = np.unique(rng.integers(0, n * n, 90))
+    keys = keys[keys // n != keys % n]
+    dtdg = DTDG([(keys // n, keys % n)], num_nodes=n)
+    feats = rng.standard_normal((n, 4)).astype(np.float32)
+    model = Gated(STGraphNodeRegressor(4, 6))
+    san = LockOrderSanitizer(strict=False)
+    with use_sanitizer(san):
+        engine = engine_module.InferenceEngine(model, GPMAGraph(dtdg), feats)
+    (batch,) = random_update_batches(dtdg, 1, seed=0)
+    with engine:
+        client = threading.Thread(target=engine.query, args=(3,))
+        client.start()
+        assert model.entered.wait(5.0)  # the dispatcher is inside the forward
+        engine.enqueue_update(batch, wait=False)
+        threading.Timer(0.05, model.gate.set).start()
+        engine.flush(timeout=5.0)
+        client.join(timeout=5.0)
+    assert not client.is_alive()
+    assert [v["kind"] for v in san.violations][:1] == ([kind] if kind else [])
+
+
+def test_plan_cache_read_under_the_totals_lock_is_caught_live(monkeypatch):
+    """``LiveTotals.read`` snapshotting the plan cache under its own lock: the
+    reverse of ``PlanCache._lock -> LiveTotals._lock``, which ``span()`` takes
+    through the device when a thread's first record is a plan build."""
+    from repro.compiler.plan import PlanCache, plan_cache
+    from repro.device import Device, use_device
+
+    spine = _mutant("repro.obs.spine", [(
+        "        with self._lock:\n"
+        "            cells = list(self._cells)\n",
+        "        from repro.compiler.plan import plan_cache\n"
+        "\n"
+        "        with self._lock:\n"
+        "            cells = list(self._cells)\n"
+        "            self.plan_stats = plan_cache().stats()\n",
+    )])
+    san = LockOrderSanitizer(strict=False)
+    with use_sanitizer(san):
+        monkeypatch.setattr("repro.compiler.plan._PLAN_CACHE", PlanCache())
+        device = Device(name="mutant-totals")
+        device.totals = spine.LiveTotals()
+
+    def build():
+        with use_device(device):
+            plan_cache().get_or_build(lambda v: v.agg_sum(lambda nb: nb.h), feature_widths={"h": "v"})
+
+    worker = threading.Thread(target=build)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert not worker.is_alive()
+    device.totals.read()
+    assert [v["kind"] for v in san.violations] == ["lock-order-cycle"]
+    assert set(san.violations[0]["cycle"]) == {"PlanCache._lock", "LiveTotals._lock"}

@@ -70,10 +70,12 @@ def test_csr_cache_flag_ablates_reuse():
     # Reuse is a pure optimization: identical training, fewer rebuilds.
     assert on.final_loss == pytest.approx(off.final_loss, rel=1e-4)
     on_t, off_t = on.totals, off.totals
-    assert on_t.count("csr_cache_hits") + on_t.count("ctx_cache_hits") > 0
-    assert off_t.count("csr_cache_hits") == 0 and off_t.count("ctx_cache_hits") == 0
+    assert on_t.count("ctx_cache_hits") > 0
+    # Off is capacity 0: the store is bypassed, and only the graph's one
+    # installed build is ever reused.
+    assert off_t.count("ctx_cache_hits") == 0 and off_t.count("ctx_cache_misses") == 0
     assert on_t.count("csr_cache_misses") < off_t.count("csr_cache_misses")
-    assert 0.0 < on.reuse_rate <= 1.0 and off.reuse_rate == 0.0
+    assert off.reuse_rate < on.reuse_rate <= 1.0
 
 
 def test_dynamic_runs_isolated_devices():

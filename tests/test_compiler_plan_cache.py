@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import compile_vertex_program, plan_cache, plan_key
-from repro.compiler.plan import PlanCache
 from repro.compiler.symbols import trace
 from repro.device import current_device
 from repro.nn import (
@@ -150,22 +149,6 @@ def test_second_instance_compiles_nothing(name, factory):
     factory()
     assert plan_cache().misses == misses
     assert launcher.compile_count == compiles
-
-
-def test_launcher_dedups_identical_source_across_caches():
-    """Rebuilding a plan (e.g. in another cache instance) regenerates
-    byte-identical source; the launcher hands back the existing kernel."""
-    fn = lambda v: v.agg_sum(lambda nb: nb.ddq) * v.ddq  # noqa: E731
-    launcher = current_device().launcher
-    private1, private2 = PlanCache(), PlanCache()
-    p1 = private1.get_or_build(fn, feature_widths={"ddq": "v"}, name="dd1")
-    compiles, dedups = launcher.compile_count, launcher.source_dedup_hits
-    p2 = private2.get_or_build(fn, feature_widths={"ddq": "v"}, name="dd2")
-    assert p2.plan_id == p1.plan_id
-    assert launcher.compile_count == compiles  # nothing recompiled …
-    assert launcher.source_dedup_hits == dedups + 2  # … fwd + bwd deduped
-    assert p2.fwd_kernel is p1.fwd_kernel
-    assert p2.bwd_kernel is p1.bwd_kernel
 
 
 def test_plans_snapshot_and_get():

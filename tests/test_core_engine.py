@@ -279,10 +279,12 @@ def test_gpma_training_losses_bitwise_across_engines_and_store(dataset):
         with use_device(Device(name=f"diff-{engine}-{store}")):
             init.set_seed(0)
             trainer = STGraphTrainer(
-                STGraphLinkPredictor(ds.feature_size, 8), ds.build_gpma(enable_csr_cache=store),
+                STGraphLinkPredictor(ds.feature_size, 8), ds.build_gpma(),
                 lr=1e-2, sequence_length=3, task="link_prediction", link_samples=samples,
                 engine=engine,
             )
+            if not store:
+                trainer.executor.ctx_cache_size = 0
             return [float(x).hex() for x in trainer.train(ds.features, epochs=3)]
 
     reference = losses(None, True)

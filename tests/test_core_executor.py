@@ -200,8 +200,8 @@ def test_noop_timestamp_reuses_context():
     assert graph.noop_updates_skipped == 1
 
 
-def test_ctx_cache_follows_graph_ablation_flag(dtdg):
-    ex = TemporalExecutor(GPMAGraph(dtdg, enable_csr_cache=False))
+def test_ctx_cache_size_zero_rebuilds_every_context(dtdg):
+    ex = TemporalExecutor(GPMAGraph(dtdg), ctx_cache_size=0)
     fwd = [ex.begin_timestamp(t) for t in range(4)]
     ex.end_sequence_forward()
     for t in range(3, -1, -1):

@@ -188,7 +188,7 @@ def test_gpma_cache_disabled(random_dtdg):
     assert cur.cache_restores == 0
     assert cur.update_batches_applied == before + 5  # replayed all updates
 
-    gg = GPMAGraph(random_dtdg, enable_cache=False, enable_csr_cache=False)
+    gg = GPMAGraph(random_dtdg, enable_cache=False)
     for t in [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 5]:
         gg.get_graph(t)
         assert _edge_set(gg) == _snapshot_edges(random_dtdg, t)

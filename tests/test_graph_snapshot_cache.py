@@ -206,10 +206,12 @@ def test_dropped_graph_frees_its_arrays_without_the_collector(random_dtdg, fresh
 
 
 # ---------------------------------------------------------------------------
-# Ablation flag
+# The store switched off
 # ---------------------------------------------------------------------------
-def test_csr_cache_disabled_counts_no_hits(random_dtdg):
-    gg = GPMAGraph(random_dtdg, enable_csr_cache=False)
+def test_graph_alone_rebuilds_every_repositioned_snapshot(random_dtdg):
+    """Without an executor's store the graph keeps one build: every move to
+    another version rebuilds, and only the unmoved revisit is a hit."""
+    gg = GPMAGraph(random_dtdg)
     for t in range(6):
         gg.get_graph(t)
         gg.forward_csr()
@@ -218,19 +220,16 @@ def test_csr_cache_disabled_counts_no_hits(random_dtdg):
         gg.get_backward_graph(t)
         gg.forward_csr()
         assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
-    assert gg.csr_cache_hits == 0
-    # Every repositioned snapshot paid a full rebuild.
-    assert gg.csr_cache_misses == 11  # 6 forward + 5 backward (t=5 unmoved)
+    assert gg.csr_cache_hits == 1  # t=5, revisited without moving
+    assert gg.csr_cache_misses == 11  # 6 forward + 5 backward
 
 
-@pytest.mark.parametrize(
-    "off", [{"enable_csr_cache": False}, {"ctx_cache_size": 0}], ids=["flag-off", "capacity-0"]
-)
-def test_ctx_cache_size_zero_disables(random_dtdg, off):
-    """The store has one flag and one capacity; either switches it off, and
-    every positioning then builds its context (and its snapshot) afresh."""
-    gg = GPMAGraph(random_dtdg, enable_csr_cache=off.get("enable_csr_cache", True))
-    ex = TemporalExecutor(gg, ctx_cache_size=off.get("ctx_cache_size", 4))
+@pytest.mark.parametrize("capacity", [0], ids=["capacity-0"])
+def test_ctx_cache_size_zero_disables(random_dtdg, capacity):
+    """The store has one switch, its capacity: at 0 every positioning builds
+    its context (and its snapshot) afresh."""
+    gg = GPMAGraph(random_dtdg)
+    ex = TemporalExecutor(gg, ctx_cache_size=capacity)
     for t in (0, 1, 2):
         ex.begin_timestamp(t)
     for t in (2, 1, 0):

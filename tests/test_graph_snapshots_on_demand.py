@@ -96,21 +96,18 @@ def _dtdgs(draw):
 class OnDemandSnapshots(RuleBasedStateMachine):
     """``get_graph`` / ``get_backward_graph`` / ``cache_snapshot``, every
     reader and every executor entry point, in random order, under all cache /
-    ordering configurations and with the context store on, off and at capacity 1."""
+    ordering configurations and with the context store off (capacity 0), at
+    capacity 1 and at its default."""
 
     @initialize(
         dtdg=_dtdgs(),
-        enable_csr_cache=st.booleans(),
         enable_cache=st.booleans(),
         sort_by_degree=st.booleans(),
-        ctx_cache_size=st.sampled_from([1, 4]),
+        ctx_cache_size=st.sampled_from([0, 1, 4]),
     )
-    def build(self, dtdg, enable_csr_cache, enable_cache, sort_by_degree, ctx_cache_size):
+    def build(self, dtdg, enable_cache, sort_by_degree, ctx_cache_size):
         self.dtdg = dtdg
-        self.graph = GPMAGraph(
-            dtdg, sort_by_degree=sort_by_degree, enable_cache=enable_cache,
-            enable_csr_cache=enable_csr_cache,
-        )
+        self.graph = GPMAGraph(dtdg, sort_by_degree=sort_by_degree, enable_cache=enable_cache)
         self.executor = TemporalExecutor(self.graph, ctx_cache_size=ctx_cache_size)
         # A second graph over the same DTDG, moved only by ``move_other``: it
         # reaches every timestamp in a different order than ``graph`` does.
@@ -136,8 +133,6 @@ class OnDemandSnapshots(RuleBasedStateMachine):
         assert np.array_equal(ctx.bwd_eids, np.arange(len(want)))
         assert np.array_equal(ctx.in_deg, np.diff(ctx.fwd_row))
         assert np.array_equal(ctx.out_deg, np.diff(ctx.bwd_row))
-        if not self.graph.enable_csr_cache:
-            assert len(self.executor._ctx_cache) == 0
         assert len(self.executor._ctx_cache) <= self.executor.ctx_cache_size
 
     @rule(t=st.integers(0, 9), inference=st.booleans())
