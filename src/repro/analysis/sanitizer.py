@@ -12,11 +12,13 @@ primitives that report every acquire/release to a process-wide
   (the name passed to the factory, normally ``"Class._attr"``): acquiring
   ``B`` while holding ``A`` adds the edge ``A -> B``.
 
-Two violation kinds are detected at the moment they happen:
+Three violation kinds are detected at the moment they happen:
 
 * ``lock-order-cycle`` — the new edge closes a cycle in the order graph
   (the classic ABBA deadlock pattern, caught even when the interleaving
   that would actually deadlock never fires);
+* ``self-deadlock`` — a blocking acquire of a non-reentrant lock the
+  thread already holds (reported before the acquire blocks for good);
 * ``wait-while-holding`` — ``Condition.wait``/``wait_for`` entered while
   the thread holds a lock *other than* the condition's own (the waiter
   parks holding a resource the waker may need).
@@ -236,10 +238,16 @@ class LockOrderSanitizer:
 
     def _before_acquire(self, lock: SanitizedLock) -> None:
         held = self._held()
-        entry = held.get(id(lock))
-        if entry is not None:
-            # Re-acquiring a lock this thread already holds: legal only for
-            # RLocks and never an ordering event.
+        if id(lock) in held:
+            # Re-acquiring a lock this thread already holds is never an
+            # ordering event; on a plain Lock it blocks forever, so it is
+            # reported before the acquire blocks.
+            if not lock.reentrant:
+                self._violation(
+                    "self-deadlock",
+                    f"re-acquiring the non-reentrant lock {lock.name!r} this thread holds",
+                    acquiring=lock.name,
+                )
             return
         holders = [e[0].name for e in held.values() if e[0].name != lock.name]
         if not holders:

@@ -1,8 +1,11 @@
 """One runner per table/figure of the paper's evaluation (§VII).
 
-Every function returns ``(rows, rendered_text)``; the benchmark suite calls
-them at a small default scale (CI-friendly) and ``benchmarks/run_all.py``
-regenerates EXPERIMENTS.md with whatever scale the environment requests:
+Every function returns ``(rows, rendered_text)``.  The figure-shape tests
+(``benchmarks/test_fig*.py``, ``test_table*.py``, ``test_ablation_*.py``,
+``test_scaling.py``; a gating step of the nightly) call them at a small
+default scale and assert the paper's shapes, and ``benchmarks/run_all.py``
+prints them all (``--write`` regenerates EXPERIMENTS.md) at whatever scale
+the environment requests:
 
 * ``REPRO_BENCH_STATIC_SCALE``  (default 0.3)
 * ``REPRO_BENCH_DYNAMIC_SCALE`` (default 0.02)
@@ -14,7 +17,9 @@ regenerates EXPERIMENTS.md with whatever scale the environment requests:
 
 Scales multiply Table II's node/edge counts; the paper's qualitative
 claims (orderings, crossovers, slopes) are stable across scales — the
-benchmark suite asserts them at the small scale.
+shape tests assert them at the small scale.  Timings that gate a change
+come from the repo benchmark (``benchmarks/e2e``, at scale 1.0), not from
+these runners.
 """
 
 from __future__ import annotations

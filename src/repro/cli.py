@@ -22,9 +22,6 @@ Commands
     retry → interpreter-fallback ladder.  Non-zero exit on any violation.
 ``bench --experiment fig5``
     Run one of the paper's table/figure experiments and print it.
-``trace --out traces/run.json``
-    Short traced TGCN training run on a generated DTDG; writes the Chrome
-    trace, JSONL event log, run manifest, and Prometheus metrics dump.
 ``lint``
     Compile every nn layer program (and, with ``--examples``, the vertex
     programs registered in ``examples/``) with build-time verification
@@ -213,12 +210,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         temporal_train_test_split,
     )
 
-    trace_path = getattr(args, "trace", None)
-    checkpoint_path = getattr(args, "checkpoint", None)
-    resume = bool(getattr(args, "resume", False))
-    engine = _resolve_engine(getattr(args, "engine", None))
-    telemetry_port = getattr(args, "telemetry_port", None)
-    flight_path = getattr(args, "flight_recorder", None)
+    trace_path = args.trace
+    checkpoint_path = args.checkpoint
+    resume = args.resume
+    engine = _resolve_engine(args.engine)
+    telemetry_port = args.telemetry_port
+    flight_path = args.flight_recorder
     if resume and checkpoint_path is None:
         raise SystemExit("--resume requires --checkpoint PATH")
     if checkpoint_path is not None and args.system == "pygt":
@@ -679,12 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1 if mismatches else 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Short traced training run: ``repro train --trace`` with DTDG defaults."""
-    args.trace = args.out
-    return _cmd_train(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point: parse arguments and dispatch to a subcommand."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -819,20 +810,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--json", metavar="OUT.json", default=None,
                          help="write the serving report + engine counters as JSON")
 
-    p_trace = sub.add_parser("trace", help="short traced TGCN run on a generated DTDG")
-    p_trace.add_argument("--out", metavar="OUT.json", default="traces/run.json")
-    p_trace.add_argument("--dataset", default="sx-mathoverflow")
-    p_trace.add_argument("--model", choices=_MODELS, default="tgcn")
-    p_trace.add_argument("--system", choices=("stgraph", "pygt"), default="stgraph")
-    p_trace.add_argument("--epochs", type=int, default=3)
-    p_trace.add_argument("--features", type=int, default=8)
-    p_trace.add_argument("--hidden", type=int, default=16)
-    p_trace.add_argument("--lr", type=float, default=1e-2)
-    p_trace.add_argument("--sequence-length", type=int, default=4)
-    p_trace.add_argument("--timestamps", type=int, default=8)
-    p_trace.add_argument("--scale", type=float, default=0.02)
-    p_trace.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
     handlers = {
         "info": _cmd_info,
@@ -840,7 +817,6 @@ def main(argv: list[str] | None = None) -> int:
         "train": _cmd_train,
         "chaos": _cmd_chaos,
         "bench": _cmd_bench,
-        "trace": _cmd_trace,
         "lint": _cmd_lint,
         "serve": _cmd_serve,
     }

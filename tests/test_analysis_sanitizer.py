@@ -137,6 +137,26 @@ def test_rlock_reentry_is_not_an_ordering_event():
     assert san.violations == []
 
 
+def test_plain_lock_reacquire_is_a_self_deadlock():
+    # DESIGN.md's M11. The timeout stands in for the forever a real
+    # re-acquire blocks, so a sanitizer that misses it fails, not hangs.
+    san = LockOrderSanitizer(strict=False)
+    lock = san.lock("MemoryTracker._lock")
+    with lock:
+        assert lock.acquire(timeout=0.5) is False
+        assert san.held_sites() == ["MemoryTracker._lock"]
+    assert [v["kind"] for v in san.violations] == ["self-deadlock"]
+    assert san.violations[0]["acquiring"] == "MemoryTracker._lock"
+
+    strict = LockOrderSanitizer(strict=True)
+    lock = strict.lock("L")
+    with lock:
+        with pytest.raises(LockOrderViolation) as exc:
+            lock.acquire(timeout=0.5)  # raised before blocking
+    assert exc.value.details["kind"] == "self-deadlock"
+    assert strict.held_sites() == []
+
+
 def test_wait_while_holding_foreign_lock_is_flagged():
     san = LockOrderSanitizer(strict=False)
     outer = san.lock("outer")

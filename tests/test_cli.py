@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
+from tests.test_obs_tracing import _assert_balanced
 
 
 def test_info(capsys):
@@ -62,6 +65,20 @@ def test_train_dynamic(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "updates" in out  # graph-update share reported for DTDGs
+
+
+def test_train_trace_writes_four_balanced_artifacts(tmp_path, capsys):
+    rc = main([
+        "train", "--dataset", "sx-mathoverflow", "--scale", "0.005",
+        "--epochs", "2", "--timestamps", "4", "--features", "4", "--hidden", "8",
+        "--sequence-length", "2", "--trace", str(tmp_path / "run.json"),
+    ])
+    assert rc == 0
+    for name in ("run.json", "run.events.jsonl", "run.manifest.json", "run.metrics.prom"):
+        assert (tmp_path / name).stat().st_size > 0, name
+    events = json.loads((tmp_path / "run.json").read_text())["traceEvents"]
+    assert any(e["ph"] == "B" for e in events)
+    _assert_balanced(events)
 
 
 def test_train_gconv_gru(capsys):
