@@ -43,7 +43,7 @@ def _build_trainer():
 #: One representative call per kind of row, with the attrs its site passes:
 #: an interval feeding a labelled histogram, a plain interval, an event.
 _KINDS = {
-    "histogram span": lambda: span("train.timestamp", t=0, epoch=0, sequence=0, engine="default"),
+    "histogram span": lambda: span("train.timestamp", t=0, epoch=0, sequence=0, engine="kernel"),
     "plain span": lambda: span("core.engine_forward", program="p", t=0),
 }
 

@@ -18,7 +18,8 @@ Four checks run over the :class:`~repro.analysis.callgraph.CodeModel`:
   a call to a method that transitively may block — while holding a lock
   stalls every other thread contending for it.  Waiting on a condition
   while holding *only* that condition's own lock is the intended condvar
-  pattern and exempt.
+  pattern and exempt, also when the wait sits behind a helper: a method's
+  summary carries the one lock its callers may hold across it.
 
 Findings flow through the compiler's diagnostics machinery
 (:class:`~repro.compiler.diagnostics.LintReport`), and the committed
@@ -185,12 +186,25 @@ def _check_bare_acquire(model: CodeModel, report: LintReport) -> None:
 # ---------------------------------------------------------------------------
 # Check 4: blocking while holding a lock (STG204)
 # ---------------------------------------------------------------------------
-def _may_block(model: CodeModel) -> dict[str, str]:
-    """Fixpoint: method qualname -> rendered reason it may block (or absent)."""
-    summary: dict[str, str] = {}
+def _may_block(model: CodeModel) -> dict[str, tuple[str, str | None]]:
+    """Fixpoint: method qualname -> ``(reason, own_lock)`` when it may block.
+
+    ``reason`` renders the first blocking path found.  ``own_lock`` is the
+    condvar lock every blocking path waits on, so a caller holding only it
+    is exempt; it is ``None`` once any path blocks some other way (or on
+    another condition), and then every held lock is a finding.
+    """
+    summary: dict[str, tuple[str, str | None]] = {}
+
+    def merge(qual: str, reason: str, own: str | None) -> bool:
+        old = summary.get(qual)
+        new = (reason, own) if old is None else (old[0], old[1] if old[1] == own else None)
+        summary[qual] = new
+        return new != old
+
     for qual, method in model.methods.items():
         for block in method.blocking:
-            summary.setdefault(qual, block.what)
+            merge(qual, block.what, block.own_lock)
     resolved_calls: dict[str, list[tuple[str, str]]] = {
         qual: [(t, call.name) for call in m.calls for t in model.resolve_call(m, call)]
         for qual, m in model.methods.items()
@@ -199,13 +213,10 @@ def _may_block(model: CodeModel) -> dict[str, str]:
     while changed:
         changed = False
         for qual, callees in resolved_calls.items():
-            if qual in summary:
-                continue
             for callee, name in callees:
                 if callee in summary:
-                    summary[qual] = f"{name} -> {summary[callee]}"
-                    changed = True
-                    break
+                    reason, own = summary[callee]
+                    changed |= merge(qual, f"{name} -> {reason}", own)
     return summary
 
 
@@ -229,17 +240,20 @@ def _check_blocking(model: CodeModel, report: LintReport) -> None:
             if not call.held or call.suppressed is not None:
                 continue
             for callee in model.resolve_call(method, call):
-                reason = may_block.get(callee)
+                if callee not in may_block:
+                    continue
                 # Direct blocking at this site is already reported above;
                 # the transitive pass covers callees that block deeper down.
-                if reason is not None:
-                    report.add(
-                        "STG204",
-                        f"call {call.name} (line {call.lineno}) may block "
-                        f"({reason}) while holding {list(call.held)!r}",
-                        where=method.qualname,
-                    )
-                    break
+                reason, own = may_block[callee]
+                if all(h == own for h in call.held):
+                    continue  # condvar wait behind a helper, holding only its lock
+                report.add(
+                    "STG204",
+                    f"call {call.name} (line {call.lineno}) may block "
+                    f"({reason}) while holding {list(call.held)!r}",
+                    where=method.qualname,
+                )
+                break
 
 
 # ---------------------------------------------------------------------------

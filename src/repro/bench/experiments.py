@@ -10,10 +10,6 @@ the environment requests:
 * ``REPRO_BENCH_STATIC_SCALE``  (default 0.3)
 * ``REPRO_BENCH_DYNAMIC_SCALE`` (default 0.02)
 * ``REPRO_BENCH_EPOCHS``        (default 4; the paper uses 100)
-* ``REPRO_BENCH_ENGINE``        (default unset; execution engine for the
-  STGraph cells — "kernel" or "interpreter".  Engines are
-  bitwise-identical, so only wall clock moves; ``repro bench
-  --engine interpreter`` sets this)
 
 Scales multiply Table II's node/edge counts; the paper's qualitative
 claims (orderings, crossovers, slopes) are stable across scales — the
@@ -35,7 +31,6 @@ __all__ = [
     "static_scale",
     "dynamic_scale",
     "bench_epochs",
-    "bench_engine",
     "table1_capabilities",
     "table2_datasets",
     "fig5_static_time",
@@ -60,12 +55,6 @@ def dynamic_scale() -> float:
 def bench_epochs() -> int:
     """Epochs per measured run from REPRO_BENCH_EPOCHS (default 4; paper uses 100)."""
     return int(os.environ.get("REPRO_BENCH_EPOCHS", "4"))
-
-
-def bench_engine() -> str | None:
-    """Execution engine for STGraph cells from REPRO_BENCH_ENGINE (default None)."""
-    name = os.environ.get("REPRO_BENCH_ENGINE", "").strip()
-    return name or None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +114,6 @@ def fig5_static_time(
                 r = run_static_experiment(
                     system, loader, feature_size=fs, scale=scale,
                     num_timestamps=num_timestamps, epochs=epochs,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((fs, r.per_epoch_seconds))
@@ -157,7 +145,6 @@ def fig6_static_memory(
                 r = run_static_experiment(
                     system, loader, feature_size=8, scale=scale,
                     num_timestamps=num_timestamps, sequence_length=seq, epochs=epochs,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((seq, r.peak_memory_bytes / 1e6))
@@ -192,7 +179,6 @@ def fig7_dtdg_time(
                 r = run_dynamic_experiment(
                     system, loader, feature_size=fs, percent_change=percent_change,
                     scale=scale, epochs=epochs,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((fs, r.per_epoch_seconds))
@@ -226,7 +212,6 @@ def fig8_dtdg_memory(
                 r = run_dynamic_experiment(
                     system, loader, feature_size=feature_size, percent_change=pct,
                     scale=scale, epochs=epochs, max_snapshots=None,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((pct, r.peak_memory_bytes / 1e6))
@@ -255,9 +240,7 @@ def fig9_time_breakup(
     epochs = epochs or bench_epochs()
     scale = dynamic_scale() if scale is None else scale
     results = [
-        run_dynamic_experiment(
-            "gpma", loader, feature_size=fs, scale=scale, epochs=epochs, engine=bench_engine(),
-        )
+        run_dynamic_experiment("gpma", loader, feature_size=fs, scale=scale, epochs=epochs)
         for loader in datasets.values()
         for fs in feature_sizes
     ]

@@ -39,8 +39,6 @@ class RunResult:
     per_epoch_seconds: float = 0.0
     peak_memory_bytes: int = 0
     final_loss: float = 0.0
-    # Execution-engine ablation: empty string = the executor default (kernel).
-    engine: str = ""
     #: the run device's totals: self seconds per category (``gnn``,
     #: ``graph_update``, ``compile``, ...) and the snapshot/context reuse
     #: counters (zero for systems without them)
@@ -89,13 +87,8 @@ class RunResult:
         return served / denom if denom > 0 else 0.0
 
     def row(self) -> dict:
-        """Flat JSON-friendly dict for tables and CI tracking.
-
-        The engine key appears only for runs with an explicit engine
-        selection, so default-engine rows keep their historical key set
-        (the nightly differ compares rows key-by-key).
-        """
-        row = {
+        """Flat JSON-friendly dict for tables."""
+        return {
             "system": self.system,
             "dataset": self.dataset,
             **self.params,
@@ -108,9 +101,6 @@ class RunResult:
             "csr_misses": self.totals.count("csr_cache_misses"),
             "noop_skipped": self.totals.count("noop_updates_skipped"),
         }
-        if self.engine:
-            row["engine"] = self.engine
-        return row
 
 
 def run_static_experiment(
@@ -125,14 +115,8 @@ def run_static_experiment(
     warmup: int = 1,
     weight_seed: int = 42,
     sort_by_degree: bool = True,
-    engine: str | None = None,
 ) -> RunResult:
-    """One cell of Figure 5/6: ``system`` ∈ {"stgraph", "pygt"}.
-
-    ``engine`` selects the STGraph execution engine ("kernel",
-    "interpreter"); ignored for the PyG-T baseline.  All engines are
-    bitwise-identical, so only wall clock moves.
-    """
+    """One cell of Figure 5/6: ``system`` ∈ {"stgraph", "pygt"}."""
     from repro.train.models import PyGTNodeRegressor, STGraphNodeRegressor
     from repro.train.trainer import BaselineTrainer, STGraphTrainer
 
@@ -150,9 +134,7 @@ def run_static_experiment(
         if system == "stgraph":
             model = STGraphNodeRegressor(feature_size, hidden)
             graph = ds.build_graph(sort_by_degree=sort_by_degree)
-            trainer = STGraphTrainer(
-                model, graph, sequence_length=sequence_length, engine=engine
-            )
+            trainer = STGraphTrainer(model, graph, sequence_length=sequence_length)
         else:
             model = PyGTNodeRegressor(feature_size, hidden)
             signal = ds.to_pygt_signal()
@@ -162,7 +144,6 @@ def run_static_experiment(
             system=system,
             dataset=ds.name,
             params={"F": feature_size, "seq": sequence_length or num_timestamps},
-            engine=engine or "" if system == "stgraph" else "",
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,
             final_loss=losses[-1],
@@ -186,13 +167,8 @@ def run_dynamic_experiment(
     sort_by_degree: bool = True,
     gpma_cache: bool = True,
     csr_cache: bool = True,
-    engine: str | None = None,
 ) -> RunResult:
-    """One cell of Figure 7/8/9: ``system`` ∈ {"naive", "gpma", "pygt"}.
-
-    ``engine`` selects the STGraph execution engine ("kernel",
-    "interpreter"); ignored for the PyG-T baseline.
-    """
+    """One cell of Figure 7/8/9: ``system`` ∈ {"naive", "gpma", "pygt"}."""
     from repro.train.models import PyGTLinkPredictor, STGraphLinkPredictor
     from repro.train.tasks import make_link_prediction_samples
     from repro.train.trainer import BaselineTrainer, STGraphTrainer
@@ -236,7 +212,6 @@ def run_dynamic_experiment(
                 sequence_length=sequence_length,
                 task="link_prediction",
                 link_samples=samples,
-                engine=engine,
             )
             if not csr_cache:
                 trainer.executor.ctx_cache_size = 0  # the snapshot-store ablation
@@ -245,7 +220,6 @@ def run_dynamic_experiment(
             system=system,
             dataset=ds.name,
             params={"F": feature_size, "pct": percent_change},
-            engine=engine or "" if system != "pygt" else "",
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,
             final_loss=losses[-1],

@@ -97,17 +97,12 @@ def fig9_rows(results: Sequence) -> list[dict]:
 
     The GNN vs graph-update split is ``RunResult.time_split()``: the two
     categories' self time in the run device's totals, traced or not.
-
-    When any run carries an explicit execution-engine selection the rows
-    gain an ``engine`` column, so engine-ablation tables stay
-    self-describing while default runs keep the historical column set.
     """
-    with_engine = any(getattr(r, "engine", "") for r in results)
     rows = []
     for r in results:
         gnn, upd = r.time_split()
         total = gnn + upd
-        row: dict = {
+        rows.append({
             "dataset": r.dataset,
             "F": r.params.get("F", ""),
             "gnn_%": round(100 * gnn / total, 1) if total > 0 else 0.0,
@@ -121,10 +116,7 @@ def fig9_rows(results: Sequence) -> list[dict]:
             # never dirtied the snapshot.
             "reuse_%": round(100 * r.reuse_rate, 1),
             "noop_skipped": r.totals.count("noop_updates_skipped"),
-        }
-        if with_engine:
-            row["engine"] = getattr(r, "engine", "") or "kernel"
-        rows.append(row)
+        })
     return rows
 
 

@@ -12,9 +12,7 @@ Commands
     timing, and memory.  ``--system pygt`` runs the baseline instead.
     ``--checkpoint runs/ck.npz`` checkpoints atomically at every sequence
     boundary; adding ``--resume`` restores from the checkpoint and
-    continues to bitwise-identical final losses.  ``--engine interpreter``
-    runs every aggregation on the tensor-IR interpreter (the differential
-    oracle); engines never change the numbers, only the speed.
+    continues to bitwise-identical final losses.
 ``chaos --plan smoke``
     Train a small DTDG workload under a named (or JSON) fault plan with
     kill/resume through boundary checkpoints, and verify the resilience
@@ -141,21 +139,6 @@ def _trace_base(trace_path: str) -> str:
     return trace_path[:-5] if trace_path.endswith(".json") else trace_path
 
 
-def _resolve_engine(name: str | None) -> str | None:
-    """Validate an ``--engine`` value early: a typo (``--engine copiled``)
-    exits non-zero with the registry's available-engines message instead of
-    surfacing a traceback mid-run."""
-    if name is None:
-        return None
-    from repro.core.engine import get_engine
-
-    try:
-        get_engine(name)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-    return name
-
-
 def _write_trace_artifacts(
     tracer,
     device,
@@ -213,15 +196,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     trace_path = args.trace
     checkpoint_path = args.checkpoint
     resume = args.resume
-    engine = _resolve_engine(args.engine)
     telemetry_port = args.telemetry_port
     flight_path = args.flight_recorder
     if resume and checkpoint_path is None:
         raise SystemExit("--resume requires --checkpoint PATH")
     if checkpoint_path is not None and args.system == "pygt":
         raise SystemExit("--checkpoint/--resume are STGraph-only; the pygt baseline has no resume path")
-    if engine and args.system == "pygt":
-        raise SystemExit("--engine is STGraph-only; the pygt baseline has no execution engines")
     if telemetry_port is not None and args.system == "pygt":
         raise SystemExit("--telemetry-port is STGraph-only; the pygt baseline has no telemetry hooks")
     if flight_path is not None and args.system == "pygt":
@@ -254,7 +234,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 trainer = STGraphTrainer(
                     model, ds.build_graph(), lr=args.lr,
                     sequence_length=args.sequence_length,
-                    engine=engine,
                     telemetry_port=telemetry_port,
                 )
                 _start_telemetry(trainer)
@@ -278,7 +257,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 model, ds.build_gpma(), lr=args.lr,
                 sequence_length=args.sequence_length,
                 task="link_prediction", link_samples=samples,
-                engine=engine,
                 telemetry_port=telemetry_port,
             )
             _start_telemetry(trainer)
@@ -344,7 +322,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"or a path to a fault-plan JSON file"
         )
 
-    engine = _resolve_engine(getattr(args, "engine", None))
     trace_path = getattr(args, "trace", None)
     tracer = Tracer(name=f"chaos:{plan.name}") if trace_path else None
     report = run_chaos(
@@ -357,7 +334,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         workdir=args.workdir,
         tracer=tracer,
-        engine=engine,
         flight_recorder=getattr(args, "flight_recorder", None),
     )
     print(report.render())
@@ -378,14 +354,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
     from repro.device import current_device
     from repro.obs import Tracer, use_tracer
 
-    engine = _resolve_engine(getattr(args, "engine", None))
-    if engine is not None:
-        os.environ["REPRO_BENCH_ENGINE"] = engine
     trace_path = getattr(args, "trace", None)
     tracer = Tracer(name=f"bench:{args.experiment}") if trace_path else None
     start = time.perf_counter()
@@ -585,7 +556,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"serving needs a dynamic (DTDG) dataset; got {args.dataset!r} — see `info`"
         )
-    engine_name = _resolve_engine(getattr(args, "engine", None))
     device = Device(name="cli")
     with use_device(device):
         init.set_seed(args.seed)
@@ -610,7 +580,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             hops=args.hops, freshness=args.freshness,
             batching=not args.no_batching,
             invalidation=not args.no_invalidation,
-            engine=engine_name,
         )
         try:
             with engine:
@@ -649,7 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ref = serial_reference(
                 model, graph.dtdg, feats,
                 sorted({r.timestamp for r in report.results}),
-                engine=engine_name,
             )
             for res in report.results:
                 expect = ref[res.timestamp][0 if res.kind == "embedding" else 1]
@@ -705,9 +673,6 @@ def main(argv: list[str] | None = None) -> int:
                               "OUT.events.jsonl, OUT.manifest.json, OUT.metrics.prom")
     p_train.add_argument("--checkpoint", metavar="PATH.npz", default=None,
                          help="write an atomic training checkpoint at every sequence boundary")
-    p_train.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine override (kernel, interpreter); "
-                              "all engines are bitwise-identical")
     p_train.add_argument("--resume", action="store_true",
                          help="resume from --checkpoint if it exists (bitwise-identical losses)")
     p_train.add_argument("--telemetry-port", type=int, default=None, metavar="PORT",
@@ -728,9 +693,6 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--seed", type=int, default=0)
     p_chaos.add_argument("--workdir", default=None,
                          help="directory for the chaos checkpoint (default: a fresh temp dir)")
-    p_chaos.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine the chaos run starts on (the ladder is "
-                              "kernel → interpreter)")
     p_chaos.add_argument("--json", metavar="OUT.json", default=None,
                          help="write the full ChaosReport (manifest inlined) as JSON")
     p_chaos.add_argument("--trace", metavar="OUT.json", default=None,
@@ -742,9 +704,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_bench = sub.add_parser("bench", help="run one paper experiment")
     p_bench.add_argument("--experiment", choices=_EXPERIMENTS, required=True)
-    p_bench.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine for STGraph cells (sets REPRO_BENCH_ENGINE "
-                              "for this invocation)")
     p_bench.add_argument("--trace", metavar="OUT.json", default=None,
                          help="trace the experiment; writes the same artifact set as train --trace")
 
@@ -799,8 +758,6 @@ def main(argv: list[str] | None = None) -> int:
                               "coalescing concurrent requests")
     p_serve.add_argument("--no-invalidation", action="store_true",
                          help="ablation: invalidate every vertex on each update batch")
-    p_serve.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine for serving forwards")
     p_serve.add_argument("--verify", action="store_true",
                          help="bitwise-check every response against the serial "
                               "query-after-every-update reference (exit 1 on mismatch)")

@@ -8,10 +8,11 @@ two explicitly separated halves:
   so structurally identical programs (same trace signature + options)
   compile exactly once no matter how many layers, models, or runs request
   them;
-* **run time** — an :class:`~repro.core.engine.ExecutionEngine` (the
-  generated-kernel engine by default; the tensor-IR interpreter for
-  differential testing) that launches the plan against a
-  :class:`GraphContext`.
+* **run time** — an :class:`~repro.core.engine.ExecutionEngine` that
+  launches the plan against a :class:`GraphContext`.  A program does not
+  choose one: the :class:`~repro.core.executor.TemporalExecutor` running it
+  passes its engine to every call (``None`` means the generated-kernel
+  engine).
 
 The per-call protocol matches the executor's State Stack discipline:
 
@@ -41,58 +42,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
 __all__ = ["VertexProgram", "compile_vertex_program"]
 
 
+def _resolve(engine: "ExecutionEngine | None") -> "ExecutionEngine":
+    if engine is not None:
+        return engine
+    # Imported here: repro.core imports this module at package-import time.
+    from repro.core.engine import get_engine
+
+    return get_engine()
+
+
 class VertexProgram:
-    """A compiled vertex-centric GNN aggregation: cached plan + engine."""
+    """A compiled vertex-centric GNN aggregation: a cached plan and a name."""
 
     def __init__(
         self,
-        fn: Callable[[Vertex], VNode] | None = None,
+        fn: Callable[[Vertex], VNode],
         feature_widths: Mapping[str, str] | None = None,
         grad_features: set[str] | None = None,
         name: str = "vertex_program",
         fused: bool = True,
         state_stack_opt: bool = True,
         optimize: bool = True,
-        engine: "str | ExecutionEngine" = "kernel",
         dtype: str = "float32",
-        plan: ProgramPlan | None = None,
     ) -> None:
-        if plan is None:
-            if fn is None:
-                raise TypeError("VertexProgram needs a vertex function or a plan")
-            plan = plan_cache().get_or_build(
-                fn,
-                feature_widths=feature_widths,
-                grad_features=grad_features,
-                name=name,
-                fused=fused,
-                state_stack_opt=state_stack_opt,
-                optimize=optimize,
-                dtype=dtype,
-            )
-        self.plan = plan
-        self.name = plan.name if (fn is None and name == "vertex_program") else name
-        # Resolved lazily: repro.core imports this module at package-import
-        # time, so the engine registry may not be loadable yet.
-        self._engine_spec = engine
-        self._engine: "ExecutionEngine | None" = None
-
-    # ------------------------------------------------------------------
-    # Engine selection (per program; executors may override per call)
-    # ------------------------------------------------------------------
-    @property
-    def engine(self) -> "ExecutionEngine":
-        """This program's default execution engine."""
-        if self._engine is None:
-            from repro.core.engine import get_engine
-
-            self._engine = get_engine(self._engine_spec)
-        return self._engine
-
-    def with_engine(self, engine: "str | ExecutionEngine") -> "VertexProgram":
-        """A sibling program sharing this plan but running on ``engine``."""
-        other = VertexProgram(plan=self.plan, engine=engine, name=self.name)
-        return other
+        self.plan: ProgramPlan = plan_cache().get_or_build(
+            fn,
+            feature_widths=feature_widths,
+            grad_features=grad_features,
+            name=name,
+            fused=fused,
+            state_stack_opt=state_stack_opt,
+            optimize=optimize,
+            dtype=dtype,
+        )
+        self.name = name
 
     # ------------------------------------------------------------------
     # Plan delegation (the long-standing public surface)
@@ -192,11 +175,11 @@ class VertexProgram:
         edge_feats: Mapping[str, np.ndarray] | None = None,
         engine: "ExecutionEngine | None" = None,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Run the forward pass on ``engine`` (default: this program's own);
+        """Run the forward pass on ``engine`` (``None``: the kernel engine);
         returns ``(out, saved_env)``."""
         device = current_device()
         env = self._bind(ctx, node_feats, edge_feats)
-        out, saved = (engine or self.engine).forward(self.plan, ctx, env)
+        out, saved = _resolve(engine).forward(self.plan, ctx, env)
         device.alloc.adopt(np.asarray(out), tag="kernel.out")
         return out, saved
 
@@ -207,8 +190,9 @@ class VertexProgram:
         saved: Mapping[str, np.ndarray],
         engine: "ExecutionEngine | None" = None,
     ) -> dict[str, np.ndarray]:
-        """Run the backward pass; returns gradients keyed by feature name."""
-        grads_by_buf = (engine or self.engine).backward(self.plan, ctx, g_out, saved)
+        """Run the backward pass on ``engine`` (``None``: the kernel engine);
+        returns gradients keyed by feature name."""
+        grads_by_buf = _resolve(engine).backward(self.plan, ctx, g_out, saved)
         grads: dict[str, np.ndarray] = {}
         for buf, grad in grads_by_buf.items():
             kind, feat = self.plan.fwd_prog.inputs[buf]
@@ -230,7 +214,6 @@ def compile_vertex_program(
     fused: bool = True,
     state_stack_opt: bool = True,
     optimize: bool = True,
-    engine: "str | ExecutionEngine" = "kernel",
     dtype: str = "float32",
 ) -> VertexProgram:
     """Compile a vertex-centric function through the plan cache; see
@@ -243,6 +226,5 @@ def compile_vertex_program(
         fused=fused,
         state_stack_opt=state_stack_opt,
         optimize=optimize,
-        engine=engine,
         dtype=dtype,
     )

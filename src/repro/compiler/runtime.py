@@ -16,7 +16,8 @@ requirement.
 
 What ``spmm`` multiplies by is structure too: a context keeps, per
 direction, one :class:`_AggregationOperator` (the CSR with its rows already
-in ``node_ids`` order), built by the first launch that asks for it.
+in ``node_ids`` order when the graph is degree-ordered), built by the first
+launch that asks for it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ class GraphContext:
     ``snapshot_key`` records the graph's content identity (its snapshot
     version) at build time — the executor's context cache uses it to decide
     when a context built for one pass (e.g. forward at ``t``) is valid for
-    another (the LIFO backward step at the same ``t``).
+    another (the LIFO backward step at the same ``t``).  ``sort_by_degree``
+    records the graph's degree-order switch the same way: the one switch is
+    the graph's, and a context built from it launches in that order.
     """
 
-    def __init__(self, graph: STGraphBase, use_degree_order: bool | None = None) -> None:
+    def __init__(self, graph: STGraphBase) -> None:
         fwd: CSR = graph.forward_csr()
         bwd: CSR = graph.backward_csr()
         self.snapshot_key = graph.snapshot_key()
@@ -59,10 +62,8 @@ class GraphContext:
         self.out_deg = np.asarray(graph.out_degrees())
         self.fwd_node_ids = fwd.node_ids
         self.bwd_node_ids = bwd.node_ids
-        self.use_degree_order = (
-            graph.sort_by_degree if use_degree_order is None else use_degree_order
-        )
-        self._operators: dict[tuple[str, bool], _AggregationOperator] = {}
+        self.sort_by_degree = graph.sort_by_degree
+        self._operators: dict[str, _AggregationOperator] = {}
 
     # Edge-length maps no unweighted launch reads: built by the first
     # gather_dst / edge-softmax / weighted launch that asks.
@@ -89,12 +90,10 @@ class GraphContext:
         return np.maximum(self.in_deg, 1).astype(np.float32)
 
     def operator(self, direction: str) -> "_AggregationOperator":
-        """The launch-order CSR operator of one direction, built on first use
-        (keyed on ``use_degree_order``, so a flipped flag gets its own)."""
-        key = (direction, self.use_degree_order)
-        op = self._operators.get(key)
+        """The launch-order CSR operator of one direction, built on first use."""
+        op = self._operators.get(direction)
         if op is None:
-            op = self._operators[key] = _AggregationOperator(self, direction)
+            op = self._operators[direction] = _AggregationOperator(self, direction)
         return op
 
     def bind_edge_feature(self, label_indexed: np.ndarray) -> np.ndarray:
@@ -127,7 +126,7 @@ class _AggregationOperator:
             row, col, order, owner = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids, weakref.ref(ctx)
         n, ones = ctx.num_nodes, np.ones(ctx.num_edges, dtype=np.float32)
         mat = sp.csr_matrix((ones, col, row), shape=(n, n))
-        self.order = order if ctx.use_degree_order else None
+        self.order = order if ctx.sort_by_degree else None
         self.mat = mat if self.order is None else mat[self.order]
         self.inverse = None
         if self.order is not None:

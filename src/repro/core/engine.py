@@ -15,9 +15,9 @@ interpreter -> none``).  Two implementations ship:
 * :class:`InterpreterEngine` — executes the plan's tensor IR directly via
   :mod:`repro.compiler.interp`, with no codegen and no kernel cache.  Same
   runtime primitives, same op order, so its outputs are *bitwise* identical
-  to the kernel engine's — which makes engine selection per plan the
-  differential-testing switch: run any model under ``engine="interpreter"``
-  and compare.
+  to the kernel engine's — which makes the executor's engine the
+  differential-testing switch: run any model under
+  ``TemporalExecutor(graph, engine="interpreter")`` and compare.
 
 Engines are stateless and registered through the same
 :class:`~repro.util.registry.Registry` as deep-learning backends
@@ -171,8 +171,7 @@ def get_engine(name: str | ExecutionEngine = "kernel") -> ExecutionEngine:
     """Instantiate (once) and return the named engine; instances pass through.
 
     Unknown names raise a ``KeyError`` that lists :func:`available_engines`,
-    so a typo like ``--engine kernl`` tells the user what *is* available
-    (the CLI turns this into a clean non-zero exit, not a traceback).
+    so a typo like ``"kernl"`` tells the caller what *is* available.
     """
     return name if isinstance(name, ExecutionEngine) else _ENGINES.get(name)
 

@@ -55,22 +55,21 @@ class TemporalExecutor:
     The executor owns no compilation state: layers hold immutable
     :class:`~repro.compiler.plan.ProgramPlan` references from the process-wide
     plan cache, and the executor only supplies run-time structure (contexts,
-    stacks).  Passing ``engine`` overrides every aggregation's execution
-    engine for this executor — e.g. ``engine="interpreter"`` runs a whole
-    model on the tensor-IR interpreter for differential testing; ``None``
-    (default) lets each program use its own engine.
+    stacks) and the execution engine.  ``engine`` is the one place an engine
+    is chosen: every aggregation run through this executor uses it, e.g.
+    ``engine="interpreter"`` runs a whole model on the tensor-IR interpreter
+    for differential testing.  Tests may assign ``executor.engine`` (an
+    :class:`ExecutionEngine`) between runs.
     """
 
     def __init__(
         self,
         graph: STGraphBase,
-        engine: str | ExecutionEngine | None = None,
+        engine: str | ExecutionEngine = "kernel",
         ctx_cache_size: int = 4,
     ) -> None:
         self.graph = graph
-        self.engine: ExecutionEngine | None = (
-            None if engine is None else get_engine(engine)
-        )
+        self.engine: ExecutionEngine = get_engine(engine)
         self.state_stack = StateStack()
         self.graph_stack = GraphStack()
         self._fwd_ctx: GraphContext | None = None
@@ -247,11 +246,6 @@ class TemporalExecutor:
         return self._bwd_ctx
 
     # ------------------------------------------------------------------
-    def set_engine(self, engine: str | ExecutionEngine | None) -> None:
-        """Change (or clear, with ``None``) the executor-wide engine override."""
-        self.engine = None if engine is None else get_engine(engine)
-
-    # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear stacks and positioning (between epochs / after an aborted
         sequence).
@@ -295,10 +289,10 @@ class TemporalExecutor:
             raise RuntimeError(f"graph stack not drained: {len(self.graph_stack)} entries left")
 
     def stats(self) -> dict[str, int | str]:
-        """Peak stack depths/bytes, push counts, engine override, and
+        """Peak stack depths/bytes, push counts, engine name, and
         context-store counters."""
         return {
-            "engine": self.engine.name if self.engine is not None else "default",
+            "engine": self.engine.name,
             "state_stack_peak_depth": self.state_stack.peak_depth,
             "state_stack_peak_bytes": self.state_stack.peak_bytes,
             "state_stack_pushes": self.state_stack.total_pushes,

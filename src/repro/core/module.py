@@ -12,9 +12,8 @@ backend-agnostic — the tape node only uses the generic tape protocol.
 :class:`VertexCentricLayer` is the base class for STGraph's GNN layers: it
 requests its :class:`~repro.compiler.plan.ProgramPlan` from the process-wide
 plan cache (so identical layers share one compilation) and exposes
-``aggregate`` to subclasses.  The execution engine resolved for each
-aggregation is, in priority order: the executor's override (differential
-testing / fleet-wide switches), else the program's own engine.
+``aggregate`` to subclasses.  Every aggregation runs on the executor's
+engine; the executor is the one place an engine is chosen.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ __all__ = ["VertexCentricLayer", "graph_aggregate"]
 
 def _differential_check(
     program: VertexProgram,
-    engine: ExecutionEngine | None,
+    engine: ExecutionEngine,
     call,
     result,
     direction: str,
@@ -49,8 +48,7 @@ def _differential_check(
     difference is bitwise-detectable and means the retried launch produced
     corrupt output rather than a clean recovery.
     """
-    resolved = engine if engine is not None else program.engine
-    if resolved.name == "interpreter":
+    if engine.name == "interpreter":
         return  # the result *is* the oracle
     oracle = call(get_engine("interpreter"))
     if direction == "fwd":
@@ -69,7 +67,7 @@ def _differential_check(
 def _resilient_run(
     executor: TemporalExecutor,
     program: VertexProgram,
-    engine: ExecutionEngine | None,
+    engine: ExecutionEngine,
     call,
     direction: str,
     timestamp: int,
@@ -94,7 +92,7 @@ def _resilient_run(
             result = call(engine)
         except InjectedKernelFault as exc:
             last_fault = exc
-            fallback = engine if engine is not None else program.engine
+            fallback = engine
             while fallback.fallback is not None:
                 fallback = get_engine(fallback.fallback)
                 executor.engine_fallbacks += 1
@@ -121,7 +119,8 @@ class _GraphAggregationTape(Function):
     its saved state lives on the executor's State Stack rather than in
     ``saved``: the feature matrix ``h`` it aggregated is not retained.  The
     engine the forward ran on is pinned so forward and backward of one
-    aggregation always execute on the same engine.
+    aggregation always execute on the same engine (``None``: the kernel
+    engine).
     """
 
     def __init__(
@@ -138,13 +137,13 @@ class _GraphAggregationTape(Function):
         self.timestamp = timestamp
         self.token = -1  # State Stack entry, pushed once the node is attached
         self.tensor_slots = tensor_slots  # (feature_name, "node" | "edge")
-        self.engine = engine
+        self.engine = get_engine() if engine is None else engine
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
         ctx = self.executor.backward_context(self.timestamp)
         saved = self.executor.pop_state(self.token)
 
-        def run_backward(engine: ExecutionEngine | None):
+        def run_backward(engine: ExecutionEngine):
             return self.program.backward(ctx, grad, saved, engine=engine)
 
         with span("core.engine_backward", program=self.program.name, t=self.timestamp):
@@ -169,7 +168,6 @@ def graph_aggregate(
     ctx: GraphContext = executor.current_context()
     timestamp = executor.current_timestamp
     assert timestamp is not None
-    engine = executor.engine  # None → the program's own engine
 
     node_arrays: dict[str, np.ndarray] = {}
     edge_arrays: dict[str, np.ndarray] = {}
@@ -190,12 +188,12 @@ def graph_aggregate(
         else:
             edge_arrays[name] = np.asarray(value)
 
-    def run_forward(eng: ExecutionEngine | None):
+    def run_forward(eng: ExecutionEngine):
         return program.forward(ctx, node_arrays, edge_arrays or None, engine=eng)
 
     with span("core.engine_forward", program=program.name, t=timestamp):
         (out_np, saved), engine = _resilient_run(
-            executor, program, engine, run_forward,
+            executor, program, executor.engine, run_forward,
             direction="fwd", timestamp=timestamp,
         )
     out = Tensor(out_np)
@@ -216,7 +214,6 @@ class VertexCentricLayer(nn.Module):
         name: str,
         fused: bool = True,
         state_stack_opt: bool = True,
-        engine: str | ExecutionEngine = "kernel",
     ) -> None:
         super().__init__()
         self.program = compile_vertex_program(
@@ -226,7 +223,6 @@ class VertexCentricLayer(nn.Module):
             name=name,
             fused=fused,
             state_stack_opt=state_stack_opt,
-            engine=engine,
         )
 
     @property

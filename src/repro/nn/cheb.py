@@ -43,7 +43,6 @@ class ChebConv(VertexCentricLayer):
         bias: bool = True,
         fused: bool = True,
         state_stack_opt: bool = True,
-        engine: str = "kernel",
     ) -> None:
         if k < 1:
             raise ValueError("Chebyshev order k must be >= 1")
@@ -54,7 +53,6 @@ class ChebConv(VertexCentricLayer):
             name="cheb_laplacian",
             fused=fused,
             state_stack_opt=state_stack_opt,
-            engine=engine,
         )
         self.in_features = in_features
         self.out_features = out_features

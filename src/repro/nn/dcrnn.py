@@ -41,7 +41,6 @@ class DConv(VertexCentricLayer):
         k: int = 2,
         bias: bool = True,
         fused: bool = True,
-        engine: str = "kernel",
     ) -> None:
         if k < 1:
             raise ValueError("diffusion steps k must be >= 1")
@@ -51,14 +50,13 @@ class DConv(VertexCentricLayer):
             grad_features={"h"},
             name="dconv_walk_out",
             fused=fused,
-            engine=engine,
         )
         # second compiled program for the reverse walk
         from repro.compiler.program import compile_vertex_program
 
         self._walk_in_prog = compile_vertex_program(
             _walk_in, feature_widths={"h": "v"}, grad_features={"h"},
-            name="dconv_walk_in", fused=fused, engine=engine,
+            name="dconv_walk_in", fused=fused,
         )
         self.in_features = in_features
         self.out_features = out_features

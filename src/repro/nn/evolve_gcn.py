@@ -31,7 +31,6 @@ class EvolveGCNO(Module):
         in_features: int,
         out_features: int,
         fused: bool = True,
-        engine: str = "kernel",
     ) -> None:
         super().__init__()
         self.in_features = in_features
@@ -44,7 +43,6 @@ class EvolveGCNO(Module):
             grad_features={"h"},
             name="gcn_self_loops",
             fused=fused,
-            engine=engine,
         )
         self._weight: Tensor | None = None
 

@@ -42,7 +42,6 @@ class GATConv(VertexCentricLayer):
         bias: bool = True,
         fused: bool = True,
         state_stack_opt: bool = True,
-        engine: str = "kernel",
     ) -> None:
         if heads < 1:
             raise ValueError("heads must be >= 1")
@@ -53,7 +52,6 @@ class GATConv(VertexCentricLayer):
             name="gat",
             fused=fused,
             state_stack_opt=state_stack_opt,
-            engine=engine,
         )
         self.in_features = in_features
         self.out_features = out_features

@@ -63,7 +63,6 @@ class GCNConv(VertexCentricLayer):
         edge_weighted: bool = False,
         fused: bool = True,
         state_stack_opt: bool = True,
-        engine: str = "kernel",
     ) -> None:
         if edge_weighted and add_self_loops:
             raise ValueError(
@@ -83,7 +82,6 @@ class GCNConv(VertexCentricLayer):
             name=name,
             fused=fused,
             state_stack_opt=state_stack_opt,
-            engine=engine,
         )
         self.in_features = in_features
         self.out_features = out_features

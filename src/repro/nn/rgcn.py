@@ -40,7 +40,6 @@ class RGCNConv(VertexCentricLayer):
         num_relations: int,
         bias: bool = True,
         fused: bool = True,
-        engine: str = "kernel",
     ) -> None:
         if num_relations < 1:
             raise ValueError("num_relations must be >= 1")
@@ -50,7 +49,6 @@ class RGCNConv(VertexCentricLayer):
             grad_features={"h"},
             name="rgcn_masked_sum",
             fused=fused,
-            engine=engine,
         )
         self.in_features = in_features
         self.out_features = out_features

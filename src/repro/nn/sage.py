@@ -26,7 +26,6 @@ class SAGEConv(VertexCentricLayer):
         bias: bool = True,
         fused: bool = True,
         state_stack_opt: bool = True,
-        engine: str = "kernel",
     ) -> None:
         super().__init__(
             _sage_mean_program,
@@ -35,7 +34,6 @@ class SAGEConv(VertexCentricLayer):
             name="sage_mean",
             fused=fused,
             state_stack_opt=state_stack_opt,
-            engine=engine,
         )
         self.in_features = in_features
         self.out_features = out_features

@@ -158,7 +158,6 @@ def run_chaos(
     workdir: str | pathlib.Path | None = None,
     tracer: Any | None = None,
     max_resumes: int = 8,
-    engine: str | None = None,
     flight_recorder: str | pathlib.Path | None = None,
 ) -> ChaosReport:
     """Run the chaos schedule for ``plan``; returns a :class:`ChaosReport`.
@@ -167,9 +166,8 @@ def run_chaos(
     small ``sx-mathoverflow`` stand-in, in sequences of 3 (sequences 0 and
     1 per epoch).  ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) records
     the chaos run only, so fault/retry/fallback instants land in the
-    exported Chrome trace.  ``engine`` selects the execution engine both
-    the reference and the chaos run start on (the ladder is kernel →
-    interpreter).
+    exported Chrome trace.  Both runs start on the kernel engine; a kernel
+    fault walks the ladder kernel → interpreter.
     ``flight_recorder`` arms a :class:`~repro.obs.flight.FlightRecorder`
     on the chaos run; every kill/abort/fallback appends its last-N-events
     window to the given JSONL path, and the report (plus its ``ok``
@@ -198,7 +196,7 @@ def run_chaos(
         model = STGraphLinkPredictor(ds.feature_size, hidden)
         return STGraphTrainer(
             model, ds.build_gpma(), lr=lr, sequence_length=sequence_length,
-            task="link_prediction", link_samples=samples, engine=engine,
+            task="link_prediction", link_samples=samples,
         )
 
     # 1. Uninterrupted reference run on its own device.

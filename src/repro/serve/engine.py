@@ -164,7 +164,6 @@ class InferenceEngine:
         batching: bool = True,
         invalidation: bool = True,
         max_batch: int = 512,
-        engine: str | None = None,
         state: np.ndarray | None = None,
     ) -> None:
         if hops < 0:
@@ -187,7 +186,7 @@ class InferenceEngine:
         self.max_batch = int(max_batch)
         self._device = current_device()
         self._telemetry = installed()  # tracer / flight recorder for the dispatcher
-        self._executor = TemporalExecutor(graph, engine=engine)
+        self._executor = TemporalExecutor(graph)
         self._features = np.ascontiguousarray(features, dtype=np.float32)
         self._state = None if state is None else np.asarray(state, dtype=np.float32)
         self._num_nodes = int(graph.num_nodes)
@@ -352,7 +351,7 @@ class InferenceEngine:
             self._pending_gauge.set(float(len(self._update_queue)))
             self._cv.notify_all()
             if wait:
-                self._await_applied_locked(seq, deadline)  # lockcheck: ok(cv.wait on its own mutex, behind a helper)
+                self._await_applied_locked(seq, deadline)
         return seq
 
     def flush(self, timeout: float = 30.0) -> None:
@@ -360,7 +359,7 @@ class InferenceEngine:
         deadline = time.perf_counter() + timeout
         with self._cv:
             seq = self._ingest_seq
-            self._await_applied_locked(seq, deadline)  # lockcheck: ok(cv.wait on its own mutex, behind a helper)
+            self._await_applied_locked(seq, deadline)
 
     def _await_applied_locked(self, seq: int, deadline: float) -> None:
         while self._applied_seq < seq:

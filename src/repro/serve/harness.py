@@ -198,7 +198,6 @@ def serial_reference(
     timestamps: Sequence[int],
     *,
     state: np.ndarray | None = None,
-    engine: str | None = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Fresh ``(embedding, prediction)`` outputs per timestamp, serially.
 
@@ -210,7 +209,7 @@ def serial_reference(
     :class:`ServeResult` against ``reference[result.timestamp]`` bitwise.
     """
     graph = GPMAGraph(dtdg)
-    executor = TemporalExecutor(graph, engine=engine)
+    executor = TemporalExecutor(graph)
     x = np.ascontiguousarray(features, dtype=np.float32)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in timestamps:

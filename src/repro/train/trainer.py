@@ -63,7 +63,6 @@ class STGraphTrainer:
         sequence_length: int | None = None,
         task: str = "regression",
         link_samples: Sequence[LinkSamples] | None = None,
-        engine: str | None = None,
         telemetry_port: int | None = None,
     ) -> None:
         if task not in ("regression", "link_prediction"):
@@ -76,11 +75,7 @@ class STGraphTrainer:
         self.sequence_length = sequence_length
         self.task = task
         self.link_samples = link_samples
-        # engine = executor-wide ExecutionEngine override ("kernel",
-        # "interpreter"); None lets each program pick its own.  All
-        # registered engines are bitwise-identical, so this is a pure
-        # differential-testing switch.
-        self.executor = TemporalExecutor(graph, engine=engine)
+        self.executor = TemporalExecutor(graph)
         self.epoch_times: list[float] = []
         #: checkpoint path this run resumed from (None for a fresh run);
         #: surfaced in the RunManifest's ``resumed_from`` field.
@@ -135,8 +130,7 @@ class STGraphTrainer:
         ``check_drained()`` holds even after an aborted sequence.
         """
         injector = current_injector()
-        engine = self.executor.engine
-        engine_label = engine.name if engine is not None else "default"
+        engine_label = self.executor.engine.name
         progress = self.progress if self.telemetry_server is not None else None
         total_timestamps = len(features)
         seq_len = self.sequence_length or total_timestamps

@@ -165,6 +165,30 @@ class Waiter:
             self._cv.wait()
 """
 
+#: the serving engine's shape: the wait sits in a helper the callers enter
+#: holding the condition; ``flush_serialized`` also holds a foreign lock.
+_CONDVAR_WAIT_BEHIND_HELPER = """
+import threading
+
+class Queue:
+    def __init__(self):
+        self._cv = threading.Condition()
+        self._flush_lock = threading.Lock()
+        self.applied = 0
+
+    def enqueue(self, seq):
+        with self._cv:
+            self._await_locked(seq)
+
+    def flush_serialized(self, seq):
+        with self._flush_lock, self._cv:
+            self._await_locked(seq)
+
+    def _await_locked(self, seq):
+        while self.applied < seq:
+            self._cv.wait()
+"""
+
 _FACTORY_STYLE = """
 from repro.analysis.sanitizer import new_condition, new_lock
 
@@ -269,6 +293,17 @@ def test_condvar_wait_under_own_lock_is_clean():
     # Condition(self._lock) canonicalizes to the same mutex; waiting while
     # holding only it is the intended pattern, not STG204.
     assert "STG204" not in _codes(_CONDVAR_OWN_WAIT)
+
+
+def test_condvar_wait_behind_a_helper_is_judged_by_the_callers_locks():
+    """Holding only the condition across a helper that waits on it is the
+    condvar pattern; holding any other lock across the same call is not."""
+    findings = {
+        d.where for d in analyze_source(_CONDVAR_WAIT_BEHIND_HELPER, module="mod").diagnostics
+        if d.code == "STG204"
+    }
+    assert "mod.Queue.enqueue" not in findings
+    assert findings == {"mod.Queue.flush_serialized"}
 
 
 def test_sanitizer_factory_locks_are_discovered():
@@ -402,6 +437,32 @@ def test_seeded_mutation_of_the_shipped_source_is_reported(name):
 
     assert (code, where) not in findings(source)
     assert (code, where) in findings(source.replace(old, new))
+
+
+def test_flush_lock_held_across_the_helper_wait_is_reported():
+    """DESIGN.md's M7: ``flush`` holds a second lock across the ``_cv`` wait
+    inside ``_await_applied_locked``.  The shipped ``flush`` holds only
+    ``_cv`` there and is clean; the mutant is STG204."""
+    module = "repro.serve.engine"
+    source = Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
+    where = "repro.serve.engine.InferenceEngine.flush"
+
+    def findings(text):
+        return {(d.code, d.where) for d in analyze_source(text, module=module).diagnostics}
+
+    assert ("STG204", where) not in findings(source)
+    for old, new in [
+        ("from repro.analysis.sanitizer import new_condition\n",
+         "from repro.analysis.sanitizer import new_condition, new_lock\n"),
+        ('        self._cv = new_condition(name="InferenceEngine._cv")\n',
+         '        self._cv = new_condition(name="InferenceEngine._cv")\n'
+         '        self._flush_lock = new_lock("InferenceEngine._flush_lock")\n'),
+        ("        with self._cv:\n            seq = self._ingest_seq\n",
+         "        with self._flush_lock, self._cv:\n            seq = self._ingest_seq\n"),
+    ]:
+        assert source.count(old) == 1, "the mutation no longer applies: update it with the code"
+        source = source.replace(old, new)
+    assert ("STG204", where) in findings(source)
 
 
 # ---------------------------------------------------------------------------

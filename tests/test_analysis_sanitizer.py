@@ -346,7 +346,7 @@ _GAUGE_AROUND_CV = [(
 )]
 
 #: ``flush`` serializes flushers with a second lock held across the ``_cv``
-#: wait; the helper's suppression comment hides the wait from the analyzer.
+#: wait inside its helper (the static lint reports it too).
 _FLUSH_LOCK = [
     ("from repro.analysis.sanitizer import new_condition\n",
      "from repro.analysis.sanitizer import new_condition, new_lock\n"),

@@ -131,21 +131,41 @@ def test_lint_codes_table(capsys):
     assert "error" in out and "warning" in out
 
 
-def test_cli_unknown_engine_exits_nonzero_with_message():
-    """``repro train --engine kernl`` must exit non-zero with the engine
-    list on stderr — not a traceback."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
+_TINY_DTDG = [
+    "train", "--dataset", "sx-mathoverflow", "--scale", "0.005",
+    "--epochs", "2", "--timestamps", "4", "--features", "4", "--hidden", "8",
+    "--sequence-length", "2",
+]
 
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "train", "--dataset", "HC", "--engine", "kernl"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode != 0
-    assert "unknown engine" in proc.stderr
-    assert "interpreter, kernel" in proc.stderr  # the available list names the real ones
-    assert "Traceback" not in proc.stderr
+
+def _loss_line(out: str) -> str:
+    return next(line for line in out.splitlines() if line.startswith("loss: "))
+
+
+def test_train_checkpoint_then_resume_reports_the_same_final_loss(tmp_path, capsys):
+    ckpt = str(tmp_path / "ck.npz")
+    assert main(_TINY_DTDG + ["--checkpoint", ckpt]) == 0
+    first = capsys.readouterr().out
+    assert (tmp_path / "ck.npz").is_file()
+    assert "resumed from:" not in first
+    assert main(_TINY_DTDG + ["--checkpoint", ckpt, "--resume"]) == 0
+    second = capsys.readouterr().out
+    assert f"resumed from: {ckpt}" in second
+    assert _loss_line(second) == _loss_line(first)
+
+
+def test_train_flight_recorder_ends_with_a_run_end_drain(tmp_path, capsys):
+    path = tmp_path / "flight.jsonl"
+    assert main(_TINY_DTDG + ["--flight-recorder", str(path)]) == 0
+    assert "flight recorder:" in capsys.readouterr().out
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    drains = [r["flight_drain"] for r in records if "flight_drain" in r]
+    assert drains and drains[-1] == "run_end"
+
+
+def test_chaos_smoke_writes_an_ok_json_report(tmp_path, capsys):
+    out = tmp_path / "chaos.json"
+    assert main(["chaos", "--plan", "smoke", "--json", str(out)]) == 0
+    assert f"report: {out}" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["ok"] is True

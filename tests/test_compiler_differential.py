@@ -16,6 +16,7 @@ from repro.compiler import compile_vertex_program
 from repro.compiler.interp import interpret_program, trace_execution
 from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import vfn
+from repro.core.engine import get_engine
 from repro.graph import StaticGraph
 
 
@@ -142,9 +143,9 @@ def test_engine_axis_matches_kernel_bitwise(name, engine, ctx, rng):
     gout = rng.standard_normal(np.asarray(out_k).shape).astype(np.float32)
     grads_k = prog.backward(ctx, gout, saved_k)
 
-    other = prog.with_engine(engine)
-    out_o, saved_o = other.forward(ctx, node_feats, edge_feats)
-    grads_o = other.backward(ctx, gout, saved_o)
+    other = get_engine(engine)
+    out_o, saved_o = prog.forward(ctx, node_feats, edge_feats, engine=other)
+    grads_o = prog.backward(ctx, gout, saved_o, engine=other)
 
     assert np.array_equal(np.asarray(out_k), np.asarray(out_o)), name
     assert sorted(saved_k) == sorted(saved_o)

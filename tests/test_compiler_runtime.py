@@ -83,13 +83,15 @@ def test_spmm_degree_order_invariant(ctx, rng):
     """Degree-ordered processing is a scheduling mechanism: a row permutation
     cannot change a row's sum, so the result is the same bits."""
     c, g = ctx
+    plain = GraphContext(StaticGraph.from_networkx(g, sort_by_degree=False))
+    assert c.sort_by_degree and not plain.sort_by_degree
     x = rng.standard_normal((20, 5)).astype(np.float32)
     for w in (None, rng.standard_normal(c.num_edges).astype(np.float32)):
         for direction in ("in", "out"):
-            c.use_degree_order = True
+            assert c.operator(direction).order is not None
+            assert plain.operator(direction).order is None
             a = rt.spmm(c, w, x, direction)
-            c.use_degree_order = False
-            b = rt.spmm(c, w, x, direction)
+            b = rt.spmm(plain, w, x, direction)
             assert np.array_equal(a, b)
 
 

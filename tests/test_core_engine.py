@@ -86,18 +86,29 @@ def test_register_engine_rejects_genuine_conflict():
 
 
 def test_executor_engine_override():
+    """The executor's engine is chosen at construction or by assignment,
+    and every aggregation run through it uses that engine."""
+    sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
+    assert isinstance(TemporalExecutor(sg, engine="interpreter").engine, InterpreterEngine)
+    ex = TemporalExecutor(sg)
+    ex.engine = get_engine("interpreter")
+    ex.begin_timestamp(0)
+    x = Tensor(np.ones((6, F_IN), dtype=np.float32))
+    before = _launches()
+    GCNConv(F_IN, 3)(ex, x)
+    assert _launches() == before  # the aggregation bypassed the launcher
+
+
+def test_executor_default_engine_is_kernel():
     sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
     ex = TemporalExecutor(sg)
-    assert ex.engine is None  # defer to each program's own engine
-    ex.set_engine("interpreter")
-    assert isinstance(ex.engine, InterpreterEngine)
-    assert isinstance(TemporalExecutor(sg, engine="kernel").engine, KernelEngine)
+    assert isinstance(ex.engine, KernelEngine)
+    assert ex.stats()["engine"] == "kernel"
 
 
 def test_executor_stats_name_engine():
     sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
     assert TemporalExecutor(sg, engine="interpreter").stats()["engine"] == "interpreter"
-    assert TemporalExecutor(sg).stats()["engine"] == "default"
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +254,6 @@ def test_interpreter_launches_no_kernels():
     assert _launches() == before
 
 
-def test_per_program_engine_without_executor_override():
-    """engine= on the layer itself selects the engine when the executor
-    doesn't override."""
-    sg = StaticGraph.from_networkx(nx.gnp_random_graph(N, 0.25, seed=13, directed=True))
-
-    def run(engine):
-        ex = TemporalExecutor(sg)  # no override
-        ex.begin_timestamp(0)
-        init.set_seed(9)
-        conv = GCNConv(F_IN, 3, engine=engine)
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((N, F_IN)).astype(np.float32))
-        return conv(ex, x).data
-
-    out_k = run("kernel")
-    before = _launches()
-    out_i = run("interpreter")
-    assert _launches() == before  # interpreter bypassed the launcher
-    assert np.array_equal(out_k, out_i)
-
-
 @pytest.mark.parametrize("dataset", ["sx-mathoverflow", "reddit-title"])
 def test_gpma_training_losses_bitwise_across_engines_and_store(dataset):
     """A whole DTDG training run on a GPMA graph: neither the engine nor the
@@ -281,12 +271,12 @@ def test_gpma_training_losses_bitwise_across_engines_and_store(dataset):
             trainer = STGraphTrainer(
                 STGraphLinkPredictor(ds.feature_size, 8), ds.build_gpma(),
                 lr=1e-2, sequence_length=3, task="link_prediction", link_samples=samples,
-                engine=engine,
             )
+            trainer.executor.engine = get_engine(engine)
             if not store:
                 trainer.executor.ctx_cache_size = 0
             return [float(x).hex() for x in trainer.train(ds.features, epochs=3)]
 
-    reference = losses(None, True)
+    reference = losses("kernel", True)
     assert losses("interpreter", True) == reference
     assert losses("kernel", False) == reference

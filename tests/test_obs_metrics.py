@@ -187,7 +187,7 @@ def test_prometheus_text_preserves_legacy_names():
 
 def test_snapshot_registry_includes_live_device_metrics():
     device = current_device()
-    device.metrics.histogram("repro_timestamp_seconds", "h").labels(engine="default").observe(0.01)
+    device.metrics.histogram("repro_timestamp_seconds", "h").labels(engine="kernel").observe(0.01)
     text = snapshot_registry(device).render()
-    assert 'repro_timestamp_seconds_bucket{engine="default"' in text
+    assert 'repro_timestamp_seconds_bucket{engine="kernel"' in text
     assert text == prometheus_text(device)

@@ -155,7 +155,7 @@ def test_live_scrape_during_training(dynamic_ds):
         # mid-epoch — this scrape is mid-run by construction.
         _, text = _get(f"http://127.0.0.1:{port}/metrics")
         assert "repro_timestamp_seconds_bucket" in text
-        assert 'engine="default"' in text
+        assert 'engine="kernel"' in text
         # Well-formed histogram: +Inf bucket equals _count for every child.
         inf = {}
         counts = {}

@@ -56,7 +56,7 @@ def test_sequential_threads_keep_their_own_ring_and_lane(fresh_device):
         def worker(n: int = n_events) -> None:
             with use_device(fresh_device), use_installed(sinks):
                 for _ in range(n):
-                    with span("train.timestamp", t=n, engine="default"):
+                    with span("train.timestamp", t=n, engine="kernel"):
                         pass
 
         thread = threading.Thread(target=worker)

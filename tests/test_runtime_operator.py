@@ -5,7 +5,7 @@ into ``node_ids`` order once.  The formulation it replaced did that work on
 every launch: wrap the context's arrays in a matrix, ``mat[order] @ x``,
 scatter.  That formulation is written out below with plain SciPy and must
 agree with ``spmm`` bit for bit on any digraph, direction, weighting,
-ordering flag, payload rank and input dtype.
+degree order (the graph's ``sort_by_degree``), payload rank and input dtype.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _per_launch_spmm(ctx: GraphContext, w, x, direction: str) -> np.ndarray:
         data = np.ones(ctx.num_edges, dtype=np.float32)
     mat = sp.csr_matrix((data.astype(np.float32, copy=False), col, row), shape=(n, n), copy=False)
     x32 = x.astype(np.float32, copy=False)
-    if not ctx.use_degree_order:
+    if not ctx.sort_by_degree:
         return mat @ x32
     out_perm = mat[order] @ x32
     out = np.empty_like(out_perm)
@@ -54,18 +54,17 @@ def _per_launch_spmm(ctx: GraphContext, w, x, direction: str) -> np.ndarray:
 @given(
     graph=_digraphs(),
     sort_by_degree=st.booleans(),
-    use_degree_order=st.booleans(),
     weighted=st.booleans(),
     width=st.sampled_from([None, 1, 3]),
     dtype=st.sampled_from([np.float32, np.float64]),
     seed=st.integers(0, 2**16),
 )
 def test_spmm_equals_per_launch_formulation_bitwise(
-    graph, sort_by_degree, use_degree_order, weighted, width, dtype, seed
+    graph, sort_by_degree, weighted, width, dtype, seed
 ):
     n, src, dst = graph
     rng = np.random.default_rng(seed)
-    ctx = GraphContext(StaticGraph(src, dst, n, sort_by_degree), use_degree_order=use_degree_order)
+    ctx = GraphContext(StaticGraph(src, dst, n, sort_by_degree))
     x = rng.standard_normal(n if width is None else (n, width)).astype(dtype)
     w = rng.standard_normal(ctx.num_edges).astype(dtype) if weighted else None
     for direction in ("in", "out"):
@@ -80,13 +79,13 @@ def test_spmm_equals_per_launch_formulation_bitwise(
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph=_digraphs(), use_degree_order=st.booleans(), weighted=st.booleans(), seed=st.integers(0, 2**16))
-def test_spmm_T_stays_the_adjoint(graph, use_degree_order, weighted, seed):
+@given(graph=_digraphs(), sort_by_degree=st.booleans(), weighted=st.booleans(), seed=st.integers(0, 2**16))
+def test_spmm_T_stays_the_adjoint(graph, sort_by_degree, weighted, seed):
     """<spmm(x), y> == <x, spmm_T(y)> on integer-valued payloads, where
     float32 sums are exact and the identity can be asserted with ``==``."""
     n, src, dst = graph
     rng = np.random.default_rng(seed)
-    ctx = GraphContext(StaticGraph(src, dst, n), use_degree_order=use_degree_order)
+    ctx = GraphContext(StaticGraph(src, dst, n, sort_by_degree))
     x = rng.integers(-4, 5, (n, 2)).astype(np.float32)
     y = rng.integers(-4, 5, (n, 2)).astype(np.float32)
     w = rng.integers(-3, 4, ctx.num_edges).astype(np.float32) if weighted else None
@@ -94,20 +93,6 @@ def test_spmm_T_stays_the_adjoint(graph, use_degree_order, weighted, seed):
         lhs = float((rt.spmm(ctx, w, x, direction) * y).sum())
         rhs = float((rt.spmm_T(ctx, w, y, direction) * x).sum())
         assert lhs == rhs
-
-
-def test_flipping_use_degree_order_switches_operator():
-    """The flag is part of the operator's key: a context whose flag is
-    flipped mid-life serves each setting from its own operator."""
-    ctx = GraphContext(StaticGraph(np.array([0, 1, 1, 2]), np.array([1, 0, 2, 2]), 4))
-    assert ctx.use_degree_order
-    ordered = ctx.operator("in")
-    assert ordered.order is ctx.fwd_node_ids
-    ctx.use_degree_order = False
-    plain = ctx.operator("in")
-    assert plain is not ordered and plain.order is None
-    ctx.use_degree_order = True
-    assert ctx.operator("in") is ordered
 
 
 def test_operator_indices_are_int32_and_shared_by_weighted_launches():
