@@ -1,5 +1,5 @@
 """Kernel micro-benchmarks: vertex-centric SpMM vs edge-parallel
-gather/scatter, the fusion ablation, and the aggregation launch path."""
+gather/scatter, the degree-sort ablation, and the aggregation launch path."""
 
 import time
 
@@ -66,19 +66,6 @@ def test_vertex_centric_backward(benchmark, ctx, rng):
     out, saved = prog.forward(ctx, {"h": h, "norm": norm})
     gout = rng.standard_normal(out.shape).astype(np.float32)
     benchmark(lambda: prog.backward(ctx, gout, saved))
-
-
-def test_ablation_fused_kernel(benchmark, ctx, rng):
-    prog = compile_vertex_program(_gcn_fn, {"h": "v", "norm": "s"}, {"h"}, name="mb_f", fused=True)
-    h, norm = _inputs(ctx, rng)
-    benchmark(lambda: prog.forward(ctx, {"h": h, "norm": norm}))
-
-
-def test_ablation_unfused_kernels(benchmark, ctx, rng):
-    """One launch per tensor-IR op — Seastar's motivation for fusion."""
-    prog = compile_vertex_program(_gcn_fn, {"h": "v", "norm": "s"}, {"h"}, name="mb_u", fused=False)
-    h, norm = _inputs(ctx, rng)
-    benchmark(lambda: prog.forward(ctx, {"h": h, "norm": norm}))
 
 
 def test_ablation_degree_sort_on(benchmark, graph, rng):

@@ -26,9 +26,8 @@ The compiler pipeline then mirrors Seastar's:
    State Stack memory optimization ("STGraph compares the backward and
    forward intermediate representations to determine which features need to
    be stored in the state-stack").
-5. **codegen** — emit inspectable Python kernel source (fused single-kernel
-   or one-launch-per-op for the fusion ablation) and compile it through the
-   device's kernel launcher.
+5. **codegen** — emit inspectable Python kernel source, one fused kernel
+   per pass, and compile it through the device's kernel launcher.
 6. **plan** — package everything into an immutable
    :class:`~repro.compiler.plan.ProgramPlan`, memoized in the process-wide
    :func:`~repro.compiler.plan.plan_cache` so identical programs compile

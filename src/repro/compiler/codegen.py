@@ -4,66 +4,36 @@ Emits Python source from tensor programs — the simulated-device analogue of
 Seastar's CUDA codegen.  The source is genuine generated code: it is kept on
 the :class:`~repro.device.kernel.CompiledKernel` for inspection, compiled
 with ``compile()``/``exec`` (errors surface as real syntax/name errors), and
-executed through the device's kernel launcher.
-
-Two modes:
-
-* **fused** (default) — the whole pass is a single kernel; intermediates
-  live and die inside one launch, exactly like Seastar's fused kernels.
-* **unfused** — one tiny kernel per tensor-IR op, launched individually
-  (the fusion ablation: same math, per-op launch overhead and materialized
-  intermediates).
+executed through the device's kernel launcher.  Each pass is one fused
+kernel: intermediates live and die inside one launch, exactly like
+Seastar's fused kernels.
 """
 
 from __future__ import annotations
 
-from repro.compiler.tir import IMPLICIT_ONES, TOp, TProgram
+from repro.compiler.tir import IMPLICIT_ONES, OP_SCHEMAS, TOp, TProgram
 from repro.device.kernel import CompiledKernel
 
 __all__ = [
     "generate_forward_source",
     "generate_backward_source",
     "compile_program",
-    "generate_op_kernels",
 ]
-
-_CTX_CALLS = {
-    "spmm",
-    "spmm_T",
-    "segment_sum",
-    "segment_sum_dst",
-    "scatter_src",
-    "gather_src",
-    "gather_dst",
-    "edge_softmax",
-    "edge_softmax_bwd",
-    "edge_dot",
-    "agg_max",
-    "agg_max_bwd",
-    "in_deg",
-    "in_deg_clamped",
-    "out_deg",
-    "out_deg_clamped",
-    "ones_node",
-    "segment_max",
-}
-_PLAIN_CALLS = {"colsum", "relu_mask", "leaky_mask"}
 
 
 def _render_call(op: TOp) -> str:
     """One IR op as a runtime-primitive call expression."""
+    schema = OP_SCHEMAS.get(op.kind)
+    if schema is None:
+        raise ValueError(f"codegen: unknown op kind {op.kind!r}")
     args = ["None" if n == IMPLICIT_ONES else n for n in op.ins]
+    if schema.klass != "elementwise":
+        args = ["ctx"] + args
+    fn, attrs = op.kind, sorted(op.attrs.items())
     if op.kind == "ew":
-        fn = f"ew_{op.attrs['op']}"
-        extra = [f"{k}={v!r}" for k, v in sorted(op.attrs.items()) if k != "op"]
-        return f"{fn}({', '.join(args + extra)})"
-    if op.kind in _CTX_CALLS:
-        extra = [f"{k}={v!r}" for k, v in sorted(op.attrs.items())]
-        return f"{op.kind}({', '.join(['ctx'] + args + extra)})"
-    if op.kind in _PLAIN_CALLS:
-        extra = [f"{k}={v!r}" for k, v in sorted(op.attrs.items())]
-        return f"{op.kind}({', '.join(args + extra)})"
-    raise ValueError(f"codegen: unknown op kind {op.kind!r}")
+        fn, attrs = f"ew_{op.attrs['op']}", [(k, v) for k, v in attrs if k != "op"]
+    extra = [f"{k}={v!r}" for k, v in attrs]
+    return f"{fn}({', '.join(args + extra)})"
 
 
 def _bind_lines(prog: TProgram, env_name: str) -> list[str]:
@@ -110,7 +80,7 @@ def generate_backward_source(prog: TProgram, grad_map: dict[str, str], entry: st
     return "\n".join(lines) + "\n"
 
 
-def compile_program(source: str, entry: str, meta: dict | None = None) -> CompiledKernel:
+def compile_program(source: str, entry: str) -> CompiledKernel:
     """Compile generated source against the runtime namespace into a launchable kernel.
 
     Goes through the active device's :meth:`KernelLauncher.compile`; the
@@ -119,19 +89,4 @@ def compile_program(source: str, entry: str, meta: dict | None = None) -> Compil
     from repro.compiler.runtime import RUNTIME_NAMESPACE
     from repro.device import current_device
 
-    return current_device().launcher.compile(
-        source, entry, globals_extra=dict(RUNTIME_NAMESPACE), meta=meta
-    )
-
-
-def generate_op_kernels(prog: TProgram, prefix: str) -> list[tuple[TOp, CompiledKernel]]:
-    """Unfused mode: one launchable kernel per tensor-IR op."""
-    kernels: list[tuple[TOp, CompiledKernel]] = []
-    for i, op in enumerate(prog.ops):
-        entry = f"{prefix}_op{i}_{op.kind}"
-        params = ", ".join(n for n in op.ins if n != IMPLICIT_ONES)
-        head = f"def {entry}(ctx, {params}):" if params else f"def {entry}(ctx):"
-        # The implicit ones weight renders as a literal None argument, so it is not a param.
-        source = "\n".join([head, f"    return {_render_call(op)}"]) + "\n"
-        kernels.append((op, compile_program(source, entry, meta={"op": op.kind})))
-    return kernels
+    return current_device().launcher.compile(source, entry, globals_extra=dict(RUNTIME_NAMESPACE))

@@ -18,44 +18,24 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.compiler.runtime import RUNTIME_NAMESPACE, GraphContext
-from repro.compiler.tir import IMPLICIT_ONES, TOp, TProgram
+from repro.compiler.tir import IMPLICIT_ONES, OP_SCHEMAS, TOp, TProgram
 
 __all__ = ["interpret_program", "trace_execution"]
 
-_CTX_KINDS = {
-    "spmm",
-    "spmm_T",
-    "segment_sum",
-    "segment_sum_dst",
-    "scatter_src",
-    "gather_src",
-    "gather_dst",
-    "edge_softmax",
-    "edge_softmax_bwd",
-    "edge_dot",
-    "agg_max",
-    "agg_max_bwd",
-    "in_deg",
-    "in_deg_clamped",
-    "out_deg",
-    "out_deg_clamped",
-    "ones_node",
-    "segment_max",
-}
-
 
 def _eval_op(op: TOp, ctx: GraphContext, env: dict[str, Any]) -> Any:
+    schema = OP_SCHEMAS.get(op.kind)
+    if schema is None:
+        raise ValueError(f"interpreter: unknown op kind {op.kind!r}")
     args = [None if n == IMPLICIT_ONES else env[n] for n in op.ins]
+    if schema.klass != "elementwise":
+        args = [ctx] + args
     if op.kind == "ew":
         fn = RUNTIME_NAMESPACE[f"ew_{op.attrs['op']}"]
         kwargs = {k: v for k, v in op.attrs.items() if k != "op"}
-        return fn(*args, **kwargs)
-    fn = RUNTIME_NAMESPACE.get(op.kind)
-    if fn is None:
-        raise ValueError(f"interpreter: unknown op kind {op.kind!r}")
-    if op.kind in _CTX_KINDS:
-        return fn(ctx, *args, **op.attrs)
-    return fn(*args, **op.attrs)
+    else:
+        fn, kwargs = RUNTIME_NAMESPACE[op.kind], op.attrs
+    return fn(*args, **kwargs)
 
 
 def trace_execution(

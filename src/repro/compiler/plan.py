@@ -1,23 +1,21 @@
 """Compile time, separated: the :class:`ProgramPlan` and the :class:`PlanCache`.
 
 STGraph's pitch is compile-once/run-every-timestamp (paper §IV, Figure 1):
-the vertex program is traced, differentiated, fused, and lowered to kernels
-*once*, then launched across the whole temporal sequence.  This module is
-the compile-time half of that split:
+the vertex program is traced, differentiated, pruned, and lowered to one
+fused forward and one fused backward kernel *once*, then launched across the
+whole temporal sequence.  This module is the compile-time half of that split:
 
 * :class:`ProgramPlan` — an immutable record of everything compilation
   produced for one vertex program: the traced vertex IR, the forward and
-  backward tensor programs, the compiled kernels (fused or per-op), and the
-  saved-state manifest the executor pushes onto the State Stack per
-  timestamp.  A plan owns no execution policy; engines
-  (:mod:`repro.core.engine`) run plans.
+  backward tensor programs, the two compiled kernels, and the saved-state
+  manifest the executor pushes onto the State Stack per timestamp.  A plan
+  owns no execution policy; engines (:mod:`repro.core.engine`) run plans.
 * :class:`PlanCache` — a process-wide memo keyed by a content hash of
-  (program signature, declared feature widths, grad features, fusion mode,
-  state-stack mode, optimization mode, dtype, graph mutability class) with
-  hit/miss counters.  Every layer instance requests its plan here, so two
-  instances of the same layer — or two different models sharing a vertex
-  program, like the GCN gates inside TGCN/GConvGRU — compile exactly once
-  per process.
+  (program signature, declared feature widths, grad features, state-stack
+  mode) with hit/miss counters.  Every layer instance requests its plan
+  here, so two instances of the same layer — or two different models
+  sharing a vertex program, like the GCN gates inside TGCN/GConvGRU —
+  compile exactly once per process.
 
 All pipeline work (lower → autodiff → passes → codegen → kernel compile)
 is one ``compiler.plan_build`` interval (category ``compile``), so compile
@@ -44,14 +42,13 @@ from repro.compiler.codegen import (
     compile_program,
     generate_backward_source,
     generate_forward_source,
-    generate_op_kernels,
 )
 from repro.compiler.diagnostics import LintReport
 from repro.compiler.ir import VNode
 from repro.compiler.lower import CompileError, lower_trace
 from repro.compiler.passes import SavedAnalysis, cse, dce, saved_analysis
 from repro.compiler.symbols import TraceResult, Vertex, trace
-from repro.compiler.tir import TOp, TProgram
+from repro.compiler.tir import TProgram
 from repro.compiler.verify import run_verifier, verification_enabled
 from repro.device.kernel import CompiledKernel
 from repro.obs.spine import emit, span
@@ -75,11 +72,7 @@ class ProgramPlan:
 
     plan_id: str
     name: str
-    fused: bool
     state_stack_opt: bool
-    optimize: bool
-    dtype: str
-    graph_class: str
     traced: TraceResult
     fwd_prog: TProgram
     bwd_prog: TProgram
@@ -88,11 +81,9 @@ class ProgramPlan:
     saved_spec: tuple[str, ...]
     analysis: SavedAnalysis
     #: forward input buffers declared differentiable (grad-completeness set)
-    wrt: tuple[str, ...] = ()
-    fwd_kernel: CompiledKernel | None = None
-    bwd_kernel: CompiledKernel | None = None
-    fwd_op_kernels: tuple[tuple[TOp, CompiledKernel], ...] | None = None
-    bwd_op_kernels: tuple[tuple[TOp, CompiledKernel], ...] | None = None
+    wrt: tuple[str, ...]
+    fwd_kernel: CompiledKernel
+    bwd_kernel: CompiledKernel
     #: verifier findings from the build (None when verification was disabled)
     lint: LintReport | None = None
 
@@ -100,16 +91,12 @@ class ProgramPlan:
     @property
     def forward_source(self) -> str:
         """The generated forward kernel's source text."""
-        if self.fused:
-            return self.fwd_kernel.source
-        return "\n".join(k.source for _, k in self.fwd_op_kernels)
+        return self.fwd_kernel.source
 
     @property
     def backward_source(self) -> str:
         """The generated backward kernel's source text."""
-        if self.fused:
-            return self.bwd_kernel.source
-        return "\n".join(k.source for _, k in self.bwd_op_kernels)
+        return self.bwd_kernel.source
 
     def required_features(self) -> tuple[set[str], set[str]]:
         """(node feature names, edge feature names) the program reads."""
@@ -136,24 +123,19 @@ def plan_key(
     signature: str,
     feature_widths: Mapping[str, str] | None,
     grad_features: Iterable[str] | None,
-    fused: bool,
     state_stack_opt: bool,
-    optimize: bool,
-    dtype: str = "float32",
-    graph_class: str = "any",
 ) -> str:
     """Content hash identifying one compilation — the :class:`PlanCache` key.
 
     Stable across re-traces of structurally identical vertex functions
     (``signature`` is the vertex IR's structural identity, not the Python
-    function object) and across process restarts.  Any component that changes
-    generated code or saved-state shape — fusion mode, state-stack mode,
-    optimization mode, declared widths, grad features — changes the key, as
-    do the declared specialization attributes (``dtype``, ``graph_class``).
-    The display *name* deliberately does not participate: generated kernel
-    entry points derive from the plan id, so structurally identical programs
-    requested under different names (e.g. SAGE's neighbor mean and DCRNN's
-    in-walk) share one plan.
+    function object) and across process restarts.  The other components —
+    declared widths, grad features, state-stack mode — each change generated
+    code or saved-state shape, so each changes the key.  The display *name*
+    deliberately does not participate: generated kernel entry points derive
+    from the plan id, so structurally identical programs requested under
+    different names (e.g. SAGE's neighbor mean and DCRNN's in-walk) share one
+    plan.
     """
     grads = "all" if grad_features is None else tuple(sorted(grad_features))
     payload = repr(
@@ -161,11 +143,7 @@ def plan_key(
             signature,
             tuple(sorted((feature_widths or {}).items())),
             grads,
-            bool(fused),
             bool(state_stack_opt),
-            bool(optimize),
-            str(dtype),
-            str(graph_class),
         )
     )
     return "plan_" + hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -177,17 +155,12 @@ def _build_plan(
     feature_widths: Mapping[str, str] | None,
     grad_features: set[str] | None,
     name: str,
-    fused: bool,
     state_stack_opt: bool,
-    optimize: bool,
-    dtype: str,
-    graph_class: str,
 ) -> ProgramPlan:
     """The full pipeline: lower → autodiff → passes → codegen → compile."""
     fwd_prog, widths = lower_trace(traced, dict(feature_widths or {}), name=name)
-    if optimize:
-        cse(fwd_prog)
-        dce(fwd_prog)
+    cse(fwd_prog)
+    dce(fwd_prog)
 
     if grad_features is None:
         wrt = set(fwd_prog.inputs)
@@ -202,11 +175,10 @@ def _build_plan(
             raise CompileError(f"grad_features not read by the program: {sorted(missing)}")
     bwd_result = build_backward(fwd_prog, widths, wrt=wrt)
     bwd_prog = bwd_result.prog
-    if optimize:
-        cse(bwd_prog)
-        dce(bwd_prog)
-        # CSE/DCE may have dropped saved references; recompute.
-        bwd_result.saved = [n for n, (k, _) in bwd_prog.inputs.items() if k == "saved"]
+    cse(bwd_prog)
+    dce(bwd_prog)
+    # CSE/DCE may have dropped saved references; recompute.
+    bwd_result.saved = [n for n, (k, _) in bwd_prog.inputs.items() if k == "saved"]
     grad_map = {
         inp: g for inp, g in bwd_result.grad_map.items() if g in set(bwd_prog.outputs)
     }
@@ -237,25 +209,13 @@ def _build_plan(
     # Entry points derive from the content hash, not the display name, so
     # the generated source of a cached plan is deterministic no matter which
     # layer requested the compilation first.
-    fwd_kernel = bwd_kernel = None
-    fwd_op_kernels = bwd_op_kernels = None
-    if fused:
-        fwd_src = generate_forward_source(fwd_prog, list(saved_spec), f"{plan_id}_fwd")
-        fwd_kernel = compile_program(fwd_src, f"{plan_id}_fwd")
-        bwd_src = generate_backward_source(bwd_prog, grad_map, f"{plan_id}_bwd")
-        bwd_kernel = compile_program(bwd_src, f"{plan_id}_bwd")
-    else:
-        fwd_op_kernels = tuple(generate_op_kernels(fwd_prog, f"{plan_id}_fwd"))
-        bwd_op_kernels = tuple(generate_op_kernels(bwd_prog, f"{plan_id}_bwd"))
+    fwd_src = generate_forward_source(fwd_prog, list(saved_spec), f"{plan_id}_fwd")
+    bwd_src = generate_backward_source(bwd_prog, grad_map, f"{plan_id}_bwd")
 
     return ProgramPlan(
         plan_id=plan_id,
         name=name,
-        fused=fused,
         state_stack_opt=state_stack_opt,
-        optimize=optimize,
-        dtype=dtype,
-        graph_class=graph_class,
         traced=traced,
         fwd_prog=fwd_prog,
         bwd_prog=bwd_prog,
@@ -264,10 +224,8 @@ def _build_plan(
         saved_spec=saved_spec,
         analysis=analysis,
         wrt=tuple(sorted(wrt)),
-        fwd_kernel=fwd_kernel,
-        bwd_kernel=bwd_kernel,
-        fwd_op_kernels=fwd_op_kernels,
-        bwd_op_kernels=bwd_op_kernels,
+        fwd_kernel=compile_program(fwd_src, f"{plan_id}_fwd"),
+        bwd_kernel=compile_program(bwd_src, f"{plan_id}_bwd"),
         lint=lint,
     )
 
@@ -306,24 +264,11 @@ class PlanCache:
         feature_widths: Mapping[str, str] | None = None,
         grad_features: set[str] | None = None,
         name: str = "vertex_program",
-        fused: bool = True,
         state_stack_opt: bool = True,
-        optimize: bool = True,
-        dtype: str = "float32",
-        graph_class: str = "any",
     ) -> ProgramPlan:
         """The cached plan for this compilation, building it on first request."""
         traced = trace(fn)
-        key = plan_key(
-            traced.signature(),
-            feature_widths,
-            grad_features,
-            fused,
-            state_stack_opt,
-            optimize,
-            dtype,
-            graph_class,
-        )
+        key = plan_key(traced.signature(), feature_widths, grad_features, state_stack_opt)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -332,16 +277,7 @@ class PlanCache:
             self.misses += 1
             with span("compiler.plan_build", program=name):
                 plan = _build_plan(
-                    traced,
-                    key,
-                    feature_widths,
-                    grad_features,
-                    name,
-                    fused,
-                    state_stack_opt,
-                    optimize,
-                    dtype,
-                    graph_class,
+                    traced, key, feature_widths, grad_features, name, state_stack_opt
                 )
             self._plans[key] = plan
             return plan

@@ -5,9 +5,9 @@ two explicitly separated halves:
 
 * **compile time** — an immutable :class:`~repro.compiler.plan.ProgramPlan`
   requested from the process-wide :func:`~repro.compiler.plan.plan_cache`,
-  so structurally identical programs (same trace signature + options)
-  compile exactly once no matter how many layers, models, or runs request
-  them;
+  so structurally identical programs (same trace signature, widths, grad
+  features and State-Stack mode) compile exactly once no matter how many
+  layers, models, or runs request them;
 * **run time** — an :class:`~repro.core.engine.ExecutionEngine` that
   launches the plan against a :class:`GraphContext`.  A program does not
   choose one: the :class:`~repro.core.executor.TemporalExecutor` running it
@@ -60,20 +60,14 @@ class VertexProgram:
         feature_widths: Mapping[str, str] | None = None,
         grad_features: set[str] | None = None,
         name: str = "vertex_program",
-        fused: bool = True,
         state_stack_opt: bool = True,
-        optimize: bool = True,
-        dtype: str = "float32",
     ) -> None:
         self.plan: ProgramPlan = plan_cache().get_or_build(
             fn,
             feature_widths=feature_widths,
             grad_features=grad_features,
             name=name,
-            fused=fused,
             state_stack_opt=state_stack_opt,
-            optimize=optimize,
-            dtype=dtype,
         )
         self.name = name
 
@@ -116,23 +110,13 @@ class VertexProgram:
         return self.plan.widths
 
     @property
-    def fused(self) -> bool:
-        """Whether the plan compiled to one fused kernel per pass."""
-        return self.plan.fused
-
-    @property
-    def state_stack_opt(self) -> bool:
-        """Whether the saved set was pruned by the IR comparison."""
-        return self.plan.state_stack_opt
-
-    @property
     def fwd_kernel(self):
-        """The fused forward kernel (None in unfused mode)."""
+        """The fused forward kernel."""
         return self.plan.fwd_kernel
 
     @property
     def bwd_kernel(self):
-        """The fused backward kernel (None in unfused mode)."""
+        """The fused backward kernel."""
         return self.plan.bwd_kernel
 
     @property
@@ -211,10 +195,7 @@ def compile_vertex_program(
     feature_widths: Mapping[str, str] | None = None,
     grad_features: set[str] | None = None,
     name: str = "vertex_program",
-    fused: bool = True,
     state_stack_opt: bool = True,
-    optimize: bool = True,
-    dtype: str = "float32",
 ) -> VertexProgram:
     """Compile a vertex-centric function through the plan cache; see
     :class:`VertexProgram`."""
@@ -223,8 +204,5 @@ def compile_vertex_program(
         feature_widths=feature_widths,
         grad_features=grad_features,
         name=name,
-        fused=fused,
         state_stack_opt=state_stack_opt,
-        optimize=optimize,
-        dtype=dtype,
     )

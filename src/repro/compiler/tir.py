@@ -1,4 +1,4 @@
-"""Tensor-level IR: the linear program both codegen targets.
+"""Tensor-level IR: the linear program codegen and the interpreter execute.
 
 After lowering, a vertex program is a sequence of :class:`TOp` over named
 buffers living in one of three *spaces*:
@@ -22,13 +22,25 @@ The aggregation ops are where the graph enters:
 ``edge_dot``       per-edge feature dot of two node-space values
 ``agg_max``        max-aggregation of a node payload over in-edges
 =================  ===========================================================
+
+:data:`OP_SCHEMAS` is the one table of op kinds: the verifier checks
+operands and write hazards against it, and codegen and the interpreter pass
+the graph context to every kind whose class is not ``"elementwise"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TOp", "TProgram", "EW_UNARY", "EW_BINARY", "IMPLICIT_ONES"]
+__all__ = [
+    "TOp",
+    "TProgram",
+    "EW_UNARY",
+    "EW_BINARY",
+    "IMPLICIT_ONES",
+    "OpSchema",
+    "OP_SCHEMAS",
+]
 
 EW_UNARY = {"neg", "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "recip"}
 EW_BINARY = {"add", "sub", "mul", "div"}
@@ -36,8 +48,69 @@ EW_BINARY = {"add", "sub", "mul", "div"}
 #: The implicit all-ones edge weight of an unweighted SpMM.  A *declared*
 #: pseudo input shared by lowering, autodiff, DCE, codegen, and both
 #: engines — the verifier only permits it in the weight slot of the SpMM
-#: family (see ``OP_SCHEMAS`` in :mod:`repro.compiler.verify`).
+#: family (see :data:`OP_SCHEMAS`).
 IMPLICIT_ONES = "__ones__"
+
+
+@dataclass(frozen=True)
+class OpSchema:
+    """Static shape of one tensor-IR op kind.
+
+    ``klass`` is the write-hazard classification used by
+    :func:`~repro.compiler.verify.verify_write_hazards`:
+
+    * ``"reduce"``       — aggregates edge/neighbor values into node space
+      (the only legal edge→node writes; atomic scatters on real hardware);
+    * ``"gather"``       — replicates node values per edge (node→edge);
+    * ``"edge_local"``   — per-edge-group math, edge in / edge out;
+    * ``"elementwise"``  — space-preserving math (the only kinds that run
+      without the graph context);
+    * ``"structural"``   — reads only graph structure (degrees, ones).
+    """
+
+    arity: tuple[int, int]
+    klass: str
+    out_space: str | None = None  # fixed output space; None = input-derived
+    required: frozenset = frozenset()
+    optional: frozenset = frozenset()
+    #: operand positions where the implicit all-ones weight is legal
+    ones_positions: frozenset = frozenset()
+    #: required ∪ optional, precomputed for the verifier's hot path
+    allowed: frozenset = frozenset()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allowed", self.required | self.optional)
+
+
+_DIR = frozenset({"direction"})
+
+#: Every op kind (operand count, attrs, hazard class, output space).  The
+#: runtime primitive of kind ``k`` is ``RUNTIME_NAMESPACE[k]``, except
+#: ``ew``, which resolves to ``ew_<attrs["op"]>``.
+OP_SCHEMAS: dict[str, OpSchema] = {
+    "ew": OpSchema((1, 2), "elementwise", required=frozenset({"op"}), optional=frozenset({"slope"})),
+    "spmm": OpSchema((2, 2), "reduce", "node", optional=_DIR, ones_positions=frozenset({0})),
+    "spmm_T": OpSchema((2, 2), "reduce", "node", optional=_DIR, ones_positions=frozenset({0})),
+    "segment_sum": OpSchema((1, 1), "reduce", "node"),
+    "segment_sum_dst": OpSchema((1, 1), "reduce", "node"),
+    "segment_max": OpSchema((1, 1), "reduce", "node"),
+    "scatter_src": OpSchema((1, 1), "reduce", "node"),
+    "gather_src": OpSchema((1, 1), "gather", "edge"),
+    "gather_dst": OpSchema((1, 1), "gather", "edge"),
+    "edge_softmax": OpSchema((1, 1), "edge_local", "edge"),
+    "edge_softmax_bwd": OpSchema((2, 2), "edge_local", "edge"),
+    "edge_dot": OpSchema((2, 2), "gather", "edge", optional=_DIR),
+    "agg_max": OpSchema((1, 1), "reduce", "node"),
+    "agg_max_bwd": OpSchema((3, 3), "reduce", "node"),
+    "in_deg": OpSchema((0, 0), "structural", "node"),
+    "in_deg_clamped": OpSchema((0, 0), "structural", "node"),
+    "out_deg": OpSchema((0, 0), "structural", "node"),
+    "out_deg_clamped": OpSchema((0, 0), "structural", "node"),
+    "ones_node": OpSchema((0, 0), "structural", "node"),
+    "colsum": OpSchema((1, 1), "elementwise"),
+    "relu_mask": OpSchema((1, 1), "elementwise"),
+    "leaky_mask": OpSchema((1, 1), "elementwise", optional=frozenset({"slope"})),
+}
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.compiler.diagnostics import LintReport
 from repro.compiler.ir import Stage, VNode, combine_stages
 from repro.compiler.passes import SavedAnalysis, saved_analysis
-from repro.compiler.tir import EW_BINARY, EW_UNARY, IMPLICIT_ONES, TProgram
+from repro.compiler.tir import EW_BINARY, EW_UNARY, IMPLICIT_ONES, OP_SCHEMAS, OpSchema, TProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.plan import ProgramPlan
@@ -92,66 +91,6 @@ def verification_disabled() -> Iterator[None]:
         yield
     finally:
         set_verification(previous)
-
-
-# ---------------------------------------------------------------------------
-# Tensor-IR op schemas (operand count, attrs, hazard class, output space)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class OpSchema:
-    """Static shape of one tensor-IR op kind.
-
-    ``klass`` is the write-hazard classification used by
-    :func:`verify_write_hazards`:
-
-    * ``"reduce"``       — aggregates edge/neighbor values into node space
-      (the only legal edge→node writes; atomic scatters on real hardware);
-    * ``"gather"``       — replicates node values per edge (node→edge);
-    * ``"edge_local"``   — per-edge-group math, edge in / edge out;
-    * ``"elementwise"``  — space-preserving math;
-    * ``"structural"``   — reads only graph structure (degrees, ones).
-    """
-
-    arity: tuple[int, int]
-    klass: str
-    out_space: str | None = None  # fixed output space; None = input-derived
-    required: frozenset = frozenset()
-    optional: frozenset = frozenset()
-    #: operand positions where the implicit all-ones weight is legal
-    ones_positions: frozenset = frozenset()
-    #: required ∪ optional, precomputed for the verifier's hot path
-    allowed: frozenset = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "allowed", self.required | self.optional)
-
-
-_DIR = frozenset({"direction"})
-
-OP_SCHEMAS: dict[str, OpSchema] = {
-    "ew": OpSchema((1, 2), "elementwise", required=frozenset({"op"}), optional=frozenset({"slope"})),
-    "spmm": OpSchema((2, 2), "reduce", "node", optional=_DIR, ones_positions=frozenset({0})),
-    "spmm_T": OpSchema((2, 2), "reduce", "node", optional=_DIR, ones_positions=frozenset({0})),
-    "segment_sum": OpSchema((1, 1), "reduce", "node"),
-    "segment_sum_dst": OpSchema((1, 1), "reduce", "node"),
-    "segment_max": OpSchema((1, 1), "reduce", "node"),
-    "scatter_src": OpSchema((1, 1), "reduce", "node"),
-    "gather_src": OpSchema((1, 1), "gather", "edge"),
-    "gather_dst": OpSchema((1, 1), "gather", "edge"),
-    "edge_softmax": OpSchema((1, 1), "edge_local", "edge"),
-    "edge_softmax_bwd": OpSchema((2, 2), "edge_local", "edge"),
-    "edge_dot": OpSchema((2, 2), "gather", "edge", optional=_DIR),
-    "agg_max": OpSchema((1, 1), "reduce", "node"),
-    "agg_max_bwd": OpSchema((3, 3), "reduce", "node"),
-    "in_deg": OpSchema((0, 0), "structural", "node"),
-    "in_deg_clamped": OpSchema((0, 0), "structural", "node"),
-    "out_deg": OpSchema((0, 0), "structural", "node"),
-    "out_deg_clamped": OpSchema((0, 0), "structural", "node"),
-    "ones_node": OpSchema((0, 0), "structural", "node"),
-    "colsum": OpSchema((1, 1), "elementwise"),
-    "relu_mask": OpSchema((1, 1), "elementwise"),
-    "leaky_mask": OpSchema((1, 1), "elementwise", optional=frozenset({"slope"})),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ aggregation degrades to when this one keeps faulting (``kernel ->
 interpreter -> none``).  Two implementations ship:
 
 * :class:`KernelEngine` — launches the plan's generated kernels through the
-  device's :class:`~repro.device.kernel.KernelLauncher` (fused single-launch
-  or per-op launches for the fusion ablation), recording the
-  feature-adaptive launch configuration exactly as before.
+  device's :class:`~repro.device.kernel.KernelLauncher`: one launch per
+  forward, one per backward.
 * :class:`InterpreterEngine` — executes the plan's tensor IR directly via
   :mod:`repro.compiler.interp`, with no codegen and no kernel cache.  Same
   runtime primitives, same op order, so its outputs are *bitwise* identical
@@ -33,9 +32,8 @@ import numpy as np
 
 from repro.compiler.interp import trace_execution
 from repro.compiler.plan import ProgramPlan
-from repro.compiler.tir import IMPLICIT_ONES
 from repro.compiler.runtime import GraphContext
-from repro.device import current_device, feature_adaptive_config
+from repro.device import current_device
 from repro.util.registry import Registry
 
 __all__ = [
@@ -79,53 +77,18 @@ class ExecutionEngine(abc.ABC):
         """Execute the backward program; returns gradients keyed by input buffer."""
 
 
-def _launch_config(ctx: GraphContext, env: Mapping[str, np.ndarray]):
-    """Feature-adaptive launch shape (Seastar's heuristic), recorded on the
-    kernel for inspection; the simulated device executes the same math
-    regardless, but the configuration model is preserved."""
-    feature_size = 1
-    for arr in env.values():
-        if getattr(arr, "ndim", 0) == 2:
-            feature_size = max(feature_size, arr.shape[1])
-    return feature_adaptive_config(max(1, ctx.num_nodes), feature_size)
-
-
 class KernelEngine(ExecutionEngine):
     """Launches the plan's generated kernels through the device launcher."""
 
     name = "kernel"
 
     def forward(self, plan, ctx, env):
-        """Launch the fused forward kernel (or each op kernel in order)."""
-        device = current_device()
-        if plan.fused:
-            plan.fwd_kernel.meta["launch_config"] = _launch_config(ctx, env)
-            return device.launcher.launch(plan.fwd_kernel, ctx, env)
-        env = dict(env)
-        for op, kernel in plan.fwd_op_kernels:
-            args = [env[n] for n in op.ins if n != IMPLICIT_ONES]
-            env[op.out] = device.launcher.launch(kernel, ctx, *args)
-        for buf, value in plan.fwd_prog.consts.items():
-            env.setdefault(buf, value)
-        out = env[plan.fwd_prog.outputs[0]]
-        saved = {name: env[name] for name in plan.saved_spec}
-        return out, saved
+        """Launch the fused forward kernel."""
+        return current_device().launcher.launch(plan.fwd_kernel, ctx, env)
 
     def backward(self, plan, ctx, g_out, saved):
-        """Launch the fused backward kernel (or each op kernel in order)."""
-        device = current_device()
-        if plan.fused:
-            return device.launcher.launch(plan.bwd_kernel, ctx, g_out, saved)
-        env: dict[str, np.ndarray] = {"g_out": g_out}
-        for name, (kind, _) in plan.bwd_prog.inputs.items():
-            if kind == "saved":
-                env[name] = saved[name]
-        for buf, value in plan.bwd_prog.consts.items():
-            env[buf] = value
-        for op, kernel in plan.bwd_op_kernels:
-            args = [env[n] for n in op.ins if n != IMPLICIT_ONES]
-            env[op.out] = device.launcher.launch(kernel, ctx, *args)
-        return {inp: env[g] for inp, g in plan.grad_map.items()}
+        """Launch the fused backward kernel."""
+        return current_device().launcher.launch(plan.bwd_kernel, ctx, g_out, saved)
 
 
 class InterpreterEngine(ExecutionEngine):

@@ -212,7 +212,6 @@ class VertexCentricLayer(nn.Module):
         feature_widths: Mapping[str, str],
         grad_features: set[str],
         name: str,
-        fused: bool = True,
         state_stack_opt: bool = True,
     ) -> None:
         super().__init__()
@@ -221,7 +220,6 @@ class VertexCentricLayer(nn.Module):
             feature_widths=feature_widths,
             grad_features=grad_features,
             name=name,
-            fused=fused,
             state_stack_opt=state_stack_opt,
         )
 

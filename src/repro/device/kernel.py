@@ -14,13 +14,16 @@ span are derived from the same record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.obs.spine import span
 from repro.resilience.faults import current_injector
 
 __all__ = ["CompiledKernel", "KernelLauncher"]
+
+#: the one execution tier: generated Python over vectorized NumPy
+_TIER = "python"
 
 
 @dataclass
@@ -36,15 +39,11 @@ class CompiledKernel:
         Seastar keeps generated ``.cu`` files).
     fn:
         The executable produced by compiling ``source``.
-    arg_names:
-        Ordered argument names the executor must supply.
     """
 
     name: str
     source: str
     fn: Callable[..., Any]
-    arg_names: tuple[str, ...]
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
         return self.fn(*args, **kwargs)
@@ -77,22 +76,17 @@ class KernelLauncher:
 
     def __init__(self) -> None:
         self.compile_count = 0
-        #: launches per execution tier (a kernel's ``meta["tier"]``; the
-        #: generated kernels are all "python") — lets benchmarks verify
-        #: which tier actually ran.
+        #: launches per execution tier — lets benchmarks verify which tier
+        #: actually ran (every generated kernel is the "python" tier).
         self.launches_by_tier: dict[str, int] = {}
 
     def compile(
-        self,
-        source: str,
-        entry: str,
-        globals_extra: dict[str, Any] | None = None,
-        meta: dict[str, Any] | None = None,
+        self, source: str, entry: str, globals_extra: dict[str, Any] | None = None
     ) -> CompiledKernel:
         """Compile ``source`` into a launchable kernel."""
         fn = compile_kernel_source(source, entry, globals_extra=globals_extra)
         self.compile_count += 1
-        return CompiledKernel(name=entry, source=source, fn=fn, arg_names=(), meta=dict(meta or {}))
+        return CompiledKernel(name=entry, source=source, fn=fn)
 
     def launch(self, kernel: CompiledKernel, *args: Any, **kwargs: Any) -> Any:
         """Execute a kernel as one ``device.kernel_launch`` interval.
@@ -109,9 +103,8 @@ class KernelLauncher:
         injector = current_injector()
         if injector.enabled:
             injector.fire("kernel")
-        tier = kernel.meta.get("tier", "python")
-        self.launches_by_tier[tier] = self.launches_by_tier.get(tier, 0) + 1
-        with span("device.kernel_launch", kernel=kernel.name, tier=tier):
+        self.launches_by_tier[_TIER] = self.launches_by_tier.get(_TIER, 0) + 1
+        with span("device.kernel_launch", kernel=kernel.name, tier=_TIER):
             return kernel(*args, **kwargs)
 
     def clear(self) -> None:

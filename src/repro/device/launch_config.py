@@ -10,11 +10,12 @@ strided feature loops.
 
 The simulated device cannot schedule warps, but it reproduces the *model*:
 :func:`feature_adaptive_config` computes the same configuration Seastar
-would launch, the launcher attaches it to every kernel launch (inspectable
-via ``CompiledKernel.meta``), and :func:`estimated_occupancy` exposes the
-quantity the heuristic optimizes.  Tests pin the heuristic's published
-properties (group size saturates at warp width, blocks cover all vertices,
-occupancy is monotone in feature size up to the warp bound).
+would launch for a graph and feature width, and :func:`estimated_occupancy`
+exposes the quantity the heuristic optimizes.  Both are plain functions: a
+kernel launch records nothing, so a compiled plan stays read-only.  Tests
+pin the heuristic's published properties (group size saturates at warp
+width, blocks cover all vertices, occupancy is monotone in feature size up
+to the warp bound).
 """
 
 from __future__ import annotations

@@ -41,8 +41,6 @@ class ChebConv(VertexCentricLayer):
         out_features: int,
         k: int = 2,
         bias: bool = True,
-        fused: bool = True,
-        state_stack_opt: bool = True,
     ) -> None:
         if k < 1:
             raise ValueError("Chebyshev order k must be >= 1")
@@ -51,8 +49,6 @@ class ChebConv(VertexCentricLayer):
             feature_widths={"h": "v", "norm": "s"},
             grad_features={"h"},
             name="cheb_laplacian",
-            fused=fused,
-            state_stack_opt=state_stack_opt,
         )
         self.in_features = in_features
         self.out_features = out_features

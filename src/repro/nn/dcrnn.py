@@ -40,7 +40,6 @@ class DConv(VertexCentricLayer):
         out_features: int,
         k: int = 2,
         bias: bool = True,
-        fused: bool = True,
     ) -> None:
         if k < 1:
             raise ValueError("diffusion steps k must be >= 1")
@@ -49,14 +48,13 @@ class DConv(VertexCentricLayer):
             feature_widths={"h": "v"},
             grad_features={"h"},
             name="dconv_walk_out",
-            fused=fused,
         )
         # second compiled program for the reverse walk
         from repro.compiler.program import compile_vertex_program
 
         self._walk_in_prog = compile_vertex_program(
             _walk_in, feature_widths={"h": "v"}, grad_features={"h"},
-            name="dconv_walk_in", fused=fused,
+            name="dconv_walk_in",
         )
         self.in_features = in_features
         self.out_features = out_features

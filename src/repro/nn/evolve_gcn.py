@@ -30,7 +30,6 @@ class EvolveGCNO(Module):
         self,
         in_features: int,
         out_features: int,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         self.in_features = in_features
@@ -42,7 +41,6 @@ class EvolveGCNO(Module):
             feature_widths={"h": "v", "norm": "s"},
             grad_features={"h"},
             name="gcn_self_loops",
-            fused=fused,
         )
         self._weight: Tensor | None = None
 

@@ -40,8 +40,6 @@ class GATConv(VertexCentricLayer):
         heads: int = 1,
         concat: bool = True,
         bias: bool = True,
-        fused: bool = True,
-        state_stack_opt: bool = True,
     ) -> None:
         if heads < 1:
             raise ValueError("heads must be >= 1")
@@ -50,8 +48,6 @@ class GATConv(VertexCentricLayer):
             feature_widths={"ft": "v", "el": "s", "er": "s"},
             grad_features={"ft", "el", "er"},
             name="gat",
-            fused=fused,
-            state_stack_opt=state_stack_opt,
         )
         self.in_features = in_features
         self.out_features = out_features

@@ -61,7 +61,6 @@ class GCNConv(VertexCentricLayer):
         bias: bool = True,
         add_self_loops: bool = True,
         edge_weighted: bool = False,
-        fused: bool = True,
         state_stack_opt: bool = True,
     ) -> None:
         if edge_weighted and add_self_loops:
@@ -80,7 +79,6 @@ class GCNConv(VertexCentricLayer):
             feature_widths={"h": "v", "norm": "s"},
             grad_features={"h"},
             name=name,
-            fused=fused,
             state_stack_opt=state_stack_opt,
         )
         self.in_features = in_features

@@ -39,7 +39,6 @@ class RGCNConv(VertexCentricLayer):
         out_features: int,
         num_relations: int,
         bias: bool = True,
-        fused: bool = True,
     ) -> None:
         if num_relations < 1:
             raise ValueError("num_relations must be >= 1")
@@ -48,7 +47,6 @@ class RGCNConv(VertexCentricLayer):
             feature_widths={"h": "v"},
             grad_features={"h"},
             name="rgcn_masked_sum",
-            fused=fused,
         )
         self.in_features = in_features
         self.out_features = out_features

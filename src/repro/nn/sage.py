@@ -24,16 +24,12 @@ class SAGEConv(VertexCentricLayer):
         in_features: int,
         out_features: int,
         bias: bool = True,
-        fused: bool = True,
-        state_stack_opt: bool = True,
     ) -> None:
         super().__init__(
             _sage_mean_program,
             feature_widths={"h": "v"},
             grad_features={"h"},
             name="sage_mean",
-            fused=fused,
-            state_stack_opt=state_stack_opt,
         )
         self.in_features = in_features
         self.out_features = out_features

@@ -169,3 +169,49 @@ def test_chaos_smoke_writes_an_ok_json_report(tmp_path, capsys):
     assert f"report: {out}" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["ok"] is True
+
+
+_ONE_UNGUARDED_WRITE = """
+import threading
+
+
+class Box:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def bump(self):
+        with self._lock:
+            self.count += 1
+
+    def reset(self):
+        self.count = 0
+"""
+
+
+def test_lint_concurrency_path_gates_until_the_baseline_is_written(tmp_path, capsys):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "box.py").write_text(_ONE_UNGUARDED_WRITE)
+    baseline = tmp_path / "B.json"
+    cmd = ["lint", "--concurrency", "--path", str(src), "--baseline", str(baseline)]
+    assert main(cmd) == 1
+    assert "STG202" in capsys.readouterr().out
+    assert main(cmd + ["--write-baseline"]) == 0
+    assert baseline.is_file()
+    assert main(cmd) == 0
+    assert "1 baselined finding(s) suppressed" in capsys.readouterr().out
+
+
+def test_chaos_workdir_holds_the_checkpoint(tmp_path, capsys):
+    assert main(["chaos", "--plan", "smoke", "--workdir", str(tmp_path)]) == 0
+    assert (tmp_path / "chaos-smoke.npz").is_file()
+
+
+def test_serve_paced_clients_with_a_timeout(capsys):
+    rc = main([
+        "serve", "--clients", "2", "--requests", "4", "--updates", "2",
+        "--timestamps", "4", "--qps", "200", "--timeout", "60",
+    ])
+    assert rc == 0
+    assert "served 8 requests" in capsys.readouterr().out

@@ -52,8 +52,8 @@ def test_key_stable_across_identical_retraces():
         return v.agg_sum(lambda nb: nb.h * nb.norm) * v.norm
 
     widths = {"h": "v", "norm": "s"}
-    k1 = plan_key(trace(first).signature(), widths, {"h"}, True, True, True)
-    k2 = plan_key(trace(second).signature(), widths, {"h"}, True, True, True)
+    k1 = plan_key(trace(first).signature(), widths, {"h"}, True)
+    k2 = plan_key(trace(second).signature(), widths, {"h"}, True)
     assert k1 == k2
     p1 = compile_vertex_program(first, feature_widths=widths, grad_features={"h"})
     p2 = compile_vertex_program(second, feature_widths=widths, grad_features={"h"})
@@ -64,10 +64,7 @@ def test_key_stable_across_identical_retraces():
 @pytest.mark.parametrize(
     "variant",
     [
-        {"fused": False},
         {"state_stack_opt": False},
-        {"optimize": False},
-        {"dtype": "float64"},
         {"grad_features": None},
     ],
 )

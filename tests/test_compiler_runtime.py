@@ -187,3 +187,43 @@ def test_masks():
     x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
     assert rt.relu_mask(x).tolist() == [0.0, 0.0, 1.0]
     assert rt.leaky_mask(x, slope=0.5).tolist() == [0.5, 0.5, 1.0]
+
+
+def test_every_op_kind_resolves_to_a_runtime_primitive():
+    """``OP_SCHEMAS`` is the one op table: every kind has its primitive
+    (``ew`` one per elementwise name), and the verifier re-exports it."""
+    from repro.compiler import verify
+    from repro.compiler.tir import EW_BINARY, EW_UNARY, OP_SCHEMAS
+
+    assert verify.OP_SCHEMAS is OP_SCHEMAS
+    for kind in OP_SCHEMAS:
+        if kind == "ew":
+            for op in EW_UNARY | EW_BINARY:
+                assert callable(rt.RUNTIME_NAMESPACE[f"ew_{op}"]), op
+        else:
+            assert callable(rt.RUNTIME_NAMESPACE[kind]), kind
+
+
+@pytest.mark.parametrize("engine", ["codegen", "interpreter"])
+def test_context_is_passed_exactly_to_non_elementwise_kinds(engine, monkeypatch):
+    from repro.compiler.codegen import _render_call
+    from repro.compiler.interp import _eval_op
+    from repro.compiler.tir import OP_SCHEMAS, TOp
+
+    ctx_marker = object()
+    for kind, schema in OP_SCHEMAS.items():
+        ins = tuple(f"a{i}" for i in range(schema.arity[0]))
+        attrs = {"op": "add"} if kind == "ew" else {}
+        op = TOp(kind, "out", ins, attrs)
+        if engine == "codegen":
+            passed = _render_call(op).split("(", 1)[1].startswith("ctx")
+        else:
+            seen = []
+            name = f"ew_{attrs['op']}" if kind == "ew" else kind
+            monkeypatch.setitem(rt.RUNTIME_NAMESPACE, name, lambda *a, **k: seen.extend(a))
+            _eval_op(op, ctx_marker, {n: n for n in ins})
+            passed = bool(seen) and seen[0] is ctx_marker
+        assert passed == (schema.klass != "elementwise"), kind
+    with pytest.raises(ValueError, match="unknown op kind"):
+        op = TOp("no_such_kind", "out", ())
+        _render_call(op) if engine == "codegen" else _eval_op(op, ctx_marker, {})

@@ -7,10 +7,14 @@ gradients must be *bitwise* identical — any disagreement is a codegen bug.
 
 from __future__ import annotations
 
+import copy
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.compiler import compile_vertex_program
+from repro.compiler.runtime import GraphContext
 from repro.core import (
     InterpreterEngine,
     KernelEngine,
@@ -252,6 +256,24 @@ def test_interpreter_launches_no_kernels():
     before = _launches()
     _run("gcn", "interpreter")
     assert _launches() == before
+
+
+def test_kernel_launches_leave_the_plan_untouched(rng):
+    """Run time only reads a plan: a forward plus a backward change no
+    attribute of either kernel, so one plan can serve every thread."""
+    g = nx.gnp_random_graph(N, 0.3, seed=5, directed=True)
+    ctx = GraphContext(StaticGraph.from_networkx(g))
+    # A feature name no other test uses, so this plan is fresh.
+    prog = compile_vertex_program(
+        lambda v: v.agg_sum(lambda nb: nb.h_readonly),
+        feature_widths={"h_readonly": "v"}, name="readonly",
+    )
+    kernels = (prog.fwd_kernel, prog.bwd_kernel)
+    before = [copy.deepcopy(vars(k)) for k in kernels]
+    h = rng.standard_normal((N, 12)).astype(np.float32)
+    out, saved = prog.forward(ctx, {"h_readonly": h}, engine=get_engine("kernel"))
+    prog.backward(ctx, np.ones_like(out), saved, engine=get_engine("kernel"))
+    assert [vars(k) for k in kernels] == before
 
 
 @pytest.mark.parametrize("dataset", ["sx-mathoverflow", "reddit-title"])

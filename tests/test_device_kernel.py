@@ -33,7 +33,7 @@ def test_compile_syntax_error_surfaces():
 
 def test_launcher_counts_and_times(fresh_device):
     launcher = KernelLauncher()
-    kernel = CompiledKernel("k", "", lambda a, b: a + b, ())
+    kernel = CompiledKernel("k", "", lambda a, b: a + b)
     assert launcher.launch(kernel, 1, 2) == 3
     assert launcher.launch(kernel, 3, 4) == 7
     calls, seconds = fresh_device.totals.read().site_totals[SITE]
@@ -48,7 +48,7 @@ def test_launcher_counts_failed_launches(fresh_device):
     def bad():
         raise RuntimeError("kernel fault")
 
-    kernel = CompiledKernel("k", "", bad, ())
+    kernel = CompiledKernel("k", "", bad)
     with pytest.raises(RuntimeError):
         launcher.launch(kernel)
     assert fresh_device.totals.read().calls(SITE) == 1

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import networkx as nx
-import numpy as np
 import pytest
 
-from repro.device import LaunchConfig, estimated_occupancy, feature_adaptive_config
+from repro.device import estimated_occupancy, feature_adaptive_config
 from repro.device.launch_config import BLOCK_THREADS, WARP_SIZE
 
 
@@ -62,21 +60,3 @@ def test_occupancy_degrades_with_rounding():
     rounded = estimated_occupancy(feature_adaptive_config(n, 5), n, 5)
     assert rounded < perfect  # 5 of 8 lanes useful
 
-
-def test_launch_config_attached_to_kernel(rng):
-    from repro.compiler import compile_vertex_program
-    from repro.compiler.runtime import GraphContext
-    from repro.graph import StaticGraph
-
-    g = nx.gnp_random_graph(30, 0.2, seed=2, directed=True)
-    ctx = GraphContext(StaticGraph.from_networkx(g))
-    prog = compile_vertex_program(
-        lambda v: v.agg_sum(lambda nb: nb.h),
-        feature_widths={"h": "v"}, name="lc_test",
-    )
-    h = rng.standard_normal((30, 12)).astype(np.float32)
-    prog.forward(ctx, {"h": h})
-    cfg = prog.fwd_kernel.meta["launch_config"]
-    assert isinstance(cfg, LaunchConfig)
-    assert cfg.threads_per_group == 16  # 12 rounded up to a power of two
-    assert cfg.num_blocks == -(-30 // cfg.groups_per_block)
