@@ -67,9 +67,9 @@ def main() -> None:
     # --- 2. Inspect what the compiler produced ----------------------------
     print(layer.program.describe())
     print("\n=== generated forward kernel ===")
-    print(layer.generated_forward_source)
+    print(layer.program.forward_source)
     print("=== generated backward kernel ===")
-    print(layer.generated_backward_source)
+    print(layer.program.backward_source)
     print(
         f"State Stack keeps {len(layer.program.saved_spec)} of "
         f"{len(layer.program.analysis.all_forward_buffers)} forward buffers "

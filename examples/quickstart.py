@@ -28,7 +28,7 @@ def main() -> None:
     model = STGraphNodeRegressor(in_features=8, hidden=16)
     conv = model.cell.conv_z
     print("\ngenerated forward kernel for the GCN gate:")
-    print(conv.generated_forward_source)
+    print(conv.program.forward_source)
 
     # 4. Train with Algorithm 1.
     trainer = STGraphTrainer(model, graph, lr=1e-2)

@@ -10,20 +10,19 @@ device allocator as STGraph:
   scatter-add reduce.  The gathered tensors are *retained by the autodiff
   tape until backward*, so memory grows with sequence length (Figure 6) and
   feature size (Figure 5) exactly as PyG-T's does.
-* **per-snapshot DTDG storage** (:mod:`snapshots`): every snapshot kept as
-  a dense COO ``edge_index`` — "storing DTDGs as separate snapshots ...
-  substantial memory overhead" (Figure 8).
 * **TGCN** (:mod:`tgcn`): the same gate math as :class:`repro.nn.TGCN`
   built on the edge-parallel convolution, so loss trajectories match
   STGraph's and only the execution strategy differs ("The loss for models
   compiled with PyG-T and STGraph are similar over all tests").
-* **temporal signal iterators** (:mod:`signal`): the PyG-T dataset API.
+* **temporal signal iterators** (:mod:`signal`): the PyG-T dataset API,
+  with per-snapshot DTDG storage — every snapshot kept device-resident as a
+  dense COO ``edge_index``, "storing DTDGs as separate snapshots ...
+  substantial memory overhead" (Figure 8).
 """
 
 from repro.baselines.pygt.message_passing import MessagePassing
 from repro.baselines.pygt.gcn_conv import PyGGCNConv
 from repro.baselines.pygt.tgcn import PyGTGConvGRU, PyGTTGCN
-from repro.baselines.pygt.snapshots import SnapshotStore, Snapshot
 from repro.baselines.pygt.signal import StaticGraphTemporalSignal, DynamicGraphTemporalSignal
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "PyGGCNConv",
     "PyGTTGCN",
     "PyGTGConvGRU",
-    "SnapshotStore",
-    "Snapshot",
     "StaticGraphTemporalSignal",
     "DynamicGraphTemporalSignal",
 ]

@@ -7,17 +7,13 @@ simulated device so peak-memory and phase-time accounting are isolated.
 """
 
 from repro.bench.measure import RunResult, run_dynamic_experiment, run_static_experiment
-from repro.bench.profile import ProfileReport, profile_training
-from repro.bench.report import ascii_series, format_phase_breakdown, format_table, improvement
+from repro.bench.report import ascii_series, format_table, improvement
 
 __all__ = [
     "RunResult",
     "run_static_experiment",
     "run_dynamic_experiment",
-    "ProfileReport",
-    "profile_training",
     "format_table",
-    "format_phase_breakdown",
     "ascii_series",
     "improvement",
 ]

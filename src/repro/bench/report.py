@@ -6,8 +6,6 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "format_table",
-    "format_phase_breakdown",
-    "format_reuse_counters",
     "fig9_rows",
     "format_fig9_table",
     "ascii_series",
@@ -31,65 +29,6 @@ def format_table(rows: Sequence[Mapping], headers: Sequence[str] | None = None, 
     for row in cells:
         out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(out)
-
-
-def format_phase_breakdown(
-    phase_seconds: Mapping[str, float], title: str = "Phase breakdown"
-) -> str:
-    """Render per-phase seconds as a share table.
-
-    Pairs with :meth:`repro.obs.spine.Totals.phase_seconds`; the
-    ``compile`` row shows the one-time plan-compilation cost amortized by
-    the plan cache (zero when every plan was already warm).
-    """
-    total = sum(phase_seconds.values())
-    rows = [
-        {
-            "phase": name,
-            "seconds": round(seconds, 5),
-            "share": f"{100 * seconds / total:.1f}%" if total > 0 else "-",
-        }
-        for name, seconds in phase_seconds.items()
-    ]
-    return format_table(rows, title=title)
-
-
-def format_reuse_counters(
-    counters: Mapping[str, int], title: str = "Snapshot reuse"
-) -> str:
-    """Render the reuse counters with hit rates.
-
-    Pairs with :meth:`repro.obs.spine.Totals.counters`; the
-    ``csr_cache`` row shows how many snapshot positionings were served by
-    the graph's installed build instead of re-running Algorithm 3, the
-    ``ctx_cache`` row the executor-level GraphContext reuse, and
-    ``noop_updates_skipped`` the empty update batches that never dirtied the
-    snapshot at all.
-    """
-    def rate(hits: int, misses: int) -> str:
-        total = hits + misses
-        return f"{100 * hits / total:.1f}%" if total else "-"
-
-    rows = [
-        {
-            "cache": "csr_cache",
-            "hits": counters.get("csr_cache_hits", 0),
-            "misses": counters.get("csr_cache_misses", 0),
-            "hit_rate": rate(
-                counters.get("csr_cache_hits", 0), counters.get("csr_cache_misses", 0)
-            ),
-        },
-        {
-            "cache": "ctx_cache",
-            "hits": counters.get("ctx_cache_hits", 0),
-            "misses": counters.get("ctx_cache_misses", 0),
-            "hit_rate": rate(
-                counters.get("ctx_cache_hits", 0), counters.get("ctx_cache_misses", 0)
-            ),
-        },
-    ]
-    table = format_table(rows, title=title)
-    return table + f"\nnoop updates skipped: {counters.get('noop_updates_skipped', 0)}"
 
 
 def fig9_rows(results: Sequence) -> list[dict]:

@@ -97,9 +97,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         return 0
     print(layer.program.describe())
     print("\n=== generated forward kernel ===")
-    print(layer.generated_forward_source)
+    print(layer.program.forward_source)
     print("=== generated backward kernel ===")
-    print(layer.generated_backward_source)
+    print(layer.program.backward_source)
     return 0
 
 

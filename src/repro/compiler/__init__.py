@@ -27,18 +27,21 @@ The compiler pipeline then mirrors Seastar's:
    forward intermediate representations to determine which features need to
    be stored in the state-stack").
 5. **codegen** — emit inspectable Python kernel source, one fused kernel
-   per pass, and compile it through the device's kernel launcher.
+   per pass, and compile it into a launchable kernel (the device's kernel
+   launcher only launches).
 6. **plan** — package everything into an immutable
    :class:`~repro.compiler.plan.ProgramPlan`, memoized in the process-wide
    :func:`~repro.compiler.plan.plan_cache` so identical programs compile
-   once; execution engines (:mod:`repro.core.engine`) run plans.
+   once.  :func:`~repro.compiler.plan.compile_vertex_program` returns the
+   cached plan; it is the one compiled-program object, and its
+   ``forward`` / ``backward`` run on the execution engine
+   (:mod:`repro.core.engine`) the caller passes.
 """
 
 from repro.compiler.diagnostics import CODES, Diagnostic, LintReport, VerifyError, code_table
 from repro.compiler.ir import Stage, VNode
 from repro.compiler.symbols import Vertex, trace
-from repro.compiler.plan import PlanCache, ProgramPlan, plan_cache, plan_key
-from repro.compiler.program import VertexProgram, compile_vertex_program
+from repro.compiler.plan import PlanCache, ProgramPlan, compile_vertex_program, plan_cache, plan_key
 from repro.compiler.interp import interpret_program, trace_execution
 from repro.compiler.tir import IMPLICIT_ONES
 from repro.compiler.verify import (
@@ -59,7 +62,6 @@ __all__ = [
     "PlanCache",
     "plan_cache",
     "plan_key",
-    "VertexProgram",
     "compile_vertex_program",
     "interpret_program",
     "trace_execution",

@@ -3,16 +3,16 @@
 Emits Python source from tensor programs — the simulated-device analogue of
 Seastar's CUDA codegen.  The source is genuine generated code: it is kept on
 the :class:`~repro.device.kernel.CompiledKernel` for inspection, compiled
-with ``compile()``/``exec`` (errors surface as real syntax/name errors), and
-executed through the device's kernel launcher.  Each pass is one fused
-kernel: intermediates live and die inside one launch, exactly like
-Seastar's fused kernels.
+with ``compile()``/``exec`` (errors surface as real syntax/name errors) when
+its plan is built, and launched through the device's kernel launcher.  Each
+pass is one fused kernel: intermediates live and die inside one launch,
+exactly like Seastar's fused kernels.
 """
 
 from __future__ import annotations
 
 from repro.compiler.tir import IMPLICIT_ONES, OP_SCHEMAS, TOp, TProgram
-from repro.device.kernel import CompiledKernel
+from repro.device.kernel import CompiledKernel, compile_kernel_source
 
 __all__ = [
     "generate_forward_source",
@@ -83,10 +83,9 @@ def generate_backward_source(prog: TProgram, grad_map: dict[str, str], entry: st
 def compile_program(source: str, entry: str) -> CompiledKernel:
     """Compile generated source against the runtime namespace into a launchable kernel.
 
-    Goes through the active device's :meth:`KernelLauncher.compile`; the
-    plan cache is what makes a kernel compile once per program shape.
+    The plan cache is what makes a kernel compile once per program shape.
     """
     from repro.compiler.runtime import RUNTIME_NAMESPACE
-    from repro.device import current_device
 
-    return current_device().launcher.compile(source, entry, globals_extra=dict(RUNTIME_NAMESPACE))
+    fn = compile_kernel_source(source, entry, globals_extra=dict(RUNTIME_NAMESPACE))
+    return CompiledKernel(name=entry, source=source, fn=fn)

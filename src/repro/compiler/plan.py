@@ -8,14 +8,18 @@ whole temporal sequence.  This module is the compile-time half of that split:
 * :class:`ProgramPlan` — an immutable record of everything compilation
   produced for one vertex program: the traced vertex IR, the forward and
   backward tensor programs, the two compiled kernels, and the saved-state
-  manifest the executor pushes onto the State Stack per timestamp.  A plan
-  owns no execution policy; engines (:mod:`repro.core.engine`) run plans.
+  manifest the executor pushes onto the State Stack per timestamp.  It is
+  the one compiled-program object: layers hold it as ``layer.program``, and
+  its ``forward`` / ``backward`` bind features and run it on the engine the
+  caller passes.  A plan owns no execution policy; engines
+  (:mod:`repro.core.engine`) run plans.
 * :class:`PlanCache` — a process-wide memo keyed by a content hash of
   (program signature, declared feature widths, grad features, state-stack
   mode) with hit/miss counters.  Every layer instance requests its plan
   here, so two instances of the same layer — or two different models
   sharing a vertex program, like the GCN gates inside TGCN/GConvGRU —
-  compile exactly once per process.
+  compile exactly once per process.  :func:`compile_vertex_program` is the
+  public way to request one.
 
 All pipeline work (lower → autodiff → passes → codegen → kernel compile)
 is one ``compiler.plan_build`` interval (category ``compile``), so compile
@@ -34,7 +38,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.analysis.sanitizer import new_rlock
 from repro.compiler.autodiff import build_backward
@@ -47,17 +53,23 @@ from repro.compiler.diagnostics import LintReport
 from repro.compiler.ir import VNode
 from repro.compiler.lower import CompileError, lower_trace
 from repro.compiler.passes import SavedAnalysis, cse, dce, saved_analysis
+from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import TraceResult, Vertex, trace
 from repro.compiler.tir import TProgram
 from repro.compiler.verify import run_verifier, verification_enabled
+from repro.device import current_device
 from repro.device.kernel import CompiledKernel
 from repro.obs.spine import emit, span
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
+    from repro.core.engine import ExecutionEngine
 
 __all__ = [
     "ProgramPlan",
     "PlanCache",
     "plan_cache",
     "plan_key",
+    "compile_vertex_program",
 ]
 
 
@@ -67,7 +79,16 @@ class ProgramPlan:
 
     Immutable by construction: run time (``repro.core.engine``) only reads
     from a plan, so one plan can safely serve any number of layer instances,
-    models, and executors concurrently.
+    models, and executors concurrently.  ``name`` is the name of the first
+    request that built the plan; structurally identical programs requested
+    under other names share it.
+
+    The per-call protocol matches the executor's State Stack discipline:
+    ``forward(ctx, node_feats, edge_feats)`` returns ``(out, saved_env)``
+    and the caller pushes ``saved_env`` (only the buffers the backward
+    program reads, or every forward buffer under ``state_stack_opt=False``);
+    ``backward(ctx, g_out, saved_env)`` returns gradients keyed by feature
+    name, edge gradients in label order.
     """
 
     plan_id: str
@@ -105,6 +126,52 @@ class ProgramPlan:
             (node if kind == "node" else edge).add(feat)
         return node, edge
 
+    def _bind(self, ctx: GraphContext, node_feats, edge_feats) -> dict[str, np.ndarray]:
+        env: dict[str, np.ndarray] = {}
+        for buf, (kind, feat) in self.fwd_prog.inputs.items():
+            if kind == "node":
+                if feat not in node_feats:
+                    raise KeyError(f"{self.name}: missing node feature {feat!r}")
+                env[buf] = node_feats[feat]
+            else:
+                if edge_feats is None or feat not in edge_feats:
+                    raise KeyError(f"{self.name}: missing edge feature {feat!r}")
+                env[buf] = ctx.bind_edge_feature(edge_feats[feat])
+        return env
+
+    def forward(
+        self,
+        ctx: GraphContext,
+        node_feats: Mapping[str, np.ndarray],
+        edge_feats: Mapping[str, np.ndarray] | None = None,
+        engine: "ExecutionEngine | None" = None,
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Run the forward pass on ``engine`` (``None``: the kernel engine);
+        returns ``(out, saved_env)``."""
+        device = current_device()
+        env = self._bind(ctx, node_feats, edge_feats)
+        out, saved = _engine(engine).forward(self, ctx, env)
+        device.alloc.adopt(np.asarray(out), tag="kernel.out")
+        return out, saved
+
+    def backward(
+        self,
+        ctx: GraphContext,
+        g_out: np.ndarray,
+        saved: Mapping[str, np.ndarray],
+        engine: "ExecutionEngine | None" = None,
+    ) -> dict[str, np.ndarray]:
+        """Run the backward pass on ``engine`` (``None``: the kernel engine);
+        returns gradients keyed by feature name."""
+        grads_by_buf = _engine(engine).backward(self, ctx, g_out, saved)
+        grads: dict[str, np.ndarray] = {}
+        for buf, grad in grads_by_buf.items():
+            kind, feat = self.fwd_prog.inputs[buf]
+            if kind == "edge":
+                grad = ctx.edge_grad_to_labels(np.asarray(grad))
+            grads[feat] = grad
+        return grads
+
     def describe(self) -> str:
         """Human-readable compilation report (IR + programs + saved set)."""
         sections = [
@@ -117,6 +184,15 @@ class ProgramPlan:
         if self.lint is not None:
             sections.append(f"== verifier ==\n{self.lint.render()}")
         return "\n\n".join(sections)
+
+
+def _engine(engine: "ExecutionEngine | None") -> "ExecutionEngine":
+    if engine is not None:
+        return engine
+    # Imported here: repro.core.engine imports this module.
+    from repro.core.engine import ENGINES
+
+    return ENGINES["kernel"]
 
 
 def plan_key(
@@ -315,3 +391,21 @@ _PLAN_CACHE = PlanCache()
 def plan_cache() -> PlanCache:
     """The process-wide plan cache every layer compiles through."""
     return _PLAN_CACHE
+
+
+def compile_vertex_program(
+    fn: Callable[[Vertex], VNode],
+    feature_widths: Mapping[str, str] | None = None,
+    grad_features: set[str] | None = None,
+    name: str = "vertex_program",
+    state_stack_opt: bool = True,
+) -> ProgramPlan:
+    """Compile a vertex-centric function: the cached :class:`ProgramPlan`
+    for it, built on the first request in this process."""
+    return plan_cache().get_or_build(
+        fn,
+        feature_widths=feature_widths,
+        grad_features=grad_features,
+        name=name,
+        state_stack_opt=state_stack_opt,
+    )

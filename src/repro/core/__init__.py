@@ -10,18 +10,11 @@
   framework backend-agnostic (paper §VI-1).
 * execution engines — the run-time half of the compile/run split: the
   generated-kernel engine and the tensor-IR interpreter behind one
-  interface, selectable per program or per executor.
+  interface (:data:`ENGINES`), chosen per executor.
 """
 
 from repro.core.stacks import GraphStack, StateStack, StackEntry
-from repro.core.engine import (
-    ExecutionEngine,
-    InterpreterEngine,
-    KernelEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
+from repro.core.engine import ENGINES, ExecutionEngine, InterpreterEngine, KernelEngine
 from repro.core.executor import TemporalExecutor
 from repro.core.module import VertexCentricLayer
 from repro.core.backend import BackendInterface, available_backends, get_backend, register_backend
@@ -35,9 +28,7 @@ __all__ = [
     "ExecutionEngine",
     "KernelEngine",
     "InterpreterEngine",
-    "get_engine",
-    "register_engine",
-    "available_engines",
+    "ENGINES",
     "BackendInterface",
     "get_backend",
     "register_backend",

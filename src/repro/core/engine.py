@@ -18,15 +18,16 @@ interpreter -> none``).  Two implementations ship:
   differential-testing switch: run any model under
   ``TemporalExecutor(graph, engine="interpreter")`` and compare.
 
-Engines are stateless and registered through the same
-:class:`~repro.util.registry.Registry` as deep-learning backends
-(:mod:`repro.core.backend`): ``get_engine("kernel")``.
+Engines are stateless, so each ships as one instance in :data:`ENGINES`,
+keyed by name; the executor, the fallback ladder and the differential
+check look engines up there.  There is no engine registration: the
+factory-pattern registry (:mod:`repro.util.registry`) serves backends.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,15 +35,12 @@ from repro.compiler.interp import trace_execution
 from repro.compiler.plan import ProgramPlan
 from repro.compiler.runtime import GraphContext
 from repro.device import current_device
-from repro.util.registry import Registry
 
 __all__ = [
     "ExecutionEngine",
     "KernelEngine",
     "InterpreterEngine",
-    "register_engine",
-    "get_engine",
-    "available_engines",
+    "ENGINES",
 ]
 
 
@@ -53,7 +51,7 @@ class ExecutionEngine(abc.ABC):
     per-snapshot structure on the context, and all per-call data in ``env``.
     ``env`` maps the plan's input *buffer* names to bound arrays (the
     feature-name → buffer binding is the caller's job, see
-    :meth:`VertexProgram.forward <repro.compiler.program.VertexProgram>`).
+    :meth:`ProgramPlan.forward <repro.compiler.plan.ProgramPlan.forward>`).
     """
 
     name: str = "abstract"
@@ -121,28 +119,8 @@ class InterpreterEngine(ExecutionEngine):
         return {inp: env[g] for inp, g in plan.grad_map.items()}
 
 
-_ENGINES: Registry[ExecutionEngine] = Registry("engine")
-
-
-def register_engine(name: str, factory: Callable[[], ExecutionEngine]) -> None:
-    """Register an engine factory under ``name`` (identical re-registration
-    is a no-op, a different factory for a taken name raises ``ValueError``)."""
-    _ENGINES.register(name, factory)
-
-
-def get_engine(name: str | ExecutionEngine = "kernel") -> ExecutionEngine:
-    """Instantiate (once) and return the named engine; instances pass through.
-
-    Unknown names raise a ``KeyError`` that lists :func:`available_engines`,
-    so a typo like ``"kernl"`` tells the caller what *is* available.
-    """
-    return name if isinstance(name, ExecutionEngine) else _ENGINES.get(name)
-
-
-def available_engines() -> list[str]:
-    """Names of all registered engines."""
-    return _ENGINES.available()
-
-
-register_engine("kernel", KernelEngine)
-register_engine("interpreter", InterpreterEngine)
+#: the two engines, by name: one stateless instance each
+ENGINES: dict[str, ExecutionEngine] = {
+    "kernel": KernelEngine(),
+    "interpreter": InterpreterEngine(),
+}

@@ -41,7 +41,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.compiler.runtime import GraphContext
-from repro.core.engine import ExecutionEngine, get_engine
+from repro.core.engine import ENGINES, ExecutionEngine
 from repro.core.stacks import GraphStack, StateStack
 from repro.graph.base import STGraphBase
 from repro.obs.spine import emit, span
@@ -58,8 +58,10 @@ class TemporalExecutor:
     stacks) and the execution engine.  ``engine`` is the one place an engine
     is chosen: every aggregation run through this executor uses it, e.g.
     ``engine="interpreter"`` runs a whole model on the tensor-IR interpreter
-    for differential testing.  Tests may assign ``executor.engine`` (an
-    :class:`ExecutionEngine`) between runs.
+    for differential testing.  ``engine`` is a name in
+    :data:`~repro.core.engine.ENGINES` or an instance; an unknown name is a
+    ``KeyError`` naming both engines.  Tests may assign ``executor.engine``
+    (an :class:`ExecutionEngine`) between runs.
     """
 
     def __init__(
@@ -69,7 +71,13 @@ class TemporalExecutor:
         ctx_cache_size: int = 4,
     ) -> None:
         self.graph = graph
-        self.engine: ExecutionEngine = get_engine(engine)
+        if isinstance(engine, str):
+            if engine not in ENGINES:
+                raise KeyError(
+                    f"unknown engine {engine!r}; available engines: {', '.join(sorted(ENGINES))}"
+                )
+            engine = ENGINES[engine]
+        self.engine: ExecutionEngine = engine
         self.state_stack = StateStack()
         self.graph_stack = GraphStack()
         self._fwd_ctx: GraphContext | None = None

@@ -11,9 +11,10 @@ backend-agnostic — the tape node only uses the generic tape protocol.
 
 :class:`VertexCentricLayer` is the base class for STGraph's GNN layers: it
 requests its :class:`~repro.compiler.plan.ProgramPlan` from the process-wide
-plan cache (so identical layers share one compilation) and exposes
-``aggregate`` to subclasses.  Every aggregation runs on the executor's
-engine; the executor is the one place an engine is chosen.
+plan cache (so identical layers share one compilation), holds it as
+``layer.program``, and exposes ``aggregate`` to subclasses.  Every
+aggregation runs on the executor's engine; the executor is the one place an
+engine is chosen.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.compiler.program import VertexProgram, compile_vertex_program
+from repro.compiler.plan import ProgramPlan, compile_vertex_program
 from repro.compiler.runtime import GraphContext
-from repro.core.engine import ExecutionEngine, get_engine
+from repro.core.engine import ENGINES, ExecutionEngine
 from repro.core.executor import TemporalExecutor
 from repro.obs.spine import emit, span
 from repro.resilience.faults import InjectedKernelFault
@@ -36,7 +37,7 @@ __all__ = ["VertexCentricLayer", "graph_aggregate"]
 
 
 def _differential_check(
-    program: VertexProgram,
+    program: ProgramPlan,
     engine: ExecutionEngine,
     call,
     result,
@@ -50,7 +51,7 @@ def _differential_check(
     """
     if engine.name == "interpreter":
         return  # the result *is* the oracle
-    oracle = call(get_engine("interpreter"))
+    oracle = call(ENGINES["interpreter"])
     if direction == "fwd":
         ok = np.array_equal(np.asarray(result[0]), np.asarray(oracle[0]))
     else:
@@ -66,7 +67,7 @@ def _differential_check(
 
 def _resilient_run(
     executor: TemporalExecutor,
-    program: VertexProgram,
+    program: ProgramPlan,
     engine: ExecutionEngine,
     call,
     direction: str,
@@ -94,7 +95,7 @@ def _resilient_run(
             last_fault = exc
             fallback = engine
             while fallback.fallback is not None:
-                fallback = get_engine(fallback.fallback)
+                fallback = ENGINES[fallback.fallback]
                 executor.engine_fallbacks += 1
                 # A ladder step is a failure edge worth a full window dump:
                 # the site's table row records the step, then drains the ring.
@@ -125,7 +126,7 @@ class _GraphAggregationTape(Function):
 
     def __init__(
         self,
-        program: VertexProgram,
+        program: ProgramPlan,
         executor: TemporalExecutor,
         timestamp: int,
         tensor_slots: list[tuple[str, str]],
@@ -137,7 +138,7 @@ class _GraphAggregationTape(Function):
         self.timestamp = timestamp
         self.token = -1  # State Stack entry, pushed once the node is attached
         self.tensor_slots = tensor_slots  # (feature_name, "node" | "edge")
-        self.engine = get_engine() if engine is None else engine
+        self.engine = ENGINES["kernel"] if engine is None else engine
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray | None, ...]:
         ctx = self.executor.backward_context(self.timestamp)
@@ -155,7 +156,7 @@ class _GraphAggregationTape(Function):
 
 
 def graph_aggregate(
-    program: VertexProgram,
+    program: ProgramPlan,
     executor: TemporalExecutor,
     node_feats: Mapping[str, Tensor | np.ndarray],
     edge_feats: Mapping[str, Tensor | np.ndarray] | None = None,
@@ -223,16 +224,6 @@ class VertexCentricLayer(nn.Module):
             state_stack_opt=state_stack_opt,
         )
 
-    @property
-    def plan(self):
-        """The layer's cached :class:`~repro.compiler.plan.ProgramPlan`."""
-        return self.program.plan
-
-    @property
-    def plan_id(self) -> str:
-        """The plan's content-hash identity in the process-wide cache."""
-        return self.program.plan_id
-
     def aggregate(
         self,
         executor: TemporalExecutor,
@@ -241,13 +232,3 @@ class VertexCentricLayer(nn.Module):
     ) -> Tensor:
         """Run this layer's compiled aggregation at the executor's current timestamp."""
         return graph_aggregate(self.program, executor, node_feats, edge_feats)
-
-    @property
-    def generated_forward_source(self) -> str:
-        """Source of the generated forward kernel."""
-        return self.program.forward_source
-
-    @property
-    def generated_backward_source(self) -> str:
-        """Source of the generated backward kernel."""
-        return self.program.backward_source

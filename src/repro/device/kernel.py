@@ -3,13 +3,14 @@
 Seastar's codegen emits CUDA source that is NVRTC-compiled and cached; the
 executor then launches those kernels.  Our codegen (``repro.compiler.codegen``)
 emits Python source targeting vectorized NumPy; :class:`CompiledKernel` holds
-the source plus the compiled callable, and :class:`KernelLauncher` plays the
-role of the CUDA launch layer: it compiles the generated source of a plan
-when the plan is built and launches the kernels the plans hold.  Every launch is
-one ``device.kernel_launch`` interval of the
-telemetry spine: launch counts and seconds are that site's device totals
-(``device.totals.read()``), the per-tier latency histogram and the trace
-span are derived from the same record.
+the source plus the compiled callable (built by the compiler when a plan is
+built, see ``repro.compiler.codegen.compile_program``), and
+:class:`KernelLauncher` plays the role of the CUDA launch layer: it only
+launches the kernels the plans hold.  Every launch is one
+``device.kernel_launch`` interval of the telemetry spine: launch counts and
+seconds are that site's device totals (``device.totals.read()``), the
+per-tier latency histogram and the trace span are derived from the same
+record.
 """
 
 from __future__ import annotations
@@ -67,26 +68,18 @@ def compile_kernel_source(source: str, entry: str, globals_extra: dict[str, Any]
 
 
 class KernelLauncher:
-    """Compiles generated kernels and launches them.
+    """Launches generated kernels.
 
     Kernels live on the compiler's plans (``repro.compiler.plan_cache()`` is
     the cache a re-traced vertex-centric function hits), so a kernel is
-    compiled once per plan build; ``compile_count`` counts compilations.
+    compiled once per plan build, by the compiler and process-wide; the
+    launcher never compiles.
     """
 
     def __init__(self) -> None:
-        self.compile_count = 0
         #: launches per execution tier — lets benchmarks verify which tier
         #: actually ran (every generated kernel is the "python" tier).
         self.launches_by_tier: dict[str, int] = {}
-
-    def compile(
-        self, source: str, entry: str, globals_extra: dict[str, Any] | None = None
-    ) -> CompiledKernel:
-        """Compile ``source`` into a launchable kernel."""
-        fn = compile_kernel_source(source, entry, globals_extra=globals_extra)
-        self.compile_count += 1
-        return CompiledKernel(name=entry, source=source, fn=fn)
 
     def launch(self, kernel: CompiledKernel, *args: Any, **kwargs: Any) -> Any:
         """Execute a kernel as one ``device.kernel_launch`` interval.
@@ -108,6 +101,5 @@ class KernelLauncher:
             return kernel(*args, **kwargs)
 
     def clear(self) -> None:
-        """Reset the launch/compile counters."""
-        self.compile_count = 0
+        """Reset the launch counters."""
         self.launches_by_tier.clear()

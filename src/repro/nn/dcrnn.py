@@ -50,7 +50,7 @@ class DConv(VertexCentricLayer):
             name="dconv_walk_out",
         )
         # second compiled program for the reverse walk
-        from repro.compiler.program import compile_vertex_program
+        from repro.compiler.plan import compile_vertex_program
 
         self._walk_in_prog = compile_vertex_program(
             _walk_in, feature_widths={"h": "v"}, grad_features={"h"},

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.executor import TemporalExecutor
 from repro.core.module import graph_aggregate
-from repro.compiler.program import compile_vertex_program
+from repro.compiler.plan import compile_vertex_program
 from repro.nn.gcn import gcn_norm, _gcn_program_self_loops
 from repro.tensor import functional as F
 from repro.tensor import init

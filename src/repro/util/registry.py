@@ -1,7 +1,8 @@
 """Named factories, instantiated once: the Factory pattern of paper §VI-1.
 
-Backends (:mod:`repro.core.backend`) and execution engines
-(:mod:`repro.core.engine`) are both looked up by name through one of these.
+Deep-learning backends (:mod:`repro.core.backend`) are looked up by name
+through one of these.  Execution engines are not: the two ship as fixed
+instances in :data:`repro.core.engine.ENGINES`.
 """
 
 from __future__ import annotations

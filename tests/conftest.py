@@ -22,17 +22,18 @@ def rng():
 
 
 @pytest.fixture
-def compile_cost(fresh_device, monkeypatch):
-    """``cost(build) -> (plan-cache misses, kernel compilations)`` added by
-    ``build()``, against a cold plan cache that is private to the test."""
+def compile_cost(monkeypatch):
+    """``cost(build) -> plan-cache misses`` added by ``build()``, against a
+    cold plan cache that is private to the test (a miss compiles one forward
+    and one backward kernel; a hit compiles nothing)."""
     from repro.compiler.plan import PlanCache, plan_cache
 
     monkeypatch.setattr("repro.compiler.plan._PLAN_CACHE", PlanCache())
 
     def cost(build):
-        before = plan_cache().misses, fresh_device.launcher.compile_count
+        before = plan_cache().misses
         build()
-        return plan_cache().misses - before[0], fresh_device.launcher.compile_count - before[1]
+        return plan_cache().misses - before
 
     return cost
 

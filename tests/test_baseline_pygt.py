@@ -11,7 +11,6 @@ from repro.baselines.pygt import (
     MessagePassing,
     PyGGCNConv,
     PyGTTGCN,
-    SnapshotStore,
     StaticGraphTemporalSignal,
 )
 from repro.baselines.pygt.gcn_conv import gcn_norm_coo
@@ -154,18 +153,28 @@ def test_pygt_tgcn_matches_stgraph_tgcn(graph, rng):
     assert np.allclose(g1, g2, atol=1e-4)
 
 
-def test_snapshot_store(rng):
-    snaps = [
-        (np.array([0, 1]), np.array([1, 2])),
-        (np.array([0, 2]), np.array([1, 0])),
-    ]
-    dtdg = DTDG(snaps, 3)
-    store = SnapshotStore(dtdg)
-    assert len(store) == 2
-    assert store[0].num_edges == 2
-    assert store.storage_bytes() == sum(s.nbytes() for s in store.snapshots)
-    # snapshots resident simultaneously — the paper's memory critique
-    assert store.storage_bytes() == 2 * 2 * 2 * 8
+def test_pygt_signal_edge_indices_are_device_resident(fresh_device):
+    """PyG-T keeps every snapshot's ``edge_index`` on the device for the
+    whole run: building either signal raises the tracked bytes by exactly
+    the arrays it holds, so Figs. 6 and 8 count the baseline's storage with
+    the allocator that counts STGraph's."""
+    from repro.dataset import DYNAMIC_DATASETS, STATIC_DATASETS
+
+    tracker = fresh_device.tracker
+    static = STATIC_DATASETS["HC"](lags=4, num_timestamps=6)
+    before = tracker.current_bytes
+    static_signal = static.to_pygt_signal()
+    static_bytes = static_signal.edge_index.nbytes
+    assert static_bytes == 2 * 8 * static.num_edges
+    assert tracker.current_bytes - before == static_bytes
+
+    dynamic = DYNAMIC_DATASETS["sx-mathoverflow"](scale=0.005, feature_size=4, max_snapshots=5)
+    before = tracker.current_bytes
+    dynamic_signal = dynamic.to_pygt_signal()
+    assert len(dynamic_signal.edge_indices) == dynamic.num_timestamps
+    dynamic_bytes = sum(ei.nbytes for ei in dynamic_signal.edge_indices)
+    assert tracker.current_bytes - before == dynamic_bytes > 0
+    assert tracker.bytes_by_tag()["pygt.snapshot"] == static_bytes + dynamic_bytes
 
 
 def test_static_signal_iteration(rng):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import ascii_series, format_table, improvement
-from repro.bench.report import format_reuse_counters
 from repro.bench.measure import RunResult
 from repro.bench.experiments import table1_capabilities, table3_summary
 
@@ -23,16 +22,6 @@ def test_format_table_alignment():
 
 def test_format_table_empty():
     assert "(no rows)" in format_table([], title="x")
-
-
-def test_format_reuse_counters():
-    text = format_reuse_counters(
-        {"csr_cache_hits": 3, "csr_cache_misses": 1, "noop_updates_skipped": 2}
-    )
-    assert "csr_cache" in text and "75.0%" in text
-    assert "noop updates skipped: 2" in text
-    # No events at all: rates degrade to "-" instead of dividing by zero.
-    assert "-" in format_reuse_counters({})
 
 
 def test_ascii_series_renders_markers():

@@ -16,7 +16,7 @@ from repro.compiler import compile_vertex_program
 from repro.compiler.interp import interpret_program, trace_execution
 from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import vfn
-from repro.core.engine import get_engine
+from repro.core.engine import ENGINES
 from repro.graph import StaticGraph
 
 
@@ -29,7 +29,7 @@ def ctx(rng):
 def _bindings(prog, ctx, rng, f=3):
     out = {}
     for buf, (kind, _feat) in prog.fwd_prog.inputs.items():
-        width = prog._widths[buf]
+        width = prog.widths[buf]
         if kind == "edge":
             out[buf] = rng.standard_normal(ctx.num_edges).astype(np.float32)
         elif width == "s":
@@ -143,7 +143,7 @@ def test_engine_axis_matches_kernel_bitwise(name, engine, ctx, rng):
     gout = rng.standard_normal(np.asarray(out_k).shape).astype(np.float32)
     grads_k = prog.backward(ctx, gout, saved_k)
 
-    other = get_engine(engine)
+    other = ENGINES[engine]
     out_o, saved_o = prog.forward(ctx, node_feats, edge_feats, engine=other)
     grads_o = prog.backward(ctx, gout, saved_o, engine=other)
 

@@ -14,7 +14,6 @@ from repro.core.backend import (
     get_backend,
     register_backend,
 )
-from repro.core.engine import KernelEngine, available_engines, get_engine, register_engine
 from repro.tensor import Tensor, functional as F
 
 
@@ -40,14 +39,13 @@ def test_duplicate_registration_rejected():
     "register, get, available, taken, factory",
     [
         (register_backend, get_backend, available_backends, "repro", ReproBackend),
-        (register_engine, get_engine, available_engines, "kernel", KernelEngine),
     ],
-    ids=["backend", "engine"],
+    ids=["backend"],
 )
 def test_registry_contract(register, get, available, taken, factory):
-    """Backends and engines share one registry: identical re-registration is
-    a no-op, a different factory for a taken name raises, and an unknown
-    name lists what is available."""
+    """The backend registry: identical re-registration is a no-op, a
+    different factory for a taken name raises, and an unknown name lists
+    what is available."""
     before = available()
     register(taken, factory)
     # what a re-import of the defining module produces: a new object, same definition

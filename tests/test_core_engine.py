@@ -1,4 +1,4 @@
-"""Execution engines: registry semantics + kernel/interpreter equivalence.
+"""Execution engines: the executor's engine switch + kernel/interpreter equivalence.
 
 The interpreter executes the same tensor-IR ops against the same runtime
 primitives in the same order as the generated kernels, so outputs and
@@ -15,14 +15,7 @@ import pytest
 
 from repro.compiler import compile_vertex_program
 from repro.compiler.runtime import GraphContext
-from repro.core import (
-    InterpreterEngine,
-    KernelEngine,
-    TemporalExecutor,
-    available_engines,
-    get_engine,
-)
-from repro.core.engine import register_engine
+from repro.core import ENGINES, InterpreterEngine, KernelEngine, TemporalExecutor
 from repro.device import current_device
 from repro.graph import StaticGraph
 from repro.nn import (
@@ -44,49 +37,14 @@ N, F_IN = 18, 4
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# The executor's engine switch
 # ---------------------------------------------------------------------------
-def test_available_engines():
-    assert available_engines() == ["interpreter", "kernel"]
-
-
-def test_get_engine_memoizes_singletons():
-    assert get_engine("kernel") is get_engine("kernel")
-    assert isinstance(get_engine("kernel"), KernelEngine)
-    assert isinstance(get_engine("interpreter"), InterpreterEngine)
-
-
-def test_get_engine_instance_passthrough():
-    engine = InterpreterEngine()
-    assert get_engine(engine) is engine
-
-
-def test_get_engine_unknown_raises():
-    with pytest.raises(KeyError, match="unknown engine"):
-        get_engine("tpu")
-
-
-def test_get_engine_unknown_lists_available():
-    """The KeyError names every registered engine, so typos are self-serve."""
-    with pytest.raises(KeyError) as excinfo:
-        get_engine("copiled")
-    message = str(excinfo.value)
-    for name in available_engines():
-        assert name in message
-
-
-def test_register_engine_idempotent_for_same_factory():
-    """Re-registering the same factory under its own name is a no-op
-    (module re-imports and plugin hooks must not explode)."""
-    register_engine("kernel", KernelEngine)
-    register_engine("interpreter", InterpreterEngine)
-    assert isinstance(get_engine("kernel"), KernelEngine)
-
-
-def test_register_engine_rejects_genuine_conflict():
-    """A *different* factory claiming a taken name still raises."""
-    with pytest.raises(ValueError, match="already registered"):
-        register_engine("kernel", InterpreterEngine)
+def test_executor_unknown_engine_names_both_engines():
+    """A typo in the engine name is a KeyError that names both engines."""
+    sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
+    with pytest.raises(KeyError, match="unknown engine 'copiled'") as excinfo:
+        TemporalExecutor(sg, engine="copiled")
+    assert "interpreter" in str(excinfo.value) and "kernel" in str(excinfo.value)
 
 
 def test_executor_engine_override():
@@ -95,7 +53,7 @@ def test_executor_engine_override():
     sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
     assert isinstance(TemporalExecutor(sg, engine="interpreter").engine, InterpreterEngine)
     ex = TemporalExecutor(sg)
-    ex.engine = get_engine("interpreter")
+    ex.engine = ENGINES["interpreter"]
     ex.begin_timestamp(0)
     x = Tensor(np.ones((6, F_IN), dtype=np.float32))
     before = _launches()
@@ -271,8 +229,8 @@ def test_kernel_launches_leave_the_plan_untouched(rng):
     kernels = (prog.fwd_kernel, prog.bwd_kernel)
     before = [copy.deepcopy(vars(k)) for k in kernels]
     h = rng.standard_normal((N, 12)).astype(np.float32)
-    out, saved = prog.forward(ctx, {"h_readonly": h}, engine=get_engine("kernel"))
-    prog.backward(ctx, np.ones_like(out), saved, engine=get_engine("kernel"))
+    out, saved = prog.forward(ctx, {"h_readonly": h}, engine=ENGINES["kernel"])
+    prog.backward(ctx, np.ones_like(out), saved, engine=ENGINES["kernel"])
     assert [vars(k) for k in kernels] == before
 
 
@@ -294,7 +252,7 @@ def test_gpma_training_losses_bitwise_across_engines_and_store(dataset):
                 STGraphLinkPredictor(ds.feature_size, 8), ds.build_gpma(),
                 lr=1e-2, sequence_length=3, task="link_prediction", link_samples=samples,
             )
-            trainer.executor.engine = get_engine(engine)
+            trainer.executor.engine = ENGINES[engine]
             if not store:
                 trainer.executor.ctx_cache_size = 0
             return [float(x).hex() for x in trainer.train(ds.features, epochs=3)]

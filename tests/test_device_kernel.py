@@ -1,4 +1,4 @@
-"""Kernel compilation and the launcher."""
+"""Kernel source compilation and the launcher (which only launches)."""
 
 from __future__ import annotations
 
@@ -57,10 +57,7 @@ def test_launcher_counts_failed_launches(fresh_device):
 
 def test_launcher_clear():
     launcher = KernelLauncher()
-    source = "def k():\n    return 7\n"
-    kernel = launcher.compile(source, "k")
+    kernel = CompiledKernel("k", "", lambda: 7)
     assert launcher.launch(kernel) == 7
-    assert launcher.compile_count == 1
     launcher.clear()
-    assert launcher.compile_count == 0
     assert launcher.launches_by_tier == {}

@@ -73,10 +73,9 @@ def test_invalid_heads():
 def test_multihead_kernel_shared(compile_cost):
     """All heads (and all GAT layers) reuse the same compiled kernels: the
     first layer pays for the plan and its kernels, later ones for nothing."""
-    misses, compiles = compile_cost(lambda: GATConv(5, 4, heads=1))
-    assert misses > 0 and compiles > 0
-    assert compile_cost(lambda: GATConv(5, 4, heads=4)) == (0, 0)
-    assert compile_cost(lambda: GATConv(7, 3, heads=2)) == (0, 0)
+    assert compile_cost(lambda: GATConv(5, 4, heads=1)) > 0
+    assert compile_cost(lambda: GATConv(5, 4, heads=4)) == 0
+    assert compile_cost(lambda: GATConv(7, 3, heads=2)) == 0
 
 
 # ---------------------------------------------------------------------------

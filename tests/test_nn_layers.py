@@ -74,8 +74,8 @@ def test_gcn_state_stack_spec_minimal():
 
 def test_gcn_generated_source_accessible():
     conv = GCNConv(4, 4)
-    assert "spmm" in conv.generated_forward_source
-    assert "spmm_T" in conv.generated_backward_source
+    assert "spmm" in conv.program.forward_source
+    assert "spmm_T" in conv.program.backward_source
 
 
 def test_sage_matches_dense(setup):

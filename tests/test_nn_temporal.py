@@ -175,7 +175,6 @@ def test_evolve_gcn_trains(setup):
 def test_temporal_models_share_kernel_cache(compile_cost):
     """All GCN-based temporal cells reuse the same compiled GCN kernels: the
     first cell pays for the plan and its kernels, the next two for nothing."""
-    misses, compiles = compile_cost(lambda: TGCN(4, 6))
-    assert misses > 0 and compiles > 0
-    assert compile_cost(lambda: GConvGRU(4, 6)) == (0, 0)
-    assert compile_cost(lambda: GConvLSTM(4, 6)) == (0, 0)
+    assert compile_cost(lambda: TGCN(4, 6)) > 0
+    assert compile_cost(lambda: GConvGRU(4, 6)) == 0
+    assert compile_cost(lambda: GConvLSTM(4, 6)) == 0

@@ -183,7 +183,7 @@ def test_tape_and_generated_kernel_sigmoid_share_bits(rng):
     from repro.compiler import compile_vertex_program
     from repro.compiler.runtime import GraphContext, ew_sigmoid
     from repro.compiler.symbols import vfn
-    from repro.core.engine import get_engine
+    from repro.core.engine import ENGINES
     from repro.graph import StaticGraph
 
     n = 64
@@ -197,7 +197,7 @@ def test_tape_and_generated_kernel_sigmoid_share_bits(rng):
         lambda v: v.agg_sum(lambda nb: vfn.sigmoid(nb.h)), {"h": "v"}, {"h"}, name="sig_bits"
     )
     for engine in ("kernel", "interpreter"):
-        out, _saved = prog.forward(ctx, {"h": h}, engine=get_engine(engine))
+        out, _saved = prog.forward(ctx, {"h": h}, engine=ENGINES[engine])
         assert np.array_equal(out, tape)
 
 
