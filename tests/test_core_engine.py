@@ -39,10 +39,17 @@ N, F_IN = 18, 4
 # ---------------------------------------------------------------------------
 # The executor's engine switch
 # ---------------------------------------------------------------------------
-def test_executor_unknown_engine_names_both_engines():
-    """A typo in the engine name is a KeyError that names both engines."""
+def test_get_engine_unknown_raises():
+    """A typo in the engine name given to the executor is a KeyError."""
     sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
-    with pytest.raises(KeyError, match="unknown engine 'copiled'") as excinfo:
+    with pytest.raises(KeyError, match="unknown engine 'copiled'"):
+        TemporalExecutor(sg, engine="copiled")
+
+
+def test_get_engine_unknown_lists_available():
+    """The unknown-engine KeyError names both engines."""
+    sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
+    with pytest.raises(KeyError) as excinfo:
         TemporalExecutor(sg, engine="copiled")
     assert "interpreter" in str(excinfo.value) and "kernel" in str(excinfo.value)
 
