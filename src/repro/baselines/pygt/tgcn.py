@@ -5,17 +5,19 @@ the benchmark isolates the execution strategy.
 Everything after the three convolutions is the same tape node STGraph's
 TGCN uses (:class:`repro.nn.tgcn.TGCNGates`), so the non-graph part of a
 step keeps the same arrays on both sides and a memory or time difference
-between the frameworks is the graph part's."""
+between the frameworks is the graph part's.  An unrecorded step from the
+zero state skips ``conv_r`` through the same
+:func:`repro.nn.tgcn.tgcn_zero_state_gates` as STGraph's TGCN."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.baselines.pygt.gcn_conv import PyGGCNConv
-from repro.nn.tgcn import tgcn_gates
+from repro.nn.tgcn import tgcn_gates, tgcn_zero_state_gates
 from repro.tensor import functional as F
 from repro.tensor.nn import Linear, Module
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, is_grad_enabled
 
 __all__ = ["PyGTTGCN", "PyGTGConvGRU"]
 
@@ -67,8 +69,13 @@ class PyGTTGCN(Module):
         return F.zeros((num_nodes, self.out_features))
 
     def forward(self, x: Tensor, edge_index: np.ndarray, h: Tensor | None = None) -> Tensor:
-        """One recurrent step at one timestamp."""
+        """One recurrent step at one timestamp; unrecorded from the zero
+        state it runs ``conv_z`` and ``conv_h`` only, as
+        :meth:`repro.nn.TGCN.forward` does."""
         if h is None:
+            if not is_grad_enabled():
+                a_z = self.conv_z(x, edge_index)
+                return tgcn_zero_state_gates(a_z, self.conv_h(x, edge_index), self.lin_z, self.lin_h)
             h = self.initial_state(x.shape[0])
         a_z = self.conv_z(x, edge_index)
         a_r = self.conv_r(x, edge_index)

@@ -25,6 +25,14 @@ composition's (``tests/test_tgcn_gates.py`` checks this against
 The hidden state threads through the tensor-engine tape, so backward over a
 sequence is true BPTT; the graph aggregations inside each gate store their
 (pruned) state on the executor's State Stack per timestamp.
+
+An unrecorded step from the zero initial state (``no_grad`` and ``h is
+None``: every serving forward, the serial oracle, the first step of an
+evaluation roll) runs two convolutions, not three: at ``H = 0`` the reset
+gate only multiplies zeros, so ``conv_r`` and ``lin_r`` are dead and
+:func:`tgcn_zero_state_gates` computes ``z`` and ``h̃`` with the same gate
+code on ``[a ‖ 0]``, bit for bit the general step's output.  Training (grad
+enabled) and any given state always take the general step.
 """
 
 from __future__ import annotations
@@ -37,9 +45,27 @@ from repro.nn.gcn import GCNConv
 from repro.tensor import functional as F
 from repro.tensor.nn import Linear, Module
 from repro.tensor.ops import Function, _unbroadcast, stable_sigmoid
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, is_grad_enabled
 
-__all__ = ["TGCN", "TGCNGates", "tgcn_gates"]
+__all__ = ["TGCN", "TGCNGates", "TGCNZeroStateGates", "tgcn_gates", "tgcn_zero_state_gates"]
+
+
+def _update_gate(cat: np.ndarray, a_z: np.ndarray, w_z: np.ndarray, b_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``z = σ([a_z ‖ H] @ W_z + b_z)``; ``cat``'s right half already holds
+    ``H``.  Returns ``z`` and the pre-activation buffer the later gates reuse."""
+    cat[:, : a_z.shape[1]] = a_z
+    pre = cat @ w_z
+    pre += b_z
+    return stable_sigmoid(pre), pre
+
+
+def _candidate(cat: np.ndarray, a_h: np.ndarray, w_h: np.ndarray, b_h: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """``h̃ = tanh([a_h ‖ r·H] @ W_h + b_h)`` computed in ``pre``; ``cat``'s
+    right half already holds ``r·H``."""
+    cat[:, : a_h.shape[1]] = a_h
+    np.matmul(cat, w_h, out=pre)
+    pre += b_h
+    return np.tanh(pre, out=pre)
 
 
 class TGCNGates(Function):
@@ -60,20 +86,14 @@ class TGCNGates(Function):
     def forward(self, a_z, a_r, a_h, h, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
         f = h.shape[1]
         cat = np.empty((h.shape[0], 2 * f), dtype=h.dtype)
-        cat[:, :f] = a_z
         cat[:, f:] = h
-        pre = cat @ w_z
-        pre += b_z
-        z = stable_sigmoid(pre)
+        z, pre = _update_gate(cat, a_z, w_z, b_z)
         cat[:, :f] = a_r
         np.matmul(cat, w_r, out=pre)
         pre += b_r
         r = stable_sigmoid(pre)
-        cat[:, :f] = a_h
         np.multiply(r, h, out=cat[:, f:])
-        np.matmul(cat, w_h, out=pre)
-        pre += b_h
-        h_tilde = np.tanh(pre, out=pre)
+        h_tilde = _candidate(cat, a_h, w_h, b_h, pre)
         out = z * h
         keep = np.subtract(1.0, z, out=cat[:, :f])
         keep *= h_tilde
@@ -149,6 +169,34 @@ def tgcn_gates(
     )
 
 
+class TGCNZeroStateGates(Function):
+    """``H'`` of an unrecorded TGCN step from the zero state, without the reset gate.
+
+    Inputs ``a_z, a_h, W_z, b_z, W_h, b_h``.  At ``H = 0`` the reset gate only
+    multiplies zeros, so ``z`` and ``h̃`` are :class:`TGCNGates`'s float
+    operations on ``[a ‖ 0]`` and ``H' = (1−z)·h̃ + 0.0``; the ``+ 0.0`` is the
+    general path's ``z·0 + …`` and turns a ``-0.0`` product into ``+0.0`` as
+    it does.  Bit-identical to :class:`TGCNGates` on an explicit zero state
+    unless the reset gate's pre-activation holds a NaN (that path then
+    returns NaN rows, this one does not).  It has no backward: callers apply
+    it only under ``no_grad``.
+    """
+
+    def forward(self, a_z, a_h, w_z, b_z, w_h, b_h) -> np.ndarray:
+        cat = np.zeros((a_z.shape[0], 2 * a_z.shape[1]), dtype=np.float32)
+        z, pre = _update_gate(cat, a_z, w_z, b_z)
+        h_tilde = _candidate(cat, a_h, w_h, b_h, pre)
+        out = np.subtract(1.0, z, out=z)
+        out *= h_tilde
+        out += 0.0
+        return out
+
+
+def tgcn_zero_state_gates(a_z: Tensor, a_h: Tensor, lin_z: Linear, lin_h: Linear) -> Tensor:
+    """``H'`` from the update and candidate aggregations at ``H = 0`` (no grad)."""
+    return TGCNZeroStateGates.apply(a_z, a_h, lin_z.weight, lin_z.bias, lin_h.weight, lin_h.bias)
+
+
 class TGCN(Module):
     """The benchmark TGNN: one GCN per GRU gate (see module docstring)."""
     def __init__(self, in_features: int, out_features: int, add_self_loops: bool = True, **conv_kwargs) -> None:
@@ -167,8 +215,15 @@ class TGCN(Module):
         return F.zeros((num_nodes, self.out_features))
 
     def forward(self, executor: TemporalExecutor, x: Tensor, h: Tensor | None = None) -> Tensor:
-        """One recurrent step at the executor's current timestamp."""
+        """One recurrent step at the executor's current timestamp.
+
+        Unrecorded from the zero state (``no_grad``, ``h is None``) the step
+        runs ``conv_z`` and ``conv_h`` only: the reset gate multiplies zeros
+        (:func:`tgcn_zero_state_gates`)."""
         if h is None:
+            if not is_grad_enabled():
+                a_z = self.conv_z(executor, x)
+                return tgcn_zero_state_gates(a_z, self.conv_h(executor, x), self.lin_z, self.lin_h)
             h = self.initial_state(x.shape[0])
         a_z = self.conv_z(executor, x)
         a_r = self.conv_r(executor, x)

@@ -58,6 +58,20 @@ def stable_sigmoid(a: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(a, 0)) / (1 + np.exp(-np.abs(a)))
 
 
+def leaky_relu_array(a: np.ndarray, slope: float) -> np.ndarray:
+    """``a`` where ``a > 0``, else ``slope·a``.
+
+    For ``0 < slope <= 1`` that is ``maximum(slope·a, a)``, bit for bit the
+    select on all 2^32 float32 patterns (``maximum`` returns its first NaN
+    operand, the quieted ``slope·a`` the select picks) without the select's
+    cost; other slopes keep the select.  Shared by the tape op and the
+    generated kernels' ``ew_leaky_relu``.
+    """
+    if 0 < slope <= 1:
+        return np.maximum(slope * a, a)
+    return np.where(a > 0, a, slope * a)
+
+
 def _coerce(value: Any) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -291,9 +305,8 @@ class LeakyReLU(Function):
     """Leaky ReLU with configurable negative slope."""
     def forward(self, a: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
         self.slope = float(negative_slope)
-        mask = a > 0
-        self.save_for_backward(mask)
-        return np.where(mask, a, self.slope * a)
+        self.save_for_backward(a > 0)
+        return leaky_relu_array(a, self.slope)
 
     def backward(self, grad: np.ndarray):
         (mask,) = self.saved

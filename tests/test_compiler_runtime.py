@@ -189,6 +189,28 @@ def test_masks():
     assert rt.leaky_mask(x, slope=0.5).tolist() == [0.5, 0.5, 1.0]
 
 
+def _float32_patterns():
+    """Every 4099th float32 bit pattern, plus the first 4096 patterns up from
+    each signed zero, infinity (signalling NaNs) and quiet NaN."""
+    starts = np.array([0x00000000, 0x7F800000, 0x7FC00000], dtype=np.uint32)
+    edges = (starts[:, None] + np.arange(4096, dtype=np.uint32)).ravel()
+    edges = np.concatenate([edges, edges | np.uint32(0x80000000)])
+    return np.concatenate([np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32), edges]).view(np.float32)
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 1e-30, 0.0, -0.5, 3.0])
+def test_leaky_relu_and_mask_are_the_select_bit_for_bit(slope):
+    """The forward and the derivative mask return ``np.where``'s bits, NaN
+    payloads and signs of zero included, for slopes inside and outside the
+    ``(0, 1]`` range the forward's ``maximum`` form covers."""
+    with np.errstate(all="ignore"):
+        a = _float32_patterns()
+        select = np.where(a > 0, a, slope * a)
+        assert rt.ew_leaky_relu(a, slope).tobytes() == select.tobytes()
+        mask = np.where(a > 0, np.float32(1.0), np.float32(slope))
+        assert rt.leaky_mask(a, slope).tobytes() == mask.tobytes()
+
+
 def test_every_op_kind_resolves_to_a_runtime_primitive():
     """``OP_SCHEMAS`` is the one op table: every kind has its primitive
     (``ew`` one per elementwise name), and the verifier re-exports it."""
