@@ -32,7 +32,7 @@ def setup(rng):
 
 
 def _run(dtdg, feats, *, batching, invalidation=True, updates=(), clients=CLIENTS,
-         requests=6, update_wait=True):
+         requests=6):
     model = STGraphNodeRegressor(F, HIDDEN)
     engine = InferenceEngine(
         model, GPMAGraph(dtdg), feats,
@@ -44,7 +44,6 @@ def _run(dtdg, feats, *, batching, invalidation=True, updates=(), clients=CLIENT
             clients=clients,
             requests_per_client=requests,
             updates=list(updates),
-            update_wait=update_wait,
             seed=42,
             collect=False,
         ).run(timeout=300.0)
@@ -136,7 +135,7 @@ def test_bench_update_ingest(benchmark, setup):
         engine.query(0)
 
         def one_batch():
-            engine.ingest.apply_update(next(updates), wait=True)
+            engine.enqueue_update(next(updates), wait=True)
 
         # fixed rounds: the update stream is finite
         benchmark.pedantic(one_batch, rounds=100, iterations=1, warmup_rounds=5)

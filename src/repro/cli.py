@@ -577,7 +577,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"telemetry: {server.url} (/metrics /healthz /progress)")
         engine = InferenceEngine(
             model, graph, feats,
-            hops=args.hops, freshness=args.freshness,
+            hops=args.hops,
             batching=not args.no_batching,
             invalidation=not args.no_invalidation,
         )
@@ -589,7 +589,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     requests_per_client=args.requests,
                     kinds=("embedding", "prediction"),
                     updates=updates,
-                    update_wait=args.freshness == 0,
                     qps=args.qps,
                     seed=args.seed,
                     collect=args.verify,
@@ -630,7 +629,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "config": {
                     "dataset": args.dataset, "model": args.model,
                     "clients": args.clients, "requests_per_client": args.requests,
-                    "updates": args.updates, "freshness": args.freshness,
+                    "updates": args.updates,
                     "hops": args.hops, "batching": not args.no_batching,
                     "invalidation": not args.no_invalidation, "seed": args.seed,
                 },
@@ -744,9 +743,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="point queries per client")
     p_serve.add_argument("--updates", type=int, default=8,
                          help="GPMA update batches ingested during the run")
-    p_serve.add_argument("--freshness", type=int, default=0, metavar="K",
-                         help="staleness bound: serve while up to K ingested update "
-                              "batches are still pending (0 = always fully fresh)")
     p_serve.add_argument("--hops", type=int, default=1,
                          help="receptive-field hops for dirty-set invalidation "
                               "(match the model depth)")

@@ -99,6 +99,29 @@ class DTDG:
         """Number of snapshots."""
         return len(self._keys)
 
+    def check_update(self, update: EdgeUpdate) -> None:
+        """Raise ``ValueError`` unless ``update`` is a well-formed batch here.
+
+        Each side's source and destination ids are 1-D and of equal length
+        (unequal lengths would broadcast into edges nobody sent), and every
+        id is a vertex of this graph.
+        """
+        for side, src, dst in (
+            ("add", update.add_src, update.add_dst),
+            ("delete", update.del_src, update.del_dst),
+        ):
+            if np.ndim(src) != 1 or np.shape(src) != np.shape(dst):
+                raise ValueError(
+                    f"{side} src and dst must be 1-D and of equal length, got "
+                    f"shapes {np.shape(src)} and {np.shape(dst)}"
+                )
+            for ids in (src, dst):
+                a = np.asarray(ids)
+                if a.size and (a.min() < 0 or a.max() >= self.num_nodes):
+                    raise ValueError(
+                        f"update names vertex out of range [0, {self.num_nodes})"
+                    )
+
     def append_update(self, update: EdgeUpdate) -> int:
         """Append a live update batch as a new final snapshot (serving ingest).
 
@@ -112,12 +135,7 @@ class DTDG:
 
         Returns the new timestamp index.
         """
-        for arr in (update.add_src, update.add_dst, update.del_src, update.del_dst):
-            a = np.asarray(arr)
-            if a.size and (a.min() < 0 or a.max() >= self.num_nodes):
-                raise ValueError(
-                    f"update names vertex out of range [0, {self.num_nodes})"
-                )
+        self.check_update(update)
         prev = self._keys[-1]
         add = np.unique(encode_edges(
             np.asarray(update.add_src, dtype=np.int64),

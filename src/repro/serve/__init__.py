@@ -2,23 +2,27 @@
 
 Point queries ("embedding/prediction for vertex *v* at the latest time")
 are coalesced into batches and answered from one no-grad forward per
-snapshot version, reusing the executor's ProgramPlan and context store.  GPMA update batches land concurrently through
-:class:`UpdateIngest`, invalidating only the k-hop dirty neighborhood;
-the ``freshness`` knob bounds how many applied-but-unserved batches a
-response may lag behind.
+snapshot version, reusing the executor's ProgramPlan and context store.
+GPMA update batches land concurrently through
+:meth:`InferenceEngine.enqueue_update`, invalidating only the k-hop dirty
+neighborhood.  Serving is strictly fresh: every response reflects every
+update batch enqueued before it.
 
-See ``docs/SERVING.md`` for the architecture and staleness semantics.
+See ``docs/SERVING.md`` for the architecture and the consistency contract.
 """
 
 from repro.serve.engine import InferenceEngine, ServeResult, ServingModel
-from repro.serve.harness import ServingHarness, ServingReport, serial_reference
-from repro.serve.ingest import UpdateIngest, random_update_batches
+from repro.serve.harness import (
+    ServingHarness,
+    ServingReport,
+    random_update_batches,
+    serial_reference,
+)
 
 __all__ = [
     "InferenceEngine",
     "ServeResult",
     "ServingModel",
-    "UpdateIngest",
     "random_update_batches",
     "ServingHarness",
     "ServingReport",

@@ -2,7 +2,7 @@
 
 The :class:`InferenceEngine` answers point queries — "the embedding (or
 prediction) of vertex ``v`` at the latest time" — while update batches keep
-landing on the same graph.  Three ideas make that cheap on top of the
+landing on the same graph.  Two ideas make that cheap on top of the
 training machinery:
 
 * **Request coalescing.**  Point queries from concurrent clients are
@@ -18,16 +18,14 @@ training machinery:
   ``repro.graph.dirty``), so everything else keeps serving from cache with
   zero forwards — and stays *bitwise* equal to a fresh recompute at the new
   snapshot version.  One dirty set is kept per snapshot version.
-* **Bounded staleness.**  With ``freshness=k`` up to ``k`` ingested update
-  batches may stay pending while queries are served at the current version;
-  the ``k+1``-th forces a catch-up before the next batch is served.
-  ``freshness=0`` is strictly fresh — every query reflects all updates
-  ingested before it was dispatched.
 
-Every answer is equal to *some* serial order of queries and update batches
-consistent with snapshot versions (each result carries the version and
-timestamp it was served at); ``tests/test_serve_concurrency.py`` gates
-that property under the runtime lock sanitizer.
+Serving is strictly fresh: the dispatcher applies every queued update batch
+before it serves a query, so every response reflects every update batch
+enqueued before it (``wait=False`` included).  Every answer is equal to
+*some* serial order of queries and update batches consistent with snapshot
+versions (each result carries the version and timestamp it was served at);
+``tests/test_serve_concurrency.py`` gates that property under the runtime
+lock sanitizer.
 
 Every measured step is one record of the telemetry spine
 (:mod:`repro.obs.spine`), so a request's latency is attributable live from
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -55,7 +52,6 @@ from repro.graph.dirty import k_hop_neighborhood, touched_vertices
 from repro.graph.dtdg import EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
 from repro.obs.spine import emit, installed, span, use_installed
-from repro.serve.ingest import UpdateIngest
 from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["InferenceEngine", "ServeResult", "ServingModel"]
@@ -66,8 +62,6 @@ _JOIN_TIMEOUT = 30.0
 
 #: Dirty sets retained for diagnostics, keyed by snapshot version.
 _DIRTY_HISTORY = 32
-
-_PENDING_HELP = "Update batches ingested but not yet applied (staleness lag)."
 
 _KINDS = ("embedding", "prediction")
 
@@ -86,9 +80,7 @@ class ServeResult:
 
     ``version``/``timestamp`` identify the snapshot the answer reflects;
     ``served_from`` is ``"cache"`` (row cache, zero forwards) or
-    ``"forward"`` (this request's batch ran a compute); ``lag`` is how many
-    ingested update batches were still pending when the batch was served
-    (always ``<= freshness``).
+    ``"forward"`` (this request's batch ran a compute).
     """
 
     vertex: int
@@ -99,7 +91,6 @@ class ServeResult:
     served_from: str
     latency_s: float
     batch_size: int
-    lag: int
 
 
 class _Request:
@@ -107,7 +98,7 @@ class _Request:
 
     __slots__ = (
         "vertex", "kind", "enqueued", "ready", "value", "version", "timestamp",
-        "served_from", "batch_size", "lag",
+        "served_from", "batch_size",
     )
 
     def __init__(self, vertex: int, kind: str, enqueued: float) -> None:
@@ -120,7 +111,6 @@ class _Request:
         self.timestamp = -1
         self.served_from = ""
         self.batch_size = 0
-        self.lag = 0
 
 
 class InferenceEngine:
@@ -141,9 +131,6 @@ class InferenceEngine:
         Receptive field of ``model`` in aggregation hops — the k of the
         k-hop invalidation rule.  One GCN-style layer (TGCN with a fresh
         state) is 1.
-    freshness:
-        Bounded staleness: max ingested-but-unapplied update batches while
-        serving (0 = strictly fresh).
     batching:
         ``False`` ablates request coalescing *and* the row cache: every
         query dispatches its own forward (the naive per-query baseline).
@@ -160,18 +147,12 @@ class InferenceEngine:
         features: np.ndarray,
         *,
         hops: int = 1,
-        freshness: int = 0,
         batching: bool = True,
         invalidation: bool = True,
-        max_batch: int = 512,
         state: np.ndarray | None = None,
     ) -> None:
         if hops < 0:
             raise ValueError("hops must be >= 0")
-        if freshness < 0:
-            raise ValueError("freshness must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if features.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"features rows ({features.shape[0]}) != graph vertices "
@@ -180,10 +161,8 @@ class InferenceEngine:
         self.model = model
         self.graph = graph
         self.hops = int(hops)
-        self.freshness = int(freshness)
         self.batching = bool(batching)
         self.invalidation = bool(invalidation)
-        self.max_batch = int(max_batch)
         self._device = current_device()
         self._telemetry = installed()  # tracer / flight recorder for the dispatcher
         self._executor = TemporalExecutor(graph)
@@ -194,7 +173,7 @@ class InferenceEngine:
         # --- shared state, guarded by _cv -----------------------------
         self._cv = new_condition(name="InferenceEngine._cv")
         self._pending: list[_Request] = []
-        self._update_queue: deque[tuple[int, EdgeUpdate]] = deque()
+        self._update_queue: list[tuple[int, EdgeUpdate]] = []
         self._ingest_seq = 0
         self._applied_seq = 0
         self._applied_version = int(graph.snapshot_version)
@@ -215,11 +194,6 @@ class InferenceEngine:
         self.rows_invalidated = 0
         self.updates_applied = 0
         self.max_batch_observed = 0
-
-        # The one metric a site sets directly: a gauge is a level, not a record.
-        self._pending_gauge = self._device.metrics.gauge(
-            "repro_serve_pending_updates", _PENDING_HELP
-        ).labels()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -293,6 +267,8 @@ class InferenceEngine:
             while not req.ready:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0 or not self._cv.wait(timeout=remaining):
+                    if req in self._pending:  # not dispatched: nobody will read it
+                        self._pending.remove(req)
                     raise TimeoutError(
                         f"serve query for vertex {vertex} timed out after {timeout}s"
                     )
@@ -313,7 +289,6 @@ class InferenceEngine:
             served_from=req.served_from,
             latency_s=latency,
             batch_size=req.batch_size,
-            lag=req.lag,
         )
 
     def _raise_if_unserviceable_locked(self) -> None:
@@ -326,29 +301,26 @@ class InferenceEngine:
             )
 
     # ------------------------------------------------------------------
-    # Ingest side (driven by UpdateIngest)
+    # Ingest side
     # ------------------------------------------------------------------
-    @property
-    def ingest(self) -> UpdateIngest:
-        """A client-facing :class:`~repro.serve.ingest.UpdateIngest` handle."""
-        return UpdateIngest(self)
-
     def enqueue_update(
         self, update: EdgeUpdate, *, wait: bool = True, timeout: float = 30.0
     ) -> int:
         """Queue one update batch; optionally block until it is applied.
 
-        Returns the batch's ingest sequence number.  With ``wait=False`` the
-        batch is applied when the staleness bound forces it (or the queue
-        goes idle); :meth:`flush` awaits full application.
+        Thread-safe.  Returns the batch's ingest sequence number.  A
+        malformed batch (see :meth:`~repro.graph.dtdg.DTDG.check_update`)
+        raises ``ValueError`` here and is never queued.  With ``wait=False``
+        the call returns at once, and the batch is still applied before any
+        query enqueued after it is served; :meth:`flush` awaits application.
         """
+        self.graph.dtdg.check_update(update)
         deadline = time.perf_counter() + timeout
         with self._cv:
             self._raise_if_unserviceable_locked()
             self._ingest_seq += 1
             seq = self._ingest_seq
             self._update_queue.append((seq, update))
-            self._pending_gauge.set(float(len(self._update_queue)))
             self._cv.notify_all()
             if wait:
                 self._await_applied_locked(seq, deadline)
@@ -372,12 +344,6 @@ class InferenceEngine:
                 raise TimeoutError("update batch was not applied within timeout")
 
     @property
-    def pending_updates(self) -> int:
-        """Ingested update batches not yet applied (the staleness lag)."""
-        with self._cv:
-            return len(self._update_queue)
-
-    @property
     def latest_version(self) -> int:
         """Snapshot version of the last applied update (or the boot version)."""
         with self._cv:
@@ -399,33 +365,24 @@ class InferenceEngine:
     def _loop(self) -> None:
         while True:
             batch: list[_Request] = []
-            apply_now: list[tuple[int, EdgeUpdate]] = []
-            lag = 0
+            updates: list[tuple[int, EdgeUpdate]] = []
             with self._cv:
                 while not (self._pending or self._update_queue or self._stopping):
                     self._cv.wait(timeout=0.5)
                 if self._stopping and not self._pending and not self._update_queue:
                     return
-                # Catch up past the staleness bound before serving anything;
-                # otherwise prefer queries (stale-but-bounded serving) and
-                # apply updates opportunistically when no queries wait.
-                while len(self._update_queue) > self.freshness:
-                    apply_now.append(self._update_queue.popleft())
-                if not apply_now:
-                    if self._pending:
-                        take = len(self._pending) if self.batching else 1
-                        take = min(take, self.max_batch)
-                        batch = self._pending[:take]
-                        del self._pending[:take]
-                        lag = len(self._update_queue)
-                    elif self._update_queue:
-                        apply_now.append(self._update_queue.popleft())
-                if apply_now:
-                    self._pending_gauge.set(float(len(self._update_queue)))
-            for seq, update in apply_now:
+                # Every queued batch is applied before any query is served;
+                # batches that land meanwhile go first on the next pass.
+                if self._update_queue:
+                    updates, self._update_queue = self._update_queue, []
+                else:
+                    take = len(self._pending) if self.batching else 1
+                    batch = self._pending[:take]
+                    del self._pending[:take]
+            for seq, update in updates:
                 self._apply_update(seq, update)
             if batch:
-                self._serve_batch(batch, lag)
+                self._serve_batch(batch)
 
     def _apply_update(self, seq: int, update: EdgeUpdate) -> None:
         """Append + position + invalidate for one ingested batch."""
@@ -470,7 +427,7 @@ class InferenceEngine:
         self._valid[:] = True
         self.forwards += 1
 
-    def _serve_batch(self, batch: list[_Request], lag: int) -> None:
+    def _serve_batch(self, batch: list[_Request]) -> None:
         dispatched = time.perf_counter()
         for r in batch:
             emit("serve.queue_wait", seconds=dispatched - r.enqueued)
@@ -505,7 +462,6 @@ class InferenceEngine:
                 r.timestamp = timestamp
                 r.served_from = served_from
                 r.batch_size = size
-                r.lag = lag
             with self._cv:
                 for r in batch:
                     r.ready = True
@@ -534,8 +490,6 @@ class InferenceEngine:
             "updates_applied": self.updates_applied,
             "max_batch_observed": self.max_batch_observed,
             "latest_version": self.latest_version,
-            "pending_updates": self.pending_updates,
-            "freshness": self.freshness,
             "batching": int(self.batching),
             "invalidation": int(self.invalidation),
         }

@@ -4,7 +4,8 @@
 against an :class:`~repro.serve.engine.InferenceEngine` — each client
 issues its next query as soon as the previous answer returns (optionally
 paced to a target per-client QPS) while an updater thread lands update
-batches through :class:`~repro.serve.ingest.UpdateIngest`.  The run
+batches through :meth:`~repro.serve.engine.InferenceEngine.enqueue_update`,
+each applied before the next is sent.  The run
 produces a :class:`ServingReport` with client-observed p50/p99 latency and
 throughput, the engine's reuse counters, and (optionally) every
 :class:`~repro.serve.engine.ServeResult` for correctness checks.
@@ -14,6 +15,9 @@ the exact full-graph outputs a query-after-every-update serial execution
 would have produced — the oracle the serving CI smoke compares against
 bitwise (each served result must equal the reference at the version it
 reports).
+
+:func:`random_update_batches` generates the reproducible synthetic churn
+the harness, the CLI and the serving tests replay.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ import numpy as np
 from repro.core.executor import TemporalExecutor
 from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
+from repro.graph.labels import decode_edges, encode_edges
 from repro.serve.engine import InferenceEngine, ServeResult, ServingModel
 from repro.tensor.tensor import Tensor, no_grad
 
-__all__ = ["ServingHarness", "ServingReport", "serial_reference"]
+__all__ = ["ServingHarness", "ServingReport", "random_update_batches", "serial_reference"]
 
 
 @dataclass
@@ -78,9 +83,7 @@ class ServingHarness:
         vertices; kinds are chosen round-robin for determinism).
     updates:
         Update batches the updater thread applies, in order, interleaved
-        with query traffic.  ``update_wait`` selects blocking application
-        (strictly serializing each batch) vs fire-and-forget up to the
-        engine's freshness bound.
+        with query traffic; each call blocks until its batch is applied.
     qps:
         Optional per-client pacing (closed-loop with sleep); ``None`` runs
         at maximum rate.
@@ -97,8 +100,6 @@ class ServingHarness:
         requests_per_client: int = 32,
         kinds: Sequence[str] = ("embedding",),
         updates: Sequence[EdgeUpdate] = (),
-        update_wait: bool = True,
-        update_interval_s: float = 0.0,
         qps: float | None = None,
         seed: int = 0,
         collect: bool = True,
@@ -110,8 +111,6 @@ class ServingHarness:
         self.requests_per_client = int(requests_per_client)
         self.kinds = tuple(kinds)
         self.updates = list(updates)
-        self.update_wait = bool(update_wait)
-        self.update_interval_s = float(update_interval_s)
         self.qps = qps
         self.seed = int(seed)
         self.collect = bool(collect)
@@ -144,13 +143,8 @@ class ServingHarness:
 
         def updater() -> None:
             try:
-                ingest = self.engine.ingest
                 for update in self.updates:
-                    ingest.apply_update(
-                        update, wait=self.update_wait, timeout=timeout
-                    )
-                    if self.update_interval_s:
-                        time.sleep(self.update_interval_s)
+                    self.engine.enqueue_update(update, timeout=timeout)
             except BaseException as exc:  # noqa: BLE001 - reported after join
                 with errors_lock:
                     errors.append(exc)
@@ -219,3 +213,51 @@ def serial_reference(
             pred, h = model.step(executor, Tensor(x), st)
         out[int(t)] = (h.data.copy(), pred.data.copy())
     return out
+
+
+def random_update_batches(
+    dtdg: DTDG,
+    n_batches: int,
+    num_adds: int = 8,
+    num_deletes: int = 4,
+    seed: int = 0,
+) -> list[EdgeUpdate]:
+    """Reproducible synthetic update batches against ``dtdg``'s last snapshot.
+
+    Each batch deletes ``num_deletes`` existing edges and adds ``num_adds``
+    fresh ones (no self-loops), evolving a simulated edge set forward so
+    consecutive batches stay consistent — the same stream the harness and
+    the serving benchmarks replay.  The DTDG itself is not modified.
+    """
+    rng = np.random.default_rng(seed)
+    n = dtdg.num_nodes
+    src, dst = dtdg.snapshot_edges(dtdg.num_timestamps - 1)
+    keys = set(encode_edges(src, dst, n).tolist())
+    batches: list[EdgeUpdate] = []
+    for _ in range(n_batches):
+        existing = np.fromiter(keys, dtype=np.int64) if keys else np.empty(0, np.int64)
+        k_del = min(num_deletes, len(existing))
+        deletes = (
+            rng.choice(existing, size=k_del, replace=False)
+            if k_del
+            else np.empty(0, np.int64)
+        )
+        adds: set[int] = set()
+        guard = 0
+        while len(adds) < num_adds and guard < 50 * max(1, num_adds):
+            guard += 1
+            s = int(rng.integers(0, n))
+            d = int(rng.integers(0, n))
+            if s == d:
+                continue
+            key = s * n + d
+            if key in keys or key in adds:
+                continue
+            adds.add(key)
+        add_arr = np.array(sorted(adds), dtype=np.int64)
+        a_src, a_dst = decode_edges(add_arr, n)
+        d_src, d_dst = decode_edges(np.sort(deletes), n)
+        batches.append(EdgeUpdate(a_src, a_dst, d_src, d_dst))
+        keys -= set(deletes.tolist())
+        keys |= set(add_arr.tolist())
+    return batches

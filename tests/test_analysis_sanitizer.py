@@ -331,19 +331,29 @@ def _mutant(module_name: str, edits: list[tuple[str, str]]) -> types.ModuleType:
     return mutant
 
 
-#: ``_apply_update`` takes the pending gauge's lock around ``_cv``, the
-#: reverse of the ``_cv -> Gauge._lock`` order ``enqueue_update`` uses.
-_GAUGE_AROUND_CV = [(
-    "        with self._cv:\n"
-    "            self._applied_seq = seq\n"
-    "            self._applied_version = version\n"
-    "            self._cv.notify_all()\n",
-    "        with self._pending_gauge._lock:\n"
-    "            with self._cv:\n"
-    "                self._applied_seq = seq\n"
-    "                self._applied_version = version\n"
-    "                self._cv.notify_all()\n",
-)]
+#: A pending-updates gauge set under ``_cv`` in ``enqueue_update``
+#: (``_cv -> Gauge._lock``), and ``_apply_update`` taking the gauge's lock
+#: around ``_cv``: the two orders close a cycle.
+_GAUGE_AROUND_CV = [
+    ("from repro.analysis.sanitizer import new_condition\n",
+     "from repro.analysis.sanitizer import new_condition\n"
+     "from repro.obs.metrics import Gauge\n"),
+    ('        self._cv = new_condition(name="InferenceEngine._cv")\n',
+     '        self._cv = new_condition(name="InferenceEngine._cv")\n'
+     "        self._pending_gauge = Gauge()\n"),
+    ("            self._update_queue.append((seq, update))\n",
+     "            self._update_queue.append((seq, update))\n"
+     "            self._pending_gauge.set(float(len(self._update_queue)))\n"),
+    ("        with self._cv:\n"
+     "            self._applied_seq = seq\n"
+     "            self._applied_version = version\n"
+     "            self._cv.notify_all()\n",
+     "        with self._pending_gauge._lock:\n"
+     "            with self._cv:\n"
+     "                self._applied_seq = seq\n"
+     "                self._applied_version = version\n"
+     "                self._cv.notify_all()\n"),
+]
 
 #: ``flush`` serializes flushers with a second lock held across the ``_cv``
 #: wait inside its helper (the static lint reports it too).

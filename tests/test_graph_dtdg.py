@@ -92,6 +92,16 @@ def test_empty_dtdg_rejected():
         DTDG([], 5)
 
 
+def test_append_update_refuses_unequal_lengths():
+    """``add_src=[0, 1], add_dst=[2]`` must not broadcast into the edge
+    ``(1, 2)`` that nobody sent: the batch is refused, nothing appended."""
+    dtdg = DTDG([_snap((0, 1))], 3)
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="equal length"):
+        dtdg.append_update(EdgeUpdate(np.array([0, 1]), np.array([2]), empty, empty))
+    assert dtdg.num_timestamps == 1
+
+
 def test_identical_snapshots_no_updates():
     dtdg = DTDG([_snap((0, 1)), _snap((0, 1))], 2)
     assert dtdg.updates[1].num_changes == 0

@@ -5,8 +5,7 @@ batches on the same engine.  The property: every response must be
 bitwise-equal to *some* serial order of queries and updates consistent
 with snapshot versions — concretely, each response carries the timestamp
 it was served at, and must equal a fresh serial forward at exactly that
-timestamp.  Staleness must respect the ``freshness`` bound, and no
-dispatcher thread may leak.
+timestamp.  No dispatcher thread may leak.
 
 The engine's locks come from the sanitizer factories
 (``repro.analysis.sanitizer``), so under ``REPRO_TSAN=1`` the session
@@ -48,11 +47,10 @@ def setup(rng):
     return dtdg, feats, model
 
 
-@pytest.mark.parametrize("freshness", [0, 2])
-def test_concurrent_interleaving_matches_a_serial_order(setup, freshness):
+def test_concurrent_interleaving_matches_a_serial_order(setup):
     dtdg, feats, model = setup
-    updates = random_update_batches(dtdg, 6, seed=freshness + 1)
-    engine = InferenceEngine(model, GPMAGraph(dtdg), feats, freshness=freshness)
+    updates = random_update_batches(dtdg, 6, seed=1)
+    engine = InferenceEngine(model, GPMAGraph(dtdg), feats)
     with engine:
         harness = ServingHarness(
             engine,
@@ -60,8 +58,7 @@ def test_concurrent_interleaving_matches_a_serial_order(setup, freshness):
             requests_per_client=25,
             kinds=("embedding", "prediction"),
             updates=updates,
-            update_wait=freshness == 0,
-            seed=freshness,
+            seed=0,
             collect=True,
         )
         report = harness.run(timeout=90.0)
@@ -71,8 +68,6 @@ def test_concurrent_interleaving_matches_a_serial_order(setup, freshness):
     assert report.updates_applied == 6
     assert engine.latest_version == report.engine_stats["latest_version"]
 
-    # Staleness bound: no response lagged more than `freshness` pending batches.
-    assert all(r.lag <= freshness for r in report.results)
     # Versions are monotone in timestamps: a response at a later timestamp
     # never reports an older version.
     by_ts = sorted({(r.timestamp, r.version) for r in report.results})
@@ -97,13 +92,13 @@ def test_concurrent_interleaving_matches_a_serial_order(setup, freshness):
 def test_concurrent_ingest_is_serializable(setup):
     """Multiple ingest threads racing: all batches applied, versions settle."""
     dtdg, feats, model = setup
-    engine = InferenceEngine(model, GPMAGraph(dtdg), feats, freshness=3)
+    engine = InferenceEngine(model, GPMAGraph(dtdg), feats)
     streams = [random_update_batches(dtdg, 3, seed=s) for s in (10, 20)]
     with engine:
         threads = [
             threading.Thread(
                 target=lambda st=stream: [
-                    engine.ingest.apply_update(u, wait=False) for u in st
+                    engine.enqueue_update(u, wait=False) for u in st
                 ],
                 name=f"ingest-{i}",
             )
@@ -114,7 +109,6 @@ def test_concurrent_ingest_is_serializable(setup):
         for t in threads:
             t.join(timeout=60.0)
         engine.flush(timeout=60.0)
-        assert engine.pending_updates == 0
         stats = engine.stats()
         res = engine.query(0)
     assert stats["updates_applied"] == 6

@@ -7,14 +7,18 @@ end-to-end smoke in ``test_serve_harness.py``.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.graph import DTDG, GPMAGraph
+from repro.graph import DTDG, EdgeUpdate, GPMAGraph
 from repro.serve import InferenceEngine, random_update_batches, serial_reference
 from repro.train import STGraphNodeRegressor
 
 N, F, HIDDEN = 48, 8, 12
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @pytest.fixture
@@ -58,7 +62,6 @@ class TestQueryCorrectness:
         assert res.timestamp == 0
         assert res.version == eng.graph.snapshot_version
         assert res.served_from == "forward"
-        assert res.lag == 0
         assert res.latency_s > 0
 
     def test_query_validation(self, model, dtdg, feats):
@@ -114,7 +117,7 @@ class TestInvalidation:
         update = random_update_batches(dtdg, 1, seed=5)[0]
         with eng:
             eng.query(0)  # warm row cache at version 0
-            eng.ingest.apply_update(update)
+            eng.enqueue_update(update)
             version = eng.latest_version
             dirty = eng.dirty_vertices(version)
             assert dirty is not None and 0 < dirty.size < N
@@ -138,11 +141,11 @@ class TestInvalidation:
         eng = _engine(model, dtdg, feats, hops=1)
         update = random_update_batches(dtdg, 1, seed=5)[0]
         with eng:
-            eng.ingest.apply_update(update)
+            eng.enqueue_update(update)
             version = eng.latest_version
             dirty = eng.dirty_vertices(version).copy()
             assert 0 < dirty.size < N
-            eng.ingest.apply_update(update)
+            eng.enqueue_update(update)
             assert eng.latest_version == version
             assert np.array_equal(eng.dirty_vertices(version), dirty)
             assert eng.stats()["rows_invalidated"] == dirty.size
@@ -152,7 +155,7 @@ class TestInvalidation:
         update = random_update_batches(dtdg, 1, seed=5)[0]
         with eng:
             eng.query(0)
-            eng.ingest.apply_update(update)
+            eng.enqueue_update(update)
             res = eng.query(0)
             stats = eng.stats()
         assert res.served_from == "forward"
@@ -162,7 +165,7 @@ class TestInvalidation:
         eng = _engine(model, dtdg, feats)
         with eng:
             eng.query(0)
-            eng.ingest.apply(None, None)
+            eng.enqueue_update(EdgeUpdate(_EMPTY, _EMPTY, _EMPTY, _EMPTY))
             # A no-op boundary inherits the snapshot version (GPMA skips it).
             assert eng.latest_version == 0
             res = eng.query(0)
@@ -186,41 +189,46 @@ class TestBatchingAblation:
 
 class TestFreshness:
     def test_strictly_fresh_reflects_every_prior_update(self, model, dtdg, feats):
-        eng = _engine(model, dtdg, feats, freshness=0)
+        eng = _engine(model, dtdg, feats)
         updates = random_update_batches(dtdg, 3, seed=9)
         with eng:
             for i, update in enumerate(updates):
-                eng.ingest.apply_update(update, wait=True)
+                eng.enqueue_update(update, wait=True)
                 res = eng.query(1)
                 assert res.timestamp == i + 1
-                assert res.lag == 0
         ref = serial_reference(model, eng.graph.dtdg, feats, [3])
         assert eng.latest_version == 3
         with eng:
             assert np.array_equal(eng.query(1).value, ref[3][0][1])
 
     def test_flush_forces_full_application(self, model, dtdg, feats):
-        eng = _engine(model, dtdg, feats, freshness=4)
+        eng = _engine(model, dtdg, feats)
         updates = random_update_batches(dtdg, 3, seed=9)
         with eng:
             for update in updates:
-                eng.ingest.apply_update(update, wait=False)
+                eng.enqueue_update(update, wait=False)
             eng.flush()
-            assert eng.pending_updates == 0
             assert eng.latest_version == 3
             res = eng.query(0)
             assert res.timestamp == 3
 
-    def test_lag_never_exceeds_freshness(self, model, dtdg, feats):
-        eng = _engine(model, dtdg, feats, freshness=2)
+    def test_query_after_nonblocking_ingest_sees_the_batch(self, model, dtdg, feats):
+        """Within one thread, a query sent after ``enqueue_update(wait=False)``
+        returns is answered at a timestamp that includes that batch, bitwise
+        equal to the serial reference there."""
+        eng = _engine(model, dtdg, feats)
         updates = random_update_batches(dtdg, 6, seed=11)
         with eng:
             results = []
             for i, update in enumerate(updates):
-                eng.ingest.apply_update(update, wait=False)
-                results.append(eng.query(i % N))
-            eng.flush()
-        assert all(r.lag <= 2 for r in results)
+                eng.enqueue_update(update, wait=False)
+                results.append(eng.query(i % N, ("embedding", "prediction")[i % 2]))
+        assert [r.timestamp for r in results] == list(range(1, len(updates) + 1))
+        ref = serial_reference(model, eng.graph.dtdg, feats, [r.timestamp for r in results])
+        for r in results:
+            h, pred = ref[r.timestamp]
+            expect = (h if r.kind == "embedding" else pred)[r.vertex]
+            assert np.array_equal(r.value, expect)
 
 
 class TestLifecycle:
@@ -253,7 +261,58 @@ class TestLifecycle:
     def test_constructor_validation(self, model, dtdg, feats):
         with pytest.raises(ValueError):
             _engine(model, dtdg, feats, hops=-1)
-        with pytest.raises(ValueError):
-            _engine(model, dtdg, feats, freshness=-1)
-        with pytest.raises(ValueError):
-            _engine(model, dtdg, feats, max_batch=0)
+
+    def test_timed_out_query_leaves_the_queue(self, dtdg, feats):
+        """A query that times out while the dispatcher is busy is never
+        served: only the query that held the dispatcher counts."""
+        class Blocking:
+            def __init__(self, model):
+                self.model, self.entered, self.release = model, threading.Event(), threading.Event()
+
+            def step(self, executor, x, state):
+                self.entered.set()
+                assert self.release.wait(10.0)
+                return self.model.step(executor, x, state)
+
+        model = Blocking(STGraphNodeRegressor(F, HIDDEN))
+        eng = _engine(model, dtdg, feats)
+        with eng:
+            first = threading.Thread(target=eng.query, args=(0,))
+            first.start()
+            assert model.entered.wait(10.0)  # the dispatcher is inside the forward
+            with pytest.raises(TimeoutError):
+                eng.query(1, timeout=0.05)
+            model.release.set()
+            first.join(timeout=10.0)
+        assert not first.is_alive()
+        assert eng.stats()["queries_served"] == 1
+        assert eng.forwards == 1
+
+
+class TestMalformedUpdates:
+    """A malformed batch is refused on the caller's thread; serving goes on."""
+
+    @pytest.mark.parametrize("update", [
+        EdgeUpdate(np.array([0]), np.array([N]), _EMPTY, _EMPTY),
+        EdgeUpdate(_EMPTY, _EMPTY, np.array([-1]), np.array([2])),
+        EdgeUpdate(np.array([0, 1]), np.array([2]), _EMPTY, _EMPTY),
+        EdgeUpdate(_EMPTY, _EMPTY, np.array([3]), np.array([4, 5])),
+    ], ids=["add-out-of-range", "delete-negative", "add-unequal-lengths",
+            "delete-unequal-lengths"])
+    def test_rejected_and_serving_continues(self, model, dtdg, feats, update):
+        eng = _engine(model, dtdg, feats)
+        good = random_update_batches(dtdg, 1, seed=5)[0]
+        with eng:
+            before = eng.query(0)
+            with pytest.raises(ValueError):
+                eng.enqueue_update(update)
+            assert eng.latest_version == before.version
+            eng.enqueue_update(good)
+            after = eng.query(0)
+        eng.start()  # a refused batch leaves nothing that stops a restart
+        eng.stop()
+        assert eng.graph.dtdg.num_timestamps == 2
+        assert eng.stats()["updates_applied"] == 1
+        assert after.timestamp == 1
+        ref = serial_reference(model, eng.graph.dtdg, feats, [1])
+        assert np.array_equal(after.value, ref[1][0][0])

@@ -54,7 +54,7 @@ def _scrape(url: str) -> str:
 def test_serving_smoke_1k_queries(setup, fresh_device):
     dtdg, feats, model = setup
     updates = random_update_batches(dtdg, UPDATES, num_adds=10, num_deletes=5, seed=3)
-    engine = InferenceEngine(model, GPMAGraph(dtdg), feats, freshness=1)
+    engine = InferenceEngine(model, GPMAGraph(dtdg), feats)
     server = TelemetryServer(fresh_device)
     port = server.start()
     try:
@@ -65,7 +65,6 @@ def test_serving_smoke_1k_queries(setup, fresh_device):
                 requests_per_client=REQUESTS,
                 kinds=("embedding", "prediction"),
                 updates=updates,
-                update_wait=False,
                 seed=7,
                 collect=True,
             )
@@ -109,7 +108,6 @@ def test_serving_smoke_1k_queries(setup, fresh_device):
         inf_key = next((k for k in infs if set(labels.split(",")) <= set(k.split(","))), None)
         assert inf_key is not None, f"no +Inf bucket for {{{labels}}}"
         assert infs[inf_key] == count, f"+Inf != _count for {{{labels}}}"
-    assert "repro_serve_pending_updates" in text
     assert "repro_serve_batch_size" in text
 
     # 4. bitwise serial equivalence at every served timestamp
