@@ -47,9 +47,12 @@ def setup(rng):
     return dtdg, feats, model
 
 
-def test_concurrent_interleaving_matches_a_serial_order(setup):
+# Two independent traffic draws: the seed picks the update batches and the
+# client request streams, so each case runs a different interleaving.
+@pytest.mark.parametrize("seed", [0, 2])
+def test_concurrent_interleaving_matches_a_serial_order(setup, seed):
     dtdg, feats, model = setup
-    updates = random_update_batches(dtdg, 6, seed=1)
+    updates = random_update_batches(dtdg, 6, seed=seed + 1)
     engine = InferenceEngine(model, GPMAGraph(dtdg), feats)
     with engine:
         harness = ServingHarness(
@@ -58,7 +61,7 @@ def test_concurrent_interleaving_matches_a_serial_order(setup):
             requests_per_client=25,
             kinds=("embedding", "prediction"),
             updates=updates,
-            seed=0,
+            seed=seed,
             collect=True,
         )
         report = harness.run(timeout=90.0)
