@@ -87,9 +87,12 @@ def _best_seconds(fn, repeats: int = 7, calls: int = 50) -> float:
 
 
 @pytest.mark.parametrize("direction", ["in", "out"])
-def test_warm_spmm_launch_is_product_bound(ctx, rng, monkeypatch, direction):
-    """Gate: a warm unweighted ``spmm`` is the product plus the gather.
+def test_warm_spmm_launch_is_product_bound(graph, rng, monkeypatch, direction):
+    """Gate: a warm unweighted degree-ordered ``spmm`` is the product plus the
+    gather.
 
+    Timed on a ``sort_by_degree=True`` graph, the order with a permutation
+    to keep off the launch path (the default operator is the CSR as built).
     The bare side multiplies a row-permuted matrix built here, once, with
     plain SciPy and gathers the result back through the inverse permutation
     (also built once); the launch may cost at most
@@ -98,6 +101,8 @@ def test_warm_spmm_launch_is_product_bound(ctx, rng, monkeypatch, direction):
     Both sides run in this process on the same arrays, so runner speed
     cancels out.  A warm launch also constructs no matrix at all.
     """
+    g, edges = graph
+    ctx = GraphContext(StaticGraph(edges[0], edges[1], N, sort_by_degree=True))
     row, col, order = (
         (ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids)
         if direction == "in"

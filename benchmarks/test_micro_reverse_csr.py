@@ -61,17 +61,19 @@ def _best_seconds(fn, repeats: int = 7, calls: int = 20) -> float:
     return best / calls
 
 
-def test_snapshot_build_is_linear_gate():
+@pytest.mark.parametrize("sort_by_degree", [False, True])
+def test_snapshot_build_is_linear_gate(sort_by_degree):
     """Gate: a snapshot build is one compaction plus O(E + N) work.
 
     A PMA at the ``dtdg-update-bound`` shape (~100k ``src*N+dst`` keys over
-    24k vertices, 262 144 slots, density ~0.4).  The build must be >= 2x
-    faster than the frozen build it replaced (a second, gapped pass over
-    every slot and a stable argsort of the destinations), and cost at most
-    1.5x its own parts run bare: ``export_items``, the key decode, two
-    bincounts, two degree argsorts (N-length) and SciPy's CSR -> CSC
-    transpose.  All sides run in this process on the same PMA, so runner
-    speed cancels out.
+    24k vertices, 262 144 slots, density ~0.4), built in the default
+    identity order and in degree order.  The build must be >= 2x faster
+    than the frozen build it replaced (a second, gapped pass over every
+    slot and a stable argsort of the destinations), and cost at most 1.5x
+    its own parts run bare: ``export_items``, the key decode, two
+    bincounts, two degree argsorts (N-length; degree order only) and
+    SciPy's CSR -> CSC transpose.  All sides run in this process on the
+    same PMA, so runner speed cancels out.
     """
     rng = np.random.default_rng(0)
     n = 24_000
@@ -85,18 +87,20 @@ def test_snapshot_build_is_linear_gate():
         held, _ = pma.export_items()
         src, dst = decode_edges(held, n)
         out_deg, in_deg = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
-        np.argsort(-out_deg, kind="stable")
-        np.argsort(-in_deg, kind="stable")
+        if sort_by_degree:
+            np.argsort(-out_deg, kind="stable")
+            np.argsort(-in_deg, kind="stable")
         row = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(out_deg, out=row[1:])
         return csr_matrix((np.arange(len(held)), dst, row), shape=(n, n)).tocsc()
 
-    new = build_snapshot_arrays(pma, n, True, alloc)
-    ref = reference_build_snapshot_arrays(pma, n, True, alloc)
+    new = build_snapshot_arrays(pma, n, sort_by_degree, alloc)
+    ref = reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc)
     assert np.array_equal(new.fwd.col_indices, ref.fwd.col_indices)
+    assert np.array_equal(new.fwd.node_ids, ref.fwd.node_ids)
     assert np.array_equal(new.fwd.eids, parts().data)
-    t_new = _best_seconds(lambda: build_snapshot_arrays(pma, n, True, alloc))
-    t_ref = _best_seconds(lambda: reference_build_snapshot_arrays(pma, n, True, alloc))
+    t_new = _best_seconds(lambda: build_snapshot_arrays(pma, n, sort_by_degree, alloc))
+    t_ref = _best_seconds(lambda: reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc))
     t_parts = _best_seconds(parts)
     assert t_ref >= 2.0 * t_new, f"build is only {t_ref / t_new:.2f}x the frozen reference"
     assert t_new <= 1.5 * t_parts, f"build is {t_new / t_parts:.2f}x the sum of its parts"

@@ -19,7 +19,8 @@ def main() -> None:
     print(f"dataset: {dataset.summary_row()}")
 
     # 2. Build the STGraph graph object (pre-processes both CSR
-    #    orientations, shared edge labels, degree-sorted node ids).
+    #    orientations and shared edge labels; pass sort_by_degree=True
+    #    for Figure 3's degree-sorted node ids).
     graph = dataset.build_graph()
 
     # 3. Model: TGCN cell + linear head. The GCN gates inside TGCN are

@@ -114,7 +114,7 @@ def run_static_experiment(
     epochs: int = 5,
     warmup: int = 1,
     weight_seed: int = 42,
-    sort_by_degree: bool = True,
+    sort_by_degree: bool = False,
 ) -> RunResult:
     """One cell of Figure 5/6: ``system`` ∈ {"stgraph", "pygt"}."""
     from repro.train.models import PyGTNodeRegressor, STGraphNodeRegressor
@@ -164,7 +164,7 @@ def run_dynamic_experiment(
     warmup: int = 1,
     weight_seed: int = 42,
     samples_per_timestamp: int = 128,
-    sort_by_degree: bool = True,
+    sort_by_degree: bool = False,
     gpma_cache: bool = True,
     csr_cache: bool = True,
 ) -> RunResult:

@@ -7,12 +7,12 @@ SpMM streams over CSR without materializing an ``E×F`` message tensor, so
 peak memory is ``O(N·F + E)`` instead of the edge-parallel ``O(E·F)``.
 
 :class:`GraphContext` snapshots one graph's structural arrays (both CSR
-orientations, shared labels, degrees, degree-ordered node ids) for the
-kernels.  The forward-CSR *position order* is the canonical edge order for
-all edge-space buffers; label-indexed edge features are converted at bind
-time and the backward SpMM permutes weights into backward-CSR order through
-the shared labels — the concrete payoff of the paper's edge-labelling
-requirement.
+orientations, shared labels, degrees, node ids: degree-ordered when the
+graph asks for it) for the kernels.  The forward-CSR *position order* is
+the canonical edge order for all edge-space buffers; label-indexed edge
+features are converted at bind time and the backward SpMM permutes weights
+into backward-CSR order through the shared labels — the concrete payoff of
+the paper's edge-labelling requirement.
 
 What ``spmm`` multiplies by is structure too: a context keeps, per
 direction, one :class:`_AggregationOperator` (the CSR with its rows already

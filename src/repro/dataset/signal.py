@@ -51,7 +51,7 @@ class StaticTemporalDataset:
         """Directed edge density (drives the Figure 5/6 regimes)."""
         return edge_density(self.num_nodes, self.num_edges)
 
-    def build_graph(self, sort_by_degree: bool = True) -> StaticGraph:
+    def build_graph(self, sort_by_degree: bool = False) -> StaticGraph:
         """Construct the STGraph StaticGraph for training."""
         return StaticGraph(self.src, self.dst, self.num_nodes, sort_by_degree)
 
@@ -95,11 +95,11 @@ class DynamicTemporalDataset:
         """Columns per node feature matrix."""
         return self.features[0].shape[1]
 
-    def build_naive(self, sort_by_degree: bool = True) -> NaiveGraph:
+    def build_naive(self, sort_by_degree: bool = False) -> NaiveGraph:
         """Construct the snapshot-materializing NaiveGraph."""
         return NaiveGraph(self.dtdg, sort_by_degree)
 
-    def build_gpma(self, sort_by_degree: bool = True, enable_cache: bool = True) -> GPMAGraph:
+    def build_gpma(self, sort_by_degree: bool = False, enable_cache: bool = True) -> GPMAGraph:
         """Construct the on-demand GPMAGraph."""
         return GPMAGraph(self.dtdg, sort_by_degree, enable_cache)
 

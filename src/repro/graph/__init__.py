@@ -16,7 +16,7 @@ from repro.graph.gpma_graph import GPMAGraph
 from repro.graph.labels import canonical_edge_labels, decode_edges, encode_edges
 from repro.graph.naive import NaiveGraph
 from repro.graph.reverse import reverse_csr_arrays, reverse_gpma_literal, reverse_gpma_vectorized
-from repro.graph.sorting import degree_sorted_node_ids, processing_order
+from repro.graph.sorting import degree_sorted_node_ids
 from repro.graph.static import StaticGraph
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "reverse_gpma_literal",
     "reverse_gpma_vectorized",
     "degree_sorted_node_ids",
-    "processing_order",
 ]

@@ -49,7 +49,7 @@ class STGraphBase(abc.ABC):
     #: property on the DTDG-backed graphs, 0 forever on a static one.
     snapshot_version: int = 0
 
-    def __init__(self, num_nodes: int, sort_by_degree: bool = True) -> None:
+    def __init__(self, num_nodes: int, sort_by_degree: bool = False) -> None:
         self.num_nodes = int(num_nodes)
         self.sort_by_degree = bool(sort_by_degree)
         # Reuse accounting (each bump is also one event of the device totals).

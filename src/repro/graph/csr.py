@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.device import current_device
+from repro.graph.sorting import node_ids_for
 
 __all__ = ["CSR", "build_csr", "csr_from_edges", "edge_density"]
 
@@ -31,7 +32,8 @@ class CSR:
         ``(E,)`` int64 — shared edge labels (same label in both orientations).
     node_ids:
         ``(N,)`` int64 — vertices in descending-degree processing order
-        (paper Figure 3); identity order if degree sorting is disabled.
+        (paper Figure 3) when the graph asks for it; identity order by
+        default.
     """
 
     row_offset: np.ndarray
@@ -83,7 +85,7 @@ def build_csr(
     col: np.ndarray,
     eids: np.ndarray,
     num_nodes: int,
-    sort_by_degree: bool = True,
+    sort_by_degree: bool = False,
     track_tag: str = "csr",
 ) -> CSR:
     """Build a CSR keyed on ``row`` (vectorized, device-tracked).
@@ -101,12 +103,7 @@ def build_csr(
     np.cumsum(counts, out=row_offset[1:])
     col_sorted = alloc.adopt(np.ascontiguousarray(col[order]), tag=f"{track_tag}.col_indices")
     eid_sorted = alloc.adopt(np.ascontiguousarray(eids[order]), tag=f"{track_tag}.eids")
-    if sort_by_degree:
-        # Descending degree, stable on vertex id for determinism (Figure 3).
-        node_ids = np.argsort(-counts, kind="stable").astype(np.int64)
-    else:
-        node_ids = np.arange(num_nodes, dtype=np.int64)
-    node_ids = alloc.adopt(node_ids, tag=f"{track_tag}.node_ids")
+    node_ids = alloc.adopt(node_ids_for(counts, sort_by_degree), tag=f"{track_tag}.node_ids")
     return CSR(row_offset, col_sorted, eid_sorted, node_ids, num_nodes)
 
 
@@ -114,7 +111,7 @@ def csr_from_edges(
     src: np.ndarray,
     dst: np.ndarray,
     num_nodes: int,
-    sort_by_degree: bool = True,
+    sort_by_degree: bool = False,
 ) -> tuple[CSR, CSR]:
     """Build the (backward, forward) CSR pair with shared edge labels.
 

@@ -65,7 +65,8 @@ def k_hop_neighborhood(
 
     Vectorized frontier expansion: per round, all frontier neighbor lists
     are gathered with one ``repeat``/``arange`` slice-concatenation — no
-    per-vertex Python loop.
+    per-vertex Python loop — and the next frontier is read off a boolean
+    scratch mask with ``flatnonzero``, so no round sorts.
     """
     mask = np.zeros(int(num_nodes), dtype=bool)
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -77,7 +78,8 @@ def k_hop_neighborhood(
             f"[{seeds.min()}, {seeds.max()}]"
         )
     mask[seeds] = True
-    frontier = np.unique(seeds)
+    frontier = np.flatnonzero(mask)
+    fresh_mask = np.zeros_like(mask)
     for _ in range(int(hops)):
         starts = row_offset[frontier]
         counts = row_offset[frontier + 1] - starts
@@ -88,9 +90,11 @@ def k_hop_neighborhood(
         offsets = np.repeat(np.cumsum(counts) - counts, counts)
         gather = np.repeat(starts, counts) + (np.arange(total, dtype=np.int64) - offsets)
         neigh = col_indices[gather]
-        fresh = np.unique(neigh[~mask[neigh]])
+        fresh_mask[neigh[~mask[neigh]]] = True
+        fresh = np.flatnonzero(fresh_mask)
         if fresh.size == 0:
             break
         mask[fresh] = True
+        fresh_mask[fresh] = False
         frontier = fresh
     return mask

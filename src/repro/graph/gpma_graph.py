@@ -64,7 +64,7 @@ class GPMAGraph(STGraphBase):
     def __init__(
         self,
         dtdg: DTDG,
-        sort_by_degree: bool = True,
+        sort_by_degree: bool = False,
         enable_cache: bool = True,
     ) -> None:
         self.dtdg = dtdg

@@ -42,7 +42,7 @@ class NaiveGraph(STGraphBase):
     """DTDG with every snapshot pre-materialized (fast access, heavy memory)."""
     graph_type = "naive"
 
-    def __init__(self, dtdg: DTDG, sort_by_degree: bool = True) -> None:
+    def __init__(self, dtdg: DTDG, sort_by_degree: bool = False) -> None:
         super().__init__(dtdg.num_nodes, sort_by_degree)
         self.dtdg = dtdg
         alloc = current_device().alloc

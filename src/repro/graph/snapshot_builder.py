@@ -26,6 +26,7 @@ import numpy as np
 from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
 from repro.graph.labels import decode_edges, encode_edges
+from repro.graph.sorting import node_ids_for
 from repro.pma import PackedMemoryArray, SPACE_KEY
 
 __all__ = [
@@ -115,21 +116,13 @@ def build_snapshot_arrays(
     np.cumsum(out_deg, out=bwd_row[1:])
     bwd_col = alloc.adopt(dst, tag="gpma.bwd.col")
     bwd_eid = alloc.adopt(labels, tag="gpma.bwd.eid")
-    bwd_ids = (
-        np.argsort(-out_deg, kind="stable").astype(np.int64)
-        if sort_by_degree
-        else np.arange(num_nodes, dtype=np.int64)
-    )
+    bwd_ids = node_ids_for(out_deg, sort_by_degree)
     bwd = CSR(bwd_row, bwd_col, bwd_eid, alloc.adopt(bwd_ids, tag="gpma.bwd.ids"))
 
     # Forward (reverse) CSR: Algorithm 3's counting sort over that compact
     # out-CSR (the gaps were dropped once, by export_items).
     f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, dst, labels, num_nodes)
-    fwd_ids = (
-        np.argsort(-in_deg, kind="stable").astype(np.int64)
-        if sort_by_degree
-        else np.arange(num_nodes, dtype=np.int64)
-    )
+    fwd_ids = node_ids_for(in_deg, sort_by_degree)
     fwd = CSR(
         alloc.adopt(f_row, tag="gpma.fwd.row"),
         alloc.adopt(f_col, tag="gpma.fwd.col"),

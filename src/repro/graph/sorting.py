@@ -5,15 +5,16 @@ every timestamp's feature matrix, so STGraph instead keeps an auxiliary
 ``node_ids`` array: vertex ids in descending degree order, defining the
 order in which kernels *process* nodes without touching the CSR itself.
 On the GPU this lets high-degree vertices start first and overlap with many
-low-degree ones; on the simulated device it determines the gather order of
-the segmented reduction and is benchmarked by the degree-sort ablation.
+low-degree ones.  On the simulated device a row permutation changes neither
+a result bit nor a schedule, so the order is opt-in (``sort_by_degree=True``
+on a graph) and the default ``node_ids`` is the identity: no sort per build.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["degree_sorted_node_ids", "processing_order"]
+__all__ = ["degree_sorted_node_ids", "node_ids_for"]
 
 
 def degree_sorted_node_ids(degrees: np.ndarray) -> np.ndarray:
@@ -25,8 +26,8 @@ def degree_sorted_node_ids(degrees: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(degrees, dtype=np.int64), kind="stable").astype(np.int64)
 
 
-def processing_order(node_ids: np.ndarray, enabled: bool = True) -> np.ndarray:
-    """The order kernels should walk vertices in (identity when disabled)."""
-    if enabled:
-        return node_ids
-    return np.arange(len(node_ids), dtype=np.int64)
+def node_ids_for(degrees: np.ndarray, sort_by_degree: bool) -> np.ndarray:
+    """A CSR's ``node_ids``: the Figure 3 order when asked for, else ``arange``."""
+    if sort_by_degree:
+        return degree_sorted_node_ids(degrees)
+    return np.arange(len(degrees), dtype=np.int64)

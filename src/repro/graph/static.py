@@ -27,7 +27,7 @@ class StaticGraph(STGraphBase):
         src: np.ndarray,
         dst: np.ndarray,
         num_nodes: int,
-        sort_by_degree: bool = True,
+        sort_by_degree: bool = False,
     ) -> None:
         super().__init__(num_nodes, sort_by_degree)
         src = np.asarray(src, dtype=np.int64)
@@ -44,7 +44,7 @@ class StaticGraph(STGraphBase):
         )
 
     @classmethod
-    def from_networkx(cls, graph, sort_by_degree: bool = True) -> "StaticGraph":
+    def from_networkx(cls, graph, sort_by_degree: bool = False) -> "StaticGraph":
         """Build from a ``networkx`` directed graph with integer node ids."""
         edges = np.asarray(list(graph.edges()), dtype=np.int64)
         if len(edges) == 0:

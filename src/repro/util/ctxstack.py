@@ -31,19 +31,21 @@ __all__ = ["ContextStack"]
 T = TypeVar("T")
 
 
+class _Local(threading.local):
+    """Per-thread state whose ``stack`` exists on every thread from its
+    first access, so :meth:`ContextStack.current` never takes the
+    ``AttributeError`` path of a thread that never entered a block."""
+
+    def __init__(self) -> None:
+        self.stack: list = []
+
+
 class ContextStack(Generic[T]):
     """A thread-local stack of "currently active" objects over one default."""
 
     def __init__(self, default: T) -> None:
         self._default = default
-        self._local = threading.local()
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        self._local = _Local()
 
     @property
     def default(self) -> T:
@@ -56,23 +58,23 @@ class ContextStack(Generic[T]):
 
     def current(self) -> T:
         """The calling thread's innermost active object (default if none)."""
-        stack = getattr(self._local, "stack", None)
+        stack = self._local.stack
         if stack:
             return stack[-1]
         return self._default
 
     def push(self, value: T) -> None:
         """Low-level push; prefer :meth:`use`."""
-        self._stack().append(value)
+        self._local.stack.append(value)
 
     def pop(self) -> T:
         """Low-level pop; prefer :meth:`use`."""
-        return self._stack().pop()
+        return self._local.stack.pop()
 
     @contextlib.contextmanager
     def use(self, value: T) -> Iterator[T]:
         """Run a block with ``value`` active on the calling thread."""
-        stack = self._stack()
+        stack = self._local.stack
         stack.append(value)
         try:
             yield value

@@ -14,7 +14,7 @@ from repro.graph import StaticGraph
 @pytest.fixture
 def ctx(rng):
     g = nx.gnp_random_graph(20, 0.25, seed=17, directed=True)
-    return GraphContext(StaticGraph.from_networkx(g)), g
+    return GraphContext(StaticGraph.from_networkx(g, sort_by_degree=True)), g
 
 
 def test_context_structural_arrays(ctx):

@@ -14,7 +14,6 @@ from repro.graph import (
     degree_sorted_node_ids,
     edge_density,
     encode_edges,
-    processing_order,
 )
 
 
@@ -49,12 +48,6 @@ def test_degree_sort_disabled_identity():
 def test_degree_sorted_node_ids_stable_ties():
     assert degree_sorted_node_ids(np.array([2, 2, 3, 0])).tolist() == [2, 0, 1, 3]
     assert degree_sorted_node_ids(np.array([1, 1, 1])).tolist() == [0, 1, 2]
-
-
-def test_processing_order_flag():
-    ids = np.array([2, 0, 1])
-    assert processing_order(ids, True).tolist() == [2, 0, 1]
-    assert processing_order(ids, False).tolist() == [0, 1, 2]
 
 
 def test_csr_from_edges_label_sharing():

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graph import DTDG, EdgeUpdate, k_hop_neighborhood, touched_vertices
+from repro.graph import DTDG, EdgeUpdate, build_csr, k_hop_neighborhood, touched_vertices
 from repro.graph.labels import encode_edges
 
 
@@ -64,6 +65,47 @@ class TestKHopNeighborhood:
             k_hop_neighborhood(row_offset, col_indices, [n], 1, n)
         with pytest.raises(ValueError):
             k_hop_neighborhood(row_offset, col_indices, [-1], 1, n)
+
+
+@st.composite
+def _digraph_and_seeds(draw):
+    """A random digraph (duplicate edges and self-loops allowed) and seeds
+    that are empty, repeated or random."""
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    seeds = draw(
+        st.one_of(
+            st.just([]),
+            vertex.map(lambda v: [v] * 3),
+            st.lists(vertex, max_size=2 * n),
+        )
+    )
+    return n, edges, seeds
+
+
+def _bfs_reference(n, edges, seeds, hops):
+    """Set-based BFS over out-edges: seeds plus everything within ``hops``."""
+    out = {u: set() for u in range(n)}
+    for u, v in edges:
+        out[u].add(v)
+    reached, frontier = set(seeds), set(seeds)
+    for _ in range(hops):
+        frontier = {v for u in frontier for v in out[u]} - reached
+        reached |= frontier
+    return reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_digraph_and_seeds(), hops=st.integers(0, 3))
+def test_k_hop_matches_set_bfs(case, hops):
+    n, edges, seeds = case
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    csr = build_csr(src, dst, np.arange(len(edges)), n)
+    mask = k_hop_neighborhood(csr.row_offset, csr.col_indices, np.array(seeds, dtype=np.int64), hops, n)
+    assert mask.dtype == bool and mask.shape == (n,)
+    assert set(np.flatnonzero(mask).tolist()) == _bfs_reference(n, edges, seeds, hops)
 
 
 class TestAppendUpdate:
