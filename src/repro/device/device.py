@@ -14,7 +14,6 @@ from typing import Iterator
 
 from repro.device.allocator import DeviceAllocator, MemoryTracker
 from repro.device.kernel import KernelLauncher
-from repro.obs.metrics import MetricRegistry
 from repro.obs.spine import LiveTotals
 from repro.util.ctxstack import ContextStack
 
@@ -40,7 +39,6 @@ class Device:
         self.tracker = MemoryTracker()
         self.alloc = DeviceAllocator(self.tracker)
         self.totals = LiveTotals()  # what span() / emit() record while this device is current
-        self.metrics = MetricRegistry()
         self.launcher = KernelLauncher()
         self.memory_limit_bytes = memory_limit_bytes
 
@@ -56,12 +54,10 @@ class Device:
         """No-op on the simulated device; kept for API parity with CUDA."""
 
     def reset(self) -> None:
-        """Clear totals, kernel counters, and live metrics; memory accounting
-        is preserved (live arrays are still live).  The metric registry is
-        zeroed *in place* so the children the spine caches survive."""
+        """Clear totals (latency histograms included) and kernel counters;
+        memory accounting is preserved (live arrays are still live)."""
         self.totals.reset()
         self.launcher.clear()
-        self.metrics.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

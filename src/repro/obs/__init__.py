@@ -5,13 +5,13 @@ The subsystem's parts (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.spine` — the one module instrumented sites call:
   ``span(site, **attrs)`` / ``emit(site, n, **attrs)``, the site table, the
   per-thread open-interval stack, and the always-on device totals
-  (:class:`LiveTotals` / :class:`Totals`) that Figure 9, ``/metrics`` and
-  the run manifest read.
+  (:class:`LiveTotals` / :class:`Totals`, latency histogram rows included)
+  that Figure 9, ``/metrics`` and the run manifest read.
 * :mod:`repro.obs.tracer` — the :class:`Tracer` event buffer a run installs
   with :func:`use_tracer`; spans carry allocator bytes and counter deltas.
 * :mod:`repro.obs.metrics` — the labeled :class:`MetricRegistry` with
-  streaming log-bucket latency :class:`Histogram` s (p50/p95/p99); one
-  lives on every device as ``device.metrics``.
+  log-bucket latency :class:`Histogram` s (p50/p95/p99) that a scrape
+  renders the totals through.
 * :mod:`repro.obs.server` — the opt-in stdlib HTTP telemetry server
   (``/metrics``, ``/healthz``, ``/progress``) for live scrapes mid-run.
 * :mod:`repro.obs.flight` — the bounded :class:`FlightRecorder` ring

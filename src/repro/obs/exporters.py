@@ -8,10 +8,10 @@ Three formats for three audiences:
   flame-chart inspection of one run.
 * :func:`write_jsonl` — one JSON object per event, for ``jq``-style diffing
   of traces across PRs.
-* :func:`prometheus_text` — a text-format dump of the run's metric registry
-  (the device totals per phase, counter, site and category, allocator
-  residency/peaks incl. per-tag, the live histograms), for scraping or
-  snapshotting next to ``BENCH_*.json``.
+* :func:`prometheus_text` — a text-format dump of the device totals (per
+  phase, counter, site and category, the latency histograms) and the
+  allocator's residency/peaks incl. per-tag, for scraping or snapshotting
+  next to ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import json
 import os
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import Histogram, MetricRegistry
+from repro.obs.spine import SITES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.device import Device
@@ -113,10 +114,9 @@ def snapshot_registry(device: "Device") -> MetricRegistry:
     """A throwaway registry holding everything a scrape should expose.
 
     One read of the device totals (phase and category self seconds, event
-    counters, the ``device.kernel_launch`` site) and the allocator's
-    residency are snapshotted into fresh families in their historical order
-    and names, then the device's *live* registry (``device.metrics`` — the
-    latency histograms) is merged in.  Both the post-hoc dump and the live
+    counters, the ``device.kernel_launch`` site, the latency histogram rows)
+    and the allocator's residency are snapshotted into fresh families in
+    their historical order and names.  Both the post-hoc dump and the live
     ``/metrics`` endpoint render the result through
     :meth:`MetricRegistry.render`, so there is exactly one code path
     deciding names, labels, and escaping.
@@ -155,7 +155,12 @@ def snapshot_registry(device: "Device") -> MetricRegistry:
                       "Span self time (duration minus children) per category.")
     for cat, seconds in sorted(totals.cat_seconds.items()):
         fam.labels(cat=cat).inc(seconds)
-    reg.merge(device.metrics)
+    for (name, values), (counts, total) in sorted(totals.histograms.items()):
+        site = SITES[name]
+        assert site.hist is not None
+        child = reg.histogram(site.hist, site.help, site.buckets).labels(**dict(zip(site.labels, values)))
+        assert isinstance(child, Histogram)
+        child.set(counts, total)
     return reg
 
 
@@ -163,9 +168,8 @@ def prometheus_text(device: "Device") -> str:
     """Prometheus text-format dump of the device's metric registry.
 
     Covers the device totals (phase and category self seconds, event
-    counters, kernel-launch totals), the allocator's current/peak residency
-    (global and per tag) and the device's live
-    :class:`~repro.obs.metrics.MetricRegistry` (latency histograms etc.).
+    counters, kernel-launch totals, latency histograms) and the allocator's
+    current/peak residency (global and per tag).
     The live ``/metrics`` telemetry endpoint serves this exact function, so
     post-hoc dumps and scrapes cannot drift.
     """

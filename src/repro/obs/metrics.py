@@ -1,31 +1,27 @@
-"""Labeled metric registry with streaming latency histograms.
+"""Labeled metric families and their Prometheus text rendering.
 
-The device totals (:mod:`repro.obs.spine`) answer "how much in all"; this
-module is the registry a scrape endpoint reads mid-run and the latency
-*distributions* (p50/p95/p99) that totals cannot express:
+The device totals (:mod:`repro.obs.spine`) record everything, latency
+histogram rows included; this module is how one read of them is rendered:
 
 * :class:`Counter` / :class:`Gauge` — labeled scalar families.
-* :class:`Histogram` — fixed log-bucket streaming histograms with
-  Prometheus cumulative-bucket semantics (``_bucket{le=...}`` including
-  ``+Inf``, ``_sum``, ``_count``), quantile estimation by linear
-  interpolation inside the winning bucket, and :meth:`Histogram.merge` so
-  per-worker instances can be combined.
+* :class:`Histogram` — fixed log-bucket histograms with Prometheus
+  cumulative-bucket semantics (``_bucket{le=...}`` including ``+Inf``,
+  ``_sum``, ``_count``) and quantile estimation by linear interpolation
+  inside the winning bucket.
 * :class:`MetricRegistry` — thread-safe, insertion-ordered family
-  registry; one lives on every :class:`~repro.device.device.Device` as
-  ``device.metrics``, and the Prometheus exporter renders both the legacy
-  totals and these live families through the single code path
-  :meth:`MetricRegistry.render` — so the post-hoc dump and the live
-  ``/metrics`` scrape can never drift.
+  registry.  The exporter builds a throwaway one per scrape, so the
+  post-hoc dump and the live ``/metrics`` scrape render through the single
+  code path :meth:`MetricRegistry.render` and can never drift.
 
 Everything here is stdlib-only and safe to call from worker threads: each
-child holds its own lock, and observation is O(log buckets) (a bisect into
-precomputed bounds).
+child holds its own lock.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterator
 
 from repro.analysis.sanitizer import new_lock
@@ -64,8 +60,10 @@ DEFAULT_BUCKETS = log_buckets()
 
 
 def _fmt(value: float) -> str:
-    """Prometheus sample-value formatting (matches the legacy ``{v:g}``)."""
-    return f"{value:g}"
+    """Prometheus sample value: integral values as bare integers (``0``, not
+    ``0.0``), others at full round-trip precision."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 _LabelKey = tuple[tuple[str, str], ...]
@@ -120,73 +118,53 @@ class Histogram:
     """Fixed-bucket streaming histogram (one labeled child of a family).
 
     ``bounds`` are *upper* bucket bounds; an observation lands in the first
-    bucket whose bound is >= the value, or in the implicit ``+Inf`` bucket.
-    Rendering is cumulative per Prometheus semantics, so the ``+Inf``
-    bucket always equals ``_count``.
+    bucket whose bound is >= the value, or in the implicit ``+Inf`` bucket
+    (the last of ``counts``).  ``count`` is the sum of the bucket counts and
+    rendering is cumulative per Prometheus semantics, so the ``+Inf`` bucket
+    always equals ``_count``.
     """
 
-    __slots__ = ("_lock", "bounds", "counts", "inf_count", "sum", "count")
+    __slots__ = ("_lock", "bounds", "counts", "sum")
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ValueError("histogram bounds must be non-empty and strictly increasing")
         self._lock = new_lock("Histogram._lock")
         self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * len(bounds)
-        self.inf_count = 0
+        self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
-        self.count = 0
+
+    @property
+    def count(self) -> int:
+        """Observations: the sum of the bucket counts."""
+        return sum(self.counts)
 
     def observe(self, value: float) -> None:
         """Record one observation (thread-safe, O(log buckets))."""
         value = float(value)
         idx = bisect_left(self.bounds, value)
         with self._lock:
-            if idx < len(self.counts):
-                self.counts[idx] += 1
-            else:
-                self.inf_count += 1
+            self.counts[idx] += 1
             self.sum += value
-            self.count += 1
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram (same bounds)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bucket bounds")
-        with other._lock:
-            counts = list(other.counts)
-            inf_count, total, seconds = other.inf_count, other.count, other.sum
+    def set(self, counts: list[int], total: float) -> None:
+        """Replace the state with per-bucket ``counts`` (``+Inf`` last) and
+        their ``total``: how a scrape renders rows the spine recorded."""
         with self._lock:
-            for i, c in enumerate(counts):
-                self.counts[i] += c
-            self.inf_count += inf_count
-            self.count += total
-            self.sum += seconds
+            self.counts = list(counts)
+            self.sum = total
 
     def cumulative(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ending with ``(inf, count)``."""
         return self.snapshot()[0]
 
     def snapshot(self) -> tuple[list[tuple[float, int]], float, int]:
-        """``(cumulative, sum, count)`` captured under one lock.
-
-        Renderers must use this instead of reading ``cumulative()`` and
-        ``count`` separately: a concurrent ``observe`` between the two
-        reads would make the scraped ``+Inf`` bucket disagree with
-        ``_count``.
-        """
+        """``(cumulative, sum, count)`` captured under one lock."""
         with self._lock:
             counts = list(self.counts)
-            inf_count = self.inf_count
-            total = self.count
             seconds = self.sum
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, c in zip(self.bounds, counts):
-            running += c
-            out.append((bound, running))
-        out.append((math.inf, running + inf_count))
-        return out, seconds, total
+        cumulative = list(zip((*self.bounds, math.inf), accumulate(counts)))
+        return cumulative, seconds, cumulative[-1][1]
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets.
@@ -200,8 +178,7 @@ class Histogram:
             raise ValueError("quantile requires 0 <= q <= 1")
         with self._lock:
             counts = list(self.counts)
-            inf_count = self.inf_count
-            total = self.count
+        total = sum(counts)
         if total == 0:
             return math.nan
         rank = q * total
@@ -214,14 +191,7 @@ class Histogram:
             running += c
             prev_bound = bound
         # Rank falls in +Inf: clamp to the last finite bound.
-        return self.bounds[-1] if inf_count else prev_bound
-
-    def reset(self) -> None:
-        with self._lock:
-            self.counts = [0] * len(self.bounds)
-            self.inf_count = 0
-            self.sum = 0.0
-            self.count = 0
+        return self.bounds[-1] if counts[-1] else prev_bound
 
 
 class MetricFamily:
@@ -239,12 +209,7 @@ class MetricFamily:
         self._children: dict[_LabelKey, Counter | Gauge | Histogram] = {}
 
     def labels(self, **labels: str) -> Counter | Gauge | Histogram:
-        """The child for this label set (created on first use).
-
-        The spine caches the returned child per site and thread —
-        ``labels()`` takes the family lock, the child's own methods only
-        its child lock.
-        """
+        """The child for this label set (created on first use)."""
         key = _label_key(labels)
         child = self._children.get(key)
         if child is None:
@@ -282,25 +247,9 @@ class MetricFamily:
                 lines.append(f"{self.name}{_label_str(key)} {_fmt(child.value)}")
         return lines
 
-    def reset(self) -> None:
-        """Zero every child in place (cached child references stay live)."""
-        with self._lock:
-            children = list(self._children.values())
-        for child in children:
-            if isinstance(child, Histogram):
-                child.reset()
-            else:
-                with child._lock:
-                    child.value = 0.0
-
 
 class MetricRegistry:
-    """Thread-safe, insertion-ordered registry of metric families.
-
-    One registry lives on every device (``device.metrics``); the exporter
-    additionally builds throwaway snapshot registries to render the legacy
-    totals through the same code path.
-    """
+    """Thread-safe, insertion-ordered registry of metric families."""
 
     def __init__(self) -> None:
         self._lock = new_lock("MetricRegistry._lock")
@@ -350,39 +299,9 @@ class MetricRegistry:
     def __iter__(self) -> Iterator[MetricFamily]:
         return iter(self.families())
 
-    def merge(self, other: "MetricRegistry") -> None:
-        """Fold every family/child of ``other`` into this registry.
-
-        Counters add, gauges overwrite, histograms merge bucket-wise; the
-        exporter uses this to combine the legacy-totals snapshot with the
-        device's live families into one rendered document.
-        """
-        for fam in other.families():
-            mine = self._family(fam.name, fam.kind, fam.help_text, fam.buckets)
-            for key, child in fam.child_items():
-                target = mine.labels(**dict(key))
-                if fam.kind == "counter":
-                    assert isinstance(target, Counter) and isinstance(child, Counter)
-                    target.inc(child.value)
-                elif fam.kind == "gauge":
-                    assert isinstance(target, Gauge) and isinstance(child, Gauge)
-                    target.set(child.value)
-                else:
-                    assert isinstance(target, Histogram) and isinstance(child, Histogram)
-                    target.merge(child)
-
     def render(self) -> str:
         """The whole registry in Prometheus text exposition format."""
         lines: list[str] = []
         for fam in self.families():
             lines.extend(fam.render_lines())
         return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        """Zero every child in place.
-
-        Families and children survive so the children the spine caches
-        per site keep recording into the registry after ``Device.reset()``.
-        """
-        for fam in self.families():
-            fam.reset()

@@ -97,7 +97,7 @@ class TelemetryServer:
     Parameters
     ----------
     device:
-        The device whose metric registry backs ``/metrics``.  Passed
+        The device whose totals back ``/metrics``.  Passed
         explicitly (not via ``current_device()``) because HTTP handler
         threads never have the training thread's context installed.
     port:

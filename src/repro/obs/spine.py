@@ -1,4 +1,4 @@
-"""The telemetry spine: one record per instrumented site, four fixed views.
+"""The telemetry spine: one record per instrumented site, three fixed views.
 
 The paper argues through one breakdown (Figure 9: GNN processing vs graph
 update), and live, post-hoc and at-failure views of it can only agree if
@@ -9,20 +9,20 @@ one per-thread **open-interval stack** (a span's *self* time is its duration
 minus its children's), the one ``perf_counter`` pair per interval, and the
 **site table** :data:`SITES`.
 
-Four projections are derived from each record, and only these four (there
-is no sink registry: a fifth view is a change to this module):
+Three projections are derived from each record, and only these three (there
+is no sink registry: a fourth view is a change to this module):
 
 1. the current device's **totals** (:class:`LiveTotals`, always on): self
-   seconds per category, calls + inclusive seconds per site, event counters.
+   seconds per category, calls + inclusive seconds per site, event counters
+   and the latency **histogram** rows of the sites whose row names one.
    Each thread writes its own cell and cells are summed on read, so the
-   default path takes no lock.  Figure 9, ``repro_phase_seconds_total`` and
-   the run manifest all read this one attribution.
-2. the latency **histograms** in ``device.metrics`` (always on);
-3. the event buffer of a :class:`~repro.obs.tracer.Tracer` installed with
+   default path takes no lock.  Figure 9, ``/metrics`` and the run manifest
+   all read this one attribution.
+2. the event buffer of a :class:`~repro.obs.tracer.Tracer` installed with
    :func:`use_tracer`: spans also carry allocator bytes (``mem_bytes`` /
    ``mem_delta_bytes``) and the counters that moved on this thread over the
    span (``d_<counter>``);
-4. the ring of a :class:`~repro.obs.flight.FlightRecorder` installed with
+3. the ring of a :class:`~repro.obs.flight.FlightRecorder` installed with
    :func:`use_flight_recorder`; sites on failure edges also drain it.
 
 Installation is per thread; a worker is handed the starting thread's sinks
@@ -35,6 +35,7 @@ interval is open discards that interval with the accounting it belonged to.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -42,7 +43,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from repro.analysis.sanitizer import new_lock
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.tracer import SpanEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,6 +167,9 @@ SITES: dict[str, Site] = {site.name: site for site in _TABLE}
 # KeyError), for the sites whose histogram is labelled
 _LABEL_VALUES = {site.name: itemgetter(*site.labels) for site in _TABLE if site.labels}
 
+# site name -> the upper bucket bounds of its histogram
+_BOUNDS = {site.name: site.buckets or DEFAULT_BUCKETS for site in _TABLE if site.hist}
+
 #: The categories Figure 9 and ``repro_phase_seconds_total`` report: one-time
 #: compilation, GNN kernel execution, dynamic-graph updates, preprocessing.
 PHASES = ("compile", "gnn", "graph_update", "preprocess")
@@ -191,6 +195,9 @@ class Totals:
     site_totals: dict[str, tuple[int, float]] = field(default_factory=dict)
     #: event counter -> occurrences
     event_counts: dict[str, int] = field(default_factory=dict)
+    #: (site, label values as str) -> (count per bucket, ``+Inf`` last; sum)
+    histograms: dict[tuple[str, tuple[str, ...]], tuple[list[int], float]] = field(
+        default_factory=dict)
 
     def seconds(self, cat: str) -> float:
         """Self seconds of a category (0 if never entered)."""
@@ -228,7 +235,27 @@ class _Cell:
         self.seconds: dict[str, float] = {}
         self.sites: dict[str, tuple[int, float]] = {}
         self.counters: dict[str, int] = {}
-        self.hists: dict[Any, Histogram] = {}
+        # histogram rows: site name, or (site, label values) on a labelled
+        # site -> [count per bucket..., +Inf count, sum]
+        self.hists: dict[Any, list[Any]] = {}
+
+    def observe(self, site: str, key: Any, value: float) -> None:
+        """Add ``value`` to the histogram row ``key`` of ``site``."""
+        hists = self.hists
+        row = hists.get(key)
+        bounds = _BOUNDS[site]
+        if row is None:
+            row = hists[key] = [0] * (len(bounds) + 1) + [0.0]
+        row[bisect_left(bounds, value)] += 1
+        row[-1] += value
+
+
+def _row_key(key: Any) -> tuple[str, tuple[str, ...]]:
+    """A cell's histogram key as ``(site, label values as str)``."""
+    if isinstance(key, str):
+        return key, ()
+    site, values = key
+    return site, tuple(map(str, values if len(SITES[site].labels) > 1 else (values,)))
 
 
 class LiveTotals:
@@ -260,6 +287,7 @@ class LiveTotals:
         seconds: dict[str, float] = {}
         sites: dict[str, tuple[int, float]] = {}
         counters: dict[str, int] = {}
+        hists: dict[tuple[str, tuple[str, ...]], list[Any]] = {}
         for cell in cells:
             for cat, own in dict(cell.seconds).items():
                 seconds[cat] = seconds.get(cat, 0.0) + own
@@ -268,7 +296,12 @@ class LiveTotals:
                 sites[name] = (have[0] + calls, have[1] + total)
             for name, n in dict(cell.counters).items():
                 counters[name] = counters.get(name, 0) + n
-        return Totals(seconds, sites, counters)
+            for key, row in dict(cell.hists).items():
+                key = _row_key(key)
+                have = hists.get(key)
+                hists[key] = list(row) if have is None else [a + b for a, b in zip(have, row)]
+        histograms = {key: (row[:-1], row[-1]) for key, row in hists.items()}
+        return Totals(seconds, sites, counters, histograms)
 
     def reset(self) -> None:
         """Zero every cell; intervals open across the reset are discarded."""
@@ -323,23 +356,6 @@ def _target(state: _Thread) -> tuple["Device", _Cell]:
     return device, state.cell
 
 
-def _hist_key(site: Site, attrs: dict[str, Any]) -> Any:
-    """Cache key of the site's histogram child for a record's label values."""
-    return (site.name, _LABEL_VALUES[site.name](attrs)) if site.labels else site.name
-
-
-def _histogram(cell: _Cell, device: "Device", site: Site, key: Any, attrs: dict[str, Any]) -> Histogram:
-    """The site's labelled histogram child, cached in the thread's cell."""
-    child = cell.hists.get(key)
-    if child is None:
-        assert site.hist is not None
-        family = device.metrics.histogram(site.hist, site.help, site.buckets)
-        labelled = family.labels(**{label: str(attrs[label]) for label in site.labels})
-        assert isinstance(labelled, Histogram)
-        child = cell.hists[key] = labelled
-    return child
-
-
 def _to_flight(recorder: "FlightRecorder", site: Site, attrs: dict[str, Any]) -> None:
     if site.flight is not None:
         recorder.record(site.flight, site.name, **attrs)
@@ -364,7 +380,7 @@ class span:  # noqa: N801 - reads as a function at the call site
         row = self.site = SITES[site]
         self.attrs = attrs
         # label values are read here: a missing one fails at the call site, not at close
-        self.key = _hist_key(row, attrs)
+        self.key = (site, _LABEL_VALUES[site](attrs)) if row.labels else site
         self.child = 0.0
 
     def __enter__(self) -> dict[str, Any]:
@@ -398,7 +414,7 @@ class span:  # noqa: N801 - reads as a function at the call site
             calls, total = cell.sites.get(site.name, _NO_CALLS)
             cell.sites[site.name] = (calls + 1, total + dur)
             if site.hist is not None:
-                _histogram(cell, self.device, site, self.key, attrs).observe(dur)
+                cell.observe(site.name, self.key, dur)
         if state.recorder is not None:
             _to_flight(state.recorder, site, attrs)
         tracer = self.tracer
@@ -420,13 +436,14 @@ def emit(site: str, n: int = 1, **attrs: Any) -> None:
     """Record ``n`` occurrences of the event ``site``."""
     row = SITES[site]
     state = _state()
-    device, cell = _target(state)
+    cell = _target(state)[1]
     calls, total = cell.sites.get(site, _NO_CALLS)
     cell.sites[site] = (calls + n, total)
     if row.counter is not None:
         cell.counters[row.counter] = cell.counters.get(row.counter, 0) + n
     if row.hist is not None:
-        _histogram(cell, device, row, _hist_key(row, attrs), attrs).observe(attrs[row.value])
+        key = (site, _LABEL_VALUES[site](attrs)) if row.labels else site
+        cell.observe(site, key, attrs[row.value])
     if n != 1:
         attrs["n"] = n
     if state.recorder is not None:
@@ -445,7 +462,7 @@ def open_span_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Installing projections 3 and 4 on a thread
+# Installing projections 2 and 3 on a thread
 # ---------------------------------------------------------------------------
 def installed() -> tuple["Tracer | None", "FlightRecorder | None"]:
     """The (tracer, flight recorder) installed on the calling thread, each

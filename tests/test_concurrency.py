@@ -9,12 +9,13 @@ a full ``train()`` on a GPMA graph starts no thread of its own.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.compiler.plan import PlanCache
 from repro.dataset import load_sx_mathoverflow
 from repro.device import Device, use_device
-from repro.obs import Tracer, emit, open_span_count, span, use_tracer
+from repro.obs import Tracer, emit, open_span_count, snapshot_registry, span, use_tracer
 from repro.tensor import init
 from repro.train import STGraphLinkPredictor, STGraphTrainer, make_link_prediction_samples
 
@@ -131,10 +132,13 @@ def test_worker_thread_spans_never_corrupt_main_stack():
 
 
 def test_tracer_aggregates_exact_under_concurrent_spans():
-    """Per-site call counts stay exact when many threads record at once."""
+    """Per-site call counts stay exact when many threads record at once,
+    and a scrape racing them never shows a torn histogram."""
     device = Device(name="hammer")
     n_threads, n_spans = 8, 100
-    barrier = threading.Barrier(n_threads)
+    barrier = threading.Barrier(n_threads + 1)
+    done = threading.Event()
+    scraped: list[tuple[int, int]] = []  # (+Inf bucket, _count) per scrape
 
     def worker():
         with use_device(device):
@@ -143,15 +147,39 @@ def test_tracer_aggregates_exact_under_concurrent_spans():
                 with span("device.kernel_launch", tier="python"):
                     pass
 
+    def scraper():  # scrapes while the writers run, then once after
+        barrier.wait()
+        while True:
+            last = done.is_set()
+            family = snapshot_registry(device).get("repro_kernel_launch_seconds")
+            if family is not None:
+                cumulative, _, count = family.labels(tier="python").snapshot()
+                scraped.append((cumulative[-1][1], count))
+            if last:
+                return
+
     threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    reader = threading.Thread(target=scraper)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in (reader, *threads):
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        done.set()
+        reader.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive() and not any(t.is_alive() for t in threads)
     assert device.totals.read().calls("device.kernel_launch") == n_threads * n_spans
-    # ...and the labelled histogram child shared by the threads agrees.
-    child = device.metrics.get("repro_kernel_launch_seconds").labels(tier="python")
+    # ...and the threads' histogram rows, summed on read, agree; a scrape
+    # that raced the writers still shows +Inf == _count, never going back.
+    child = snapshot_registry(device).get("repro_kernel_launch_seconds").labels(tier="python")
     assert child.count == n_threads * n_spans
+    assert all(inf == count for inf, count in scraped)
+    counts = [count for _, count in scraped]
+    assert counts == sorted(counts) and counts[-1] == child.count
 
 
 def test_profiler_counters_exact_under_concurrent_counts():

@@ -8,16 +8,23 @@ open interval — now hold for the telemetry spine's always-on totals
 
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
 
-from repro.obs import COUNTERS, emit, span
+from repro.obs import COUNTERS, emit, prometheus_text, span
 
 # Real rows of the site table, picked for their categories.
 OUTER = "train.epoch"  # cat train
 INNER = "core.engine_forward"  # cat gnn
 SIBLING = "core.begin_timestamp"  # cat graph_update
+LAUNCH = "device.kernel_launch"  # cat gnn, feeds a histogram labelled by tier=
+
+
+def _scraped_observations(device) -> int:
+    """Observations of every histogram family in the device's scrape."""
+    return sum(map(int, re.findall(r"^\w+_count(?:\{[^}]*\})? (\d+)$", prometheus_text(device), re.M)))
 
 
 def test_single_phase_accumulates(fresh_device):
@@ -74,10 +81,14 @@ def test_breakdown_sums_to_one(fresh_device):
 def test_reset(fresh_device):
     with span(INNER):
         pass
+    with span(LAUNCH, tier="python"):
+        pass
+    assert _scraped_observations(fresh_device) == 1
     fresh_device.reset()
     totals = fresh_device.totals.read()
     assert totals.seconds("gnn") == 0.0
     assert totals.cat_seconds == {} and totals.site_totals == {}
+    assert totals.histograms == {} and _scraped_observations(fresh_device) == 0
 
 
 def test_exception_inside_phase_still_recorded(fresh_device):
@@ -132,11 +143,13 @@ def test_reset_inside_open_phase_does_not_crash(fresh_device):
     """Regression: reset() while an interval is still open used to leave the
     context's exit popping an empty stack (IndexError)."""
     with span(OUTER):
-        with span(INNER):
-            fresh_device.totals.reset()
+        with span(LAUNCH, tier="python"):
+            with span(INNER):
+                fresh_device.totals.reset()
     # The discarded intervals are dropped, not recorded.
     totals = fresh_device.totals.read()
     assert totals.calls(INNER) == 0 and totals.calls(OUTER) == 0
+    assert totals.calls(LAUNCH) == 0 and _scraped_observations(fresh_device) == 0
     # The totals are fully usable afterwards.
     with span(SIBLING):
         pass

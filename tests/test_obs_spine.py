@@ -1,9 +1,10 @@
-"""The telemetry spine: one record, four projections that cannot disagree.
+"""The telemetry spine: one record, three projections that cannot disagree.
 
 * per-thread state is registered by object, so a reused thread ident never
   overwrites a dead thread's ring or shares its Chrome lane;
 * the always-on device totals equal the aggregates recomputed from an
-  installed tracer's events (calls exactly, seconds to 1e-9);
+  installed tracer's events (calls exactly, seconds to 1e-9), and the
+  scraped histograms equal the totals;
 * the Prometheus families and label keys are the parent commit's, plus the
   two serving histograms that make a request attributable from ``/metrics``;
 * ``docs/OBSERVABILITY.md``'s site table is the site table.
@@ -27,6 +28,7 @@ from repro.obs import (
     emit,
     installed,
     prometheus_text,
+    snapshot_registry,
     span,
     use_flight_recorder,
     use_installed,
@@ -207,7 +209,7 @@ def test_request_latency_is_attributable_from_metrics(traced_run):
     """Every request has one queue-wait observation, every served batch one
     row-read, and the parts stay inside the whole."""
     device, _ = traced_run
-    metrics = device.metrics
+    metrics = snapshot_registry(device)
 
     def children(name):
         return [child for _, child in metrics.get(name).child_items()]
@@ -219,6 +221,27 @@ def test_request_latency_is_attributable_from_metrics(traced_run):
     assert sum(c.count for c in requests) == queue_wait.count == 4
     assert row_read.count == batches.count
     assert queue_wait.sum + row_read.sum <= sum(c.sum for c in requests)
+
+
+def test_histogram_counts_and_sums_are_the_site_totals(traced_run):
+    """Every interval site with a histogram: its children's ``_count`` in
+    the scrape sum to the site's calls, their ``_sum`` to its inclusive
+    seconds."""
+    device, tracer = traced_run
+    text = prometheus_text(device)
+    totals = device.totals.read()
+
+    def scraped(series):
+        return [float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+                if re.match(rf"{series}(\{{|\s)", line)]
+
+    checked = {e.name for e in tracer.span_events() if SITES[e.name].hist}
+    for name in checked:
+        calls, seconds = totals.site_totals[name]
+        hist = SITES[name].hist
+        assert sum(scraped(f"{hist}_count")) == calls, name
+        assert sum(scraped(f"{hist}_sum")) == pytest.approx(seconds, abs=1e-9), name
+    assert {"train.timestamp", "device.kernel_launch", "serve.forward"} <= checked
 
 
 # ---------------------------------------------------------------------------
