@@ -3,9 +3,9 @@
 Mathematically identical to :class:`repro.nn.GCNConv` (symmetric
 normalization with self-loops), but executed the PyG way: self-loop edges
 appended to the edge list, per-edge norms materialized, and propagation via
-gather/scatter.  The per-snapshot ``(edge_index, norm)`` preparation is
-cached, mirroring PyG's ``cached=False`` default recomputation cost for
-changing graphs and cached behaviour for static ones.
+gather/scatter.  The ``(edge_index, norm)`` preparation runs on every
+call, as PyG's default ``cached=False`` does, so a static graph pays it per
+step just as a changing one does.
 """
 
 from __future__ import annotations
@@ -50,29 +50,18 @@ class PyGGCNConv(MessagePassing):
         out_features: int,
         bias: bool = True,
         add_self_loops: bool = True,
-        cached: bool = False,
     ) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.add_self_loops = add_self_loops
-        self.cached = cached
         self.weight = Parameter(init.glorot_uniform((in_features, out_features)))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
-        self._cache: tuple[int, np.ndarray, np.ndarray] | None = None
-
-    def _norm(self, edge_index: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.cached and self._cache is not None and self._cache[0] == id(edge_index):
-            return self._cache[1], self._cache[2]
-        ei, norm = gcn_norm_coo(edge_index, num_nodes, self.add_self_loops)
-        if self.cached:
-            self._cache = (id(edge_index), ei, norm)
-        return ei, norm
 
     def forward(self, x: Tensor, edge_index: np.ndarray) -> Tensor:
-        """Normalize (cached when enabled), project, and propagate edge-parallel."""
+        """Normalize, project, and propagate edge-parallel."""
         num_nodes = x.shape[0]
-        ei, norm = self._norm(edge_index, num_nodes)
+        ei, norm = gcn_norm_coo(edge_index, num_nodes, self.add_self_loops)
         h = F.matmul(x, self.weight)
         out = self.propagate(ei, h, edge_weight=norm, num_nodes=num_nodes)
         if self.bias is not None:

@@ -53,15 +53,15 @@ class PyGTGConvGRU(Module):
 
 class PyGTTGCN(Module):
     """PyG-T's TGCN: identical gate math to repro.nn.TGCN on edge-parallel convs."""
-    def __init__(self, in_features: int, out_features: int, add_self_loops: bool = True, cached: bool = False) -> None:
+    def __init__(self, in_features: int, out_features: int, add_self_loops: bool = True) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.conv_z = PyGGCNConv(in_features, out_features, add_self_loops=add_self_loops, cached=cached)
+        self.conv_z = PyGGCNConv(in_features, out_features, add_self_loops=add_self_loops)
         self.lin_z = Linear(2 * out_features, out_features)
-        self.conv_r = PyGGCNConv(in_features, out_features, add_self_loops=add_self_loops, cached=cached)
+        self.conv_r = PyGGCNConv(in_features, out_features, add_self_loops=add_self_loops)
         self.lin_r = Linear(2 * out_features, out_features)
-        self.conv_h = PyGGCNConv(in_features, out_features, add_self_loops=add_self_loops, cached=cached)
+        self.conv_h = PyGGCNConv(in_features, out_features, add_self_loops=add_self_loops)
         self.lin_h = Linear(2 * out_features, out_features)
 
     def initial_state(self, num_nodes: int) -> Tensor:

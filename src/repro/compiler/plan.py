@@ -30,8 +30,8 @@ before codegen: stage-algebra, SSA, gradient-completeness, ``F_b ⊆ F_f``
 State-Stack safety, and write-hazard checks.  Errors raise
 :class:`~repro.compiler.diagnostics.VerifyError`; warnings ride on the plan
 (``plan.lint``), surface as ``verify`` instant events on an active tracer,
-and are totalled in run manifests.  ``REPRO_VERIFY=0`` or
-:func:`~repro.compiler.verify.set_verification` is the escape hatch.
+and are totalled in run manifests.  The escape hatch is
+:func:`~repro.compiler.verify.set_verification`.
 """
 
 from __future__ import annotations

@@ -28,13 +28,12 @@ gradients rather than errors.  This module makes them loud:
   so it is rejected.
 
 The full suite runs automatically when a :class:`ProgramPlan` is built
-(:func:`verification_enabled` is the escape hatch; ``REPRO_VERIFY=0``
-disables it process-wide) and on demand via ``repro lint``.
+(:func:`set_verification` / :func:`verification_disabled` turn it off
+process-wide) and on demand via ``repro lint``.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -67,11 +66,11 @@ _DIRECTIONS = {"in", "out"}
 # ---------------------------------------------------------------------------
 # Escape hatch
 # ---------------------------------------------------------------------------
-_enabled = os.environ.get("REPRO_VERIFY", "1").strip().lower() not in ("0", "false", "off")
+_enabled = True
 
 
 def verification_enabled() -> bool:
-    """Whether plan builds run the verifier (default on; ``REPRO_VERIFY=0``)."""
+    """Whether plan builds run the verifier (default on)."""
     return _enabled
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, Iterable
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.obs.metrics import Histogram, MetricRegistry
 from repro.obs.spine import SITES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,7 +32,6 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "prometheus_text",
-    "snapshot_registry",
     "write_prometheus",
 ]
 
@@ -110,70 +109,89 @@ def write_jsonl(events: "Iterable[SpanEvent]", path: str) -> str:
     return path
 
 
-def snapshot_registry(device: "Device") -> MetricRegistry:
-    """A throwaway registry holding everything a scrape should expose.
+def prom_escape(value: str) -> str:
+    """Escape a label value per the Prometheus text exposition format."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
-    One read of the device totals (phase and category self seconds, event
-    counters, the ``device.kernel_launch`` site, the latency histogram rows)
-    and the allocator's residency are snapshotted into fresh families in
-    their historical order and names.  Both the post-hoc dump and the live
-    ``/metrics`` endpoint render the result through
-    :meth:`MetricRegistry.render`, so there is exactly one code path
-    deciding names, labels, and escaping.
-    """
-    reg = MetricRegistry()
-    totals = device.totals.read()
-    phases = reg.counter(
-        "repro_phase_seconds_total", "Accumulated wall seconds per profiler phase.")
-    for name, seconds in totals.phase_seconds().items():
-        phases.labels(phase=name).inc(seconds)
-    events = reg.counter(
-        "repro_events_total", "Accumulated event counts (cache reuse etc.).")
-    for name, count in totals.counters().items():
-        events.labels(event=name).inc(float(count))
-    tracker = device.tracker
-    reg.gauge("repro_memory_current_bytes",
-              "Bytes currently device-resident.").labels().set(float(tracker.current_bytes))
-    reg.gauge("repro_memory_peak_bytes",
-              "High-water mark of device residency.").labels().set(float(tracker.peak_bytes))
-    by_tag = tracker.bytes_by_tag()
-    if by_tag:
-        fam = reg.gauge("repro_memory_tag_bytes", "Current resident bytes per allocation tag.")
-        for tag, b in sorted(by_tag.items()):
-            fam.labels(tag=tag or "untagged").set(float(b))
-    peak_by_tag = tracker.peak_bytes_by_tag()
-    if peak_by_tag:
-        fam = reg.gauge("repro_memory_tag_peak_bytes", "Peak resident bytes per allocation tag.")
-        for tag, b in sorted(peak_by_tag.items()):
-            fam.labels(tag=tag or "untagged").set(float(b))
-    launches, launch_seconds = totals.site_totals.get("device.kernel_launch", (0, 0.0))
-    reg.counter("repro_kernel_launches_total",
-                "Kernel launches on this device.").labels().inc(float(launches))
-    reg.counter("repro_kernel_seconds_total",
-                "Wall seconds inside launched kernels.").labels().inc(launch_seconds)
-    fam = reg.counter("repro_span_self_seconds_total",
-                      "Span self time (duration minus children) per category.")
-    for cat, seconds in sorted(totals.cat_seconds.items()):
-        fam.labels(cat=cat).inc(seconds)
-    for (name, values), (counts, total) in sorted(totals.histograms.items()):
-        site = SITES[name]
-        assert site.hist is not None
-        child = reg.histogram(site.hist, site.help, site.buckets).labels(**dict(zip(site.labels, values)))
-        assert isinstance(child, Histogram)
-        child.set(counts, total)
-    return reg
+
+def _fmt(value: float) -> str:
+    """Prometheus sample value: integral values as bare integers (``0``, not
+    ``0.0``), others at full round-trip precision."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def _braces(labels: list[str]) -> str:
+    return "{" + ",".join(labels) + "}" if labels else ""
 
 
 def prometheus_text(device: "Device") -> str:
-    """Prometheus text-format dump of the device's metric registry.
+    """Prometheus text-format dump of one read of the device totals.
 
-    Covers the device totals (phase and category self seconds, event
-    counters, kernel-launch totals, latency histograms) and the allocator's
-    current/peak residency (global and per tag).
-    The live ``/metrics`` telemetry endpoint serves this exact function, so
-    post-hoc dumps and scrapes cannot drift.
+    Nine scalar families (phase and category self seconds, event counters,
+    kernel-launch totals, the allocator's current/peak residency, global
+    and per tag), then one histogram family per site that has observations,
+    in site-name order.  Samples are sorted by their label pairs.  The live
+    ``/metrics`` telemetry endpoint serves this exact function, so post-hoc
+    dumps and scrapes cannot drift.
     """
-    return snapshot_registry(device).render()
+    totals = device.totals.read()
+    tracker = device.tracker
+    lines: list[str] = []
+
+    def header(name: str, kind: str, help_text: str) -> None:
+        lines.extend((f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"))
+
+    def scalar(name: str, kind: str, help_text: str, value: float) -> None:
+        header(name, kind, help_text)
+        lines.append(f"{name} {_fmt(value)}")
+
+    def labelled(name: str, kind: str, help_text: str, label: str,
+                 samples: Mapping[str, float]) -> None:
+        header(name, kind, help_text)
+        for value, sample in sorted(samples.items()):
+            lines.append(f'{name}{{{label}="{prom_escape(value)}"}} {_fmt(sample)}')
+
+    labelled("repro_phase_seconds_total", "counter", "Accumulated wall seconds per profiler phase.",
+             "phase", totals.phase_seconds())
+    labelled("repro_events_total", "counter", "Accumulated event counts (cache reuse etc.).",
+             "event", totals.counters())
+    scalar("repro_memory_current_bytes", "gauge", "Bytes currently device-resident.",
+           tracker.current_bytes)
+    scalar("repro_memory_peak_bytes", "gauge", "High-water mark of device residency.",
+           tracker.peak_bytes)
+    by_tag = tracker.bytes_by_tag()
+    if by_tag:
+        labelled("repro_memory_tag_bytes", "gauge", "Current resident bytes per allocation tag.",
+                 "tag", {tag or "untagged": b for tag, b in sorted(by_tag.items())})
+    peak_by_tag = tracker.peak_bytes_by_tag()
+    if peak_by_tag:
+        labelled("repro_memory_tag_peak_bytes", "gauge", "Peak resident bytes per allocation tag.",
+                 "tag", {tag or "untagged": b for tag, b in sorted(peak_by_tag.items())})
+    launches, launch_seconds = totals.site_totals.get("device.kernel_launch", (0, 0.0))
+    scalar("repro_kernel_launches_total", "counter", "Kernel launches on this device.", launches)
+    scalar("repro_kernel_seconds_total", "counter", "Wall seconds inside launched kernels.",
+           launch_seconds)
+    labelled("repro_span_self_seconds_total", "counter",
+             "Span self time (duration minus children) per category.", "cat", totals.cat_seconds)
+
+    rows: dict[str, list[tuple[list[tuple[str, str]], list[int], float]]] = {}
+    for (name, values), (counts, total) in totals.histograms.items():
+        rows.setdefault(name, []).append((sorted(zip(SITES[name].labels, values)), counts, total))
+    for name in sorted(rows):
+        site = SITES[name]
+        hist = site.hist
+        assert hist is not None
+        header(hist, "histogram", site.help)
+        les = [f'le="{_fmt(bound)}"' for bound in site.buckets] + ['le="+Inf"']
+        for pairs, counts, total in sorted(rows[name]):
+            labels = [f'{k}="{prom_escape(v)}"' for k, v in pairs]
+            cumulative = list(accumulate(counts))
+            for le, count in zip(les, cumulative):
+                lines.append(f"{hist}_bucket{_braces([*labels, le])} {count}")
+            lines.append(f"{hist}_sum{_braces(labels)} {_fmt(total)}")
+            lines.append(f"{hist}_count{_braces(labels)} {cumulative[-1]}")
+    return "\n".join(lines) + "\n"
 
 
 def write_prometheus(device: "Device", path: str) -> str:

@@ -43,7 +43,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from repro.analysis.sanitizer import new_lock
-from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.tracer import SpanEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
 
 __all__ = [
+    "DEFAULT_BUCKETS",
     "SITES",
     "PHASES",
     "COUNTERS",
@@ -65,12 +65,29 @@ __all__ = [
     "use_flight_recorder",
     "installed",
     "use_installed",
+    "log_buckets",
 ]
 
 
 # ---------------------------------------------------------------------------
 # The site table
 # ---------------------------------------------------------------------------
+def log_buckets(start: float = 1e-6, factor: float = 2.0, count: int = 26) -> tuple[float, ...]:
+    """Geometric bucket upper bounds: ``start * factor**i`` for i in [0, count).
+
+    The defaults span 1µs .. ~33.5s in factor-of-2 steps — wide enough for
+    everything from a single kernel launch to a full epoch, at a fixed
+    26-counter cost per histogram row.
+    """
+    if start <= 0 or factor <= 1.0 or count < 1:
+        raise ValueError("log_buckets needs start > 0, factor > 1, count >= 1")
+    return tuple(start * factor ** i for i in range(count))
+
+
+#: The latency buckets (seconds) of every histogram site without its own.
+DEFAULT_BUCKETS = log_buckets()
+
+
 class Site(NamedTuple):
     """One row of the site table: what a record at this site feeds."""
 
@@ -78,13 +95,13 @@ class Site(NamedTuple):
     cat: str  # category: where an interval's self time goes; a trace event's ``cat``
     counter: str | None = None  # event counter fed (``repro_events_total{event=...}``)
     #: Prometheus histogram family, its HELP text, the attrs that label a
-    #: child, and non-default buckets.  Intervals observe their duration,
-    #: events the attr named by ``value``.
+    #: child, and its bucket upper bounds.  Intervals observe their
+    #: duration, events the attr named by ``value``.
     hist: str | None = None
     help: str = ""
     labels: tuple[str, ...] = ()
     value: str = "seconds"
-    buckets: tuple[float, ...] | None = None
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
     flight: str | None = None  # flight-ring event kind; None stays out of the ring
     drain: str | None = None  # failure edges: the reason the record drains the ring with
 
@@ -168,7 +185,7 @@ SITES: dict[str, Site] = {site.name: site for site in _TABLE}
 _LABEL_VALUES = {site.name: itemgetter(*site.labels) for site in _TABLE if site.labels}
 
 # site name -> the upper bucket bounds of its histogram
-_BOUNDS = {site.name: site.buckets or DEFAULT_BUCKETS for site in _TABLE if site.hist}
+_BOUNDS = {site.name: site.buckets for site in _TABLE if site.hist}
 
 #: The categories Figure 9 and ``repro_phase_seconds_total`` report: one-time
 #: compilation, GNN kernel execution, dynamic-graph updates, preprocessing.

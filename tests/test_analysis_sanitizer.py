@@ -331,24 +331,26 @@ def _mutant(module_name: str, edits: list[tuple[str, str]]) -> types.ModuleType:
     return mutant
 
 
-#: A pending-updates gauge set under ``_cv`` in ``enqueue_update``
-#: (``_cv -> Gauge._lock``), and ``_apply_update`` taking the gauge's lock
-#: around ``_cv``: the two orders close a cycle.
-_GAUGE_AROUND_CV = [
+#: A pending-updates count set under ``_cv`` and its own lock in
+#: ``enqueue_update`` (``_cv -> InferenceEngine._pending_lock``), and
+#: ``_apply_update`` taking that lock around ``_cv``: the two orders close a
+#: cycle.
+_PENDING_LOCK_AROUND_CV = [
     ("from repro.analysis.sanitizer import new_condition\n",
-     "from repro.analysis.sanitizer import new_condition\n"
-     "from repro.obs.metrics import Gauge\n"),
+     "from repro.analysis.sanitizer import new_condition, new_lock\n"),
     ('        self._cv = new_condition(name="InferenceEngine._cv")\n',
      '        self._cv = new_condition(name="InferenceEngine._cv")\n'
-     "        self._pending_gauge = Gauge()\n"),
+     '        self._pending_lock = new_lock("InferenceEngine._pending_lock")\n'
+     "        self._pending_updates = 0\n"),
     ("            self._update_queue.append((seq, update))\n",
      "            self._update_queue.append((seq, update))\n"
-     "            self._pending_gauge.set(float(len(self._update_queue)))\n"),
+     "            with self._pending_lock:\n"
+     "                self._pending_updates = len(self._update_queue)\n"),
     ("        with self._cv:\n"
      "            self._applied_seq = seq\n"
      "            self._applied_version = version\n"
      "            self._cv.notify_all()\n",
-     "        with self._pending_gauge._lock:\n"
+     "        with self._pending_lock:\n"
      "            with self._cv:\n"
      "                self._applied_seq = seq\n"
      "                self._applied_version = version\n"
@@ -372,7 +374,7 @@ _FLUSH_LOCK = [
 
 @pytest.mark.parametrize("mutation,kind", [
     (None, None),
-    (_GAUGE_AROUND_CV, "lock-order-cycle"),
+    (_PENDING_LOCK_AROUND_CV, "lock-order-cycle"),
     (_FLUSH_LOCK, "wait-while-holding"),
 ], ids=["shipped", "gauge-lock-around-cv", "flush-lock-around-wait"])
 def test_serving_engine_mutations_are_caught_live(mutation, kind):

@@ -105,16 +105,6 @@ def test_pyg_gcn_matches_stgraph_gcn(graph, rng):
     assert np.allclose(stg.weight.grad, pyg.weight.grad, atol=1e-4)
 
 
-def test_pyg_gcn_cached_mode(graph, rng):
-    g, edges = graph
-    conv = PyGGCNConv(4, 2, cached=True)
-    x = Tensor(rng.standard_normal((16, 4)).astype(np.float32))
-    o1 = conv(x, edges)
-    o2 = conv(x, edges)
-    assert np.allclose(o1.data, o2.data)
-    assert conv._cache is not None
-
-
 def test_pygt_tgcn_matches_stgraph_tgcn(graph, rng):
     g, edges = graph
     n = 16

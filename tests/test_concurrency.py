@@ -9,13 +9,14 @@ a full ``train()`` on a GPMA graph starts no thread of its own.
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 
 from repro.compiler.plan import PlanCache
 from repro.dataset import load_sx_mathoverflow
 from repro.device import Device, use_device
-from repro.obs import Tracer, emit, open_span_count, snapshot_registry, span, use_tracer
+from repro.obs import Tracer, emit, open_span_count, prometheus_text, span, use_tracer
 from repro.tensor import init
 from repro.train import STGraphLinkPredictor, STGraphTrainer, make_link_prediction_samples
 
@@ -151,10 +152,13 @@ def test_tracer_aggregates_exact_under_concurrent_spans():
         barrier.wait()
         while True:
             last = done.is_set()
-            family = snapshot_registry(device).get("repro_kernel_launch_seconds")
-            if family is not None:
-                cumulative, _, count = family.labels(tier="python").snapshot()
-                scraped.append((cumulative[-1][1], count))
+            text = prometheus_text(device)
+            inf = re.search(r'^repro_kernel_launch_seconds_bucket\{tier="python",le="\+Inf"\} (\d+)$',
+                            text, re.MULTILINE)
+            if inf is not None:
+                count = re.search(r'^repro_kernel_launch_seconds_count\{tier="python"\} (\d+)$',
+                                  text, re.MULTILINE)
+                scraped.append((int(inf[1]), int(count[1])))
             if last:
                 return
 
@@ -175,11 +179,11 @@ def test_tracer_aggregates_exact_under_concurrent_spans():
     assert device.totals.read().calls("device.kernel_launch") == n_threads * n_spans
     # ...and the threads' histogram rows, summed on read, agree; a scrape
     # that raced the writers still shows +Inf == _count, never going back.
-    child = snapshot_registry(device).get("repro_kernel_launch_seconds").labels(tier="python")
-    assert child.count == n_threads * n_spans
+    ((counts_row, _),) = device.totals.read().histograms.values()
+    assert sum(counts_row) == n_threads * n_spans
     assert all(inf == count for inf, count in scraped)
     counts = [count for _, count in scraped]
-    assert counts == sorted(counts) and counts[-1] == child.count
+    assert counts == sorted(counts) and counts[-1] == n_threads * n_spans
 
 
 def test_profiler_counters_exact_under_concurrent_counts():

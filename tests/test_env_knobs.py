@@ -9,7 +9,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 _KNOB = re.compile(r"REPRO_[A-Z_]+")
 _KNOBS = {
     "REPRO_BENCH_STATIC_SCALE", "REPRO_BENCH_DYNAMIC_SCALE", "REPRO_BENCH_EPOCHS",
-    "REPRO_VERIFY", "REPRO_TSAN",
+    "REPRO_TSAN",
 }
 
 

@@ -28,7 +28,6 @@ from repro.obs import (
     emit,
     installed,
     prometheus_text,
-    snapshot_registry,
     span,
     use_flight_recorder,
     use_installed,
@@ -205,22 +204,26 @@ def test_prometheus_families_and_label_keys_frozen_from_parent(traced_run):
     assert families == {**kept, **_NEW_FAMILIES}
 
 
+def _scraped(text, series):
+    """The values of every sample of ``series`` (any labels) in ``text``."""
+    return [float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+            if re.match(rf"{series}(\{{|\s)", line)]
+
+
 def test_request_latency_is_attributable_from_metrics(traced_run):
     """Every request has one queue-wait observation, every served batch one
     row-read, and the parts stay inside the whole."""
     device, _ = traced_run
-    metrics = snapshot_registry(device)
-
-    def children(name):
-        return [child for _, child in metrics.get(name).child_items()]
-
-    requests = children("repro_serve_request_seconds")
-    (queue_wait,) = children("repro_serve_queue_wait_seconds")
-    (row_read,) = children("repro_serve_row_read_seconds")
-    (batches,) = children("repro_serve_batch_size")
-    assert sum(c.count for c in requests) == queue_wait.count == 4
-    assert row_read.count == batches.count
-    assert queue_wait.sum + row_read.sum <= sum(c.sum for c in requests)
+    text = prometheus_text(device)
+    requests = _scraped(text, "repro_serve_request_seconds_count")
+    (queue_wait,) = _scraped(text, "repro_serve_queue_wait_seconds_count")
+    (row_read,) = _scraped(text, "repro_serve_row_read_seconds_count")
+    (batches,) = _scraped(text, "repro_serve_batch_size_count")
+    assert sum(requests) == queue_wait == 4
+    assert row_read == batches
+    (queue_wait_sum,) = _scraped(text, "repro_serve_queue_wait_seconds_sum")
+    (row_read_sum,) = _scraped(text, "repro_serve_row_read_seconds_sum")
+    assert queue_wait_sum + row_read_sum <= sum(_scraped(text, "repro_serve_request_seconds_sum"))
 
 
 def test_histogram_counts_and_sums_are_the_site_totals(traced_run):
@@ -230,17 +233,12 @@ def test_histogram_counts_and_sums_are_the_site_totals(traced_run):
     device, tracer = traced_run
     text = prometheus_text(device)
     totals = device.totals.read()
-
-    def scraped(series):
-        return [float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
-                if re.match(rf"{series}(\{{|\s)", line)]
-
     checked = {e.name for e in tracer.span_events() if SITES[e.name].hist}
     for name in checked:
         calls, seconds = totals.site_totals[name]
         hist = SITES[name].hist
-        assert sum(scraped(f"{hist}_count")) == calls, name
-        assert sum(scraped(f"{hist}_sum")) == pytest.approx(seconds, abs=1e-9), name
+        assert sum(_scraped(text, f"{hist}_count")) == calls, name
+        assert sum(_scraped(text, f"{hist}_sum")) == pytest.approx(seconds, abs=1e-9), name
     assert {"train.timestamp", "device.kernel_launch", "serve.forward"} <= checked
 
 
