@@ -40,11 +40,12 @@ def _build_trainer():
     return ds, trainer
 
 
-#: One representative call per kind of row, with the attrs its site passes:
-#: an interval feeding a labelled histogram, a plain interval, an event.
+#: One representative call per kind of row: an interval feeding a labelled
+#: histogram, a plain interval, an event.  The plain span and the event carry
+#: at least as many attrs as any record of their kind in the epoch.
 _KINDS = {
     "histogram span": lambda: span("train.timestamp", t=0, epoch=0, sequence=0, engine="kernel"),
-    "plain span": lambda: span("core.engine_forward", program="p", t=0),
+    "plain span": lambda: span("core.begin_timestamp", program="p", t=0),
 }
 
 
@@ -60,7 +61,7 @@ def _default_path_cost_seconds(iterations: int = 50_000) -> dict[str, float]:
             costs[kind] = (time.perf_counter() - start) / iterations
         start = time.perf_counter()
         for _ in range(iterations):
-            emit("core.state_push", tag="x", t=0, bytes=0, total_bytes=0, depth=0)
+            emit("core.ctx_cache_hit", tag="x", t=0, bytes=0, total_bytes=0, depth=0)
         costs["event"] = (time.perf_counter() - start) / iterations
     return costs
 

@@ -12,7 +12,8 @@ interpreter -> none``).  Two implementations ship:
   device's :class:`~repro.device.kernel.KernelLauncher`: one launch per
   forward, one per backward.
 * :class:`InterpreterEngine` — executes the plan's tensor IR directly via
-  :mod:`repro.compiler.interp`, with no codegen and no kernel cache.  Same
+  :mod:`repro.compiler.interp`, with no codegen and no kernel cache, as one
+  ``core.interpret`` interval per forward or backward.  Same
   runtime primitives, same op order, so its outputs are *bitwise* identical
   to the kernel engine's — which makes the executor's engine the
   differential-testing switch: run any model under
@@ -35,6 +36,7 @@ from repro.compiler.interp import trace_execution
 from repro.compiler.plan import ProgramPlan
 from repro.compiler.runtime import GraphContext
 from repro.device import current_device
+from repro.obs.spine import span
 
 __all__ = [
     "ExecutionEngine",
@@ -102,7 +104,8 @@ class InterpreterEngine(ExecutionEngine):
 
     def forward(self, plan, ctx, env):
         """Interpret the forward tensor program op by op."""
-        full = trace_execution(plan.fwd_prog, ctx, env)
+        with span("core.interpret", program=plan.name, dir="fwd"):
+            full = trace_execution(plan.fwd_prog, ctx, env)
         out = full[plan.fwd_prog.outputs[0]]
         saved = {name: full[name] for name in plan.saved_spec}
         return out, saved
@@ -115,7 +118,8 @@ class InterpreterEngine(ExecutionEngine):
                 bindings[buf] = saved[buf]
             elif kind == "grad":
                 bindings[buf] = g_out
-        env = trace_execution(plan.bwd_prog, ctx, bindings)
+        with span("core.interpret", program=plan.name, dir="bwd"):
+            env = trace_execution(plan.bwd_prog, ctx, bindings)
         return {inp: env[g] for inp, g in plan.grad_map.items()}
 
 

@@ -29,9 +29,12 @@ See ``docs/EXECUTOR.md`` for the lifecycle rules.
 Every instrumented step here is one call into the telemetry spine
 (:mod:`repro.obs.spine`): positioning (``core.begin_timestamp`` /
 ``core.begin_inference`` / ``core.backward_context``) and context
-preparation (``compiler.context``) are ``graph_update`` intervals, the
-aggregations in ``repro.core.module`` are ``gnn`` intervals, and the device
-totals of those two categories are Figure 9's two-way split.
+preparation (``compiler.context``) are ``graph_update`` intervals, each
+aggregation is one ``gnn`` interval (its kernel launch, or
+``core.interpret`` on the interpreter engine), and the device totals of
+those two categories are Figure 9's two-way split.  The State Stack writes
+no record of its own: the trainer puts its running total on each
+``train.timestamp`` (``state_bytes=``).
 """
 
 from __future__ import annotations
@@ -203,26 +206,11 @@ class TemporalExecutor:
     def push_state(self, saved: dict[str, np.ndarray], tag: str = "") -> int:
         """Push one aggregation's pruned saved state for the current timestamp."""
         assert self._fwd_t is not None, "push_state outside a timestamp"
-        token = self.state_stack.push(self._fwd_t, saved, tag)
-        emit(
-            "core.state_push",
-            tag=tag, t=self._fwd_t,
-            bytes=self.state_stack.last_push_bytes,
-            total_bytes=self.state_stack.current_bytes(),
-            depth=len(self.state_stack),
-        )
-        return token
+        return self.state_stack.push(self._fwd_t, saved, tag)
 
     def pop_state(self, token: int) -> dict[str, np.ndarray]:
         """Pop a saved-state entry by its token (LIFO-checked)."""
-        saved = self.state_stack.pop(token)
-        emit(
-            "core.state_pop",
-            bytes=self.state_stack.last_pop_bytes,
-            total_bytes=self.state_stack.current_bytes(),
-            depth=len(self.state_stack),
-        )
-        return saved
+        return self.state_stack.pop(token)
 
     # ------------------------------------------------------------------
     # Backward side

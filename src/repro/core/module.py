@@ -27,7 +27,7 @@ from repro.compiler.plan import ProgramPlan, compile_vertex_program
 from repro.compiler.runtime import GraphContext
 from repro.core.engine import ENGINES, ExecutionEngine
 from repro.core.executor import TemporalExecutor
-from repro.obs.spine import emit, span
+from repro.obs.spine import emit
 from repro.resilience.faults import InjectedKernelFault
 from repro.tensor import nn
 from repro.tensor.ops import Function
@@ -147,11 +147,10 @@ class _GraphAggregationTape(Function):
         def run_backward(engine: ExecutionEngine):
             return self.program.backward(ctx, grad, saved, engine=engine)
 
-        with span("core.engine_backward", program=self.program.name, t=self.timestamp):
-            grads, _ = _resilient_run(
-                self.executor, self.program, self.engine, run_backward,
-                direction="bwd", timestamp=self.timestamp,
-            )
+        grads, _ = _resilient_run(
+            self.executor, self.program, self.engine, run_backward,
+            direction="bwd", timestamp=self.timestamp,
+        )
         return tuple(grads.get(name) for name, _kind in self.tensor_slots)
 
 
@@ -192,11 +191,10 @@ def graph_aggregate(
     def run_forward(eng: ExecutionEngine):
         return program.forward(ctx, node_arrays, edge_arrays or None, engine=eng)
 
-    with span("core.engine_forward", program=program.name, t=timestamp):
-        (out_np, saved), engine = _resilient_run(
-            executor, program, executor.engine, run_forward,
-            direction="fwd", timestamp=timestamp,
-        )
+    (out_np, saved), engine = _resilient_run(
+        executor, program, executor.engine, run_forward,
+        direction="fwd", timestamp=timestamp,
+    )
     out = Tensor(out_np)
     node = _GraphAggregationTape(program, executor, timestamp, tensor_slots, engine=engine)
     if node.attach(out, tuple(tensor_inputs)):

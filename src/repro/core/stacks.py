@@ -50,7 +50,10 @@ class StateStack:
 
     Byte accounting is O(1) per operation: a running ``_current_bytes``
     total is updated on push/pop/clear instead of re-summing every retained
-    entry, so long sequences don't pay quadratic bookkeeping.
+    entry, so long sequences don't pay quadratic bookkeeping.  Traces read
+    that total (:meth:`current_bytes`) once per timestamp, as the
+    ``state_bytes`` attr of ``train.timestamp``; a push or pop writes no
+    record.
     """
 
     def __init__(self) -> None:
@@ -59,9 +62,6 @@ class StateStack:
         self.peak_depth = 0
         self.peak_bytes = 0
         self.total_pushes = 0
-        #: bytes of the most recent push / pop, for trace instrumentation
-        self.last_push_bytes = 0
-        self.last_pop_bytes = 0
 
     def push(self, timestamp: int, saved: dict[str, Any], tag: str = "") -> int:
         """Push one aggregation's saved state; returns the pop token."""
@@ -69,7 +69,6 @@ class StateStack:
         entry.bytes_at_push = entry.nbytes()
         self._entries.append(entry)
         self._current_bytes += entry.bytes_at_push
-        self.last_push_bytes = entry.bytes_at_push
         self.total_pushes += 1
         self.peak_depth = max(self.peak_depth, len(self._entries))
         self.peak_bytes = max(self.peak_bytes, self._current_bytes)
@@ -95,7 +94,6 @@ class StateStack:
                     )
                 del self._entries[i]
                 self._current_bytes -= entry.bytes_at_push
-                self.last_pop_bytes = entry.bytes_at_push
                 return entry.saved
             if entry.timestamp != top_ts:
                 break

@@ -31,10 +31,11 @@ keeps no built CSR; see DESIGN.md).  The mutable position lives in an
 :class:`~repro.graph.snapshot_builder.UpdateCursor`.
 
 All structural work is attributed to the ``graph_update`` category through
-three sites of the telemetry spine, one call each: ``graph.position``
-(Get-Graph / Get-Backward-Graph), ``graph.build_snapshot`` (relabel +
-Algorithm 3) and ``graph.cache_state`` (Algorithm 2 line 10).  Figure 9
-plots the split.
+three sites of the telemetry spine, one call each: ``graph.advance``
+(Algorithm 2's replay of update batches, where the PMA catches up with the
+position), ``graph.build_snapshot`` (relabel + Algorithm 3) and
+``graph.cache_state`` (Algorithm 2 line 10).  The logical move itself is not
+recorded: it replays nothing.  Figure 9 plots the split.
 """
 
 from __future__ import annotations
@@ -127,17 +128,14 @@ class GPMAGraph(STGraphBase):
     def get_graph(self, timestamp: int) -> "GPMAGraph":
         """Get-Graph(G, t): position at ``t``; update batches (with cache
         retrieval) are applied when the snapshot is built."""
-        return self._position(timestamp)
+        self._advance(int(timestamp))
+        return self
 
     def get_backward_graph(self, timestamp: int) -> "GPMAGraph":
         """Reverse update to ``timestamp``; the backward pass then reads the
         out-CSR (the "graph has to be reversed" part is the forward CSR,
         already produced by Algorithm 3)."""
-        return self._position(timestamp)
-
-    def _position(self, timestamp: int) -> "GPMAGraph":
-        with span("graph.position", t=int(timestamp)):
-            self._advance(int(timestamp))
+        self._advance(int(timestamp))
         return self
 
     def cache_snapshot(self) -> None:
@@ -174,7 +172,8 @@ class GPMAGraph(STGraphBase):
     def _catch_up(self) -> None:
         """Bring the physical cursor to the logical position (Algorithm 2's replay)."""
         if self._cursor.time != self._pos_time:
-            self._cursor.advance(self._pos_time)
+            with span("graph.advance", t=self._pos_time):
+                self._cursor.advance(self._pos_time)
 
     # ------------------------------------------------------------------
     # Snapshot materialization (relabel + Algorithm 3)

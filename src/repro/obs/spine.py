@@ -120,17 +120,14 @@ _TABLE = (
          help="Optimizer step latency."),
     Site("train.checkpoint_write", "train", hist="repro_checkpoint_write_seconds",
          help="Atomic training-checkpoint write latency.", flight="mark"),
-    # -- executor and aggregation (core/executor.py, core/module.py) -------
+    # -- executor and aggregation (core/executor.py, module.py, engine.py) -
     Site("core.begin_timestamp", "graph_update"),
     Site("core.begin_inference", "graph_update"),
     Site("core.backward_context", "graph_update"),
     Site("compiler.context", "graph_update"),
     Site("core.ctx_cache_hit", "graph_update", counter="ctx_cache_hits"),
     Site("core.ctx_cache_miss", "graph_update", counter="ctx_cache_misses"),
-    Site("core.state_push", "stack"),
-    Site("core.state_pop", "stack"),
-    Site("core.engine_forward", "gnn"),
-    Site("core.engine_backward", "gnn"),
+    Site("core.interpret", "gnn"),
     Site("core.kernel_retry", "fault", counter="kernel_retries", flight="counter"),
     Site("core.engine_fallback", "fault", counter="engine_fallbacks",
          flight="counter", drain="engine_fallback"),
@@ -143,8 +140,8 @@ _TABLE = (
     Site("compiler.lint_warning", "verify"),
     # -- graph objects (graph/) ----------------------------------------------
     Site("graph.preprocess", "preprocess"),
-    Site("graph.position", "graph_update", hist="repro_graph_advance_seconds",
-         help="GPMA temporal positioning (Get-Graph) latency."),
+    Site("graph.advance", "graph_update", hist="repro_graph_advance_seconds",
+         help="Algorithm 2 replay (PMA update batches up to the position) latency."),
     Site("graph.build_snapshot", "graph_update", hist="repro_graph_rebuild_seconds",
          help="Snapshot rebuild (relabel + Algorithm 3) latency."),
     Site("graph.cache_state", "graph_update"),

@@ -99,10 +99,12 @@ class STGraphTrainer:
 
         Under an installed tracer the epoch is a span tree: ``train.epoch >
         train.sequence > train.timestamp > {core.begin_timestamp,
-        core.engine_forward}`` on the way forward, then per-sequence
-        ``tensor.backward`` (containing the ``core.engine_backward`` and
+        device.kernel_launch}`` on the way forward (``core.interpret`` in
+        place of the launches on the interpreter engine), then per-sequence
+        ``tensor.backward`` (containing the backward launches and the
         ``core.backward_context`` spans of the LIFO walk) and
-        ``tensor.optim_step``.
+        ``tensor.optim_step``.  Each ``train.timestamp`` carries
+        ``state_bytes``, the State Stack's bytes after its step.
         """
         return self._train_epoch_impl(features, targets, epoch_index=len(self.epoch_times))
 
@@ -150,10 +152,11 @@ class STGraphTrainer:
                             injector.at_timestamp(t)
                             injector.fire("kill")
                             with span("train.timestamp", t=t, epoch=epoch_index,
-                                      sequence=seq_index, engine=engine_label):
+                                      sequence=seq_index, engine=engine_label) as attrs:
                                 self.executor.begin_timestamp(t)
                                 pred, state = self.model.step(self.executor, Tensor(features[t]), state)
                                 acc.add(self._loss_at(t, pred, targets))
+                                attrs["state_bytes"] = self.executor.state_stack.current_bytes()
                             if progress is not None:
                                 progress.update(epoch=epoch_index, sequence=seq_index,
                                                 timestamp=t)

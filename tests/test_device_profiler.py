@@ -17,7 +17,7 @@ from repro.obs import COUNTERS, emit, prometheus_text, span
 
 # Real rows of the site table, picked for their categories.
 OUTER = "train.epoch"  # cat train
-INNER = "core.engine_forward"  # cat gnn
+INNER = "core.interpret"  # cat gnn
 SIBLING = "core.begin_timestamp"  # cat graph_update
 LAUNCH = "device.kernel_launch"  # cat gnn, feeds a histogram labelled by tier=
 
@@ -127,15 +127,15 @@ def test_reset_clears_adhoc_counters_and_timers(fresh_device):
     with span(INNER):
         pass
     emit("graph.csr_cache_hits", 2)
-    emit("core.state_pop", 5)  # counted per site only: no COUNTERS entry
+    emit("compiler.lint_warning", 5)  # counted per site only: no COUNTERS entry
     totals = fresh_device.totals.read()
     assert totals.event_counts == {"csr_cache_hits": 2}
-    assert totals.calls("core.state_pop") == 5
+    assert totals.calls("compiler.lint_warning") == 5
     fresh_device.totals.reset()
     totals = fresh_device.totals.read()
     assert totals.event_counts == {}
     assert totals.count("csr_cache_hits") == 0
-    assert totals.calls("core.state_pop") == 0
+    assert totals.calls("compiler.lint_warning") == 0
     assert totals.seconds("gnn") == 0.0 and totals.calls(INNER) == 0
 
 

@@ -64,7 +64,7 @@ def test_null_tracer_is_default_and_inert():
     """No tracer is installed by default, and records still flow (totals)."""
     assert installed() == (None, None)
     with span("train.sequence", start=0, stop=3):
-        emit("core.state_push")
+        emit("core.ctx_cache_hit")
     assert open_span_count() == 0
     assert current_device().totals.read().calls("train.sequence") == 1
 
@@ -83,16 +83,16 @@ def test_use_tracer_nests_and_restores():
 
 def test_self_time_aggregation_no_double_count():
     tr = Tracer()
-    # Two sites of one category (gnn), nested like a launch in an aggregation.
+    # Two sites of one category (gnn), nested.
     with use_tracer(tr):
-        with span("core.engine_forward"):
+        with span("core.interpret"):
             time.sleep(0.02)
             with span("device.kernel_launch", tier="python"):
                 time.sleep(0.02)
     totals = current_device().totals.read()
     # Self time per cat: outer's self excludes inner, so the "gnn" total
     # equals outer's inclusive duration (both spans share the category).
-    outer_calls, outer_seconds = totals.site_totals["core.engine_forward"]
+    outer_calls, outer_seconds = totals.site_totals["core.interpret"]
     inner_calls, inner_seconds = totals.site_totals["device.kernel_launch"]
     assert totals.seconds("gnn") == pytest.approx(outer_seconds, rel=0.2)
     assert outer_calls == 1 and inner_calls == 1
@@ -100,7 +100,7 @@ def test_self_time_aggregation_no_double_count():
     # Event depths are recorded.
     events = {e.name: e for e in tr.span_events()}
     assert events["device.kernel_launch"].depth == 1
-    assert events["core.engine_forward"].depth == 0
+    assert events["core.interpret"].depth == 0
 
 
 def test_span_captures_memory_and_counter_deltas():
@@ -200,17 +200,16 @@ def test_chrome_trace_structure(dynamic_ds):
     ts = [e["ts"] for e in events if e["ph"] in ("B", "E", "i")]
     assert ts == sorted(ts)
     # The taxonomy is present: per-timestamp spans with graph_update vs
-    # per-layer forward/backward splits, plus state-stack instants.
+    # per-aggregation forward/backward launches, plus the State Stack's bytes.
     names = {e["name"] for e in events}
     assert {"train.epoch", "train.sequence", "core.begin_timestamp", "core.backward_context",
             "tensor.backward", "tensor.optim_step", "train.timestamp"} <= names
     begins = [e for e in events if e["ph"] == "B"]
-    assert any(e["name"] == "core.engine_forward" and e["args"]["program"] for e in begins)
-    assert any(e["name"] == "core.engine_backward" and e["args"]["program"] for e in begins)
-    assert any(e["ph"] == "i" and e["name"] == "core.state_push" for e in events)
+    assert any(e["name"] == "train.timestamp" and "state_bytes" in e["args"] for e in begins)
     # Kernel spans carry the plan id in their kernel= attr.
     kernels = {e["args"]["kernel"] for e in begins if e["name"] == "device.kernel_launch"}
     assert any(k.startswith("plan_") and k.endswith("_fwd") for k in kernels)
+    assert any(k.startswith("plan_") and k.endswith("_bwd") for k in kernels)
     # Allocator byte deltas ride on span args.
     assert any("mem_delta_bytes" in e.get("args", {}) for e in events if e["ph"] == "B")
 
@@ -237,7 +236,7 @@ def test_write_exporters_roundtrip(tmp_path, dynamic_ds):
 def test_prometheus_text_without_tracer():
     """The totals are always on, so the self-time family needs no tracer
     and agrees with the phase family: they are one attribution."""
-    with span("core.engine_forward"):
+    with span("core.interpret"):
         pass
     text = prometheus_text(current_device())
     assert "repro_phase_seconds_total" in text
