@@ -122,36 +122,3 @@ def test_enabled_tracer_ab_comparison_informational():
         f"\nepoch: {plain * 1e3:.1f}ms untraced vs {traced * 1e3:.1f}ms traced "
         f"({100 * (traced - plain) / plain:+.1f}%)"
     )
-
-
-def test_disabled_sanitizer_overhead_is_structurally_zero():
-    """Gate: with no sanitizer active (the default), the lock factories hand
-    out *raw* ``threading`` primitives — the instrumented acquire path does
-    not exist, so the disabled overhead is zero by construction, not by
-    measurement.  Pinned by type so a refactor that starts wrapping locks
-    unconditionally fails loudly here."""
-    import os
-    import threading
-
-    import pytest
-
-    if os.environ.get("REPRO_TSAN", "") not in ("", "0"):
-        pytest.skip("REPRO_TSAN active: locks are deliberately wrapped")
-
-    from repro.analysis.sanitizer import (
-        NullSanitizer,
-        current_sanitizer,
-        new_condition,
-        new_lock,
-        new_rlock,
-    )
-
-    assert isinstance(current_sanitizer(), NullSanitizer)
-    assert type(new_lock("bench")) is type(threading.Lock())
-    assert type(new_rlock("bench")) is type(threading.RLock())
-    assert type(new_condition(name="bench")) is threading.Condition
-    # and the framework's own hot-path structures got raw locks too
-    from repro.device import current_device
-
-    tracker = current_device().tracker
-    assert type(tracker._lock) is type(threading.Lock())

@@ -1,60 +1,10 @@
-"""Concurrency correctness toolkit: static lock-discipline analysis + a
-runtime lock-order sanitizer.
+"""Concurrency correctness: the static lock-discipline analyzer.
 
-Two cooperating halves (see ``docs/ANALYSIS.md``):
-
-* :mod:`repro.analysis.lockcheck` / :mod:`repro.analysis.callgraph` — an
-  AST-based analyzer over ``src/repro`` emitting stable ``STG2xx``
-  diagnostics through the compiler's :class:`~repro.compiler.diagnostics.
-  LintReport` machinery, gated by ``repro lint --concurrency`` against the
-  committed ``BASELINE.json``.
-* :mod:`repro.analysis.sanitizer` — instrumented lock factories
-  (``REPRO_TSAN=1`` / :func:`use_sanitizer`) that catch lock-order cycles
-  and wait-while-holding violations live, turning the concurrency test
-  suite into a dynamic race harness.
-
-This ``__init__`` re-exports only the sanitizer: the static half imports
-the compiler package, and modules as low in the import graph as
-``repro.device.allocator`` create locks through the factories — eagerly
-importing lockcheck here would cycle.  Import the static API explicitly
-(``from repro.analysis import lockcheck``) or via the lazy attributes.
+:mod:`repro.analysis.callgraph` builds an AST model of every lock, write,
+call and blocking operation under ``src/repro``; :mod:`repro.analysis.
+lockcheck` checks it and emits stable ``STG2xx`` diagnostics through the
+compiler's :class:`~repro.compiler.diagnostics.LintReport` machinery,
+gated by ``repro lint --concurrency`` against the committed
+``BASELINE.json``.  Its first rule is that every lock is a leaf: no code
+takes a lock while it holds one.  See ``docs/ANALYSIS.md``.
 """
-
-from __future__ import annotations
-
-from typing import Any
-
-from repro.analysis.sanitizer import (
-    LockOrderSanitizer,
-    LockOrderViolation,
-    NullSanitizer,
-    current_sanitizer,
-    new_condition,
-    new_lock,
-    new_rlock,
-    use_sanitizer,
-)
-
-__all__ = [
-    "LockOrderSanitizer",
-    "LockOrderViolation",
-    "NullSanitizer",
-    "current_sanitizer",
-    "new_condition",
-    "new_lock",
-    "new_rlock",
-    "use_sanitizer",
-    "analyze_path",
-    "analyze_source",
-]
-
-_LAZY = {"analyze_path", "analyze_source", "analyze_model", "load_baseline",
-         "apply_baseline", "write_baseline", "default_baseline_path"}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _LAZY:
-        from repro.analysis import lockcheck
-
-        return getattr(lockcheck, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

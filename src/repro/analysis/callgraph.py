@@ -15,10 +15,14 @@ Resolution is deliberately conservative.  A receiver is resolved only when
 * it is a local variable assigned from an analyzed class constructor, or
 * the method name is defined by **exactly one** analyzed class (unique-name
   fallback — precise for framework-specific names like ``enqueue_update``,
-  skipped for ubiquitous ones like ``get``).
+  skipped for ubiquitous ones like ``get``).  The fallback applies to
+  method calls only: never to a bare ``f()``, and never to a receiver
+  bound to a literal or a builtin call (``self._data = {}`` in
+  ``__init__``, ``with open(p) as fh``), which is no analyzed class.
 
-Unresolved calls contribute nothing — the analysis under-approximates
-rather than invent lock-order edges that would produce phantom cycles.
+Unresolved calls contribute nothing to the summaries; a call the graph
+cannot follow into another ``repro`` module is flagged by the caller
+(:attr:`CallEvent.repro_import`) when it is made under a lock.
 
 Suppression: a line carrying ``# lockcheck: ok(<reason>)`` suppresses any
 finding anchored at that line; the reason string is preserved so reports
@@ -28,6 +32,7 @@ can show *why* a site is exempt.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,20 +45,14 @@ __all__ = [
     "CodeModel",
     "LockSite",
     "MethodModel",
+    "Read",
     "Write",
     "build_model",
     "build_model_from_sources",
 ]
 
-#: ``threading.X`` / sanitizer-factory constructor names -> lock kind.
-_LOCK_CTORS = {
-    "Lock": "lock",
-    "RLock": "rlock",
-    "Condition": "condition",
-    "new_lock": "lock",
-    "new_rlock": "rlock",
-    "new_condition": "condition",
-}
+#: Builtins whose calls build plain values (``dict()``, ``open(p)``, ...).
+_BUILTINS = frozenset(dir(builtins))
 
 #: Method/attribute names treated as primitively blocking when called.
 _BLOCKING_ATTRS = {"sleep", "join", "wait", "wait_for", "serve_forever",
@@ -72,7 +71,7 @@ class LockSite:
     """One lock attribute (``Class._lock``) or module-level lock."""
 
     key: str          #: canonical identity, e.g. ``"PlanCache._lock"``
-    kind: str         #: ``lock`` | ``rlock`` | ``condition``
+    kind: str         #: ``lock`` | ``condition``
     module: str
     lineno: int
     alias_of: str | None = None  #: condition built over an existing lock
@@ -100,14 +99,30 @@ class Write:
 
 
 @dataclass(frozen=True)
+class Read:
+    """One ``self.<attr>`` load."""
+
+    attr: str
+    held: tuple[str, ...]
+    lineno: int
+
+
+@dataclass(frozen=True)
 class CallEvent:
     """One call made by a method, with what was held when it was made."""
 
     name: str
-    receiver: str | None       #: ``"self"``, ``"self.attr"``, a local, or None
+    #: ``"self"``, ``"self.attr"``, a local, ``"?"`` for any other receiver
+    #: expression, or None for a bare ``f()``
+    receiver: str | None
     held: tuple[str, ...]
     lineno: int
     suppressed: str | None
+    #: the receiver is a literal or builtin-call value: never a method of
+    #: an analyzed class
+    builtin_receiver: bool = False
+    #: the callee's root name is bound by an import from ``repro.*``
+    repro_import: bool = False
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,7 @@ class MethodModel:
     lineno: int
     acquires: list[Acquire] = field(default_factory=list)
     writes: list[Write] = field(default_factory=list)
+    reads: list[Read] = field(default_factory=list)
     calls: list[CallEvent] = field(default_factory=list)
     blocking: list[Blocking] = field(default_factory=list)
 
@@ -146,6 +162,8 @@ class ClassModel:
     module: str
     locks: dict[str, LockSite] = field(default_factory=dict)       #: attr -> site
     attr_types: dict[str, str] = field(default_factory=dict)       #: attr -> class name
+    #: attrs whose ``__init__`` value is a literal or a builtin call
+    builtin_attrs: set[str] = field(default_factory=set)
     methods: dict[str, MethodModel] = field(default_factory=dict)
 
 
@@ -207,11 +225,13 @@ class CodeModel:
                     target = f"{qual_cls}.{call.name}"
                     if target in self.methods:
                         return [target]
-        # bare f() -> module-level function in the same module.
+        # bare f() -> module-level function in the same module, and never
+        # a method.
         if call.receiver is None:
             target = f"{caller.module}.{call.name}"
-            if target in self.methods:
-                return [target]
+            return [target] if target in self.methods else []
+        if call.builtin_receiver:
+            return []
         # unique-name fallback: exactly one analyzed class defines it.
         candidates = [
             q for q in self.methods_by_name.get(call.name, ())
@@ -232,12 +252,15 @@ class _FunctionWalker:
     def __init__(self, model: CodeModel, method: MethodModel,
                  class_model: ClassModel | None,
                  module_locks: dict[str, LockSite],
-                 suppressions: dict[int, str]) -> None:
+                 suppressions: dict[int, str],
+                 repro_imports: set[str]) -> None:
         self.model = model
         self.method = method
         self.cls = class_model
         self.module_locks = module_locks
         self.suppressions = suppressions
+        self.repro_imports = set(repro_imports)
+        self.builtin_locals: set[str] = set()
         self.held: list[str] = []
 
     # -- lock expression resolution --------------------------------------
@@ -357,6 +380,8 @@ class _FunctionWalker:
             self._visit_expr(stmt.test)
             self.walk_body(stmt.body)
             self.walk_body(stmt.orelse)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            self.repro_imports |= _repro_import_names(stmt)
         else:
             self._record_writes(stmt)
             self._visit_expr(stmt)
@@ -376,6 +401,7 @@ class _FunctionWalker:
                 acquired.append(canonical)
             else:
                 self._visit_expr(expr)
+                self._bind_local(item.optional_vars, expr)
         self.walk_body(stmt.body)
         for canonical in reversed(acquired):
             if canonical in self.held:
@@ -388,6 +414,8 @@ class _FunctionWalker:
             targets = list(stmt.targets)
         elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
             targets = [stmt.target]
+        if isinstance(stmt, ast.Assign) and len(targets) == 1:
+            self._bind_local(targets[0], stmt.value)
         for target in targets:
             attr = self._self_attr(target)
             if attr is not None:
@@ -395,6 +423,14 @@ class _FunctionWalker:
                     attr=attr, held=self._held_tuple(), lineno=stmt.lineno,
                     suppressed=self._suppression(stmt.lineno),
                 ))
+
+    def _bind_local(self, target: ast.expr | None, value: ast.expr) -> None:
+        """Track which local names hold a literal or builtin-call value."""
+        if isinstance(target, ast.Name):
+            if _is_builtin_value(value):
+                self.builtin_locals.add(target.id)
+            else:
+                self.builtin_locals.discard(target.id)
 
     def _self_attr(self, node: ast.expr) -> str | None:
         """``self.x`` / ``self.x[...]`` as a write target -> ``"x"``."""
@@ -415,6 +451,12 @@ class _FunctionWalker:
                 continue
             if isinstance(child, ast.Call):
                 self._record_call(child)
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                attr = self._self_attr(child)
+                if attr is not None:
+                    self.method.reads.append(Read(
+                        attr=attr, held=self._held_tuple(), lineno=child.lineno,
+                    ))
 
     def _record_call(self, call: ast.Call) -> None:
         held = self._held_tuple()
@@ -429,11 +471,12 @@ class _FunctionWalker:
             self.method.calls.append(CallEvent(
                 name=func.id, receiver=None, held=held,
                 lineno=lineno, suppressed=suppressed,
+                repro_import=func.id in self.repro_imports,
             ))
             return
         if not isinstance(func, ast.Attribute):
             return
-        receiver = self._receiver(func.value)
+        receiver = self._receiver(func.value) or "?"
         name = func.attr
         if name in ("wait", "wait_for"):
             own = None
@@ -441,31 +484,35 @@ class _FunctionWalker:
             if key is not None:
                 own = self.model.canonical(key)
             self.method.blocking.append(Blocking(
-                what=f"{receiver or '?'}.{name}", held=held, lineno=lineno,
+                what=f"{receiver}.{name}", held=held, lineno=lineno,
                 suppressed=suppressed, own_lock=own,
             ))
             return
         if name in _BLOCKING_ATTRS and not self._join_exempt(name, func.value, receiver):
             self.method.blocking.append(Blocking(
-                what=f"{receiver or '?'}.{name}", held=held, lineno=lineno,
+                what=f"{receiver}.{name}", held=held, lineno=lineno,
                 suppressed=suppressed,
             ))
         if name in ("acquire", "release"):
             return  # handled structurally by walk_body
+        root = receiver.split(".", 1)[0]
+        builtin = _is_builtin_value(func.value) or root in self.builtin_locals or (
+            receiver.startswith("self.") and self.cls is not None
+            and receiver[5:] in self.cls.builtin_attrs
+        )
         self.method.calls.append(CallEvent(
             name=name, receiver=receiver, held=held,
-            lineno=lineno, suppressed=suppressed,
+            lineno=lineno, suppressed=suppressed, builtin_receiver=builtin,
+            repro_import=root in self.repro_imports,
         ))
 
-    def _join_exempt(self, name: str, value: ast.expr, receiver: str | None) -> bool:
+    def _join_exempt(self, name: str, value: ast.expr, receiver: str) -> bool:
         """``", ".join`` / ``os.path.join`` are string/path ops, not threads."""
         if name != "join":
             return False
         if isinstance(value, (ast.Constant, ast.JoinedStr)):
             return True
-        return receiver in _JOIN_EXEMPT_RECEIVERS or (
-            receiver is not None and receiver.endswith(".path")
-        )
+        return receiver in _JOIN_EXEMPT_RECEIVERS or receiver.endswith(".path")
 
     def _receiver(self, node: ast.expr) -> str | None:
         if isinstance(node, ast.Name):
@@ -480,8 +527,30 @@ class _FunctionWalker:
 # ---------------------------------------------------------------------------
 # Class / module scanning
 # ---------------------------------------------------------------------------
+def _is_builtin_value(node: ast.expr) -> bool:
+    """A literal, a display or comprehension, or a call to a builtin."""
+    if isinstance(node, (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Set,
+                         ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp)):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _BUILTINS)
+
+
+def _repro_import_names(stmt: ast.Import | ast.ImportFrom) -> set[str]:
+    """Names an import statement binds to code from ``repro.*``."""
+    if isinstance(stmt, ast.ImportFrom):
+        if stmt.level == 0 and (stmt.module or "").split(".")[0] != "repro":
+            return set()
+        return {alias.asname or alias.name for alias in stmt.names}
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for alias in stmt.names if alias.name.split(".")[0] == "repro"
+    }
+
+
 def _lock_ctor_kind(call: ast.expr) -> tuple[str, ast.expr | None] | None:
-    """``threading.Lock()`` / ``new_condition(x)`` -> (kind, base-lock expr)."""
+    """``threading.Lock()`` (or any ``*Lock()``) / ``Condition(x)`` -> (kind,
+    base-lock expr)."""
     if not isinstance(call, ast.Call):
         return None
     func = call.func
@@ -490,13 +559,12 @@ def _lock_ctor_kind(call: ast.expr) -> tuple[str, ast.expr | None] | None:
         name = func.attr
     elif isinstance(func, ast.Name):
         name = func.id
-    if name not in _LOCK_CTORS:
-        return None
-    kind = _LOCK_CTORS[name]
-    base = call.args[0] if (kind == "condition" and call.args) else None
-    if base is not None and isinstance(base, ast.Constant):
-        base = None
-    return kind, base
+    if name == "Condition":
+        base = call.args[0] if call.args else None
+        return "condition", None if isinstance(base, ast.Constant) else base
+    if name is not None and name.endswith("Lock"):
+        return "lock", None  # threading.Lock, and its reentrant variant
+    return None
 
 
 def _scan_class(module: str, node: ast.ClassDef) -> ClassModel:
@@ -531,6 +599,8 @@ def _scan_class(module: str, node: ast.ClassDef) -> ClassModel:
                         module=module, lineno=stmt.lineno,
                     )
                 continue
+            if fn.name == "__init__" and value is not None and _is_builtin_value(value):
+                cls.builtin_attrs.add(attr)
             # Attribute types, for receiver resolution.
             type_name = None
             if annotation is not None:
@@ -605,16 +675,21 @@ def build_model_from_sources(sources: dict[str, str]) -> CodeModel:
         module_locks = {
             k: v for k, v in model.module_locks.items() if v.module == module
         }
+        repro_imports: set[str] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                repro_imports |= _repro_import_names(node)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                _walk_function(model, module, None, node, module_locks, suppressions)
+                _walk_function(model, module, None, node, module_locks, suppressions,
+                               repro_imports)
             elif isinstance(node, ast.ClassDef):
                 qual = f"{module}.{node.name}"
                 for fn in node.body:
                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         _walk_function(
                             model, module, model.classes[qual], fn,
-                            module_locks, suppressions,
+                            module_locks, suppressions, repro_imports,
                         )
     return model
 
@@ -622,14 +697,15 @@ def build_model_from_sources(sources: dict[str, str]) -> CodeModel:
 def _walk_function(model: CodeModel, module: str, cls: ClassModel | None,
                    node: ast.FunctionDef | ast.AsyncFunctionDef,
                    module_locks: dict[str, LockSite],
-                   suppressions: dict[int, str]) -> None:
+                   suppressions: dict[int, str],
+                   repro_imports: set[str]) -> None:
     cls_name = cls.name if cls is not None else None
     qual = f"{module}.{cls_name}.{node.name}" if cls_name else f"{module}.{node.name}"
     method = MethodModel(
         qualname=qual, module=module, cls=cls_name, name=node.name,
         lineno=node.lineno,
     )
-    walker = _FunctionWalker(model, method, cls, module_locks, suppressions)
+    walker = _FunctionWalker(model, method, cls, module_locks, suppressions, repro_imports)
     walker.walk_body(node.body)
     model.methods[qual] = method
     model.methods_by_name.setdefault(node.name, []).append(qual)

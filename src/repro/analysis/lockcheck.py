@@ -2,13 +2,17 @@
 
 Four checks run over the :class:`~repro.analysis.callgraph.CodeModel`:
 
-* **STG201 — lock-order cycles.**  Acquiring ``B`` while holding ``A``
-  (directly, or by calling a method whose transitive "may acquire" summary
-  contains ``B``) adds the edge ``A -> B`` to a global order graph; any
-  strongly connected component with a cycle is a potential deadlock.
-* **STG202 — mixed guarded/unguarded writes.**  An attribute written both
-  under a lock of its class and with no lock held is a data-race
-  candidate; the unguarded sites are reported unless carrying a
+* **STG201 — a lock is a leaf.**  A method that takes a lock while holding
+  one is a finding at that method: directly (``with`` / ``acquire``), by
+  calling a method whose transitive "may acquire" summary holds any lock
+  (the held one included: re-entering a plain ``Lock`` deadlocks), or by
+  calling into ``repro`` code the call graph cannot follow (a name bound by
+  an ``import`` from ``repro.*``).  With no nesting there is no lock-order
+  edge, so no cycle and no self-deadlock.
+* **STG202 — unguarded writes to guarded state.**  An attribute written
+  with no lock held (outside ``__init__``) is a data-race candidate when it
+  is also written, or read, under a lock of its class elsewhere; the
+  unguarded sites are reported unless carrying a
   ``# lockcheck: ok(<reason>)`` suppression.
 * **STG203 — bare ``.acquire()``.**  An ``acquire`` outside a ``with``
   whose release is not pinned in an immediately following ``finally``
@@ -56,7 +60,7 @@ def default_baseline_path() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Check 1: lock-order cycles (STG201)
+# Check 1: every lock is a leaf (STG201)
 # ---------------------------------------------------------------------------
 def _may_acquire(model: CodeModel) -> dict[str, set[str]]:
     """Fixpoint: locks each method may acquire, directly or via calls."""
@@ -80,55 +84,34 @@ def _may_acquire(model: CodeModel) -> dict[str, set[str]]:
     return summary
 
 
-def _order_edges(model: CodeModel, may_acquire: dict[str, set[str]]
-                 ) -> dict[tuple[str, str], tuple[str, int]]:
-    """``(holder, acquired) -> (method qualname, lineno)`` provenance."""
-    edges: dict[tuple[str, str], tuple[str, int]] = {}
-    for qual, method in model.methods.items():
+def _check_leaf_locks(model: CodeModel, report: LintReport) -> None:
+    may_acquire = _may_acquire(model)
+    for qual in sorted(model.methods):
+        method = model.methods[qual]
         for acq in method.acquires:
-            for held in acq.held:
-                if held != acq.lock:
-                    edges.setdefault((held, acq.lock), (qual, acq.lineno))
+            if acq.held:
+                report.add(
+                    "STG201",
+                    f"takes {acq.lock} (line {acq.lineno}) while holding {list(acq.held)!r}",
+                    where=qual,
+                )
         for call in method.calls:
             if not call.held:
                 continue
-            for callee in model.resolve_call(method, call):
-                for lock in may_acquire.get(callee, ()):
-                    for held in call.held:
-                        if held != lock:
-                            edges.setdefault((held, lock), (qual, call.lineno))
-    return edges
-
-
-def _check_lock_order(model: CodeModel, report: LintReport) -> None:
-    edges = _order_edges(model, _may_acquire(model))
-    graph: dict[str, set[str]] = {}
-    for holder, acquired in edges:
-        graph.setdefault(holder, set()).add(acquired)
-    seen_cycles: set[tuple[str, ...]] = set()
-    for start in sorted(graph):
-        stack: list[tuple[str, list[str]]] = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            for succ in sorted(graph.get(node, ())):
-                if succ == start:
-                    cycle = path + [start]
-                    key = tuple(sorted(cycle[:-1]))
-                    if key in seen_cycles:
-                        continue
-                    seen_cycles.add(key)
-                    sites = "; ".join(
-                        f"{a}->{b} at {edges[(a, b)][0]}:{edges[(a, b)][1]}"
-                        for a, b in zip(cycle, cycle[1:])
-                        if (a, b) in edges
-                    )
-                    report.add(
-                        "STG201",
-                        f"lock-order cycle {' -> '.join(cycle)} ({sites})",
-                        where="cycle:" + "->".join(sorted(cycle[:-1])),
-                    )
-                elif succ not in path:
-                    stack.append((succ, path + [succ]))
+            callees = model.resolve_call(method, call)
+            taken = sorted({lock for c in callees for lock in may_acquire.get(c, ())})
+            if taken:
+                why = f"may take {taken!r}"
+            elif not callees and call.repro_import:
+                why = "enters repro code the call graph cannot follow"
+            else:
+                continue
+            report.add(
+                "STG201",
+                f"call {call.name} (line {call.lineno}) {why} while holding "
+                f"{list(call.held)!r}",
+                where=qual,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +124,19 @@ def _check_guarded_writes(model: CodeModel, report: LintReport) -> None:
             continue
         class_locks = {site.key for site in cls.locks.values()}
         class_locks |= {model.canonical(site.key) for site in cls.locks.values()}
-        guarded: dict[str, bool] = {}
+        guarded: dict[str, str] = {}
         unguarded: dict[str, list[tuple[MethodModel, int, str | None]]] = {}
         for method in cls.methods.values():
             if method.name == "__init__":
                 continue  # construction happens-before sharing
+            for read in method.reads:
+                if any(h in class_locks for h in read.held):
+                    guarded.setdefault(read.attr, "read")
             for write in method.writes:
                 if write.attr in cls.locks:
                     continue
                 if any(h in class_locks for h in write.held):
-                    guarded[write.attr] = True
+                    guarded[write.attr] = "written"
                 elif not write.held:
                     unguarded.setdefault(write.attr, []).append(
                         (method, write.lineno, write.suppressed)
@@ -161,8 +147,9 @@ def _check_guarded_writes(model: CodeModel, report: LintReport) -> None:
                     continue
                 report.add(
                     "STG202",
-                    f"attribute {attr!r} written under {qual_cls.rsplit('.', 1)[1]}'s "
-                    f"lock elsewhere but unguarded here (line {lineno})",
+                    f"attribute {attr!r} {guarded[attr]} under "
+                    f"{qual_cls.rsplit('.', 1)[1]}'s lock elsewhere but written "
+                    f"unguarded here (line {lineno})",
                     where=method.qualname,
                 )
 
@@ -262,7 +249,7 @@ def _check_blocking(model: CodeModel, report: LintReport) -> None:
 def analyze_model(model: CodeModel, subject: str = "concurrency") -> LintReport:
     """Run every lock-discipline check over ``model``."""
     report = LintReport(subject=subject)
-    _check_lock_order(model, report)
+    _check_leaf_locks(model, report)
     _check_guarded_writes(model, report)
     _check_bare_acquire(model, report)
     _check_blocking(model, report)

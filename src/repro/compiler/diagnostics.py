@@ -58,8 +58,8 @@ CODES: dict[str, tuple[str, str]] = {
     "STG030": (ERROR, "non-reduction write from edge space into a node-space buffer (atomic-scatter condition)"),
     # -- concurrency lock-discipline checks (repro.analysis.lockcheck);
     #    each provoked by a mutation test in tests/test_analysis_lockcheck.py
-    "STG201": (ERROR, "lock-order cycle across lock sites (potential deadlock)"),
-    "STG202": (ERROR, "attribute written both under and outside its guarding lock (data-race candidate)"),
+    "STG201": (ERROR, "lock taken while holding a lock: every lock must be a leaf (deadlock risk)"),
+    "STG202": (ERROR, "attribute written outside the lock it is written or read under elsewhere (data-race candidate)"),
     "STG203": (ERROR, "bare .acquire() without with/finally release (lock leak on exception)"),
     "STG204": (WARNING, "blocking call while holding a foreign lock (stall/deadlock risk)"),
 }

@@ -37,12 +37,13 @@ and are totalled in run manifests.  The escape hatch is
 from __future__ import annotations
 
 import hashlib
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.sanitizer import new_rlock
 from repro.compiler.autodiff import build_backward
 from repro.compiler.codegen import (
     compile_program,
@@ -324,13 +325,18 @@ class PlanCache:
     A *hit* returns the cached plan after nothing more than a re-trace (the
     trace is how the structural key is computed; it is symbolic and cheap).
     A *miss* runs the full pipeline as one ``compiler.plan_build`` interval
-    (category ``compile``).  Thread-safe; the lock is held across builds so concurrent
-    requests for the same key compile once.
+    (category ``compile``).  Thread-safe, and ``_lock`` is a leaf: a build
+    runs with no lock held.  The first request for a key registers a pending
+    future and builds; concurrent requests for that key wait on the future
+    (and count as hits), so each key still compiles once.  A failed build
+    raises in every waiter and leaves nothing cached, so the next request
+    builds again.
     """
 
     def __init__(self) -> None:
         self._plans: dict[str, ProgramPlan] = {}
-        self._lock = new_rlock("PlanCache._lock")
+        self._pending: dict[str, Future[ProgramPlan]] = {}
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -350,13 +356,29 @@ class PlanCache:
             if plan is not None:
                 self.hits += 1
                 return plan
-            self.misses += 1
+            pending = self._pending.get(key)
+            if pending is not None:
+                self.hits += 1
+            else:
+                self.misses += 1
+                building = self._pending[key] = Future()
+        if pending is not None:
+            return pending.result()
+        try:
             with span("compiler.plan_build", program=name):
                 plan = _build_plan(
                     traced, key, feature_widths, grad_features, name, state_stack_opt
                 )
+        except BaseException as exc:
+            with self._lock:
+                del self._pending[key]
+            building.set_exception(exc)
+            raise
+        with self._lock:
             self._plans[key] = plan
-            return plan
+            del self._pending[key]
+        building.set_result(plan)
+        return plan
 
     def get(self, plan_id: str) -> ProgramPlan | None:
         """Cached plan by id, or None (does not count as a hit or miss)."""

@@ -14,12 +14,12 @@ allow a benchmark to measure the peak over a region, mirroring
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.sanitizer import new_lock
 from repro.resilience.faults import current_injector
 
 __all__ = ["AllocationRecord", "MemoryTracker", "DeviceAllocator"]
@@ -45,7 +45,7 @@ class MemoryTracker:
     """
 
     def __init__(self) -> None:
-        self._lock = new_lock("MemoryTracker._lock")
+        self._lock = threading.Lock()
         self._current = 0
         self._peak = 0
         self._total_allocated = 0

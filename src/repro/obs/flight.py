@@ -35,7 +35,6 @@ import time
 from collections import deque
 from typing import Any
 
-from repro.analysis.sanitizer import new_lock
 
 __all__ = ["FlightRecorder"]
 
@@ -56,7 +55,7 @@ class FlightRecorder:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self.path = os.fspath(path) if path is not None else None
-        self._lock = new_lock("FlightRecorder._lock")
+        self._lock = threading.Lock()
         # One (ring, recorded-count cell) pair per thread, registered by
         # object on the thread's first record and never keyed by the thread
         # ident, which CPython reuses: a later thread must not overwrite a

@@ -25,7 +25,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis.sanitizer import new_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.device import Device
@@ -41,7 +40,7 @@ class TrainingProgress:
     """
 
     def __init__(self) -> None:
-        self._lock = new_lock("TrainingProgress._lock")
+        self._lock = threading.Lock()
         self._data: dict[str, Any] = {}
 
     def update(self, **fields: Any) -> None:

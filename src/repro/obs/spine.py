@@ -42,7 +42,6 @@ from operator import itemgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
-from repro.analysis.sanitizer import new_lock
 from repro.obs.tracer import SpanEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,7 +154,6 @@ _TABLE = (
     Site("fault.cache", "fault", counter="faults_injected", flight="fault"),
     Site("fault.kill", "fault", counter="faults_injected", flight="fault",
          drain="simulated_kill"),
-    Site("analysis.tsan_violation", "fault", flight="tsan"),
     # -- serving (serve/engine.py): request = queue wait + (ingest) +
     #    (forward) + row read ------------------------------------------------
     Site("serve.query", "serve", hist="repro_serve_request_seconds",
@@ -281,7 +279,7 @@ class LiveTotals:
     """
 
     def __init__(self) -> None:
-        self._lock = new_lock("LiveTotals._lock")
+        self._lock = threading.Lock()
         self._cells: list[_Cell] = []
         self._tls = threading.local()
 

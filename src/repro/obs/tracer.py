@@ -21,7 +21,6 @@ import threading
 import time
 from typing import Any
 
-from repro.analysis.sanitizer import new_lock
 
 __all__ = ["SpanEvent", "Tracer"]
 
@@ -85,7 +84,7 @@ class Tracer:
         self.dropped_events = 0
         #: ``perf_counter`` origin of every event's ``ts``
         self.epoch = time.perf_counter()
-        self._lock = new_lock("Tracer._lock")
+        self._lock = threading.Lock()
         # Display lanes are per-thread state registered by object (a
         # thread-local slot), never keyed by the reusable thread ident:
         # 1 = creating thread, 2+ = workers in arrival order.

@@ -343,8 +343,7 @@ class NullInjector:
 NULL_INJECTOR = NullInjector()
 
 # ---------------------------------------------------------------------------
-# Current-injector plumbing (shared ContextStack; mirrors repro.analysis.sanitizer /
-# repro.device)
+# Current-injector plumbing (shared ContextStack; mirrors repro.device)
 # ---------------------------------------------------------------------------
 _STACK: ContextStack[FaultInjector | NullInjector] = ContextStack(NULL_INJECTOR)
 

@@ -24,8 +24,9 @@ before it serves a query, so every response reflects every update batch
 enqueued before it (``wait=False`` included).  Every answer is equal to
 *some* serial order of queries and update batches consistent with snapshot
 versions (each result carries the version and timestamp it was served at);
-``tests/test_serve_concurrency.py`` gates that property under the runtime
-lock sanitizer.
+``tests/test_serve_concurrency.py`` gates that property.  ``_cv`` is the
+engine's one lock and a leaf: no code takes another lock while holding it
+(``repro lint --concurrency``, STG201).
 
 Every measured step is one record of the telemetry spine
 (:mod:`repro.obs.spine`), so a request's latency is attributable live from
@@ -45,7 +46,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.analysis.sanitizer import new_condition
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device, use_device
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
@@ -171,7 +171,7 @@ class InferenceEngine:
         self._num_nodes = int(graph.num_nodes)
 
         # --- shared state, guarded by _cv -----------------------------
-        self._cv = new_condition(name="InferenceEngine._cv")
+        self._cv = threading.Condition()
         self._pending: list[_Request] = []
         self._update_queue: list[tuple[int, EdgeUpdate]] = []
         self._ingest_seq = 0

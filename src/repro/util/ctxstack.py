@@ -1,9 +1,8 @@
 """The shared "current X" context-stack pattern.
 
-Three subsystems install a per-run object with the same shape of plumbing:
-``use_device`` (:mod:`repro.device.device`), ``use_fault_plan``
-(:mod:`repro.resilience.faults`) and ``use_sanitizer``
-(:mod:`repro.analysis.sanitizer`).  Each used to keep its own module-level
+Two subsystems install a per-run object with the same shape of plumbing:
+``use_device`` (:mod:`repro.device.device`) and ``use_fault_plan``
+(:mod:`repro.resilience.faults`).  Each used to keep its own module-level
 list; :class:`ContextStack` is the one implementation they now share.
 (The tracer and flight recorder live in the telemetry spine's own
 per-thread state, next to the open-interval stack they are read with.)

@@ -189,19 +189,116 @@ class Queue:
             self._cv.wait()
 """
 
-_FACTORY_STYLE = """
-from repro.analysis.sanitizer import new_condition, new_lock
+_LOCK_AND_CONDITION = """
+import threading
 
 class Staged:
     def __init__(self):
-        self._lock = new_lock("Staged._lock")
-        self._cond = new_condition(self._lock, "Staged._cond")
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self.items = []
 
     def push(self, item):
         with self._lock:
             self.items = self.items + [item]
             self._cond.notify_all()
+
+    def drop(self):
+        with self._cond:
+            self.items = []
+"""
+
+_UNGUARDED_WRITE_GUARDED_READ = """
+import threading
+
+class Box:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def read(self):
+        with self._lock:
+            return self.count
+
+    def reset(self):
+        self.count = 0
+"""
+
+#: a bare ``sum(...)`` under a lock, and one class elsewhere whose ``sum``
+#: method blocks
+_BARE_NAME_CALL = """
+import threading
+import time
+
+class Recorder:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._cells = []
+
+    def total(self):
+        with self._lock:
+            return sum(self._cells)
+
+
+class Tensor:
+    def sum(self):
+        time.sleep(1)
+"""
+
+#: ``update`` on a dict attribute, on a local dict and on an untyped
+#: parameter, under a lock, with one class elsewhere whose ``update`` blocks
+_BUILTIN_RECEIVER_CALL = """
+import threading
+import time
+
+class Progress:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._data = {}
+
+    def merge(self, fields):
+        with self._lock:
+            self._data.update(fields)
+
+    def snapshot(self):
+        with self._lock:
+            out = dict()
+            out.update(self._data)
+            return out
+
+    def push(self, sink):
+        with self._lock:
+            sink.update(self._data)
+
+
+class Sink:
+    def update(self, fields):
+        time.sleep(1)
+"""
+
+_CALL_INTO_REPRO_UNDER_LOCK = """
+import threading
+from collections import Counter
+
+from repro.obs.spine import emit
+
+class Stats:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def bump(self):
+        with self._lock:
+            Counter()
+
+    def record(self):
+        with self._lock:
+            emit("serve.update")
+
+    def snapshot(self):
+        from repro.compiler.plan import plan_cache
+
+        with self._lock:
+            return plan_cache().stats()
 """
 
 
@@ -250,30 +347,59 @@ def test_every_concurrency_code_has_a_mutation():
 # ---------------------------------------------------------------------------
 # Precision: the analyzer stays quiet on disciplined code
 # ---------------------------------------------------------------------------
+def _where(source: str, code: str) -> set[str]:
+    return {d.where for d in analyze_source(source, module="mod").diagnostics if d.code == code}
+
+
 def test_abba_cycle_found_through_the_call_graph():
-    report = analyze_source(_ABBA_TRANSITIVE, module="mod")
-    assert "STG201" in report.codes(), report.render()
+    # ``ab`` takes ``Pair._b`` inside ``_grab_b``, while it holds ``Pair._a``
+    assert _where(_ABBA_TRANSITIVE, "STG201") == {"mod.Pair.ab", "mod.Pair.ba"}
 
 
 def test_abba_diagnostic_names_both_sites():
-    report = _mutate_stg201()
-    [diag] = [d for d in report.diagnostics if d.code == "STG201"]
-    assert "Pair._a" in diag.message and "Pair._b" in diag.message
-    assert "at mod.Pair.ab" in diag.message  # provenance: where each edge came from
-    assert diag.where.startswith("cycle:")
+    messages = {d.where: d.message for d in _mutate_stg201().diagnostics if d.code == "STG201"}
+    assert set(messages) == {"mod.Pair.ab", "mod.Pair.ba"}
+    assert "takes Pair._b" in messages["mod.Pair.ab"] and "Pair._a" in messages["mod.Pair.ab"]
+    assert "takes Pair._a" in messages["mod.Pair.ba"] and "Pair._b" in messages["mod.Pair.ba"]
 
 
-def test_consistent_lock_order_is_clean():
+def test_consistent_lock_order_nest_is_reported():
+    """A lock is a leaf: an ``A -> B`` nest taken in the same order
+    everywhere, which no cycle search reports, is STG201 at each method."""
     source = _ABBA.replace(
         "    def ba(self):\n        with self._b:\n            with self._a:",
         "    def ba(self):\n        with self._a:\n            with self._b:",
     )
-    assert "STG201" not in _codes(source)
+    assert _where(source, "STG201") == {"mod.Pair.ab", "mod.Pair.ba"}
+
+
+def test_call_into_unfollowed_repro_code_under_a_lock_is_reported():
+    """A call the call graph cannot follow counts as taking a lock when the
+    name is imported from ``repro.*`` (at module or function level)."""
+    assert _where(_CALL_INTO_REPRO_UNDER_LOCK, "STG201") == {
+        "mod.Stats.record", "mod.Stats.snapshot",
+    }
+
+
+def test_a_bare_call_never_resolves_to_a_method():
+    # ``sum(...)`` is the builtin, not ``Tensor.sum`` (the one class defining it)
+    assert _where(_BARE_NAME_CALL, "STG204") == set()
+
+
+def test_a_builtin_receiver_never_resolves_to_a_method():
+    """``self._data = {}`` in ``__init__`` and ``out = dict()`` are no
+    analyzed class; the unique-name fallback still serves an untyped
+    parameter."""
+    assert _where(_BUILTIN_RECEIVER_CALL, "STG204") == {"mod.Progress.push"}
 
 
 def test_suppression_comment_silences_stg202():
     assert "STG202" in _codes(_UNGUARDED_WRITE)
     assert "STG202" not in _codes(_SUPPRESSED_WRITE)
+
+
+def test_unguarded_write_to_an_attribute_read_under_the_lock_is_reported():
+    assert _where(_UNGUARDED_WRITE_GUARDED_READ, "STG202") == {"mod.Box.reset"}
 
 
 def test_init_writes_do_not_count_as_unguarded():
@@ -306,11 +432,12 @@ def test_condvar_wait_behind_a_helper_is_judged_by_the_callers_locks():
     assert findings == {"mod.Queue.flush_serialized"}
 
 
-def test_sanitizer_factory_locks_are_discovered():
-    report = analyze_source(_FACTORY_STYLE, module="mod")
+def test_lock_and_condition_sites_are_discovered():
+    # ``drop`` writes under ``Condition(self._lock)``, which is ``_lock``
+    report = analyze_source(_LOCK_AND_CONDITION, module="mod")
     assert report.codes() == set()
-    # seed a bug through the factory-created lock to prove it was modeled
-    bugged = _FACTORY_STYLE + """
+    # seed a bug through the lock to prove it was modeled
+    bugged = _LOCK_AND_CONDITION + """
     def read(self):
         self.items = []
 """
@@ -360,109 +487,167 @@ def test_missing_baseline_file_is_an_empty_baseline(tmp_path):
 # ---------------------------------------------------------------------------
 # Seeded mutations of the shipped sources that the analyzer catches
 # ---------------------------------------------------------------------------
-#: name -> (module, old text, mutated text, expected code, finding's ``where``);
-#: the runtime half's catches are in ``tests/test_analysis_sanitizer.py`` and
-#: the whole table, misses included, is in DESIGN.md ("One lock checker, or
-#: two").
+#: name -> (module, [(old text, mutated text), ...], expected code, the
+#: findings' ``where``s); the whole table, misses included, is in DESIGN.md
+#: ("One lock checker, or two").
 _REAL_MUTATIONS = {
-    "manual_add-drops-its-lock": (
+    "manual_add-drops-its-lock": (  # M2
         "repro.device.allocator",
-        "        with self._lock:\n"
-        "            alloc_id = self._next_id\n"
-        "            self._next_id += 1\n"
-        "            self._live[alloc_id] = AllocationRecord(int(nbytes), tag, alloc_id)\n"
-        "            self._account_add(int(nbytes), tag)\n"
-        "            return alloc_id\n",
-        "        alloc_id = self._next_id\n"
-        "        self._next_id += 1\n"
-        "        self._live[alloc_id] = AllocationRecord(int(nbytes), tag, alloc_id)\n"
-        "        self._account_add(int(nbytes), tag)\n"
-        "        return alloc_id\n",
-        "STG202", "repro.device.allocator.MemoryTracker.manual_add",
+        [("        with self._lock:\n"
+          "            alloc_id = self._next_id\n"
+          "            self._next_id += 1\n"
+          "            self._live[alloc_id] = AllocationRecord(int(nbytes), tag, alloc_id)\n"
+          "            self._account_add(int(nbytes), tag)\n"
+          "            return alloc_id\n",
+          "        alloc_id = self._next_id\n"
+          "        self._next_id += 1\n"
+          "        self._live[alloc_id] = AllocationRecord(int(nbytes), tag, alloc_id)\n"
+          "        self._account_add(int(nbytes), tag)\n"
+          "        return alloc_id\n")],
+        "STG202", ("repro.device.allocator.MemoryTracker.manual_add",),
     ),
-    "stop-writes-_stopping-outside-_cv": (
+    "stop-writes-_stopping-outside-_cv": (  # M3
         "repro.serve.engine",
-        "        with self._cv:\n"
-        "            thread = self._thread\n"
-        "            self._stopping = True\n",
-        "        self._stopping = True\n"
-        "        with self._cv:\n"
-        "            thread = self._thread\n",
-        "STG202", "repro.serve.engine.InferenceEngine.stop",
+        [("        with self._cv:\n"
+          "            thread = self._thread\n"
+          "            self._stopping = True\n",
+          "        self._stopping = True\n"
+          "        with self._cv:\n"
+          "            thread = self._thread\n")],
+        "STG202", ("repro.serve.engine.InferenceEngine.stop",),
     ),
-    "stop-joins-under-_cv": (
+    "apply-update-publishes-before-_cv": (  # M4: read under _cv by latest_version
         "repro.serve.engine",
-        "            self._cv.notify_all()\n"
-        "        if thread is None:\n"
-        "            return\n"
-        "        thread.join(timeout=_JOIN_TIMEOUT)\n",
-        "            self._cv.notify_all()\n"
-        "            if thread is None:\n"
-        "                return\n"
-        "            thread.join(timeout=_JOIN_TIMEOUT)\n",
-        "STG204", "repro.serve.engine.InferenceEngine.stop",
+        [("        with self._cv:\n"
+          "            self._applied_seq = seq\n"
+          "            self._applied_version = version\n"
+          "            self._cv.notify_all()\n",
+          "        self._applied_seq = seq\n"
+          "        self._applied_version = version\n"
+          "        with self._cv:\n"
+          "            self._cv.notify_all()\n")],
+        "STG202", ("repro.serve.engine.InferenceEngine._apply_update",),
     ),
-    "progress-update-bare-acquire": (
+    "pending-lock-around-_cv": (  # M5
+        "repro.serve.engine",
+        [("        self._cv = threading.Condition()\n",
+          "        self._cv = threading.Condition()\n"
+          "        self._pending_lock = threading.Lock()\n"
+          "        self._pending_updates = 0\n"),
+         ("            self._update_queue.append((seq, update))\n",
+          "            self._update_queue.append((seq, update))\n"
+          "            with self._pending_lock:\n"
+          "                self._pending_updates = len(self._update_queue)\n"),
+         ("        with self._cv:\n"
+          "            self._applied_seq = seq\n"
+          "            self._applied_version = version\n"
+          "            self._cv.notify_all()\n",
+          "        with self._pending_lock:\n"
+          "            with self._cv:\n"
+          "                self._applied_seq = seq\n"
+          "                self._applied_version = version\n"
+          "                self._cv.notify_all()\n")],
+        "STG201", ("repro.serve.engine.InferenceEngine._apply_update",
+                   "repro.serve.engine.InferenceEngine.enqueue_update"),
+    ),
+    "stop-joins-under-_cv": (  # M8
+        "repro.serve.engine",
+        [("            self._cv.notify_all()\n"
+          "        if thread is None:\n"
+          "            return\n"
+          "        thread.join(timeout=_JOIN_TIMEOUT)\n",
+          "            self._cv.notify_all()\n"
+          "            if thread is None:\n"
+          "                return\n"
+          "            thread.join(timeout=_JOIN_TIMEOUT)\n")],
+        "STG204", ("repro.serve.engine.InferenceEngine.stop",),
+    ),
+    "progress-update-bare-acquire": (  # M9
         "repro.obs.server",
-        "        with self._lock:\n"
-        "            self._data.update(fields)\n",
-        "        self._lock.acquire()\n"
-        "        self._data.update(fields)\n"
-        "        self._lock.release()\n",
-        "STG203", "repro.obs.server.TrainingProgress.update",
+        [("        with self._lock:\n"
+          "            self._data.update(fields)\n",
+          "        self._lock.acquire()\n"
+          "        self._data.update(fields)\n"
+          "        self._lock.release()\n")],
+        "STG203", ("repro.obs.server.TrainingProgress.update",),
     ),
-    "plan-cache-lock-free-hit-path": (
+    "totals-read-takes-the-plan-cache-lock": (  # M10: through dynamic dispatch
+        "repro.obs.spine",
+        [("        with self._lock:\n"
+          "            cells = list(self._cells)\n",
+          "        from repro.compiler.plan import plan_cache\n"
+          "\n"
+          "        with self._lock:\n"
+          "            cells = list(self._cells)\n"
+          "            self.plan_stats = plan_cache().stats()\n")],
+        "STG201", ("repro.obs.spine.LiveTotals.read",),
+    ),
+    "reset-peak-reenters-its-lock": (  # M11: a plain Lock taken twice
+        "repro.device.allocator",
+        [("            self._peak_by_tag = {\n"
+          "                tag: nbytes for tag, nbytes in self._current_by_tag.items()\n"
+          "            }\n",
+          "            self._peak_by_tag = self.bytes_by_tag()\n")],
+        "STG201", ("repro.device.allocator.MemoryTracker.reset_peak",),
+    ),
+    "plan-cache-lock-free-hit-path": (  # M12
         "repro.compiler.plan",
-        "        with self._lock:\n"
-        "            plan = self._plans.get(key)\n",
-        "        plan = self._plans.get(key)\n"
-        "        if plan is not None:\n"
-        "            self.hits += 1\n"
-        "            return plan\n"
-        "        with self._lock:\n"
-        "            plan = self._plans.get(key)\n",
-        "STG202", "repro.compiler.plan.PlanCache.get_or_build",
+        [("        with self._lock:\n"
+          "            plan = self._plans.get(key)\n",
+          "        plan = self._plans.get(key)\n"
+          "        if plan is not None:\n"
+          "            self.hits += 1\n"
+          "            return plan\n"
+          "        with self._lock:\n"
+          "            plan = self._plans.get(key)\n")],
+        "STG202", ("repro.compiler.plan.PlanCache.get_or_build",),
     ),
 }
 
 
+def _shipped_source(module: str) -> str:
+    return Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
+
+
+def _mutated(source: str, edits: list[tuple[str, str]]) -> str:
+    for old, new in edits:
+        assert source.count(old) == 1, "the mutation no longer applies: update it with the code"
+        source = source.replace(old, new)
+    return source
+
+
+def _findings(source: str, module: str) -> set[tuple[str, str]]:
+    return {(d.code, d.where) for d in analyze_source(source, module=module).diagnostics}
+
+
 @pytest.mark.parametrize("name", sorted(_REAL_MUTATIONS))
 def test_seeded_mutation_of_the_shipped_source_is_reported(name):
-    module, old, new, code, where = _REAL_MUTATIONS[name]
-    source = Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, "the mutation no longer applies: update it with the code"
-
-    def findings(text):
-        return {(d.code, d.where) for d in analyze_source(text, module=module).diagnostics}
-
-    assert (code, where) not in findings(source)
-    assert (code, where) in findings(source.replace(old, new))
+    module, edits, code, wheres = _REAL_MUTATIONS[name]
+    source = _shipped_source(module)
+    shipped, mutant = _findings(source, module), _findings(_mutated(source, edits), module)
+    for where in wheres:
+        assert (code, where) not in shipped
+        assert (code, where) in mutant
 
 
 def test_flush_lock_held_across_the_helper_wait_is_reported():
     """DESIGN.md's M7: ``flush`` holds a second lock across the ``_cv`` wait
     inside ``_await_applied_locked``.  The shipped ``flush`` holds only
-    ``_cv`` there and is clean; the mutant is STG204."""
+    ``_cv`` there and is clean; the mutant nests ``_cv`` inside the new lock
+    (STG201) and waits holding it (STG204)."""
     module = "repro.serve.engine"
-    source = Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
+    source = _shipped_source(module)
     where = "repro.serve.engine.InferenceEngine.flush"
-
-    def findings(text):
-        return {(d.code, d.where) for d in analyze_source(text, module=module).diagnostics}
-
-    assert ("STG204", where) not in findings(source)
-    for old, new in [
-        ("from repro.analysis.sanitizer import new_condition\n",
-         "from repro.analysis.sanitizer import new_condition, new_lock\n"),
-        ('        self._cv = new_condition(name="InferenceEngine._cv")\n',
-         '        self._cv = new_condition(name="InferenceEngine._cv")\n'
-         '        self._flush_lock = new_lock("InferenceEngine._flush_lock")\n'),
+    mutant = _mutated(source, [
+        ("        self._cv = threading.Condition()\n",
+         "        self._cv = threading.Condition()\n"
+         "        self._flush_lock = threading.Lock()\n"),
         ("        with self._cv:\n            seq = self._ingest_seq\n",
          "        with self._flush_lock, self._cv:\n            seq = self._ingest_seq\n"),
-    ]:
-        assert source.count(old) == 1, "the mutation no longer applies: update it with the code"
-        source = source.replace(old, new)
-    assert ("STG204", where) in findings(source)
+    ])
+    for code in ("STG201", "STG204"):
+        assert (code, where) not in _findings(source, module)
+        assert (code, where) in _findings(mutant, module)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+import time
 
 from repro.compiler.plan import PlanCache
 from repro.dataset import load_sx_mathoverflow
@@ -90,6 +91,51 @@ def test_plan_cache_distinct_keys_partition_counters():
     assert cache.misses == n_threads
     assert cache.hits == n_threads * (n_iters - 1)
     assert cache.hits + cache.misses == n_threads * n_iters
+
+
+def _poll(condition, seconds: float = 10.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def test_plan_cache_failed_build_raises_in_every_waiter_and_is_retried(monkeypatch):
+    """The build runs with no lock held.  One that raises while another
+    thread waits on its key raises in both threads and caches nothing, and
+    the next request builds again."""
+    cache = PlanCache()
+    failure = RuntimeError("build failed")
+
+    def failing_build(*args, **kwargs):
+        _poll(lambda: cache.hits == 1)  # the waiter found the pending build
+        raise failure
+
+    def prog(v):
+        return v.agg_sum(lambda nb: nb.h)
+
+    raised: dict[str, BaseException] = {}
+
+    def request(who: str) -> None:
+        try:
+            cache.get_or_build(prog, feature_widths={"h": "v"})
+        except RuntimeError as exc:
+            raised[who] = exc
+
+    monkeypatch.setattr("repro.compiler.plan._build_plan", failing_build)
+    builder = threading.Thread(target=request, args=("builder",))
+    builder.start()
+    _poll(lambda: cache.misses == 1)  # the builder registered the key
+    request("waiter")
+    builder.join(timeout=10.0)
+    assert not builder.is_alive()
+    assert raised == {"builder": failure, "waiter": failure}
+    assert (cache.misses, cache.hits, len(cache)) == (1, 1, 0)
+
+    monkeypatch.undo()
+    plan = cache.get_or_build(prog, feature_widths={"h": "v"})
+    assert (cache.misses, len(cache)) == (2, 1)
+    assert cache.get_or_build(prog, feature_widths={"h": "v"}) is plan
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _KNOB = re.compile(r"REPRO_[A-Z_]+")
-_KNOBS = {
-    "REPRO_BENCH_STATIC_SCALE", "REPRO_BENCH_DYNAMIC_SCALE", "REPRO_BENCH_EPOCHS",
-    "REPRO_TSAN",
-}
+_KNOBS = {"REPRO_BENCH_STATIC_SCALE", "REPRO_BENCH_DYNAMIC_SCALE", "REPRO_BENCH_EPOCHS"}
 
 
 def _read_by_the_code() -> set[str]:

@@ -1,4 +1,4 @@
-"""Property-style concurrent serving test (runs under ``REPRO_TSAN=1`` in CI).
+"""Property-style concurrent serving test.
 
 Many client threads issue point queries while an updater lands GPMA update
 batches on the same engine.  The property: every response must be
@@ -7,10 +7,9 @@ with snapshot versions — concretely, each response carries the timestamp
 it was served at, and must equal a fresh serial forward at exactly that
 timestamp.  No dispatcher thread may leak.
 
-The engine's locks come from the sanitizer factories
-(``repro.analysis.sanitizer``), so under ``REPRO_TSAN=1`` the session
-additionally fails on any lock-discipline violation observed while this
-interleaving runs (see ``tests/conftest.py``).
+The engine's lock discipline (``_cv`` is a leaf lock, and a wait holds
+nothing else) is proved on every path by ``repro lint --concurrency``
+(``docs/ANALYSIS.md``); this test checks what the lock protects.
 """
 
 from __future__ import annotations
