@@ -9,14 +9,19 @@ The window covers ``window_fraction`` of the stream (default one half) and
 slides by a step chosen so the symmetric difference between consecutive
 snapshot edge *sets* stays below ``percent_change`` of the previous
 snapshot's size.  Duplicate events inside a window collapse to one edge.
+
+A window is kept as a per-edge event count, so a slide is scored and
+applied from the events that leave and enter it: the edges whose count
+rises from zero or falls to zero *are* the delta, and the DTDG is built
+from the first window plus those deltas, never from full windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.dtdg import DTDG
-from repro.graph.labels import encode_edges
+from repro.graph.dtdg import DTDG, EdgeUpdate
+from repro.graph.labels import decode_edges, encode_edges
 
 __all__ = ["discretize_edge_stream"]
 
@@ -43,46 +48,55 @@ def discretize_edge_stream(
     if n_events < 4:
         raise ValueError("edge stream too short to discretize")
     window = max(2, int(n_events * window_fraction))
-    keys = encode_edges(src, dst, num_nodes)
-
-    def window_keys(start: int) -> np.ndarray:
-        return np.unique(keys[start : start + window])
-
-    snapshots_keys = [window_keys(0)]
-    step = max(1, int(len(snapshots_keys[0]) * percent_change / 100.0 / 2.0))
+    # Each event becomes the index of its distinct edge; the window is the
+    # set of edges whose event count in it is positive.
+    edges, ids = np.unique(encode_edges(src, dst, num_nodes), return_inverse=True)
+    count = np.bincount(ids[:window], minlength=len(edges))
+    size = int(np.count_nonzero(count))
+    dtdg = DTDG([decode_edges(edges[count > 0], num_nodes)], num_nodes)
+    step = max(1, int(size * percent_change / 100.0 / 2.0))
     start = 0
+
+    def slide(trial: int) -> tuple[int, tuple[np.ndarray, ...]]:
+        """Change count of moving the window on by ``trial`` events, with the
+        edges added and removed, and the counts of the edges touched after it."""
+        leave = ids[start : start + trial]
+        enter = ids[start + window : start + window + trial]
+        touched, at = np.unique(np.concatenate([leave, enter]), return_inverse=True)
+        before = count[touched]
+        after = (
+            before
+            + np.bincount(at[len(leave):], minlength=len(touched))
+            - np.bincount(at[: len(leave)], minlength=len(touched))
+        )
+        added = touched[(before == 0) & (after > 0)]
+        removed = touched[(before > 0) & (after == 0)]
+        return len(added) + len(removed), (added, removed, touched, after)
+
     while start + step + window <= n_events:
-        prev = snapshots_keys[-1]
-        budget = percent_change / 100.0 * max(1, len(prev))
-
-        def realized(trial: int) -> tuple[int, np.ndarray]:
-            nxt = window_keys(start + trial)
-            changes = len(np.setdiff1d(nxt, prev, assume_unique=True)) + len(
-                np.setdiff1d(prev, nxt, assume_unique=True)
-            )
-            return changes, nxt
-
+        budget = percent_change / 100.0 * max(1, size)
         trial = step
-        changes, nxt = realized(trial)
+        changes, move = slide(trial)
         # Duplicates inside windows make the slid-events estimate very
         # conservative — grow the step until the realized change approaches
         # (but never exceeds) the bound, so sweeping percent_change actually
         # spreads the snapshots (Figure 8's x-axis).
         while changes < 0.6 * budget and start + 2 * trial + window <= n_events:
-            c2, n2 = realized(2 * trial)
+            c2, m2 = slide(2 * trial)
             if c2 > budget:
                 break
-            trial, changes, nxt = 2 * trial, c2, n2
+            trial, changes, move = 2 * trial, c2, m2
         while changes > budget and trial > 1:
             trial = max(1, trial // 2)
-            changes, nxt = realized(trial)
-        snapshots_keys.append(nxt)
+            changes, move = slide(trial)
+        added, removed, touched, after = move
+        count[touched] = after
+        size += len(added) - len(removed)
+        a_src, a_dst = decode_edges(edges[added], num_nodes)
+        d_src, d_dst = decode_edges(edges[removed], num_nodes)
+        dtdg.append_update(EdgeUpdate(a_src, a_dst, d_src, d_dst))
         start += trial
         step = trial
-        if max_snapshots is not None and len(snapshots_keys) >= max_snapshots:
+        if max_snapshots is not None and dtdg.num_timestamps >= max_snapshots:
             break
-
-    snapshot_edges = []
-    for k in snapshots_keys:
-        snapshot_edges.append((k // num_nodes, k % num_nodes))
-    return DTDG(snapshot_edges, num_nodes)
+    return dtdg

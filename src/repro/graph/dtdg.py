@@ -8,9 +8,14 @@ storage strategies the paper compares need different inputs:
   (edge additions/deletions — "nearby snapshots typically vary by less
   than 10%").
 
-:class:`DTDG` holds both views and guarantees they are consistent: updates
-are computed as exact set differences between consecutive snapshots.  It owns
-each snapshot's content version (:meth:`DTDG.version_of`), the key of all reuse.
+:class:`DTDG` stores what GPMAGraph stores: the base snapshot, the updates
+(exact set differences between consecutive snapshots), one edge count per
+timestamp and the latest snapshot, which a live append normalizes against.
+Any other snapshot is replayed forward from the base, or from the last one
+replayed (every reader walks timestamps in order).  Host bytes are therefore
+base + latest + one replayed snapshot + Σ updates, not T full edge sets.
+It owns each snapshot's content version (:meth:`DTDG.version_of`), the key
+of all reuse.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.labels import decode_edges, encode_edges
+from repro.graph.labels import decode_edges, encode_edges, positions_in
 
 __all__ = ["DTDG", "EdgeUpdate"]
 
@@ -43,61 +48,80 @@ class EdgeUpdate:
         return EdgeUpdate(self.del_src, self.del_dst, self.add_src, self.add_dst)
 
 
-def _positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower-bound position of each key in ``sorted_keys`` and whether it is there."""
-    at = np.searchsorted(sorted_keys, keys)
-    known = at < len(sorted_keys)
-    known[known] = sorted_keys[at[known]] == keys[known]
-    return at, known
+def _apply_keys(keys: np.ndarray, add: np.ndarray, delete: np.ndarray) -> np.ndarray:
+    """``(keys \\ delete) | add`` as a new array, for sorted unique ``keys``,
+    ``add`` and ``delete`` where every ``delete`` key is in ``keys`` and no
+    ``add`` key is: one masked copy plus one insert."""
+    add_at = np.searchsorted(keys, add)
+    del_at = np.searchsorted(keys, delete)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[del_at] = False
+    return np.insert(keys[keep], add_at - np.searchsorted(del_at, add_at), add)
 
 
 class DTDG:
-    """Snapshots plus derived per-timestamp updates.
+    """A base snapshot plus per-timestamp updates.
 
     Parameters
     ----------
     snapshot_edges:
         One ``(src, dst)`` pair of int arrays per timestamp.  Duplicate
         edges within a snapshot are collapsed (snapshots are simple directed
-        graphs, matching the paper's link-prediction formatting).
+        graphs, matching the paper's link-prediction formatting).  Only the
+        first snapshot and the differences between consecutive ones are
+        kept; a caller holding a base and its deltas instead appends them
+        with :meth:`append_update`.
     num_nodes:
         Shared vertex universe across all snapshots (DTDG vertex set may
         shrink/grow logically; isolated vertices simply have degree 0).
+
+    One thread may append while others read any ``t < num_timestamps``: an
+    append publishes ``(t, keys)`` of the latest snapshot as one tuple after
+    its update is recorded, the replay memo is one tuple too, and no stored
+    array is ever written in place.
     """
 
     def __init__(self, snapshot_edges: list[tuple[np.ndarray, np.ndarray]], num_nodes: int) -> None:
         if not snapshot_edges:
             raise ValueError("a DTDG needs at least one snapshot")
         self.num_nodes = int(num_nodes)
-        self._keys: list[np.ndarray] = []
-        for src, dst in snapshot_edges:
-            keys = np.unique(encode_edges(np.asarray(src), np.asarray(dst), self.num_nodes))
-            self._keys.append(keys)
-        self.updates: list[EdgeUpdate] = [
-            EdgeUpdate(
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        ]
+        snapshots = (
+            np.unique(encode_edges(np.asarray(src), np.asarray(dst), self.num_nodes))
+            for src, dst in snapshot_edges
+        )
+        self._base = next(snapshots)
+        empty = np.empty(0, dtype=np.int64)
+        self.updates: list[EdgeUpdate] = [EdgeUpdate(empty, empty, empty, empty)]
         self._versions = [0]  # version_of(t); grows wherever ``updates`` does
-        for t in range(1, len(self._keys)):
-            prev, curr = self._keys[t - 1], self._keys[t]
-            added = np.setdiff1d(curr, prev, assume_unique=True)
-            deleted = np.setdiff1d(prev, curr, assume_unique=True)
-            a_src, a_dst = decode_edges(added, self.num_nodes)
-            d_src, d_dst = decode_edges(deleted, self.num_nodes)
-            self._record(EdgeUpdate(a_src, a_dst, d_src, d_dst))
+        self._counts = [len(self._base)]  # snapshot_edge_count(t); grows last
+        self._latest = (0, self._base)  # (t, keys) of the last snapshot
+        self._memo = (0, self._base)  # (t, keys) of the last snapshot replayed
+        for curr in snapshots:
+            prev = self._latest[1]
+            self._push(
+                np.setdiff1d(curr, prev, assume_unique=True),
+                np.setdiff1d(prev, curr, assume_unique=True),
+                curr,
+            )
 
-    def _record(self, update: EdgeUpdate) -> None:
+    def _push(self, add: np.ndarray, delete: np.ndarray, keys: np.ndarray) -> int:
+        """Record the update ``add`` / ``delete`` (sorted keys) leading to the
+        new last snapshot ``keys``; the count is appended last, so a reader
+        that sees ``t < num_timestamps`` finds its update recorded."""
+        a_src, a_dst = decode_edges(add, self.num_nodes)
+        d_src, d_dst = decode_edges(delete, self.num_nodes)
+        update = EdgeUpdate(a_src, a_dst, d_src, d_dst)
         self.updates.append(update)
         self._versions.append(self._versions[-1] + (update.num_changes > 0))
+        t = len(self._counts)
+        self._latest = (t, keys)
+        self._counts.append(len(keys))
+        return t
 
     @property
     def num_timestamps(self) -> int:
         """Number of snapshots."""
-        return len(self._keys)
+        return len(self._counts)
 
     def check_update(self, update: EdgeUpdate) -> None:
         """Raise ``ValueError`` unless ``update`` is a well-formed batch here.
@@ -136,7 +160,6 @@ class DTDG:
         Returns the new timestamp index.
         """
         self.check_update(update)
-        prev = self._keys[-1]
         add = np.unique(encode_edges(
             np.asarray(update.add_src, dtype=np.int64),
             np.asarray(update.add_dst, dtype=np.int64), self.num_nodes,
@@ -145,19 +168,13 @@ class DTDG:
             np.asarray(update.del_src, dtype=np.int64),
             np.asarray(update.del_dst, dtype=np.int64), self.num_nodes,
         ))
-        # ``prev`` is sorted and unique, so membership is a binary search per
-        # batch key and the new snapshot is one masked copy plus one insert.
-        add_at, add_known = _positions_in(prev, add)
-        add, add_at = add[~add_known], add_at[~add_known]
-        del_at, del_known = _positions_in(prev, delete)
-        delete, del_at = delete[del_known], del_at[del_known]
-        keep = np.ones(len(prev), dtype=bool)
-        keep[del_at] = False
-        self._keys.append(np.insert(prev[keep], add_at - np.searchsorted(del_at, add_at), add))
-        a_src, a_dst = decode_edges(add, self.num_nodes)
-        d_src, d_dst = decode_edges(delete, self.num_nodes)
-        self._record(EdgeUpdate(a_src, a_dst, d_src, d_dst))
-        return self.num_timestamps - 1
+        # The latest keys are sorted and unique, so membership is a binary
+        # search per batch key and the new snapshot is one masked copy plus
+        # one insert.  They are replaced, not kept: earlier snapshots replay.
+        prev = self._latest[1]
+        add = add[~positions_in(prev, add)[1]]
+        delete = delete[positions_in(prev, delete)[1]]
+        return self._push(add, delete, _apply_keys(prev, add, delete))
 
     def version_of(self, t: int) -> int:
         """Content version of snapshot ``t``: the number of non-empty batches in
@@ -168,17 +185,38 @@ class DTDG:
 
     def snapshot_edges(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The (src, dst) arrays of snapshot ``t`` in sorted key order."""
-        return decode_edges(self._keys[t], self.num_nodes)
+        return decode_edges(self._snapshot_keys(t), self.num_nodes)
+
+    def _snapshot_keys(self, t: int) -> np.ndarray:
+        """Sorted keys of snapshot ``t``: the latest as stored, any other one
+        replayed forward from the memo when it is not past ``t``, else from
+        the base."""
+        t = range(self.num_timestamps)[t]
+        last, keys = self._latest
+        if t == last:
+            return keys
+        at, keys = self._memo
+        if at > t:
+            at, keys = 0, self._base
+        n = self.num_nodes
+        for update in self.updates[at + 1 : t + 1]:
+            keys = _apply_keys(
+                keys,
+                encode_edges(update.add_src, update.add_dst, n),
+                encode_edges(update.del_src, update.del_dst, n),
+            )
+        self._memo = (t, keys)
+        return keys
 
     def snapshot_edge_count(self, t: int) -> int:
         """Edge count of snapshot ``t``."""
-        return len(self._keys[t])
+        return self._counts[t]
 
     def percent_change(self, t: int) -> float:
         """|changes| / |edges of previous snapshot| between t-1 and t."""
         if t == 0:
             return 0.0
-        denom = max(1, len(self._keys[t - 1]))
+        denom = max(1, self._counts[t - 1])
         return 100.0 * self.updates[t].num_changes / denom
 
     def max_percent_change(self) -> float:
@@ -200,8 +238,7 @@ class DTDG:
         return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = [len(k) for k in self._keys]
         return (
             f"DTDG(T={self.num_timestamps}, N={self.num_nodes}, "
-            f"E_0={sizes[0]}, E_last={sizes[-1]})"
+            f"E_0={self._counts[0]}, E_last={self._counts[-1]})"
         )

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["canonical_edge_labels", "encode_edges", "decode_edges", "relabel_after_update"]
+__all__ = [
+    "canonical_edge_labels", "encode_edges", "decode_edges", "positions_in", "relabel_after_update",
+]
 
 
 def encode_edges(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -33,6 +35,15 @@ def decode_edges(keys: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarr
     """Inverse of :func:`encode_edges`."""
     keys = np.asarray(keys, dtype=np.int64)
     return keys // num_nodes, keys % num_nodes
+
+
+def positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-bound position of each key in ``sorted_keys`` and whether it is
+    there: a binary search per key, so ``sorted_keys`` is never re-sorted."""
+    at = np.searchsorted(sorted_keys, keys)
+    known = at < len(sorted_keys)
+    known[known] = sorted_keys[at[known]] == keys[known]
+    return at, known
 
 
 def canonical_edge_labels(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:

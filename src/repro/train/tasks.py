@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.dtdg import DTDG
-from repro.graph.labels import encode_edges
+from repro.graph.labels import encode_edges, positions_in
 
 __all__ = ["LinkSamples", "make_link_prediction_samples"]
 
@@ -53,7 +53,7 @@ def make_link_prediction_samples(
         pos_idx = rng.choice(len(src), size=num_pos, replace=False)
         pos = np.stack([src[pos_idx], dst[pos_idx]])
 
-        edge_keys = encode_edges(src, dst, n)
+        edge_keys = encode_edges(src, dst, n)  # sorted and unique: snapshot order
         negs: list[np.ndarray] = []
         need = num_pos
         while need > 0:
@@ -62,7 +62,7 @@ def make_link_prediction_samples(
             ok = cand_s != cand_d
             cand_s, cand_d = cand_s[ok], cand_d[ok]
             keys = encode_edges(cand_s, cand_d, n)
-            fresh = ~np.isin(keys, edge_keys)
+            fresh = ~positions_in(edge_keys, keys)[1]
             take = min(need, int(fresh.sum()))
             negs.append(np.stack([cand_s[fresh][:take], cand_d[fresh][:take]]))
             need -= take

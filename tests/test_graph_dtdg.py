@@ -118,7 +118,7 @@ def test_append_update_matches_set_algebra(seed, shape):
     m = int(rng.integers(0, 60))
     dtdg = DTDG([(rng.integers(0, n, m), rng.integers(0, n, m))], n)
     for _ in range(4):
-        prev = dtdg._keys[-1]
+        prev = encode_edges(*dtdg.snapshot_edges(-1), n)
         n_add, n_del = {"mixed": (20, 20), "redundant": (20, 20), "all-delete": (0, 30), "empty": (0, 0)}[shape]
         add = rng.integers(0, n * n, n_add)  # in-batch duplicates and already-present edges are likely
         delete = rng.integers(0, n * n, n_del)  # absent edges and overlaps with ``add`` too
@@ -129,11 +129,11 @@ def test_append_update_matches_set_algebra(seed, shape):
         want_add = np.setdiff1d(add, prev)
         want_del = np.intersect1d(delete, prev)
         assert t == dtdg.num_timestamps - 1
-        np.testing.assert_array_equal(dtdg._keys[t], np.union1d(np.setdiff1d(prev, want_del), want_add))
+        np.testing.assert_array_equal(encode_edges(*dtdg.snapshot_edges(t), n), np.union1d(np.setdiff1d(prev, want_del), want_add))
         up = dtdg.updates[t]
         np.testing.assert_array_equal(encode_edges(up.add_src, up.add_dst, n), want_add)
         np.testing.assert_array_equal(encode_edges(up.del_src, up.del_dst, n), want_del)
-        assert dtdg._keys[t].dtype == np.int64 and up.add_src.dtype == np.int64
+        assert encode_edges(*dtdg.snapshot_edges(t), n).dtype == np.int64 and up.add_src.dtype == np.int64
         if shape in ("redundant", "empty"):
             assert up.num_changes == 0
 
@@ -162,7 +162,7 @@ def test_version_is_the_count_of_nonempty_batches(seed, kinds, appends):
         for a in range(T):
             for b in range(a):
                 if versions[a] == versions[b]:
-                    np.testing.assert_array_equal(dtdg._keys[a], dtdg._keys[b])
+                    np.testing.assert_array_equal(encode_edges(*dtdg.snapshot_edges(a), n), encode_edges(*dtdg.snapshot_edges(b), n))
         for t in (-1, T):
             with pytest.raises(IndexError):
                 dtdg.version_of(t)
@@ -170,7 +170,7 @@ def test_version_is_the_count_of_nonempty_batches(seed, kinds, appends):
 
     before = check()
     for shape in appends:
-        prev = dtdg._keys[-1]
+        prev = encode_edges(*dtdg.snapshot_edges(-1), n)
         add = rng.integers(0, n * n, 0 if shape == "empty" else 4)
         delete = rng.integers(0, n * n, 0 if shape == "empty" else 4)
         if shape == "redundant":
@@ -179,5 +179,5 @@ def test_version_is_the_count_of_nonempty_batches(seed, kinds, appends):
         t = dtdg.append_update(EdgeUpdate(add // n, add % n, delete // n, delete % n))
         after = check()
         assert after[:t] == before
-        assert after[t] == before[-1] + (not np.array_equal(dtdg._keys[t], prev))
+        assert after[t] == before[-1] + (not np.array_equal(encode_edges(*dtdg.snapshot_edges(t), n), prev))
         before = after

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.train.tasks as tasks
 from repro.dataset import load_sx_mathoverflow
-from repro.graph.labels import encode_edges
+from repro.graph import DTDG
+from repro.graph.labels import encode_edges, positions_in
 from repro.train import make_link_prediction_samples
 from repro.train.metrics import accuracy_from_logits, mae, rmse, roc_auc
 
@@ -103,3 +106,36 @@ def test_samples_deterministic(ds):
     b = make_link_prediction_samples(ds.dtdg, 64, seed=5)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.pairs, sb.pairs)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    sizes=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+    horizon=st.integers(0, 5),
+    per_t=st.integers(2, 16),
+)
+@settings(max_examples=100, deadline=None)
+def test_binary_search_mask_equals_isin(seed, n, sizes, horizon, per_t):
+    """The sampler's negative filter is a binary search over the snapshot's
+    sorted keys; with ``np.isin`` in its place every pair and label is the same."""
+    rng = np.random.default_rng(seed)
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    snaps = []
+    for size in sizes:  # strictly fewer edges than ordered pairs, so a negative always exists
+        chosen = rng.choice(len(pairs), size=min(size, len(pairs) - 1), replace=False)
+        edges = np.array([pairs[i] for i in chosen], dtype=np.int64).reshape(-1, 2)
+        snaps.append((edges[:, 0], edges[:, 1]))
+    dtdg = DTDG(snaps, n)
+    got = make_link_prediction_samples(dtdg, per_t, seed=seed, horizon=horizon)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tasks, "positions_in", lambda sorted_keys, keys: (None, np.isin(keys, sorted_keys)))
+        want = make_link_prediction_samples(dtdg, per_t, seed=seed, horizon=horizon)
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a.pairs, b.pairs)
+        np.testing.assert_array_equal(a.labels, b.labels)
+    sorted_keys = np.unique(rng.integers(0, n * n, 2 * n))
+    keys = rng.integers(-1, n * n + 1, 3 * n)
+    np.testing.assert_array_equal(positions_in(sorted_keys, keys)[1], np.isin(keys, sorted_keys))
+    np.testing.assert_array_equal(positions_in(sorted_keys[:0], keys)[1], np.zeros(len(keys), bool))
+
