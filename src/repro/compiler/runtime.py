@@ -85,6 +85,11 @@ class GraphContext:
         return self.label_to_fwd[self.bwd_eids]
 
     @cached_property
+    def ones(self) -> np.ndarray:
+        """The float32 all-ones data both directions' operators share."""
+        return np.ones(self.num_edges, dtype=np.float32)
+
+    @cached_property
     def in_deg_clamped(self) -> np.ndarray:
         """In-degree clamped to >= 1, float32 (mean-aggregation denominator)."""
         return np.maximum(self.in_deg, 1).astype(np.float32)
@@ -113,8 +118,10 @@ class _AggregationOperator:
     backward one.  With degree ordering its rows are stored in ``node_ids``
     order (Figure 3) and ``inverse`` (the inverse permutation of ``order``)
     gathers a product back to vertex order; without, both are ``None``.
-    ``mat`` is the unweighted matrix; SciPy keeps its indices as int32 where
-    they fit, so a launch copies nothing.
+    ``mat`` is the unweighted matrix.  Without degree ordering it wraps the
+    context's own index arrays (the CSR is already at SciPy's int32-where-it-
+    fits width) and the context's shared ``ones``, so building it copies
+    nothing, and neither does a launch.
     """
 
     def __init__(self, ctx: GraphContext, direction: str) -> None:
@@ -124,8 +131,8 @@ class _AggregationOperator:
             # bwd_to_fwd is read through the owning context (weakly: the
             # context holds this operator) and only by a weighted launch.
             row, col, order, owner = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids, weakref.ref(ctx)
-        n, ones = ctx.num_nodes, np.ones(ctx.num_edges, dtype=np.float32)
-        mat = sp.csr_matrix((ones, col, row), shape=(n, n))
+        n = ctx.num_nodes
+        mat = sp.csr_matrix((ctx.ones, col, row), shape=(n, n))
         self.order = order if ctx.sort_by_degree else None
         self.mat = mat if self.order is None else mat[self.order]
         self.inverse = None

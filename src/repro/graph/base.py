@@ -100,7 +100,8 @@ class STGraphBase(abc.ABC):
 
     @abc.abstractmethod
     def in_degrees(self) -> np.ndarray:
-        """In-degree per vertex of the current snapshot (int64, length N)."""
+        """In-degree per vertex of the current snapshot (length N, at the
+        snapshot's index width: :func:`~repro.graph.csr.index_dtype`)."""
 
     @abc.abstractmethod
     def out_degrees(self) -> np.ndarray:

@@ -15,31 +15,48 @@ import numpy as np
 from repro.device import current_device
 from repro.graph.sorting import node_ids_for
 
-__all__ = ["CSR", "build_csr", "csr_from_edges", "edge_density"]
+__all__ = ["CSR", "build_csr", "csr_from_edges", "edge_density", "index_dtype"]
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def index_dtype(num_nodes: int, num_edges: int) -> np.dtype:
+    """The one index width of a snapshot's structural arrays.
+
+    int32 (the width Seastar's CUDA kernels walk) when both the vertex and
+    the edge count fit below ``2**31 - 1``, else int64.  Every CSR builder
+    and every degree array takes its width from here, so no build converts
+    between widths.
+    """
+    if num_nodes < _INT32_MAX and num_edges < _INT32_MAX:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
 
 
 @dataclass
 class CSR:
     """One CSR orientation of a snapshot.
 
+    Every array is at the snapshot's index width, :func:`index_dtype`.
+
     Attributes
     ----------
     row_offset:
-        ``(N+1,)`` int64 — neighbor-list boundaries.
+        ``(N+1,)`` — neighbor-list boundaries.
     col_indices:
-        ``(E,)`` int64 — neighbor vertex ids.
+        ``(E,)`` — neighbor vertex ids.
     eids:
-        ``(E,)`` int64 — shared edge labels (same label in both orientations).
+        ``(E,)`` — shared edge labels (same label in both orientations).
     node_ids:
-        ``(N,)`` int64 — vertices in descending-degree processing order
-        (paper Figure 3) when the graph asks for it; identity order by
-        default.
+        ``(N,)`` — vertices in descending-degree processing order (paper
+        Figure 3) when the graph asks for it; ``None`` for identity order,
+        the default.
     """
 
     row_offset: np.ndarray
     col_indices: np.ndarray
     eids: np.ndarray
-    node_ids: np.ndarray
+    node_ids: np.ndarray | None
     num_nodes: int = field(default=0)
 
     def __post_init__(self) -> None:
@@ -64,10 +81,9 @@ class CSR:
         return self.eids[self.row_offset[v] : self.row_offset[v + 1]]
 
     def nbytes(self) -> int:
-        """Total bytes of the four arrays."""
-        return int(
-            self.row_offset.nbytes + self.col_indices.nbytes + self.eids.nbytes + self.node_ids.nbytes
-        )
+        """Total bytes of the (three or four) arrays."""
+        ids = 0 if self.node_ids is None else self.node_ids.nbytes
+        return int(self.row_offset.nbytes + self.col_indices.nbytes + self.eids.nbytes + ids)
 
     def validate(self) -> None:
         """Assert structural well-formedness (offsets, bounds, node_ids)."""
@@ -77,7 +93,8 @@ class CSR:
         if self.num_edges:
             assert self.col_indices.min() >= 0
             assert self.col_indices.max() < self.num_nodes
-        assert sorted(self.node_ids.tolist()) == list(range(self.num_nodes))
+        if self.node_ids is not None:
+            assert sorted(self.node_ids.tolist()) == list(range(self.num_nodes))
 
 
 def build_csr(
@@ -94,16 +111,18 @@ def build_csr(
     labelled edge list stay consistent.
     """
     alloc = current_device().alloc
-    row = np.asarray(row, dtype=np.int64)
-    col = np.asarray(col, dtype=np.int64)
-    eids = np.asarray(eids, dtype=np.int64)
+    idx = index_dtype(num_nodes, len(row))
+    col = np.asarray(col, dtype=idx)
+    eids = np.asarray(eids, dtype=idx)
     order = np.argsort(row, kind="stable")
-    counts = np.bincount(row, minlength=num_nodes)
-    row_offset = alloc.zeros(num_nodes + 1, dtype=np.int64, tag=f"{track_tag}.row_offset")
+    counts = np.bincount(row, minlength=num_nodes).astype(idx)
+    row_offset = alloc.zeros(num_nodes + 1, dtype=idx, tag=f"{track_tag}.row_offset")
     np.cumsum(counts, out=row_offset[1:])
-    col_sorted = alloc.adopt(np.ascontiguousarray(col[order]), tag=f"{track_tag}.col_indices")
-    eid_sorted = alloc.adopt(np.ascontiguousarray(eids[order]), tag=f"{track_tag}.eids")
-    node_ids = alloc.adopt(node_ids_for(counts, sort_by_degree), tag=f"{track_tag}.node_ids")
+    col_sorted = alloc.adopt(col[order], tag=f"{track_tag}.col_indices")
+    eid_sorted = alloc.adopt(eids[order], tag=f"{track_tag}.eids")
+    node_ids = node_ids_for(counts, sort_by_degree)
+    if node_ids is not None:
+        alloc.adopt(node_ids, tag=f"{track_tag}.node_ids")
     return CSR(row_offset, col_sorted, eid_sorted, node_ids, num_nodes)
 
 

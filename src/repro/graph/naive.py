@@ -1,12 +1,13 @@
 """NaiveGraph: every DTDG snapshot pre-materialized (paper §V-C).
 
 Each snapshot's forward CSR, backward CSR, shared edge labels, degree
-arrays, and degree-sorted node ids are built and "moved to the GPU" (tracked
-by the device allocator) during preprocessing.  Accessing a snapshot is then
-just array indexing — the fastest option — but "storing each graph snapshot
-on the GPU along with additional data such as edge IDs, node IDs, in-degrees
-array, and out-degrees array creates a significant memory overhead", which
-is exactly what Figure 8 measures.
+arrays, and (when degree-ordered) node ids are built at the snapshot's
+index width and "moved to the GPU" (tracked by the device allocator) during
+preprocessing.  Accessing a snapshot is then just array indexing — the
+fastest option — but "storing each graph snapshot on the GPU along with
+additional data such as edge IDs, node IDs, in-degrees array, and
+out-degrees array creates a significant memory overhead", which is exactly
+what Figure 8 measures.
 
 A snapshot's identity is the DTDG's content version, the same rule as
 GPMAGraph's: across a no-op boundary the executor reuses one context.
@@ -51,14 +52,9 @@ class NaiveGraph(STGraphBase):
             for t in range(dtdg.num_timestamps):
                 src, dst = dtdg.snapshot_edges(t)
                 bwd, fwd = csr_from_edges(src, dst, dtdg.num_nodes, sort_by_degree)
-                in_deg = alloc.adopt(
-                    np.bincount(dst, minlength=dtdg.num_nodes).astype(np.int64),
-                    tag="naive.in_deg",
-                )
-                out_deg = alloc.adopt(
-                    np.bincount(src, minlength=dtdg.num_nodes).astype(np.int64),
-                    tag="naive.out_deg",
-                )
+                # Degrees are the CSRs' row lengths, at the same index width.
+                in_deg = alloc.adopt(np.diff(fwd.row_offset), tag="naive.in_deg")
+                out_deg = alloc.adopt(np.diff(bwd.row_offset), tag="naive.out_deg")
                 self._snapshots.append(_Snapshot(fwd, bwd, in_deg, out_deg))
                 # Every snapshot's CSRs are built exactly once, up front:
                 # each build is one miss of the reuse cache.

@@ -14,7 +14,8 @@ Two implementations are provided:
   of the tuned CUDA kernel on real hardware).
 
 Both return ``(r_row_offset, r_col_indices, r_eids)`` where the row offsets
-are the standard exclusive prefix-sum form.
+are the standard exclusive prefix-sum form; the vectorized one returns them
+at the snapshot's index width (:func:`~repro.graph.csr.index_dtype`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from repro.graph.csr import index_dtype
 from repro.pma.pma import SPACE_KEY
 
 __all__ = ["reverse_gpma_literal", "reverse_gpma_vectorized", "reverse_csr_arrays"]
@@ -85,12 +87,12 @@ def reverse_gpma_vectorized(
     sorting).  Compact input, which is what a snapshot build passes, skips
     the compaction copies.
     """
-    row_offset = np.asarray(row_offset, dtype=np.int64)
+    row_offset = np.asarray(row_offset)
     # row_offset windows cover the first row_offset[-1] slots of the gapped
     # storage; anything past that is unowned slack.
     covered = int(row_offset[-1])
-    col = np.asarray(col_indices, dtype=np.int64)[:covered]
-    eid = np.asarray(eids, dtype=np.int64)[:covered]
+    col = np.asarray(col_indices)[:covered]
+    eid = np.asarray(eids)[:covered]
     valid = col != SPACE_KEY
     if not valid.all():
         kept = np.zeros(covered + 1, dtype=np.int64)
@@ -98,8 +100,10 @@ def reverse_gpma_vectorized(
         row_offset, col, eid = kept[row_offset], col[valid], eid[valid]
     # Labels ride along as the matrix data; tocsc() neither sorts nor merges.
     rev = csr_matrix((eid, col, row_offset), shape=(num_nodes, num_nodes)).tocsc()
-    # SciPy narrows the index arrays to int32 where they fit; the CSR is int64.
-    return tuple(a.astype(np.int64, copy=False) for a in (rev.indptr, rev.indices, rev.data))
+    # SciPy picks the same int32-where-it-fits width as index_dtype, so the
+    # cast below copies nothing; it only pins the rule if SciPy's ever differs.
+    idx = index_dtype(num_nodes, len(col))
+    return tuple(a.astype(idx, copy=False) for a in (rev.indptr, rev.indices, rev.data))
 
 
 def reverse_csr_arrays(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, index_dtype
 from repro.graph.dtdg import DTDG
 from repro.graph.labels import decode_edges, encode_edges
 from repro.graph.sorting import node_ids_for
@@ -106,28 +106,32 @@ def build_snapshot_arrays(
     keys, _ = pma.export_items()
     src, dst = decode_edges(keys, num_nodes)
     num_edges = len(keys)
-    labels = np.arange(num_edges, dtype=np.int64)
+    idx = index_dtype(num_nodes, num_edges)
+    labels = np.arange(num_edges, dtype=idx)
 
-    out_deg = np.bincount(src, minlength=num_nodes).astype(np.int64)
-    in_deg = np.bincount(dst, minlength=num_nodes).astype(np.int64)
+    out_deg = np.bincount(src, minlength=num_nodes).astype(idx)
+    in_deg = np.bincount(dst, minlength=num_nodes).astype(idx)
 
     # Backward (out-)CSR falls straight out of the sorted keys.
-    bwd_row = alloc.zeros(num_nodes + 1, dtype=np.int64, tag="gpma.bwd.row")
+    bwd_row = alloc.zeros(num_nodes + 1, dtype=idx, tag="gpma.bwd.row")
     np.cumsum(out_deg, out=bwd_row[1:])
-    bwd_col = alloc.adopt(dst, tag="gpma.bwd.col")
+    bwd_col = alloc.adopt(dst.astype(idx), tag="gpma.bwd.col")
     bwd_eid = alloc.adopt(labels, tag="gpma.bwd.eid")
-    bwd_ids = node_ids_for(out_deg, sort_by_degree)
-    bwd = CSR(bwd_row, bwd_col, bwd_eid, alloc.adopt(bwd_ids, tag="gpma.bwd.ids"))
+    bwd_ids, fwd_ids = node_ids_for(out_deg, sort_by_degree), node_ids_for(in_deg, sort_by_degree)
+    if sort_by_degree:  # identity order keeps no array
+        alloc.adopt(bwd_ids, tag="gpma.bwd.ids")
+        alloc.adopt(fwd_ids, tag="gpma.fwd.ids")
+    bwd = CSR(bwd_row, bwd_col, bwd_eid, bwd_ids)
 
     # Forward (reverse) CSR: Algorithm 3's counting sort over that compact
-    # out-CSR (the gaps were dropped once, by export_items).
-    f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, dst, labels, num_nodes)
-    fwd_ids = node_ids_for(in_deg, sort_by_degree)
+    # out-CSR (the gaps were dropped once, by export_items), already at the
+    # index width.
+    f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, bwd_col, labels, num_nodes)
     fwd = CSR(
         alloc.adopt(f_row, tag="gpma.fwd.row"),
         alloc.adopt(f_col, tag="gpma.fwd.col"),
         alloc.adopt(f_eid, tag="gpma.fwd.eid"),
-        alloc.adopt(fwd_ids, tag="gpma.fwd.ids"),
+        fwd_ids,
     )
     return BuiltSnapshot(fwd, bwd, alloc.adopt(in_deg, tag="gpma.in_deg"), alloc.adopt(out_deg, tag="gpma.out_deg"))
 

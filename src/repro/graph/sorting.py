@@ -7,7 +7,8 @@ order in which kernels *process* nodes without touching the CSR itself.
 On the GPU this lets high-degree vertices start first and overlap with many
 low-degree ones.  On the simulated device a row permutation changes neither
 a result bit nor a schedule, so the order is opt-in (``sort_by_degree=True``
-on a graph) and the default ``node_ids`` is the identity: no sort per build.
+on a graph) and the default ``node_ids`` is ``None``, the identity: no sort
+and no array per build.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ def degree_sorted_node_ids(degrees: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(degrees, dtype=np.int64), kind="stable").astype(np.int64)
 
 
-def node_ids_for(degrees: np.ndarray, sort_by_degree: bool) -> np.ndarray:
-    """A CSR's ``node_ids``: the Figure 3 order when asked for, else ``arange``."""
+def node_ids_for(degrees: np.ndarray, sort_by_degree: bool) -> np.ndarray | None:
+    """A CSR's ``node_ids``: the Figure 3 order at the degrees' width (the
+    snapshot's index width) when asked for, else ``None`` for identity."""
     if sort_by_degree:
-        return degree_sorted_node_ids(degrees)
-    return np.arange(len(degrees), dtype=np.int64)
+        return degree_sorted_node_ids(degrees).astype(degrees.dtype, copy=False)
+    return None

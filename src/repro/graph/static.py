@@ -1,8 +1,9 @@
 """Static-temporal graph: fixed structure, time-varying features.
 
 Structure never changes (Definition II.1), so both CSR orientations, degree
-arrays, and the degree-sorted ``node_ids`` are built once ahead of training —
-the pre-processing Seastar relies on for its performance.
+arrays, and (when asked for) the degree-sorted ``node_ids`` are built once
+ahead of training, all at one index width (:func:`~repro.graph.csr.index_dtype`)
+— the pre-processing Seastar relies on for its performance.
 ``get_graph``/``get_backward_graph`` are identity operations and the Graph
 Stack is never used for this type (Algorithm 1, line 3 comment).
 """
@@ -35,13 +36,10 @@ class StaticGraph(STGraphBase):
         if len(src) != len(dst):
             raise ValueError("src/dst length mismatch")
         self._bwd, self._fwd = csr_from_edges(src, dst, num_nodes, sort_by_degree)
+        # Degrees are the CSRs' row lengths, so they share the index width.
         alloc = current_device().alloc
-        self._in_deg = alloc.adopt(
-            np.bincount(dst, minlength=num_nodes).astype(np.int64), tag="graph.in_deg"
-        )
-        self._out_deg = alloc.adopt(
-            np.bincount(src, minlength=num_nodes).astype(np.int64), tag="graph.out_deg"
-        )
+        self._in_deg = alloc.adopt(np.diff(self._fwd.row_offset), tag="graph.in_deg")
+        self._out_deg = alloc.adopt(np.diff(self._bwd.row_offset), tag="graph.out_deg")
 
     @classmethod
     def from_networkx(cls, graph, sort_by_degree: bool = False) -> "StaticGraph":

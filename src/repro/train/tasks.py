@@ -56,6 +56,12 @@ def make_link_prediction_samples(
         edge_keys = encode_edges(src, dst, n)  # sorted and unique: snapshot order
         negs: list[np.ndarray] = []
         need = num_pos
+        if need and np.count_nonzero(src != dst) == n * (n - 1):
+            # No negative exists, so the loop below would never end.  The
+            # check draws nothing from rng: every other sample stays the same.
+            raise ValueError(
+                f"timestamp {t}: snapshot {target_t} has no non-edge between distinct vertices to sample"
+            )
         while need > 0:
             cand_s = rng.integers(0, n, size=need * 2)
             cand_d = rng.integers(0, n, size=need * 2)

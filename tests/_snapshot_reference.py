@@ -10,7 +10,8 @@ second, gapped view of the same storage through a stable ``argsort``.  It is
 edited to follow the modules it was copied from.
 ``tests/test_graph_snapshot_build.py`` and the
 ``benchmarks/test_micro_reverse_csr.py`` speed gate run both builds over the
-same PMA and require all ten arrays to be equal, dtypes included.
+same PMA and require all ten arrays to be equal in value (the live build
+keeps them at the index width and ``None`` for identity node ids).
 """
 
 from __future__ import annotations

@@ -44,7 +44,11 @@ def _assert_same_run(a, b):
 
 
 def _is_permuted(csr) -> bool:
-    return not np.array_equal(csr.node_ids, np.arange(csr.num_nodes))
+    """A degree order is a non-identity array; identity order is ``None``."""
+    if csr.node_ids is None:
+        return False
+    assert not np.array_equal(csr.node_ids, np.arange(csr.num_nodes)), "identity order stored as an array"
+    return True
 
 
 def test_tgcn_link_prediction_on_gpma_is_bitwise_order_free():

@@ -12,6 +12,7 @@ from repro.graph import (
     reverse_gpma_literal,
     reverse_gpma_vectorized,
 )
+from repro.graph.csr import index_dtype
 from repro.pma.pma import SPACE_KEY
 
 
@@ -184,8 +185,9 @@ def test_counting_sort_transpose_equals_argsort_bitwise(case):
     row, col, eid, n = case
     got = reverse_gpma_vectorized(row, col, eid, n)
     want = _reverse_by_argsort(row, col, eid, n)
+    width = index_dtype(n, int(np.count_nonzero(col[: row[-1]] != SPACE_KEY)))
     for g, w in zip(got, want):
-        assert g.dtype == np.int64 and g.flags.c_contiguous
+        assert g.dtype == width and g.flags.c_contiguous
         assert np.array_equal(g, w)
 
 

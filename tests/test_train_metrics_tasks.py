@@ -108,6 +108,25 @@ def test_samples_deterministic(ds):
         assert np.array_equal(sa.pairs, sb.pairs)
 
 
+def test_snapshot_without_a_non_edge_raises_naming_t():
+    """Every ordered pair of distinct vertices an edge (self-loops aside): no
+    negative exists, so the sampler raises instead of looping forever."""
+    complete = ([0, 1, 1, 2, 0, 2, 1], [1, 0, 2, 1, 2, 0, 1])  # (1, 1) is a self-loop
+    dtdg = DTDG([([0], [1]), complete], 3)
+    with pytest.raises(ValueError, match="timestamp 1"):
+        make_link_prediction_samples(dtdg, 4, seed=0)
+    with pytest.raises(ValueError, match="timestamp 0: snapshot 1"):
+        make_link_prediction_samples(dtdg, 4, seed=0, horizon=1)
+    with pytest.raises(ValueError, match="timestamp 0"):
+        make_link_prediction_samples(DTDG([([0, 1], [1, 0])], 2), 4, seed=0)
+
+
+def test_one_missing_pair_is_every_negative():
+    """One non-edge left: the check does not fire and the sampler finds it."""
+    (samples,) = make_link_prediction_samples(DTDG([([0, 1, 2, 0, 2], [1, 0, 1, 2, 0])], 3), 6, seed=0)
+    assert samples.pairs[:, samples.labels == 0].T.tolist() == [[1, 2]] * 3
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 7),
