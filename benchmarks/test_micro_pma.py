@@ -6,7 +6,9 @@ gapped storage cheaper than rebuilding the snapshot's CSR from scratch?
 The two ``*_gate`` tests time the segmented batch pass against the frozen
 per-segment loop in ``tests/_pma_reference.py`` on a 100k-edge array at the
 repo benchmark's two batch sizes; run from the repository root with
-``python -m pytest`` so the ``tests`` package is importable.
+``python -m pytest`` so the ``tests`` package is importable.  The reference
+still moves a payload array beside its keys, and the PMA is a key set, so
+part of either margin is work the key set no longer does.
 """
 
 import time
@@ -30,11 +32,11 @@ def edge_keys():
 
 def test_pma_batch_insert(benchmark, edge_keys, rng):
     pma = PackedMemoryArray()
-    pma.insert_batch(edge_keys, edge_keys)
+    pma.insert_batch(edge_keys)
     fresh = np.unique(rng.integers(0, 10**9, BATCH * 2))[:BATCH]
 
     def op():
-        pma.insert_batch(fresh, fresh)
+        pma.insert_batch(fresh)
         pma.delete_batch(fresh)
 
     benchmark(op)
@@ -43,12 +45,12 @@ def test_pma_batch_insert(benchmark, edge_keys, rng):
 
 def test_pma_batch_delete_reinsert(benchmark, edge_keys):
     pma = PackedMemoryArray()
-    pma.insert_batch(edge_keys, edge_keys)
+    pma.insert_batch(edge_keys)
     doomed = edge_keys[:BATCH]
 
     def op():
         pma.delete_batch(doomed)
-        pma.insert_batch(doomed, doomed)
+        pma.insert_batch(doomed)
 
     benchmark(op)
     assert len(pma) == N_EDGES
@@ -68,14 +70,14 @@ def test_ablation_full_csr_rebuild(benchmark, edge_keys):
 
 def test_pma_point_lookup(benchmark, edge_keys):
     pma = PackedMemoryArray()
-    pma.insert_batch(edge_keys, edge_keys)
+    pma.insert_batch(edge_keys)
     key = int(edge_keys[N_EDGES // 2])
-    benchmark(lambda: pma.get(key))
+    benchmark(lambda: pma.contains(key))
 
 
 def test_pma_export_items(benchmark, edge_keys):
     pma = PackedMemoryArray()
-    pma.insert_batch(edge_keys, edge_keys)
+    pma.insert_batch(edge_keys)
     benchmark(pma.export_items)
 
 
@@ -91,9 +93,11 @@ def _paired_medians(n_delete, n_insert, rounds=15):
     n = 24_000
     live = np.unique(rng.integers(0, n, 130_000) * n + rng.integers(0, n, 130_000))[:100_000]
     pmas = {"new": PackedMemoryArray(2 * len(live)), "ref": ReferencePMA(2 * len(live))}
+    # The oracle still moves a payload array; it is handed the keys as their own payload.
+    inserts = {"new": pmas["new"].insert_batch, "ref": lambda keys: pmas["ref"].insert_batch(keys, keys)}
     times = {(name, op): [] for name in pmas for op in ("delete", "insert")}
-    for pma in pmas.values():
-        pma.insert_batch(live, live)
+    for insert in inserts.values():
+        insert(live)
     for r in range(rounds + 1):  # round 0 warms both
         doomed = rng.choice(live, n_delete, replace=False)
         fresh = np.setdiff1d(rng.integers(0, n, n_insert - n_delete) * n + rng.integers(0, n, n_insert - n_delete), live)
@@ -103,7 +107,7 @@ def _paired_medians(n_delete, n_insert, rounds=15):
             t0 = time.perf_counter()
             pma.delete_batch(doomed)
             t1 = time.perf_counter()
-            pma.insert_batch(batch, batch)
+            inserts[name](batch)
             t2 = time.perf_counter()
             pma.delete_batch(fresh)
             if r:

@@ -79,12 +79,12 @@ def test_snapshot_build_is_linear_gate(sort_by_degree):
     n = 24_000
     keys = np.unique(rng.integers(0, n, 130_000) * n + rng.integers(0, n, 130_000))[:100_000]
     pma = PackedMemoryArray(capacity=2 * len(keys))
-    pma.insert_batch(keys, keys)
+    pma.insert_batch(keys)
     assert 0.35 < len(keys) / pma.capacity < 0.45
     alloc = current_device().alloc
 
     def parts():
-        held, _ = pma.export_items()
+        held = pma.export_items()
         src, dst = decode_edges(held, n)
         out_deg, in_deg = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
         if sort_by_degree:

@@ -15,7 +15,7 @@ from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
 from repro.graph.labels import canonical_edge_labels, decode_edges, encode_edges
 from repro.graph.naive import NaiveGraph
-from repro.graph.reverse import reverse_csr_arrays, reverse_gpma_literal, reverse_gpma_vectorized
+from repro.graph.reverse import reverse_gpma_literal, reverse_gpma_vectorized
 from repro.graph.sorting import degree_sorted_node_ids
 from repro.graph.static import StaticGraph
 
@@ -35,7 +35,6 @@ __all__ = [
     "canonical_edge_labels",
     "encode_edges",
     "decode_edges",
-    "reverse_csr_arrays",
     "reverse_gpma_literal",
     "reverse_gpma_vectorized",
     "degree_sorted_node_ids",

@@ -255,7 +255,7 @@ class GPMAGraph(STGraphBase):
 
     def storage_bytes(self) -> int:
         """Persistent PMA storage (snapshot CSRs are transient)."""
-        return int(self.pma.keys.nbytes + self.pma.values.nbytes)
+        return int(self.pma.keys.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

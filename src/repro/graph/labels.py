@@ -21,9 +21,15 @@ __all__ = [
 
 
 def encode_edges(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Encode ``(src, dst)`` pairs as sortable int64 keys."""
+    """Encode ``(src, dst)`` pairs as sortable int64 keys.
+
+    ``src`` and ``dst`` must be 1-D and of equal length: one key per pair,
+    never a broadcast.
+    """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ValueError(f"src and dst must be 1-D and of equal length, got shapes {src.shape} and {dst.shape}")
     if len(src) and (src.max(initial=0) >= num_nodes or dst.max(initial=0) >= num_nodes):
         raise ValueError("vertex id out of range")
     if len(src) and (src.min(initial=0) < 0 or dst.min(initial=0) < 0):

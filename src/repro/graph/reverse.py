@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 from repro.graph.csr import index_dtype
 from repro.pma.pma import SPACE_KEY
 
-__all__ = ["reverse_gpma_literal", "reverse_gpma_vectorized", "reverse_csr_arrays"]
+__all__ = ["reverse_gpma_literal", "reverse_gpma_vectorized"]
 
 
 def reverse_gpma_literal(
@@ -105,12 +105,3 @@ def reverse_gpma_vectorized(
     idx = index_dtype(num_nodes, len(col))
     return tuple(a.astype(idx, copy=False) for a in (rev.indptr, rev.indices, rev.data))
 
-
-def reverse_csr_arrays(
-    row_offset: np.ndarray,
-    col_indices: np.ndarray,
-    eids: np.ndarray,
-    num_nodes: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse a *compact* (gap-free) CSR; used by the static path."""
-    return reverse_gpma_vectorized(row_offset, col_indices, eids, num_nodes)

@@ -55,13 +55,10 @@ class BuiltSnapshot:
 
 @dataclass
 class _CursorState:
-    """A saved PMA state (Algorithm 2's graph cache)."""
+    """A saved PMA state (Algorithm 2's graph cache) and its timestamp."""
 
     time: int
-    keys: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-    n_items: int
+    pma: tuple[np.ndarray, np.ndarray]  # PackedMemoryArray.save_state()
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +72,7 @@ def gapped_csr_arrays(pma: PackedMemoryArray, num_nodes: int) -> tuple[np.ndarra
     slots carry ``SPACE`` — the exact input shape of Algorithm 3.  Pure:
     reads the PMA, writes nothing.
     """
-    keys, _ = pma.gapped_arrays()
+    keys = pma.gapped_arrays()
     valid = keys != SPACE_KEY
     # Backward-fill gaps with the next valid key so the slot array is
     # non-decreasing and boundaries can be found with searchsorted.
@@ -103,7 +100,7 @@ def build_snapshot_arrays(
     """
     from repro.graph.reverse import reverse_gpma_vectorized
 
-    keys, _ = pma.export_items()
+    keys = pma.export_items()
     src, dst = decode_edges(keys, num_nodes)
     num_edges = len(keys)
     idx = index_dtype(num_nodes, num_edges)
@@ -153,7 +150,7 @@ class UpdateCursor:
         src, dst = dtdg.snapshot_edges(0)
         keys = encode_edges(src, dst, dtdg.num_nodes)
         self.pma = PackedMemoryArray(capacity=max(64, 2 * len(keys)))
-        self.pma.insert_batch(keys, keys)
+        self.pma.insert_batch(keys)
         self.time = 0
         self._cache: _CursorState | None = None
         # The DTDG base graph is a restore point the cursor always has: the
@@ -165,13 +162,7 @@ class UpdateCursor:
 
     # -- Algorithm 2 lines 1-5 / 10 --------------------------------------
     def _saved_state(self) -> _CursorState:
-        return _CursorState(
-            time=self.time,
-            keys=self.pma.keys.copy(),
-            values=self.pma.values.copy(),
-            counts=self.pma.segment_counts(),
-            n_items=self.pma.n_items,
-        )
+        return _CursorState(self.time, self.pma.save_state())
 
     def cache_state(self) -> None:
         """Save the current PMA state (Algorithm 2 line 10)."""
@@ -183,14 +174,7 @@ class UpdateCursor:
         self._cache = None
 
     def _restore(self, saved: _CursorState) -> None:
-        if saved.keys.shape != self.pma.keys.shape:
-            # Capacity changed since the state was saved; rebuild geometry.
-            self.pma._alloc_arrays(len(saved.keys))
-        self.pma.keys[...] = saved.keys
-        self.pma.values[...] = saved.values
-        self.pma._counts[...] = saved.counts
-        self.pma.n_items = saved.n_items
-        self.pma._refresh_seg_min()
+        self.pma.restore_state(saved.pma)
         self.time = saved.time
         self.cache_restores += 1
 
@@ -227,6 +211,5 @@ class UpdateCursor:
         if len(upd.del_src):
             self.pma.delete_batch(encode_edges(upd.del_src, upd.del_dst, self.num_nodes))
         if len(upd.add_src):
-            keys = encode_edges(upd.add_src, upd.add_dst, self.num_nodes)
-            self.pma.insert_batch(keys, keys)
+            self.pma.insert_batch(encode_edges(upd.add_src, upd.add_dst, self.num_nodes))
         self.update_batches_applied += 1

@@ -19,8 +19,9 @@ This package is a faithful CPU PMA with the same semantics:
   redistribution over the same windows);
 * adaptive capacity growth/shrink when the root density bound is violated.
 
-Edges are stored as ``src * n_dst + dst`` encoded keys with the edge id as
-the payload, so one PMA instance holds one evolving adjacency structure.
+Edges are stored as ``src * n_dst + dst`` encoded keys and nothing else: the
+PMA is a key set, since a snapshot build labels each edge by its rank among
+the sorted keys.  One PMA instance holds one evolving adjacency structure.
 """
 
 from repro.pma.pma import SPACE_KEY, PackedMemoryArray

@@ -11,7 +11,10 @@ edited to follow the modules it was copied from.
 ``tests/test_graph_snapshot_build.py`` and the
 ``benchmarks/test_micro_reverse_csr.py`` speed gate run both builds over the
 same PMA and require all ten arrays to be equal in value (the live build
-keeps them at the index width and ``None`` for identity node ids).
+keeps them at the index width and ``None`` for identity node ids).  Its two
+reads of the PMA (``gapped_arrays``, ``export_items``) follow the PMA's API,
+which returns the key array alone since the PMA became a key set; the build
+itself is unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def reference_gapped_csr_arrays(pma: PackedMemoryArray, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    keys, _ = pma.gapped_arrays()
+    keys = pma.gapped_arrays()
     valid = keys != SPACE_KEY
     # Backward-fill gaps with the next valid key so the slot array is
     # non-decreasing and boundaries can be found with searchsorted.
@@ -75,7 +78,7 @@ def reference_reverse_argsort(
 def reference_build_snapshot_arrays(
     pma: PackedMemoryArray, num_nodes: int, sort_by_degree: bool, alloc
 ) -> BuiltSnapshot:
-    keys, _ = pma.export_items()
+    keys = pma.export_items()
     src, dst = decode_edges(keys, num_nodes)
     num_edges = len(keys)
     labels = np.arange(num_edges, dtype=np.int64)

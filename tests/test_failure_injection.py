@@ -25,7 +25,7 @@ from repro.tensor import Tensor, functional as F
 # ---------------------------------------------------------------------------
 def test_pma_detects_gap_in_prefix():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(30), np.arange(30))
+    pma.insert_batch(np.arange(30))
     seg = int(np.flatnonzero(pma.segment_counts() > 1)[0])
     pma.keys[seg * pma.seg_size] = SPACE_KEY  # punch a hole in a prefix
     with pytest.raises(AssertionError, match="SPACE inside prefix"):
@@ -34,7 +34,7 @@ def test_pma_detects_gap_in_prefix():
 
 def test_pma_detects_unsorted_prefix():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(30), np.arange(30))
+    pma.insert_batch(np.arange(30))
     seg = int(np.flatnonzero(pma.segment_counts() > 1)[0])
     base = seg * pma.seg_size
     pma.keys[base], pma.keys[base + 1] = pma.keys[base + 1], pma.keys[base]
@@ -44,7 +44,7 @@ def test_pma_detects_unsorted_prefix():
 
 def test_pma_detects_count_drift():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(10), np.arange(10))
+    pma.insert_batch(np.arange(10))
     pma.n_items += 1
     with pytest.raises(AssertionError, match="n_items"):
         pma.check_invariants()

@@ -102,6 +102,21 @@ def test_append_update_refuses_unequal_lengths():
     assert dtdg.num_timestamps == 1
 
 
+def test_unequal_edge_arrays_are_refused():
+    """``src=[0], dst=[1, 2, 3]`` is not three edges (0,1), (0,2), (0,3):
+    ``encode_edges``, which every DTDG, update and cursor path goes
+    through, refuses arrays that are not 1-D and of equal length."""
+    with pytest.raises(ValueError, match="equal length"):
+        DTDG([(np.array([0]), np.array([1, 2, 3]))], 5)
+    with pytest.raises(ValueError, match="equal length"):
+        DTDG([_snap((0, 1)), (np.array([0, 1]), np.array([2]))], 5)
+    with pytest.raises(ValueError, match="1-D"):
+        encode_edges(np.array([[0], [1]]), np.array([[2], [3]]), 5)
+    with pytest.raises(ValueError, match="1-D"):
+        encode_edges(0, 1, 5)
+    assert encode_edges(np.array([0, 4]), np.array([1, 2]), 5).tolist() == [1, 22]
+
+
 def test_identical_snapshots_no_updates():
     dtdg = DTDG([_snap((0, 1)), _snap((0, 1))], 2)
     assert dtdg.updates[1].num_changes == 0

@@ -141,7 +141,7 @@ def _snapshot_edges(dtdg, t):
 
 
 def _cursor_edge_set(cursor):
-    keys, _ = cursor.pma.export_items()
+    keys = cursor.pma.export_items()
     return set(zip(*(a.tolist() for a in decode_edges(keys, cursor.num_nodes))))
 
 
@@ -207,7 +207,7 @@ def test_gpma_gapped_csr_structure(random_dtdg):
     # labels are exactly 0..E-1 (Algorithm 2 relabelling)
     assert sorted(eid[valid].tolist()) == list(range(gg.num_edges))
     # every valid slot lies inside its source's window
-    keys, _ = gg.pma.gapped_arrays()
+    keys = gg.pma.gapped_arrays()
     for i in range(gg.num_nodes):
         window = keys[row[i] : row[i + 1]]
         w_valid = window != SPACE_KEY

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     StaticGraph,
-    reverse_csr_arrays,
     reverse_gpma_literal,
     reverse_gpma_vectorized,
 )
@@ -38,13 +37,13 @@ def test_reverse_small_example():
     row = np.array([0, 2, 3, 3])
     col = np.array([1, 2, 2])
     eid = np.array([0, 1, 2])
-    r_row, r_col, r_eid = reverse_csr_arrays(row, col, eid, 3)
+    r_row, r_col, r_eid = reverse_gpma_vectorized(row, col, eid, 3)
     assert r_row.tolist() == [0, 0, 1, 3]
     assert _as_sets(r_row, r_col, r_eid, 3) == [set(), {(0, 0)}, {(0, 1), (1, 2)}]
 
 
 def test_reverse_empty_graph():
-    r_row, r_col, r_eid = reverse_csr_arrays(np.zeros(5, dtype=np.int64), np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4)
+    r_row, r_col, r_eid = reverse_gpma_vectorized(np.zeros(5, dtype=np.int64), np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4)
     assert r_row.tolist() == [0, 0, 0, 0, 0]
     assert r_col.size == 0
 

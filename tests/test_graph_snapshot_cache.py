@@ -70,7 +70,7 @@ def _snapshot_edge_set(dtdg, t):
 
 
 def _cursor_edge_set(cursor):
-    keys, _ = cursor.pma.export_items()
+    keys = cursor.pma.export_items()
     return set(zip(*(a.tolist() for a in decode_edges(keys, cursor.num_nodes))))
 
 

@@ -62,9 +62,9 @@ def test_build_equals_frozen_reference_after_random_walks(n, seed, steps, sort_b
     for insert, size in steps:
         keys = encode_edges(rng.integers(0, n, size), rng.integers(0, n, size), n)
         if insert:
-            pma.insert_batch(keys, keys)
+            pma.insert_batch(keys)
         else:
-            held, _ = pma.export_items()
+            held = pma.export_items()
             # half held keys, half arbitrary ones (most of them absent)
             pick = held[rng.integers(0, len(held), size // 2)] if len(held) else keys[:0]
             pma.delete_batch(np.concatenate([pick, keys[size // 2 :]]))
@@ -186,7 +186,7 @@ class OnDemandSnapshots(RuleBasedStateMachine):
         t %= self.dtdg.num_timestamps
         (self.other.get_backward_graph if backward else self.other.get_graph)(t)
         if read:
-            held, _ = self.other.pma.export_items()
+            held = self.other.pma.export_items()
             assert np.array_equal(held, encode_edges(*self.dtdg.snapshot_edges(t), self.dtdg.num_nodes))
 
     @rule(t=st.integers(-3, 12))
@@ -241,7 +241,7 @@ class OnDemandSnapshots(RuleBasedStateMachine):
 
     @rule()
     def read_storage(self):
-        held, _ = self.graph.pma.export_items()
+        held = self.graph.pma.export_items()
         assert np.array_equal(held, self._expected_keys())
         self.graph.pma.check_invariants()
         row, col, _ = self.graph.gapped_csr()
@@ -270,7 +270,7 @@ def test_num_edges_is_the_logical_positions():
         gg.get_graph(t)
     gg.get_graph(0)
     assert gg.num_edges == dtdg.snapshot_edge_count(0)
-    assert gg.storage_bytes() == gg.pma.keys.nbytes + gg.pma.values.nbytes
+    assert gg.storage_bytes() == gg.pma.keys.nbytes
     assert gg.pma.n_items == gg.num_edges
     assert f"E={dtdg.snapshot_edge_count(0)}," in repr(gg)
 

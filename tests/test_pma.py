@@ -57,88 +57,79 @@ def test_window_bounds_aligned():
 def test_empty_pma():
     pma = PackedMemoryArray()
     assert len(pma) == 0
-    assert pma.get(5) is None
     assert not pma.contains(5)
     pma.check_invariants()
 
 
 def test_insert_and_get():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.array([10, 5, 30]), np.array([100, 50, 300]))
+    assert pma.insert_batch(np.array([10, 5, 30])) == 3
     assert len(pma) == 3
-    assert pma.get(5) == 50
-    assert pma.get(10) == 100
-    assert pma.get(30) == 300
-    assert pma.get(7) is None
+    assert pma.contains(5) and pma.contains(10) and pma.contains(30)
+    assert not pma.contains(7)
     pma.check_invariants()
 
 
 def test_insert_sorted_export():
     pma = PackedMemoryArray()
     keys = np.array([9, 1, 7, 3, 5])
-    pma.insert_batch(keys, keys * 10)
-    ek, ev = pma.export_items()
-    assert ek.tolist() == [1, 3, 5, 7, 9]
-    assert ev.tolist() == [10, 30, 50, 70, 90]
+    pma.insert_batch(keys)
+    assert pma.export_items().tolist() == [1, 3, 5, 7, 9]
 
 
-def test_upsert_overwrites_value():
+def test_present_keys_are_skipped():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.array([1, 2]), np.array([10, 20]))
-    added = pma.insert_batch(np.array([2, 3]), np.array([99, 30]))
-    assert added == 1  # only key 3 is new
-    assert pma.get(2) == 99
+    pma.insert_batch(np.array([1, 2]))
+    keys = pma.keys.copy()
+    assert pma.insert_batch(np.array([2, 1])) == 0
+    np.testing.assert_array_equal(pma.keys, keys)  # no structural change
+    assert pma.insert_batch(np.array([2, 3])) == 1  # only key 3 is new
     assert len(pma) == 3
 
 
-def test_intra_batch_duplicates_last_wins():
+def test_intra_batch_duplicates_collapse():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.array([4, 4, 4]), np.array([1, 2, 3]))
+    assert pma.insert_batch(np.array([4, 4, 4])) == 1
     assert len(pma) == 1
-    assert pma.get(4) == 3
+    assert pma.contains(4)
+    pma.check_invariants()
 
 
 def test_space_key_rejected():
     pma = PackedMemoryArray()
     with pytest.raises(ValueError, match="SPACE"):
-        pma.insert_batch(np.array([-1]), np.array([0]))
-
-
-def test_mismatched_lengths_rejected():
-    pma = PackedMemoryArray()
-    with pytest.raises(ValueError):
-        pma.insert_batch(np.array([1, 2]), np.array([1]))
+        pma.insert_batch(np.array([-1]))
 
 
 def test_empty_batch_noop():
     pma = PackedMemoryArray()
-    assert pma.insert_batch(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == 0
+    assert pma.insert_batch(np.array([], dtype=np.int64)) == 0
     assert pma.delete_batch(np.array([], dtype=np.int64)) == 0
 
 
 def test_delete_existing_and_missing():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(10), np.arange(10))
+    pma.insert_batch(np.arange(10))
     removed = pma.delete_batch(np.array([3, 4, 100]))
     assert removed == 2
     assert len(pma) == 8
-    assert pma.get(3) is None
+    assert not pma.contains(3)
     pma.check_invariants()
 
 
 def test_delete_everything():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(50), np.arange(50))
+    pma.insert_batch(np.arange(50))
     pma.delete_batch(np.arange(50))
     assert len(pma) == 0
     pma.check_invariants()
-    assert pma.export_items()[0].size == 0
+    assert pma.export_items().size == 0
 
 
 def test_contains_batch(rng):
     pma = PackedMemoryArray()
     keys = np.array([2, 4, 6, 8])
-    pma.insert_batch(keys, keys)
+    pma.insert_batch(keys)
     res = pma.contains_batch(np.array([1, 2, 3, 4, 9]))
     assert res.tolist() == [False, True, False, True, False]
 
@@ -153,7 +144,7 @@ def test_contains_batch_empty_pma():
 # ---------------------------------------------------------------------------
 def test_capacity_grows_under_load():
     pma = PackedMemoryArray(capacity=64)
-    pma.insert_batch(np.arange(1000), np.arange(1000))
+    pma.insert_batch(np.arange(1000))
     assert pma.capacity > 64
     assert pma.density <= 0.71
     pma.check_invariants()
@@ -161,7 +152,7 @@ def test_capacity_grows_under_load():
 
 def test_capacity_shrinks_after_drain():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(5000), np.arange(5000))
+    pma.insert_batch(np.arange(5000))
     big = pma.capacity
     pma.delete_batch(np.arange(4990))
     assert pma.capacity < big
@@ -171,15 +162,16 @@ def test_capacity_shrinks_after_drain():
 
 def test_capacity_never_below_minimum():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(5), np.arange(5))
+    pma.insert_batch(np.arange(5))
     pma.delete_batch(np.arange(5))
     assert pma.capacity >= MIN_CAPACITY
 
 
 def test_gapped_arrays_have_spaces():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(20), np.arange(20))
-    keys, values = pma.gapped_arrays()
+    pma.insert_batch(np.arange(20))
+    keys = pma.gapped_arrays()
+    assert keys is pma.keys  # the storage itself, no copy
     assert (keys == SPACE_KEY).sum() > 0  # the defining PMA property
     valid = keys != SPACE_KEY
     assert np.array_equal(keys[valid], np.arange(20))
@@ -188,7 +180,7 @@ def test_gapped_arrays_have_spaces():
 def test_monotone_ascending_inserts():
     pma = PackedMemoryArray()
     for chunk in np.array_split(np.arange(2000), 40):
-        pma.insert_batch(chunk, chunk)
+        pma.insert_batch(chunk)
         pma.check_invariants()
     assert len(pma) == 2000
 
@@ -196,35 +188,34 @@ def test_monotone_ascending_inserts():
 def test_monotone_descending_inserts():
     pma = PackedMemoryArray()
     for chunk in np.array_split(np.arange(2000)[::-1].copy(), 40):
-        pma.insert_batch(chunk, chunk)
+        pma.insert_batch(chunk)
         pma.check_invariants()
-    ek, _ = pma.export_items()
+    ek = pma.export_items()
     assert np.array_equal(ek, np.arange(2000))
 
 
 def test_interleaved_inserts_land_between():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(0, 100, 2), np.arange(0, 100, 2))
-    pma.insert_batch(np.arange(1, 100, 2), np.arange(1, 100, 2))
-    ek, _ = pma.export_items()
+    pma.insert_batch(np.arange(0, 100, 2))
+    pma.insert_batch(np.arange(1, 100, 2))
+    ek = pma.export_items()
     assert np.array_equal(ek, np.arange(100))
     pma.check_invariants()
 
 
 def test_segment_counts_sum_to_items():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(777), np.arange(777))
+    pma.insert_batch(np.arange(777))
     assert int(pma.segment_counts().sum()) == 777
 
 
 def test_reinsert_after_delete():
     pma = PackedMemoryArray()
-    pma.insert_batch(np.arange(100), np.arange(100))
+    pma.insert_batch(np.arange(100))
     pma.delete_batch(np.arange(0, 100, 2))
-    pma.insert_batch(np.arange(0, 100, 2), np.full(50, 777))
+    assert pma.insert_batch(np.arange(0, 100, 2)) == 50
     assert len(pma) == 100
-    assert pma.get(4) == 777
-    assert pma.get(5) == 5
+    assert pma.contains_batch(np.arange(100)).all()
     pma.check_invariants()
 
 

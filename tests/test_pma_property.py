@@ -1,4 +1,4 @@
-"""Property-based PMA testing against a dict reference model."""
+"""Property-based PMA testing against a set reference model."""
 
 from __future__ import annotations
 
@@ -8,24 +8,19 @@ from hypothesis import given, settings, strategies as st
 from repro.pma import PackedMemoryArray
 
 _key = st.integers(0, 5000)
-_batch = st.lists(st.tuples(_key, st.integers(0, 10**6)), min_size=1, max_size=60)
+_batch = st.lists(_key, min_size=1, max_size=60)
 
 
 @given(batches=st.lists(_batch, min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_inserts_match_dict_model(batches):
     pma = PackedMemoryArray()
-    model: dict[int, int] = {}
+    model: set[int] = set()
     for batch in batches:
-        keys = np.array([k for k, _ in batch], dtype=np.int64)
-        vals = np.array([v for _, v in batch], dtype=np.int64)
-        pma.insert_batch(keys, vals)
-        for k, v in batch:
-            model[k] = v
+        assert pma.insert_batch(np.array(batch, dtype=np.int64)) == len(set(batch) - model)
+        model.update(batch)
         pma.check_invariants()
-    ek, ev = pma.export_items()
-    assert ek.tolist() == sorted(model)
-    assert all(model[k] == v for k, v in zip(ek.tolist(), ev.tolist()))
+    assert pma.export_items().tolist() == sorted(model)
 
 
 @given(
@@ -38,23 +33,18 @@ def test_inserts_match_dict_model(batches):
 @settings(max_examples=50, deadline=None)
 def test_mixed_ops_match_dict_model(ops):
     pma = PackedMemoryArray()
-    model: dict[int, int] = {}
+    model: set[int] = set()
     for kind, batch in ops:
-        keys = np.array([k for k, _ in batch], dtype=np.int64)
+        keys = np.array(batch, dtype=np.int64)
         if kind == "ins":
-            vals = np.array([v for _, v in batch], dtype=np.int64)
-            pma.insert_batch(keys, vals)
-            for k, v in batch:
-                model[k] = v
+            pma.insert_batch(keys)
+            model.update(batch)
         else:
             pma.delete_batch(keys)
-            for k in keys.tolist():
-                model.pop(k, None)
+            model.difference_update(batch)
         pma.check_invariants()
         assert len(pma) == len(model)
-    ek, ev = pma.export_items()
-    assert ek.tolist() == sorted(model)
-    assert all(model[k] == v for k, v in zip(ek.tolist(), ev.tolist()))
+    assert pma.export_items().tolist() == sorted(model)
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 3000))
@@ -63,7 +53,7 @@ def test_bulk_insert_then_full_drain(seed, n):
     rng = np.random.default_rng(seed)
     keys = np.unique(rng.integers(0, 10**7, n))
     pma = PackedMemoryArray()
-    pma.insert_batch(keys, keys * 2)
+    pma.insert_batch(keys)
     pma.check_invariants()
     assert len(pma) == len(keys)
     pma.delete_batch(keys)
@@ -78,7 +68,7 @@ def test_density_within_root_bounds_after_batches(seed):
     pma = PackedMemoryArray()
     for _ in range(6):
         keys = np.unique(rng.integers(0, 10**6, rng.integers(10, 400)))
-        pma.insert_batch(keys, keys)
+        pma.insert_batch(keys)
     # Root density never exceeds tau_root after settling.
     assert pma.density <= pma.bounds.upper(pma.bounds.height) + 1e-9
 
@@ -86,11 +76,13 @@ def test_density_within_root_bounds_after_batches(seed):
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_contains_batch_agrees_with_get(seed):
+    """``contains_batch`` against the set model and the one-key ``contains``."""
     rng = np.random.default_rng(seed)
     present = np.unique(rng.integers(0, 1000, 100))
     pma = PackedMemoryArray()
-    pma.insert_batch(present, present)
+    pma.insert_batch(present)
+    model = set(present.tolist())
     queries = rng.integers(0, 1200, 200)
     mask = pma.contains_batch(queries)
     for q, m in zip(queries.tolist(), mask.tolist()):
-        assert m == (pma.get(q) is not None)
+        assert m == (q in model) == pma.contains(q)

@@ -105,7 +105,7 @@ def test_one_gpma_build_tracks_two_csrs_and_two_degree_arrays(sort_by_degree):
     src, dst = _edges(n, 2000, seed=3)
     keys = encode_edges(src, dst, n)
     pma = PackedMemoryArray(capacity=2 * len(keys))
-    pma.insert_batch(keys, keys)
+    pma.insert_batch(keys)
     with use_device(Device(name="index-width-bytes")) as device:
         snap = build_snapshot_arrays(pma, n, sort_by_degree, device.alloc)
         tracked = sum(b for tag, b in device.tracker.bytes_by_tag().items() if tag.startswith("gpma."))
