@@ -94,7 +94,7 @@ def test_snapshot_build_is_linear_gate(sort_by_degree):
         np.cumsum(out_deg, out=row[1:])
         return csr_matrix((np.arange(len(held)), dst, row), shape=(n, n)).tocsc()
 
-    new = build_snapshot_arrays(pma, n, sort_by_degree, alloc)
+    new = build_snapshot_arrays(pma.export_items(), n, sort_by_degree, alloc)
     ref = reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc)
     assert np.array_equal(new.fwd.col_indices, ref.fwd.col_indices)
     if sort_by_degree:
@@ -102,7 +102,7 @@ def test_snapshot_build_is_linear_gate(sort_by_degree):
     else:  # identity order keeps no array; the frozen build kept an arange
         assert new.fwd.node_ids is None and np.array_equal(ref.fwd.node_ids, np.arange(n))
     assert np.array_equal(new.fwd.eids, parts().data)
-    t_new = _best_seconds(lambda: build_snapshot_arrays(pma, n, sort_by_degree, alloc))
+    t_new = _best_seconds(lambda: build_snapshot_arrays(pma.export_items(), n, sort_by_degree, alloc))
     t_ref = _best_seconds(lambda: reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc))
     t_parts = _best_seconds(parts)
     assert t_ref >= 2.0 * t_new, f"build is only {t_ref / t_new:.2f}x the frozen reference"

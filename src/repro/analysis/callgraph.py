@@ -202,13 +202,6 @@ class CodeModel:
                     return cls.locks.get(cls_attr[1])
         return None
 
-    def lock_sites(self) -> list[LockSite]:
-        """Every discovered lock site (module-level and class attributes)."""
-        out = list(self.module_locks.values())
-        for cls in self.classes.values():
-            out.extend(cls.locks.values())
-        return out
-
     # ------------------------------------------------------------------
     def resolve_call(self, caller: MethodModel, call: CallEvent) -> list[str]:
         """Qualnames ``call`` may land on (empty when unresolvable)."""

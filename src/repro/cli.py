@@ -28,7 +28,7 @@ Commands
     is non-zero iff any program has an error-severity diagnostic.
 ``serve --clients 16 --updates 8``
     Online serving: start an :class:`~repro.serve.InferenceEngine` over a
-    live GPMA graph, drive closed-loop query clients concurrently with
+    live DTDG, drive closed-loop query clients concurrently with
     update-batch ingest, and report p50/p99 latency, throughput, and the
     reuse counters.  ``--verify`` bitwise-checks every response against
     the serial query-after-every-update reference; ``--telemetry-port``
@@ -728,7 +728,7 @@ def main(argv: list[str] | None = None) -> int:
                              "instead of gating on them")
 
     p_serve = sub.add_parser(
-        "serve", help="request-batched online inference over a live GPMA graph"
+        "serve", help="request-batched online inference over a live DTDG"
     )
     p_serve.add_argument("--dataset", default="sx-mathoverflow")
     p_serve.add_argument("--model", choices=("tgcn", "gconv_gru", "dcrnn"), default="tgcn")
@@ -742,7 +742,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--requests", type=int, default=64,
                          help="point queries per client")
     p_serve.add_argument("--updates", type=int, default=8,
-                         help="GPMA update batches ingested during the run")
+                         help="update batches ingested during the run")
     p_serve.add_argument("--hops", type=int, default=1,
                          help="receptive-field hops for dirty-set invalidation "
                               "(match the model depth)")

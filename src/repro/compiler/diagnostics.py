@@ -143,13 +143,6 @@ class LintReport:
         """The set of codes recorded."""
         return {d.code for d in self.diagnostics}
 
-    def counts_by_code(self) -> dict[str, int]:
-        """``{code: occurrences}`` over all diagnostics."""
-        out: dict[str, int] = {}
-        for d in self.diagnostics:
-            out[d.code] = out.get(d.code, 0) + 1
-        return out
-
     # ------------------------------------------------------------------
     def summary(self) -> str:
         """One-line ``subject: E errors, W warnings`` summary."""

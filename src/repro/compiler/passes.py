@@ -75,11 +75,6 @@ class SavedAnalysis:
         """Forward buffers the optimization avoids retaining."""
         return [b for b in self.all_forward_buffers if b not in set(self.saved)]
 
-    @property
-    def state_stack_safe(self) -> bool:
-        """True when every saved read is produced by the forward program."""
-        return not self.missing
-
     def summary(self) -> str:
         """One-line saved-vs-pruned report."""
         text = (

@@ -143,10 +143,6 @@ class TProgram:
     spaces: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
-    def defined_by(self) -> dict[str, TOp]:
-        """Map from buffer name to the op that defines it."""
-        return {op.out: op for op in self.ops}
-
     def all_buffers(self) -> set[str]:
         """Every buffer name the program mentions."""
         names = set(self.inputs) | set(self.consts) | {op.out for op in self.ops}

@@ -50,9 +50,6 @@ class Device:
                 f"limit {self.memory_limit_bytes} bytes"
             )
 
-    def synchronize(self) -> None:
-        """No-op on the simulated device; kept for API parity with CUDA."""
-
     def reset(self) -> None:
         """Clear totals (latency histograms included) and kernel counters;
         memory accounting is preserved (live arrays are still live)."""

@@ -43,7 +43,7 @@ __all__ = ["STGraphBase"]
 class STGraphBase(abc.ABC):
     """Abstract temporal-graph interface consumed by the executor."""
 
-    #: set by subclasses: "static" | "naive" | "gpma"
+    #: set by subclasses: "static" | "naive" | "gpma" | "live" (serving)
     graph_type: str = "base"
     #: content version of the snapshot currently exposed: a read-only
     #: property on the DTDG-backed graphs, 0 forever on a static one.

@@ -11,8 +11,8 @@ storage strategies the paper compares need different inputs:
 :class:`DTDG` stores what GPMAGraph stores: the base snapshot, the updates
 (exact set differences between consecutive snapshots), one edge count per
 timestamp and the latest snapshot, which a live append normalizes against.
-Any other snapshot is replayed forward from the base, or from the last one
-replayed (every reader walks timestamps in order).  Host bytes are therefore
+Any other snapshot is replayed from the closest of the base, the last one
+replayed and the latest, forward or backward.  Host bytes are therefore
 base + latest + one replayed snapshot + Σ updates, not T full edge sets.
 It owns each snapshot's content version (:meth:`DTDG.version_of`), the key
 of all reuse.
@@ -124,27 +124,12 @@ class DTDG:
         return len(self._counts)
 
     def check_update(self, update: EdgeUpdate) -> None:
-        """Raise ``ValueError`` unless ``update`` is a well-formed batch here.
-
-        Each side's source and destination ids are 1-D and of equal length
-        (unequal lengths would broadcast into edges nobody sent), and every
-        id is a vertex of this graph.
-        """
-        for side, src, dst in (
-            ("add", update.add_src, update.add_dst),
-            ("delete", update.del_src, update.del_dst),
-        ):
-            if np.ndim(src) != 1 or np.shape(src) != np.shape(dst):
-                raise ValueError(
-                    f"{side} src and dst must be 1-D and of equal length, got "
-                    f"shapes {np.shape(src)} and {np.shape(dst)}"
-                )
-            for ids in (src, dst):
-                a = np.asarray(ids)
-                if a.size and (a.min() < 0 or a.max() >= self.num_nodes):
-                    raise ValueError(
-                        f"update names vertex out of range [0, {self.num_nodes})"
-                    )
+        """Raise ``ValueError`` unless ``update`` is a well-formed batch here:
+        :func:`~repro.graph.labels.encode_edges` accepts each side (1-D ids of
+        equal length, so nothing broadcasts into edges nobody sent, each a
+        vertex of this graph)."""
+        encode_edges(update.add_src, update.add_dst, self.num_nodes)
+        encode_edges(update.del_src, update.del_dst, self.num_nodes)
 
     def append_update(self, update: EdgeUpdate) -> int:
         """Append a live update batch as a new final snapshot (serving ingest).
@@ -157,17 +142,11 @@ class DTDG:
         empty, a no-op boundary: the snapshot version is inherited, so caches
         keyed on version keep hitting.
 
-        Returns the new timestamp index.
+        Returns the new timestamp index.  A malformed batch (see
+        :meth:`check_update`) raises ``ValueError`` and appends nothing.
         """
-        self.check_update(update)
-        add = np.unique(encode_edges(
-            np.asarray(update.add_src, dtype=np.int64),
-            np.asarray(update.add_dst, dtype=np.int64), self.num_nodes,
-        ))
-        delete = np.unique(encode_edges(
-            np.asarray(update.del_src, dtype=np.int64),
-            np.asarray(update.del_dst, dtype=np.int64), self.num_nodes,
-        ))
+        add = np.unique(encode_edges(update.add_src, update.add_dst, self.num_nodes))
+        delete = np.unique(encode_edges(update.del_src, update.del_dst, self.num_nodes))
         # The latest keys are sorted and unique, so membership is a binary
         # search per batch key and the new snapshot is one masked copy plus
         # one insert.  They are replaced, not kept: earlier snapshots replay.
@@ -185,26 +164,27 @@ class DTDG:
 
     def snapshot_edges(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The (src, dst) arrays of snapshot ``t`` in sorted key order."""
-        return decode_edges(self._snapshot_keys(t), self.num_nodes)
+        return decode_edges(self.snapshot_keys(t), self.num_nodes)
 
-    def _snapshot_keys(self, t: int) -> np.ndarray:
-        """Sorted keys of snapshot ``t``: the latest as stored, any other one
-        replayed forward from the memo when it is not past ``t``, else from
-        the base."""
+    def snapshot_keys(self, t: int) -> np.ndarray:
+        """Sorted unique keys of snapshot ``t``, not to be written: the latest
+        as stored, any other one replayed from the closest of the base, the
+        last snapshot replayed and the latest — forward, or backward through
+        reversed updates (each is an exact set difference)."""
         t = range(self.num_timestamps)[t]
-        last, keys = self._latest
-        if t == last:
-            return keys
-        at, keys = self._memo
-        if at > t:
-            at, keys = 0, self._base
+        latest = self._latest
+        if t == latest[0]:
+            return latest[1]
+        at, keys = min((0, self._base), self._memo, latest, key=lambda saved: abs(saved[0] - t))
         n = self.num_nodes
-        for update in self.updates[at + 1 : t + 1]:
+        while at != t:
+            update = self.updates[at + 1] if at < t else self.updates[at].reversed()
             keys = _apply_keys(
                 keys,
                 encode_edges(update.add_src, update.add_dst, n),
                 encode_edges(update.del_src, update.del_dst, n),
             )
+            at += 1 if at < t else -1
         self._memo = (t, keys)
         return keys
 

@@ -11,8 +11,13 @@ labels are the ranks of the surviving keys, so the forward and backward CSR
 of the same snapshot always agree.  The backward (out-)CSR falls out of one
 compaction of the PMA; the forward (reverse) CSR is Algorithm 3 —
 :func:`repro.graph.reverse.reverse_gpma_vectorized`, a counting sort over
-that compact CSR.  The *gapped* view the paper's kernel reads is still
-available (:meth:`GPMAGraph.gapped_csr`) but a build does not pay for it.
+that compact CSR.  No build reads the *gapped* view the paper's kernel
+reads; it survives as a test oracle (``tests/_snapshot_reference.py``).
+
+This is the training walk's graph (forward, LIFO rewind, a saved state
+between sequences).  Serving only ever moves to the newest snapshot and
+builds it from the DTDG's keys instead; no serving path holds a PMA
+(:mod:`repro.serve.engine`).
 
 Snapshots are **versioned** by the data: the content version of timestamp
 ``t`` is ``dtdg.version_of(t)``, the number of non-empty update batches in
@@ -46,12 +51,7 @@ from repro.device import current_device
 from repro.graph.base import STGraphBase
 from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
-from repro.graph.snapshot_builder import (
-    BuiltSnapshot,
-    UpdateCursor,
-    build_snapshot_arrays,
-    gapped_csr_arrays,
-)
+from repro.graph.snapshot_builder import BuiltSnapshot, UpdateCursor, build_snapshot_arrays
 from repro.obs.spine import span
 from repro.resilience.faults import current_injector
 
@@ -178,15 +178,6 @@ class GPMAGraph(STGraphBase):
     # ------------------------------------------------------------------
     # Snapshot materialization (relabel + Algorithm 3)
     # ------------------------------------------------------------------
-    def gapped_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The gapped CSR view over the raw PMA storage.
-
-        Returns ``(row_offset, col_indices, eids)`` where ``row_offset[i]``
-        indexes the first slot that could hold an edge of source ``i`` and
-        gap slots carry ``SPACE`` — the exact input shape of Algorithm 3.
-        """
-        return gapped_csr_arrays(self.pma, self.num_nodes)
-
     def _install(self, snap: BuiltSnapshot, version: int) -> None:
         self._fwd, self._bwd = snap.fwd, snap.bwd
         self._in_deg, self._out_deg = snap.in_deg, snap.out_deg
@@ -196,7 +187,7 @@ class GPMAGraph(STGraphBase):
         pma = self.pma  # Algorithm 2: replay the batches that lead here
         with span("graph.build_snapshot", t=self.curr_time, edges=pma.n_items):
             snap = build_snapshot_arrays(
-                pma, self.num_nodes, self.sort_by_degree, current_device().alloc
+                pma.export_items(), self.num_nodes, self.sort_by_degree, current_device().alloc
             )
         self._install(snap, self.snapshot_version)
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "canonical_edge_labels", "encode_edges", "decode_edges", "positions_in", "relabel_after_update",
-]
+__all__ = ["canonical_edge_labels", "encode_edges", "decode_edges", "positions_in"]
 
 
 def encode_edges(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -59,8 +57,3 @@ def canonical_edge_labels(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> n
     ranks[np.argsort(keys, kind="stable")] = np.arange(len(keys), dtype=np.int64)
     return ranks
 
-
-def relabel_after_update(sorted_keys: np.ndarray) -> np.ndarray:
-    """Fresh labels 0..E-1 for a snapshot's sorted edge keys (GPMA path:
-    the PMA exports keys already sorted, so labels are just positions)."""
-    return np.arange(len(sorted_keys), dtype=np.int64)

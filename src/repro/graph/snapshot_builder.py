@@ -7,10 +7,9 @@
   boundary).  It holds storage, not identity: what content a timestamp
   has is :meth:`DTDG.version_of <repro.graph.dtdg.DTDG.version_of>`.
 * :func:`build_snapshot_arrays` — the pure relabel + Algorithm 3 function:
-  PMA storage in, immutable :class:`BuiltSnapshot` out, no shared state
-  touched.  One compaction of the PMA, O(E + N) after it;
-  :func:`gapped_csr_arrays` is the paper's gapped input shape, kept for the
-  tests of Algorithm 3 as written.
+  sorted edge keys in, immutable :class:`BuiltSnapshot` out, no shared
+  state touched, O(E + N).  The paper's gapped input shape over raw PMA
+  storage is a test oracle only (``tests/_snapshot_reference.py``).
 
 A graph keeps the one build it currently exposes; the only multi-entry
 store of built snapshots is the executor's ``snapshot_key() ->
@@ -27,16 +26,9 @@ from repro.graph.csr import CSR, index_dtype
 from repro.graph.dtdg import DTDG
 from repro.graph.labels import decode_edges, encode_edges
 from repro.graph.sorting import node_ids_for
-from repro.pma import PackedMemoryArray, SPACE_KEY
+from repro.pma import PackedMemoryArray
 
-__all__ = [
-    "BuiltSnapshot",
-    "UpdateCursor",
-    "build_snapshot_arrays",
-    "gapped_csr_arrays",
-]
-
-_INT64_MAX = np.iinfo(np.int64).max
+__all__ = ["BuiltSnapshot", "UpdateCursor", "build_snapshot_arrays"]
 
 
 @dataclass
@@ -64,43 +56,21 @@ class _CursorState:
 # ---------------------------------------------------------------------------
 # Pure snapshot materialization (relabel + Algorithm 3)
 # ---------------------------------------------------------------------------
-def gapped_csr_arrays(pma: PackedMemoryArray, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gapped CSR view over one PMA's raw storage.
-
-    Returns ``(row_offset, col_indices, eids)`` where ``row_offset[i]``
-    indexes the first slot that could hold an edge of source ``i`` and gap
-    slots carry ``SPACE`` — the exact input shape of Algorithm 3.  Pure:
-    reads the PMA, writes nothing.
-    """
-    keys = pma.gapped_arrays()
-    valid = keys != SPACE_KEY
-    # Backward-fill gaps with the next valid key so the slot array is
-    # non-decreasing and boundaries can be found with searchsorted.
-    filled = np.where(valid, keys, _INT64_MAX)
-    backfilled = np.minimum.accumulate(filled[::-1])[::-1]
-    boundaries = np.arange(num_nodes + 1, dtype=np.int64) * np.int64(num_nodes)
-    row_offset = np.searchsorted(backfilled, boundaries, side="left").astype(np.int64)
-    cols = np.where(valid, keys - (keys // num_nodes) * num_nodes, SPACE_KEY)
-    # Relabel (Algorithm 2 line 8): label = rank among surviving edges.
-    eids = np.full(len(keys), -1, dtype=np.int64)
-    eids[valid] = np.arange(int(valid.sum()), dtype=np.int64)
-    return row_offset, cols, eids
-
-
 def build_snapshot_arrays(
-    pma: PackedMemoryArray, num_nodes: int, sort_by_degree: bool, alloc
+    keys: np.ndarray, num_nodes: int, sort_by_degree: bool, alloc
 ) -> BuiltSnapshot:
-    """Relabel + Algorithm 3 over one PMA → an immutable :class:`BuiltSnapshot`.
+    """Relabel + Algorithm 3 over one snapshot's sorted unique edge keys →
+    an immutable :class:`BuiltSnapshot`.
 
-    One compaction (``export_items``) yields the sorted keys, hence the
-    out-CSR; the in-CSR is its stable counting-sort transpose.
-
-    Pure with respect to graph state: the only input is the given PMA's
-    storage (read), the only side effect byte accounting on ``alloc``.
+    The sorted keys are the out-CSR; the in-CSR is its stable counting-sort
+    transpose.  The keys come from a PMA compaction
+    (:meth:`~repro.pma.PackedMemoryArray.export_items`, the training walk)
+    or from :meth:`DTDG.snapshot_keys <repro.graph.dtdg.DTDG.snapshot_keys>`
+    (serving).  Pure: ``keys`` is read, the only side effect is byte
+    accounting on ``alloc``.
     """
     from repro.graph.reverse import reverse_gpma_vectorized
 
-    keys = pma.export_items()
     src, dst = decode_edges(keys, num_nodes)
     num_edges = len(keys)
     idx = index_dtype(num_nodes, num_edges)
@@ -121,8 +91,7 @@ def build_snapshot_arrays(
     bwd = CSR(bwd_row, bwd_col, bwd_eid, bwd_ids)
 
     # Forward (reverse) CSR: Algorithm 3's counting sort over that compact
-    # out-CSR (the gaps were dropped once, by export_items), already at the
-    # index width.
+    # out-CSR, already at the index width.
     f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, bwd_col, labels, num_nodes)
     fwd = CSR(
         alloc.adopt(f_row, tag="gpma.fwd.row"),
@@ -147,8 +116,7 @@ class UpdateCursor:
         self.dtdg = dtdg
         self.num_nodes = dtdg.num_nodes
         self.enable_cache = enable_cache
-        src, dst = dtdg.snapshot_edges(0)
-        keys = encode_edges(src, dst, dtdg.num_nodes)
+        keys = dtdg.snapshot_keys(0)
         self.pma = PackedMemoryArray(capacity=max(64, 2 * len(keys)))
         self.pma.insert_batch(keys)
         self.time = 0

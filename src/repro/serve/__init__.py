@@ -3,10 +3,11 @@
 Point queries ("embedding/prediction for vertex *v* at the latest time")
 are coalesced into batches and answered from one no-grad forward per
 snapshot version, reusing the executor's ProgramPlan and context store.
-GPMA update batches land concurrently through
+Update batches land concurrently through
 :meth:`InferenceEngine.enqueue_update`, invalidating only the k-hop dirty
-neighborhood.  Serving is strictly fresh: every response reflects every
-update batch enqueued before it.
+neighborhood; the newest snapshot is built from the DTDG's sorted keys, so
+serving holds no PMA.  Serving is strictly fresh: every response reflects
+every update batch enqueued before it.
 
 See ``docs/SERVING.md`` for the architecture and the consistency contract.
 """

@@ -1,9 +1,14 @@
-"""Request-batched online inference over a live (evolving) GPMA graph.
+"""Request-batched online inference over a live (evolving) DTDG.
 
 The :class:`InferenceEngine` answers point queries — "the embedding (or
 prediction) of vertex ``v`` at the latest time" — while update batches keep
-landing on the same graph.  Two ideas make that cheap on top of the
-training machinery:
+landing on the same graph.  Serving only ever moves to the newest snapshot,
+whose sorted edge keys :meth:`~repro.graph.dtdg.DTDG.append_update` has
+already computed, so the engine builds that snapshot's CSRs straight from
+them (:class:`_LiveGraph`).  No serving path holds a PMA or an
+``UpdateCursor``: the GPMA and Algorithm 2 serve the training walk
+(forward, LIFO rewind, a saved state between sequences).  Two ideas make
+serving cheap on top of the training machinery:
 
 * **Request coalescing.**  Point queries from concurrent clients are
   enqueued and served by one dispatcher thread that folds every pending
@@ -48,9 +53,12 @@ import numpy as np
 
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device, use_device
+from repro.graph.base import STGraphBase
+from repro.graph.csr import CSR
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
-from repro.graph.dtdg import EdgeUpdate
+from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
+from repro.graph.snapshot_builder import BuiltSnapshot, build_snapshot_arrays
 from repro.obs.spine import emit, installed, span, use_installed
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -113,17 +121,82 @@ class _Request:
         self.batch_size = 0
 
 
+class _LiveGraph(STGraphBase):
+    """The serving view of a DTDG: a snapshot built from its sorted keys.
+
+    Positioned at the newest timestamp from construction on.  Like
+    :class:`~repro.graph.gpma_graph.GPMAGraph` it keeps the one build it
+    exposes, keyed on the position's version, and records one
+    ``csr_cache_hits`` / ``csr_cache_misses`` per positioning; a build is
+    :func:`build_snapshot_arrays` over
+    :meth:`~repro.graph.dtdg.DTDG.snapshot_keys`.  Driven by the
+    dispatcher thread only.
+    """
+
+    graph_type = "live"
+
+    def __init__(self, dtdg: DTDG, sort_by_degree: bool) -> None:
+        super().__init__(dtdg.num_nodes, sort_by_degree)
+        self.dtdg = dtdg
+        self.curr_time = dtdg.num_timestamps - 1
+        self.snapshot_version = dtdg.version_of(self.curr_time)
+        self._built: tuple[int, BuiltSnapshot] | None = None  # (version, build)
+        self._reuse_counted = False
+
+    def get_graph(self, timestamp: int) -> "_LiveGraph":
+        """Position at ``timestamp``; the build happens on first read."""
+        self.snapshot_version = self.dtdg.version_of(timestamp)  # IndexError outside [0, T)
+        self.curr_time = int(timestamp)
+        self._reuse_counted = False
+        return self
+
+    get_backward_graph = get_graph  # serving runs no backward pass
+
+    def _snapshot(self) -> BuiltSnapshot:
+        version = self.snapshot_version
+        hit = self._built is not None and self._built[0] == version
+        if not hit:
+            keys = self.dtdg.snapshot_keys(self.curr_time)
+            with span("graph.build_snapshot", t=self.curr_time, edges=len(keys)):
+                snap = build_snapshot_arrays(keys, self.num_nodes, self.sort_by_degree, current_device().alloc)
+            self._built = (version, snap)
+        if not self._reuse_counted:
+            self._reuse_counted = True
+            self._count("csr_cache_hits" if hit else "csr_cache_misses")
+        assert self._built is not None
+        return self._built[1]
+
+    def forward_csr(self) -> CSR:
+        return self._snapshot().fwd
+
+    def backward_csr(self) -> CSR:
+        return self._snapshot().bwd
+
+    def in_degrees(self) -> np.ndarray:
+        return self._snapshot().in_deg
+
+    def out_degrees(self) -> np.ndarray:
+        return self._snapshot().out_deg
+
+    @property
+    def num_edges(self) -> int:
+        return self.dtdg.snapshot_edge_count(self.curr_time)
+
+
 class InferenceEngine:
-    """Batched point-query inference over a live GPMA graph.
+    """Batched point-query inference over a live DTDG.
 
     Parameters
     ----------
     model:
         Any :class:`ServingModel`; its parameters are read, never written.
     graph:
-        A :class:`~repro.graph.gpma_graph.GPMAGraph`; the engine owns its
-        position (callers must not move it concurrently) and appends ingest
-        batches to its DTDG via :meth:`~repro.graph.dtdg.DTDG.append_update`.
+        A :class:`~repro.graph.gpma_graph.GPMAGraph`; the engine reads only
+        its ``dtdg`` and ``sort_by_degree`` and never moves it.  Ingest
+        batches are appended to that DTDG
+        (:meth:`~repro.graph.dtdg.DTDG.append_update`), and
+        :attr:`graph` is the engine's own view of it, at the newest
+        snapshot from boot on.
     features:
         ``(N, F)`` serving feature matrix, fixed across versions (structure
         evolves; features are the input signal).
@@ -159,13 +232,13 @@ class InferenceEngine:
                 f"({graph.num_nodes})"
             )
         self.model = model
-        self.graph = graph
+        self.graph = _LiveGraph(graph.dtdg, graph.sort_by_degree)
         self.hops = int(hops)
         self.batching = bool(batching)
         self.invalidation = bool(invalidation)
         self._device = current_device()
         self._telemetry = installed()  # tracer / flight recorder for the dispatcher
-        self._executor = TemporalExecutor(graph)
+        self._executor = TemporalExecutor(self.graph)
         self._features = np.ascontiguousarray(features, dtype=np.float32)
         self._state = None if state is None else np.asarray(state, dtype=np.float32)
         self._num_nodes = int(graph.num_nodes)
@@ -176,13 +249,12 @@ class InferenceEngine:
         self._update_queue: list[tuple[int, EdgeUpdate]] = []
         self._ingest_seq = 0
         self._applied_seq = 0
-        self._applied_version = int(graph.snapshot_version)
+        self._applied_version = int(self.graph.snapshot_version)
         self._stopping = False
         self._thread: threading.Thread | None = None
         self._worker_error: BaseException | None = None
 
         # --- dispatcher-private state (never written under _cv) -------
-        self._latest_t = int(graph.dtdg.num_timestamps) - 1
         self._h: np.ndarray | None = None
         self._pred: np.ndarray | None = None
         self._valid = np.zeros(self._num_nodes, dtype=bool)
@@ -389,7 +461,6 @@ class InferenceEngine:
         with span("serve.ingest", seq=seq):
             t_new = self.graph.dtdg.append_update(update)
             self.graph.get_graph(t_new)
-            self._latest_t = t_new
             version = int(self.graph.snapshot_version)
             effective = self.graph.dtdg.updates[t_new]
             touched = touched_vertices(effective)
@@ -418,8 +489,8 @@ class InferenceEngine:
 
     def _forward(self) -> None:
         """One batched no-grad forward at the latest applied snapshot."""
-        with span("serve.forward", t=self._latest_t), no_grad():
-            self._executor.begin_inference(self._latest_t)
+        with span("serve.forward", t=self.graph.curr_time), no_grad():
+            self._executor.begin_inference(self.graph.curr_time)
             state = None if self._state is None else Tensor(self._state)
             pred, h = self.model.step(self._executor, Tensor(self._features), state)
         self._h = h.data

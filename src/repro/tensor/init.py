@@ -1,4 +1,4 @@
-"""Parameter initializers (seedable, Glorot/Kaiming/uniform)."""
+"""Parameter initializers (seedable, Glorot/uniform)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "get_rng_state",
     "set_rng_state",
     "glorot_uniform",
-    "kaiming_uniform",
     "uniform",
     "zeros",
     "ones",
@@ -59,13 +58,6 @@ def glorot_uniform(shape: tuple[int, ...], requires_grad: bool = True) -> Tensor
     fan_in = shape[0] if len(shape) > 0 else 1
     fan_out = shape[1] if len(shape) > 1 else fan_in
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform(shape, -bound, bound, requires_grad=requires_grad)
-
-
-def kaiming_uniform(shape: tuple[int, ...], requires_grad: bool = True) -> Tensor:
-    """Kaiming/He uniform (fan-in scaled), for ReLU stacks."""
-    fan_in = shape[0] if len(shape) > 0 else 1
-    bound = math.sqrt(3.0 / fan_in) if fan_in > 0 else 0.0
     return uniform(shape, -bound, bound, requires_grad=requires_grad)
 
 

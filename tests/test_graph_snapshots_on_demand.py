@@ -29,7 +29,7 @@ from repro.graph.labels import encode_edges
 from repro.graph.snapshot_builder import build_snapshot_arrays
 from repro.pma import PackedMemoryArray
 from repro.resilience import FaultInjector, FaultPlan, FaultSite, use_fault_plan
-from tests._snapshot_reference import reference_build_snapshot_arrays
+from tests._snapshot_reference import reference_build_snapshot_arrays, reference_gapped_csr_arrays
 
 
 def _ten_arrays(snap):
@@ -68,7 +68,7 @@ def test_build_equals_frozen_reference_after_random_walks(n, seed, steps, sort_b
             # half held keys, half arbitrary ones (most of them absent)
             pick = held[rng.integers(0, len(held), size // 2)] if len(held) else keys[:0]
             pma.delete_batch(np.concatenate([pick, keys[size // 2 :]]))
-        got = _ten_arrays(build_snapshot_arrays(pma, n, sort_by_degree, alloc))
+        got = _ten_arrays(build_snapshot_arrays(pma.export_items(), n, sort_by_degree, alloc))
         want = _ten_arrays(reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc))
         # The frozen build is int64 with arange node ids; the build keeps one
         # index width for every array and no array for identity order.
@@ -244,7 +244,7 @@ class OnDemandSnapshots(RuleBasedStateMachine):
         held = self.graph.pma.export_items()
         assert np.array_equal(held, self._expected_keys())
         self.graph.pma.check_invariants()
-        row, col, _ = self.graph.gapped_csr()
+        row, col, _ = reference_gapped_csr_arrays(self.graph.pma, self.graph.num_nodes)
         assert int((col[: row[-1]] >= 0).sum()) == self.graph.num_edges
 
 

@@ -107,7 +107,7 @@ def test_one_gpma_build_tracks_two_csrs_and_two_degree_arrays(sort_by_degree):
     pma = PackedMemoryArray(capacity=2 * len(keys))
     pma.insert_batch(keys)
     with use_device(Device(name="index-width-bytes")) as device:
-        snap = build_snapshot_arrays(pma, n, sort_by_degree, device.alloc)
+        snap = build_snapshot_arrays(pma.export_items(), n, sort_by_degree, device.alloc)
         tracked = sum(b for tag, b in device.tracker.bytes_by_tag().items() if tag.startswith("gpma."))
     e = len(keys)
     entries = 4 * e + 2 * (n + 1) + 2 * n + (2 * n if sort_by_degree else 0)
