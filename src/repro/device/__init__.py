@@ -15,6 +15,8 @@ closest synthetic equivalent that exercises the same code paths:
 * :class:`KernelLauncher` — executes kernels produced by the compiler's
   codegen stage, mirroring Seastar's executor invoking generated CUDA
   kernels.
+* :func:`set_heap_policy` — keeps freed buffers in the process heap instead
+  of handing them back to the OS (glibc only); applied once, on import.
 
 The allocator is also used by the PyG-T baseline so both systems are measured
 with the same instrument.
@@ -22,6 +24,7 @@ with the same instrument.
 
 from repro.device.allocator import AllocationRecord, DeviceAllocator, MemoryTracker
 from repro.device.device import Device, current_device, default_device, use_device
+from repro.device.heap import set_heap_policy
 from repro.device.kernel import CompiledKernel, KernelLauncher
 from repro.device.launch_config import LaunchConfig, estimated_occupancy, feature_adaptive_config
 
@@ -38,4 +41,7 @@ __all__ = [
     "LaunchConfig",
     "feature_adaptive_config",
     "estimated_occupancy",
+    "set_heap_policy",
 ]
+
+set_heap_policy()

@@ -97,15 +97,13 @@ class GCNConv(VertexCentricLayer):
         """``edge_weight``: label-indexed per-edge weights, required iff the
         layer was built with ``edge_weighted=True``; may differ every
         timestamp (static-temporal edge signals, Definition II.1)."""
-        ctx = executor.current_context()
-        norm = gcn_norm(ctx, self.add_self_loops)
-        h = F.matmul(x, self.weight)
-        if self.edge_weighted:
-            if edge_weight is None:
-                raise ValueError("edge_weighted GCNConv needs edge_weight")
-            out = self.aggregate(executor, {"h": h, "norm": norm}, {"w": edge_weight})
-        else:
-            out = self.aggregate(executor, {"h": h, "norm": norm})
+        if self.edge_weighted and edge_weight is None:
+            raise ValueError("edge_weighted GCNConv needs edge_weight")
+        norm = gcn_norm(executor.current_context(), self.add_self_loops)
+        edge_feats = {"w": edge_weight} if self.edge_weighted else None
+        # x @ W goes straight into the aggregation, so it is freed before
+        # the bias add.
+        out = self.aggregate(executor, {"h": F.matmul(x, self.weight), "norm": norm}, edge_feats)
         if self.bias is not None:
             out = F.add(out, self.bias)
         return out

@@ -7,8 +7,11 @@ whose sorted edge keys :meth:`~repro.graph.dtdg.DTDG.append_update` has
 already computed, so the engine builds that snapshot's CSRs straight from
 them (:class:`_LiveGraph`).  No serving path holds a PMA or an
 ``UpdateCursor``: the GPMA and Algorithm 2 serve the training walk
-(forward, LIFO rewind, a saved state between sequences).  Two ideas make
-serving cheap on top of the training machinery:
+(forward, LIFO rewind, a saved state between sequences).  The executor's
+context store holds the live version only (``ctx_cache_size=1``), and a
+forward drops the previous output before it recomputes every row, so a
+served forward holds one snapshot build.  Two ideas make serving cheap on
+top of the training machinery:
 
 * **Request coalescing.**  Point queries from concurrent clients are
   enqueued and served by one dispatcher thread that folds every pending
@@ -238,7 +241,9 @@ class InferenceEngine:
         self.invalidation = bool(invalidation)
         self._device = current_device()
         self._telemetry = installed()  # tracer / flight recorder for the dispatcher
-        self._executor = TemporalExecutor(self.graph)
+        # Serving only moves to newer versions and a no-op batch keeps its
+        # version, so the live version's context is the one worth keeping.
+        self._executor = TemporalExecutor(self.graph, ctx_cache_size=1)
         self._features = np.ascontiguousarray(features, dtype=np.float32)
         self._state = None if state is None else np.asarray(state, dtype=np.float32)
         self._num_nodes = int(graph.num_nodes)
@@ -488,7 +493,13 @@ class InferenceEngine:
             self._cv.notify_all()
 
     def _forward(self) -> None:
-        """One batched no-grad forward at the latest applied snapshot."""
+        """One batched no-grad forward at the latest applied snapshot.
+
+        Every row is recomputed, so the previous output is dropped first:
+        ``_serve_batch`` has already checked for hits, and nothing reads it
+        while the forward runs.
+        """
+        self._h = self._pred = None
         with span("serve.forward", t=self.graph.curr_time), no_grad():
             self._executor.begin_inference(self.graph.curr_time)
             state = None if self._state is None else Tensor(self._state)

@@ -30,13 +30,33 @@ __all__ = ["Function"]
 _node_seq = itertools.count()
 
 
+def _sum_rows(grad: np.ndarray) -> np.ndarray:
+    """``grad.sum(axis=0)`` of a 2-D array, bit for bit.
+
+    On a C-contiguous float32 / float64 array with at least two columns,
+    ``einsum`` adds the rows in the same order as ``sum`` and is several
+    times faster.  Where a column sums to NaN the two can keep different
+    NaNs (``-inf + inf`` then ``+ nan`` keeps the sign of either), so that
+    case is redone with ``sum``, an ``F``-length check.  Every other case
+    keeps ``sum``, whose single-column and Fortran-order reductions are
+    pairwise.  ``tests/test_tensor_property.py`` pins the equality.
+    """
+    if grad.shape[1] >= 2 and grad.flags.c_contiguous and grad.dtype in (np.float32, np.float64):
+        out = np.einsum("ij->j", grad)
+        if not np.isnan(out).any():
+            return out
+    return grad.sum(axis=0)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (reverse of NumPy broadcasting)."""
     if grad.shape == shape:
         return grad
-    # Remove leading broadcast axes.
+    # Remove leading broadcast axes (a bias gradient: the rows of a 2-D one).
     extra = grad.ndim - len(shape)
-    if extra > 0:
+    if extra == 1 and grad.ndim == 2:
+        grad = _sum_rows(grad)
+    elif extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
     # Sum over axes that were size-1 in the target shape.
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)

@@ -233,7 +233,10 @@ def test_stored_bytes_grow_with_the_batches_not_the_snapshots():
 def test_reader_racing_appends_sees_consistent_snapshots():
     """One thread appends 500 batches while another reads.  The appender
     yields the GIL at every line of the DTDG's own code, so the reader also
-    runs between the statements of one append, not only between appends."""
+    runs between the statements of one append, not only between appends.
+    After each append the appender waits until the reader has finished a
+    read that started after that append began, so every append is raced by
+    at least one read however few lines it runs."""
     rng = np.random.default_rng(11)
     n, m = 300, 3000
     base = (rng.integers(0, n, m), rng.integers(0, n, m))
@@ -245,11 +248,15 @@ def test_reader_racing_appends_sees_consistent_snapshots():
     dtdg = DTDG([base], n)
     done = threading.Event()
     errors: list[str] = []
-    reads = [0]
+    progress = threading.Condition()
+    begun = [0]  # appends begun
+    covered = [0]  # appends begun before the start of the last finished read
 
     def reader():
         pick = np.random.default_rng(12)
         while not done.is_set():
+            with progress:
+                after = begun[0]
             T = dtdg.num_timestamps
             # mostly the newest snapshots, where the appender races
             t = T - 1 - int(pick.integers(0, min(T, 3))) if pick.random() < 0.7 else int(pick.integers(0, T))
@@ -257,7 +264,9 @@ def test_reader_racing_appends_sees_consistent_snapshots():
             count = dtdg.snapshot_edge_count(t)
             if len(keys) != count or not np.array_equal(keys, oracle[t]):
                 errors.append(f"t={t}: {len(keys)} keys, count {count}, oracle {len(oracle[t])}")
-            reads[0] += 1
+            with progress:
+                covered[0] = after
+                progress.notify_all()
 
     dtdg_code = DTDG.__init__.__code__.co_filename
 
@@ -274,13 +283,16 @@ def test_reader_racing_appends_sees_consistent_snapshots():
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        for update in batches:
+        for i, update in enumerate(batches, 1):
+            with progress:
+                begun[0] = i
             dtdg.append_update(update)
+            with progress:
+                assert progress.wait_for(lambda: covered[0] >= i, timeout=30), f"no read after append {i}"
     finally:
         sys.settrace(previous)
         done.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert not errors, errors[:5]
-    assert reads[0] >= len(batches), reads[0]
     assert dtdg.num_timestamps == len(oracle)

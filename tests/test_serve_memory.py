@@ -1,0 +1,134 @@
+"""Serving keeps only what the next served forward reads.
+
+* after every served update followed by a forward, the tracked ``gpma.*``
+  bytes are exactly one snapshot build and the executor's context store
+  holds one entry (the live version's);
+* a served forward's peak stays under a bound from ``N``, ``F`` and ``E``
+  that three superseded builds, or the previous output kept through the
+  forward, would break;
+* the served values stay bitwise equal to the serial reference;
+* the heap policy is applied once per process, and does nothing where
+  ``mallopt`` does not resolve.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.device.heap as heap
+from repro.device import Device, use_device
+from repro.graph import DTDG, GPMAGraph
+from repro.serve import InferenceEngine, random_update_batches, serial_reference
+from repro.tensor import init
+from repro.train import STGraphNodeRegressor
+
+#: More vertices than edges per snapshot, as on sx-mathoverflow: the
+#: forward's ``N×F`` arrays, not the build, set the serving peak.
+N, EDGES, F, HIDDEN = 2000, 1500, 16, 16
+UPDATES = 24
+F32 = 4
+
+
+def _build_bytes(num_nodes: int, num_edges: int) -> int:
+    """Two CSRs (column and edge-label arrays, row offsets) and two degree
+    arrays, int32."""
+    return (4 * num_edges + 2 * (num_nodes + 1) + 2 * num_nodes) * F32
+
+
+def _tag_bytes(device: Device, prefix: str) -> int:
+    return sum(v for tag, v in device.tracker.bytes_by_tag().items() if tag.startswith(prefix))
+
+
+def _served_run():
+    """Serve ``UPDATES`` updates, each followed by a query of a vertex it
+    touched; yield the engine, the device and the result after each served
+    forward."""
+    rng = np.random.default_rng(7)
+    snaps = [(rng.integers(0, N, EDGES), rng.integers(0, N, EDGES)) for _ in range(3)]
+    dtdg = DTDG(snaps, N)
+    features = rng.standard_normal((N, F)).astype(np.float32)
+    init.set_seed(3)
+    model = STGraphNodeRegressor(F, HIDDEN)
+    batches = random_update_batches(dtdg, UPDATES, num_adds=32, num_deletes=16, seed=5)
+    device = Device()
+    with use_device(device):
+        engine = InferenceEngine(model, GPMAGraph(dtdg), features)
+        with engine:
+            engine.query(0)
+            for batch in batches:
+                engine.enqueue_update(batch)
+                device.tracker.reset_peak()
+                result = engine.query(int(batch.add_dst[0]), "prediction")
+                assert result.served_from == "forward"
+                yield engine, device, result
+
+
+def test_serving_holds_one_build_and_one_context_after_every_update():
+    steps = 0
+    for engine, device, _ in _served_run():
+        assert _tag_bytes(device, "gpma.") == _build_bytes(N, engine.graph.num_edges)
+        assert len(engine._executor._ctx_cache) == 1
+        steps += 1
+    assert steps == UPDATES
+
+
+def test_served_forward_peak_is_one_build_and_the_forward_working_set():
+    """The bound: the persistent PMA, one build, the features and the
+    forward's working set, three ``N×HIDDEN`` arrays (``a_z``, ``x @ W_h``
+    and one kernel output), with half an array to spare.  Three superseded
+    builds add ``3·build`` and a kept output ``N·(HIDDEN+1)`` floats; either
+    breaks it."""
+    for engine, device, _ in _served_run():
+        build = _build_bytes(N, engine.graph.num_edges)
+        bound = _tag_bytes(device, "pma.") + build + N * F * F32 + 7 * N * HIDDEN * F32 // 2
+        assert device.tracker.peak_bytes <= bound
+        assert bound < device.tracker.peak_bytes + N * (HIDDEN + 1) * F32
+        assert bound < device.tracker.peak_bytes + 3 * build
+
+
+def test_served_values_equal_the_serial_reference():
+    results = []
+    for engine, _, result in _served_run():
+        results.append(result)
+    assert len(results) == UPDATES
+    timestamps = sorted({r.timestamp for r in results})
+    reference = serial_reference(engine.model, engine.graph.dtdg, engine._features, timestamps)
+    for r in results:
+        assert np.array_equal(r.value, reference[r.timestamp][1][r.vertex])
+
+
+@pytest.fixture
+def fresh_policy(monkeypatch):
+    """A process in which the heap policy has not been applied yet."""
+    monkeypatch.setattr(heap, "_applied", None)
+
+
+def test_heap_policy_is_applied_once(fresh_policy, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(heap, "_resolve_mallopt", lambda: mallopt)
+    assert heap.set_heap_policy() is True
+    assert heap.set_heap_policy() is True
+    assert calls == [
+        (heap.M_MMAP_THRESHOLD, heap.MMAP_THRESHOLD_BYTES),
+        (heap.M_TRIM_THRESHOLD, heap.TRIM_THRESHOLD_BYTES),
+    ]
+
+
+def test_heap_policy_does_nothing_without_mallopt(fresh_policy, monkeypatch):
+    """A C library without ``mallopt`` (macOS, musl builds without it)."""
+    opened = []
+
+    class NoMallopt:
+        pass
+
+    monkeypatch.setattr(heap.ctypes, "CDLL", lambda name: opened.append(name) or NoMallopt())
+    assert heap._resolve_mallopt() is None
+    assert heap.set_heap_policy() is False
+    assert heap.set_heap_policy() is False
+    assert opened == [None, None]

@@ -97,3 +97,60 @@ def test_chain_rule_power(seed, k):
         y = F.mul(y, x)
     F.sum(y).backward()
     assert np.allclose(x.grad, k * x_val ** (k - 1), rtol=1e-3)
+
+
+_ROW_SUM_SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+def _with_specials(x: np.ndarray, share: float, rng: np.random.Generator) -> np.ndarray:
+    """``x`` with a ``share`` of its entries replaced by ±0, ±inf, NaN,
+    ±subnormals, the smallest normal and the largest finite value."""
+    info = np.finfo(x.dtype)
+    specials = np.array(
+        [*_ROW_SUM_SPECIALS, info.smallest_subnormal, -info.smallest_subnormal, info.tiny, info.max],
+        dtype=x.dtype,
+    )
+    mask = rng.random(x.shape) < share
+    x[mask] = rng.choice(specials, int(mask.sum()))
+    return x
+
+
+@given(
+    rows=st.integers(1, 3000),
+    cols=st.integers(1, 48),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e20]),
+    share=st.sampled_from([0.0, 0.01, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_bias_gradient_row_sum_is_bit_equal_to_sum(rows, cols, dtype, scale, share, seed):
+    """The einsum row sum ``_unbroadcast`` uses for bias gradients gives the
+    bytes of ``sum(axis=0)``; a NumPy that changes either order fails here
+    before any loss drifts."""
+    from repro.tensor.ops import _sum_rows, _unbroadcast
+
+    rng = np.random.default_rng(seed)
+    x = _with_specials((rng.standard_normal((rows, cols)) * scale).astype(dtype), share, rng)
+    fortran = np.asfortranarray(x)  # sums in another order: kept on ``sum``
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(_sum_rows(x), x.sum(axis=0)), (_unbroadcast(x, (cols,)), x.sum(axis=0)),
+                 (_sum_rows(fortran), fortran.sum(axis=0))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bias_gradient_row_sum_on_whole_special_columns():
+    """Columns that are all -0, all subnormal, or mix inf with -inf, at the
+    ``dtdg-update-bound`` bias shape."""
+    from repro.tensor.ops import _sum_rows
+
+    for dtype in (np.float32, np.float64):
+        x = np.random.default_rng(0).standard_normal((24_000, 16)).astype(dtype)
+        x[:, 0] = -0.0
+        x[:, 1] = np.finfo(dtype).smallest_subnormal
+        x[:, 2] = np.where(np.arange(24_000) % 2, np.inf, -np.inf)
+        x[:, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert _sum_rows(x).tobytes() == x.sum(axis=0).tobytes()
