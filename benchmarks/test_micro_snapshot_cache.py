@@ -28,7 +28,6 @@ def _row(label, r):
         "csr_misses": r.totals.count("csr_cache_misses"),
         "ctx_hits": r.totals.count("ctx_cache_hits"),
         "noop_skipped": r.totals.count("noop_updates_skipped"),
-        "hit_rate": f"{100 * r.csr_cache_hit_rate:.1f}%",
     }
 
 

@@ -67,20 +67,15 @@ class RunResult:
         return compile_seconds / denom if denom > 0 else 0.0
 
     @property
-    def csr_cache_hit_rate(self) -> float:
-        """Fraction of CSR-level positionings served by the graph's installed build."""
-        hits = self.totals.count("csr_cache_hits")
-        denom = hits + self.totals.count("csr_cache_misses")
-        return hits / denom if denom > 0 else 0.0
-
-    @property
     def reuse_rate(self) -> float:
         """Fraction of temporal positionings that skipped the CSR rebuild.
 
         Each positioning ends one of three ways: an executor context hit
-        (the CSRs are never consulted), a hit on the graph's installed
-        build, or a full rebuild.  A context miss triggers exactly one
-        CSR-level event, so the three counters partition the positionings.
+        (the graph is never consulted), a NaiveGraph backward revisit of
+        its prebuilt snapshot (``csr_cache_hits``), or one snapshot build
+        (``csr_cache_misses``).  Graphs keep no build, so each context miss
+        is exactly one build and the three counters partition the
+        positionings.
         """
         served = self.totals.count("ctx_cache_hits") + self.totals.count("csr_cache_hits")
         denom = served + self.totals.count("csr_cache_misses")

@@ -6,9 +6,11 @@ the vertex-centric design: **feature payloads stay in node space** — the
 SpMM streams over CSR without materializing an ``E×F`` message tensor, so
 peak memory is ``O(N·F + E)`` instead of the edge-parallel ``O(E·F)``.
 
-:class:`GraphContext` snapshots one graph's structural arrays (both CSR
+:class:`GraphContext` holds one snapshot's structural arrays (both CSR
 orientations, shared labels, degrees, node ids: degree-ordered when the
-graph asks for it) for the kernels.  The forward-CSR *position order* is
+graph asks for it) for the kernels, read from one ``graph.snapshot()``.
+Graphs keep no build, so the executor's LRU of contexts is the one store of
+built snapshots.  The forward-CSR *position order* is
 the canonical edge order for all edge-space buffers; label-indexed edge
 features are converted at bind time and the backward SpMM permutes weights
 into backward-CSR order through the shared labels — the concrete payoff of
@@ -29,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.base import STGraphBase
-from repro.graph.csr import CSR
 from repro.tensor.ops import leaky_relu_array, stable_sigmoid
 
 __all__ = ["GraphContext", "RUNTIME_NAMESPACE"]
@@ -47,8 +48,8 @@ class GraphContext:
     """
 
     def __init__(self, graph: STGraphBase) -> None:
-        fwd: CSR = graph.forward_csr()
-        bwd: CSR = graph.backward_csr()
+        snap = graph.snapshot()
+        fwd, bwd = snap.fwd, snap.bwd
         self.snapshot_key = graph.snapshot_key()
         self.num_nodes = graph.num_nodes
         self.num_edges = fwd.num_edges
@@ -58,8 +59,8 @@ class GraphContext:
         self.bwd_row = bwd.row_offset
         self.bwd_col = bwd.col_indices  # destination vertex per out-edge
         self.bwd_eids = bwd.eids
-        self.in_deg = np.asarray(graph.in_degrees())
-        self.out_deg = np.asarray(graph.out_degrees())
+        self.in_deg = snap.in_deg
+        self.out_deg = snap.out_deg
         self.fwd_node_ids = fwd.node_ids
         self.bwd_node_ids = bwd.node_ids
         self.sort_by_degree = graph.sort_by_degree

@@ -21,9 +21,10 @@ snapshot-version content identity): a backward step whose key matches the
 forward pass's build reuses that context outright instead of blindly
 rebuilding, and a no-op update batch (which leaves the version untouched)
 even reuses the previous timestamp's context.  A context carries both CSRs,
-the degrees and its aggregation operators, so this LRU is the only
-multi-entry store of built snapshots (a graph keeps just the build it
-exposes); ``ctx_cache_size`` is its one capacity, and 0 switches it off.
+the degrees and its aggregation operators, and graphs keep no build, so this
+LRU is the one store of built snapshots: a context miss is exactly one
+``graph.snapshot()`` call, one build on a graph that builds on demand.
+``ctx_cache_size`` is its one capacity, and 0 switches it off.
 See ``docs/EXECUTOR.md`` for the lifecycle rules.
 
 Every instrumented step here is one call into the telemetry spine

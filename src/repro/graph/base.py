@@ -21,11 +21,18 @@ DTDG-backed graph it is a function of the data,
 ``dtdg.version_of(position)``: the number of non-empty update batches up to
 the position, so no-op batches — zero additions and zero deletions — leave
 it untouched; a static graph stays at 0.  ``snapshot_key()`` returns it, and
-it is the key the one reuse store is built on: the executor keys
-:class:`~repro.compiler.runtime.GraphContext` reuse on it (a context carries
-both CSRs and the degrees), so the LIFO backward walk over a sequence reuses
-the forward pass's builds instead of re-running Algorithm 3 per timestamp
-(see ``docs/EXECUTOR.md``).
+it is the key the one store of built snapshots is built on: the executor
+keys :class:`~repro.compiler.runtime.GraphContext` reuse on it (a context
+carries both CSRs and the degrees), so the LIFO backward walk over a
+sequence reuses the forward pass's builds instead of re-running Algorithm 3
+per timestamp (see ``docs/EXECUTOR.md``).
+
+**One structure method.**  ``snapshot()`` returns the current position's
+:class:`~repro.graph.csr.BuiltSnapshot`; ``forward_csr`` / ``backward_csr``
+/ ``in_degrees`` / ``out_degrees`` read it.  ``StaticGraph`` and
+``NaiveGraph`` return what preprocessing built; the graphs that build on
+demand (``GPMAGraph``, serving's live view) build on every call, count one
+``csr_cache_misses`` and keep no build.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import abc
 
 import numpy as np
 
-from repro.graph.csr import CSR
+from repro.graph.csr import BuiltSnapshot, CSR
 from repro.obs.spine import emit
 
 __all__ = ["STGraphBase"]
@@ -91,21 +98,29 @@ class STGraphBase(abc.ABC):
 
     # -- current-snapshot structure --------------------------------------
     @abc.abstractmethod
+    def snapshot(self) -> BuiltSnapshot:
+        """The current snapshot's CSRs and degrees.
+
+        A DTDG-backed graph builds it on every call and keeps nothing: the
+        executor's context LRU is the one store of built snapshots.
+        """
+
     def forward_csr(self) -> CSR:
         """Reverse CSR (in-neighbors) of the current snapshot."""
+        return self.snapshot().fwd
 
-    @abc.abstractmethod
     def backward_csr(self) -> CSR:
         """Direct CSR (out-neighbors) of the current snapshot."""
+        return self.snapshot().bwd
 
-    @abc.abstractmethod
     def in_degrees(self) -> np.ndarray:
         """In-degree per vertex of the current snapshot (length N, at the
         snapshot's index width: :func:`~repro.graph.csr.index_dtype`)."""
+        return self.snapshot().in_deg
 
-    @abc.abstractmethod
     def out_degrees(self) -> np.ndarray:
         """Out-degree per vertex of the current snapshot."""
+        return self.snapshot().out_deg
 
     # -- properties -------------------------------------------------------
     @property
@@ -125,7 +140,8 @@ class STGraphBase(abc.ABC):
         For every edge (u → v) with label l in the backward CSR, the forward
         CSR must contain (v ← u) with the same label l.
         """
-        bwd, fwd = self.backward_csr(), self.forward_csr()
+        snap = self.snapshot()
+        bwd, fwd = snap.bwd, snap.fwd
         assert bwd.num_edges == fwd.num_edges
         bwd_pairs = {}
         for u in range(self.num_nodes):

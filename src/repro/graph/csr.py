@@ -15,7 +15,7 @@ import numpy as np
 from repro.device import current_device
 from repro.graph.sorting import node_ids_for
 
-__all__ = ["CSR", "build_csr", "csr_from_edges", "edge_density", "index_dtype"]
+__all__ = ["BuiltSnapshot", "CSR", "build_csr", "csr_from_edges", "edge_density", "index_dtype"]
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -95,6 +95,26 @@ class CSR:
             assert self.col_indices.max() < self.num_nodes
         if self.node_ids is not None:
             assert sorted(self.node_ids.tolist()) == list(range(self.num_nodes))
+
+
+@dataclass
+class BuiltSnapshot:
+    """One built snapshot: both CSR orientations and both degree arrays.
+
+    Every graph hands the executor one of these per position
+    (:meth:`~repro.graph.base.STGraphBase.snapshot`).  Instances are never
+    mutated after construction, so every context made from one shares its
+    arrays.
+    """
+
+    fwd: CSR
+    bwd: CSR
+    in_deg: np.ndarray
+    out_deg: np.ndarray
+
+    def nbytes(self) -> int:
+        """Total bytes of the two CSRs and the two degree arrays."""
+        return self.fwd.nbytes() + self.bwd.nbytes() + self.in_deg.nbytes + self.out_deg.nbytes
 
 
 def build_csr(

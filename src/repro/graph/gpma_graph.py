@@ -26,14 +26,13 @@ identical).  Positioning is therefore **logical**, always: ``get_graph`` /
 ``get_backward_graph`` set the timestamp, and the PMA replays update batches
 only when a snapshot has to be built or the storage is read.
 
-The graph keeps **one** build, the one it currently exposes; it is valid
-for as long as the position's version equals the build's.  Built snapshots
-of other timestamps live in the executor's ``snapshot_key() ->
-GraphContext`` LRU, the only multi-entry store: the LIFO backward walk over
-a training sequence takes its contexts from there, so it neither re-runs
-relabelling + Algorithm 3 nor rewinds the PMA (the paper rewinds because it
-keeps no built CSR; see DESIGN.md).  The mutable position lives in an
-:class:`~repro.graph.snapshot_builder.UpdateCursor`.
+The graph keeps **no** build: ``snapshot()`` catches the PMA up and runs
+relabelling + Algorithm 3 on every call.  Built snapshots live in the
+executor's ``snapshot_key() -> GraphContext`` LRU, the one store: the LIFO
+backward walk over a training sequence takes its contexts from there, so it
+neither re-runs relabelling + Algorithm 3 nor rewinds the PMA (the paper
+rewinds because it keeps no built CSR; see DESIGN.md).  The mutable position
+lives in an :class:`~repro.graph.snapshot_builder.UpdateCursor`.
 
 All structural work is attributed to the ``graph_update`` category through
 three sites of the telemetry spine, one call each: ``graph.advance``
@@ -45,11 +44,8 @@ recorded: it replays nothing.  Figure 9 plots the split.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.device import current_device
 from repro.graph.base import STGraphBase
-from repro.graph.csr import CSR
 from repro.graph.dtdg import DTDG
 from repro.graph.snapshot_builder import BuiltSnapshot, UpdateCursor, build_snapshot_arrays
 from repro.obs.spine import span
@@ -75,18 +71,9 @@ class GPMAGraph(STGraphBase):
         # PMA only catches up when a snapshot has to be built or the storage
         # itself is read (see _advance).
         self._pos_time = 0
-        # Version of the installed _fwd/_bwd artifacts (None = none valid).
-        self._built_version: int | None = None
         super().__init__(dtdg.num_nodes, sort_by_degree)
         self.enable_cache = enable_cache
-        self._fwd: CSR | None = None
-        self._bwd: CSR | None = None
-        self._in_deg: np.ndarray | None = None
-        self._out_deg: np.ndarray | None = None
-        # One hit/miss is recorded per temporal positioning (not per CSR
-        # accessor call); reset on every _advance.
-        self._reuse_counted = False
-        # Planned cache-corruption faults that forced Algorithm-3 rebuilds.
+        # Planned cache-corruption faults that dropped the saved PMA state.
         self.cache_fault_rebuilds = 0
 
     # ------------------------------------------------------------------
@@ -166,7 +153,6 @@ class GPMAGraph(STGraphBase):
         version = self.dtdg.version_of(t)  # IndexError outside [0, T)
         if t != self._pos_time and version == self.snapshot_version:
             self._count("noop_updates_skipped")
-        self._reuse_counted = False
         self._pos_time = t
 
     def _catch_up(self) -> None:
@@ -178,66 +164,29 @@ class GPMAGraph(STGraphBase):
     # ------------------------------------------------------------------
     # Snapshot materialization (relabel + Algorithm 3)
     # ------------------------------------------------------------------
-    def _install(self, snap: BuiltSnapshot, version: int) -> None:
-        self._fwd, self._bwd = snap.fwd, snap.bwd
-        self._in_deg, self._out_deg = snap.in_deg, snap.out_deg
-        self._built_version = int(version)
+    def snapshot(self) -> BuiltSnapshot:
+        """Build the current snapshot: one ``csr_cache_misses``.
 
-    def _rebuild(self) -> None:
-        pma = self.pma  # Algorithm 2: replay the batches that lead here
-        with span("graph.build_snapshot", t=self.curr_time, edges=pma.n_items):
-            snap = build_snapshot_arrays(
-                pma.export_items(), self.num_nodes, self.sort_by_degree, current_device().alloc
-            )
-        self._install(snap, self.snapshot_version)
+        Replays the batches that lead to the logical position (Algorithm 2),
+        then relabels and runs Algorithm 3 over the PMA's keys.  Nothing is
+        kept: the executor's context LRU stores what it builds.
 
-    def _ensure_built(self) -> None:
-        """Serve the current snapshot's artifacts from the installed build.
-
-        One ``csr_cache_hits``/``csr_cache_misses`` event is recorded per
-        temporal positioning: a hit when the installed build already has the
-        position's version (a no-op chain, a revisit, a second accessor), a
-        miss when relabelling + Algorithm 3 had to run.
-
-        A planned ``"cache"`` fault (``use_fault_plan``) marks the installed
-        build and the saved PMA state as corrupted; the graph then rebuilds
-        from the PMA's authoritative storage.  Counted as
+        A planned ``"cache"`` fault (``use_fault_plan``) marks the saved PMA
+        state as corrupted and drops it; the build then reads the PMA's
+        authoritative storage as always.  Counted as
         ``cache_fault_rebuilds``.
         """
         injector = current_injector()
         if injector.enabled and injector.take("cache") is not None:
             self._cursor.drop_cache()
-            self._built_version = None  # the rebuild below replaces all four arrays
             self._count("cache_fault_rebuilds")
-        # The stable version alone is content identity, so the installed
-        # artifacts are valid whenever their version matches the logical
-        # position's — across no-op chains and backward revisits alike.
-        hit = self._built_version == self.snapshot_version
-        if not hit:
-            self._rebuild()
-        if not self._reuse_counted:
-            self._reuse_counted = True
-            self._count("csr_cache_hits" if hit else "csr_cache_misses")
-
-    def forward_csr(self) -> CSR:
-        """Current snapshot's reverse CSR (Algorithm 3)."""
-        self._ensure_built()
-        return self._fwd
-
-    def backward_csr(self) -> CSR:
-        """Current snapshot's direct CSR (straight from the sorted PMA keys)."""
-        self._ensure_built()
-        return self._bwd
-
-    def in_degrees(self) -> np.ndarray:
-        """Current snapshot's in-degrees."""
-        self._ensure_built()
-        return self._in_deg
-
-    def out_degrees(self) -> np.ndarray:
-        """Current snapshot's out-degrees."""
-        self._ensure_built()
-        return self._out_deg
+        pma = self.pma
+        with span("graph.build_snapshot", t=self.curr_time, edges=pma.n_items):
+            snap = build_snapshot_arrays(
+                pma.export_items(), self.num_nodes, self.sort_by_degree, current_device().alloc
+            )
+        self._count("csr_cache_misses")
+        return snap
 
     @property
     def num_edges(self) -> int:

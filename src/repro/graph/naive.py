@@ -15,28 +15,15 @@ GPMAGraph's: across a no-op boundary the executor reuses one context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.device import current_device
 from repro.graph.base import STGraphBase
-from repro.graph.csr import CSR, csr_from_edges
+from repro.graph.csr import BuiltSnapshot, csr_from_edges
 from repro.graph.dtdg import DTDG
 from repro.obs.spine import span
 
 __all__ = ["NaiveGraph"]
-
-
-@dataclass
-class _Snapshot:
-    fwd: CSR
-    bwd: CSR
-    in_deg: np.ndarray
-    out_deg: np.ndarray
-
-    def nbytes(self) -> int:
-        return self.fwd.nbytes() + self.bwd.nbytes() + self.in_deg.nbytes + self.out_deg.nbytes
 
 
 class NaiveGraph(STGraphBase):
@@ -47,7 +34,7 @@ class NaiveGraph(STGraphBase):
         super().__init__(dtdg.num_nodes, sort_by_degree)
         self.dtdg = dtdg
         alloc = current_device().alloc
-        self._snapshots: list[_Snapshot] = []
+        self._snapshots: list[BuiltSnapshot] = []
         with span("graph.preprocess", kind="naive"):
             for t in range(dtdg.num_timestamps):
                 src, dst = dtdg.snapshot_edges(t)
@@ -55,9 +42,9 @@ class NaiveGraph(STGraphBase):
                 # Degrees are the CSRs' row lengths, at the same index width.
                 in_deg = alloc.adopt(np.diff(fwd.row_offset), tag="naive.in_deg")
                 out_deg = alloc.adopt(np.diff(bwd.row_offset), tag="naive.out_deg")
-                self._snapshots.append(_Snapshot(fwd, bwd, in_deg, out_deg))
-                # Every snapshot's CSRs are built exactly once, up front:
-                # each build is one miss of the reuse cache.
+                self._snapshots.append(BuiltSnapshot(fwd, bwd, in_deg, out_deg))
+                # Every snapshot is built exactly once, up front: one
+                # csr_cache_misses each.
                 self._count("csr_cache_misses")
         self._current = 0
 
@@ -71,15 +58,16 @@ class NaiveGraph(STGraphBase):
         # "Accessing these snapshots is immediate since it only involves
         # array indexing": Figure 9's ~0 update share for the Naive variant
         # is the executor's begin_timestamp interval around this call.
+        self.dtdg.version_of(int(timestamp))  # IndexError outside [0, T), before moving
         self._current = int(timestamp)
         return self
 
     def get_backward_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for the backward step."""
+        self.dtdg.version_of(int(timestamp))  # IndexError outside [0, T), before moving
         self._current = int(timestamp)
         # The backward walk reuses the forward build: structurally free
-        # here, but counted so all dynamic graphs report the same reuse
-        # statistics.
+        # here, and the one event ``csr_cache_hits`` counts.
         self._count("csr_cache_hits")
         return self
 
@@ -88,26 +76,14 @@ class NaiveGraph(STGraphBase):
         """Content version of the snapshot currently pointed at."""
         return self.dtdg.version_of(self._current)
 
-    def forward_csr(self) -> CSR:
-        """Current snapshot's reverse CSR."""
-        return self._snapshots[self._current].fwd
-
-    def backward_csr(self) -> CSR:
-        """Current snapshot's direct CSR."""
-        return self._snapshots[self._current].bwd
-
-    def in_degrees(self) -> np.ndarray:
-        """Current snapshot's in-degrees."""
-        return self._snapshots[self._current].in_deg
-
-    def out_degrees(self) -> np.ndarray:
-        """Current snapshot's out-degrees."""
-        return self._snapshots[self._current].out_deg
+    def snapshot(self) -> BuiltSnapshot:
+        """The pre-built snapshot currently pointed at."""
+        return self._snapshots[self._current]
 
     @property
     def num_edges(self) -> int:
         """Current snapshot's edge count."""
-        return self._snapshots[self._current].bwd.num_edges
+        return self.snapshot().bwd.num_edges
 
     def storage_bytes(self) -> int:
         """Total bytes of all pre-materialized snapshots (both CSR copies)."""

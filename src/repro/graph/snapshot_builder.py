@@ -11,9 +11,11 @@
   state touched, O(E + N).  The paper's gapped input shape over raw PMA
   storage is a test oracle only (``tests/_snapshot_reference.py``).
 
-A graph keeps the one build it currently exposes; the only multi-entry
-store of built snapshots is the executor's ``snapshot_key() ->
-GraphContext`` LRU (docs/EXECUTOR.md).
+Graphs keep no build: a graph's ``snapshot()`` calls the build and hands
+the result to the executor, whose ``snapshot_key() -> GraphContext`` LRU is
+the one store of built snapshots (docs/EXECUTOR.md).
+:class:`~repro.graph.csr.BuiltSnapshot` lives beside ``CSR`` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -22,27 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSR, index_dtype
+from repro.graph.csr import BuiltSnapshot, CSR, index_dtype
 from repro.graph.dtdg import DTDG
 from repro.graph.labels import decode_edges, encode_edges
 from repro.graph.sorting import node_ids_for
 from repro.pma import PackedMemoryArray
 
 __all__ = ["BuiltSnapshot", "UpdateCursor", "build_snapshot_arrays"]
-
-
-@dataclass
-class BuiltSnapshot:
-    """One immutable built snapshot: the artifacts Algorithm 3 produces.
-
-    Instances are never mutated after construction, so the graph that
-    built one and every context made from it share the arrays.
-    """
-
-    fwd: CSR
-    bwd: CSR
-    in_deg: np.ndarray
-    out_deg: np.ndarray
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.device import current_device
 from repro.graph.base import STGraphBase
-from repro.graph.csr import CSR, csr_from_edges
+from repro.graph.csr import BuiltSnapshot, csr_from_edges
 
 __all__ = ["StaticGraph"]
 
@@ -35,11 +35,12 @@ class StaticGraph(STGraphBase):
         dst = np.asarray(dst, dtype=np.int64)
         if len(src) != len(dst):
             raise ValueError("src/dst length mismatch")
-        self._bwd, self._fwd = csr_from_edges(src, dst, num_nodes, sort_by_degree)
+        bwd, fwd = csr_from_edges(src, dst, num_nodes, sort_by_degree)
         # Degrees are the CSRs' row lengths, so they share the index width.
         alloc = current_device().alloc
-        self._in_deg = alloc.adopt(np.diff(self._fwd.row_offset), tag="graph.in_deg")
-        self._out_deg = alloc.adopt(np.diff(self._bwd.row_offset), tag="graph.out_deg")
+        in_deg = alloc.adopt(np.diff(fwd.row_offset), tag="graph.in_deg")
+        out_deg = alloc.adopt(np.diff(bwd.row_offset), tag="graph.out_deg")
+        self._snapshot = BuiltSnapshot(fwd, bwd, in_deg, out_deg)
 
     @classmethod
     def from_networkx(cls, graph, sort_by_degree: bool = False) -> "StaticGraph":
@@ -55,7 +56,7 @@ class StaticGraph(STGraphBase):
 
         g = nx.DiGraph()
         g.add_nodes_from(range(self.num_nodes))
-        bwd = self._bwd
+        bwd = self._snapshot.bwd
         for u in range(self.num_nodes):
             for v, l in zip(bwd.neighbors(u), bwd.edge_ids(u)):
                 g.add_edge(int(u), int(v), label=int(l))
@@ -69,26 +70,14 @@ class StaticGraph(STGraphBase):
         """Identity: structure never changes."""
         return self
 
-    def forward_csr(self) -> CSR:
-        """Reverse CSR (in-neighbors), built at construction."""
-        return self._fwd
-
-    def backward_csr(self) -> CSR:
-        """Direct CSR (out-neighbors), built at construction."""
-        return self._bwd
-
-    def in_degrees(self) -> np.ndarray:
-        """Per-vertex in-degree."""
-        return self._in_deg
-
-    def out_degrees(self) -> np.ndarray:
-        """Per-vertex out-degree."""
-        return self._out_deg
+    def snapshot(self) -> BuiltSnapshot:
+        """Both CSRs and both degree arrays, built at construction."""
+        return self._snapshot
 
     @property
     def num_edges(self) -> int:
         """Edge count (constant over time)."""
-        return self._bwd.num_edges
+        return self._snapshot.bwd.num_edges
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticGraph(N={self.num_nodes}, E={self.num_edges})"

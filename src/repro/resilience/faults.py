@@ -19,10 +19,10 @@ Fault kinds
     (``repro.core.module``) retries once, then falls back to the
     interpreter :class:`~repro.core.engine.ExecutionEngine`.
 ``"cache"``
-    :class:`~repro.graph.gpma_graph.GPMAGraph` treats its PMA snapshot
-    cache and CSR reuse cache as corrupted and falls back to the
-    Algorithm-3 rebuild path (consumed via :meth:`FaultInjector.take`, no
-    exception).
+    :class:`~repro.graph.gpma_graph.GPMAGraph` treats its saved PMA state
+    as corrupted and drops it, then builds the snapshot from the PMA's own
+    storage (consumed via :meth:`FaultInjector.take` in the graph's
+    ``snapshot()``, no exception).
 ``"kill"``
     The trainer raises :class:`SimulatedKill` (a ``BaseException``, like
     ``KeyboardInterrupt`` — simulating process death that ordinary

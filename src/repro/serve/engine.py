@@ -7,17 +7,19 @@ whose sorted edge keys :meth:`~repro.graph.dtdg.DTDG.append_update` has
 already computed, so the engine builds that snapshot's CSRs straight from
 them (:class:`_LiveGraph`).  No serving path holds a PMA or an
 ``UpdateCursor``: the GPMA and Algorithm 2 serve the training walk
-(forward, LIFO rewind, a saved state between sequences).  The executor's
-context store holds the live version only (``ctx_cache_size=1``), and a
-forward drops the previous output before it recomputes every row, so a
-served forward holds one snapshot build.  Two ideas make serving cheap on
-top of the training machinery:
+(forward, LIFO rewind, a saved state between sequences).  The live graph
+keeps no build; the executor's context store, the one store of built
+snapshots, holds the live version only (``ctx_cache_size=1``).  Ingest
+builds the new version through that store, which drops the superseded
+build, and a forward drops the previous output before it recomputes every
+row, so one snapshot build is held after every ingest and every forward.
+Two ideas make serving cheap on top of the training machinery:
 
 * **Request coalescing.**  Point queries from concurrent clients are
   enqueued and served by one dispatcher thread that folds every pending
   request into a single batch: one ``no_grad()`` forward through the
-  existing ProgramPlan cache, snapshot/CSR reuse caches, and keyed
-  ``GraphContext`` LRU answers the whole batch.  Read-mostly means exactly
+  existing ProgramPlan cache and keyed ``GraphContext`` LRU answers the
+  whole batch.  Read-mostly means exactly
   one forward and **no tape / State-Stack / Graph-Stack** — the executor's
   :meth:`~repro.core.executor.TemporalExecutor.begin_inference` path.
 * **K-hop invalidation.**  The full-graph forward output is kept as a
@@ -57,7 +59,6 @@ import numpy as np
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device, use_device
 from repro.graph.base import STGraphBase
-from repro.graph.csr import CSR
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
 from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
@@ -128,12 +129,11 @@ class _LiveGraph(STGraphBase):
     """The serving view of a DTDG: a snapshot built from its sorted keys.
 
     Positioned at the newest timestamp from construction on.  Like
-    :class:`~repro.graph.gpma_graph.GPMAGraph` it keeps the one build it
-    exposes, keyed on the position's version, and records one
-    ``csr_cache_hits`` / ``csr_cache_misses`` per positioning; a build is
-    :func:`build_snapshot_arrays` over
-    :meth:`~repro.graph.dtdg.DTDG.snapshot_keys`.  Driven by the
-    dispatcher thread only.
+    :class:`~repro.graph.gpma_graph.GPMAGraph` it keeps no build:
+    :meth:`snapshot` is :func:`build_snapshot_arrays` over
+    :meth:`~repro.graph.dtdg.DTDG.snapshot_keys`, one ``csr_cache_misses``
+    per call, and the engine's one-entry context store keeps the result.
+    Driven by the dispatcher thread only.
     """
 
     graph_type = "live"
@@ -143,43 +143,21 @@ class _LiveGraph(STGraphBase):
         self.dtdg = dtdg
         self.curr_time = dtdg.num_timestamps - 1
         self.snapshot_version = dtdg.version_of(self.curr_time)
-        self._built: tuple[int, BuiltSnapshot] | None = None  # (version, build)
-        self._reuse_counted = False
 
     def get_graph(self, timestamp: int) -> "_LiveGraph":
-        """Position at ``timestamp``; the build happens on first read."""
+        """Position at ``timestamp``; nothing is built until :meth:`snapshot`."""
         self.snapshot_version = self.dtdg.version_of(timestamp)  # IndexError outside [0, T)
         self.curr_time = int(timestamp)
-        self._reuse_counted = False
         return self
 
     get_backward_graph = get_graph  # serving runs no backward pass
 
-    def _snapshot(self) -> BuiltSnapshot:
-        version = self.snapshot_version
-        hit = self._built is not None and self._built[0] == version
-        if not hit:
-            keys = self.dtdg.snapshot_keys(self.curr_time)
-            with span("graph.build_snapshot", t=self.curr_time, edges=len(keys)):
-                snap = build_snapshot_arrays(keys, self.num_nodes, self.sort_by_degree, current_device().alloc)
-            self._built = (version, snap)
-        if not self._reuse_counted:
-            self._reuse_counted = True
-            self._count("csr_cache_hits" if hit else "csr_cache_misses")
-        assert self._built is not None
-        return self._built[1]
-
-    def forward_csr(self) -> CSR:
-        return self._snapshot().fwd
-
-    def backward_csr(self) -> CSR:
-        return self._snapshot().bwd
-
-    def in_degrees(self) -> np.ndarray:
-        return self._snapshot().in_deg
-
-    def out_degrees(self) -> np.ndarray:
-        return self._snapshot().out_deg
+    def snapshot(self) -> BuiltSnapshot:
+        keys = self.dtdg.snapshot_keys(self.curr_time)
+        with span("graph.build_snapshot", t=self.curr_time, edges=len(keys)):
+            snap = build_snapshot_arrays(keys, self.num_nodes, self.sort_by_degree, current_device().alloc)
+        self._count("csr_cache_misses")
+        return snap
 
     @property
     def num_edges(self) -> int:
@@ -474,11 +452,12 @@ class InferenceEngine:
             elif touched.size == 0:
                 dirty = np.zeros(self._num_nodes, dtype=bool)
             else:
-                # Out-edge expansion over the *new* snapshot; building the CSR
-                # here also warms the snapshot cache for the next forward.
-                bwd = self.graph.backward_csr()
+                # Out-edge expansion over the *new* snapshot.  Its context
+                # replaces the superseded one in the executor's one-entry
+                # store now, and the next forward reuses it.
+                ctx = self._executor.begin_inference(t_new)
                 dirty = k_hop_neighborhood(
-                    bwd.row_offset, bwd.col_indices, touched, self.hops, self._num_nodes
+                    ctx.bwd_row, ctx.bwd_col, touched, self.hops, self._num_nodes
                 )
             self._valid &= ~dirty
             if touched.size:  # a redundant batch keeps the version and its dirty set

@@ -1,5 +1,5 @@
 """Snapshot versioning and the one store of built snapshots: the executor's
-``snapshot_key() -> GraphContext`` LRU (a graph keeps only the build it exposes)."""
+``snapshot_key() -> GraphContext`` LRU (graphs keep no build)."""
 
 from __future__ import annotations
 
@@ -50,12 +50,24 @@ def noop_dtdg():
 
 
 def _edge_set(graph):
-    bwd = graph.backward_csr()
+    return _bwd_edge_set(graph.backward_csr())
+
+
+def _bwd_edge_set(bwd):
     out = set()
-    for u in range(graph.num_nodes):
+    for u in range(bwd.num_nodes):
         for v in bwd.neighbors(u):
             out.add((int(u), int(v)))
     return out
+
+
+def _same_arrays(a, b):
+    """Two builds hold equal arrays (``None`` node ids alike)."""
+    pairs = [(a.in_deg, b.in_deg), (a.out_deg, b.out_deg)]
+    for x, y in ((a.fwd, b.fwd), (a.bwd, b.bwd)):
+        pairs += [(x.row_offset, y.row_offset), (x.col_indices, y.col_indices), (x.eids, y.eids),
+                  (x.node_ids, y.node_ids)]
+    return all((p is None and q is None) or np.array_equal(p, q) for p, q in pairs)
 
 
 def _ctx_edge_set(ctx):
@@ -130,24 +142,26 @@ def test_lru_stays_bounded(random_dtdg):
 # ---------------------------------------------------------------------------
 def test_version_bumps_only_on_structural_change(noop_dtdg):
     gg = GPMAGraph(noop_dtdg)
-    gg.get_graph(0)
-    fwd0 = gg.forward_csr()
+    ex = TemporalExecutor(gg)
+    ctx0 = ex.begin_inference(0)
     assert gg.snapshot_version == 0
 
-    gg.get_graph(1)  # no-op batch: same content as t0
+    ctx1 = ex.begin_inference(1)  # no-op batch: same content as t0
     assert gg.snapshot_version == 0
     assert gg.noop_updates_skipped == 1
-    assert gg.forward_csr() is fwd0  # not even re-derived, let alone rebuilt
+    assert ctx1 is ctx0  # the executor's store serves it: nothing rebuilt
     assert gg.csr_cache_misses == 1  # only the t0 build
 
-    gg.get_graph(2)  # real batch
+    ctx2 = ex.begin_inference(2)  # real batch
     assert gg.snapshot_version == 1
-    gg.forward_csr()
+    assert ctx2 is not ctx0
     assert gg.csr_cache_misses == 2
 
-    gg.get_graph(3)  # no-op again
+    assert ex.begin_inference(3) is ctx2  # no-op again
     assert gg.snapshot_version == 1
     assert gg.noop_updates_skipped == 2
+    assert gg.csr_cache_misses == 2
+    assert (ex.ctx_cache_hits, ex.ctx_cache_misses) == (2, 2)
 
 
 def test_versions_stable_across_revisits(noop_dtdg):
@@ -209,19 +223,21 @@ def test_dropped_graph_frees_its_arrays_without_the_collector(random_dtdg, fresh
 # The store switched off
 # ---------------------------------------------------------------------------
 def test_graph_alone_rebuilds_every_repositioned_snapshot(random_dtdg):
-    """Without an executor's store the graph keeps one build: every move to
-    another version rebuilds, and only the unmoved revisit is a hit."""
+    """Without an executor's store the graph keeps no build: every snapshot
+    read builds, the unmoved revisit of t=5 included, and each build is one
+    ``csr_cache_misses``; ``csr_cache_hits`` stays 0."""
     gg = GPMAGraph(random_dtdg)
     for t in range(6):
         gg.get_graph(t)
-        gg.forward_csr()
+        gg.snapshot()
     gg.cache_snapshot()
     for t in range(5, -1, -1):
         gg.get_backward_graph(t)
-        gg.forward_csr()
-        assert _edge_set(gg) == _snapshot_edge_set(random_dtdg, t)
-    assert gg.csr_cache_hits == 1  # t=5, revisited without moving
-    assert gg.csr_cache_misses == 11  # 6 forward + 5 backward
+        snap = gg.snapshot()
+        assert _same_arrays(snap, GPMAGraph(random_dtdg).get_graph(t).snapshot())
+        assert _bwd_edge_set(snap.bwd) == _snapshot_edge_set(random_dtdg, t)
+    assert gg.csr_cache_hits == 0
+    assert gg.csr_cache_misses == 12  # 6 forward + 6 backward
 
 
 @pytest.mark.parametrize("capacity", [0], ids=["capacity-0"])
@@ -236,7 +252,7 @@ def test_ctx_cache_size_zero_disables(random_dtdg, capacity):
         assert _ctx_edge_set(ex.backward_context(t)) == _snapshot_edge_set(random_dtdg, t)
     assert len(ex._ctx_cache) == 0
     assert (ex.ctx_cache_hits, ex.ctx_cache_misses) == (0, 0)
-    assert gg.csr_cache_misses == 5  # 3 forward + 2 backward (t=2 unmoved)
+    assert gg.csr_cache_misses == 6  # every context is one build: 3 forward + 3 backward
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device
-from repro.graph import DTDG, GPMAGraph
+from repro.graph import DTDG, GPMAGraph, NaiveGraph
 from repro.graph.csr import index_dtype
 from repro.graph.dtdg import EdgeUpdate
 from repro.graph.labels import encode_edges
@@ -278,16 +278,37 @@ def test_num_edges_is_the_logical_positions():
 # ---------------------------------------------------------------------------
 # Positioning outside [0, T) is an IndexError that moves nothing
 # ---------------------------------------------------------------------------
-def test_out_of_range_positioning_raises_without_moving():
+@pytest.mark.parametrize("kind", [GPMAGraph, NaiveGraph], ids=["gpma", "naive"])
+def test_out_of_range_positioning_raises_without_moving(kind):
     dtdg = DTDG([(np.array([0, 1]), np.array([1, 2])), (np.array([0]), np.array([2]))], 3)
-    gg = GPMAGraph(dtdg)
-    gg.get_graph(1)
-    fwd = gg.forward_csr()
-    for move in (gg.get_graph, gg.get_backward_graph):
+    graph = kind(dtdg)
+    graph.get_graph(1)
+    want = _ten_arrays(graph.snapshot())
+    for move in (graph.get_graph, graph.get_backward_graph):
         for t in (2, -1):
             with pytest.raises(IndexError):
                 move(t)
-    assert (gg.curr_time, gg.snapshot_version, gg.noop_updates_skipped) == (1, 1, 0)
-    assert gg.forward_csr() is fwd  # the installed build is still the position's
+    assert (graph.snapshot_version, graph.noop_updates_skipped) == (1, 0)
+    for got, expected in zip(_ten_arrays(graph.snapshot()), want):  # still t=1's snapshot
+        assert (got is None and expected is None) or np.array_equal(got, expected)
+    # Through the executor: a refused begin_timestamp pushes nothing onto the
+    # Graph Stack, so the sequence it interrupted still drains.
+    ex = TemporalExecutor(graph)
+    ex.begin_timestamp(1)
+    for t in (-1, 2):
+        with pytest.raises(IndexError):
+            ex.begin_timestamp(t)
+        assert len(ex.graph_stack) == 1
+    assert graph.snapshot_version == 1
+    ex.backward_context(1)
+    ex.check_drained()
+
+
+def test_appended_timestamp_is_in_range():
+    dtdg = DTDG([(np.array([0, 1]), np.array([1, 2])), (np.array([0]), np.array([2]))], 3)
+    gg = GPMAGraph(dtdg).get_graph(1)
+    with pytest.raises(IndexError):
+        gg.get_graph(2)
     t_new = dtdg.append_update(EdgeUpdate(np.array([2]), np.array([0]), np.array([0]), np.array([2])))
     assert gg.get_graph(t_new).snapshot_version == 2  # T grew: the same call is now a move
+    assert gg.curr_time == 2

@@ -1,9 +1,10 @@
 """The serving engine's live graph: the newest snapshot, built from DTDG keys.
 
-* every array the live view exposes equals a fresh ``GPMAGraph`` build of
-  the same timestamp, dtype included, after every appended batch (mixed,
-  delete-only, fully redundant and empty; identity and degree order), and a
-  batch that changes nothing is a ``csr_cache_hits`` event, not a build;
+* every array the live view builds, and every array of the engine's
+  context, equals a fresh ``GPMAGraph`` build of the same timestamp, dtype
+  included, after every appended batch (mixed, delete-only, fully redundant
+  and empty; identity and degree order), and after a batch that changes
+  nothing the engine's executor reuses its context instead of building;
 * the engine reports the version it serves from boot on: the newest
   snapshot's, on a DTDG with more than one;
 * serving an update and a query makes no ``PackedMemoryArray`` call and no
@@ -24,13 +25,30 @@ from repro.train import STGraphNodeRegressor
 F, HIDDEN = 6, 8
 
 
-def _arrays(graph):
-    fwd, bwd = graph.forward_csr(), graph.backward_csr()
+def _arrays(snap):
+    fwd, bwd = snap.fwd, snap.bwd
     return (
         fwd.row_offset, fwd.col_indices, fwd.eids, fwd.node_ids,
         bwd.row_offset, bwd.col_indices, bwd.eids, bwd.node_ids,
-        graph.in_degrees(), graph.out_degrees(),
+        snap.in_deg, snap.out_deg,
     )
+
+
+def _ctx_arrays(ctx):
+    return (
+        ctx.fwd_row, ctx.fwd_col, ctx.fwd_eids, ctx.fwd_node_ids,
+        ctx.bwd_row, ctx.bwd_col, ctx.bwd_eids, ctx.bwd_node_ids,
+        ctx.in_deg, ctx.out_deg,
+    )
+
+
+def _assert_same(got_arrays, want_arrays, sort_by_degree):
+    for got, want in zip(got_arrays, want_arrays):
+        if want is None:
+            assert got is None and not sort_by_degree
+            continue
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def _batch(rng, keys, n, shape):
@@ -66,28 +84,28 @@ def test_live_view_equals_a_fresh_gpma_build_at_every_update(n, seed, snapshots,
         snaps.append((rng.integers(0, n, m), rng.integers(0, n, m)))
     dtdg = DTDG(snaps, n)
     features = np.zeros((n, F), dtype=np.float32)
-    live = InferenceEngine(STGraphNodeRegressor(F, HIDDEN), GPMAGraph(dtdg, sort_by_degree), features).graph
+    engine = InferenceEngine(STGraphNodeRegressor(F, HIDDEN), GPMAGraph(dtdg, sort_by_degree), features)
+    live, executor = engine.graph, engine._executor
     assert live.dtdg is dtdg
+    ctx = None
     for shape in [None, *shapes]:
         if shape is not None:
             dtdg.append_update(_batch(rng, dtdg.snapshot_keys(-1), n, shape))
         t = dtdg.num_timestamps - 1
-        before = (live.csr_cache_hits, live.csr_cache_misses)
-        live.get_graph(t)
-        fresh = GPMAGraph(dtdg, sort_by_degree).get_graph(t)
-        assert live.snapshot_version == fresh.snapshot_version == dtdg.version_of(t)
-        assert live.num_edges == fresh.num_edges
-        for got, want in zip(_arrays(live), _arrays(fresh)):
-            if want is None:
-                assert got is None and not sort_by_degree
-                continue
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        misses = live.csr_cache_misses
+        previous, ctx = ctx, executor.begin_inference(t)
         if shape is not None and dtdg.updates[t].num_changes == 0:
-            # a no-op batch keeps the version: the installed build is reused
-            assert (live.csr_cache_hits, live.csr_cache_misses) == (before[0] + 1, before[1])
-        elif shape is not None:
-            assert (live.csr_cache_hits, live.csr_cache_misses) == (before[0], before[1] + 1)
+            # a no-op batch keeps the version: the engine's context is reused
+            assert ctx is previous and live.csr_cache_misses == misses
+        else:
+            assert ctx is not previous and live.csr_cache_misses == misses + 1
+        fresh = GPMAGraph(dtdg, sort_by_degree).get_graph(t)
+        assert live.snapshot_version == fresh.snapshot_version == dtdg.version_of(t) == ctx.snapshot_key
+        assert live.num_edges == fresh.num_edges
+        want = _arrays(fresh.snapshot())
+        _assert_same(_ctx_arrays(ctx), want, sort_by_degree)
+        _assert_same(_arrays(live.snapshot()), want, sort_by_degree)
+    assert live.csr_cache_hits == 0  # a graph that builds on demand keeps nothing to hit
 
 
 def _distinct_snapshots(rng, n, count):

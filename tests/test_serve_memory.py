@@ -1,8 +1,10 @@
 """Serving keeps only what the next served forward reads.
 
-* after every served update followed by a forward, the tracked ``gpma.*``
-  bytes are exactly one snapshot build and the executor's context store
-  holds one entry (the live version's);
+* right after every served update and again after the forward that
+  follows it, the tracked ``gpma.*`` bytes are exactly one snapshot build
+  and the executor's context store holds one entry (the live version's):
+  ingest swaps the store to the new version, so no superseded build
+  outlives it;
 * a served forward's peak stays under a bound from ``N``, ``F`` and ``E``
   that three superseded builds, or the previous output kept through the
   forward, would break;
@@ -40,10 +42,11 @@ def _tag_bytes(device: Device, prefix: str) -> int:
     return sum(v for tag, v in device.tracker.bytes_by_tag().items() if tag.startswith(prefix))
 
 
-def _served_run():
+def _served_run(after_ingest=None):
     """Serve ``UPDATES`` updates, each followed by a query of a vertex it
     touched; yield the engine, the device and the result after each served
-    forward."""
+    forward.  ``after_ingest(engine, device)`` runs between each
+    ``enqueue_update`` and its query."""
     rng = np.random.default_rng(7)
     snaps = [(rng.integers(0, N, EDGES), rng.integers(0, N, EDGES)) for _ in range(3)]
     dtdg = DTDG(snaps, N)
@@ -58,19 +61,31 @@ def _served_run():
             engine.query(0)
             for batch in batches:
                 engine.enqueue_update(batch)
+                if after_ingest is not None:
+                    after_ingest(engine, device)
                 device.tracker.reset_peak()
                 result = engine.query(int(batch.add_dst[0]), "prediction")
                 assert result.served_from == "forward"
                 yield engine, device, result
 
 
+def _holds_one_build_and_one_context(engine, device):
+    assert _tag_bytes(device, "gpma.") == _build_bytes(N, engine.graph.num_edges)
+    assert len(engine._executor._ctx_cache) == 1
+
+
 def test_serving_holds_one_build_and_one_context_after_every_update():
+    ingests = []
+
+    def after_ingest(engine, device):
+        _holds_one_build_and_one_context(engine, device)
+        ingests.append(engine.graph.snapshot_version)
+
     steps = 0
-    for engine, device, _ in _served_run():
-        assert _tag_bytes(device, "gpma.") == _build_bytes(N, engine.graph.num_edges)
-        assert len(engine._executor._ctx_cache) == 1
+    for engine, device, _ in _served_run(after_ingest):
+        _holds_one_build_and_one_context(engine, device)
         steps += 1
-    assert steps == UPDATES
+    assert steps == len(ingests) == UPDATES
 
 
 def test_served_forward_peak_is_one_build_and_the_forward_working_set():
