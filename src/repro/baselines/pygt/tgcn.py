@@ -7,7 +7,8 @@ TGCN uses (:class:`repro.nn.tgcn.TGCNGates`), so the non-graph part of a
 step keeps the same arrays on both sides and a memory or time difference
 between the frameworks is the graph part's.  An unrecorded step from the
 zero state skips ``conv_r`` through the same
-:func:`repro.nn.tgcn.tgcn_zero_state_gates` as STGraph's TGCN."""
+:func:`repro.nn.tgcn.tgcn_zero_state_gates` as STGraph's TGCN, and a
+recorded one saves the same 0-d zero state."""
 
 from __future__ import annotations
 
@@ -70,13 +71,13 @@ class PyGTTGCN(Module):
 
     def forward(self, x: Tensor, edge_index: np.ndarray, h: Tensor | None = None) -> Tensor:
         """One recurrent step at one timestamp; unrecorded from the zero
-        state it runs ``conv_z`` and ``conv_h`` only, as
-        :meth:`repro.nn.TGCN.forward` does."""
+        state it runs ``conv_z`` and ``conv_h`` only, and recorded it passes
+        a 0-d zero state, as :meth:`repro.nn.TGCN.forward` does."""
         if h is None:
             if not is_grad_enabled():
                 a_z = self.conv_z(x, edge_index)
                 return tgcn_zero_state_gates(a_z, self.conv_h(x, edge_index), self.lin_z, self.lin_h)
-            h = self.initial_state(x.shape[0])
+            h = F.zeros(())
         a_z = self.conv_z(x, edge_index)
         a_r = self.conv_r(x, edge_index)
         a_h = self.conv_h(x, edge_index)

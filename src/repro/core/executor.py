@@ -117,6 +117,10 @@ class TemporalExecutor:
                 self.ctx_cache_hits += 1
                 emit("core.ctx_cache_hit")
                 return ctx
+            # Evict before building, so a full store never holds the
+            # superseded build through the new one.
+            while len(self._ctx_cache) >= self.ctx_cache_size:
+                self._ctx_cache.popitem(last=False)
         # Context preparation (CSR views, label permutations) is structural
         # work — part of the snapshot cost Figure 9 bills to graph updates.
         with span("compiler.context"):
@@ -125,8 +129,6 @@ class TemporalExecutor:
             self.ctx_cache_misses += 1
             emit("core.ctx_cache_miss")
             self._ctx_cache[ctx.snapshot_key] = ctx
-            while len(self._ctx_cache) > self.ctx_cache_size:
-                self._ctx_cache.popitem(last=False)
         return ctx
 
     # ------------------------------------------------------------------
@@ -174,7 +176,10 @@ class TemporalExecutor:
             self._fwd_ctx = self._static_ctx
             return self._fwd_ctx
         with span("core.begin_inference", t=t):
-            self.graph.get_graph(t)
+            self.graph.get_graph(t)  # a refused t raises here, before anything moves
+            # Nothing reads the previous context through the build, so the
+            # pointer does not keep it alive there.
+            self._fwd_ctx = None
             self._fwd_t = t
             self._fwd_ctx = self._context_for_current()
         return self._fwd_ctx

@@ -53,19 +53,29 @@ class NaiveGraph(STGraphBase):
         """Number of pre-built snapshots."""
         return len(self._snapshots)
 
+    def _check_prebuilt(self, timestamp: int) -> int:
+        """``timestamp`` as an int, or an ``IndexError`` before anything moves
+        when no snapshot was pre-built for it (outside the DTDG's range, or
+        appended with ``dtdg.append_update`` after construction)."""
+        t = int(timestamp)
+        if not 0 <= t < len(self._snapshots):
+            raise IndexError(
+                f"timestamp {t} has no pre-built snapshot: NaiveGraph built "
+                f"[0, {len(self._snapshots)}) at construction"
+            )
+        return t
+
     def get_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for ``timestamp``."""
         # "Accessing these snapshots is immediate since it only involves
         # array indexing": Figure 9's ~0 update share for the Naive variant
         # is the executor's begin_timestamp interval around this call.
-        self.dtdg.version_of(int(timestamp))  # IndexError outside [0, T), before moving
-        self._current = int(timestamp)
+        self._current = self._check_prebuilt(timestamp)
         return self
 
     def get_backward_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for the backward step."""
-        self.dtdg.version_of(int(timestamp))  # IndexError outside [0, T), before moving
-        self._current = int(timestamp)
+        self._current = self._check_prebuilt(timestamp)
         # The backward walk reuses the forward build: structurally free
         # here, and the one event ``csr_cache_hits`` counts.
         self._count("csr_cache_hits")

@@ -14,9 +14,13 @@ linear map::
 The three convolutions run first (z, r, h order, so the State Stack's
 pushes and LIFO pops are those of one aggregation per gate); everything
 after them is one tape node, :class:`TGCNGates`, which PyG-T's TGCN
-(:mod:`repro.baselines.pygt.tgcn`) uses too.  It keeps only what its
-backward reads (``a_z, a_r, a_h, H, z, r, h̃``: seven ``N×F`` arrays per
-timestamp) and performs the float operations of the op-by-op composition
+(:mod:`repro.baselines.pygt.tgcn`) uses too.  It keeps ``a_z, a_r, a_h,
+H, z, r`` per timestamp, six ``N×F`` arrays; backward rebuilds ``h̃`` (one
+``[a_h ‖ r⊙H] @ W_h`` and a ``tanh``, over the concatenation W_h's gradient
+reads anyway), and a recorded step from ``h is None`` passes a 0-d zero as
+``H``, which every read of ``H`` broadcasts, so the first step of a
+sequence saves no ``N×F`` zeros.  It performs the float operations of the
+op-by-op composition
 (``Concat``, ``Linear``, ``Sigmoid`` / ``Tanh``, ``Mul`` / ``Sub`` /
 ``Add``) in the tape's order, so every output and gradient bit is that
 composition's (``tests/test_tgcn_gates.py`` checks this against
@@ -79,13 +83,21 @@ class TGCNGates(Function):
     four contributions summed in the tape's accumulation order; each weight
     gradient one ``[a ‖ H]ᵀ @ dpre`` over the rebuilt concatenation (two
     half products stacked are not bit-identical to it on every shape).
-    ``z``, ``r`` and ``h̃`` are adopted into the allocator only when the node
-    is recorded; under ``no_grad`` it saves nothing.
+
+    It keeps ``a_z, a_r, a_h, H, z, r``.  ``z`` and ``r`` are adopted into the
+    allocator only when the node is recorded; under ``no_grad`` it saves
+    nothing.  ``h̃`` is not kept: backward rebuilds it with the forward's
+    float operations over the ``[a_h ‖ r·H]`` it fills for W_h's gradient,
+    and adopts it while it holds it.  Rebuilding ``r`` or ``z`` as well would
+    cost a GEMM and a sigmoid each per step.  ``H`` may be a 0-d zero (the
+    first recorded step from ``h is None``): every read of it broadcasts, the
+    same IEEE operations as on an ``N×F`` zeros array, and shapes come from
+    ``a_z``.
     """
 
     def forward(self, a_z, a_r, a_h, h, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
-        f = h.shape[1]
-        cat = np.empty((h.shape[0], 2 * f), dtype=h.dtype)
+        n, f = a_z.shape
+        cat = np.empty((n, 2 * f), dtype=a_z.dtype)
         cat[:, f:] = h
         z, pre = _update_gate(cat, a_z, w_z, b_z)
         cat[:, :f] = a_r
@@ -98,7 +110,7 @@ class TGCNGates(Function):
         keep = np.subtract(1.0, z, out=cat[:, :f])
         keep *= h_tilde
         out += keep
-        self.save_for_backward(a_z, a_r, a_h, h, z, r, h_tilde, w_z, b_z, w_r, b_r, w_h, b_h)
+        self.save_for_backward(a_z, a_r, a_h, h, z, r, w_z, b_z, w_r, b_r, w_h, b_h)
         return out
 
     def attach(self, out: Tensor, inputs: tuple[Tensor, ...]) -> bool:
@@ -106,14 +118,20 @@ class TGCNGates(Function):
             self.saved = ()
             return False
         alloc = current_device().alloc
-        for gate in self.saved[4:7]:  # z, r, h̃: the arrays no tensor owns
+        for gate in self.saved[4:6]:  # z, r: the arrays no tensor owns
             alloc.adopt(gate, tag="tensor")
         return True
 
     def backward(self, grad: np.ndarray):
-        a_z, a_r, a_h, h, z, r, h_tilde, w_z, b_z, w_r, b_r, w_h, b_h = self.saved
+        a_z, a_r, a_h, h, z, r, w_z, b_z, w_r, b_r, w_h, b_h = self.saved
         need_h = self.needs_input_grad[3]
-        f = h.shape[1]
+        n, f = a_z.shape
+        # Rebuild h̃ = tanh([a_h ‖ r·H] @ W_h + b_h) with the forward's float
+        # operations; the filled ``cat`` is also W_h's gradient operand.
+        cat = np.empty((n, 2 * f), dtype=a_z.dtype)
+        np.multiply(r, h, out=cat[:, f:])
+        h_tilde = _candidate(cat, a_h, w_h, b_h, np.empty((n, f), dtype=a_z.dtype))
+        current_device().alloc.adopt(h_tilde, tag="tensor")
         # H' = z·H + (1−z)·h̃
         d_pre = np.subtract(1.0, z)
         d_pre *= grad
@@ -121,13 +139,10 @@ class TGCNGates(Function):
         np.negative(d_z, out=d_z)
         d_z += grad * h
         d_h = grad * z if need_h else None
-        # h̃ = tanh([a_h ‖ r·H] @ W_h + b_h)
-        scratch = h_tilde * h_tilde
+        # 1 − h̃², in h̃'s own buffer: nothing reads h̃ after this
+        scratch = np.multiply(h_tilde, h_tilde, out=h_tilde)
         np.subtract(1.0, scratch, out=scratch)
         d_pre *= scratch
-        cat = np.empty((h.shape[0], 2 * f), dtype=h.dtype)
-        cat[:, :f] = a_h
-        np.multiply(r, h, out=cat[:, f:])
         g_w_h = cat.T @ d_pre
         g_b_h = _unbroadcast(d_pre, b_h.shape)
         d_cat = np.matmul(d_pre, w_h.T, out=cat)
@@ -219,12 +234,14 @@ class TGCN(Module):
 
         Unrecorded from the zero state (``no_grad``, ``h is None``) the step
         runs ``conv_z`` and ``conv_h`` only: the reset gate multiplies zeros
-        (:func:`tgcn_zero_state_gates`)."""
+        (:func:`tgcn_zero_state_gates`).  Recorded, it runs the general step
+        on a 0-d zero state, which :class:`TGCNGates` broadcasts, so the tape
+        keeps 4 bytes instead of an ``N×F`` zeros array."""
         if h is None:
             if not is_grad_enabled():
                 a_z = self.conv_z(executor, x)
                 return tgcn_zero_state_gates(a_z, self.conv_h(executor, x), self.lin_z, self.lin_h)
-            h = self.initial_state(x.shape[0])
+            h = F.zeros(())
         a_z = self.conv_z(executor, x)
         a_r = self.conv_r(executor, x)
         a_h = self.conv_h(executor, x)

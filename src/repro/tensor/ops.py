@@ -73,9 +73,18 @@ def stable_sigmoid(a: np.ndarray) -> np.ndarray:
     neither a mask nor a select (the numerator is exactly 1 on the first
     branch), bit for bit the masked form in float32 and float64.  Shared by
     the tape op and the generated kernels' ``ew_sigmoid`` so both produce the
-    same bits.
+    same bits.  Evaluated in that order in two fresh buffers of the float
+    type ``np.exp`` gives ``a`` (0-d input included); ``a`` is only read.
     """
-    return np.exp(np.minimum(a, 0)) / (1 + np.exp(-np.abs(a)))
+    a = np.asarray(a)
+    dtype = np.result_type(a, np.float16)
+    num = np.minimum(a, 0, out=np.empty_like(a, dtype=dtype))
+    np.exp(num, out=num)
+    den = np.abs(a, out=np.empty_like(a, dtype=dtype))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    np.add(1, den, out=den)
+    return np.divide(num, den, out=num)
 
 
 def leaky_relu_array(a: np.ndarray, slope: float) -> np.ndarray:

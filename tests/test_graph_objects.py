@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.executor import TemporalExecutor
 from repro.graph import DTDG, GPMAGraph, NaiveGraph, StaticGraph
+from repro.graph.dtdg import EdgeUpdate
 from repro.graph.labels import decode_edges
 from repro.graph.snapshot_builder import UpdateCursor
 from repro.pma.pma import SPACE_KEY
@@ -109,6 +110,24 @@ def test_naive_graph_backward_positioning(random_dtdg):
     assert _edge_set(ng) == set(zip(s.tolist(), d.tolist()))
     ng.get_graph(3)
     assert _edge_set(ng) == e3
+
+
+def test_naive_graph_refuses_a_timestamp_appended_after_construction():
+    """``append_update`` lengthens the DTDG, not the pre-built list: moving to
+    the new timestamp (forward or backward) raises an ``IndexError`` naming
+    it and the built range, and the graph stays where it was."""
+    dtdg = DTDG([(np.array([0, 1]), np.array([1, 2])), (np.array([0]), np.array([2]))], 3)
+    ng = NaiveGraph(dtdg)
+    ng.get_graph(1)
+    before = _edge_set(ng)
+    t_new = dtdg.append_update(EdgeUpdate(np.array([2]), np.array([0]), np.array([], int), np.array([], int)))
+    assert t_new == 2 and dtdg.num_timestamps == 3
+    for move in (ng.get_graph, ng.get_backward_graph):
+        with pytest.raises(IndexError, match=r"timestamp 2 .*\[0, 2\)"):
+            move(t_new)
+        assert ng._current == 1 and _edge_set(ng) == before
+    with pytest.raises(IndexError, match="timestamp -1 "):
+        ng.get_graph(-1)
 
 
 # ---------------------------------------------------------------------------

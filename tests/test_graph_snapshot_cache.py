@@ -137,6 +137,48 @@ def test_lru_stays_bounded(random_dtdg):
         assert len(ex._ctx_cache) <= 2
 
 
+def test_lru_evicts_its_oldest_before_a_build(random_dtdg, monkeypatch):
+    """A miss into a full store evicts first: no build runs while the store
+    holds ``capacity`` contexts.  Contents, order and hit / miss counts are
+    those of a plain LRU over ``snapshot_key()``."""
+    import repro.core.executor as executor_module
+
+    capacity = 2
+    ex = TemporalExecutor(GPMAGraph(random_dtdg), ctx_cache_size=capacity)
+    held_at_build = []
+    build = executor_module.GraphContext
+
+    def spy(graph):
+        held_at_build.append(len(ex._ctx_cache))
+        return build(graph)
+
+    monkeypatch.setattr(executor_module, "GraphContext", spy)
+    lru, hits, misses = [], 0, 0
+    for t in [0, 1, 2, 1, 0, 3, 3, 4, 5, 4, 2, 0]:
+        ex.begin_inference(t)
+        key = ex.graph.snapshot_key()
+        if key in lru:
+            hits += 1
+            lru.remove(key)
+        else:
+            misses += 1
+            lru = lru[-(capacity - 1):]
+        lru.append(key)
+        assert list(ex._ctx_cache) == lru
+        assert (ex.ctx_cache_hits, ex.ctx_cache_misses) == (hits, misses)
+    assert len(held_at_build) == misses and max(held_at_build) == capacity - 1
+
+
+def test_refused_inference_timestamp_leaves_the_executor_as_it_was(random_dtdg):
+    ex = TemporalExecutor(GPMAGraph(random_dtdg), ctx_cache_size=1)
+    ctx = ex.begin_inference(2)
+    before = (list(ex._ctx_cache.items()), ex.ctx_cache_hits, ex.ctx_cache_misses, ex.current_timestamp)
+    with pytest.raises(IndexError):
+        ex.begin_inference(random_dtdg.num_timestamps)
+    assert ex.current_context() is ctx
+    assert (list(ex._ctx_cache.items()), ex.ctx_cache_hits, ex.ctx_cache_misses, ex.current_timestamp) == before
+
+
 # ---------------------------------------------------------------------------
 # Snapshot versioning
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@
   and the executor's context store holds one entry (the live version's):
   ingest swaps the store to the new version, so no superseded build
   outlives it;
+* an update's peak is no more than what stays resident after it: ingest
+  evicts the superseded context before it builds the new one, and the
+  executor's position does not hold the old one through the build;
 * a served forward's peak stays under a bound from ``N``, ``F`` and ``E``
   that three superseded builds, or the previous output kept through the
   forward, would break;
@@ -86,6 +89,32 @@ def test_serving_holds_one_build_and_one_context_after_every_update():
         _holds_one_build_and_one_context(engine, device)
         steps += 1
     assert steps == len(ingests) == UPDATES
+
+
+def test_an_update_never_holds_two_builds():
+    """``reset_peak()`` before each of six ``enqueue_update`` calls: the peak
+    during the ingest is at most the bytes resident once it is applied, so
+    the superseded build is gone before the new one is made.  More edges
+    than vertices here, so a build outweighs the ingest's other arrays."""
+    n, edges = 400, 3000
+    rng = np.random.default_rng(11)
+    dtdg = DTDG([(rng.integers(0, n, edges), rng.integers(0, n, edges)) for _ in range(2)], n)
+    features = rng.standard_normal((n, F)).astype(np.float32)
+    init.set_seed(3)
+    model = STGraphNodeRegressor(F, HIDDEN)
+    device = Device()
+    with use_device(device):
+        engine = InferenceEngine(model, GPMAGraph(dtdg), features)
+        with engine:
+            engine.query(0)
+            for batch in random_update_batches(dtdg, 6, num_adds=32, num_deletes=16, seed=2):
+                misses = engine._executor.ctx_cache_misses
+                device.tracker.reset_peak()
+                engine.enqueue_update(batch)
+                assert engine._executor.ctx_cache_misses == misses + 1  # the ingest built
+                assert device.tracker.peak_bytes <= device.tracker.current_bytes
+                assert _tag_bytes(device, "gpma.") == _build_bytes(n, engine.graph.num_edges)
+                engine.query(int(batch.add_dst[0]))
 
 
 def test_served_forward_peak_is_one_build_and_the_forward_working_set():

@@ -176,6 +176,36 @@ def test_stable_sigmoid_float64_sweep_matches_masked_reference_bitwise():
     assert same.all(), a[~same][:5]
 
 
+def _expression_sigmoid(a):
+    """``stable_sigmoid`` as one expression, seven temporaries."""
+    return np.exp(np.minimum(a, 0)) / (1 + np.exp(-np.abs(a)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_sigmoid_is_the_expression_in_fresh_buffers(dtype, rng):
+    """The in-place evaluation returns the one-expression form's bits and
+    dtype, as a new array, for 0-d, non-contiguous and integer input, and
+    leaves its input as it was."""
+    from repro.tensor.ops import stable_sigmoid
+
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 88.8, -88.8, 710.0, -710.0], dtype=dtype)
+    base = np.concatenate([special, (rng.standard_normal(64 * 64 - special.size) * 30).astype(dtype)]).reshape(64, 64)
+    cases = [
+        np.array(0.3, dtype=dtype), np.array(-0.0, dtype=dtype), np.array(np.nan, dtype=dtype),  # 0-d
+        base, base.T, base[:, ::2], base[5:40:2, 7], base.ravel()[::3],  # non-contiguous
+        np.arange(-90, 90, 7, dtype=np.int8), np.array([-(2**62), -1, 0, 5], dtype=np.int64),
+    ]
+    with np.errstate(all="ignore"):
+        for a in cases:
+            before = a.copy()
+            got = stable_sigmoid(a)
+            want = _expression_sigmoid(a)
+            assert isinstance(got, np.ndarray) and got.shape == a.shape and got.dtype == want.dtype
+            assert not np.shares_memory(got, a)
+            assert got.tobytes() == np.asarray(want).tobytes()
+            assert a.tobytes() == before.tobytes()
+
+
 def test_tape_and_generated_kernel_sigmoid_share_bits(rng):
     """``F.sigmoid`` and the ``ew_sigmoid`` a generated kernel calls are one
     implementation: on a self-loop graph, where the aggregation is the

@@ -5,13 +5,17 @@ The GRU gate tail of ``repro.nn.TGCN`` (and of PyG-T's TGCN) is one
 every gradient equal the frozen seventeen-op composition in
 ``tests/_tgcn_reference.py``, over odd shapes, every kind of previous state
 and BPTT over several steps), that it keeps exactly ``a_z, a_r, a_h, H, z,
-r, h̃`` per step and nothing under ``no_grad``, and that parameter names
-and order, and so checkpoints, did not move.
+r`` per step (the first step's ``H`` a 0-d zero) and nothing under
+``no_grad``, that backward holds the ``h̃`` it rebuilds on the ledger and
+releases it, that a recorded sequence from ``h = None`` is bitwise one from
+explicit zeros, and that parameter names and order, and so checkpoints, did
+not move.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +54,8 @@ def _run_gates(tail, seed, n, f, steps, h_mode, scale):
         lin.bias.data[...] = rng.uniform(-1, 1, f)
     if h_mode == "zeros":
         h = F.zeros((n, f))
+    elif h_mode == "scalar_zero":
+        h = F.zeros(())
     else:
         h = Tensor((rng.standard_normal((n, f)) * scale).astype(np.float32), requires_grad=h_mode == "leaf")
     h0 = h
@@ -73,7 +79,7 @@ def _run_gates(tail, seed, n, f, steps, h_mode, scale):
 @given(
     shape=st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 17)), st.sampled_from([(4099, 15), (24000, 5)])),
     steps=st.integers(1, 3),
-    h_mode=st.sampled_from(["zeros", "constant", "leaf"]),
+    h_mode=st.sampled_from(["zeros", "scalar_zero", "constant", "leaf"]),
     scale=st.sampled_from([0.5, 3.0, 40.0]),
     seed=st.integers(0, 2**16),
 )
@@ -82,22 +88,28 @@ def _run_gates(tail, seed, n, f, steps, h_mode, scale):
 @example(shape=(7, 1), steps=2, h_mode="leaf", scale=3.0, seed=0)
 @example(shape=(1, 1), steps=3, h_mode="zeros", scale=0.5, seed=1)
 @example(shape=(4099, 15), steps=2, h_mode="leaf", scale=3.0, seed=2)
+@example(shape=(1, 1), steps=2, h_mode="scalar_zero", scale=40.0, seed=3)
 @settings(max_examples=60, deadline=None)
 def test_gate_node_is_bitwise_the_unfused_composition(shape, steps, h_mode, scale, seed):
     """Outputs, the three aggregation inputs' gradients, the previous state's
     and all six ``lin_*`` gradients equal the seventeen-op tape's, bit for bit,
-    for a zero, constant or leaf initial state and BPTT over several steps."""
+    for a zero, constant or leaf initial state and BPTT over several steps.
+    The node's 0-d zero state (``scalar_zero``) is checked against the
+    composition on ``N×F`` zeros, which cannot broadcast one."""
     n, f = shape
     fused = _run_gates(tgcn_gates, seed, n, f, steps, h_mode, scale)
-    reference = _run_gates(reference_gate_tail, seed, n, f, steps, h_mode, scale)
+    ref_mode = "zeros" if h_mode == "scalar_zero" else h_mode
+    reference = _run_gates(reference_gate_tail, seed, n, f, steps, ref_mode, scale)
     assert fused == reference
 
 
-def _graph(n, seed):
+def _edges(n, seed):
     rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, 3 * n)
-    dst = rng.integers(0, n, 3 * n)
-    return StaticGraph(src, dst, n)
+    return rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+
+
+def _graph(n, seed):
+    return StaticGraph(*_edges(n, seed), n)
 
 
 def _run_tgcn(step, n, f, h_leaf, seed, steps=3):
@@ -150,11 +162,12 @@ def _owner(a):
     return a if a.base is None else a.base
 
 
-def test_tape_keeps_seven_nxf_arrays_per_step_plus_x(fresh_device, rng):
-    """After T steps the saved arrays are ``a_z, a_r, a_h, H, z, r, h̃`` per
-    step (the output of the last step is held, not saved) plus the feature
-    matrix the convolutions' ``X @ W`` read, and the ``tensor`` tag is
-    exactly those plus the held tensors."""
+def test_tape_keeps_six_nxf_arrays_per_step_plus_x(fresh_device, rng):
+    """After T steps from ``h = None`` the saved arrays are ``a_z, a_r, a_h,
+    H, z, r`` per step, the first step's ``H`` a 4-byte 0-d zero (the output
+    of the last step is held, not saved), plus the feature matrix the
+    convolutions' ``X @ W`` read, and the ``tensor`` tag is exactly those plus
+    the held tensors."""
     n, f, steps = 10, 5, 4
     ex = TemporalExecutor(_graph(n, 1))
     model = TGCN(3, f)
@@ -165,10 +178,102 @@ def test_tape_keeps_seven_nxf_arrays_per_step_plus_x(fresh_device, rng):
     for t in range(steps):
         ex.begin_timestamp(t)
         h = model(ex, x, h)
-    saved = {id(_owner(a)): _owner(a).nbytes for a in _tape_saved_arrays(h._ctx) if id(_owner(a)) not in params}
-    assert sum(saved.values()) == steps * 7 * n * f * 4 + x.nbytes
+    arrays = _tape_saved_arrays(h._ctx)
+    zero_states = [a for a in arrays if a.ndim == 0]
+    assert len(zero_states) == 1 and zero_states[0].dtype == np.float32 and zero_states[0] == 0
+    saved = {id(_owner(a)): _owner(a).nbytes for a in arrays if id(_owner(a)) not in params}
+    assert sum(saved.values()) == (steps * 6 - 1) * n * f * 4 + 4 + x.nbytes
     held = {id(x.data): x.nbytes, id(h.data): h.nbytes, **params}
     assert fresh_device.tracker.bytes_by_tag()["tensor"] == sum({**saved, **held}.values())
+
+
+def test_backward_holds_the_rebuilt_candidate_on_the_ledger(fresh_device, rng, monkeypatch):
+    """Each step's backward rebuilds ``h̃`` and adopts it under ``tensor``
+    (the tag grows by its bytes there); once backward returns it is freed and
+    released, and the tag holds exactly the tensors held here."""
+    n, f, steps = 10, 5, 3
+    ex = TemporalExecutor(_graph(n, 4))
+    model = TGCN(3, f)
+    x = Tensor(rng.standard_normal((n, 3)).astype(np.float32))
+    h = None
+    for t in range(steps):
+        ex.begin_timestamp(t)
+        h = model(ex, x, h)
+    loss = F.sum(h)
+    in_backward, adopted = [], []
+    gate_backward, alloc = TGCNGates.backward, fresh_device.alloc
+    adopt = alloc.adopt
+
+    def spy_backward(self, grad):
+        in_backward.append(True)
+        try:
+            return gate_backward(self, grad)
+        finally:
+            in_backward.pop()
+
+    def spy_adopt(array, tag=""):
+        before = fresh_device.tracker.bytes_by_tag().get("tensor", 0)
+        out = adopt(array, tag)
+        if in_backward:
+            grown = fresh_device.tracker.bytes_by_tag()["tensor"] - before
+            adopted.append((weakref.ref(array), array.shape, tag, grown))
+        return out
+
+    monkeypatch.setattr(TGCNGates, "backward", spy_backward)
+    monkeypatch.setattr(alloc, "adopt", spy_adopt)
+    loss.backward()
+    ex.check_drained()
+    gc.collect()
+    assert [entry[1:] for entry in adopted] == [((n, f), "tensor", n * f * 4)] * steps
+    assert all(ref() is None for ref, *_ in adopted)
+    held = [x, h, loss, *model.parameters()]
+    assert fresh_device.tracker.bytes_by_tag()["tensor"] == sum(t.nbytes for t in held)
+
+
+def _sequence(kind, engine, n, f, seed, explicit_zeros, steps=3):
+    """A grad-enabled sequence of ``kind`` from ``h = None`` or from
+    ``initial_state`` zeros: every output, the loss and every gradient."""
+    init.set_seed(seed)
+    rng = np.random.default_rng(seed)
+    model = TGCN(3, f) if kind == "tgcn" else PyGTTGCN(3, f)
+    for _, p in model.named_parameters():  # nonzero biases
+        if p.ndim == 1:
+            p.data[...] = rng.uniform(-1, 1, p.shape)
+    if kind == "tgcn":
+        ex = TemporalExecutor(_graph(n, seed), engine=engine)
+
+        def step(t, x, h):
+            ex.begin_timestamp(t)
+            return model(ex, x, h)
+    else:
+        edges = np.stack(_edges(n, seed))
+
+        def step(t, x, h):
+            return model(x, edges, h)
+
+    h = model.initial_state(n) if explicit_zeros else None
+    outputs, total = [], None
+    for t in range(steps):
+        h = step(t, Tensor(rng.standard_normal((n, 3)).astype(np.float32)), h)
+        outputs.append(_bits(h.data))
+        loss = F.mse_loss(h, rng.standard_normal((n, f)).astype(np.float32))
+        total = loss if total is None else F.add(total, loss)
+    total.backward()
+    grads = {name: _bits(p.grad) for name, p in model.named_parameters()}
+    assert all(g is not None for g in grads.values())
+    return outputs, _bits(total.data), grads
+
+
+@pytest.mark.parametrize(
+    ("kind", "engine"), [("tgcn", "kernel"), ("tgcn", "interpreter"), ("pygt", None)]
+)
+@pytest.mark.parametrize(("n", "f"), [(1, 1), (30, 4), (257, 16)])
+def test_recorded_sequence_from_none_is_bitwise_explicit_zeros(kind, engine, n, f):
+    """The 0-d zero state a recorded first step passes moves no bit: outputs,
+    loss and every parameter gradient equal a sequence started from
+    ``initial_state``'s ``N×F`` zeros, on both engines and for PyG-T's TGCN."""
+    seed = n + f
+    assert _sequence(kind, engine, n, f, seed, False) == _sequence(kind, engine, n, f, seed, True)
 
 
 def test_no_grad_step_saves_and_adopts_nothing(fresh_device, rng, monkeypatch):
