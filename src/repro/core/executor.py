@@ -145,14 +145,16 @@ class TemporalExecutor:
             self._fwd_ctx = self._static_ctx
             return self._fwd_ctx
         with span("core.begin_timestamp", t=t):
-            self.graph.get_graph(t)
+            self.graph.get_graph(t)  # a refused t raises here, before anything moves
+            # A fresh forward ends any in-flight backward positioning, and
+            # nothing reads either previous context through the build, so
+            # neither pointer keeps one alive there; the contexts themselves
+            # stay reusable through the keyed cache.
+            self._fwd_ctx = self._bwd_ctx = None
+            self._bwd_t = None
             self.graph_stack.push(t)
             self._fwd_t = t
             self._fwd_ctx = self._context_for_current()
-        # A fresh forward ends any in-flight backward positioning; the
-        # contexts themselves stay reusable through the keyed cache.
-        self._bwd_ctx = None
-        self._bwd_t = None
         return self._fwd_ctx
 
     def begin_inference(self, t: int) -> GraphContext:

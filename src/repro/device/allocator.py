@@ -240,11 +240,21 @@ class DeviceAllocator:
         return self.tracker.track(np.full(shape, fill, dtype=dtype), tag)
 
     def upload(self, host_array: np.ndarray, tag: str = "") -> np.ndarray:
-        """Copy a host array to the "device" (always an independent copy)."""
+        """Copy a host array to the "device" (always an independent copy).
+
+        This is how host data (a dataset's arrays) gets on the device: the
+        copy is counted until it is collected, and the host array never is.
+        """
         self._maybe_oom()
         return self.tracker.track(np.array(host_array, order="C", copy=True), tag)
 
     def adopt(self, array: np.ndarray, tag: str = "") -> np.ndarray:
-        """Track an array produced by a NumPy op without copying it."""
+        """Track an array produced by a NumPy op without copying it.
+
+        What is counted is the array's owning buffer, for as long as that
+        buffer lives: adopting a view of a host array (a dataset's) counts
+        the owner's whole buffer for the owner's lifetime.  Host data goes
+        through :meth:`upload` instead.
+        """
         self._maybe_oom()
         return self.tracker.track(array, tag)

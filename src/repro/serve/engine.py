@@ -180,7 +180,12 @@ class InferenceEngine:
         snapshot from boot on.
     features:
         ``(N, F)`` serving feature matrix, fixed across versions (structure
-        evolves; features are the input signal).
+        evolves; features are the input signal).  The engine keeps one
+        float32 copy of it (the caller's array when it already is one)
+        resident on the device for its lifetime, since every served forward
+        reads it; training, where a step reads one timestamp's input, uploads
+        each input only while its sequence reads it
+        (:class:`~repro.train.utils.StepInputs`).
     hops:
         Receptive field of ``model`` in aggregation hops — the k of the
         k-hop invalidation rule.  One GCN-style layer (TGCN with a fresh

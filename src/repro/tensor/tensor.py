@@ -4,6 +4,11 @@ Design notes
 ------------
 * A ``Tensor`` owns a ``numpy.ndarray`` (``data``) registered with the
   active simulated device so the benchmark harness can measure residency.
+  Wrapping an array adopts it (``DeviceAllocator.adopt``): its owning
+  buffer is counted for that buffer's lifetime, so wrapping a dataset's
+  array counts it for as long as the dataset lives.  Host data goes on
+  the device through ``DeviceAllocator.upload`` (the training loops'
+  ``repro.train.utils.StepInputs``), whose copy lives only while it is read.
 * Ops are instances of :class:`repro.tensor.ops.Function`.  Applying one
   records it as ``_ctx`` on the output tensor; the tape is the graph of those
   nodes, each linked to the nodes that produced its inputs (or to a leaf
@@ -51,7 +56,12 @@ def is_grad_enabled() -> bool:
 
 
 class Tensor:
-    """An autodiff-capable array on the simulated device."""
+    """An autodiff-capable array on the simulated device.
+
+    ``Tensor(x)`` tracks ``x``'s owning buffer until that buffer is
+    collected, not until the tensor is: pass an array made for the device
+    (an op's output, an ``upload``), not a host array that outlives it.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_ctx", "__weakref__")
 

@@ -8,7 +8,9 @@ cache point.  :class:`BaselineTrainer` runs the identical schedule on the
 PyG-T baseline, where the autodiff tape itself retains the whole sequence's
 intermediates (no stacks, no pruning).
 
-Both report per-epoch wall time so benches can reuse the loop directly.
+Both take a step's input through :class:`~repro.train.utils.StepInputs`, a
+device copy of the host array that lives while its sequence's tape reads it,
+and both report per-epoch wall time so benches can reuse the loop directly.
 
 The STGraph loop records five intervals into the telemetry spine
 (:mod:`repro.obs.spine`), one call each; the latency histograms, the
@@ -35,6 +37,7 @@ from repro.tensor.nn import Module
 from repro.tensor.tensor import Tensor
 from repro.train.checkpoint import load_training_checkpoint, save_training_checkpoint
 from repro.train.tasks import LinkSamples
+from repro.train.utils import StepInputs
 
 __all__ = ["STGraphTrainer", "BaselineTrainer"]
 
@@ -136,6 +139,7 @@ class STGraphTrainer:
         progress = self.progress if self.telemetry_server is not None else None
         total_timestamps = len(features)
         seq_len = self.sequence_length or total_timestamps
+        inputs = StepInputs(features)
         start = time.perf_counter()
         injector.at_epoch(epoch_index)
         with span("train.epoch", epoch=epoch_index):
@@ -154,7 +158,7 @@ class STGraphTrainer:
                             with span("train.timestamp", t=t, epoch=epoch_index,
                                       sequence=seq_index, engine=engine_label) as attrs:
                                 self.executor.begin_timestamp(t)
-                                pred, state = self.model.step(self.executor, Tensor(features[t]), state)
+                                pred, state = self.model.step(self.executor, inputs[t], state)
                                 acc.add(self._loss_at(t, pred, targets))
                                 attrs["state_bytes"] = self.executor.state_stack.current_bytes()
                             if progress is not None:
@@ -374,6 +378,7 @@ class BaselineTrainer:
         """One epoch of the same sequence schedule on the baseline."""
         total_timestamps = len(features)
         seq_len = self.sequence_length or total_timestamps
+        inputs = StepInputs(features)
         start = time.perf_counter()
         epoch_loss = 0.0
         for seq in _sequences(total_timestamps, seq_len):
@@ -381,7 +386,7 @@ class BaselineTrainer:
             state = None
             acc = _LossAccumulator()
             for t in seq:
-                pred, state = self.model.step(self._edge_index_at(t), Tensor(features[t]), state)
+                pred, state = self.model.step(self._edge_index_at(t), inputs[t], state)
                 acc.add(self._loss_at(t, pred, targets))
             acc.total.backward()
             self.optimizer.step()

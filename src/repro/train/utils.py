@@ -1,17 +1,51 @@
-"""Training utilities: temporal splits, early stopping, evaluation."""
+"""Training utilities: step inputs, temporal splits, early stopping, evaluation."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.executor import TemporalExecutor
+from repro.device import current_device
 from repro.tensor.nn import Module
 from repro.tensor.tensor import Tensor, no_grad
 
-__all__ = ["temporal_train_test_split", "EarlyStopping", "evaluate_regression"]
+__all__ = ["StepInputs", "temporal_train_test_split", "EarlyStopping", "evaluate_regression"]
+
+
+class StepInputs:
+    """Device copies of a run's host inputs: ``inputs[t]`` is ``features[t]``.
+
+    A step's input is uploaded with :meth:`DeviceAllocator.upload` (the
+    simulated host-to-device copy) and lives as long as something reads it:
+    the step, and then the tape, whose ``MatMul`` saves it for the weight
+    gradient until the sequence's backward consumes the node.  A later step
+    that passes the same host array while that copy is alive gets the same
+    copy, so an input every timestamp shares is uploaded once per sequence;
+    under ``no_grad`` nothing saves it, and it is freed after its step.  The
+    dataset's own arrays are never tracked (wrapping one as ``Tensor(x)``
+    would count it for the dataset's lifetime).
+    """
+
+    def __init__(self, features: Sequence[np.ndarray]) -> None:
+        self._features = features
+        self._alloc = current_device().alloc
+        # id(host) -> (host, weak ref to its live copy); the entry keeps the
+        # host alive, so no other array can take its id.
+        self._copies: dict[int, tuple[np.ndarray, weakref.ref]] = {}
+
+    def __getitem__(self, t: int) -> Tensor:
+        host = self._features[t]
+        entry = self._copies.get(id(host))
+        data = None if entry is None else entry[1]()
+        if data is not None:
+            return Tensor(data)
+        x = Tensor(self._alloc.upload(host, tag="tensor"))
+        self._copies[id(host)] = (host, weakref.ref(x.data))
+        return x
 
 
 def temporal_train_test_split(
@@ -84,11 +118,12 @@ def evaluate_regression(
     from repro.train.metrics import mae, rmse
 
     errs_sq, errs_abs = [], []
+    inputs = StepInputs(features)
     with no_grad():
         state = None
-        for offset, (x, y) in enumerate(zip(features, targets)):
+        for offset, (_, y) in enumerate(zip(features, targets)):
             executor.begin_timestamp(start_timestamp + offset)
-            pred, state = model.step(executor, Tensor(x), state)
+            pred, state = model.step(executor, inputs[offset], state)
             p = pred.numpy()
             errs_sq.append(float(((p - y) ** 2).mean()))
             errs_abs.append(mae(p, y))

@@ -9,6 +9,7 @@ import pytest
 from repro.core import TemporalExecutor
 from repro.core.module import graph_aggregate
 from repro.compiler import compile_vertex_program
+from repro.device import Device, use_device
 from repro.graph import DTDG, GPMAGraph, NaiveGraph, StaticGraph
 from repro.tensor import Tensor, functional as F
 
@@ -208,6 +209,36 @@ def test_ctx_cache_size_zero_rebuilds_every_context(dtdg):
         assert ex.backward_context(t) is not fwd[t]  # rebuilt every step
     assert ex.ctx_cache_hits == 0
     assert ex.ctx_cache_misses == 0  # cache fully bypassed, not just missing
+
+
+@pytest.mark.parametrize("ctx_cache_size", [0, 1])
+def test_begin_timestamp_never_holds_two_builds(ctx_cache_size):
+    """``reset_peak()`` before each of ``begin_timestamp(1..3)``: the peak
+    during the positioning is the bytes resident before or after it,
+    whichever is more, so the previous build is not kept alive through the
+    new one, not even by the forward or backward pointer.  More edges than
+    vertices, so a build outweighs everything else the positioning
+    touches.  A refused ``t`` leaves the executor and the Graph Stack as
+    they were."""
+    n, edges = 400, 3000
+    rng = np.random.default_rng(11)
+    dtdg = DTDG([(rng.integers(0, n, edges), rng.integers(0, n, edges)) for _ in range(4)], n)
+    device = Device()
+    with use_device(device):
+        ex = TemporalExecutor(GPMAGraph(dtdg), ctx_cache_size=ctx_cache_size)
+        ex.begin_timestamp(0)
+        for t in range(1, 4):
+            device.tracker.reset_peak()
+            before = device.tracker.current_bytes
+            ex.begin_timestamp(t)
+            assert device.tracker.peak_bytes == max(before, device.tracker.current_bytes)
+        ctx, depth = ex.current_context(), len(ex.graph_stack)
+        with pytest.raises(IndexError):
+            ex.begin_timestamp(4)
+        assert ex.current_context() is ctx
+        assert ex.current_timestamp == 3
+        assert ex.graph.curr_time == 3
+        assert len(ex.graph_stack) == depth == 4
 
 
 def test_single_timestamp_sequence_pops_stack(dtdg, sum_program, rng):
