@@ -60,7 +60,7 @@ def main() -> None:
         aucs, accs = [], []
         state = None
         for t in range(dataset.num_timestamps):
-            trainer.executor.begin_timestamp(t)
+            trainer.executor.begin_inference(t)
             h, state = model.step(trainer.executor, Tensor(dataset.features[t]), state)
             logits = model.score(h, samples[t].pairs).numpy()
             aucs.append(roc_auc(logits, samples[t].labels))

@@ -44,7 +44,7 @@ def main() -> None:
         errors = []
         state = None
         for t in range(train_T, dataset.num_timestamps):
-            trainer.executor.begin_timestamp(t)
+            trainer.executor.begin_inference(t)
             pred, state = model.step(trainer.executor, Tensor(dataset.features[t]), state)
             errors.append(rmse(pred.numpy(), dataset.targets[t]))
     print(f"\nheld-out RMSE over {len(errors)} steps: {sum(errors)/len(errors):.4f}")

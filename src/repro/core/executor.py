@@ -24,7 +24,10 @@ even reuses the previous timestamp's context.  A context carries both CSRs,
 the degrees and its aggregation operators, and graphs keep no build, so this
 LRU is the one store of built snapshots: a context miss is exactly one
 ``graph.snapshot()`` call, one build on a graph that builds on demand.
-``ctx_cache_size`` is its one capacity, and 0 switches it off.
+``ctx_cache_size`` is its one capacity, and 0 switches it off.  A static
+graph takes the same path: its key is always 0, so its one context is built
+on the first step and hit on every later one, and ``is_dynamic`` gates only
+the Graph Stack push and pop (Algorithm 1, line 3).
 See ``docs/EXECUTOR.md`` for the lifecycle rules.
 
 Every instrumented step here is one call into the telemetry spine
@@ -49,8 +52,14 @@ from repro.core.engine import ENGINES, ExecutionEngine
 from repro.core.stacks import GraphStack, StateStack
 from repro.graph.base import STGraphBase
 from repro.obs.spine import emit, span
+from repro.tensor.tensor import is_grad_enabled
 
-__all__ = ["TemporalExecutor"]
+__all__ = ["NoGradTimestampError", "TemporalExecutor"]
+
+
+class NoGradTimestampError(RuntimeError):
+    """``begin_timestamp`` while grad is disabled: the Graph Stack entry it
+    would push has no backward pass to pop it (use ``begin_inference``)."""
 
 
 class TemporalExecutor:
@@ -88,7 +97,6 @@ class TemporalExecutor:
         self._fwd_t: int | None = None
         self._bwd_ctx: GraphContext | None = None
         self._bwd_t: int | None = None
-        self._static_ctx: GraphContext | None = None
         # snapshot_key() -> GraphContext LRU; capacity 0 disables it.
         self.ctx_cache_size = int(ctx_cache_size)
         self._ctx_cache: OrderedDict[int, GraphContext] = OrderedDict()
@@ -135,15 +143,19 @@ class TemporalExecutor:
     # Forward side
     # ------------------------------------------------------------------
     def begin_timestamp(self, t: int) -> GraphContext:
-        """Get-Graph(G, t) + Graph Stack push; returns the kernel context."""
+        """Get-Graph(G, t) + Graph Stack push; returns the kernel context.
+
+        Only a dynamic graph pushes (Algorithm 1, line 3).  A recorded
+        forward is the only one a backward pass pops, so this refuses to run
+        while grad is disabled (:class:`NoGradTimestampError`): a no-grad
+        rollout positions with :meth:`begin_inference`.
+        """
         t = int(t)
-        if not self.graph.is_dynamic:
-            if self._static_ctx is None:
-                self.graph.get_graph(t)
-                self._static_ctx = GraphContext(self.graph)
-            self._fwd_t = t
-            self._fwd_ctx = self._static_ctx
-            return self._fwd_ctx
+        if not is_grad_enabled():
+            raise NoGradTimestampError(
+                f"begin_timestamp({t}) under no_grad(): no backward pass will pop "
+                f"its Graph Stack entry; position a no-grad forward with begin_inference({t})"
+            )
         with span("core.begin_timestamp", t=t):
             self.graph.get_graph(t)  # a refused t raises here, before anything moves
             # A fresh forward ends any in-flight backward positioning, and
@@ -152,7 +164,8 @@ class TemporalExecutor:
             # stay reusable through the keyed cache.
             self._fwd_ctx = self._bwd_ctx = None
             self._bwd_t = None
-            self.graph_stack.push(t)
+            if self.graph.is_dynamic:
+                self.graph_stack.push(t)
             self._fwd_t = t
             self._fwd_ctx = self._context_for_current()
         return self._fwd_ctx
@@ -170,13 +183,6 @@ class TemporalExecutor:
         ``repro.serve`` batches queries onto (docs/SERVING.md).
         """
         t = int(t)
-        if not self.graph.is_dynamic:
-            if self._static_ctx is None:
-                self.graph.get_graph(t)
-                self._static_ctx = GraphContext(self.graph)
-            self._fwd_t = t
-            self._fwd_ctx = self._static_ctx
-            return self._fwd_ctx
         with span("core.begin_inference", t=t):
             self.graph.get_graph(t)  # a refused t raises here, before anything moves
             # Nothing reads the previous context through the build, so the
@@ -226,24 +232,22 @@ class TemporalExecutor:
     def backward_context(self, t: int) -> GraphContext:
         """Context for a backward step at timestamp ``t``.
 
-        For dynamic graphs the first request for ``t`` pops the Graph Stack
+        The first request for ``t`` pops the Graph Stack on a dynamic graph
         (which must yield exactly ``t`` — LIFO) and calls
         ``Get-Backward-Graph``; subsequent aggregations of the same
-        timestamp reuse the rebuilt context.
+        timestamp reuse the context.
         """
         t = int(t)
-        if not self.graph.is_dynamic:
-            assert self._static_ctx is not None
-            return self._static_ctx
         if self._bwd_t == t and self._bwd_ctx is not None:
             return self._bwd_ctx
         with span("core.backward_context", t=t):
-            popped = self.graph_stack.pop()
-            if popped != t:
-                raise RuntimeError(
-                    f"graph stack LIFO violation: popped timestamp {popped}, "
-                    f"backward requested {t}"
-                )
+            if self.graph.is_dynamic:
+                popped = self.graph_stack.pop()
+                if popped != t:
+                    raise RuntimeError(
+                        f"graph stack LIFO violation: popped timestamp {popped}, "
+                        f"backward requested {t}"
+                    )
             self.graph.get_backward_graph(t)
             self._bwd_ctx = self._context_for_current()
             self._bwd_t = t

@@ -6,9 +6,12 @@
 * :class:`NaiveGraph` — DTDG with every snapshot pre-materialized;
 * :class:`GPMAGraph` — DTDG as base graph + PMA-backed temporal updates,
   snapshots generated on demand (Algorithms 2 & 3).
+
+The two DTDG kinds (and serving's live view) share :class:`DTDGGraph`: one
+logical position and one snapshot build.
 """
 
-from repro.graph.base import STGraphBase
+from repro.graph.base import DTDGGraph, STGraphBase
 from repro.graph.csr import CSR, build_csr, csr_from_edges, edge_density
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
 from repro.graph.dtdg import DTDG, EdgeUpdate
@@ -21,6 +24,7 @@ from repro.graph.static import StaticGraph
 
 __all__ = [
     "STGraphBase",
+    "DTDGGraph",
     "CSR",
     "build_csr",
     "csr_from_edges",

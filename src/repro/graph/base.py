@@ -33,6 +33,12 @@ per timestamp (see ``docs/EXECUTOR.md``).
 ``NaiveGraph`` return what preprocessing built; the graphs that build on
 demand (``GPMAGraph``, serving's live view) build on every call, count one
 ``csr_cache_misses`` and keep no build.
+
+**One DTDG graph.**  :class:`DTDGGraph` is the base of ``NaiveGraph``,
+``GPMAGraph`` and serving's live view: one logical position and one build,
+:func:`~repro.graph.snapshot_builder.build_snapshot_arrays` over the keys
+its ``_keys()`` hook returns (``NaiveGraph`` runs it once per timestamp up
+front and keeps the results).
 """
 
 from __future__ import annotations
@@ -41,10 +47,13 @@ import abc
 
 import numpy as np
 
+from repro.device import current_device
 from repro.graph.csr import BuiltSnapshot, CSR
-from repro.obs.spine import emit
+from repro.graph.dtdg import DTDG
+from repro.graph.snapshot_builder import build_snapshot_arrays
+from repro.obs.spine import emit, span
 
-__all__ = ["STGraphBase"]
+__all__ = ["DTDGGraph", "STGraphBase"]
 
 
 class STGraphBase(abc.ABC):
@@ -153,3 +162,66 @@ class STGraphBase(abc.ABC):
                     f"label {l} maps to {bwd_pairs[int(l)]} in bwd CSR "
                     f"but ({u}, {v}) in fwd CSR"
                 )
+
+
+class DTDGGraph(STGraphBase):
+    """A graph over a DTDG: logical positioning and the one snapshot build.
+
+    Positioning is a logical move, always: ``get_graph`` /
+    ``get_backward_graph`` set the timestamp, and the content identity of a
+    timestamp is ``dtdg.version_of(t)``, known without building anything.  A
+    move that changes the timestamp and not the version crossed only no-op
+    boundaries (one ``noop_updates_skipped``).  ``snapshot()`` builds from
+    the sorted unique edge keys :meth:`_keys` returns, one
+    ``graph.build_snapshot`` span and one ``csr_cache_misses`` per call, and
+    keeps nothing: the executor's context LRU stores what it builds.
+    """
+
+    def __init__(self, dtdg: DTDG, sort_by_degree: bool = False) -> None:
+        super().__init__(dtdg.num_nodes, sort_by_degree)
+        self.dtdg = dtdg
+        self._pos_time = 0
+
+    @property
+    def curr_time(self) -> int:
+        """Timestamp this graph is logically positioned at."""
+        return self._pos_time
+
+    @property
+    def snapshot_version(self) -> int:
+        """Content version of the currently exposed snapshot."""
+        return self.dtdg.version_of(self._pos_time)
+
+    @property
+    def num_edges(self) -> int:
+        """Edge count of the snapshot at :attr:`curr_time`."""
+        return self.dtdg.snapshot_edge_count(self._pos_time)
+
+    def get_graph(self, timestamp: int) -> "DTDGGraph":
+        """Position at ``timestamp``; nothing is built until :meth:`snapshot`."""
+        self._move(int(timestamp))
+        return self
+
+    def get_backward_graph(self, timestamp: int) -> "DTDGGraph":
+        """Position at ``timestamp`` for the backward step (the same move)."""
+        self._move(int(timestamp))
+        return self
+
+    def _move(self, t: int) -> None:
+        version = self.dtdg.version_of(t)  # IndexError outside [0, T)
+        if t != self._pos_time and version == self.snapshot_version:
+            self._count("noop_updates_skipped")
+        self._pos_time = t
+
+    def _keys(self) -> np.ndarray:
+        """The current snapshot's sorted unique ``src * N + dst`` keys: the
+        DTDG's own, unless a subclass stores them elsewhere (GPMA's PMA)."""
+        return self.dtdg.snapshot_keys(self._pos_time)
+
+    def snapshot(self) -> BuiltSnapshot:
+        """Build the current snapshot from :meth:`_keys`: one ``csr_cache_misses``."""
+        keys = self._keys()
+        with span("graph.build_snapshot", t=self._pos_time, edges=len(keys)):
+            snap = build_snapshot_arrays(keys, self.num_nodes, self.sort_by_degree, current_device().alloc)
+        self._count("csr_cache_misses")
+        return snap

@@ -22,12 +22,13 @@ builds it from the DTDG's keys instead; no serving path holds a PMA
 Snapshots are **versioned** by the data: the content version of timestamp
 ``t`` is ``dtdg.version_of(t)``, the number of non-empty update batches in
 ``1..t`` (a no-op boundary keeps the version, since the content is
-identical).  Positioning is therefore **logical**, always: ``get_graph`` /
-``get_backward_graph`` set the timestamp, and the PMA replays update batches
-only when a snapshot has to be built or the storage is read.
+identical).  Positioning is therefore **logical**, always, and is
+:class:`~repro.graph.base.DTDGGraph`'s: the PMA replays update batches only
+when a snapshot has to be built or the storage is read.
 
-The graph keeps **no** build: ``snapshot()`` catches the PMA up and runs
-relabelling + Algorithm 3 on every call.  Built snapshots live in the
+The graph keeps **no** build: ``snapshot()`` (the base class's one build)
+reads the caught-up PMA's keys through ``_keys()`` and runs relabelling +
+Algorithm 3 on every call.  Built snapshots live in the
 executor's ``snapshot_key() -> GraphContext`` LRU, the one store: the LIFO
 backward walk over a training sequence takes its contexts from there, so it
 neither re-runs relabelling + Algorithm 3 nor rewinds the PMA (the paper
@@ -44,17 +45,21 @@ recorded: it replays nothing.  Figure 9 plots the split.
 
 from __future__ import annotations
 
-from repro.device import current_device
-from repro.graph.base import STGraphBase
+import numpy as np
+
+from repro.graph.base import DTDGGraph
 from repro.graph.dtdg import DTDG
-from repro.graph.snapshot_builder import BuiltSnapshot, UpdateCursor, build_snapshot_arrays
+from repro.graph.snapshot_builder import UpdateCursor
+# The build is DTDGGraph's; the name stays importable from here, where the
+# benchmark probe's tests look for it (benchmarks/e2e/test_probe.py).
+from repro.graph.snapshot_builder import build_snapshot_arrays  # noqa: F401
 from repro.obs.spine import span
 from repro.resilience.faults import current_injector
 
 __all__ = ["GPMAGraph"]
 
 
-class GPMAGraph(STGraphBase):
+class GPMAGraph(DTDGGraph):
     """DTDG as base graph + PMA-backed updates; snapshots built on demand (Algorithm 2)."""
     graph_type = "gpma"
 
@@ -64,14 +69,9 @@ class GPMAGraph(STGraphBase):
         sort_by_degree: bool = False,
         enable_cache: bool = True,
     ) -> None:
-        self.dtdg = dtdg
         with span("graph.preprocess", kind="gpma"):
             self._cursor = UpdateCursor(dtdg, enable_cache=enable_cache)
-        # Logical position: the timestamp this graph *claims*.  The physical
-        # PMA only catches up when a snapshot has to be built or the storage
-        # itself is read (see _advance).
-        self._pos_time = 0
-        super().__init__(dtdg.num_nodes, sort_by_degree)
+        super().__init__(dtdg, sort_by_degree)
         self.enable_cache = enable_cache
         # Planned cache-corruption faults that dropped the saved PMA state.
         self.cache_fault_rebuilds = 0
@@ -83,21 +83,11 @@ class GPMAGraph(STGraphBase):
     def pma(self):
         """The PMA holding the snapshot at :attr:`curr_time`.
 
-        Positioning is deferred (see :meth:`_advance`), so reading the
-        storage is what brings the physical cursor to the logical position.
+        Positioning is logical, so reading the storage is what brings the
+        physical cursor to the logical position.
         """
         self._catch_up()
         return self._cursor.pma
-
-    @property
-    def curr_time(self) -> int:
-        """Timestamp this graph is logically positioned at."""
-        return self._pos_time
-
-    @property
-    def snapshot_version(self) -> int:
-        """Content version of the currently exposed snapshot."""
-        return self.dtdg.version_of(self._pos_time)
 
     @property
     def update_batches_applied(self) -> int:
@@ -110,21 +100,8 @@ class GPMAGraph(STGraphBase):
         return self._cursor.cache_restores
 
     # ------------------------------------------------------------------
-    # Algorithm 2: temporal positioning
+    # Algorithm 2: the PMA's replay and its state slot
     # ------------------------------------------------------------------
-    def get_graph(self, timestamp: int) -> "GPMAGraph":
-        """Get-Graph(G, t): position at ``t``; update batches (with cache
-        retrieval) are applied when the snapshot is built."""
-        self._advance(int(timestamp))
-        return self
-
-    def get_backward_graph(self, timestamp: int) -> "GPMAGraph":
-        """Reverse update to ``timestamp``; the backward pass then reads the
-        out-CSR (the "graph has to be reversed" part is the forward CSR,
-        already produced by Algorithm 3)."""
-        self._advance(int(timestamp))
-        return self
-
     def cache_snapshot(self) -> None:
         """Algorithm 2 line 10: save the current PMA state.
 
@@ -140,36 +117,14 @@ class GPMAGraph(STGraphBase):
         with span("graph.cache_state", t=self._pos_time):
             self._cursor.cache_state()
 
-    def _advance(self, t: int) -> None:
-        """Position at ``t``: a logical move, on every visit.
-
-        The content identity of ``t`` is ``dtdg.version_of(t)``, known
-        without replaying a single update batch.  The physical PMA stays
-        parked and only catches up when a snapshot is built or the storage
-        is read — the LIFO backward walk, served from the executor's
-        contexts, does no structural graph work at all.  A move that changes
-        the timestamp and not the version crossed only no-op boundaries.
-        """
-        version = self.dtdg.version_of(t)  # IndexError outside [0, T)
-        if t != self._pos_time and version == self.snapshot_version:
-            self._count("noop_updates_skipped")
-        self._pos_time = t
-
     def _catch_up(self) -> None:
         """Bring the physical cursor to the logical position (Algorithm 2's replay)."""
         if self._cursor.time != self._pos_time:
             with span("graph.advance", t=self._pos_time):
                 self._cursor.advance(self._pos_time)
 
-    # ------------------------------------------------------------------
-    # Snapshot materialization (relabel + Algorithm 3)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> BuiltSnapshot:
-        """Build the current snapshot: one ``csr_cache_misses``.
-
-        Replays the batches that lead to the logical position (Algorithm 2),
-        then relabels and runs Algorithm 3 over the PMA's keys.  Nothing is
-        kept: the executor's context LRU stores what it builds.
+    def _keys(self) -> np.ndarray:
+        """The caught-up PMA's keys, for the base class's one build.
 
         A planned ``"cache"`` fault (``use_fault_plan``) marks the saved PMA
         state as corrupted and drops it; the build then reads the PMA's
@@ -180,18 +135,7 @@ class GPMAGraph(STGraphBase):
         if injector.enabled and injector.take("cache") is not None:
             self._cursor.drop_cache()
             self._count("cache_fault_rebuilds")
-        pma = self.pma
-        with span("graph.build_snapshot", t=self.curr_time, edges=pma.n_items):
-            snap = build_snapshot_arrays(
-                pma.export_items(), self.num_nodes, self.sort_by_degree, current_device().alloc
-            )
-        self._count("csr_cache_misses")
-        return snap
-
-    @property
-    def num_edges(self) -> int:
-        """Edge count of the snapshot at :attr:`curr_time`."""
-        return self.dtdg.snapshot_edge_count(self._pos_time)
+        return self.pma.export_items()
 
     def storage_bytes(self) -> int:
         """Persistent PMA storage (snapshot CSRs are transient)."""

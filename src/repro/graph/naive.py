@@ -2,51 +2,48 @@
 
 Each snapshot's forward CSR, backward CSR, shared edge labels, degree
 arrays, and (when degree-ordered) node ids are built at the snapshot's
-index width and "moved to the GPU" (tracked by the device allocator) during
-preprocessing.  Accessing a snapshot is then just array indexing — the
-fastest option — but "storing each graph snapshot on the GPU along with
-additional data such as edge IDs, node IDs, in-degrees array, and
+index width and "moved to the GPU" (tracked by the device allocator, under
+``naive.*`` tags) during preprocessing.  The build is the one every
+DTDG-backed graph uses, :func:`~repro.graph.snapshot_builder.build_snapshot_arrays`
+over ``dtdg.snapshot_keys(t)``, run once per timestamp inside the
+``graph.preprocess`` span.  Accessing a snapshot is then just array
+indexing — the fastest option — but "storing each graph snapshot on the GPU
+along with additional data such as edge IDs, node IDs, in-degrees array, and
 out-degrees array creates a significant memory overhead", which is exactly
 what Figure 8 measures.
 
-A snapshot's identity is the DTDG's content version, the same rule as
-GPMAGraph's: across a no-op boundary the executor reuses one context.
+Positioning and a snapshot's identity (the DTDG's content version) are
+:class:`~repro.graph.base.DTDGGraph`'s, the same rule as GPMAGraph's: across
+a no-op boundary the executor reuses one context.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.device import current_device
-from repro.graph.base import STGraphBase
-from repro.graph.csr import BuiltSnapshot, csr_from_edges
+from repro.graph.base import DTDGGraph
+from repro.graph.csr import BuiltSnapshot
 from repro.graph.dtdg import DTDG
+from repro.graph.snapshot_builder import build_snapshot_arrays
 from repro.obs.spine import span
 
 __all__ = ["NaiveGraph"]
 
 
-class NaiveGraph(STGraphBase):
+class NaiveGraph(DTDGGraph):
     """DTDG with every snapshot pre-materialized (fast access, heavy memory)."""
     graph_type = "naive"
 
     def __init__(self, dtdg: DTDG, sort_by_degree: bool = False) -> None:
-        super().__init__(dtdg.num_nodes, sort_by_degree)
-        self.dtdg = dtdg
+        super().__init__(dtdg, sort_by_degree)
         alloc = current_device().alloc
-        self._snapshots: list[BuiltSnapshot] = []
         with span("graph.preprocess", kind="naive"):
-            for t in range(dtdg.num_timestamps):
-                src, dst = dtdg.snapshot_edges(t)
-                bwd, fwd = csr_from_edges(src, dst, dtdg.num_nodes, sort_by_degree)
-                # Degrees are the CSRs' row lengths, at the same index width.
-                in_deg = alloc.adopt(np.diff(fwd.row_offset), tag="naive.in_deg")
-                out_deg = alloc.adopt(np.diff(bwd.row_offset), tag="naive.out_deg")
-                self._snapshots.append(BuiltSnapshot(fwd, bwd, in_deg, out_deg))
-                # Every snapshot is built exactly once, up front: one
-                # csr_cache_misses each.
-                self._count("csr_cache_misses")
-        self._current = 0
+            self._snapshots: list[BuiltSnapshot] = [
+                build_snapshot_arrays(dtdg.snapshot_keys(t), self.num_nodes, sort_by_degree, alloc, tag="naive")
+                for t in range(dtdg.num_timestamps)
+            ]
+        # Every snapshot is built exactly once, up front: one
+        # csr_cache_misses each.
+        self._count("csr_cache_misses", len(self._snapshots))
 
     @property
     def num_timestamps(self) -> int:
@@ -70,30 +67,20 @@ class NaiveGraph(STGraphBase):
         # "Accessing these snapshots is immediate since it only involves
         # array indexing": Figure 9's ~0 update share for the Naive variant
         # is the executor's begin_timestamp interval around this call.
-        self._current = self._check_prebuilt(timestamp)
+        super().get_graph(self._check_prebuilt(timestamp))
         return self
 
     def get_backward_graph(self, timestamp: int) -> "NaiveGraph":
         """Point at the pre-built snapshot for the backward step."""
-        self._current = self._check_prebuilt(timestamp)
+        super().get_backward_graph(self._check_prebuilt(timestamp))
         # The backward walk reuses the forward build: structurally free
         # here, and the one event ``csr_cache_hits`` counts.
         self._count("csr_cache_hits")
         return self
 
-    @property
-    def snapshot_version(self) -> int:
-        """Content version of the snapshot currently pointed at."""
-        return self.dtdg.version_of(self._current)
-
     def snapshot(self) -> BuiltSnapshot:
         """The pre-built snapshot currently pointed at."""
-        return self._snapshots[self._current]
-
-    @property
-    def num_edges(self) -> int:
-        """Current snapshot's edge count."""
-        return self.snapshot().bwd.num_edges
+        return self._snapshots[self._pos_time]
 
     def storage_bytes(self) -> int:
         """Total bytes of all pre-materialized snapshots (both CSR copies)."""
@@ -102,5 +89,5 @@ class NaiveGraph(STGraphBase):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"NaiveGraph(N={self.num_nodes}, T={self.num_timestamps}, "
-            f"current={self._current}, E={self.num_edges})"
+            f"current={self.curr_time}, E={self.num_edges})"
         )

@@ -1,4 +1,4 @@
-"""Algorithm 2 and the snapshot build behind :class:`~repro.graph.gpma_graph.GPMAGraph`.
+"""Algorithm 2 and the one snapshot build of the DTDG-backed graphs.
 
 * :class:`UpdateCursor` — the mutable core of a GPMA-backed temporal graph:
   one PMA positioned at one timestamp, with Algorithm 2's update-batch
@@ -8,7 +8,11 @@
   has is :meth:`DTDG.version_of <repro.graph.dtdg.DTDG.version_of>`.
 * :func:`build_snapshot_arrays` — the pure relabel + Algorithm 3 function:
   sorted edge keys in, immutable :class:`BuiltSnapshot` out, no shared
-  state touched, O(E + N).  The paper's gapped input shape over raw PMA
+  state touched, O(E + N).  Every DTDG-backed graph builds through it
+  (:class:`~repro.graph.base.DTDGGraph`: GPMA and serving per call, Naive
+  once per timestamp up front); only ``StaticGraph`` keeps
+  :func:`~repro.graph.csr.csr_from_edges`, whose loaders' edges are not
+  key-sorted.  The paper's gapped input shape over raw PMA
   storage is a test oracle only (``tests/_snapshot_reference.py``).
 
 Graphs keep no build: a graph's ``snapshot()`` calls the build and hands
@@ -45,7 +49,7 @@ class _CursorState:
 # Pure snapshot materialization (relabel + Algorithm 3)
 # ---------------------------------------------------------------------------
 def build_snapshot_arrays(
-    keys: np.ndarray, num_nodes: int, sort_by_degree: bool, alloc
+    keys: np.ndarray, num_nodes: int, sort_by_degree: bool, alloc, tag: str = "gpma"
 ) -> BuiltSnapshot:
     """Relabel + Algorithm 3 over one snapshot's sorted unique edge keys →
     an immutable :class:`BuiltSnapshot`.
@@ -54,8 +58,9 @@ def build_snapshot_arrays(
     transpose.  The keys come from a PMA compaction
     (:meth:`~repro.pma.PackedMemoryArray.export_items`, the training walk)
     or from :meth:`DTDG.snapshot_keys <repro.graph.dtdg.DTDG.snapshot_keys>`
-    (serving).  Pure: ``keys`` is read, the only side effect is byte
-    accounting on ``alloc``.
+    (serving and ``NaiveGraph``'s pre-build).  Pure: ``keys`` is read, the
+    only side effect is byte accounting on ``alloc``, under the caller's
+    ``tag`` prefix (``gpma.*`` for the graphs that build on demand).
     """
     from repro.graph.reverse import reverse_gpma_vectorized
 
@@ -68,26 +73,26 @@ def build_snapshot_arrays(
     in_deg = np.bincount(dst, minlength=num_nodes).astype(idx)
 
     # Backward (out-)CSR falls straight out of the sorted keys.
-    bwd_row = alloc.zeros(num_nodes + 1, dtype=idx, tag="gpma.bwd.row")
+    bwd_row = alloc.zeros(num_nodes + 1, dtype=idx, tag=f"{tag}.bwd.row")
     np.cumsum(out_deg, out=bwd_row[1:])
-    bwd_col = alloc.adopt(dst.astype(idx), tag="gpma.bwd.col")
-    bwd_eid = alloc.adopt(labels, tag="gpma.bwd.eid")
+    bwd_col = alloc.adopt(dst.astype(idx), tag=f"{tag}.bwd.col")
+    bwd_eid = alloc.adopt(labels, tag=f"{tag}.bwd.eid")
     bwd_ids, fwd_ids = node_ids_for(out_deg, sort_by_degree), node_ids_for(in_deg, sort_by_degree)
     if sort_by_degree:  # identity order keeps no array
-        alloc.adopt(bwd_ids, tag="gpma.bwd.ids")
-        alloc.adopt(fwd_ids, tag="gpma.fwd.ids")
+        alloc.adopt(bwd_ids, tag=f"{tag}.bwd.ids")
+        alloc.adopt(fwd_ids, tag=f"{tag}.fwd.ids")
     bwd = CSR(bwd_row, bwd_col, bwd_eid, bwd_ids)
 
     # Forward (reverse) CSR: Algorithm 3's counting sort over that compact
     # out-CSR, already at the index width.
     f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, bwd_col, labels, num_nodes)
     fwd = CSR(
-        alloc.adopt(f_row, tag="gpma.fwd.row"),
-        alloc.adopt(f_col, tag="gpma.fwd.col"),
-        alloc.adopt(f_eid, tag="gpma.fwd.eid"),
+        alloc.adopt(f_row, tag=f"{tag}.fwd.row"),
+        alloc.adopt(f_col, tag=f"{tag}.fwd.col"),
+        alloc.adopt(f_eid, tag=f"{tag}.fwd.eid"),
         fwd_ids,
     )
-    return BuiltSnapshot(fwd, bwd, alloc.adopt(in_deg, tag="gpma.in_deg"), alloc.adopt(out_deg, tag="gpma.out_deg"))
+    return BuiltSnapshot(fwd, bwd, alloc.adopt(in_deg, tag=f"{tag}.in_deg"), alloc.adopt(out_deg, tag=f"{tag}.out_deg"))
 
 
 # ---------------------------------------------------------------------------

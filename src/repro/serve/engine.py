@@ -5,7 +5,8 @@ prediction) of vertex ``v`` at the latest time" — while update batches keep
 landing on the same graph.  Serving only ever moves to the newest snapshot,
 whose sorted edge keys :meth:`~repro.graph.dtdg.DTDG.append_update` has
 already computed, so the engine builds that snapshot's CSRs straight from
-them (:class:`_LiveGraph`).  No serving path holds a PMA or an
+them (:class:`_LiveGraph`, a :class:`~repro.graph.base.DTDGGraph` over the
+DTDG's own keys).  No serving path holds a PMA or an
 ``UpdateCursor``: the GPMA and Algorithm 2 serve the training walk
 (forward, LIFO rewind, a saved state between sequences).  The live graph
 keeps no build; the executor's context store, the one store of built
@@ -58,11 +59,10 @@ import numpy as np
 
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device, use_device
-from repro.graph.base import STGraphBase
+from repro.graph.base import DTDGGraph
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
 from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
-from repro.graph.snapshot_builder import BuiltSnapshot, build_snapshot_arrays
 from repro.obs.spine import emit, installed, span, use_installed
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -125,47 +125,26 @@ class _Request:
         self.batch_size = 0
 
 
-class _LiveGraph(STGraphBase):
-    """The serving view of a DTDG: a snapshot built from its sorted keys.
-
-    Positioned at the newest timestamp from construction on.  Like
-    :class:`~repro.graph.gpma_graph.GPMAGraph` it keeps no build:
-    :meth:`snapshot` is :func:`build_snapshot_arrays` over
-    :meth:`~repro.graph.dtdg.DTDG.snapshot_keys`, one ``csr_cache_misses``
-    per call, and the engine's one-entry context store keeps the result.
-    Driven by the dispatcher thread only.
-    """
+class _LiveGraph(DTDGGraph):
+    """The serving view of a DTDG, positioned at the newest timestamp from
+    construction on.  All of it is :class:`~repro.graph.base.DTDGGraph`'s:
+    its ``snapshot()`` builds from :meth:`~repro.graph.dtdg.DTDG.snapshot_keys`
+    and keeps nothing (the engine's one-entry context store keeps the
+    result).  Driven by the dispatcher thread only."""
 
     graph_type = "live"
 
     def __init__(self, dtdg: DTDG, sort_by_degree: bool) -> None:
-        super().__init__(dtdg.num_nodes, sort_by_degree)
-        self.dtdg = dtdg
-        self.curr_time = dtdg.num_timestamps - 1
-        self.snapshot_version = dtdg.version_of(self.curr_time)
-
-    def get_graph(self, timestamp: int) -> "_LiveGraph":
-        """Position at ``timestamp``; nothing is built until :meth:`snapshot`."""
-        self.snapshot_version = self.dtdg.version_of(timestamp)  # IndexError outside [0, T)
-        self.curr_time = int(timestamp)
-        return self
-
-    get_backward_graph = get_graph  # serving runs no backward pass
-
-    def snapshot(self) -> BuiltSnapshot:
-        keys = self.dtdg.snapshot_keys(self.curr_time)
-        with span("graph.build_snapshot", t=self.curr_time, edges=len(keys)):
-            snap = build_snapshot_arrays(keys, self.num_nodes, self.sort_by_degree, current_device().alloc)
-        self._count("csr_cache_misses")
-        return snap
-
-    @property
-    def num_edges(self) -> int:
-        return self.dtdg.snapshot_edge_count(self.curr_time)
+        super().__init__(dtdg, sort_by_degree)
+        self._pos_time = dtdg.num_timestamps - 1
 
 
 class InferenceEngine:
     """Batched point-query inference over a live DTDG.
+
+    Every served forward is the model's zero-state step (``state=None``):
+    one GCN-style layer then reads only the current snapshot, which is what
+    makes the k-hop rule exact.
 
     Parameters
     ----------
@@ -208,7 +187,6 @@ class InferenceEngine:
         hops: int = 1,
         batching: bool = True,
         invalidation: bool = True,
-        state: np.ndarray | None = None,
     ) -> None:
         if hops < 0:
             raise ValueError("hops must be >= 0")
@@ -228,7 +206,6 @@ class InferenceEngine:
         # version, so the live version's context is the one worth keeping.
         self._executor = TemporalExecutor(self.graph, ctx_cache_size=1)
         self._features = np.ascontiguousarray(features, dtype=np.float32)
-        self._state = None if state is None else np.asarray(state, dtype=np.float32)
         self._num_nodes = int(graph.num_nodes)
 
         # --- shared state, guarded by _cv -----------------------------
@@ -486,8 +463,7 @@ class InferenceEngine:
         self._h = self._pred = None
         with span("serve.forward", t=self.graph.curr_time), no_grad():
             self._executor.begin_inference(self.graph.curr_time)
-            state = None if self._state is None else Tensor(self._state)
-            pred, h = self.model.step(self._executor, Tensor(self._features), state)
+            pred, h = self.model.step(self._executor, Tensor(self._features), None)
         self._h = h.data
         self._pred = pred.data
         self._valid[:] = True

@@ -190,14 +190,14 @@ def serial_reference(
     dtdg: DTDG,
     features: np.ndarray,
     timestamps: Sequence[int],
-    *,
-    state: np.ndarray | None = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Fresh ``(embedding, prediction)`` outputs per timestamp, serially.
 
     The query-after-every-update oracle: a fresh graph and executor walk
-    ``timestamps`` in order, computing one no-grad forward each — exactly
-    what a serial client would see after each update batch.  Because the
+    ``timestamps`` in order, computing one no-grad, zero-state forward each
+    — exactly what a serial client would see after each update batch.  It
+    builds through a :class:`GPMAGraph` (the PMA path), so it stays
+    independent of the keys path serving builds from.  Because the
     engine's DTDG accumulates ingested batches as appended snapshots, run
     this *after* a serving run over ``engine.graph.dtdg`` and compare each
     :class:`ServeResult` against ``reference[result.timestamp]`` bitwise.
@@ -209,8 +209,7 @@ def serial_reference(
     for t in timestamps:
         with no_grad():
             executor.begin_inference(int(t))
-            st = None if state is None else Tensor(np.asarray(state, dtype=np.float32))
-            pred, h = model.step(executor, Tensor(x), st)
+            pred, h = model.step(executor, Tensor(x), None)
         out[int(t)] = (h.data.copy(), pred.data.copy())
     return out
 

@@ -122,7 +122,7 @@ def evaluate_regression(
     with no_grad():
         state = None
         for offset, (_, y) in enumerate(zip(features, targets)):
-            executor.begin_timestamp(start_timestamp + offset)
+            executor.begin_inference(start_timestamp + offset)
             pred, state = model.step(executor, inputs[offset], state)
             p = pred.numpy()
             errs_sq.append(float(((p - y) ** 2).mean()))

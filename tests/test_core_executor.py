@@ -43,11 +43,55 @@ def sum_program():
 
 
 def test_static_context_cached(static_graph):
+    """A static graph takes the keyed LRU like any other: its key is always
+    0, so its one context is built once and hit by every later forward and
+    backward step."""
     ex = TemporalExecutor(static_graph)
     c0 = ex.begin_timestamp(0)
     c1 = ex.begin_timestamp(1)
     assert c0 is c1  # static graphs build one context
+    assert ex.backward_context(1) is c0 and ex.backward_context(0) is c0
+    assert ex.begin_inference(2) is c0
+    assert (ex.ctx_cache_misses, ex.ctx_cache_hits) == (1, 4)
     assert ex.graph_stack.is_empty  # "the graph-stack is not used"
+
+
+def test_static_losses_do_not_depend_on_the_context_store():
+    """Hitting the one static context moves no bit against building a fresh
+    context every step (the store off)."""
+    from repro.dataset import load_hungary_chickenpox
+    from repro.tensor import init
+    from repro.train import STGraphNodeRegressor, STGraphTrainer
+
+    ds = load_hungary_chickenpox(lags=4, scale=1.0, num_timestamps=8)
+    runs = []
+    for size in (0, 4):
+        init.set_seed(0)
+        trainer = STGraphTrainer(STGraphNodeRegressor(4, 8), ds.build_graph(), lr=1e-2, sequence_length=3)
+        trainer.executor = TemporalExecutor(trainer.graph, ctx_cache_size=size)
+        losses = trainer.train(ds.features, ds.targets, epochs=3)
+        runs.append(([float(v).hex() for v in losses], trainer.executor.ctx_cache_misses))
+    (off, off_misses), (on, on_misses) = runs
+    assert on == off
+    assert (off_misses, on_misses) == (0, 1)
+
+
+@pytest.mark.parametrize("kind", ["static", "naive", "gpma"])
+def test_begin_timestamp_refuses_to_run_without_grad(kind, static_graph, dtdg):
+    """A no-grad forward has no backward to pop a Graph Stack entry, so
+    ``begin_timestamp`` refuses it on every graph kind and names
+    ``begin_inference``, which positions the same graph without a push."""
+    from repro.core.executor import NoGradTimestampError
+    from repro.tensor import no_grad
+
+    graph = {"static": lambda: static_graph, "naive": lambda: NaiveGraph(dtdg), "gpma": lambda: GPMAGraph(dtdg)}[kind]()
+    ex = TemporalExecutor(graph)
+    with no_grad():
+        with pytest.raises(NoGradTimestampError, match="begin_inference"):
+            ex.begin_timestamp(1)
+        assert ex.graph_stack.is_empty and ex.current_timestamp is None
+        ex.begin_inference(1)
+    assert ex.graph_stack.is_empty and ex.current_timestamp == 1
 
 
 def test_current_context_requires_begin(static_graph):

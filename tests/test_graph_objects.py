@@ -97,8 +97,8 @@ def test_naive_graph_stores_two_csr_copies(random_dtdg, fresh_device):
     # the paper's memory critique: both orientations per snapshot resident
     assert ng.storage_bytes() > 0
     tags = fresh_device.tracker.live_by_tag()
-    assert any("csr.fwd" in t for t in tags)
-    assert any("csr.bwd" in t for t in tags)
+    assert any(t.startswith("naive.fwd.") for t in tags)
+    assert any(t.startswith("naive.bwd.") for t in tags)
 
 
 def test_naive_graph_backward_positioning(random_dtdg):
@@ -125,7 +125,7 @@ def test_naive_graph_refuses_a_timestamp_appended_after_construction():
     for move in (ng.get_graph, ng.get_backward_graph):
         with pytest.raises(IndexError, match=r"timestamp 2 .*\[0, 2\)"):
             move(t_new)
-        assert ng._current == 1 and _edge_set(ng) == before
+        assert ng.curr_time == 1 and _edge_set(ng) == before
     with pytest.raises(IndexError, match="timestamp -1 "):
         ng.get_graph(-1)
 
@@ -133,18 +133,42 @@ def test_naive_graph_refuses_a_timestamp_appended_after_construction():
 # ---------------------------------------------------------------------------
 # GPMAGraph
 # ---------------------------------------------------------------------------
-def test_gpma_equals_naive_on_walks(random_dtdg, rng):
-    ng = NaiveGraph(random_dtdg)
-    gg = GPMAGraph(random_dtdg)
+def _snapshot_arrays(snap):
+    """The ten arrays of a built snapshot (``None`` for identity order)."""
+    return [
+        a
+        for csr in (snap.fwd, snap.bwd)
+        for a in (csr.row_offset, csr.col_indices, csr.eids, csr.node_ids)
+    ] + [snap.in_deg, snap.out_deg]
+
+
+def _assert_same_snapshot(got, want, where):
+    for a, b in zip(_snapshot_arrays(got), _snapshot_arrays(want), strict=True):
+        if b is None:
+            assert a is None, where
+            continue
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+
+
+def test_gpma_equals_naive_on_walks(random_dtdg):
+    """Naive pre-builds with the same builder the GPMA graph runs on demand,
+    so the two expose the same arrays, dtypes included, at every position
+    and in both vertex orders; on the DTDG's key-sorted edges that build is
+    also bit-equal to the ``csr_from_edges`` build a ``StaticGraph`` runs."""
     walk = [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 3, 5, 0, 2]
-    for t in walk:
-        ng.get_graph(t)
-        gg.get_graph(t)
-        gg.pma.check_invariants()
-        assert _edge_set(gg) == _edge_set(ng), t
-        assert np.array_equal(gg.in_degrees(), ng.in_degrees())
-        assert np.array_equal(gg.out_degrees(), ng.out_degrees())
-        gg.validate_label_consistency()
+    for sort_by_degree in (False, True):
+        ng = NaiveGraph(random_dtdg, sort_by_degree=sort_by_degree)
+        gg = GPMAGraph(random_dtdg, sort_by_degree=sort_by_degree)
+        for t in walk:
+            ng.get_graph(t)
+            gg.get_graph(t)
+            gg.pma.check_invariants()
+            where = (sort_by_degree, t)
+            _assert_same_snapshot(gg.snapshot(), ng.snapshot(), where)
+            static = StaticGraph(*random_dtdg.snapshot_edges(t), random_dtdg.num_nodes, sort_by_degree)
+            _assert_same_snapshot(static.snapshot(), ng.snapshot(), where)
+            assert (gg.snapshot_version, gg.num_edges) == (ng.snapshot_version, ng.num_edges)
+            gg.validate_label_consistency()
 
 
 def test_gpma_out_of_range_timestamp(random_dtdg):

@@ -1,8 +1,8 @@
 """The serving engine's live graph: the newest snapshot, built from DTDG keys.
 
 * every array the live view builds, and every array of the engine's
-  context, equals a fresh ``GPMAGraph`` build of the same timestamp, dtype
-  included, after every appended batch (mixed, delete-only, fully redundant
+  context, equals a fresh ``GPMAGraph`` build and a fresh ``NaiveGraph``
+  pre-build of the same timestamp, dtype included, after every appended batch (mixed, delete-only, fully redundant
   and empty; identity and degree order), and after a batch that changes
   nothing the engine's executor reuses its context instead of building;
 * the engine reports the version it serves from boot on: the newest
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import DTDG, EdgeUpdate, GPMAGraph
+from repro.graph import DTDG, EdgeUpdate, GPMAGraph, NaiveGraph
 from repro.graph.snapshot_builder import UpdateCursor
 from repro.pma import PackedMemoryArray
 from repro.serve import InferenceEngine, random_update_batches, serial_reference
@@ -105,6 +105,9 @@ def test_live_view_equals_a_fresh_gpma_build_at_every_update(n, seed, snapshots,
         want = _arrays(fresh.snapshot())
         _assert_same(_ctx_arrays(ctx), want, sort_by_degree)
         _assert_same(_arrays(live.snapshot()), want, sort_by_degree)
+        naive = NaiveGraph(dtdg, sort_by_degree).get_graph(t)
+        assert naive.snapshot_version == ctx.snapshot_key and naive.num_edges == live.num_edges
+        _assert_same(_arrays(naive.snapshot()), want, sort_by_degree)
     assert live.csr_cache_hits == 0  # a graph that builds on demand keeps nothing to hit
 
 

@@ -289,7 +289,7 @@ def test_no_grad_step_saves_and_adopts_nothing(fresh_device, rng, monkeypatch):
     h = Tensor(rng.standard_normal((n, f)).astype(np.float32))
     gc.collect()
     with no_grad():
-        ex.begin_timestamp(0)
+        ex.begin_inference(0)
         out = model(ex, x, h)
     assert out._ctx is None
     assert len(nodes) == 1 and nodes[0].saved == ()

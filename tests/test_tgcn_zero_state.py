@@ -54,7 +54,9 @@ def _tgcn_step(n, f, seed):
     x = Tensor(np.random.default_rng(seed + 1).standard_normal((n, IN)).astype(np.float32))
 
     def step(h):
-        ex.begin_timestamp(0)
+        # Positions without a Graph Stack push, so the step runs with grad
+        # on or off (nothing here runs a backward pass).
+        ex.begin_inference(0)
         return model(ex, x, h)
 
     return model, step
@@ -72,7 +74,7 @@ def _a3tgcn_step(n, f, seed):
     xs = [Tensor(rng.standard_normal((n, IN)).astype(np.float32)) for _ in range(3)]
 
     def step(h):
-        ex.begin_timestamp(0)
+        ex.begin_inference(0)  # as in _tgcn_step
         return model(ex, xs, h)
 
     return model, step
@@ -214,7 +216,7 @@ def test_zero_state_forward_launches_two_aggregations(fresh_device, rng):
     x = Tensor(rng.standard_normal((n, IN)).astype(np.float32))
     launches = fresh_device.launcher.launches_by_tier
     with no_grad():
-        ex.begin_timestamp(0)
+        ex.begin_inference(0)
         model(ex, x)
         assert sum(launches.values()) == 2
         model(ex, x, F.zeros((n, f)))

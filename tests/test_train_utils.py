@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dataset import load_hungary_chickenpox
+from repro.dataset import load_hungary_chickenpox, load_sx_mathoverflow
 from repro.tensor import init, nn
 from repro.train import (
     EarlyStopping,
@@ -97,3 +97,19 @@ def test_evaluate_regression_rollout():
     # training should beat the trivial zero predictor on standardized data
     baseline_mse = float(np.mean([np.mean(y**2) for y in te_y]))
     assert metrics["mse"] < baseline_mse * 1.5
+
+
+@pytest.mark.parametrize("build", ["build_gpma", "build_naive"])
+def test_train_evaluate_train_on_a_dynamic_graph(build):
+    """The evaluation rollout runs under ``no_grad`` and positions with
+    ``begin_inference``: it pushes no Graph Stack entry, so the next
+    training epoch on a DTDG-backed graph starts from a drained stack."""
+    ds = load_sx_mathoverflow(scale=0.01, feature_size=4, max_snapshots=6)
+    targets = [x[:, :1].copy() for x in ds.features]
+    init.set_seed(0)
+    model = STGraphNodeRegressor(4, 8)
+    trainer = STGraphTrainer(model, getattr(ds, build)(), lr=1e-2)
+    first = trainer.train_epoch(ds.features, targets)
+    metrics = evaluate_regression(model, trainer.executor, ds.features, targets)
+    second = trainer.train_epoch(ds.features, targets)
+    assert np.isfinite([first, second, *metrics.values()]).all()
