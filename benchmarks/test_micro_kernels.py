@@ -1,13 +1,12 @@
 """Kernel micro-benchmarks: vertex-centric SpMM vs edge-parallel
 gather/scatter, the degree-sort ablation, and the aggregation launch path."""
 
-import time
-
 import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from benchmarks._interleave import interleaved_ratio
 from repro.compiler import compile_vertex_program
 from repro.compiler.runtime import GraphContext, spmm
 from repro.graph import StaticGraph
@@ -76,16 +75,6 @@ def test_ablation_degree_sort_on(benchmark, graph, rng):
     benchmark(lambda: prog.forward(ctx, {"h": h, "norm": norm}))
 
 
-def _best_seconds(fn, repeats: int = 7, calls: int = 50) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 @pytest.mark.parametrize("direction", ["in", "out"])
 def test_warm_spmm_launch_is_product_bound(graph, rng, monkeypatch, direction):
     """Gate: a warm unweighted degree-ordered ``spmm`` is the product plus the
@@ -98,8 +87,10 @@ def test_warm_spmm_launch_is_product_bound(graph, rng, monkeypatch, direction):
     (also built once); the launch may cost at most
     1.25x that, because everything else it used to do per call (wrap the
     arrays in a matrix, permute its rows) is structure of the context.
-    Both sides run in this process on the same arrays, so runner speed
-    cancels out.  A warm launch also constructs no matrix at all.
+    Both sides run in this process on the same arrays, in interleaved
+    rounds (``benchmarks/_interleave.py``), and the gate reads the median
+    per-round ratio, so runner speed and its drift cancel out.  A warm
+    launch also constructs no matrix at all.
     """
     g, edges = graph
     ctx = GraphContext(StaticGraph(edges[0], edges[1], N, sort_by_degree=True))
@@ -117,10 +108,10 @@ def test_warm_spmm_launch_is_product_bound(graph, rng, monkeypatch, direction):
         return (prepermuted @ x).take(inverse, axis=0)
 
     assert np.array_equal(spmm(ctx, None, x, direction), bare())  # also warms the operator
-    t_bare = _best_seconds(bare)
-    t_launch = _best_seconds(lambda: spmm(ctx, None, x, direction))
-    assert t_launch <= 1.25 * t_bare, (
-        f"warm spmm({direction!r}) is {t_launch / t_bare:.2f}x the bare product + gather"
+    ratio = interleaved_ratio(lambda: spmm(ctx, None, x, direction), bare, rounds=15, calls=25)
+    print(f"\nwarm spmm({direction!r}): {ratio:.3f}x the bare product + gather")
+    assert ratio <= 1.25, (
+        f"warm spmm({direction!r}) is {ratio:.2f}x the bare product + gather"
     )
 
     built = []

@@ -498,7 +498,9 @@ def _cmd_lint_concurrency(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.compiler import plan_cache, verify_plan, verification_disabled
+    from functools import partial
+
+    from repro.compiler import VerifyError, plan_cache
     from repro.compiler.diagnostics import code_table
 
     if args.codes:
@@ -509,31 +511,38 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.concurrency or args.write_baseline:
         return _cmd_lint_concurrency(args)
 
+    # Every plan build runs the verifier, so linting is building: a plan in
+    # the cache carries its report as `plan.lint` (warm plans included), and
+    # a program that fails verification raises and is reported from the
+    # error, while the remaining programs still build.
     cache = plan_cache()
-    # Build with the verifier off so broken programs *report* instead of
-    # raising mid-construction — `repro lint` is the on-demand batch mode.
-    # Every plan in the process-wide cache is then verified, whether it was
-    # built here or already warm.
-    with verification_disabled():
-        names = _LINT_PROGRAMS if args.layer == "all" else (args.layer,)
-        factories = _lint_factories(args.features)
-        for name in names:
-            factories[name]()
-        if args.examples:
-            for fn, widths, grads, name in _lint_example_specs():
-                cache.get_or_build(fn, feature_widths=widths, grad_features=grads, name=name)
+    failed = []
+    builds = [
+        factory for name, factory in _lint_factories(args.features).items()
+        if args.layer in ("all", name)
+    ]
+    if args.examples:
+        builds += [
+            partial(cache.get_or_build, fn, feature_widths=widths, grad_features=grads, name=name)
+            for fn, widths, grads, name in _lint_example_specs()
+        ]
+    for build in builds:
+        try:
+            build()
+        except VerifyError as exc:
+            failed.append(exc.report)
 
-    plans = cache.plans()
+    reports = [(plan.name, plan.lint) for plan in cache.plans()]
+    reports += [(report.subject, report) for report in failed]
     errors = warnings = 0
-    for plan in plans:
-        report = verify_plan(plan)
+    for name, report in reports:
         errors += len(report.errors)
         warnings += len(report.warnings)
         status = "ok" if report.ok() else report.summary().split(": ", 1)[1]
-        print(f"  {plan.name:<24s} {status}")
+        print(f"  {name:<24s} {status}")
         for diag in report.diagnostics:
             print(f"    {diag.render()}")
-    print(f"linted {len(plans)} program(s): {errors} error(s), {warnings} warning(s)")
+    print(f"linted {len(reports)} program(s): {errors} error(s), {warnings} warning(s)")
     return 1 if errors else 0
 
 

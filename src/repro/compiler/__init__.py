@@ -44,13 +44,7 @@ from repro.compiler.symbols import Vertex, trace
 from repro.compiler.plan import PlanCache, ProgramPlan, compile_vertex_program, plan_cache, plan_key
 from repro.compiler.interp import interpret_program, trace_execution
 from repro.compiler.tir import IMPLICIT_ONES
-from repro.compiler.verify import (
-    run_verifier,
-    set_verification,
-    verification_disabled,
-    verification_enabled,
-    verify_plan,
-)
+from repro.compiler.verify import run_verifier
 from repro.compiler.viz import tensor_ir_to_dot, vertex_ir_to_dot
 
 __all__ = [
@@ -74,8 +68,4 @@ __all__ = [
     "LintReport",
     "VerifyError",
     "run_verifier",
-    "verify_plan",
-    "set_verification",
-    "verification_enabled",
-    "verification_disabled",
 ]

@@ -125,7 +125,6 @@ class _BwdBuilder:
             for name, (kind, _) in self.prog.inputs.items()
             if kind == "saved"
         ]
-        self.prog.validate()
         return BackwardResult(self.prog, saved, grad_map)
 
     # ------------------------------------------------------------------

@@ -120,10 +120,6 @@ class LintReport:
         self.diagnostics.append(diag)
         return diag
 
-    def extend(self, other: "LintReport") -> None:
-        """Merge another report's diagnostics into this one."""
-        self.diagnostics.extend(other.diagnostics)
-
     # ------------------------------------------------------------------
     @property
     def errors(self) -> list[Diagnostic]:

@@ -30,15 +30,18 @@ class Stage(enum.Enum):
     CONST = "const"
 
 
+_CONST, _EDGE = Stage.CONST, Stage.EDGE
+
+
 def combine_stages(a: Stage, b: Stage) -> Stage:
     """Stage of a binary op's result (CONST absorbs, SRC x DST -> EDGE)."""
-    if a == b:
+    if a is b:
         return a
-    if a == Stage.CONST:
+    if a is _CONST:
         return b
-    if b == Stage.CONST:
+    if b is _CONST:
         return a
-    return Stage.EDGE
+    return _EDGE
 
 
 _ELEMENTWISE_UNARY = {"neg", "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "recip"}

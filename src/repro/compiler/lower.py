@@ -314,5 +314,4 @@ def lower_trace(
     if lowerer.prog.spaces[out] != "node":
         raise CompileError("vertex program must produce a per-vertex (node-space) output")
     lowerer.prog.outputs = [out]
-    lowerer.prog.validate()
     return lowerer.prog, lowerer.widths

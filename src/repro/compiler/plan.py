@@ -25,13 +25,14 @@ All pipeline work (lower → autodiff → passes → codegen → kernel compile)
 is one ``compiler.plan_build`` interval (category ``compile``), so compile
 cost is measurable and visibly amortized in Figure-9-style breakdowns.
 
-Every build also runs the compiler verifier (:mod:`repro.compiler.verify`)
+Every build runs the compiler verifier (:mod:`repro.compiler.verify`)
 before codegen: stage-algebra, SSA, gradient-completeness, ``F_b ⊆ F_f``
-State-Stack safety, and write-hazard checks.  Errors raise
-:class:`~repro.compiler.diagnostics.VerifyError`; warnings ride on the plan
-(``plan.lint``), surface as ``verify`` instant events on an active tracer,
-and are totalled in run manifests.  The escape hatch is
-:func:`~repro.compiler.verify.set_verification`.
+State-Stack safety, and write-hazard checks.  It is the one check of a
+compiled program and it always runs.  Errors raise
+:class:`~repro.compiler.diagnostics.VerifyError`, so a program that fails it
+is never cached; the report of every built plan rides on it as
+``plan.lint``, its warnings surface as ``compiler.lint_warning`` events, and
+run manifests total them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.compiler.passes import SavedAnalysis, cse, dce, saved_analysis
 from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import TraceResult, Vertex, trace
 from repro.compiler.tir import TProgram
-from repro.compiler.verify import run_verifier, verification_enabled
+from repro.compiler.verify import run_verifier
 from repro.device import current_device
 from repro.device.kernel import CompiledKernel
 from repro.obs.spine import emit, span
@@ -106,8 +107,8 @@ class ProgramPlan:
     wrt: tuple[str, ...]
     fwd_kernel: CompiledKernel
     bwd_kernel: CompiledKernel
-    #: verifier findings from the build (None when verification was disabled)
-    lint: LintReport | None = None
+    #: the verifier's findings from the build (warnings only: errors raise)
+    lint: LintReport
 
     # ------------------------------------------------------------------
     @property
@@ -119,13 +120,6 @@ class ProgramPlan:
     def backward_source(self) -> str:
         """The generated backward kernel's source text."""
         return self.bwd_kernel.source
-
-    def required_features(self) -> tuple[set[str], set[str]]:
-        """(node feature names, edge feature names) the program reads."""
-        node, edge = set(), set()
-        for kind, feat in self.fwd_prog.inputs.values():
-            (node if kind == "node" else edge).add(feat)
-        return node, edge
 
     def _bind(self, ctx: GraphContext, node_feats, edge_feats) -> dict[str, np.ndarray]:
         env: dict[str, np.ndarray] = {}
@@ -181,9 +175,8 @@ class ProgramPlan:
             f"== forward ==\n{self.fwd_prog.render()}",
             f"== backward ==\n{self.bwd_prog.render()}",
             f"== state stack ==\n{self.analysis.summary()}",
+            f"== verifier ==\n{self.lint.render()}",
         ]
-        if self.lint is not None:
-            sections.append(f"== verifier ==\n{self.lint.render()}")
         return "\n\n".join(sections)
 
 
@@ -273,15 +266,13 @@ def _build_plan(
     # SSA, grad-completeness, F_b ⊆ F_f, or write-hazard checks never
     # reaches the kernel compiler.  Warnings ride on the plan and surface
     # through any active tracer as `verify` instant events.
-    lint: LintReport | None = None
-    if verification_enabled():
-        lint = run_verifier(
-            traced.root, fwd_prog, bwd_prog, grad_map, wrt, saved_spec,
-            subject=name, analysis=analysis,
-        )
-        lint.raise_if_errors()
-        if lint.warnings:
-            _emit_lint_warnings(lint)
+    lint = run_verifier(
+        traced.root, fwd_prog, bwd_prog, grad_map, wrt, saved_spec,
+        subject=name, analysis=analysis,
+    )
+    lint.raise_if_errors()
+    if lint.warnings:
+        _emit_lint_warnings(lint)
 
     # Entry points derive from the content hash, not the display name, so
     # the generated source of a cached plan is deterministic no matter which

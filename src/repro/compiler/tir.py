@@ -57,7 +57,7 @@ class OpSchema:
     """Static shape of one tensor-IR op kind.
 
     ``klass`` is the write-hazard classification used by
-    :func:`~repro.compiler.verify.verify_write_hazards`:
+    :func:`~repro.compiler.verify.verify_tprogram`:
 
     * ``"reduce"``       — aggregates edge/neighbor values into node space
       (the only legal edge→node writes; atomic scatters on real hardware);
@@ -133,7 +133,7 @@ class TProgram:
 
     ``inputs`` maps buffer name → ("node"|"edge", feature_name): how the
     executor binds user arrays.  ``consts`` maps buffer name → float.
-    ``spaces`` records each buffer's space for validation and codegen.
+    ``spaces`` records each buffer's space for the verifier and codegen.
     """
 
     name: str
@@ -142,27 +142,6 @@ class TProgram:
     consts: dict[str, float] = field(default_factory=dict)
     spaces: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
-
-    def all_buffers(self) -> set[str]:
-        """Every buffer name the program mentions."""
-        names = set(self.inputs) | set(self.consts) | {op.out for op in self.ops}
-        return names
-
-    def validate(self) -> None:
-        """Check single-assignment and that every read is defined."""
-        available = set(self.inputs) | set(self.consts)
-        for op in self.ops:
-            for name in op.ins:
-                if name == IMPLICIT_ONES:
-                    continue
-                if name not in available:
-                    raise ValueError(f"{self.name}: op {op.render()} reads undefined buffer {name!r}")
-            if op.out in available:
-                raise ValueError(f"{self.name}: buffer {op.out!r} redefined")
-            available.add(op.out)
-        for out in self.outputs:
-            if out not in available:
-                raise ValueError(f"{self.name}: output {out!r} never defined")
 
     def render(self) -> str:
         """Readable multi-line dump (inputs, consts, ops, outputs)."""

@@ -14,36 +14,35 @@ gradients rather than errors.  This module makes them loud:
   leaves, nested-aggregation legality.
 * :func:`verify_tprogram` — single assignment per buffer, def-before-use,
   no dangling inputs/outputs/consts, per-kind operand/attr schemas, space
-  table completeness.
+  table completeness, and write hazards: every lowered op is classified as
+  gather / elementwise / reduce-scatter / structural by its
+  :data:`~repro.compiler.tir.OP_SCHEMAS` entry; an edge-space value written
+  into a node-space buffer by anything but a reduction is exactly the write
+  that needs an atomic scatter on real hardware (Algorithm 3), so it is
+  rejected.
 * :func:`verify_gradients` — every differentiable forward input has a
   gradient output in the backward program (or was explicitly marked
   non-diff via ``grad_features``), every backward ``saved`` input is
   actually produced by the forward program (``F_b ⊆ F_f``; the result is
   wired through :class:`~repro.compiler.passes.SavedAnalysis`), and the
   grad seed references the forward output.
-* :func:`verify_write_hazards` — every lowered op is classified as
-  gather / elementwise / reduce-scatter / structural; an edge-space value
-  written into a node-space buffer by anything but a reduction is exactly
-  the write that needs an atomic scatter on real hardware (Algorithm 3),
-  so it is rejected.
 
-The full suite runs automatically when a :class:`ProgramPlan` is built
-(:func:`set_verification` / :func:`verification_disabled` turn it off
-process-wide) and on demand via ``repro lint``.
+:func:`run_verifier` is the one check of a compiled program: every
+:class:`~repro.compiler.plan.ProgramPlan` build runs it before codegen, so
+each plan carries its report as ``plan.lint`` and a program that fails it
+is never built.  There is no switch to turn it off; ``repro lint`` prints
+what the builds already checked.  Each pass walks its IR once, and nothing
+is memoised: the plan cache already builds each program once.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from repro.compiler.diagnostics import LintReport
 from repro.compiler.ir import Stage, VNode, combine_stages
 from repro.compiler.passes import SavedAnalysis, saved_analysis
 from repro.compiler.tir import EW_BINARY, EW_UNARY, IMPLICIT_ONES, OP_SCHEMAS, OpSchema, TProgram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compiler.plan import ProgramPlan
 
 __all__ = [
     "OpSchema",
@@ -51,12 +50,7 @@ __all__ = [
     "verify_vnode_dag",
     "verify_tprogram",
     "verify_gradients",
-    "verify_write_hazards",
     "run_verifier",
-    "verify_plan",
-    "verification_enabled",
-    "set_verification",
-    "verification_disabled",
 ]
 
 _AGG_OPS = {"sum", "mean", "max"}
@@ -64,90 +58,63 @@ _DIRECTIONS = {"in", "out"}
 
 
 # ---------------------------------------------------------------------------
-# Escape hatch
-# ---------------------------------------------------------------------------
-_enabled = True
-
-
-def verification_enabled() -> bool:
-    """Whether plan builds run the verifier (default on)."""
-    return _enabled
-
-
-def set_verification(enabled: bool) -> bool:
-    """Toggle plan-build verification; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def verification_disabled() -> Iterator[None]:
-    """Context manager form of the escape hatch (ablation/benchmark use)."""
-    previous = set_verification(False)
-    try:
-        yield
-    finally:
-        set_verification(previous)
-
-
-# ---------------------------------------------------------------------------
 # 1. VNode DAG verifier
 # ---------------------------------------------------------------------------
-def _node_where(node: VNode, ids: Mapping[int, int]) -> str:
-    idx = ids.get(id(node))
-    prefix = f"%{idx} " if idx is not None else ""
-    name = f" {node.name!r}" if node.name else ""
-    return f"{prefix}{node.op}.{node.stage.value}{name}"
+_DST, _EDGE, _CONST = Stage.DST, Stage.EDGE, Stage.CONST
+_NO_AGGS: frozenset[VNode] = frozenset()
 
 
 def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None:
-    """Check a vertex-IR DAG: acyclicity, stage algebra, leaves, nesting."""
-    # One DFS does both jobs: a back-edge to a GRAY node is a cycle, and
-    # the post-order is the topological order the stage recomputation needs.
-    WHITE, GRAY = 0, 1
-    color: dict[int, int] = {}
-    order: list[VNode] = []
-    stack: list[tuple[VNode, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            color[id(node)] = 2  # BLACK
-            order.append(node)
-            continue
-        if color.get(id(node), WHITE):
-            continue
-        color[id(node)] = GRAY
-        stack.append((node, True))
-        for arg in node.args:
-            state = color.get(id(arg), WHITE)
-            if state == GRAY:
-                report.add(
-                    "STG001",
-                    f"vertex IR reachable from op {root.op!r} contains a cycle through {arg.op!r}",
-                    where=f"{arg.op}.{arg.stage.value}",
-                    program=program,
-                )
-                return  # stages cannot be recomputed on a cyclic graph
-            if state == WHITE:
-                stack.append((arg, False))
+    """Check a vertex-IR DAG: acyclicity, stage algebra, leaves, nesting.
 
-    # Index map for provenance strings: only materialized on first finding
-    # (the clean path never pays for it).
-    ids: dict[int, int] = {}
+    One depth-first walk does the node checks.  A back-edge to a node still
+    on the walk is a cycle; every other node is checked as the walk leaves
+    it (post-order), when its arguments' stages are already recomputed.
+    Nesting needs an aggregation inside another, so only a DAG with two or
+    more reads its post-order once more, from the first aggregation up.
+    """
+    # index[n] is -1 while n is on the walk, then its post-order
+    # position: the ``%i`` of provenance strings.
+    index: dict[VNode, int] = {}
+    order: list[VNode] = []
+    aggs: list[VNode] = []
+    recomputed: dict[VNode, Stage] = {}
+    seen_feats: dict[tuple[str, Stage], VNode] = {}
 
     def where(node: VNode) -> str:
-        if not ids:
-            ids.update({id(n): i for i, n in enumerate(order)})
-        return _node_where(node, ids)
+        idx = index.get(node, -1)
+        prefix = f"%{idx} " if idx >= 0 else ""
+        name = f" {node.name!r}" if node.name else ""
+        return f"{prefix}{node.op}.{node.stage.value}{name}"
 
-    recomputed: dict[int, Stage] = {}
-    seen_feats: dict[tuple[str, Stage], VNode] = {}
-    aggs: list[VNode] = []
+    # A node is popped twice: first to mark it and push its unvisited
+    # arguments above it, then, once they are all finished, to check it.
+    stack: list[VNode] = [root]
+    while stack:
+        node = stack.pop()
+        state = index.get(node)
+        if state is None:
+            index[node] = -1
+            stack.append(node)
+            for arg in node.args:
+                state = index.get(arg)
+                if state == -1:
+                    report.add(
+                        "STG001",
+                        f"vertex IR reachable from op {root.op!r} contains a cycle through {arg.op!r}",
+                        where=f"{arg.op}.{arg.stage.value}",
+                        program=program,
+                    )
+                    return  # stages cannot be recomputed on a cyclic graph
+                if state is None:
+                    stack.append(arg)
+            continue
+        if state >= 0:
+            continue  # already checked, reached again through another parent
 
-    # -- leaves (STG004) + stage recomputation bottom-up (STG002/STG003) --
-    for node in order:
+        index[node] = len(order)
+        order.append(node)
+        args = node.args
         expected: Stage | None = None
         op = node.op
         if op == "feat":
@@ -159,9 +126,8 @@ def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None
                     program=program,
                 )
             else:
-                key = (node.name, node.stage)
-                first = seen_feats.get(key)
-                if first is not None and first is not node:
+                seen = seen_feats.setdefault((node.name, node.stage), node)
+                if seen is not node:
                     report.add(
                         "STG004",
                         f"duplicate feature leaf {node.name!r} at stage {node.stage.value!r} "
@@ -169,44 +135,43 @@ def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None
                         where=where(node),
                         program=program,
                     )
-                else:
-                    seen_feats[key] = node
-            if node.args:
+            if args:
                 report.add("STG002", "feature leaf has arguments", where=where(node), program=program)
-            if node.stage == Stage.CONST:
+            if node.stage is _CONST:
                 report.add("STG002", "feature leaf carries CONST stage", where=where(node), program=program)
-            expected = node.stage if node.stage != Stage.CONST else None
+            else:
+                expected = node.stage
         elif op in EW_BINARY:
-            if len(node.args) != 2:
+            if len(args) != 2:
                 report.add(
                     "STG002",
-                    f"binary op {op!r} has {len(node.args)} arguments",
+                    f"binary op {op!r} has {len(args)} arguments",
                     where=where(node),
                     program=program,
                 )
             else:
-                a, b = node.args
+                a, b = args
                 expected = combine_stages(
-                    recomputed.get(id(a), a.stage), recomputed.get(id(b), b.stage)
+                    recomputed.get(a, a.stage), recomputed.get(b, b.stage)
                 )
         elif op in EW_UNARY:
-            if len(node.args) != 1:
+            if len(args) != 1:
                 report.add(
                     "STG002",
-                    f"unary op {op!r} has {len(node.args)} arguments",
+                    f"unary op {op!r} has {len(args)} arguments",
                     where=where(node),
                     program=program,
                 )
             else:
-                a = node.args[0]
-                expected = recomputed.get(id(a), a.stage)
+                a = args[0]
+                expected = recomputed.get(a, a.stage)
         elif op == "const":
-            if node.args:
+            if args:
                 report.add("STG002", "const node has arguments", where=where(node), program=program)
-            expected = Stage.CONST
+            expected = _CONST
         elif op == "agg":
             aggs.append(node)
-            expected = Stage.DST
+            expected = _DST
             agg_op = node.attrs.get("agg_op")
             direction = node.attrs.get("direction", "in")
             if agg_op not in _AGG_OPS:
@@ -223,16 +188,16 @@ def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None
                     where=where(node),
                     program=program,
                 )
-            if len(node.args) != 1:
+            if len(args) != 1:
                 report.add(
                     "STG002",
-                    f"aggregation has {len(node.args)} bodies",
+                    f"aggregation has {len(args)} bodies",
                     where=where(node),
                     program=program,
                 )
             else:
-                a = node.args[0]
-                if recomputed.get(id(a), a.stage) == Stage.DST:
+                a = args[0]
+                if recomputed.get(a, a.stage) is _DST:
                     report.add(
                         "STG003",
                         "aggregation body is a pure destination-stage expression; "
@@ -241,17 +206,17 @@ def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None
                         program=program,
                     )
         elif op == "edge_softmax":
-            expected = Stage.EDGE
-            if len(node.args) != 1:
+            expected = _EDGE
+            if len(args) != 1:
                 report.add(
                     "STG002",
-                    f"edge_softmax has {len(node.args)} bodies",
+                    f"edge_softmax has {len(args)} bodies",
                     where=where(node),
                     program=program,
                 )
             else:
-                a = node.args[0]
-                if recomputed.get(id(a), a.stage) == Stage.CONST:
+                a = args[0]
+                if recomputed.get(a, a.stage) is _CONST:
                     report.add(
                         "STG002",
                         "edge_softmax of a constant score",
@@ -267,8 +232,8 @@ def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None
             )
 
         if expected is not None:
-            recomputed[id(node)] = expected
-            if node.stage != expected:
+            recomputed[node] = expected
+            if node.stage is not expected:
                 report.add(
                     "STG002",
                     f"stored stage {node.stage.value!r} disagrees with recomputed stage {expected.value!r}",
@@ -277,54 +242,57 @@ def verify_vnode_dag(root: VNode, report: LintReport, program: str = "") -> None
                 )
 
     # -- nested-aggregation legality (STG005) ---------------------------
-    for node in aggs:
-        if not node.args:
-            continue
-        # Walk the body; an inner `agg` reached through an EDGE-stage
-        # intermediate has been pulled into per-edge space — a gather per
-        # edge, legal only at scalar width (vector widths are the E×F
-        # blow-up lowering hard-rejects).  edge_softmax bodies are the
-        # intended GAT pattern and stay exempt.
-        stack: list[tuple[VNode, bool]] = [(node.args[0], False)]
-        visited: dict[bool, set[int]] = {False: set(), True: set()}
-        while stack:
-            cur, via_edge = stack.pop()
-            if id(cur) in visited[via_edge]:
-                continue
-            visited[via_edge].add(id(cur))
-            if cur.op == "agg" and cur is not node and via_edge:
+    # An inner `agg` reached from an outer one's body through an EDGE-stage
+    # intermediate has been pulled into per-edge space: a gather per edge,
+    # legal only at scalar width (vector widths are the E×F blow-up
+    # lowering hard-rejects).  first[n] holds the aggregations reachable
+    # from n (n included) through no other one; via_edge[n] those reachable
+    # from n's arguments through an EDGE-stage node at or below n.  An
+    # aggregation's findings are its body's via_edge set.
+    if len(aggs) < 2:
+        return
+    first: dict[VNode, frozenset[VNode]] = {}
+    via_edge: dict[VNode, frozenset[VNode]] = {}
+    for node in order[index[aggs[0]]:]:
+        args = node.args
+        edge = recomputed.get(node, node.stage) is _EDGE
+        reach = below = _NO_AGGS
+        for arg in args:
+            reach_arg = first.get(arg, _NO_AGGS)
+            below_arg = reach_arg if edge else via_edge.get(arg, _NO_AGGS)
+            if reach_arg:
+                reach = reach | reach_arg
+            if below_arg:
+                below = below | below_arg
+        if node.op == "agg":
+            found = via_edge.get(args[0], _NO_AGGS) if args else _NO_AGGS
+            for inner in sorted(found, key=index.__getitem__):
                 report.add(
                     "STG005",
                     "nested aggregation result pulled into edge space; this gathers a "
                     "destination value per edge and is legal only at scalar width",
-                    where=where(cur),
+                    where=where(inner),
                     program=program,
                 )
-                continue
-            flag = via_edge or recomputed.get(id(cur), cur.stage) == Stage.EDGE
-            for arg in cur.args:
-                stack.append((arg, flag))
+            reach = frozenset((node,))
+        if reach:
+            first[node] = reach
+        if below:
+            via_edge[node] = below
 
 
 # ---------------------------------------------------------------------------
 # 2. TProgram verifier
 # ---------------------------------------------------------------------------
 def verify_tprogram(prog: TProgram, report: LintReport) -> None:
-    """Check a tensor program: SSA, def-before-use, dangling names, schemas."""
+    """Check a tensor program: SSA, def-before-use, dangling names, schemas,
+    and write hazards, in one walk over its ops."""
     program = prog.name
     spaces = prog.spaces
 
     # -- space-table completeness for inputs/consts (STG014) -------------
     # (op results are checked inside the main walk below)
-    for buf in prog.inputs:
-        if buf not in spaces:
-            report.add(
-                "STG014",
-                f"buffer {buf!r} is missing from the space table",
-                where=f"buffer {buf!r}",
-                program=program,
-            )
-    for buf in prog.consts:
+    for buf in (*prog.inputs, *prog.consts):
         if buf not in spaces:
             report.add(
                 "STG014",
@@ -333,33 +301,32 @@ def verify_tprogram(prog: TProgram, report: LintReport) -> None:
                 program=program,
             )
 
-    # -- SSA / def-before-use / schema walk ------------------------------
-    available: set[str] = set(prog.inputs) | set(prog.consts)
-    used: set[str] = set()
+    # -- SSA / def-before-use / schema / write-hazard walk ---------------
+    available: set[str] = {*prog.inputs, *prog.consts}
     for op in prog.ops:
-        if op.out not in spaces:
+        out, ins, attrs = op.out, op.ins, op.attrs
+        if out not in spaces:
             report.add(
                 "STG014",
-                f"buffer {op.out!r} is missing from the space table",
-                where=f"buffer {op.out!r}",
+                f"buffer {out!r} is missing from the space table",
+                where=f"buffer {out!r}",
                 program=program,
             )
         schema = OP_SCHEMAS.get(op.kind)
-        attrs = op.attrs
         if schema is None:
             report.add(
                 "STG013", f"unknown op kind {op.kind!r}", where=f"op {op.render()}", program=program
             )
         else:
             lo, hi = schema.arity
-            if not (lo <= len(op.ins) <= hi):
+            if not (lo <= len(ins) <= hi):
                 report.add(
                     "STG013",
-                    f"op {op.kind!r} takes {lo}..{hi} operands, got {len(op.ins)}",
+                    f"op {op.kind!r} takes {lo}..{hi} operands, got {len(ins)}",
                     where=f"op {op.render()}",
                     program=program,
                 )
-            if schema.required and not (schema.required <= attrs.keys()):
+            if not attrs.keys() >= schema.required:
                 report.add(
                     "STG013",
                     f"op {op.kind!r} is missing required attrs {sorted(schema.required - attrs.keys())}",
@@ -384,21 +351,21 @@ def verify_tprogram(prog: TProgram, report: LintReport) -> None:
                     )
                 if op.kind == "ew" and "op" in attrs:
                     ew = attrs["op"]
-                    legal = EW_UNARY if len(op.ins) == 1 else EW_BINARY
+                    legal = EW_UNARY if len(ins) == 1 else EW_BINARY
                     if ew not in legal:
                         report.add(
                             "STG013",
                             f"elementwise op {ew!r} is not a known "
-                            f"{'unary' if len(op.ins) == 1 else 'binary'} op",
+                            f"{'unary' if len(ins) == 1 else 'binary'} op",
                             where=f"op {op.render()}",
                             program=program,
                         )
 
-        for pos, name in enumerate(op.ins):
-            if name == IMPLICIT_ONES:
-                # The implicit all-ones edge weight is a *declared* pseudo
-                # input, legal only in the weight slot of the SpMM family.
-                if schema is None or pos not in schema.ones_positions:
+        if IMPLICIT_ONES in ins:
+            # The implicit all-ones edge weight is a *declared* pseudo input,
+            # legal only in the weight slot of the SpMM family.
+            for pos, name in enumerate(ins):
+                if name == IMPLICIT_ONES and (schema is None or pos not in schema.ones_positions):
                     report.add(
                         "STG013",
                         f"implicit input {IMPLICIT_ONES!r} is only legal as the weight "
@@ -406,32 +373,61 @@ def verify_tprogram(prog: TProgram, report: LintReport) -> None:
                         where=f"op {op.render()}",
                         program=program,
                     )
-                continue
-            used.add(name)
-            if name not in available:
+        has_edge = has_node = False
+        for name in ins:
+            if name not in available and name != IMPLICIT_ONES:
                 report.add(
                     "STG011",
                     f"op reads buffer {name!r} before any definition",
                     where=f"op {op.render()}",
                     program=program,
                 )
-        if op.out in available:
+            space = spaces.get(name)
+            if space == "edge":
+                has_edge = True
+            elif space == "node":
+                has_node = True
+
+        # Write hazards (STG030), the atomic-scatter condition of
+        # Algorithm 3: an edge-parallel value accumulated into a node-space
+        # buffer needs an atomic scatter on real hardware, so only the
+        # reduction kinds may cross from edge space into node space.  A
+        # non-reduction op that mixes spaces is a race waiting to happen.
+        if has_edge and schema is not None and schema.klass != "reduce":
+            if spaces.get(out) == "node":
+                report.add(
+                    "STG030",
+                    f"{schema.klass} op {op.kind!r} writes an edge-space value into node-space "
+                    f"buffer {out!r}; only reductions may cross edge→node (atomic-scatter condition)",
+                    where=f"op {op.render()}",
+                    program=program,
+                )
+            elif has_node:
+                report.add(
+                    "STG030",
+                    f"{schema.klass} op {op.kind!r} mixes edge-space and node-space operands "
+                    "without a reduction; per-edge feature math materializes E×F memory",
+                    where=f"op {op.render()}",
+                    program=program,
+                )
+
+        if out in available:
             what = (
-                "an input" if op.out in prog.inputs
-                else "a const" if op.out in prog.consts
+                "an input" if out in prog.inputs
+                else "a const" if out in prog.consts
                 else "an earlier op result"
             )
             report.add(
                 "STG010",
-                f"buffer {op.out!r} redefined (already {what}); programs are single-assignment",
+                f"buffer {out!r} redefined (already {what}); programs are single-assignment",
                 where=f"op {op.render()}",
                 program=program,
             )
-        available.add(op.out)
+        available.add(out)
 
     # -- dangling names (STG012) ----------------------------------------
+    used = set(prog.outputs).union(*[op.ins for op in prog.ops])
     for out in prog.outputs:
-        used.add(out)
         if out not in available:
             report.add(
                 "STG012",
@@ -529,50 +525,6 @@ def verify_gradients(
 
 
 # ---------------------------------------------------------------------------
-# 4. Write-hazard analysis (the atomic-scatter condition, Algorithm 3)
-# ---------------------------------------------------------------------------
-def verify_write_hazards(prog: TProgram, report: LintReport) -> None:
-    """Reject edge→node writes that are not reductions.
-
-    On real hardware an edge-parallel value accumulated into a node-space
-    buffer needs an atomic scatter (Algorithm 3's update kernels); the
-    lowered IR therefore only permits the dedicated reduction kinds to
-    cross from edge space into node space.  A non-reduction op that mixes
-    spaces is a race waiting to happen, so it is rejected statically.
-    """
-    spaces = prog.spaces
-    for op in prog.ops:
-        schema = OP_SCHEMAS.get(op.kind)
-        if schema is None or schema.klass == "reduce" or not op.ins:
-            continue  # unknown kinds already flagged as STG013
-        has_edge = has_node = False
-        for name in op.ins:
-            space = spaces.get(name)
-            if space == "edge":
-                has_edge = True
-            elif space == "node":
-                has_node = True
-        if not has_edge:
-            continue
-        if spaces.get(op.out) == "node":
-            report.add(
-                "STG030",
-                f"{schema.klass} op {op.kind!r} writes an edge-space value into node-space "
-                f"buffer {op.out!r}; only reductions may cross edge→node (atomic-scatter condition)",
-                where=f"op {op.render()}",
-                program=prog.name,
-            )
-        elif has_node:
-            report.add(
-                "STG030",
-                f"{schema.klass} op {op.kind!r} mixes edge-space and node-space operands "
-                "without a reduction; per-edge feature math materializes E×F memory",
-                where=f"op {op.render()}",
-                program=prog.name,
-            )
-
-
-# ---------------------------------------------------------------------------
 # The full suite
 # ---------------------------------------------------------------------------
 def run_verifier(
@@ -591,20 +543,4 @@ def run_verifier(
     verify_tprogram(fwd, report)
     verify_tprogram(bwd, report)
     verify_gradients(fwd, bwd, grad_map, wrt, report, saved_spec=saved_spec, analysis=analysis)
-    verify_write_hazards(fwd, report)
-    verify_write_hazards(bwd, report)
     return report
-
-
-def verify_plan(plan: "ProgramPlan") -> LintReport:
-    """Run the full suite over a built :class:`ProgramPlan` (``repro lint``)."""
-    return run_verifier(
-        plan.traced.root,
-        plan.fwd_prog,
-        plan.bwd_prog,
-        plan.grad_map,
-        plan.wrt,
-        plan.saved_spec,
-        subject=plan.name or plan.plan_id,
-        analysis=plan.analysis,
-    )

@@ -144,8 +144,6 @@ def build_run_manifest(
     _, recorder = installed()
     lint_warnings: dict[str, int] = {}
     for plan in cache.plans():
-        if plan.lint is None:
-            continue
         for diag in plan.lint.warnings:
             lint_warnings[diag.code] = lint_warnings.get(diag.code, 0) + 1
     manifest = RunManifest(

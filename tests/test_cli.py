@@ -124,6 +124,35 @@ def test_lint_examples(capsys):
     assert "0 error(s)" in out
 
 
+def test_lint_reports_a_program_that_fails_verification(capsys, monkeypatch):
+    """A build that raises ``VerifyError`` is printed from its report, the
+    other programs are still listed, and the exit code is 1."""
+    import repro.cli as cli
+    from repro.compiler import compile_vertex_program
+    from repro.compiler.ir import Stage, VNode
+
+    def duplicate_leaves(v):  # two distinct leaf objects for one feature
+        x1, x2 = VNode.feat("lint_dup", Stage.SRC), VNode.feat("lint_dup", Stage.SRC)
+        return VNode.agg("sum", VNode.binary("add", x1, x2))
+
+    factories = cli._lint_factories
+
+    def with_broken(features):
+        table = dict(factories(features))
+        table["broken"] = lambda: compile_vertex_program(
+            duplicate_leaves, feature_widths={"lint_dup": "v"}, name="lint_broken"
+        )
+        return table
+
+    monkeypatch.setattr(cli, "_lint_factories", with_broken)
+    assert main(["lint"]) == 1
+    out = capsys.readouterr().out
+    assert "lint_broken              1 error(s), 0 warning(s)" in out
+    assert "STG004 error [lint_broken]" in out
+    assert "gcn_self_loops           ok" in out and "gat " in out
+    assert "1 error(s)" in out.splitlines()[-1]
+
+
 def test_lint_codes_table(capsys):
     assert main(["lint", "--codes"]) == 0
     out = capsys.readouterr().out

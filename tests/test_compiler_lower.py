@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compiler.diagnostics import LintReport
 from repro.compiler.lower import CompileError, lower_trace
 from repro.compiler.symbols import trace, vfn
+from repro.compiler.tir import TOp, TProgram
+from repro.compiler.verify import verify_tprogram
 
 
 def ops_of(prog, kind=None):
@@ -16,12 +19,19 @@ def lower(fn, widths=None):
     return lower_trace(trace(fn), widths or {"h": "v", "norm": "s"}, name="t")
 
 
+def verified(prog) -> LintReport:
+    """The verifier's tensor-program report (lowering itself checks nothing)."""
+    report = LintReport(subject=prog.name)
+    verify_tprogram(prog, report)
+    return report
+
+
 def test_gcn_lowers_to_single_spmm():
     prog, _ = lower(lambda v: v.agg_sum(lambda nb: nb.h * nb.norm) * v.norm)
     spmms = ops_of(prog, "spmm")
     assert len(spmms) == 1
     assert spmms[0].ins[0] == "__ones__"  # norms folded into the payload, not edge weights
-    prog.validate()
+    assert len(verified(prog)) == 0
 
 
 def test_payload_stays_in_node_space():
@@ -153,7 +163,7 @@ def test_nested_agg_is_dst_factor():
         return v.agg_sum(lambda nb: nb.h) * 1.0 + inner * 0.0
 
     prog, _ = lower(fn)
-    prog.validate()
+    assert len(verified(prog)) == 0
 
 
 def test_bad_width_declaration_rejected():
@@ -180,22 +190,30 @@ def test_program_render_readable():
 
 
 def test_redefinition_caught_by_validate():
-    from repro.compiler.tir import TOp, TProgram
-
     prog = TProgram("bad")
     prog.inputs["x"] = ("node", "x")
     prog.spaces["x"] = "node"
     prog.ops = [TOp("ew", "t0", ("x",), {"op": "neg"}), TOp("ew", "t0", ("x",), {"op": "neg"})]
     prog.outputs = ["t0"]
-    with pytest.raises(ValueError, match="redefined"):
-        prog.validate()
+    errors = [d for d in verified(prog).errors if d.code == "STG010"]
+    assert len(errors) == 1 and "redefined" in errors[0].message
 
 
 def test_undefined_read_caught_by_validate():
-    from repro.compiler.tir import TOp, TProgram
-
     prog = TProgram("bad")
     prog.ops = [TOp("ew", "t0", ("ghost",), {"op": "neg"})]
     prog.outputs = ["t0"]
-    with pytest.raises(ValueError, match="undefined"):
-        prog.validate()
+    errors = [d for d in verified(prog).errors if d.code == "STG011"]
+    assert len(errors) == 1 and "'ghost'" in errors[0].message
+
+
+def test_dangling_output_caught_by_verifier():
+    prog = TProgram("bad")
+    prog.inputs["x"] = ("node", "x")
+    prog.spaces.update(x="node", t0="node")
+    prog.ops = [TOp("ew", "t0", ("x",), {"op": "neg"})]
+    prog.outputs = ["t0", "t1"]
+    report = verified(prog)
+    assert report.codes() == {"STG012"}
+    assert [d.severity for d in report.diagnostics] == ["error"]
+    assert "'t1'" in report.errors[0].message

@@ -7,11 +7,13 @@ import networkx as nx
 import pytest
 
 from repro.compiler import compile_vertex_program
+from repro.compiler.diagnostics import LintReport
 from repro.compiler.lower import lower_trace
 from repro.compiler.passes import cse, dce, saved_analysis
 from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import trace
 from repro.compiler.tir import TOp, TProgram
+from repro.compiler.verify import verify_tprogram
 from repro.device import current_device
 from repro.graph import StaticGraph
 
@@ -72,7 +74,9 @@ def test_gcn_shared_norm_is_cse_candidate():
     before = len(prog.ops)
     cse(prog)
     dce(prog)
-    prog.validate()
+    report = LintReport()
+    verify_tprogram(prog, report)
+    assert len(report) == 0
     assert len(prog.ops) <= before
 
 
@@ -159,15 +163,6 @@ def test_grad_features_unknown_rejected():
             lambda v: v.agg_sum(lambda nb: nb.h),
             feature_widths={"h": "v"}, grad_features={"ghost"}, name="bad",
         )
-
-
-def test_required_features_reported():
-    p = compile_vertex_program(
-        lambda v: v.agg_sum(lambda nb: nb.h * nb.edge.w) * v.norm,
-        feature_widths={"h": "v", "norm": "s"}, name="req",
-    )
-    node, edge = p.required_features()
-    assert node == {"h", "norm"} and edge == {"w"}
 
 
 def test_describe_is_complete():

@@ -90,7 +90,7 @@ def test_random_sum_of_products_matches_dense(terms, seed, n, p):
         name="prop",
     )
     feats = {}
-    node_names, _ = prog.required_features()
+    node_names = {feat for kind, feat in prog.fwd_prog.inputs.values() if kind == "node"}
     if "h" in node_names:
         feats["h"] = h
     if "s" in node_names:
