@@ -82,8 +82,10 @@ class GraphContext:
 
     @cached_property
     def bwd_to_fwd(self) -> np.ndarray:
-        """Backward-CSR position -> forward (canonical) position."""
-        return self.label_to_fwd[self.bwd_eids]
+        """Backward-CSR position -> forward (canonical) position: the label
+        map itself where the backward labels are positions (``bwd_eids is
+        None``, every DTDG build)."""
+        return self.label_to_fwd if self.bwd_eids is None else self.label_to_fwd[self.bwd_eids]
 
     @cached_property
     def ones(self) -> np.ndarray:

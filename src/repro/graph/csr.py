@@ -46,7 +46,10 @@ class CSR:
     col_indices:
         ``(E,)`` — neighbor vertex ids.
     eids:
-        ``(E,)`` — shared edge labels (same label in both orientations).
+        ``(E,)`` — shared edge labels (same label in both orientations);
+        ``None`` when every label is its own position, as in the out-CSR of
+        a DTDG build (relabelling ranks the sorted keys).  Like
+        ``node_ids``, an identity is no array.
     node_ids:
         ``(N,)`` — vertices in descending-degree processing order (paper
         Figure 3) when the graph asks for it; ``None`` for identity order,
@@ -55,7 +58,7 @@ class CSR:
 
     row_offset: np.ndarray
     col_indices: np.ndarray
-    eids: np.ndarray
+    eids: np.ndarray | None
     node_ids: np.ndarray | None
     num_nodes: int = field(default=0)
 
@@ -78,21 +81,24 @@ class CSR:
 
     def edge_ids(self, v: int) -> np.ndarray:
         """Shared edge labels of vertex ``v``'s list."""
-        return self.eids[self.row_offset[v] : self.row_offset[v + 1]]
+        lo, hi = self.row_offset[v], self.row_offset[v + 1]
+        return np.arange(lo, hi) if self.eids is None else self.eids[lo:hi]
 
     def nbytes(self) -> int:
-        """Total bytes of the (three or four) arrays."""
-        ids = 0 if self.node_ids is None else self.node_ids.nbytes
-        return int(self.row_offset.nbytes + self.col_indices.nbytes + self.eids.nbytes + ids)
+        """Total bytes of the (two to four) arrays."""
+        optional = sum(a.nbytes for a in (self.eids, self.node_ids) if a is not None)
+        return int(self.row_offset.nbytes + self.col_indices.nbytes + optional)
 
     def validate(self) -> None:
-        """Assert structural well-formedness (offsets, bounds, node_ids)."""
+        """Assert structural well-formedness (offsets, bounds, labels, node_ids)."""
         assert self.row_offset[0] == 0
         assert self.row_offset[-1] == self.num_edges
         assert np.all(np.diff(self.row_offset) >= 0)
         if self.num_edges:
             assert self.col_indices.min() >= 0
             assert self.col_indices.max() < self.num_nodes
+        if self.eids is not None:
+            assert sorted(self.eids.tolist()) == list(range(self.num_edges))
         if self.node_ids is not None:
             assert sorted(self.node_ids.tolist()) == list(range(self.num_nodes))
 

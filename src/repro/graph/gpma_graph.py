@@ -33,7 +33,12 @@ executor's ``snapshot_key() -> GraphContext`` LRU, the one store: the LIFO
 backward walk over a training sequence takes its contexts from there, so it
 neither re-runs relabelling + Algorithm 3 nor rewinds the PMA (the paper
 rewinds because it keeps no built CSR; see DESIGN.md).  The mutable position
-lives in an :class:`~repro.graph.snapshot_builder.UpdateCursor`.
+lives in an :class:`~repro.graph.snapshot_builder.UpdateCursor`, made inside
+the ``graph.preprocess`` span by the first read of the storage (``_keys()``,
+``pma``, ``cache_snapshot()``, ``storage_bytes()``), not at construction:
+the counters read 0 without making it, so a graph that is never positioned
+holds no ``pma.*`` bytes.  ``InferenceEngine`` reads only such a graph's
+``dtdg`` and ``sort_by_degree``.
 
 All structural work is attributed to the ``graph_update`` category through
 three sites of the telemetry spine, one call each: ``graph.advance``
@@ -44,6 +49,8 @@ recorded: it replays nothing.  Figure 9 plots the split.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -69,8 +76,6 @@ class GPMAGraph(DTDGGraph):
         sort_by_degree: bool = False,
         enable_cache: bool = True,
     ) -> None:
-        with span("graph.preprocess", kind="gpma"):
-            self._cursor = UpdateCursor(dtdg, enable_cache=enable_cache)
         super().__init__(dtdg, sort_by_degree)
         self.enable_cache = enable_cache
         # Planned cache-corruption faults that dropped the saved PMA state.
@@ -79,6 +84,18 @@ class GPMAGraph(DTDGGraph):
     # ------------------------------------------------------------------
     # Mutable-core delegation (the update cursor owns position state)
     # ------------------------------------------------------------------
+    @cached_property
+    def _cursor(self) -> UpdateCursor:
+        """The PMA and Algorithm 2's base restore point, made by the first
+        read of the storage: a graph nothing positions holds no ``pma.*``."""
+        with span("graph.preprocess", kind="gpma"):
+            return UpdateCursor(self.dtdg, enable_cache=self.enable_cache)
+
+    def _cursor_count(self, name: str) -> int:
+        """A cursor counter, 0 while there is no cursor (none is made)."""
+        cursor = self.__dict__.get("_cursor")
+        return 0 if cursor is None else getattr(cursor, name)
+
     @property
     def pma(self):
         """The PMA holding the snapshot at :attr:`curr_time`.
@@ -92,12 +109,12 @@ class GPMAGraph(DTDGGraph):
     @property
     def update_batches_applied(self) -> int:
         """Non-empty update batches the main cursor has applied."""
-        return self._cursor.update_batches_applied
+        return self._cursor_count("update_batches_applied")
 
     @property
     def cache_restores(self) -> int:
         """Times the main cursor restored its saved PMA state."""
-        return self._cursor.cache_restores
+        return self._cursor_count("cache_restores")
 
     # ------------------------------------------------------------------
     # Algorithm 2: the PMA's replay and its state slot
@@ -142,7 +159,9 @@ class GPMAGraph(DTDGGraph):
         return int(self.pma.keys.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        cursor = self.__dict__.get("_cursor")  # reading ``pma`` would make or move it
+        capacity = None if cursor is None else cursor.pma.capacity
         return (
             f"GPMAGraph(N={self.num_nodes}, t={self.curr_time}, "
-            f"E={self.num_edges}, pma_capacity={self.pma.capacity})"
+            f"E={self.num_edges}, pma_capacity={capacity})"
         )

@@ -60,14 +60,15 @@ def build_snapshot_arrays(
     or from :meth:`DTDG.snapshot_keys <repro.graph.dtdg.DTDG.snapshot_keys>`
     (serving and ``NaiveGraph``'s pre-build).  Pure: ``keys`` is read, the
     only side effect is byte accounting on ``alloc``, under the caller's
-    ``tag`` prefix (``gpma.*`` for the graphs that build on demand).
+    ``tag`` prefix (``gpma.*`` for the graphs that build on demand).  The
+    out-CSR's labels are its positions, so its ``eids`` is ``None``: an
+    identity is no array (the ``node_ids=None`` rule).
     """
     from repro.graph.reverse import reverse_gpma_vectorized
 
     src, dst = decode_edges(keys, num_nodes)
     num_edges = len(keys)
     idx = index_dtype(num_nodes, num_edges)
-    labels = np.arange(num_edges, dtype=idx)
 
     out_deg = np.bincount(src, minlength=num_nodes).astype(idx)
     in_deg = np.bincount(dst, minlength=num_nodes).astype(idx)
@@ -76,16 +77,19 @@ def build_snapshot_arrays(
     bwd_row = alloc.zeros(num_nodes + 1, dtype=idx, tag=f"{tag}.bwd.row")
     np.cumsum(out_deg, out=bwd_row[1:])
     bwd_col = alloc.adopt(dst.astype(idx), tag=f"{tag}.bwd.col")
-    bwd_eid = alloc.adopt(labels, tag=f"{tag}.bwd.eid")
     bwd_ids, fwd_ids = node_ids_for(out_deg, sort_by_degree), node_ids_for(in_deg, sort_by_degree)
     if sort_by_degree:  # identity order keeps no array
         alloc.adopt(bwd_ids, tag=f"{tag}.bwd.ids")
         alloc.adopt(fwd_ids, tag=f"{tag}.fwd.ids")
-    bwd = CSR(bwd_row, bwd_col, bwd_eid, bwd_ids)
+    # Relabelling (Algorithm 2 line 8) makes a label the edge's rank among
+    # the sorted keys, which is its out-CSR position: an identity, so the
+    # out-CSR stores no label array (``eids=None``).
+    bwd = CSR(bwd_row, bwd_col, None, bwd_ids)
 
     # Forward (reverse) CSR: Algorithm 3's counting sort over that compact
-    # out-CSR, already at the index width.
-    f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, bwd_col, labels, num_nodes)
+    # out-CSR, already at the index width.  The positions ride along (a
+    # transient array, not kept) and become the in-CSR's labels.
+    f_row, f_col, f_eid = reverse_gpma_vectorized(bwd_row, bwd_col, np.arange(num_edges, dtype=idx), num_nodes)
     fwd = CSR(
         alloc.adopt(f_row, tag=f"{tag}.fwd.row"),
         alloc.adopt(f_col, tag=f"{tag}.fwd.col"),

@@ -152,7 +152,9 @@ class InferenceEngine:
         Any :class:`ServingModel`; its parameters are read, never written.
     graph:
         A :class:`~repro.graph.gpma_graph.GPMAGraph`; the engine reads only
-        its ``dtdg`` and ``sort_by_degree`` and never moves it.  Ingest
+        its ``dtdg`` and ``sort_by_degree`` and never moves it, so that
+        graph never makes its PMA (it makes it on the first read of its
+        storage): serving holds no ``pma.*`` bytes.  Ingest
         batches are appended to that DTDG
         (:meth:`~repro.graph.dtdg.DTDG.append_update`), and
         :attr:`graph` is the engine's own view of it, at the newest

@@ -14,9 +14,8 @@ contexts explicitly.  That is a deliberate safety property — the
 alternative (a global list mutated from several threads) would let a
 worker's push/pop tear down a context the main thread is still inside.
 
-The default is process-wide and shared by all threads; ``set_default`` is
-provided for subsystems whose default is a real object (the default
-device) rather than a null sentinel.
+The default is process-wide and shared by all threads, and fixed at
+construction: a real object for the device, a null sentinel for faults.
 """
 
 from __future__ import annotations
@@ -51,24 +50,12 @@ class ContextStack(Generic[T]):
         """The process-wide fallback all threads share."""
         return self._default
 
-    def set_default(self, value: T) -> None:
-        """Replace the process-wide fallback (rarely needed outside tests)."""
-        self._default = value
-
     def current(self) -> T:
         """The calling thread's innermost active object (default if none)."""
         stack = self._local.stack
         if stack:
             return stack[-1]
         return self._default
-
-    def push(self, value: T) -> None:
-        """Low-level push; prefer :meth:`use`."""
-        self._local.stack.append(value)
-
-    def pop(self) -> T:
-        """Low-level pop; prefer :meth:`use`."""
-        return self._local.stack.pop()
 
     @contextlib.contextmanager
     def use(self, value: T) -> Iterator[T]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -165,8 +167,11 @@ def test_gpma_equals_naive_on_walks(random_dtdg):
             gg.pma.check_invariants()
             where = (sort_by_degree, t)
             _assert_same_snapshot(gg.snapshot(), ng.snapshot(), where)
-            static = StaticGraph(*random_dtdg.snapshot_edges(t), random_dtdg.num_nodes, sort_by_degree)
-            _assert_same_snapshot(static.snapshot(), ng.snapshot(), where)
+            # StaticGraph stores its labels; on key-sorted edges they are the
+            # positions a DTDG build leaves implicit (``bwd.eids is None``).
+            static = StaticGraph(*random_dtdg.snapshot_edges(t), random_dtdg.num_nodes, sort_by_degree).snapshot()
+            assert np.array_equal(static.bwd.eids, np.arange(static.bwd.num_edges))
+            _assert_same_snapshot(replace(static, bwd=replace(static.bwd, eids=None)), ng.snapshot(), where)
             assert (gg.snapshot_version, gg.num_edges) == (ng.snapshot_version, ng.num_edges)
             gg.validate_label_consistency()
 

@@ -2,7 +2,8 @@
 
 * ``build_snapshot_arrays`` against the frozen comparison-sort build in
   ``tests/_snapshot_reference.py`` (all ten arrays; each at the index width,
-  and ``None`` node ids where the reference has identity ``arange``);
+  and ``None`` node ids and out-CSR labels where the reference has identity
+  ``arange``);
 * a state machine that moves a :class:`GPMAGraph` in random order, directly
   and through a :class:`TemporalExecutor` (its context store on, off and at
   capacity 1; live ``append_update``, planned ``"cache"`` faults), and checks
@@ -40,6 +41,10 @@ def _ten_arrays(snap):
     )
 
 
+#: Where the out-CSR's labels sit in :func:`_ten_arrays`.
+_BWD_EIDS = 6
+
+
 def _csr_arrays(graph):
     fwd, bwd = graph.forward_csr(), graph.backward_csr()
     return (fwd.row_offset, fwd.col_indices, fwd.eids, bwd.row_offset, bwd.col_indices, bwd.eids)
@@ -70,12 +75,14 @@ def test_build_equals_frozen_reference_after_random_walks(n, seed, steps, sort_b
             pma.delete_batch(np.concatenate([pick, keys[size // 2 :]]))
         got = _ten_arrays(build_snapshot_arrays(pma.export_items(), n, sort_by_degree, alloc))
         want = _ten_arrays(reference_build_snapshot_arrays(pma, n, sort_by_degree, alloc))
-        # The frozen build is int64 with arange node ids; the build keeps one
-        # index width for every array and no array for identity order.
+        # The frozen build is int64 with arange node ids and out-CSR labels;
+        # the build keeps one index width for every array and no array for an
+        # identity: the out-CSR's labels always, the node ids without order.
         width = index_dtype(n, pma.n_items)
-        for g, w in zip(got, want):
+        assert got[_BWD_EIDS] is None
+        for i, (g, w) in enumerate(zip(got, want)):
             if g is None:
-                assert not sort_by_degree and np.array_equal(w, np.arange(n))
+                assert (i == _BWD_EIDS or not sort_by_degree) and np.array_equal(w, np.arange(len(w)))
                 continue
             assert g.dtype == width
             assert np.array_equal(g, w)
@@ -138,7 +145,7 @@ class OnDemandSnapshots(RuleBasedStateMachine):
         assert np.array_equal(encode_edges(ctx.fwd_col, dst, n)[np.argsort(ctx.fwd_eids)], want)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(ctx.bwd_row))
         assert np.array_equal(encode_edges(src, ctx.bwd_col, n), want)
-        assert np.array_equal(ctx.bwd_eids, np.arange(len(want)))
+        assert ctx.bwd_eids is None  # out-CSR labels are its positions
         assert np.array_equal(ctx.in_deg, np.diff(ctx.fwd_row))
         assert np.array_equal(ctx.out_deg, np.diff(ctx.bwd_row))
         assert len(self.executor._ctx_cache) <= self.executor.ctx_cache_size
@@ -231,7 +238,7 @@ class OnDemandSnapshots(RuleBasedStateMachine):
         bwd, n = self.graph.backward_csr(), self.dtdg.num_nodes
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(bwd.row_offset))
         assert np.array_equal(encode_edges(src, bwd.col_indices, n), self._expected_keys())
-        assert np.array_equal(bwd.eids, np.arange(bwd.num_edges))
+        assert bwd.eids is None  # labels are positions: no array
         assert np.array_equal(self.graph.out_degrees(), np.diff(bwd.row_offset))
         self.graph.validate_label_consistency()
 

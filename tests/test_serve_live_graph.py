@@ -8,7 +8,7 @@
 * the engine reports the version it serves from boot on: the newest
   snapshot's, on a DTDG with more than one;
 * serving an update and a query makes no ``PackedMemoryArray`` call and no
-  ``UpdateCursor`` move.
+  ``UpdateCursor``: the caller's ``GPMAGraph`` never makes its PMA.
 """
 
 from __future__ import annotations
@@ -42,10 +42,15 @@ def _ctx_arrays(ctx):
     )
 
 
+#: Where the out-CSR's labels sit in :func:`_arrays` / :func:`_ctx_arrays`.
+_BWD_EIDS = 6
+
+
 def _assert_same(got_arrays, want_arrays, sort_by_degree):
-    for got, want in zip(got_arrays, want_arrays):
+    assert want_arrays[_BWD_EIDS] is None  # the out-CSR's labels are its positions
+    for i, (got, want) in enumerate(zip(got_arrays, want_arrays)):
         if want is None:
-            assert got is None and not sort_by_degree
+            assert got is None and (i == _BWD_EIDS or not sort_by_degree)
             continue
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -141,7 +146,8 @@ def test_boot_version_is_the_newest_snapshots(rng):
 
 def test_serving_makes_no_pma_call(rng, monkeypatch):
     """Updates and queries are served without touching the caller's GPMA
-    graph: every PMA method and the cursor's replay raise if called."""
+    graph: every PMA method, the cursor's constructor and its replay raise if
+    called."""
     n = 40
     dtdg = DTDG(_distinct_snapshots(rng, n, 2), n)
     feats = rng.standard_normal((n, F)).astype(np.float32)
@@ -158,6 +164,7 @@ def test_serving_makes_no_pma_call(rng, monkeypatch):
         for name in ("insert_batch", "delete_batch", "export_items", "gapped_arrays",
                      "contains_batch", "save_state", "restore_state"):
             patch.setattr(PackedMemoryArray, name, refuse)
+        patch.setattr(UpdateCursor, "__init__", refuse)
         patch.setattr(UpdateCursor, "advance", refuse)
         with eng:
             results = [eng.query(0)]

@@ -5,6 +5,9 @@
   and the executor's context store holds one entry (the live version's):
   ingest swaps the store to the new version, so no superseded build
   outlives it;
+* the ``GPMAGraph`` the engine is handed never makes its PMA: no ``pma.*``
+  byte and no ``graph.preprocess`` span, from boot through every ingest and
+  forward;
 * an update's peak is no more than what stays resident after it: ingest
   evicts the superseded context before it builds the new one, and the
   executor's position does not hold the old one through the build;
@@ -36,9 +39,10 @@ F32 = 4
 
 
 def _build_bytes(num_nodes: int, num_edges: int) -> int:
-    """Two CSRs (column and edge-label arrays, row offsets) and two degree
+    """Two CSRs (column arrays, row offsets, and the in-CSR's edge labels:
+    the out-CSR's are its positions, stored as no array) and two degree
     arrays, int32."""
-    return (4 * num_edges + 2 * (num_nodes + 1) + 2 * num_nodes) * F32
+    return (3 * num_edges + 2 * (num_nodes + 1) + 2 * num_nodes) * F32
 
 
 def _tag_bytes(device: Device, prefix: str) -> int:
@@ -91,6 +95,20 @@ def test_serving_holds_one_build_and_one_context_after_every_update():
     assert steps == len(ingests) == UPDATES
 
 
+def test_the_engine_never_makes_the_graphs_pma():
+    """Checked after each ingest (before the peak is reset) and after each
+    forward, so the per-tag peaks cover boot and the whole run."""
+    def no_pma(engine, device):
+        assert not [tag for tag in device.tracker.peak_bytes_by_tag() if tag.startswith("pma.")]
+        assert device.totals.read().calls("graph.preprocess") == 0
+
+    steps = 0
+    for engine, device, _ in _served_run(no_pma):
+        no_pma(engine, device)
+        steps += 1
+    assert steps == UPDATES
+
+
 def test_an_update_never_holds_two_builds():
     """``reset_peak()`` before each of six ``enqueue_update`` calls: the peak
     during the ingest is at most the bytes resident once it is applied, so
@@ -118,14 +136,14 @@ def test_an_update_never_holds_two_builds():
 
 
 def test_served_forward_peak_is_one_build_and_the_forward_working_set():
-    """The bound: the persistent PMA, one build, the features and the
-    forward's working set, three ``N×HIDDEN`` arrays (``a_z``, ``x @ W_h``
-    and one kernel output), with half an array to spare.  Three superseded
-    builds add ``3·build`` and a kept output ``N·(HIDDEN+1)`` floats; either
-    breaks it."""
+    """The bound: one build, the features and the forward's working set,
+    three ``N×HIDDEN`` arrays (``a_z``, ``x @ W_h`` and one kernel output),
+    with half an array to spare (the caller's graph holds no PMA).  Three
+    superseded builds add ``3·build`` and a kept output ``N·(HIDDEN+1)``
+    floats; either breaks it."""
     for engine, device, _ in _served_run():
         build = _build_bytes(N, engine.graph.num_edges)
-        bound = _tag_bytes(device, "pma.") + build + N * F * F32 + 7 * N * HIDDEN * F32 // 2
+        bound = build + N * F * F32 + 7 * N * HIDDEN * F32 // 2
         assert device.tracker.peak_bytes <= bound
         assert bound < device.tracker.peak_bytes + N * (HIDDEN + 1) * F32
         assert bound < device.tracker.peak_bytes + 3 * build

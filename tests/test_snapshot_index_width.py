@@ -3,12 +3,13 @@
 * ``index_dtype`` at the ``2**31 - 1`` boundary (a pure function: nothing
   that large is allocated);
 * StaticGraph, NaiveGraph and GPMAGraph hold every structural array at that
-  width for the same edges, with no array for identity ``node_ids``, and an
+  width for the same edges, with no array for identity ``node_ids`` and, on
+  the DTDG builds, none for the out-CSR's labels (its positions), and an
   int64-wide build gives the same aggregation bits as an int32 one;
 * a context's aggregation operators wrap the context's own index arrays and
   share one float32 ``ones``: building them copies no structure;
 * the tracked ``gpma.*`` bytes of one snapshot build are exactly the two
-  CSRs and the two degree arrays at four bytes an entry.
+  CSRs (one label array) and the two degree arrays at four bytes an entry.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ def _edges(n: int, e: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _structure(graph) -> list[np.ndarray]:
+    """The structural arrays every graph kind stores (the out-CSR's labels
+    are StaticGraph's alone)."""
     fwd, bwd = graph.forward_csr(), graph.backward_csr()
     return [
-        fwd.row_offset, fwd.col_indices, fwd.eids, bwd.row_offset, bwd.col_indices, bwd.eids,
+        fwd.row_offset, fwd.col_indices, fwd.eids, bwd.row_offset, bwd.col_indices,
         graph.in_degrees(), graph.out_degrees(),
     ]
 
@@ -75,6 +78,11 @@ def test_every_graph_kind_stores_one_width_for_the_same_edges(monkeypatch, wide)
         arrays = _structure(graph)
         assert [a.dtype for a in arrays] == [width] * len(arrays)
         assert graph.forward_csr().node_ids is None and graph.backward_csr().node_ids is None
+        bwd = graph.backward_csr()
+        if graph.graph_type == "static":  # explicit labels, at their positions on key-sorted edges
+            assert bwd.eids.dtype == width and np.array_equal(bwd.eids, np.arange(bwd.num_edges))
+        else:
+            assert bwd.eids is None
         for got, want in zip(arrays, reference):
             assert np.array_equal(got, want)
     products = [spmm(GraphContext(g), None, x, d) for g in graphs for d in ("in", "out")]
@@ -99,8 +107,10 @@ def test_operators_wrap_the_context_arrays_and_share_one_ones(kind):
 
 @pytest.mark.parametrize("sort_by_degree", [False, True])
 def test_one_gpma_build_tracks_two_csrs_and_two_degree_arrays(sort_by_degree):
-    """(4E + 2(N+1) + 2N) int32 entries: two col and two eid arrays, two row
-    offsets, two degree arrays; a degree order adds its two N-length arrays."""
+    """(3E + 2(N+1) + 2N) int32 entries: two col arrays and the in-CSR's
+    label array (the out-CSR's labels are its positions: none is stored),
+    two row offsets, two degree arrays; a degree order adds its two N-length
+    arrays."""
     n = 300
     src, dst = _edges(n, 2000, seed=3)
     keys = encode_edges(src, dst, n)
@@ -110,6 +120,7 @@ def test_one_gpma_build_tracks_two_csrs_and_two_degree_arrays(sort_by_degree):
         snap = build_snapshot_arrays(pma.export_items(), n, sort_by_degree, device.alloc)
         tracked = sum(b for tag, b in device.tracker.bytes_by_tag().items() if tag.startswith("gpma."))
     e = len(keys)
-    entries = 4 * e + 2 * (n + 1) + 2 * n + (2 * n if sort_by_degree else 0)
+    entries = 3 * e + 2 * (n + 1) + 2 * n + (2 * n if sort_by_degree else 0)
     assert tracked == entries * 4
+    assert snap.bwd.eids is None
     assert (snap.fwd.node_ids is None) == (not sort_by_degree)
