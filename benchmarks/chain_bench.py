@@ -3,7 +3,11 @@
     python3 benchmarks/chain_bench.py [BENCH_<date>_<parent sha>.json ...]
 
 Each ``BENCH_*.json`` at the repo root holds both sides' ``benchmarks/e2e/run.py
---json`` reports of one change's alternating pairs.  For every workload and
+--json`` reports of one change's alternating pairs, each report without its
+workloads' ``passes`` lists (the raw per-pass samples, ~90 % of a report):
+what stays is every report's ``seed``, and per workload its
+``input_sha256``, operation counts, checks and ``end_to_end`` cells, which
+is all this script and ``benchmarks/e2e/compare.py`` read.  For every workload and
 end-to-end metric this prints the parent's and the change's median and their
 ratio, change / parent; with several files (default: every one at the root,
 in name order, so by date) the last column multiplies the ratios into the

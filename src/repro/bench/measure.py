@@ -74,8 +74,8 @@ class RunResult:
         (the graph is never consulted), a NaiveGraph backward revisit of
         its prebuilt snapshot (``csr_cache_hits``), or one snapshot build
         (``csr_cache_misses``).  Graphs keep no build, so each context miss
-        is exactly one build and the three counters partition the
-        positionings.
+        is exactly one build (a patch, on serving's live graph) and the
+        three counters partition the positionings.
         """
         served = self.totals.count("ctx_cache_hits") + self.totals.count("csr_cache_hits")
         denom = served + self.totals.count("csr_cache_misses")

@@ -9,7 +9,8 @@ peak memory is ``O(N·F + E)`` instead of the edge-parallel ``O(E·F)``.
 :class:`GraphContext` holds one snapshot's structural arrays (both CSR
 orientations, shared labels, degrees, node ids: degree-ordered when the
 graph asks for it) for the kernels, read from one ``graph.snapshot()``.
-Graphs keep no build, so the executor's LRU of contexts is the one store of
+Graphs keep no build (serving's live graph keeps only the arrays its one
+context holds), so the executor's LRU of contexts is the one store of
 built snapshots.  The forward-CSR *position order* is
 the canonical edge order for all edge-space buffers; label-indexed edge
 features are converted at bind time and the backward SpMM permutes weights

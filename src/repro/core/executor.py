@@ -21,9 +21,10 @@ snapshot-version content identity): a backward step whose key matches the
 forward pass's build reuses that context outright instead of blindly
 rebuilding, and a no-op update batch (which leaves the version untouched)
 even reuses the previous timestamp's context.  A context carries both CSRs,
-the degrees and its aggregation operators, and graphs keep no build, so this
-LRU is the one store of built snapshots: a context miss is exactly one
-``graph.snapshot()`` call, one build on a graph that builds on demand.
+the degrees and its aggregation operators, and graphs keep no build (serving's
+live graph keeps only the arrays its one context holds), so this LRU is the
+one store of built snapshots: a context miss is exactly one
+``graph.snapshot()`` call, one build (or, on the live graph, one patch).
 ``ctx_cache_size`` is its one capacity, and 0 switches it off.  A static
 graph takes the same path: its key is always 0, so its one context is built
 on the first step and hit on every later one, and ``is_dynamic`` gates only

@@ -30,9 +30,10 @@ per timestamp (see ``docs/EXECUTOR.md``).
 **One structure method.**  ``snapshot()`` returns the current position's
 :class:`~repro.graph.csr.BuiltSnapshot`; ``forward_csr`` / ``backward_csr``
 / ``in_degrees`` / ``out_degrees`` read it.  ``StaticGraph`` and
-``NaiveGraph`` return what preprocessing built; the graphs that build on
-demand (``GPMAGraph``, serving's live view) build on every call, count one
-``csr_cache_misses`` and keep no build.
+``NaiveGraph`` return what preprocessing built; ``GPMAGraph`` builds on
+every call, counts one ``csr_cache_misses`` and keeps no build.  Serving's
+live view counts the same and keeps one build, its last: the arrays its
+one-entry context store holds, which each update batch patches forward.
 
 **One DTDG graph.**  :class:`DTDGGraph` is the base of ``NaiveGraph``,
 ``GPMAGraph`` and serving's live view: one logical position and one build,
@@ -110,8 +111,9 @@ class STGraphBase(abc.ABC):
     def snapshot(self) -> BuiltSnapshot:
         """The current snapshot's CSRs and degrees.
 
-        A DTDG-backed graph builds it on every call and keeps nothing: the
-        executor's context LRU is the one store of built snapshots.
+        A GPMA graph builds it on every call and keeps nothing: the
+        executor's context LRU is the one store of built snapshots (serving's
+        live view keeps the build its one context holds, and patches it).
         """
 
     def forward_csr(self) -> CSR:
@@ -175,6 +177,8 @@ class DTDGGraph(STGraphBase):
     the sorted unique edge keys :meth:`_keys` returns, one
     ``graph.build_snapshot`` span and one ``csr_cache_misses`` per call, and
     keeps nothing: the executor's context LRU stores what it builds.
+    Serving's live view overrides ``snapshot()`` to keep its last build and
+    patch it by each update since (``repro/serve/engine.py``).
     """
 
     def __init__(self, dtdg: DTDG, sort_by_degree: bool = False) -> None:

@@ -14,10 +14,17 @@
   :func:`~repro.graph.csr.csr_from_edges`, whose loaders' edges are not
   key-sorted.  The paper's gapped input shape over raw PMA
   storage is a test oracle only (``tests/_snapshot_reference.py``).
+* :func:`patch_snapshot` — Algorithm 2's idea applied to the built arrays:
+  one exact-set-difference update batch spliced into a
+  :class:`BuiltSnapshot`, O(E + N) with no sort and no transpose, bitwise
+  what :func:`build_snapshot_arrays` makes of the new keys.  Serving's live
+  graph moves its one build forward with it; training builds afresh.
 
-Graphs keep no build: a graph's ``snapshot()`` calls the build and hands
-the result to the executor, whose ``snapshot_key() -> GraphContext`` LRU is
-the one store of built snapshots (docs/EXECUTOR.md).
+Graphs keep no build, except serving's live graph, which keeps the one
+build it last made (the arrays its one-entry context store holds): a
+graph's ``snapshot()`` makes the build and hands it to the executor, whose
+``snapshot_key() -> GraphContext`` LRU is the one store of built snapshots
+(docs/EXECUTOR.md).
 :class:`~repro.graph.csr.BuiltSnapshot` lives beside ``CSR`` and is
 re-exported here.
 """
@@ -28,13 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.device.allocator import DeviceAllocator
 from repro.graph.csr import BuiltSnapshot, CSR, index_dtype
-from repro.graph.dtdg import DTDG
+from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.labels import decode_edges, encode_edges
 from repro.graph.sorting import node_ids_for
 from repro.pma import PackedMemoryArray
 
-__all__ = ["BuiltSnapshot", "UpdateCursor", "build_snapshot_arrays"]
+__all__ = ["BuiltSnapshot", "UpdateCursor", "build_snapshot_arrays", "patch_snapshot"]
 
 
 @dataclass
@@ -94,6 +102,154 @@ def build_snapshot_arrays(
         alloc.adopt(f_row, tag=f"{tag}.fwd.row"),
         alloc.adopt(f_col, tag=f"{tag}.fwd.col"),
         alloc.adopt(f_eid, tag=f"{tag}.fwd.eid"),
+        fwd_ids,
+    )
+    return BuiltSnapshot(fwd, bwd, alloc.adopt(in_deg, tag=f"{tag}.in_deg"), alloc.adopt(out_deg, tag=f"{tag}.out_deg"))
+
+
+def _row_lower_bound(row: np.ndarray, col: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each ``(rows[i], values[i])``, the first position of row
+    ``rows[i]``'s ascending neighbour list ``col[row[r]:row[r + 1]]`` whose
+    neighbour is not below ``values[i]``: one binary search per row, all
+    rows in lock step."""
+    lo = row[rows].astype(np.int64)
+    hi = row[rows + 1].astype(np.int64)
+    while True:
+        searching = lo < hi
+        if not searching.any():
+            return lo
+        mid = (lo + hi) >> 1
+        below = searching & (col[np.where(searching, mid, 0)] < values)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(searching & ~below, mid, hi)
+
+
+def _changes(csr: CSR, rows: np.ndarray, cols: np.ndarray, num_deletes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where one orientation changes: the sorted positions of the deleted
+    edges ``rows[:num_deletes] -> cols[:num_deletes]`` and the insertion
+    points of the added ones after them, one binary search per edge.
+    ``ValueError`` unless every deleted edge is there and no added one is,
+    so a batch that is no exact set difference never patches a build."""
+    at = _row_lower_bound(csr.row_offset, csr.col_indices, rows, cols)
+    found = at < csr.row_offset[rows + 1]
+    found[found] = csr.col_indices[at[found]] == cols[found]
+    if not (found[:num_deletes].all() and not found[num_deletes:].any()):
+        raise ValueError("the update batch is not an exact set difference against the snapshot")
+    return np.sort(at[:num_deletes]), at[num_deletes:]
+
+
+def _steps(up: np.ndarray, down: np.ndarray, length: int, dtype: np.dtype) -> np.ndarray:
+    """``f(i) = #(up <= i) - #(down <= i)`` for ``i`` in ``[0, length)``, at
+    ``dtype``: a step function with one step per entry, made by one repeat."""
+    breaks = np.concatenate([up, down])
+    order = np.argsort(breaks, kind="stable")
+    values = np.zeros(len(breaks) + 1, dtype=dtype)
+    np.cumsum(np.where(order < len(up), 1, -1), out=values[1:])
+    bounds = np.zeros(len(breaks) + 2, dtype=np.int64)
+    bounds[1:-1], bounds[-1] = breaks[order], length
+    return np.repeat(values, np.diff(bounds))
+
+
+def _splice(values: np.ndarray, drop: np.ndarray, at: np.ndarray, new: np.ndarray, idx: np.dtype) -> np.ndarray:
+    """``values`` without the sorted positions ``drop`` and with ``new``
+    inserted before the old positions ``at`` (nondecreasing; ties keep
+    their order), at width ``idx``: the runs between change points are
+    copied whole."""
+    out = np.empty(len(values) - len(drop) + len(new), dtype=idx)
+    # Change points in old-position order, each insert ahead of a delete at
+    # its position (the insert goes before the old entry the delete skips).
+    points = np.concatenate([at, drop])
+    order = np.lexsort((np.arange(len(points)) >= len(at), points)).tolist()
+    src = dst = 0
+    for pos, i in zip(points[order].tolist(), order):
+        run = pos - src
+        out[dst : dst + run] = values[src:pos]
+        dst, src = dst + run, pos
+        if i < len(at):
+            out[dst] = new[i]
+            dst += 1
+        else:
+            src += 1
+    out[dst:] = values[src:]
+    return out
+
+
+def patch_snapshot(
+    prev: BuiltSnapshot,
+    update: EdgeUpdate,
+    num_nodes: int,
+    sort_by_degree: bool,
+    alloc: DeviceAllocator,
+    tag: str = "gpma",
+) -> BuiltSnapshot:
+    """Apply one update batch to a build: the :class:`BuiltSnapshot` that
+    :func:`build_snapshot_arrays` makes of the new snapshot's keys, bitwise
+    and dtype for dtype, without decoding, counting or transposing them.
+
+    ``update`` must be an exact set difference against ``prev`` (every
+    deleted edge present, every added one absent: a stored
+    :attr:`DTDG.updates <repro.graph.dtdg.DTDG.updates>` entry), else
+    ``ValueError``.  Per-row binary searches find each changed edge's
+    position in both orientations and each edge array is one splice.  The
+    degrees take the batch's deltas, and the row offsets and the in-CSR
+    labels move by step functions with one step per changed edge: a row
+    offset by the adds less the deletes in the rows before it, a label (an
+    out-CSR position) by the adds at or before it less the deletes before it.
+
+    ``prev`` is consumed: pass the only reference to it.  Its arrays are
+    released before the patched ones are adopted on ``alloc`` (under
+    ``tag``, the build's tags), so the ledger never counts both builds.
+    """
+    n = num_nodes
+    add_src, add_dst, del_src, del_dst = (
+        np.asarray(a, dtype=np.int64) for a in (update.add_src, update.add_dst, update.del_src, update.del_dst)
+    )
+    num_deletes = len(del_src)
+    num_edges = prev.bwd.num_edges + len(add_src) - num_deletes
+    idx = index_dtype(n, num_edges)
+
+    # Out-CSR: rows are sources, positions are key order (and labels).
+    out_add = np.argsort(add_src * n + add_dst, kind="stable")
+    out_del, out_at = _changes(
+        prev.bwd, np.concatenate([del_src, add_src[out_add]]), np.concatenate([del_dst, add_dst[out_add]]), num_deletes
+    )
+    bwd_col = _splice(prev.bwd.col_indices, out_del, out_at, add_dst[out_add], idx)
+    # Each add's label is its new out-CSR position.
+    add_label = np.empty(len(out_add), dtype=idx)
+    add_label[out_add] = out_at - np.searchsorted(out_del, out_at) + np.arange(len(out_at))
+
+    # In-CSR: rows are destinations, each list ascending by source, so adds
+    # that share an insertion point across adjacent rows go in (dst, src)
+    # order.  Every kept label shifts; the deleted entries go with the splice.
+    in_add = np.argsort(add_dst * n + add_src, kind="stable")
+    in_del, in_at = _changes(
+        prev.fwd, np.concatenate([del_dst, add_dst[in_add]]), np.concatenate([del_src, add_src[in_add]]), num_deletes
+    )
+    assert prev.fwd.eids is not None  # a DTDG build's in-CSR labels are an array
+    labels = np.take(_steps(out_at, out_del + 1, prev.bwd.num_edges, idx), prev.fwd.eids)
+    labels += prev.fwd.eids
+    fwd_col = _splice(prev.fwd.col_indices, in_del, in_at, add_src[in_add], idx)
+    fwd_eid = _splice(labels, in_del, in_at, add_label[in_add], idx)
+
+    bwd_row = np.add(prev.bwd.row_offset, _steps(add_src + 1, del_src + 1, n + 1, idx), dtype=idx)
+    fwd_row = np.add(prev.fwd.row_offset, _steps(add_dst + 1, del_dst + 1, n + 1, idx), dtype=idx)
+    out_deg = prev.out_deg.astype(idx)
+    np.add.at(out_deg, add_src, 1)
+    np.subtract.at(out_deg, del_src, 1)
+    in_deg = prev.in_deg.astype(idx)
+    np.add.at(in_deg, add_dst, 1)
+    np.subtract.at(in_deg, del_dst, 1)
+    del prev, labels  # the last references: the superseded build leaves the ledger here
+
+    bwd_ids, fwd_ids = node_ids_for(out_deg, sort_by_degree), node_ids_for(in_deg, sort_by_degree)
+    if sort_by_degree:
+        alloc.adopt(bwd_ids, tag=f"{tag}.bwd.ids")
+        alloc.adopt(fwd_ids, tag=f"{tag}.fwd.ids")
+    bwd = CSR(alloc.adopt(bwd_row, tag=f"{tag}.bwd.row"), alloc.adopt(bwd_col, tag=f"{tag}.bwd.col"), None, bwd_ids)
+    fwd = CSR(
+        alloc.adopt(fwd_row, tag=f"{tag}.fwd.row"),
+        alloc.adopt(fwd_col, tag=f"{tag}.fwd.col"),
+        alloc.adopt(fwd_eid, tag=f"{tag}.fwd.eid"),
         fwd_ids,
     )
     return BuiltSnapshot(fwd, bwd, alloc.adopt(in_deg, tag=f"{tag}.in_deg"), alloc.adopt(out_deg, tag=f"{tag}.out_deg"))

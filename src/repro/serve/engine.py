@@ -5,15 +5,19 @@ prediction) of vertex ``v`` at the latest time" — while update batches keep
 landing on the same graph.  Serving only ever moves to the newest snapshot,
 whose sorted edge keys :meth:`~repro.graph.dtdg.DTDG.append_update` has
 already computed, so the engine builds that snapshot's CSRs straight from
-them (:class:`_LiveGraph`, a :class:`~repro.graph.base.DTDGGraph` over the
-DTDG's own keys).  No serving path holds a PMA or an
-``UpdateCursor``: the GPMA and Algorithm 2 serve the training walk
-(forward, LIFO rewind, a saved state between sequences).  The live graph
-keeps no build; the executor's context store, the one store of built
-snapshots, holds the live version only (``ctx_cache_size=1``).  Ingest
-builds the new version through that store, which drops the superseded
-build, and a forward drops the previous output before it recomputes every
-row, so one snapshot build is held after every ingest and every forward.
+them once, at boot (:class:`_LiveGraph`, a
+:class:`~repro.graph.base.DTDGGraph` over the DTDG's own keys).  No serving
+path holds a PMA or an ``UpdateCursor``: the GPMA and Algorithm 2 serve the
+training walk (forward, LIFO rewind, a saved state between sequences).
+The executor's context store, the one store of built snapshots, holds the
+live version only (``ctx_cache_size=1``), and the live graph keeps the
+same arrays: its last build.  Ingest moves to the new version through that
+store, which drops the superseded context, and the live graph patches its
+build by the batch (:func:`~repro.graph.snapshot_builder.patch_snapshot`,
+Algorithm 2's idea on the built arrays: O(E + N) with no decode, count or
+transpose), releasing the superseded arrays before it adopts the patched
+ones.  A forward drops the previous output before it recomputes every row,
+so one snapshot build is held after every ingest and every forward.
 Two ideas make serving cheap on top of the training machinery:
 
 * **Request coalescing.**  Point queries from concurrent clients are
@@ -60,9 +64,11 @@ import numpy as np
 from repro.core.executor import TemporalExecutor
 from repro.device import current_device, use_device
 from repro.graph.base import DTDGGraph
+from repro.graph.csr import BuiltSnapshot
 from repro.graph.dirty import k_hop_neighborhood, touched_vertices
 from repro.graph.dtdg import DTDG, EdgeUpdate
 from repro.graph.gpma_graph import GPMAGraph
+from repro.graph.snapshot_builder import patch_snapshot
 from repro.obs.spine import emit, installed, span, use_installed
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -127,16 +133,48 @@ class _Request:
 
 class _LiveGraph(DTDGGraph):
     """The serving view of a DTDG, positioned at the newest timestamp from
-    construction on.  All of it is :class:`~repro.graph.base.DTDGGraph`'s:
-    its ``snapshot()`` builds from :meth:`~repro.graph.dtdg.DTDG.snapshot_keys`
-    and keeps nothing (the engine's one-entry context store keeps the
-    result).  Driven by the dispatcher thread only."""
+    construction on, and the one graph that keeps a build: the last one it
+    made, the arrays the engine's one-entry context store holds, so keeping
+    it adds no byte.  :meth:`snapshot` moves that build forward through
+    every update since it was made (:func:`patch_snapshot`); only the boot
+    build, or a position behind the build, runs
+    :meth:`~repro.graph.base.DTDGGraph.snapshot`'s full build.  Driven by
+    the dispatcher thread only."""
 
     graph_type = "live"
 
     def __init__(self, dtdg: DTDG, sort_by_degree: bool) -> None:
         super().__init__(dtdg, sort_by_degree)
         self._pos_time = dtdg.num_timestamps - 1
+        self._build: BuiltSnapshot | None = None
+        self._build_time = -1  # the timestamp ``_build`` is the snapshot of
+
+    def _take_build(self) -> BuiltSnapshot:
+        """Hand over the kept build, keeping no reference to it."""
+        build, self._build = self._build, None
+        assert build is not None
+        return build
+
+    def snapshot(self) -> BuiltSnapshot:
+        """The current snapshot: the kept build, patched by each non-empty
+        update since it was made; one ``csr_cache_misses`` per call."""
+        if self._build is None or self._build_time > self._pos_time:
+            self._build = None  # released before the full build allocates
+            self._build = super().snapshot()
+        else:
+            for t in range(self._build_time + 1, self._pos_time + 1):
+                update = self.dtdg.updates[t]
+                if update.num_changes:
+                    # The patch gets the only reference to the kept build,
+                    # so it leaves the ledger before the patched arrays join.
+                    self._build = patch_snapshot(
+                        self._take_build(), update, self.num_nodes, self.sort_by_degree, current_device().alloc
+                    )
+            self._count("csr_cache_misses")
+        self._build_time = self._pos_time
+        build = self._build
+        assert build is not None
+        return build
 
 
 class InferenceEngine:
