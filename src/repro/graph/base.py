@@ -33,7 +33,7 @@ per timestamp (see ``docs/EXECUTOR.md``).
 ``NaiveGraph`` return what preprocessing built; ``GPMAGraph`` builds on
 every call, counts one ``csr_cache_misses`` and keeps no build.  Serving's
 live view counts the same and keeps one build, its last: the arrays its
-one-entry context store holds, which each update batch patches forward.
+one-entry context store holds, which a small update batch patches forward.
 
 **One DTDG graph.**  :class:`DTDGGraph` is the base of ``NaiveGraph``,
 ``GPMAGraph`` and serving's live view: one logical position and one build,
@@ -178,7 +178,8 @@ class DTDGGraph(STGraphBase):
     ``graph.build_snapshot`` span and one ``csr_cache_misses`` per call, and
     keeps nothing: the executor's context LRU stores what it builds.
     Serving's live view overrides ``snapshot()`` to keep its last build and
-    patch it by each update since (``repro/serve/engine.py``).
+    patch it when one small update separates it from the position
+    (``repro/serve/engine.py``).
     """
 
     def __init__(self, dtdg: DTDG, sort_by_degree: bool = False) -> None:

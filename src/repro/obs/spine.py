@@ -143,6 +143,7 @@ _TABLE = (
          help="Algorithm 2 replay (PMA update batches up to the position) latency."),
     Site("graph.build_snapshot", "graph_update", hist="repro_graph_rebuild_seconds",
          help="Snapshot rebuild (relabel + Algorithm 3) latency."),
+    Site("graph.patch_snapshot", "graph_update"),
     Site("graph.cache_state", "graph_update"),
     Site("graph.csr_cache_hits", "graph_update", counter="csr_cache_hits"),
     Site("graph.csr_cache_misses", "graph_update", counter="csr_cache_misses"),

@@ -16,8 +16,11 @@ store, which drops the superseded context, and the live graph patches its
 build by the batch (:func:`~repro.graph.snapshot_builder.patch_snapshot`,
 Algorithm 2's idea on the built arrays: O(E + N) with no decode, count or
 transpose), releasing the superseded arrays before it adopts the patched
-ones.  A forward drops the previous output before it recomputes every row,
-so one snapshot build is held after every ingest and every forward.
+ones.  A batch too large for the patch to pay, or several batches that
+landed since the last build (ingest without invalidation builds nothing
+until the next forward), take the full build instead.  A forward drops
+the previous output before it recomputes every row, so one snapshot build
+is held after every ingest and every forward.
 Two ideas make serving cheap on top of the training machinery:
 
 * **Request coalescing.**  Point queries from concurrent clients are
@@ -131,15 +134,22 @@ class _Request:
         self.batch_size = 0
 
 
+#: A patch pays for each changed edge about what a full build pays for
+#: 250 edges (binary searches and run copies against a decode, two counts
+#: and a transpose), so a batch that changes more than one edge in this
+#: many of the build's is built in full: there the patch is no cheaper.
+_EDGES_PER_PATCHED_CHANGE = 256
+
+
 class _LiveGraph(DTDGGraph):
     """The serving view of a DTDG, positioned at the newest timestamp from
     construction on, and the one graph that keeps a build: the last one it
     made, the arrays the engine's one-entry context store holds, so keeping
-    it adds no byte.  :meth:`snapshot` moves that build forward through
-    every update since it was made (:func:`patch_snapshot`); only the boot
-    build, or a position behind the build, runs
-    :meth:`~repro.graph.base.DTDGGraph.snapshot`'s full build.  Driven by
-    the dispatcher thread only."""
+    it adds no byte.  :meth:`snapshot` patches that build when one small
+    update separates it from the position (:func:`patch_snapshot`), and
+    runs :meth:`~repro.graph.base.DTDGGraph.snapshot`'s full build at boot
+    and whenever more than one update, or a large one, separates them.
+    Driven by the dispatcher thread only."""
 
     graph_type = "live"
 
@@ -155,22 +165,36 @@ class _LiveGraph(DTDGGraph):
         assert build is not None
         return build
 
+    def _patches(self, pending: list[EdgeUpdate]) -> bool:
+        """Whether :meth:`snapshot` patches the kept build through the
+        non-empty updates ``pending`` since it: there is one, or none, and
+        it changes at most one edge in ``_EDGES_PER_PATCHED_CHANGE``."""
+        build = self._build
+        return (
+            build is not None
+            and len(pending) <= 1
+            and all(u.num_changes * _EDGES_PER_PATCHED_CHANGE <= build.bwd.num_edges for u in pending)
+        )
+
     def snapshot(self) -> BuiltSnapshot:
-        """The current snapshot: the kept build, patched by each non-empty
-        update since it was made; one ``csr_cache_misses`` per call."""
-        if self._build is None or self._build_time > self._pos_time:
-            self._build = None  # released before the full build allocates
-            self._build = super().snapshot()
-        else:
-            for t in range(self._build_time + 1, self._pos_time + 1):
-                update = self.dtdg.updates[t]
-                if update.num_changes:
+        """The current snapshot, one ``csr_cache_misses`` per call: the kept
+        build, patched by the one non-empty update since it was made when
+        that update is small against it, else a full build."""
+        assert self._build_time <= self._pos_time  # serving only moves forward
+        updates = (self.dtdg.updates[t] for t in range(self._build_time + 1, self._pos_time + 1))
+        pending = [u for u in updates if u.num_changes]
+        if self._patches(pending):
+            for update in pending:  # one at most
+                with span("graph.patch_snapshot", t=self._pos_time, changes=update.num_changes):
                     # The patch gets the only reference to the kept build,
                     # so it leaves the ledger before the patched arrays join.
                     self._build = patch_snapshot(
                         self._take_build(), update, self.num_nodes, self.sort_by_degree, current_device().alloc
                     )
             self._count("csr_cache_misses")
+        else:
+            self._build = None  # released before the full build allocates
+            self._build = super().snapshot()
         self._build_time = self._pos_time
         build = self._build
         assert build is not None

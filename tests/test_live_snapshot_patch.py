@@ -11,8 +11,9 @@
   order is ``(dst, src)``, not source alone);
 * a batch that is no exact set difference raises instead of patching, and
   the patch releases the build it consumes before it adopts its own;
-* the live graph patches its kept build through every update since it was
-  made (an empty one among them), and rebuilds when positioned behind it;
+* the live graph patches its kept build when one non-empty update, small
+  against the build, separates it from the position (an empty one may ride
+  along), and builds in full when two updates or one large one do;
 * in serving, the build the live graph keeps is the executor's context's
   arrays (no byte of its own), and after 20 updates the ``gpma.*`` bytes
   are exactly one build's.
@@ -151,25 +152,38 @@ def test_the_patch_releases_its_input_before_it_adopts_its_output():
 
 
 @pytest.mark.parametrize("sort_by_degree", [False, True])
-def test_the_live_graph_patches_through_every_update_since_its_build(sort_by_degree):
+def test_the_live_graph_patches_one_small_update_and_builds_anything_more(sort_by_degree):
     rng = np.random.default_rng(8)
-    n = 50
-    dtdg = DTDG([(rng.integers(0, n, 200), rng.integers(0, n, 200))], n)
+    n = 400
+    dtdg = DTDG([(rng.integers(0, n, 4000), rng.integers(0, n, 4000))], n)
+    none = np.empty(0, dtype=np.int64)
+    empty = EdgeUpdate(none, none, none, none)
+    small = random_update_batches(dtdg, 3, num_adds=6, num_deletes=4, seed=3)
     device = Device()
     with use_device(device):
         live = _LiveGraph(dtdg, sort_by_degree)
         live.snapshot()
-        none = np.empty(0, dtype=np.int64)
-        batches = random_update_batches(dtdg, 3, num_adds=6, num_deletes=4, seed=3)
-        for batch in [batches[0], EdgeUpdate(none, none, none, none), *batches[1:]]:
-            dtdg.append_update(batch)
-        for t in (dtdg.num_timestamps - 1, 1):  # three updates ahead of the build, then behind it
-            live.get_graph(t)
+        steps = [
+            ([small[0], empty], "patch"),  # one non-empty update: an empty one keeps the version
+            (small[1:], "build"),  # two updates since the build
+            # one large update (drawn against snapshot 0; the append drops deletes gone since)
+            (random_update_batches(dtdg, 1, num_adds=40, num_deletes=20, seed=4), "build"),
+            ([empty], None),  # nothing to patch: the kept build as it is
+        ]
+        for batches, made in steps:
+            for batch in batches:
+                dtdg.append_update(batch)
+            totals = device.totals.read()
+            before = (totals.calls("graph.patch_snapshot"), totals.calls("graph.build_snapshot"))
+            t = live.get_graph(dtdg.num_timestamps - 1).curr_time
             _assert_bitwise(live.snapshot(), build_snapshot_arrays(dtdg.snapshot_keys(t), n, sort_by_degree, device.alloc))
-    assert live.csr_cache_misses == 3
+            totals = device.totals.read()
+            after = (totals.calls("graph.patch_snapshot"), totals.calls("graph.build_snapshot"))
+            assert np.subtract(after, before).tolist() == {"patch": [1, 0], "build": [0, 1], None: [0, 0]}[made]
+    assert live.csr_cache_misses == 5
 
 
-N, EDGES, F, HIDDEN = 600, 2400, 8, 8
+N, EDGES, F, HIDDEN = 600, 16_000, 8, 8  # a 48-edge batch is one edge in 256 or fewer: patched
 
 
 def _engine(device):
@@ -198,6 +212,8 @@ def test_the_kept_build_is_the_contexts_arrays():
             ]:
                 assert np.shares_memory(kept, held)
             engine.query(int(batch.add_dst[0]))
+    totals = device.totals.read()
+    assert (totals.calls("graph.build_snapshot"), totals.calls("graph.patch_snapshot")) == (1, 3)
 
 
 def test_twenty_updates_leave_one_build_on_the_ledger():
@@ -210,6 +226,8 @@ def test_twenty_updates_leave_one_build_on_the_ledger():
             engine.query(int(batch.add_dst[0]))
         engine.flush()
     assert engine.stats()["updates_applied"] == 20
+    totals = device.totals.read()
+    assert (totals.calls("graph.build_snapshot"), totals.calls("graph.patch_snapshot")) == (1, 20)
     edges = engine.graph.num_edges
     one_build = (3 * edges + 2 * (N + 1) + 2 * N) * 4  # int32: two CSRs (one label array), two degree arrays
     gpma = sum(v for tag, v in device.tracker.bytes_by_tag().items() if tag.startswith("gpma."))
