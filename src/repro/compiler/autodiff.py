@@ -145,6 +145,18 @@ class _BwdBuilder:
                     "edge_dot", (self.use_fwd(x), g), "edge", "s", direction=direction
                 )
                 self.accumulate(w, gw)
+        elif kind == "spmm_scaled":
+            # The scale is a read-only input outside the gradient set
+            # (fold_scales' rule), so only the payload takes a gradient.
+            s, x = op.ins
+            gx = self.emit(
+                "spmm_scaled_T", (self.use_fwd(s), g), "node", self.widths[x],
+                direction=op.attrs.get("direction", "in"),
+            )
+            self.accumulate(x, gx)
+        elif kind == "diag_mul":
+            x, s = op.ins
+            self.accumulate(x, self.emit("diag_mul", (g, self.use_fwd(s)), "node", self.widths[g]))
         elif kind == "segment_sum":
             (w,) = op.ins
             self.accumulate(w, self.emit("gather_dst", (g,), "edge", "s"))

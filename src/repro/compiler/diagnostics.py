@@ -50,6 +50,7 @@ CODES: dict[str, tuple[str, str]] = {
     "STG012": (ERROR, "dangling output / unused input or const"),
     "STG013": (ERROR, "op kind unknown or attr/operand schema violation"),
     "STG014": (ERROR, "buffer missing from the space table"),
+    "STG015": (ERROR, "folded vertex scale is not a node-space input of the program"),
     # -- gradient / State-Stack checks ---------------------------------
     "STG020": (ERROR, "differentiable forward input has no gradient output in the backward program"),
     "STG021": (ERROR, "backward saved input not produced by the forward program (F_b ⊆ F_f violated)"),

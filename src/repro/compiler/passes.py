@@ -3,6 +3,11 @@
 * :func:`cse` — common-subexpression elimination (identical kind/inputs/
   attrs compute once).
 * :func:`dce` — drop ops and inputs unreachable from the outputs.
+* :func:`fold_scales` — fold a symmetric vertex scale (GCN's ``norm``)
+  into the aggregation operator's edge data, so ``(A·(x⊙s))⊙s`` is one
+  weighted ``spmm`` of ``x`` and the self-loop term ``x⊙s⊙s`` one
+  ``diag_mul``.  It reorders float operations, which the numeric contract
+  (DESIGN.md) allows.
 * :func:`saved_analysis` — report the backward program's saved-buffer set
   against the full forward buffer inventory; the difference is the memory
   the State Stack optimization avoids retaining per timestamp, and any
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.compiler.tir import IMPLICIT_ONES, TOp, TProgram
 
-__all__ = ["cse", "dce", "saved_analysis", "SavedAnalysis"]
+__all__ = ["cse", "dce", "fold_scales", "saved_analysis", "SavedAnalysis"]
 
 
 def cse(prog: TProgram) -> int:
@@ -57,6 +62,64 @@ def dce(prog: TProgram) -> int:
     prog.inputs = {k: v for k, v in prog.inputs.items() if k in needed}
     prog.consts = {k: v for k, v in prog.consts.items() if k in needed}
     return removed
+
+
+def _scaled_by(op: TOp | None, s: str) -> str | None:
+    """The other operand of ``op`` if it is ``ew(x, s, mul)`` (either order)."""
+    if op is None or op.kind != "ew" or op.attrs.get("op") != "mul" or len(op.ins) != 2:
+        return None
+    a, b = op.ins
+    if a == s and b != s:
+        return b
+    if b == s and a != s:
+        return a
+    return None
+
+
+def fold_scales(prog: TProgram, widths: dict[str, str], wrt: set[str]) -> int:
+    """Fold symmetric vertex scales into the aggregation operator.
+
+    A scale is a node input of width ``'s'`` outside ``wrt`` (the gradient
+    set): a read-only per-vertex scalar, like GCN's ``norm``.  Where an
+    unweighted ``y = spmm(x⊙s)`` is read only by ``y⊙s``, that product
+    becomes ``spmm_scaled(s, x)``, whose operator carries ``s[u]·s[v]`` per
+    edge; a remaining ``(x⊙s)⊙s`` (the self-loop term) becomes
+    ``diag_mul(x, s)``.  The ops left unread are for :func:`dce` to drop.
+    Each rewritten op keeps its output buffer and its place, and ``x`` is
+    defined before the ``x⊙s`` it came from, so the program stays in order.
+    Returns the number of products folded.
+    """
+    producer = {op.out: op for op in prog.ops}
+    readers: dict[str, list[TOp]] = {}
+    for op in prog.ops:
+        for name in op.ins:
+            readers.setdefault(name, []).append(op)
+    outputs = set(prog.outputs)
+    scales = {
+        buf for buf, (kind, _) in prog.inputs.items()
+        if kind == "node" and widths.get(buf) == "s" and buf not in wrt
+    }
+    rewrites: dict[str, TOp] = {}
+    folded = 0
+    for op in prog.ops:
+        if op.kind != "spmm" or op.ins[0] != IMPLICIT_ONES or op.out in outputs:
+            continue
+        payload = producer.get(op.ins[1])
+        users = readers.get(op.out, [])
+        if payload is None or len(users) != 1:
+            continue
+        for s in sorted(scales):
+            x = _scaled_by(payload, s)
+            if x is None or _scaled_by(users[0], s) is None:
+                continue
+            rewrites[users[0].out] = TOp("spmm_scaled", users[0].out, (s, x), dict(op.attrs))
+            for other in readers[payload.out]:
+                if other is not op and _scaled_by(other, s) == payload.out:
+                    rewrites[other.out] = TOp("diag_mul", other.out, (x, s))
+            folded += 1
+            break
+    prog.ops = [rewrites.get(op.out, op) for op in prog.ops]
+    return folded
 
 
 @dataclass

@@ -21,7 +21,7 @@ whole temporal sequence.  This module is the compile-time half of that split:
   compile exactly once per process.  :func:`compile_vertex_program` is the
   public way to request one.
 
-All pipeline work (lower → autodiff → passes → codegen → kernel compile)
+All pipeline work (lower → passes → autodiff → passes → codegen → kernel compile)
 is one ``compiler.plan_build`` interval (category ``compile``), so compile
 cost is measurable and visibly amortized in Figure-9-style breakdowns.
 
@@ -54,7 +54,7 @@ from repro.compiler.codegen import (
 from repro.compiler.diagnostics import LintReport
 from repro.compiler.ir import VNode
 from repro.compiler.lower import CompileError, lower_trace
-from repro.compiler.passes import SavedAnalysis, cse, dce, saved_analysis
+from repro.compiler.passes import SavedAnalysis, cse, dce, fold_scales, saved_analysis
 from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import TraceResult, Vertex, trace
 from repro.compiler.tir import TProgram
@@ -90,7 +90,9 @@ class ProgramPlan:
     and the caller pushes ``saved_env`` (only the buffers the backward
     program reads, or every forward buffer under ``state_stack_opt=False``);
     ``backward(ctx, g_out, saved_env)`` returns gradients keyed by feature
-    name, edge gradients in label order.
+    name, edge gradients in label order.  A node feature may be bound as a
+    function of the context (GCN's ``norm``): each pass calls it with its own
+    context, and ``saved_env`` holds the function, not its array.
     """
 
     plan_id: str
@@ -127,7 +129,8 @@ class ProgramPlan:
             if kind == "node":
                 if feat not in node_feats:
                     raise KeyError(f"{self.name}: missing node feature {feat!r}")
-                env[buf] = node_feats[feat]
+                value = node_feats[feat]
+                env[buf] = value(ctx) if callable(value) else value
             else:
                 if edge_feats is None or feat not in edge_feats:
                     raise KeyError(f"{self.name}: missing edge feature {feat!r}")
@@ -137,7 +140,7 @@ class ProgramPlan:
     def forward(
         self,
         ctx: GraphContext,
-        node_feats: Mapping[str, np.ndarray],
+        node_feats: Mapping[str, np.ndarray | Callable[[GraphContext], np.ndarray]],
         edge_feats: Mapping[str, np.ndarray] | None = None,
         engine: "ExecutionEngine | None" = None,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -147,6 +150,12 @@ class ProgramPlan:
         env = self._bind(ctx, node_feats, edge_feats)
         out, saved = _engine(engine).forward(self, ctx, env)
         device.alloc.adopt(np.asarray(out), tag="kernel.out")
+        # A feature bound as a function of the context is saved as that
+        # function: backward derives it again from its own context.
+        for buf in saved.keys() & self.fwd_prog.inputs.keys():
+            kind, feat = self.fwd_prog.inputs[buf]
+            if kind == "node" and callable(node_feats[feat]):
+                saved[buf] = node_feats[feat]
         return out, saved
 
     def backward(
@@ -158,6 +167,7 @@ class ProgramPlan:
     ) -> dict[str, np.ndarray]:
         """Run the backward pass on ``engine`` (``None``: the kernel engine);
         returns gradients keyed by feature name."""
+        saved = {buf: value(ctx) if callable(value) else value for buf, value in saved.items()}
         grads_by_buf = _engine(engine).backward(self, ctx, g_out, saved)
         grads: dict[str, np.ndarray] = {}
         for buf, grad in grads_by_buf.items():
@@ -227,7 +237,8 @@ def _build_plan(
     name: str,
     state_stack_opt: bool,
 ) -> ProgramPlan:
-    """The full pipeline: lower → autodiff → passes → codegen → compile."""
+    """The full pipeline: lower → cse/dce → scale fold → autodiff → cse/dce →
+    verify → codegen → compile."""
     fwd_prog, widths = lower_trace(traced, dict(feature_widths or {}), name=name)
     cse(fwd_prog)
     dce(fwd_prog)
@@ -243,6 +254,8 @@ def _build_plan(
         missing = grad_features - {feat for _, feat in fwd_prog.inputs.values()}
         if missing:
             raise CompileError(f"grad_features not read by the program: {sorted(missing)}")
+    if fold_scales(fwd_prog, widths, wrt):
+        dce(fwd_prog)
     bwd_result = build_backward(fwd_prog, widths, wrt=wrt)
     bwd_prog = bwd_result.prog
     cse(bwd_prog)

@@ -20,7 +20,8 @@ the paper's edge-labelling requirement.
 What ``spmm`` multiplies by is structure too: a context keeps, per
 direction, one :class:`_AggregationOperator` (the CSR with its rows already
 in ``node_ids`` order when the graph is degree-ordered), built by the first
-launch that asks for it.
+launch that asks for it, and with it the matrix of a folded vertex scale
+(``spmm_scaled``), built by the first launch that binds that scale.
 """
 
 from __future__ import annotations
@@ -122,40 +123,51 @@ class _AggregationOperator:
     backward one.  With degree ordering its rows are stored in ``node_ids``
     order (Figure 3) and ``inverse`` (the inverse permutation of ``order``)
     gathers a product back to vertex order; without, both are ``None``.
-    ``mat`` is the unweighted matrix.  Without degree ordering it wraps the
-    context's own index arrays (the CSR is already at SciPy's int32-where-it-
-    fits width) and the context's shared ``ones``, so building it copies
-    nothing, and neither does a launch.
+    ``indptr`` / ``indices`` are that structure: without degree ordering the
+    context's own index arrays (already at SciPy's int32-where-it-fits
+    width), so building the operator copies nothing.  Two matrices share it,
+    each built by the first launch that asks: ``mat``, whose data is the
+    context's shared all-ones ``ones``, and the folded matrix of a vertex
+    scale (:meth:`scaled`).
     """
 
     def __init__(self, ctx: GraphContext, direction: str) -> None:
         if direction == "in":
-            row, col, order, owner = ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids, None
+            row, col, order = ctx.fwd_row, ctx.fwd_col, ctx.fwd_node_ids
         else:
-            # bwd_to_fwd is read through the owning context (weakly: the
-            # context holds this operator) and only by a weighted launch.
-            row, col, order, owner = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids, weakref.ref(ctx)
+            row, col, order = ctx.bwd_row, ctx.bwd_col, ctx.bwd_node_ids
         n = ctx.num_nodes
-        mat = sp.csr_matrix((ctx.ones, col, row), shape=(n, n))
+        self.shape = (n, n)
         self.order = order if ctx.sort_by_degree else None
-        self.mat = mat if self.order is None else mat[self.order]
+        self.indptr, self.indices = row, col
         self.inverse = None
         if self.order is not None:
+            permuted = sp.csr_matrix((ctx.ones, col, row), shape=self.shape)[self.order]
+            self.indptr, self.indices = permuted.indptr, permuted.indices
             self.inverse = np.empty_like(self.order)
             self.inverse[self.order] = np.arange(n)
-        self._src = (row, col, owner)
+        # The context is read weakly (it holds this operator): for ``ones``,
+        # and for bwd_to_fwd, which only the out side's weighted launch reads.
+        self._ctx = weakref.ref(ctx)
+        self._src = (row, col, direction == "out")
+        self._scaled: tuple[np.ndarray, sp.csr_matrix] | None = None
+
+    @cached_property
+    def mat(self) -> sp.csr_matrix:
+        """The unweighted matrix (the context's shared ``ones`` as data)."""
+        return sp.csr_matrix((self._ctx().ones, self.indices, self.indptr), shape=self.shape, copy=False)
 
     @cached_property
     def _pos(self) -> np.ndarray | None:
         """Canonical (fwd-order) position of each stored nonzero, ``None`` for
         identity.  Under a row permutation it costs ``E*8`` bytes, so it waits
         for the first weighted launch."""
-        row, col, owner = self._src
-        to_fwd = None if owner is None else owner().bwd_to_fwd
+        row, col, out_side = self._src
+        to_fwd = self._ctx().bwd_to_fwd if out_side else None
         if self.order is None:
             return to_fwd
         pos = np.arange(len(col)) if to_fwd is None else to_fwd
-        return sp.csr_matrix((pos, col, row), shape=self.mat.shape)[self.order].data
+        return sp.csr_matrix((pos, col, row), shape=self.shape)[self.order].data
 
     def matrix(self, w: np.ndarray | None) -> sp.csr_matrix:
         """``mat`` itself, or a matrix over its structure carrying ``w``
@@ -163,8 +175,36 @@ class _AggregationOperator:
         if w is None:
             return self.mat
         data = (w if self._pos is None else w[self._pos]).astype(np.float32, copy=False)
-        mat = self.mat
-        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape, copy=False)
+
+    def scaled(self, s: np.ndarray) -> sp.csr_matrix:
+        """The matrix whose entry for edge ``u→v`` is ``s[u]·s[v]``: a vertex
+        scale folded into the operator (:func:`~repro.compiler.passes.fold_scales`).
+
+        Each entry is its row's scale times its column's, so the two
+        directions store the same bits per edge and the ``"out"`` matrix is
+        exactly the transpose of the ``"in"`` one.  The matrix is kept while
+        ``s`` is the bound array and cannot change under it (a read-only
+        array, as ``gcn_norm`` returns); a writeable scale builds it per
+        launch."""
+        kept = self._scaled
+        if kept is not None and kept[0] is s:
+            return kept[1]
+        s32 = s.astype(np.float32, copy=False)
+        rows = s32 if self.order is None else s32[self.order]
+        data = np.repeat(rows, np.diff(self.indptr))
+        data *= s32.take(self.indices)
+        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape, copy=False)
+        if not s.flags.writeable:
+            self._scaled = (s, mat)
+        return mat
+
+    def launch(self, mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+        """``mat @ x`` in launch order, gathered back to vertex order."""
+        out_perm = mat @ x.astype(np.float32, copy=False)
+        if self.inverse is None:
+            return out_perm
+        return out_perm.take(self.inverse, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +296,7 @@ def spmm(ctx: GraphContext, w, x, direction: str = "in"):
     order.
     """
     op = ctx.operator(direction)
-    out_perm = op.matrix(w) @ x.astype(np.float32, copy=False)
-    if op.inverse is None:
-        return out_perm
-    return out_perm.take(op.inverse, axis=0)
+    return op.launch(op.matrix(w), x)
 
 
 def spmm_T(ctx: GraphContext, w, g, direction: str = "in"):
@@ -270,6 +307,26 @@ def spmm_T(ctx: GraphContext, w, g, direction: str = "in"):
     (out-neighbors) — which is exactly why the graph abstraction maintains
     both orientations with shared edge labels — and vice versa."""
     return spmm(ctx, w, g, direction="out" if direction == "in" else "in")
+
+
+def spmm_scaled(ctx: GraphContext, s, x, direction: str = "in"):
+    """``out[v] = Σ_{e∈in(v)} s[u]·s[v]·x[u]`` (``u = src[e]``): :func:`spmm`
+    over the operator whose edge data is the vertex scale ``s`` folded in
+    (``_AggregationOperator.scaled``), kept per context and direction."""
+    op = ctx.operator(direction)
+    return op.launch(op.scaled(s), x)
+
+
+def spmm_scaled_T(ctx: GraphContext, s, g, direction: str = "in"):
+    """Payload gradient of :func:`spmm_scaled`: the same folded product over
+    the other orientation, whose matrix is the exact transpose."""
+    return spmm_scaled(ctx, s, g, direction="out" if direction == "in" else "in")
+
+
+def diag_mul(x, s):
+    """``x·s²``, ``s`` broadcast column-wise: the self-loop term of a folded
+    scale, and its own adjoint."""
+    return ew_mul(x, s * s)
 
 
 def segment_sum(ctx: GraphContext, w):
@@ -420,6 +477,9 @@ RUNTIME_NAMESPACE = {
     "ew_recip": ew_recip,
     "spmm": spmm,
     "spmm_T": spmm_T,
+    "spmm_scaled": spmm_scaled,
+    "spmm_scaled_T": spmm_scaled_T,
+    "diag_mul": diag_mul,
     "segment_sum": segment_sum,
     "segment_sum_dst": segment_sum_dst,
     "scatter_src": scatter_src,

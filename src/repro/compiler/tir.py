@@ -21,7 +21,15 @@ The aggregation ops are where the graph enters:
 ``edge_softmax``   softmax of an edge score over each vertex's in-edges
 ``edge_dot``       per-edge feature dot of two node-space values
 ``agg_max``        max-aggregation of a node payload over in-edges
+``spmm_scaled``    ``out[v] = Σ_{e∈in(v)} s[src[e]]·s[v]·x[src[e]]``: ``spmm``
+                   over the operator whose edge data is a folded vertex scale
+``spmm_scaled_T``  its transpose product (gradient path)
+``diag_mul``       ``x·s²``, the self-loop term of a folded scale
 =================  ===========================================================
+
+The last three are written only by the scale fold
+(:func:`~repro.compiler.passes.fold_scales`); their ``s`` operand must be an
+input of the program (the verifier's STG015).
 
 :data:`OP_SCHEMAS` is the one table of op kinds: the verifier checks
 operands and write hazards against it, and codegen and the interpreter pass
@@ -75,6 +83,8 @@ class OpSchema:
     optional: frozenset = frozenset()
     #: operand positions where the implicit all-ones weight is legal
     ones_positions: frozenset = frozenset()
+    #: operand positions holding a folded vertex scale (must be an input)
+    scale_positions: frozenset = frozenset()
     #: required ∪ optional, precomputed for the verifier's hot path
     allowed: frozenset = frozenset()
 
@@ -102,6 +112,9 @@ OP_SCHEMAS: dict[str, OpSchema] = {
     "edge_dot": OpSchema((2, 2), "gather", "edge", optional=_DIR),
     "agg_max": OpSchema((1, 1), "reduce", "node"),
     "agg_max_bwd": OpSchema((3, 3), "reduce", "node"),
+    "spmm_scaled": OpSchema((2, 2), "reduce", "node", optional=_DIR, scale_positions=frozenset({0})),
+    "spmm_scaled_T": OpSchema((2, 2), "reduce", "node", optional=_DIR, scale_positions=frozenset({0})),
+    "diag_mul": OpSchema((2, 2), "elementwise", scale_positions=frozenset({1})),
     "in_deg": OpSchema((0, 0), "structural", "node"),
     "in_deg_clamped": OpSchema((0, 0), "structural", "node"),
     "out_deg": OpSchema((0, 0), "structural", "node"),

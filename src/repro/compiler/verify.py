@@ -14,7 +14,8 @@ gradients rather than errors.  This module makes them loud:
   leaves, nested-aggregation legality.
 * :func:`verify_tprogram` — single assignment per buffer, def-before-use,
   no dangling inputs/outputs/consts, per-kind operand/attr schemas, space
-  table completeness, and write hazards: every lowered op is classified as
+  table completeness, the scale fold's legality (a folded scale is an input
+  of the program), and write hazards: every lowered op is classified as
   gather / elementwise / reduce-scatter / structural by its
   :data:`~repro.compiler.tir.OP_SCHEMAS` entry; an edge-space value written
   into a node-space buffer by anything but a reduction is exactly the write
@@ -370,6 +371,19 @@ def verify_tprogram(prog: TProgram, report: LintReport) -> None:
                         "STG013",
                         f"implicit input {IMPLICIT_ONES!r} is only legal as the weight "
                         f"operand of spmm/spmm_T, not operand {pos} of {op.kind!r}",
+                        where=f"op {op.render()}",
+                        program=program,
+                    )
+        if schema is not None and schema.scale_positions:
+            # A folded scale is read as structure of the snapshot: it must be
+            # bound (or saved) as an input, never computed by the program.
+            for pos in schema.scale_positions:
+                name = ins[pos] if pos < len(ins) else None
+                if name not in prog.inputs or spaces.get(name) != "node":
+                    report.add(
+                        "STG015",
+                        f"operand {pos} of {op.kind!r} must be a node-space input of the "
+                        f"program (a read-only vertex scale), not {name!r}",
                         where=f"op {op.render()}",
                         program=program,
                     )

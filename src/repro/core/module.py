@@ -157,13 +157,15 @@ class _GraphAggregationTape(Function):
 def graph_aggregate(
     program: ProgramPlan,
     executor: TemporalExecutor,
-    node_feats: Mapping[str, Tensor | np.ndarray],
+    node_feats: Mapping[str, Tensor | np.ndarray | Callable[[GraphContext], np.ndarray]],
     edge_feats: Mapping[str, Tensor | np.ndarray] | None = None,
 ) -> Tensor:
     """Run a compiled aggregation at the executor's current timestamp.
 
     Tensor-valued features participate in autodiff; ndarray-valued features
-    (degree norms etc.) are structural constants.
+    are structural constants, and a function of the context (``gcn_norm``'s
+    callers) is a structural feature derived per context, which the State
+    Stack keeps as the function.
     """
     ctx: GraphContext = executor.current_context()
     timestamp = executor.current_timestamp
@@ -179,7 +181,7 @@ def graph_aggregate(
             tensor_slots.append((name, "node"))
             tensor_inputs.append(value)
         else:
-            node_arrays[name] = np.asarray(value)
+            node_arrays[name] = value if callable(value) else np.asarray(value)
     for name, value in (edge_feats or {}).items():
         if isinstance(value, Tensor):
             edge_arrays[name] = value.data
@@ -225,7 +227,7 @@ class VertexCentricLayer(nn.Module):
     def aggregate(
         self,
         executor: TemporalExecutor,
-        node_feats: Mapping[str, Tensor | np.ndarray],
+        node_feats: Mapping[str, Tensor | np.ndarray | Callable[[GraphContext], np.ndarray]],
         edge_feats: Mapping[str, Tensor | np.ndarray] | None = None,
     ) -> Tensor:
         """Run this layer's compiled aggregation at the executor's current timestamp."""

@@ -14,11 +14,9 @@ other aggregation).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.executor import TemporalExecutor
 from repro.core.module import VertexCentricLayer
-from repro.nn.gcn import gcn_norm
+from repro.nn.gcn import gcn_norm_plain
 from repro.tensor import functional as F
 from repro.tensor import init
 from repro.tensor.nn import Parameter
@@ -57,20 +55,18 @@ class ChebConv(VertexCentricLayer):
             setattr(self, f"weight_{i}", Parameter(init.glorot_uniform((in_features, out_features))))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
-    def _lap(self, executor: TemporalExecutor, x: Tensor, norm: np.ndarray) -> Tensor:
-        return self.aggregate(executor, {"h": x, "norm": norm})
+    def _lap(self, executor: TemporalExecutor, x: Tensor) -> Tensor:
+        return self.aggregate(executor, {"h": x, "norm": gcn_norm_plain})
 
     def forward(self, executor: TemporalExecutor, x: Tensor) -> Tensor:
         """Run the K-term Chebyshev recurrence at the current snapshot."""
-        ctx = executor.current_context()
-        norm = gcn_norm(ctx, add_self_loops=False)
         t_prev_prev = x  # T_0
         out = F.matmul(t_prev_prev, self.weight_0)
         if self.k > 1:
-            t_prev = self._lap(executor, x, norm)  # T_1
+            t_prev = self._lap(executor, x)  # T_1
             out = F.add(out, F.matmul(t_prev, self.weight_1))
             for i in range(2, self.k):
-                t_curr = F.sub(F.mul(self._lap(executor, t_prev, norm), 2.0), t_prev_prev)
+                t_curr = F.sub(F.mul(self._lap(executor, t_prev), 2.0), t_prev_prev)
                 out = F.add(out, F.matmul(t_curr, getattr(self, f"weight_{i}")))
                 t_prev_prev, t_prev = t_prev, t_curr
         if self.bias is not None:

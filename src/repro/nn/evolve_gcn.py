@@ -10,12 +10,10 @@ Stateful across a sequence: call :meth:`reset_state` at sequence start.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.executor import TemporalExecutor
 from repro.core.module import graph_aggregate
 from repro.compiler.plan import compile_vertex_program
-from repro.nn.gcn import gcn_norm, _gcn_program_self_loops
+from repro.nn.gcn import gcn_norm_self_loops, _gcn_program_self_loops
 from repro.tensor import functional as F
 from repro.tensor import init
 from repro.tensor.nn import GRUCell, Module, Parameter
@@ -54,7 +52,5 @@ class EvolveGCNO(Module):
         # Treat each input-dimension row of W as a batch element of the GRU.
         w_next = self.evolve(w_prev, w_prev)
         self._weight = w_next
-        ctx = executor.current_context()
-        norm = gcn_norm(ctx, add_self_loops=True)
         h = F.matmul(x, w_next)
-        return graph_aggregate(self.program, executor, {"h": h, "norm": norm})
+        return graph_aggregate(self.program, executor, {"h": h, "norm": gcn_norm_self_loops})

@@ -8,8 +8,12 @@ kernel::
 
 ``norm = 1/√(deg+1)`` (or ``1/√max(deg,1)`` without self-loops) is a
 structural constant recomputed per snapshot from the executor's context and
-cached on it; only ``h`` receives gradients, so the compiler's saved-tensor
-analysis keeps just ``norm`` on the State Stack per timestamp.
+cached on it, read-only.  Only ``h`` receives gradients, so the compiler
+folds ``norm`` into the aggregation operator
+(:func:`~repro.compiler.passes.fold_scales`): each direction is one ``spmm``
+over edge data ``norm_u·norm_v``, plus ``h_v·norm_v²`` for the self-loops.
+The layer binds ``norm`` as a function of the context, so the State Stack
+keeps that function, not an ``N``-float array, per aggregation.
 """
 
 from __future__ import annotations
@@ -24,18 +28,30 @@ from repro.tensor import init
 from repro.tensor.nn import Parameter
 from repro.tensor.tensor import Tensor
 
-__all__ = ["GCNConv", "gcn_norm"]
+__all__ = ["GCNConv", "gcn_norm", "gcn_norm_self_loops", "gcn_norm_plain"]
 
 
 def gcn_norm(ctx: GraphContext, add_self_loops: bool) -> np.ndarray:
-    """Per-snapshot symmetric-normalization vector, cached on the context."""
+    """Per-snapshot symmetric-normalization vector, cached on the context
+    and read-only (the folded operator keeps its weights while it is)."""
     attr = "_gcn_norm_sl" if add_self_loops else "_gcn_norm"
     cached = getattr(ctx, attr, None)
     if cached is None:
         deg = ctx.in_deg + 1 if add_self_loops else np.maximum(ctx.in_deg, 1)
         cached = (1.0 / np.sqrt(deg)).astype(np.float32)
+        cached.flags.writeable = False
         setattr(ctx, attr, cached)
     return cached
+
+
+def gcn_norm_self_loops(ctx: GraphContext) -> np.ndarray:
+    """``gcn_norm`` with self-loops: the ``norm`` binding a layer passes."""
+    return gcn_norm(ctx, True)
+
+
+def gcn_norm_plain(ctx: GraphContext) -> np.ndarray:
+    """``gcn_norm`` without self-loops: the ``norm`` binding a layer passes."""
+    return gcn_norm(ctx, False)
 
 
 def _gcn_program_self_loops(v):
@@ -99,7 +115,7 @@ class GCNConv(VertexCentricLayer):
         timestamp (static-temporal edge signals, Definition II.1)."""
         if self.edge_weighted and edge_weight is None:
             raise ValueError("edge_weighted GCNConv needs edge_weight")
-        norm = gcn_norm(executor.current_context(), self.add_self_loops)
+        norm = gcn_norm_self_loops if self.add_self_loops else gcn_norm_plain
         edge_feats = {"w": edge_weight} if self.edge_weighted else None
         # x @ W goes straight into the aggregation, so it is freed before
         # the bias add.

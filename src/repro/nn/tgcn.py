@@ -14,17 +14,19 @@ linear map::
 The three convolutions run first (z, r, h order, so the State Stack's
 pushes and LIFO pops are those of one aggregation per gate); everything
 after them is one tape node, :class:`TGCNGates`, which PyG-T's TGCN
-(:mod:`repro.baselines.pygt.tgcn`) uses too.  It keeps ``a_z, a_r, a_h,
-H, z, r`` per timestamp, six ``N×F`` arrays; backward rebuilds ``h̃`` (one
-``[a_h ‖ r⊙H] @ W_h`` and a ``tanh``, over the concatenation W_h's gradient
-reads anyway), and a recorded step from ``h is None`` passes a 0-d zero as
-``H``, which every read of ``H`` broadcasts, so the first step of a
-sequence saves no ``N×F`` zeros.  It performs the float operations of the
-op-by-op composition
-(``Concat``, ``Linear``, ``Sigmoid`` / ``Tanh``, ``Mul`` / ``Sub`` /
-``Add``) in the tape's order, so every output and gradient bit is that
-composition's (``tests/test_tgcn_gates.py`` checks this against
-``tests/_tgcn_reference.py``).
+(:mod:`repro.baselines.pygt.tgcn`) uses too.  Each ``W·[a ‖ H]`` is
+computed as ``a @ W[:F] + H @ W[F:]`` over row views of the one weight, so
+no ``N×2F`` concatenation is filled in either direction; against the
+concatenated product that moves bits within the numeric contract (DESIGN.md
+"The numeric contract"; ``tests/test_numeric_contract.py`` holds the
+bound).  The node keeps ``a_z, a_r, a_h, H, z, r`` per timestamp, six
+``N×F`` arrays; backward rebuilds ``h̃`` (``a_h @ W_h[:F] + (r⊙H) @
+W_h[F:]`` and a ``tanh``), and a recorded step from ``h is None`` passes a
+0-d zero as ``H``, which every read of ``H`` broadcasts, so the first step
+of a sequence saves no ``N×F`` zeros.  It performs the float operations of
+the op-by-op composition on the two weight halves (``MatMul``, ``Add``,
+``Sigmoid`` / ``Tanh``, ``Mul`` / ``Sub``) in the tape's order
+(``tests/test_tgcn_gates.py`` checks every output and gradient bit).
 
 The hidden state threads through the tensor-engine tape, so backward over a
 sequence is true BPTT; the graph aggregations inside each gate store their
@@ -34,8 +36,8 @@ An unrecorded step from the zero initial state (``no_grad`` and ``h is
 None``: every serving forward, the serial oracle, the first step of an
 evaluation roll) runs two convolutions, not three: at ``H = 0`` the reset
 gate only multiplies zeros, so ``conv_r`` and ``lin_r`` are dead and
-:func:`tgcn_zero_state_gates` computes ``z`` and ``h̃`` with the same gate
-code on ``[a ‖ 0]``, bit for bit the general step's output.  Training (grad
+:func:`tgcn_zero_state_gates` computes ``z`` and ``h̃`` from the ``a @ W[:F]``
+halves alone, bit for bit the general step's output.  Training (grad
 enabled) and any given state always take the general step.
 """
 
@@ -54,60 +56,60 @@ from repro.tensor.tensor import Tensor, is_grad_enabled
 __all__ = ["TGCN", "TGCNGates", "TGCNZeroStateGates", "tgcn_gates", "tgcn_zero_state_gates"]
 
 
-def _update_gate(cat: np.ndarray, a_z: np.ndarray, w_z: np.ndarray, b_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``z = σ([a_z ‖ H] @ W_z + b_z)``; ``cat``'s right half already holds
-    ``H``.  Returns ``z`` and the pre-activation buffer the later gates reuse."""
-    cat[:, : a_z.shape[1]] = a_z
-    pre = cat @ w_z
-    pre += b_z
-    return stable_sigmoid(pre), pre
+def _gate_pre(a: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a ‖ H] @ W + b`` as ``a @ W[:F] + H @ W[F:] + b`` over row views of
+    the one weight, so no ``N×2F`` concatenation is filled.  A 0-d ``H`` is
+    the zero state, whose half product is ``+0`` wherever ``W`` is finite."""
+    f = a.shape[1]
+    pre = a @ w[:f]
+    pre += h @ w[f:] if h.ndim else h
+    pre += b
+    return pre
 
 
-def _candidate(cat: np.ndarray, a_h: np.ndarray, w_h: np.ndarray, b_h: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """``h̃ = tanh([a_h ‖ r·H] @ W_h + b_h)`` computed in ``pre``; ``cat``'s
-    right half already holds ``r·H``."""
-    cat[:, : a_h.shape[1]] = a_h
-    np.matmul(cat, w_h, out=pre)
-    pre += b_h
-    return np.tanh(pre, out=pre)
+def _weight_grad(a: np.ndarray, h: np.ndarray, d_pre: np.ndarray) -> np.ndarray:
+    """``[a ‖ H]ᵀ @ d_pre`` as its two half products, written into the rows
+    of one ``2F×F`` gradient (a 0-d zero ``H`` contributes zeros)."""
+    f = a.shape[1]
+    grad = np.empty((2 * f, d_pre.shape[1]), dtype=d_pre.dtype)
+    np.matmul(a.T, d_pre, out=grad[:f])
+    if h.ndim:
+        np.matmul(h.T, d_pre, out=grad[f:])
+    else:
+        grad[f:] = 0.0
+    return grad
 
 
 class TGCNGates(Function):
     """The GRU gate tail of one TGCN step as one tape node.
 
     Inputs ``a_z, a_r, a_h, H, W_z, b_z, W_r, b_r, W_h, b_h``; output ``H'``.
-    Forward is the unfused composition's float operations in its order:
-    ``[a ‖ H]`` concatenated into one ``N×2F`` scratch buffer, ``@ W``,
-    ``+ b``, sigmoid / tanh, then ``z·H + (1−z)·h̃``.  Backward follows the
-    order in which the tape walks that composition: gates h̃, r, z; ``H``'s
-    four contributions summed in the tape's accumulation order; each weight
-    gradient one ``[a ‖ H]ᵀ @ dpre`` over the rebuilt concatenation (two
-    half products stacked are not bit-identical to it on every shape).
+    Each gate's ``[a ‖ H] @ W`` is ``a @ W[:F] + H @ W[F:]`` over row views of
+    its one weight (DESIGN.md "The numeric contract"), then ``+ b``, sigmoid /
+    tanh, then ``z·H + (1−z)·h̃``.  These are the float operations of the
+    op-by-op composition on the two weight halves, in its order; backward
+    follows the order in which the tape walks it: gates h̃, r, z, and
+    ``H``'s four contributions summed in the tape's accumulation order
+    (``tests/test_tgcn_gates.py`` checks every bit against that composition).
 
     It keeps ``a_z, a_r, a_h, H, z, r``.  ``z`` and ``r`` are adopted into the
     allocator only when the node is recorded; under ``no_grad`` it saves
     nothing.  ``h̃`` is not kept: backward rebuilds it with the forward's
-    float operations over the ``[a_h ‖ r·H]`` it fills for W_h's gradient,
-    and adopts it while it holds it.  Rebuilding ``r`` or ``z`` as well would
-    cost a GEMM and a sigmoid each per step.  ``H`` may be a 0-d zero (the
-    first recorded step from ``h is None``): every read of it broadcasts, the
-    same IEEE operations as on an ``N×F`` zeros array, and shapes come from
-    ``a_z``.
+    float operations and adopts it while it holds it.  Rebuilding ``r`` or
+    ``z`` as well would cost a GEMM and a sigmoid each per step.  ``H`` may
+    be a 0-d zero (the first recorded step from ``h is None``): every read of
+    it broadcasts, and its half products are zeros, so the step's bits are
+    those of an ``N×F`` zeros state wherever the weights are finite.
     """
 
     def forward(self, a_z, a_r, a_h, h, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
-        n, f = a_z.shape
-        cat = np.empty((n, 2 * f), dtype=a_z.dtype)
-        cat[:, f:] = h
-        z, pre = _update_gate(cat, a_z, w_z, b_z)
-        cat[:, :f] = a_r
-        np.matmul(cat, w_r, out=pre)
-        pre += b_r
+        z = stable_sigmoid(_gate_pre(a_z, h, w_z, b_z))
+        pre = _gate_pre(a_r, h, w_r, b_r)
         r = stable_sigmoid(pre)
-        np.multiply(r, h, out=cat[:, f:])
-        h_tilde = _candidate(cat, a_h, w_h, b_h, pre)
+        h_tilde = _gate_pre(a_h, r * h, w_h, b_h)
+        np.tanh(h_tilde, out=h_tilde)
         out = z * h
-        keep = np.subtract(1.0, z, out=cat[:, :f])
+        keep = np.subtract(1.0, z, out=pre)
         keep *= h_tilde
         out += keep
         self.save_for_backward(a_z, a_r, a_h, h, z, r, w_z, b_z, w_r, b_r, w_h, b_h)
@@ -125,12 +127,12 @@ class TGCNGates(Function):
     def backward(self, grad: np.ndarray):
         a_z, a_r, a_h, h, z, r, w_z, b_z, w_r, b_r, w_h, b_h = self.saved
         need_h = self.needs_input_grad[3]
-        n, f = a_z.shape
-        # Rebuild h̃ = tanh([a_h ‖ r·H] @ W_h + b_h) with the forward's float
-        # operations; the filled ``cat`` is also W_h's gradient operand.
-        cat = np.empty((n, 2 * f), dtype=a_z.dtype)
-        np.multiply(r, h, out=cat[:, f:])
-        h_tilde = _candidate(cat, a_h, w_h, b_h, np.empty((n, f), dtype=a_z.dtype))
+        f = a_z.shape[1]
+        # Rebuild h̃ = tanh(a_h @ W_h[:F] + (r·H) @ W_h[F:] + b_h) with the
+        # forward's float operations; r·H is also W_h's gradient operand.
+        r_h = r * h
+        h_tilde = _gate_pre(a_h, r_h, w_h, b_h)
+        np.tanh(h_tilde, out=h_tilde)
         current_device().alloc.adopt(h_tilde, tag="tensor")
         # H' = z·H + (1−z)·h̃
         d_pre = np.subtract(1.0, z)
@@ -143,35 +145,29 @@ class TGCNGates(Function):
         scratch = np.multiply(h_tilde, h_tilde, out=h_tilde)
         np.subtract(1.0, scratch, out=scratch)
         d_pre *= scratch
-        g_w_h = cat.T @ d_pre
+        g_w_h = _weight_grad(a_h, r_h, d_pre)
         g_b_h = _unbroadcast(d_pre, b_h.shape)
-        d_cat = np.matmul(d_pre, w_h.T, out=cat)
-        g_a_h = d_cat[:, :f].copy()
-        np.multiply(d_cat[:, f:], h, out=d_pre)
+        g_a_h = d_pre @ w_h[:f].T
+        d_r_h = d_pre @ w_h[f:].T
+        np.multiply(d_r_h, h, out=d_pre)
         if need_h:
-            d_h += np.multiply(d_cat[:, f:], r, out=scratch)
-        # r = σ([a_r ‖ H] @ W_r + b_r)
+            d_h += np.multiply(d_r_h, r, out=scratch)
+        # r = σ(a_r @ W_r[:F] + H @ W_r[F:] + b_r)
         d_pre *= r
         d_pre *= np.subtract(1.0, r, out=scratch)
-        cat[:, :f] = a_r
-        cat[:, f:] = h
-        g_w_r = cat.T @ d_pre
+        g_w_r = _weight_grad(a_r, h, d_pre)
         g_b_r = _unbroadcast(d_pre, b_r.shape)
-        d_cat = np.matmul(d_pre, w_r.T, out=cat)
-        g_a_r = d_cat[:, :f].copy()
+        g_a_r = d_pre @ w_r[:f].T
         if need_h:
-            d_h += d_cat[:, f:]
-        # z = σ([a_z ‖ H] @ W_z + b_z)
+            d_h += d_pre @ w_r[f:].T
+        # z = σ(a_z @ W_z[:F] + H @ W_z[F:] + b_z)
         d_z *= z
         d_z *= np.subtract(1.0, z, out=scratch)
-        cat[:, :f] = a_z
-        cat[:, f:] = h
-        g_w_z = cat.T @ d_z
+        g_w_z = _weight_grad(a_z, h, d_z)
         g_b_z = _unbroadcast(d_z, b_z.shape)
-        d_cat = np.matmul(d_z, w_z.T, out=cat)
-        g_a_z = d_cat[:, :f].copy()
+        g_a_z = d_z @ w_z[:f].T
         if need_h:
-            d_h += d_cat[:, f:]
+            d_h += d_z @ w_z[f:].T
         return g_a_z, g_a_r, g_a_h, d_h, g_w_z, g_b_z, g_w_r, g_b_r, g_w_h, g_b_h
 
 
@@ -188,19 +184,24 @@ class TGCNZeroStateGates(Function):
     """``H'`` of an unrecorded TGCN step from the zero state, without the reset gate.
 
     Inputs ``a_z, a_h, W_z, b_z, W_h, b_h``.  At ``H = 0`` the reset gate only
-    multiplies zeros, so ``z`` and ``h̃`` are :class:`TGCNGates`'s float
-    operations on ``[a ‖ 0]`` and ``H' = (1−z)·h̃ + 0.0``; the ``+ 0.0`` is the
+    multiplies zeros and each gate's ``H @ W[F:]`` half is zero, so ``z`` and
+    ``h̃`` are ``σ(a_z @ W_z[:F] + b_z)`` and ``tanh(a_h @ W_h[:F] + b_h)``
+    with no zeros buffer, and ``H' = (1−z)·h̃ + 0.0``; the ``+ 0.0`` is the
     general path's ``z·0 + …`` and turns a ``-0.0`` product into ``+0.0`` as
     it does.  Bit-identical to :class:`TGCNGates` on an explicit zero state
     unless the reset gate's pre-activation holds a NaN (that path then
-    returns NaN rows, this one does not).  It has no backward: callers apply
-    it only under ``no_grad``.
+    returns NaN rows, this one does not) or a weight is not finite.  It has
+    no backward: callers apply it only under ``no_grad``.
     """
 
     def forward(self, a_z, a_h, w_z, b_z, w_h, b_h) -> np.ndarray:
-        cat = np.zeros((a_z.shape[0], 2 * a_z.shape[1]), dtype=np.float32)
-        z, pre = _update_gate(cat, a_z, w_z, b_z)
-        h_tilde = _candidate(cat, a_h, w_h, b_h, pre)
+        f = a_z.shape[1]
+        pre = a_z @ w_z[:f]
+        pre += b_z
+        z = stable_sigmoid(pre)
+        np.matmul(a_h, w_h[:f], out=pre)
+        pre += b_h
+        h_tilde = np.tanh(pre, out=pre)
         out = np.subtract(1.0, z, out=z)
         out *= h_tilde
         out += 0.0

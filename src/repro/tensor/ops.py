@@ -66,25 +66,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def stable_sigmoid(a: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid that never exponentiates a positive number.
+    """Logistic sigmoid as ``0.5·(1 + tanh(a/2))``.
 
-    ``exp(min(a, 0)) / (1 + exp(-|a|))`` is ``1 / (1 + e^-a)`` where
-    ``a >= 0`` and ``e^a / (1 + e^a)`` elsewhere: the two-branch formula with
-    neither a mask nor a select (the numerator is exactly 1 on the first
-    branch), bit for bit the masked form in float32 and float64.  Shared by
-    the tape op and the generated kernels' ``ew_sigmoid`` so both produce the
-    same bits.  Evaluated in that order in two fresh buffers of the float
-    type ``np.exp`` gives ``a`` (0-d input included); ``a`` is only read.
+    The identity holds exactly over the reals and ``tanh`` never overflows,
+    so no input needs a branch: ``±inf`` map to 1 and 0, NaN stays NaN, and
+    ``±0`` give 0.5.  Against a float64 reference its float32 error is below
+    6.1e-8 absolute (``tests/test_numeric_contract.py`` holds the bound); for
+    ``a < -17`` it returns 0 where ``1/(1 + e^-a)`` is a subnormal.  Shared by
+    the tape op, the generated kernels' ``ew_sigmoid`` and the TGCN gates, so
+    all three produce the same bits.  Evaluated in place in one fresh buffer
+    of the float type ``np.tanh`` gives ``a`` (0-d input included); ``a`` is
+    only read.
     """
     a = np.asarray(a)
     dtype = np.result_type(a, np.float16)
-    num = np.minimum(a, 0, out=np.empty_like(a, dtype=dtype))
-    np.exp(num, out=num)
-    den = np.abs(a, out=np.empty_like(a, dtype=dtype))
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.add(1, den, out=den)
-    return np.divide(num, den, out=num)
+    out = np.multiply(a, dtype.type(0.5), out=np.empty_like(a, dtype=dtype))
+    np.tanh(out, out=out)
+    out += dtype.type(1)
+    out *= dtype.type(0.5)
+    return out
 
 
 def leaky_relu_array(a: np.ndarray, slope: float) -> np.ndarray:

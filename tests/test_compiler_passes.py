@@ -9,7 +9,7 @@ import pytest
 from repro.compiler import compile_vertex_program
 from repro.compiler.diagnostics import LintReport
 from repro.compiler.lower import lower_trace
-from repro.compiler.passes import cse, dce, saved_analysis
+from repro.compiler.passes import cse, dce, fold_scales, saved_analysis
 from repro.compiler.runtime import GraphContext
 from repro.compiler.symbols import trace
 from repro.compiler.tir import TOp, TProgram
@@ -134,8 +134,9 @@ def test_generated_source_is_inspectable():
     # Entry points are content-addressed (plan id), so cached source is
     # deterministic no matter which layer compiled the plan first.
     assert f"def {p.plan_id}_fwd(ctx, env):" in p.forward_source
-    assert "spmm(ctx, None," in p.forward_source
-    assert "spmm_T(ctx, None," in p.backward_source
+    # norm is outside grad_features, so it is folded into the operator
+    assert "spmm_scaled(ctx, n_norm, n_h," in p.forward_source
+    assert "spmm_scaled_T(ctx, n_norm, g_out," in p.backward_source
     assert "return" in p.backward_source
 
 
@@ -171,3 +172,37 @@ def test_describe_is_complete():
     )
     text = p.describe()
     assert "vertex IR" in text and "forward" in text and "backward" in text and "state stack" in text
+
+
+@pytest.mark.parametrize(
+    ("fn", "widths", "grads", "folded"),
+    [
+        (lambda v: v.agg_sum(lambda nb: nb.h * nb.norm) * v.norm + v.h * v.norm * v.norm,
+         {"h": "v", "norm": "s"}, {"h"}, ["spmm_scaled", "diag_mul", "ew"]),
+        (lambda v: -(v.agg_sum(lambda nb: nb.h * nb.norm) * v.norm), {"h": "v", "norm": "s"}, {"h"},
+         ["spmm_scaled", "ew"]),
+        # norm differentiable: not a structural scale, nothing folds
+        (lambda v: v.agg_sum(lambda nb: nb.h * nb.norm) * v.norm, {"h": "v", "norm": "s"}, {"h", "norm"}, None),
+        # one-sided scale: no symmetric product to fold
+        (lambda v: v.agg_sum(lambda nb: nb.h) * v.norm, {"h": "v", "norm": "s"}, {"h"}, None),
+        # an edge-weighted product keeps its broadcasts
+        (lambda v: v.agg_sum(lambda nb: nb.h * nb.norm * nb.edge.w) * v.norm, {"h": "v", "norm": "s"}, {"h"},
+         None),
+    ],
+    ids=["self_loops", "cheb", "norm_differentiable", "one_sided", "edge_weighted"],
+)
+def test_fold_scales_folds_only_a_symmetric_read_only_scale(fn, widths, grads, folded):
+    prog, w = lower_trace(trace(fn), widths, name="fold")
+    cse(prog)
+    dce(prog)
+    before = [op.kind for op in prog.ops]
+    wrt = {buf for buf, (_k, feat) in prog.inputs.items() if feat in grads}
+    count = fold_scales(prog, w, wrt)
+    dce(prog)
+    if folded is None:
+        assert count == 0 and [op.kind for op in prog.ops] == before
+    else:
+        assert count == 1 and [op.kind for op in prog.ops] == folded
+    report = LintReport(subject="fold")
+    verify_tprogram(prog, report)
+    assert report.ok() and len(report) == 0

@@ -130,7 +130,7 @@ def _mutate_stg005() -> LintReport:
 
 
 # ---------------------------------------------------------------------------
-# Tensor-IR mutations (STG010..STG014)
+# Tensor-IR mutations (STG010..STG015)
 # ---------------------------------------------------------------------------
 def _mutate_stg010() -> LintReport:
     prog = copy.deepcopy(_plan().fwd_prog)
@@ -173,6 +173,33 @@ def _mutate_stg014() -> LintReport:
     report = _report()
     verify_tprogram(prog, report)
     return report
+
+
+def _mutate_stg015() -> LintReport:
+    prog = TProgram(name="fold")
+    prog.inputs = {"n_x": ("node", "x"), "n_s": ("node", "s")}
+    prog.spaces = {"n_x": "node", "n_s": "node", "zz_s2": "node", "zz_out": "node"}
+    # a scale the program computes is no structure a context could keep
+    prog.ops = [
+        TOp("ew", "zz_s2", ("n_s", "n_s"), {"op": "mul"}),
+        TOp("spmm_scaled", "zz_out", ("zz_s2", "n_x"), {"direction": "in"}),
+    ]
+    prog.outputs = ["zz_out"]
+    report = _report()
+    verify_tprogram(prog, report)
+    return report
+
+
+def test_folded_scale_plan_is_clean():
+    """A scale outside grad_features is folded, and the folded programs
+    (the scale an input of both) pass the legality rule."""
+    fn = lambda v: v.agg_sum(lambda nb: nb.vh * nb.vnorm) * v.vnorm  # noqa: E731
+    plan = plan_cache().get_or_build(
+        fn, feature_widths={"vh": "v", "vnorm": "s"}, grad_features={"vh"}, name="verify_fold"
+    )
+    assert [op.kind for op in plan.fwd_prog.ops] == ["spmm_scaled"]
+    assert [op.kind for op in plan.bwd_prog.ops] == ["spmm_scaled_T"]
+    assert plan.lint.ok() and len(plan.lint) == 0
 
 
 def test_unused_input_is_a_warning_not_an_error():
@@ -301,6 +328,7 @@ _MUTATIONS = {
     "STG012": _mutate_stg012,
     "STG013": _mutate_stg013,
     "STG014": _mutate_stg014,
+    "STG015": _mutate_stg015,
     "STG020": _mutate_stg020,
     "STG021": _mutate_stg021,
     "STG022": _mutate_stg022,

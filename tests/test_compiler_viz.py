@@ -40,7 +40,7 @@ def test_tensor_ir_dot_structure(gcn_prog):
 
 def test_backward_ir_dot(gcn_prog):
     dot = tensor_ir_to_dot(gcn_prog.bwd_prog)
-    assert "spmm_T" in dot
+    assert "spmm_scaled_T" in dot
     assert "g_out" in dot
 
 

@@ -67,15 +67,20 @@ def test_gcn_gradients_flow_to_params(setup):
     assert np.abs(conv.weight.grad).sum() > 0
 
 
-def test_gcn_state_stack_spec_minimal():
-    conv = GCNConv(4, 4)
+def test_gcn_state_stack_spec_minimal(setup):
+    """Backward reads only ``norm``, and the layer binds it as a function of
+    the context, so the State Stack keeps that function: no bytes."""
+    n, g, sg, ex, A, x = setup
+    conv = GCNConv(5, 4)
     assert set(conv.program.saved_spec) == {"n_norm"}
+    conv(ex, Tensor(x, requires_grad=True))
+    assert len(ex.state_stack) == 1 and ex.state_stack.current_bytes() == 0
 
 
 def test_gcn_generated_source_accessible():
     conv = GCNConv(4, 4)
-    assert "spmm" in conv.program.forward_source
-    assert "spmm_T" in conv.program.backward_source
+    assert "spmm_scaled(ctx, n_norm" in conv.program.forward_source
+    assert "spmm_scaled_T(ctx, n_norm" in conv.program.backward_source
 
 
 def test_sage_matches_dense(setup):

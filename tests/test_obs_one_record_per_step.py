@@ -10,6 +10,7 @@ and a logical move records nothing; the State Stack's bytes ride on the
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.module as module
@@ -104,8 +105,13 @@ def test_lifo_walk_served_from_the_context_store_replays_nothing(dynamic_ds, fre
 
 
 def test_train_timestamp_carries_the_state_stack_bytes(dynamic_ds, monkeypatch):
+    """The record of each step carries the State Stack's running total.  A
+    TGCN's entries hold its ``norm`` as a function of the context (no bytes),
+    so each push here adds an 8-byte marker to make the total move."""
     trainer = _trainer(dynamic_ds)
     stack = trainer.executor.state_stack
+    push = stack.push
+    monkeypatch.setattr(stack, "push", lambda t, saved, tag="": push(t, {**saved, "marker": np.zeros(2)}, tag))
     at_step: list[int] = []
     loss_at = trainer._loss_at
 

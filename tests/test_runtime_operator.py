@@ -106,3 +106,50 @@ def test_operator_indices_are_int32_and_shared_by_weighted_launches():
         weighted = op.matrix(w)
         assert np.shares_memory(weighted.indices, op.mat.indices)
         assert np.shares_memory(weighted.indptr, op.mat.indptr)
+
+
+def _scaled_reference(ctx: GraphContext, s, x, direction: str) -> np.ndarray:
+    """``diag(s) A diag(s) @ x`` with the per-edge product ``s[u]·s[v]``
+    written out on the unpermuted CSR of ``direction``."""
+    n = ctx.num_nodes
+    row, col = (ctx.fwd_row, ctx.fwd_col) if direction == "in" else (ctx.bwd_row, ctx.bwd_col)
+    s32 = s.astype(np.float32)
+    data = np.repeat(s32, np.diff(row)) * s32[col]
+    return sp.csr_matrix((data, col, row), shape=(n, n)) @ x.astype(np.float32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=_digraphs(), sort_by_degree=st.booleans(), seed=st.integers(0, 2**16))
+def test_folded_scale_product_and_its_transpose(graph, sort_by_degree, seed):
+    """``spmm_scaled`` is the scaled product in either direction and degree
+    order, bit for bit, and its ``"out"`` matrix stores, per edge, the bits
+    of the ``"in"`` one: the two are exact transposes."""
+    n, src, dst = graph
+    rng = np.random.default_rng(seed)
+    ctx = GraphContext(StaticGraph(src, dst, n, sort_by_degree))
+    s = rng.uniform(0.1, 1.0, n).astype(np.float32)
+    s.flags.writeable = False
+    x = rng.standard_normal((n, 3)).astype(np.float32)
+    for direction in ("in", "out"):
+        assert np.array_equal(rt.spmm_scaled(ctx, s, x, direction), _scaled_reference(ctx, s, x, direction))
+    eye = np.eye(n, dtype=np.float32)  # one edge per entry: the weights themselves
+    assert np.array_equal(rt.spmm_scaled(ctx, s, eye, "in"), rt.spmm_scaled(ctx, s, eye, "out").T)
+
+
+def test_folded_weights_are_kept_per_direction_for_a_read_only_scale():
+    """The first launch binding a read-only scale builds that direction's
+    matrix over the operator's own structure, later launches reuse it, and
+    neither ``ones`` nor the unweighted matrix is built; a writeable scale,
+    which could change under a kept matrix, builds per launch."""
+    ctx = GraphContext(StaticGraph(np.array([0, 1, 1, 2]), np.array([1, 0, 2, 2]), 4))
+    s = np.array([0.5, 0.25, 1.0, 2.0], dtype=np.float32)
+    s.flags.writeable = False
+    x = np.ones((4, 2), dtype=np.float32)
+    rt.spmm_scaled(ctx, s, x, "in")
+    op = ctx.operator("in")
+    kept = op.scaled(s)
+    assert op.scaled(s) is kept and np.shares_memory(kept.indices, ctx.fwd_col)
+    assert "out" not in ctx._operators and "ones" not in ctx.__dict__ and "mat" not in op.__dict__
+    writeable = s.copy()
+    assert op.scaled(writeable) is not op.scaled(writeable)
+    assert op.scaled(s) is kept

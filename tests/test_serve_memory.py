@@ -14,6 +14,7 @@
 * a served forward's peak stays under a bound from ``N``, ``F`` and ``E``
   that three superseded builds, or the previous output kept through the
   forward, would break;
+* ingest builds no folded GCN weights: the forward after it does;
 * the served values stay bitwise equal to the serial reference;
 * the heap policy is applied once per process, and does nothing where
   ``mallopt`` does not resolve.
@@ -107,6 +108,23 @@ def test_the_engine_never_makes_the_graphs_pma():
         no_pma(engine, device)
         steps += 1
     assert steps == UPDATES
+
+
+def test_ingest_builds_no_folded_weights():
+    """Ingest positions the executor on the new version's context and
+    launches nothing, so it builds no aggregation operator and no folded
+    GCN weights; the served forward after it builds the ``"in"`` side once
+    (a no-grad forward has no backward)."""
+    after = []
+    for engine, _device, _result in _served_run(lambda e, d: after.append(dict(_live_context(e)._operators))):
+        ctx = _live_context(engine)
+        assert set(ctx._operators) == {"in"} and ctx.operator("in")._scaled is not None
+    assert len(after) == UPDATES and all(ops == {} for ops in after)
+
+
+def _live_context(engine):
+    (ctx,) = engine._executor._ctx_cache.values()
+    return ctx
 
 
 def test_an_update_never_holds_two_builds():

@@ -118,74 +118,18 @@ def test_sigmoid_extreme_values_stable():
     assert out[1] == pytest.approx(1.0, abs=1e-6)
 
 
-def _masked_sigmoid(a: np.ndarray) -> np.ndarray:
-    """The two-branch formula the engine used to evaluate with boolean-mask
-    gathers and scatters; kept here as the reference for the branch-free one."""
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ex = np.exp(a[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_stable_sigmoid_matches_masked_reference_bitwise(dtype, rng):
-    from repro.tensor.ops import stable_sigmoid
-
-    tiny = np.finfo(dtype).tiny
-    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, tiny / 4, -tiny / 4,
-             88.7, -88.7, 709.0, -709.0, 1e-8, -1e-8, 20.0, -20.0]
-    flat = np.concatenate([
-        np.array(edges, dtype=dtype),
-        rng.standard_normal(4096).astype(dtype),
-        (rng.standard_normal(1024) * 50).astype(dtype),
-    ])
-    grid = flat[: 64 * 64].reshape(64, 64)
-    cases = [
-        np.array(0.3, dtype=dtype), np.array(-0.3, dtype=dtype),  # 0-d
-        flat, grid,
-        flat[::3], grid.T, grid[:, ::2], grid[5:40:2, 7],  # non-contiguous
-        flat[:0],
-    ]
-    with np.errstate(all="ignore"):
-        for a in cases:
-            want = _masked_sigmoid(a)
-            got = stable_sigmoid(a)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want, equal_nan=True)
-            # array_equal treats +0.0 == -0.0; outside NaN (whose sign is
-            # not a value) the sign bit must agree too
-            finite = ~np.isnan(want)
-            assert np.array_equal(np.signbit(got)[finite], np.signbit(want)[finite])
-
-
-def test_stable_sigmoid_float64_sweep_matches_masked_reference_bitwise():
-    """A seeded sweep of float64 inputs: arbitrary bit patterns (every
-    exponent, NaN, inf), the range where ``exp`` under- and overflows, and
-    subnormals of both signs."""
-    from repro.tensor.ops import stable_sigmoid
-
-    rng = np.random.default_rng(20261015)
-    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-    subnormal = rng.integers(1, 2**52, 50_000, dtype=np.uint64).view(np.float64) * rng.choice([-1.0, 1.0], 50_000)
-    a = np.concatenate([patterns, rng.uniform(-760, 760, 200_000), rng.standard_normal(200_000) * 10, subnormal])
-    with np.errstate(all="ignore"):
-        want, got = _masked_sigmoid(a), stable_sigmoid(a)
-    same = (want.view(np.uint64) == got.view(np.uint64)) | (np.isnan(want) & np.isnan(got))
-    assert same.all(), a[~same][:5]
-
-
 def _expression_sigmoid(a):
-    """``stable_sigmoid`` as one expression, seven temporaries."""
-    return np.exp(np.minimum(a, 0)) / (1 + np.exp(-np.abs(a)))
+    """``stable_sigmoid`` as one expression: ``0.5·(1 + tanh(a/2))``, the
+    halving at the float type ``np.tanh`` gives ``a``."""
+    return 0.5 * (1 + np.tanh(a * np.float16(0.5)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_stable_sigmoid_is_the_expression_in_fresh_buffers(dtype, rng):
     """The in-place evaluation returns the one-expression form's bits and
     dtype, as a new array, for 0-d, non-contiguous and integer input, and
-    leaves its input as it was."""
+    leaves its input as it was.  Its distance to the exact logistic function
+    is the numeric contract's (``tests/test_numeric_contract.py``)."""
     from repro.tensor.ops import stable_sigmoid
 
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 88.8, -88.8, 710.0, -710.0], dtype=dtype)

@@ -1,10 +1,12 @@
 """One tape node per TGCN step.
 
 The GRU gate tail of ``repro.nn.TGCN`` (and of PyG-T's TGCN) is one
-``TGCNGates`` node.  These tests pin that it changes no bit (outputs and
-every gradient equal the frozen seventeen-op composition in
-``tests/_tgcn_reference.py``, over odd shapes, every kind of previous state
-and BPTT over several steps), that it keeps exactly ``a_z, a_r, a_h, H, z,
+``TGCNGates`` node.  These tests pin that it changes no bit against the
+op-by-op composition it fuses (outputs and every gradient equal the tape ops
+of ``tests/_tgcn_split_reference.py``, which compute each ``[a ‖ H] @ W`` as
+``a @ W[:F] + H @ W[F:]``, over odd shapes, every kind of previous state and
+BPTT over several steps), that it stays within the numeric contract's bound
+of the frozen concatenating composition in ``tests/_tgcn_reference.py``, that it keeps exactly ``a_z, a_r, a_h, H, z,
 r`` per step (the first step's ``H`` a 0-d zero) and nothing under
 ``no_grad``, that backward holds the ``h̃`` it rebuilds on the ledger and
 releases it, that a recorded sequence from ``h = None`` is bitwise one from
@@ -29,6 +31,8 @@ from repro.nn.tgcn import TGCNGates, tgcn_gates
 from repro.tensor import Tensor, functional as F, init, no_grad
 from repro.tensor.nn import Linear
 from tests._tgcn_reference import reference_gate_tail, reference_tgcn_step
+from tests._tgcn_split_reference import split_gate_tail, split_tgcn_step
+from tests.test_numeric_contract import F32_REL_BOUND, max_rel_error
 from tests.test_tensor_tape import _tape_saved_arrays
 
 #: (name, shape) of every TGCN(3, 5) parameter, in ``parameters()`` order, as
@@ -83,8 +87,6 @@ def _run_gates(tail, seed, n, f, steps, h_mode, scale):
     scale=st.sampled_from([0.5, 3.0, 40.0]),
     seed=st.integers(0, 2**16),
 )
-# F = 1: stacking the weight gradient from two half products (a^T dpre over
-# H^T dpre) instead of one [a || H]^T dpre product changes bits here.
 @example(shape=(7, 1), steps=2, h_mode="leaf", scale=3.0, seed=0)
 @example(shape=(1, 1), steps=3, h_mode="zeros", scale=0.5, seed=1)
 @example(shape=(4099, 15), steps=2, h_mode="leaf", scale=3.0, seed=2)
@@ -92,15 +94,37 @@ def _run_gates(tail, seed, n, f, steps, h_mode, scale):
 @settings(max_examples=60, deadline=None)
 def test_gate_node_is_bitwise_the_unfused_composition(shape, steps, h_mode, scale, seed):
     """Outputs, the three aggregation inputs' gradients, the previous state's
-    and all six ``lin_*`` gradients equal the seventeen-op tape's, bit for bit,
-    for a zero, constant or leaf initial state and BPTT over several steps.
-    The node's 0-d zero state (``scalar_zero``) is checked against the
+    and all six ``lin_*`` gradients equal the split composition's tape, bit
+    for bit, for a zero, constant or leaf initial state and BPTT over several
+    steps.  The node's 0-d zero state (``scalar_zero``) is checked against the
     composition on ``N×F`` zeros, which cannot broadcast one."""
     n, f = shape
     fused = _run_gates(tgcn_gates, seed, n, f, steps, h_mode, scale)
     ref_mode = "zeros" if h_mode == "scalar_zero" else h_mode
-    reference = _run_gates(reference_gate_tail, seed, n, f, steps, ref_mode, scale)
-    assert fused == reference
+    assert fused == _run_gates(split_gate_tail, seed, n, f, steps, ref_mode, scale)
+
+
+def _values(bits):
+    return np.frombuffer(bits[2], dtype=bits[0]).astype(np.float64)
+
+
+def _within_bound(got, want):
+    """Every array of ``got`` within the contract's normwise bound of ``want``."""
+    for g, w in zip(got, want):
+        if g is not None:
+            assert max_rel_error(_values(g), _values(w)) <= F32_REL_BOUND
+
+
+@pytest.mark.parametrize(("n", "f"), [(7, 1), (40, 5), (4099, 15)])
+@pytest.mark.parametrize("h_mode", ["zeros", "constant", "leaf"])
+def test_gate_node_is_the_concatenating_composition_within_the_bound(n, f, h_mode):
+    """Against the frozen seventeen-op composition, which multiplies the
+    concatenation, every output and gradient differs by summation order
+    only: within the numeric contract's float32 bound."""
+    fused = _run_gates(tgcn_gates, n + f, n, f, 2, h_mode, 3.0)
+    frozen = _run_gates(reference_gate_tail, n + f, n, f, 2, h_mode, 3.0)
+    for got, want in zip(fused, frozen):
+        _within_bound(got if isinstance(got, list) else [got], want if isinstance(want, list) else [want])
 
 
 def _edges(n, seed):
@@ -138,11 +162,15 @@ def _run_tgcn(step, n, f, h_leaf, seed, steps=3):
 @pytest.mark.parametrize("h_leaf", [False, True])
 def test_tgcn_is_bitwise_the_unfused_tgcn(n, f, h_leaf):
     """Through a real TGCN (three compiled aggregations and the State Stack)
-    the convolution parameters' gradients are bit-identical too."""
+    the convolution parameters' gradients are bit-identical to the split
+    composition's too, and within the contract's bound of the concatenating
+    one."""
     fused = _run_tgcn(lambda m, ex, x, h: m(ex, x, h), n, f, h_leaf, seed=n + f)
-    reference = _run_tgcn(reference_tgcn_step, n, f, h_leaf, seed=n + f)
-    assert fused == reference
+    assert fused == _run_tgcn(split_tgcn_step, n, f, h_leaf, seed=n + f)
     assert all(g is not None for g in fused[1].values())
+    frozen = _run_tgcn(reference_tgcn_step, n, f, h_leaf, seed=n + f)
+    _within_bound(fused[0], frozen[0])
+    _within_bound([fused[1][k] for k in sorted(fused[1])], [frozen[1][k] for k in sorted(frozen[1])])
 
 
 def test_both_tgcns_record_the_gate_tail_as_one_node(rng):
